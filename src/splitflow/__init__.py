@@ -1,12 +1,14 @@
 """AC power flow with continuously differentiable device controls.
 
-The solver works in rectangular current-voltage coordinates: every device
-contributes linearized circuit stamps to a sparse NR system, and the
-control loops that classical solvers run in outer iterations (reactive
-limits, remote voltage control, switched shunts, transformer taps,
-distributed slack) are smooth models solved implicitly inside NR, with
-homotopy continuation for robustness. A classical hard-switching outer
-loop is included for comparison.
+The solver works in rectangular current-voltage coordinates, where the
+network is linear: ratio-fixed branches and fixed shunts form a constant
+admittance block built once per index map, and only the devices are
+stamped one by one. Each NR step solves J dx = -F, with F and J from one
+stamp pass. The control loops that classical solvers run in outer
+iterations (reactive limits, remote voltage control, switched shunts,
+transformer taps, distributed slack) are smooth models solved implicitly
+inside NR, with homotopy continuation for robustness. A classical
+hard-switching outer loop is included for comparison.
 """
 
 from .baseline_outer_loop import OuterPolicy, SwitchTrace, classify_stability, solve_outer_loop
@@ -27,7 +29,6 @@ from .case_model import (
 )
 from .circuit_stamps import (
     ControlMode,
-    LinearSystem,
     StateVector,
     assemble,
     base_control,
@@ -51,7 +52,6 @@ from .homotopy_driver import (
     init_p_limit_relaxation,
     init_q_limit_relaxation,
     run_homotopy,
-    tx_stepping,
 )
 from .nr_solver import SolveReport, SolverOptions, nr_solve, solve_linear, step_limit
 from .smooth_primitives import (

@@ -50,7 +50,6 @@ class SwitchEvent:
 @dataclass
 class SwitchTrace:
     events: list = field(default_factory=list)
-    per_outer: list = field(default_factory=list)  # (pv_to_pq, pq_to_pv, ids)
     fixed_as_pq: set = field(default_factory=set)
     toggles: dict = field(default_factory=dict)
 
@@ -126,7 +125,6 @@ def solve_outer_loop(
                                         policy, local)
         if not candidates:
             status = "settled"
-            strace.per_outer.append((0, 0, []))
             break
 
         reverse = policy.order == LARGEST_FIRST
@@ -140,11 +138,9 @@ def solve_outer_loop(
         if direction == "pv->pq":
             modes[key] = FIXED_Q
             fixed_q[key] = limit
-            strace.per_outer.append((1, 0, [gen_i]))
         else:
             modes[key] = FIXED_V
             fixed_q.pop(key, None)
-            strace.per_outer.append((0, 1, [gen_i]))
         strace.events.append(SwitchEvent(outer, gen_i, direction, limit))
         if trace_rows:
             last = trace_rows[-1]

@@ -10,8 +10,9 @@ on the system MVA base.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import CaseParseError, CaseValidationError
 
@@ -598,9 +599,27 @@ def _islands(case: NetworkCase) -> list[set[int]]:
     return comps
 
 
+def _non_finite(obj, where: str) -> list[str]:
+    """One message per nan or inf number in a (nested) case record."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [f"{where} is not finite ({obj})"]
+    if isinstance(obj, tuple):
+        return [m for k, v in enumerate(obj)
+                for m in _non_finite(v, f"{where}[{k}]")]
+    if is_dataclass(obj):
+        return [m for f in fields(obj)
+                for m in _non_finite(getattr(obj, f.name), f"{where}.{f.name}")]
+    return []
+
+
 def validate(case: NetworkCase) -> list[str]:
-    """Return all structural problems; empty list means solvable-shaped."""
-    out: list[str] = []
+    """Return all structural problems; empty list means solvable-shaped.
+
+    Non-finite numbers are reported alone: every later check would
+    misread them."""
+    out = _non_finite(case, "case")
+    if out:
+        return out
     if case.s_base <= 0:
         out.append(f"s_base must be > 0, got {case.s_base}")
 
@@ -733,7 +752,3 @@ def validate(case: NetworkCase) -> list[str]:
 
     return out
 
-
-def flat_start_voltages(case: NetworkCase) -> list[complex]:
-    """Initial bus voltages: setpoint + j0 at slack/pv buses, 1 + j0 elsewhere."""
-    return [complex(b.v_init_real, b.v_init_imag) for b in case.buses]

@@ -1,12 +1,15 @@
-"""Per-device linearized stamps for the split-circuit NR system.
+"""Residual F and Jacobian J of the split-circuit NR system, in one pass.
 
-Every device contributes first-order Taylor terms of its current
-injections (and one control equation per controlled quantity) to a square
-sparse system in the direct-solution convention: A(x0) x_new = A(x0) x0 -
-F(x0), so the stamped right-hand side already folds in the linearization
-point. The same stamp code evaluates the plain nonlinear residual F(x0)
-when the assembler runs in residual mode; Jacobian entries are therefore
-testable against finite differences of `residual`.
+In current-voltage coordinates the network is linear. The ratio-fixed
+branches and the fixed shunts form a constant real 2n x 2n block, built
+once per IndexMap in two parts: a series part, scaled by the tx
+relaxation 1 + tx_relax * TX_SCALE, and an unscaled shunt part (line
+charging and fixed shunts). A pass adds the block's currents to F and
+its triplets to J. Only the devices stamp themselves one by one: loads,
+generators, switched shunts, remote groups, controlled and snapped taps,
+and the slack rows. Each adds its nonlinear residual to F and its exact
+partial derivatives to J, so `residual` and `assemble` come from the same
+code and J is testable against finite differences of `residual`.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -22,9 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 
-from .case_model import PQ, PV, SLACK, NetworkCase
+from .case_model import NetworkCase
 from .errors import SingularPointError
 from .smooth_primitives import (
     DECREASING,
@@ -111,6 +114,12 @@ class IndexMap:
     agc_member_idx: list
     slack_gen_idx: list
     slack_p_sched: float
+    snapped_taps: list  # branch indices stamped at ctl.fixed_tap_ratio
+    # network block triplets; J gets scale * net_series + net_shunt
+    net_rows: np.ndarray
+    net_cols: np.ndarray
+    net_series: np.ndarray
+    net_shunt: np.ndarray
 
     def vr(self, pos: int) -> int:
         return 2 * pos
@@ -172,6 +181,10 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         dps_col = col
         col += 1
 
+    in_block = [bi for bi in range(len(case.branches))
+                if bi not in tap_col and bi not in ctl.fixed_tap_ratio]
+    net_rows, net_cols, net_series, net_shunt = _network_block(
+        case, bus_pos, in_block)
     return IndexMap(
         n_bus=len(case.buses),
         bus_pos=bus_pos,
@@ -186,7 +199,45 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         agc_member_idx=agc_member_idx,
         slack_gen_idx=slack_gen_idx,
         slack_p_sched=sum(case.generators[i].p_g for i in slack_gen_idx),
+        snapped_taps=sorted(ctl.fixed_tap_ratio),
+        net_rows=net_rows,
+        net_cols=net_cols,
+        net_series=net_series,
+        net_shunt=net_shunt,
     )
+
+
+def _network_block(case: NetworkCase, bus_pos: dict, in_block: list):
+    """Real I-V triplets (rows, cols, series, shunt) of the branches in
+    in_block and of the fixed shunts.
+
+    The complex entries follow MATPOWER's makeYbus: a branch with series
+    admittance y and ratio t adds y/t^2, -y/t, -y/t and y to the series
+    part, and b_sh/2 at each end (over t^2 at the from end) to the shunt
+    part; a fixed shunt adds its admittance to the shunt part. An entry
+    G + jB at (i, j) becomes the real block [[G, -B], [B, G]].
+    """
+    brs = [case.branches[bi] for bi in in_block]
+    f = np.array([bus_pos[br.from_bus] for br in brs], dtype=np.intp)
+    t = np.array([bus_pos[br.to_bus] for br in brs], dtype=np.intp)
+    tr = np.array([br.ratio for br in brs], dtype=float)
+    y = np.array([complex(br.g, br.b) for br in brs], dtype=complex)
+    c = np.array([complex(0.0, br.b_sh / 2.0) for br in brs], dtype=complex)
+    k = np.array([bus_pos[sh.bus] for sh in case.fixed_shunts], dtype=np.intp)
+    ysh = np.array([complex(sh.g, sh.b) for sh in case.fixed_shunts],
+                   dtype=complex)
+    none = np.zeros(len(brs))
+    i = np.concatenate((f, f, t, t, k))
+    j = np.concatenate((f, t, f, t, k))
+    series = np.concatenate((y / tr**2, -y / tr, -y / tr, y, np.zeros(len(k))))
+    shunt = np.concatenate((c / tr**2, none, none, c, ysh))
+
+    def real(z):
+        return np.concatenate((z.real, -z.imag, z.imag, z.real))
+
+    rows = np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1))
+    cols = np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1))
+    return rows, cols, real(series), real(shunt)
 
 
 class StateVector:
@@ -284,126 +335,48 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     return StateVector(index, x)
 
 
-class LinearSystem:
-    """Triplet-accumulated sparse system; duplicate entries sum."""
+class _Pass:
+    """One stamp pass at a state: the residual F and the Jacobian triplets.
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.rhs = np.zeros(dim)
-
-    def add(self, row: int, col: int, val: float):
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(val)
-
-    def matrix(self) -> csr_matrix:
-        return csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        )
-
-
-class Assembler:
-    """Routes stamp contributions into a LinearSystem and/or residual.
-
-    KCL contributions at the slack bus are either dropped (its rows are
-    replaced by voltage constraints) or, with distributed slack active,
-    collected so the surplus equation P_S + dP_S = V_S . I_S can be built
-    from the implied slack-source currents.
+    Every KCL contribution goes to row 2 * pos + comp of its bus, the
+    slack bus included; `_stamp_slack` then turns the slack rows into
+    voltage constraints and, with distributed slack, into the surplus row.
     """
 
-    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode,
-                 want_matrix: bool = True):
+    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode):
         self.case = case
-        self.state = state
         self.ctl = ctl
         self.index = state.index
         self.x = state.x
-        self.want_matrix = want_matrix
-        self.sys = LinearSystem(self.index.dim) if want_matrix else None
-        self.res = np.zeros(self.index.dim)
-        self._collect = ctl.agc_enabled
-        self._slack_g = ({}, {})  # col -> d(slack current)/d(col), real/imag
-        self._slack_f = [0.0, 0.0]  # slack KCL residual value, real/imag
+        self.F = np.zeros(self.index.dim)
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
 
-    # -- equation channel (control rows, slack voltage rows, surplus row)
-
-    def add_eq(self, row: int, col: int, grad: float):
-        if self.want_matrix:
-            self.sys.add(row, col, grad)
-            self.sys.rhs[row] += grad * self.x[col]
-
-    def add_eq_f(self, row: int, f: float):
-        if self.want_matrix:
-            self.sys.rhs[row] -= f
-        self.res[row] += f
-
-    # -- KCL channel (device and branch currents)
-
-    def add_kcl(self, pos: int, comp: int, col: int, grad: float):
-        if pos == self.index.slack_pos:
-            if self._collect and self.want_matrix:
-                g = self._slack_g[comp]
-                g[col] = g.get(col, 0.0) + grad
-            return
-        self.add_eq(2 * pos + comp, col, grad)
-
-    def add_kcl_f(self, pos: int, comp: int, f: float):
-        if pos == self.index.slack_pos:
-            if self._collect:
-                self._slack_f[comp] += f
-            return
-        self.add_eq_f(2 * pos + comp, f)
-
-    def finalize_slack_surplus(self):
-        """Surplus row: P_S + dP_S = V_SR * I_SR + V_SI * I_SI, with the
-        slack currents taken from the collected KCL sums."""
-        idx = self.index
-        if idx.dps_col is None:
-            return
-        s = idx.slack_pos
-        vr_c, vi_c = idx.vr(s), idx.vi(s)
-        vr0, vi0 = self.x[vr_c], self.x[vi_c]
-        f_r, f_i = self._slack_f
-        row = idx.dps_col
-        if self.want_matrix:
-            for col, g in self._slack_g[0].items():
-                self.add_eq(row, col, vr0 * g)
-            for col, g in self._slack_g[1].items():
-                self.add_eq(row, col, vi0 * g)
-            self.add_eq(row, vr_c, f_r)
-            self.add_eq(row, vi_c, f_i)
-            self.add_eq(row, idx.dps_col, -1.0)
-        f = vr0 * f_r + vi0 * f_i - idx.slack_p_sched - self.x[idx.dps_col]
-        self.add_eq_f(row, f)
+    def add(self, row: int, col: int, grad: float):
+        self.rows.append(row)
+        self.cols.append(col)
+        self.vals.append(grad)
 
 
 # ---------------------------------------------------------------------------
 # Elementary contribution helpers
 # ---------------------------------------------------------------------------
 
-def _kcl_admittance(asm: Assembler, at_pos: int, y: complex, v_pos: int):
+def _kcl_admittance(st: _Pass, at_pos: int, y: complex, v_pos: int):
     """Current y * V(v_pos) entering the KCL sum at at_pos (linear)."""
     g, b = y.real, y.imag
-    vr_c = asm.index.vr(v_pos)
-    vi_c = asm.index.vi(v_pos)
-    vr, vi = asm.x[vr_c], asm.x[vi_c]
-    asm.add_kcl(at_pos, 0, vr_c, g)
-    asm.add_kcl(at_pos, 0, vi_c, -b)
-    asm.add_kcl_f(at_pos, 0, g * vr - b * vi)
-    asm.add_kcl(at_pos, 1, vr_c, b)
-    asm.add_kcl(at_pos, 1, vi_c, g)
-    asm.add_kcl_f(at_pos, 1, b * vr + g * vi)
+    row, vr_c, vi_c = 2 * at_pos, 2 * v_pos, 2 * v_pos + 1
+    vr, vi = st.x[vr_c], st.x[vi_c]
+    st.F[row] += g * vr - b * vi
+    st.F[row + 1] += b * vr + g * vi
+    st.add(row, vr_c, g)
+    st.add(row, vi_c, -b)
+    st.add(row + 1, vr_c, b)
+    st.add(row + 1, vi_c, g)
 
 
-def _kcl_tap_column(asm: Assembler, at_pos: int, didtau: complex, tau_col: int):
-    asm.add_kcl(at_pos, 0, tau_col, didtau.real)
-    asm.add_kcl(at_pos, 1, tau_col, didtau.imag)
-
-
-def _kcl_injection(asm: Assembler, pos: int, p: float, q: float,
+def _kcl_injection(st: _Pass, pos: int, p: float, q: float,
                    q_col: int | None = None, p_col: int | None = None,
                    dp_dcol: float = 0.0):
     """Power injection as currents I_R = (p vr + q vi)/|V|^2,
@@ -413,148 +386,121 @@ def _kcl_injection(asm: Assembler, pos: int, p: float, q: float,
     p_col/dp_dcol: chain-rule column for p when it depends on an unknown
     (slack surplus participation).
     """
-    idx = asm.index
-    vr_c, vi_c = idx.vr(pos), idx.vi(pos)
-    vr, vi = asm.x[vr_c], asm.x[vi_c]
+    vr_c, vi_c = 2 * pos, 2 * pos + 1
+    vr, vi = st.x[vr_c], st.x[vi_c]
     dd = vr * vr + vi * vi
     if dd <= EPS_V * EPS_V:
-        bus = asm.case.buses[pos].id
+        bus = st.case.buses[pos].id
         raise SingularPointError(
             f"voltage magnitude collapsed at bus {bus} (|V|^2 = {dd:.3e})", bus=bus
         )
     ir = (p * vr + q * vi) / dd
     ii = (p * vi - q * vr) / dd
     # injections enter the KCL sum negatively
-    asm.add_kcl_f(pos, 0, -ir)
-    asm.add_kcl_f(pos, 1, -ii)
-    if asm.want_matrix:
-        asm.add_kcl(pos, 0, vr_c, -(p / dd - 2.0 * vr * ir / dd))
-        asm.add_kcl(pos, 0, vi_c, -(q / dd - 2.0 * vi * ir / dd))
-        asm.add_kcl(pos, 1, vr_c, -(-q / dd - 2.0 * vr * ii / dd))
-        asm.add_kcl(pos, 1, vi_c, -(p / dd - 2.0 * vi * ii / dd))
-        if q_col is not None:
-            asm.add_kcl(pos, 0, q_col, -(vi / dd))
-            asm.add_kcl(pos, 1, q_col, -(-vr / dd))
-        if p_col is not None and dp_dcol != 0.0:
-            asm.add_kcl(pos, 0, p_col, -(vr / dd) * dp_dcol)
-            asm.add_kcl(pos, 1, p_col, -(vi / dd) * dp_dcol)
+    st.F[vr_c] -= ir
+    st.F[vi_c] -= ii
+    st.add(vr_c, vr_c, -(p / dd - 2.0 * vr * ir / dd))
+    st.add(vr_c, vi_c, -(q / dd - 2.0 * vi * ir / dd))
+    st.add(vi_c, vr_c, -(-q / dd - 2.0 * vr * ii / dd))
+    st.add(vi_c, vi_c, -(p / dd - 2.0 * vi * ii / dd))
+    if q_col is not None:
+        st.add(vr_c, q_col, -(vi / dd))
+        st.add(vi_c, q_col, vr / dd)
+    if p_col is not None and dp_dcol != 0.0:
+        st.add(vr_c, p_col, -(vr / dd) * dp_dcol)
+        st.add(vi_c, p_col, -(vi / dd) * dp_dcol)
 
 
-def _vmag(asm: Assembler, pos: int):
-    vr_c = asm.index.vr(pos)
-    vi_c = asm.index.vi(pos)
-    vr, vi = asm.x[vr_c], asm.x[vi_c]
+def _vmag(st: _Pass, pos: int):
+    vr_c, vi_c = 2 * pos, 2 * pos + 1
+    vr, vi = st.x[vr_c], st.x[vi_c]
     vm = math.hypot(vr, vi)
     if vm <= EPS_V:
-        bus = asm.case.buses[pos].id
+        bus = st.case.buses[pos].id
         raise SingularPointError(
             f"voltage magnitude collapsed at bus {bus} (|V| = {vm:.3e})", bus=bus
         )
     return vr_c, vi_c, vr, vi, vm
 
 
-def _sigmoid_control_row(asm: Assembler, row: int, value_col: int, pos: int,
+def _sigmoid_control_row(st: _Pass, row: int, value_col: int, pos: int,
                          curve: SigmoidSaturation):
     """Row: value - sigmoid(|V(pos)|) = 0, chain rule through |V|."""
-    vr_c, vi_c, vr, vi, vm = _vmag(asm, pos)
-    f = asm.x[value_col] - sigmoid_eval(curve, vm)
-    asm.add_eq_f(row, f)
-    if asm.want_matrix:
-        ds = sigmoid_deriv(curve, vm)
-        asm.add_eq(row, value_col, 1.0)
-        asm.add_eq(row, vr_c, -ds * vr / vm)
-        asm.add_eq(row, vi_c, -ds * vi / vm)
+    vr_c, vi_c, vr, vi, vm = _vmag(st, pos)
+    st.F[row] += st.x[value_col] - sigmoid_eval(curve, vm)
+    ds = sigmoid_deriv(curve, vm)
+    st.add(row, value_col, 1.0)
+    st.add(row, vr_c, -ds * vr / vm)
+    st.add(row, vi_c, -ds * vi / vm)
 
 
-def _fixed_v_row(asm: Assembler, row: int, pos: int, v_set: float):
+def _fixed_v_row(st: _Pass, row: int, pos: int, v_set: float):
     """Hard voltage-magnitude row: V_R^2 + V_I^2 - V_set^2 = 0."""
-    idx = asm.index
-    vr_c, vi_c = idx.vr(pos), idx.vi(pos)
-    vr, vi = asm.x[vr_c], asm.x[vi_c]
-    asm.add_eq_f(row, vr * vr + vi * vi - v_set * v_set)
-    if asm.want_matrix:
-        asm.add_eq(row, vr_c, 2.0 * vr)
-        asm.add_eq(row, vi_c, 2.0 * vi)
+    vr_c, vi_c = 2 * pos, 2 * pos + 1
+    vr, vi = st.x[vr_c], st.x[vi_c]
+    st.F[row] += vr * vr + vi * vi - v_set * v_set
+    st.add(row, vr_c, 2.0 * vr)
+    st.add(row, vi_c, 2.0 * vi)
 
 
-def _fixed_q_row(asm: Assembler, row: int, value_col: int, q_fixed: float):
-    asm.add_eq_f(row, asm.x[value_col] - q_fixed)
-    if asm.want_matrix:
-        asm.add_eq(row, value_col, 1.0)
+def _fixed_q_row(st: _Pass, row: int, value_col: int, q_fixed: float):
+    st.F[row] += st.x[value_col] - q_fixed
+    st.add(row, value_col, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Device stamps
 # ---------------------------------------------------------------------------
 
-def _branch_admittances(branch, ctl: ControlMode, ratio: float):
-    scale = 1.0 + ctl.tx_relax * TX_SCALE
-    y = complex(branch.g, branch.b) * scale
+def _stamp_tapped_branch(st: _Pass, branch, tau: float,
+                         tau_col: int | None = None):
+    """Pi-model branch at ratio tau, outside the network block: a
+    controlled tap (tau is the unknown at tau_col) or a snapped one."""
+    f = st.index.bus_pos[branch.from_bus]
+    t = st.index.bus_pos[branch.to_bus]
+    y = complex(branch.g, branch.b) * (1.0 + st.ctl.tx_relax * TX_SCALE)
     c = complex(0.0, branch.b_sh / 2.0)
-    t2 = ratio * ratio
-    return (y + c) / t2, -y / ratio, -y / ratio, y + c
+    yft = -y / tau
+    _kcl_admittance(st, f, (y + c) / (tau * tau), f)
+    _kcl_admittance(st, f, yft, t)
+    _kcl_admittance(st, t, yft, f)
+    _kcl_admittance(st, t, y + c, t)
+    if tau_col is None:
+        return
+    vf = complex(st.x[2 * f], st.x[2 * f + 1])
+    vt = complex(st.x[2 * t], st.x[2 * t + 1])
+    dif = -2.0 * (y + c) / tau**3 * vf + y / (tau * tau) * vt
+    dit = y / (tau * tau) * vf
+    st.add(2 * f, tau_col, dif.real)
+    st.add(2 * f + 1, tau_col, dif.imag)
+    st.add(2 * t, tau_col, dit.real)
+    st.add(2 * t + 1, tau_col, dit.imag)
 
 
-def stamp_branch(asm: Assembler, branch, ratio: float | None = None):
-    """Pi-model branch with a fixed (possibly off-nominal) turns ratio."""
-    idx = asm.index
-    f = idx.bus_pos[branch.from_bus]
-    t = idx.bus_pos[branch.to_bus]
-    yff, yft, ytf, ytt = _branch_admittances(
-        branch, asm.ctl, branch.ratio if ratio is None else ratio
-    )
-    _kcl_admittance(asm, f, yff, f)
-    _kcl_admittance(asm, f, yft, t)
-    _kcl_admittance(asm, t, ytf, f)
-    _kcl_admittance(asm, t, ytt, t)
-
-
-def stamp_transformer(asm: Assembler, br_idx: int, branch):
+def stamp_transformer(st: _Pass, br_idx: int, branch):
     """Branch with a controllable ratio: tapped currents plus the ratio
     control row tr = sigmoid(|V_ctl|)."""
-    idx = asm.index
+    idx = st.index
     tau_col = idx.tap_col[br_idx]
-    tau = asm.x[tau_col]
-    f = idx.bus_pos[branch.from_bus]
-    t = idx.bus_pos[branch.to_bus]
-    scale = 1.0 + asm.ctl.tx_relax * TX_SCALE
-    y = complex(branch.g, branch.b) * scale
-    c = complex(0.0, branch.b_sh / 2.0)
-    yff = (y + c) / (tau * tau)
-    yft = -y / tau
-    _kcl_admittance(asm, f, yff, f)
-    _kcl_admittance(asm, f, yft, t)
-    _kcl_admittance(asm, t, yft, f)
-    _kcl_admittance(asm, t, y + c, t)
-    if asm.want_matrix:
-        vf = complex(asm.x[idx.vr(f)], asm.x[idx.vi(f)])
-        vt = complex(asm.x[idx.vr(t)], asm.x[idx.vi(t)])
-        dif = -2.0 * (y + c) / tau**3 * vf + y / (tau * tau) * vt
-        dit = y / (tau * tau) * vf
-        _kcl_tap_column(asm, f, dif, tau_col)
-        _kcl_tap_column(asm, t, dit, tau_col)
+    _stamp_tapped_branch(st, branch, st.x[tau_col], tau_col)
     tap = branch.tap
-    ctl_pos = f if tap.controlled_side == "primary" else t
+    ctl_pos = idx.bus_pos[branch.from_bus if tap.controlled_side == "primary"
+                          else branch.to_bus]
     key = ("tap", br_idx)
-    if asm.ctl.device_modes.get(key) == FIXED_V:
+    if st.ctl.device_modes.get(key) == FIXED_V:
         # limit-free regulation: hold the controlled voltage outright
-        _fixed_v_row(asm, tau_col, ctl_pos, tap.v_set)
+        _fixed_v_row(st, tau_col, ctl_pos, tap.v_set)
         return
     orientation = DECREASING if tap.controlled_side == "primary" else INCREASING
-    lo, hi = asm.ctl.relaxed_q_limits(key, tap.tr_min, tap.tr_max)
+    lo, hi = st.ctl.relaxed_q_limits(key, tap.tr_min, tap.tr_max)
     curve = SigmoidSaturation(
-        lo, hi, tap.v_set, asm.ctl.effective_steepness(), orientation
+        lo, hi, tap.v_set, st.ctl.effective_steepness(), orientation
     )
-    _sigmoid_control_row(asm, tau_col, tau_col, ctl_pos, curve)
+    _sigmoid_control_row(st, tau_col, tau_col, ctl_pos, curve)
 
 
-def stamp_load(asm: Assembler, load):
-    _kcl_injection(asm, asm.index.bus_pos[load.bus], -load.p, -load.q)
-
-
-def stamp_fixed_shunt(asm: Assembler, shunt):
-    pos = asm.index.bus_pos[shunt.bus]
-    _kcl_admittance(asm, pos, complex(shunt.g, shunt.b), pos)
+def stamp_load(st: _Pass, load):
+    _kcl_injection(st, st.index.bus_pos[load.bus], -load.p, -load.q)
 
 
 def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
@@ -579,182 +525,170 @@ def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
     return participation_eval(curve, dps), participation_deriv(curve, dps)
 
 
-def stamp_agc_member(asm: Assembler, gen_idx: int, gen):
-    """Return (p_effective, p_col, dp/dcol) for a generator's injection,
+def _gen_active_power(st: _Pass, gen_idx: int, gen):
+    """(p_effective, p_col, dp/dcol) for a generator's injection,
     substituting the slack-surplus participation when active."""
-    idx = asm.index
+    idx = st.index
     if gen_idx in idx.agc_member_idx and idx.dps_col is not None:
-        dp, ddp = agc_response(gen, asm.ctl, gen_idx, asm.x[idx.dps_col])
+        dp, ddp = agc_response(gen, st.ctl, gen_idx, st.x[idx.dps_col])
         return gen.p_g + dp, idx.dps_col, ddp
     return gen.p_g, None, 0.0
 
 
-def stamp_generator(asm: Assembler, gen_idx: int, gen):
-    """Locally-controlling generator: injection currents plus one control
-    row for its reactive-power unknown."""
-    idx = asm.index
-    key = ("gen", gen_idx)
-    q_col = idx.q_col[key]
-    pos = idx.bus_pos[gen.bus]
-    p_eff, p_col, ddp = stamp_agc_member(asm, gen_idx, gen)
-    _kcl_injection(asm, pos, p_eff, asm.x[q_col], q_col=q_col,
+def stamp_q_device(st: _Pass, key, bus: int, p: tuple, q_min: float,
+                   q_max: float, v_set: float):
+    """Locally controlling reactive device: injection currents plus the
+    control row of its reactive-power unknown.
+
+    p is (p_effective, p_col, dp/dcol) as from _gen_active_power. A
+    generator passes its active power and reactive limits; a continuous
+    switched shunt passes zero active power and its susceptance limits,
+    which are its reactive limits at nominal voltage.
+    """
+    q_col = st.index.q_col[key]
+    pos = st.index.bus_pos[bus]
+    p_eff, p_col, ddp = p
+    _kcl_injection(st, pos, p_eff, st.x[q_col], q_col=q_col,
                    p_col=p_col, dp_dcol=ddp)
-    mode = asm.ctl.device_modes.get(key, SIGMOID)
+    mode = st.ctl.device_modes.get(key, SIGMOID)
     if mode == FIXED_V:
-        _fixed_v_row(asm, q_col, pos, gen.v_set)
+        _fixed_v_row(st, q_col, pos, v_set)
         return
     if mode == FIXED_Q:
-        _fixed_q_row(asm, q_col, q_col, asm.ctl.fixed_q[key])
+        _fixed_q_row(st, q_col, q_col, st.ctl.fixed_q[key])
         return
-    lo, hi = asm.ctl.relaxed_q_limits(key, gen.q_min, gen.q_max)
+    lo, hi = st.ctl.relaxed_q_limits(key, q_min, q_max)
     if hi - lo < DEGENERATE_RANGE:
-        _fixed_q_row(asm, q_col, q_col, lo)
+        _fixed_q_row(st, q_col, q_col, lo)
         return
-    curve = SigmoidSaturation(lo, hi, gen.v_set, asm.ctl.effective_steepness())
-    _sigmoid_control_row(asm, q_col, q_col, pos, curve)
+    curve = SigmoidSaturation(lo, hi, v_set, st.ctl.effective_steepness())
+    _sigmoid_control_row(st, q_col, q_col, pos, curve)
 
 
-def stamp_switched_shunt(asm: Assembler, sh_idx: int, shunt):
-    """Continuous switched shunt: a local generator with zero active power
-    and reactive limits equal to the susceptance limits at nominal voltage."""
-    idx = asm.index
-    key = ("shunt", sh_idx)
-    q_col = idx.q_col[key]
-    pos = idx.bus_pos[shunt.bus]
-    _kcl_injection(asm, pos, 0.0, asm.x[q_col], q_col=q_col)
-    mode = asm.ctl.device_modes.get(key, SIGMOID)
-    if mode == FIXED_V:
-        _fixed_v_row(asm, q_col, pos, shunt.v_set)
-        return
-    if mode == FIXED_Q:
-        _fixed_q_row(asm, q_col, q_col, asm.ctl.fixed_q[key])
-        return
-    lo, hi = asm.ctl.relaxed_q_limits(key, shunt.b_min, shunt.b_max)
-    if hi - lo < DEGENERATE_RANGE:
-        _fixed_q_row(asm, q_col, q_col, lo)
-        return
-    curve = SigmoidSaturation(lo, hi, shunt.v_set, asm.ctl.effective_steepness())
-    _sigmoid_control_row(asm, q_col, q_col, pos, curve)
-
-
-def stamp_remote_group(asm: Assembler, gi: int, group):
+def stamp_remote_group(st: _Pass, gi: int, group):
     """Remote voltage control: per-member participation rows driven by the
     shared group request, the group request row tying the request to the
     remote bus voltage, and member injection currents."""
-    idx = asm.index
-    case = asm.case
+    idx = st.index
     qreq_col = idx.qreq_col[gi]
-    qreq = asm.x[qreq_col]
+    qreq = st.x[qreq_col]
     sum_lo = sum_hi = 0.0
-    hard = asm.ctl.group_modes.get(gi, SIGMOID) == FIXED_V
+    hard = st.ctl.group_modes.get(gi, SIGMOID) == FIXED_V
 
     for gen_i, kappa in zip(group.members, group.factors):
-        gen = case.generators[gen_i]
+        gen = st.case.generators[gen_i]
         key = ("gen", gen_i)
         q_col = idx.q_col[key]
-        pos = idx.bus_pos[gen.bus]
-        p_eff, p_col, ddp = stamp_agc_member(asm, gen_i, gen)
-        _kcl_injection(asm, pos, p_eff, asm.x[q_col], q_col=q_col,
-                       p_col=p_col, dp_dcol=ddp)
-        lo, hi = asm.ctl.relaxed_q_limits(key, gen.q_min, gen.q_max)
+        p_eff, p_col, ddp = _gen_active_power(st, gen_i, gen)
+        _kcl_injection(st, idx.bus_pos[gen.bus], p_eff, st.x[q_col],
+                       q_col=q_col, p_col=p_col, dp_dcol=ddp)
+        lo, hi = st.ctl.relaxed_q_limits(key, gen.q_min, gen.q_max)
         sum_lo += lo
         sum_hi += hi
         if hard:
             # unbounded mode: pure linear split, no flats
-            asm.add_eq_f(q_col, asm.x[q_col] - kappa * qreq)
-            if asm.want_matrix:
-                asm.add_eq(q_col, q_col, 1.0)
-                asm.add_eq(q_col, qreq_col, -kappa)
+            st.F[q_col] += st.x[q_col] - kappa * qreq
+            st.add(q_col, q_col, 1.0)
+            st.add(q_col, qreq_col, -kappa)
             continue
         if hi - lo < DEGENERATE_RANGE:
-            _fixed_q_row(asm, q_col, q_col, lo)
+            _fixed_q_row(st, q_col, q_col, lo)
             continue
         curve = participation_build(kappa, lo, hi)
-        f = asm.x[q_col] - participation_eval(curve, qreq)
-        asm.add_eq_f(q_col, f)
-        if asm.want_matrix:
-            asm.add_eq(q_col, q_col, 1.0)
-            asm.add_eq(q_col, qreq_col, -participation_deriv(curve, qreq))
+        st.F[q_col] += st.x[q_col] - participation_eval(curve, qreq)
+        st.add(q_col, q_col, 1.0)
+        st.add(q_col, qreq_col, -participation_deriv(curve, qreq))
 
     rpos = idx.bus_pos[group.controlled_bus]
     if hard:
-        _fixed_v_row(asm, qreq_col, rpos, group.v_set)
+        _fixed_v_row(st, qreq_col, rpos, group.v_set)
     elif sum_hi - sum_lo < DEGENERATE_RANGE:
-        _fixed_q_row(asm, qreq_col, qreq_col, sum_lo)
+        _fixed_q_row(st, qreq_col, qreq_col, sum_lo)
     else:
         curve = SigmoidSaturation(
-            sum_lo, sum_hi, group.v_set, asm.ctl.effective_steepness()
+            sum_lo, sum_hi, group.v_set, st.ctl.effective_steepness()
         )
-        _sigmoid_control_row(asm, qreq_col, qreq_col, rpos, curve)
+        _sigmoid_control_row(st, qreq_col, qreq_col, rpos, curve)
 
 
-def stamp_slack(asm: Assembler):
-    """Replace the slack bus KCL rows by V_R = V_set, V_I = 0; with
-    distributed slack also build the surplus power row."""
-    idx = asm.index
-    case = asm.case
-    pos = idx.slack_pos
-    bus = case.buses[pos]
-    v_set = bus.v_init_real
-    for gi in idx.slack_gen_idx:
-        v_set = case.generators[gi].v_set
-        break
-    row_r, row_i = idx.vr(pos), idx.vi(pos)
-    asm.add_eq_f(row_r, asm.x[row_r] - v_set)
-    asm.add_eq_f(row_i, asm.x[row_i])
-    if asm.want_matrix:
-        asm.add_eq(row_r, row_r, 1.0)
-        asm.add_eq(row_i, row_i, 1.0)
-    asm.finalize_slack_surplus()
+def _stamp_slack(st: _Pass, rows, cols, vals):
+    """Replace the slack bus KCL rows by V_R = V_set, V_I = 0 and return
+    the final triplets.
+
+    With distributed slack, the KCL sums at the slack bus are the slack
+    source currents I_S, and they build the surplus row
+    P_S + dP_S = V_SR * I_SR + V_SI * I_SI.
+    """
+    idx, x, F = st.index, st.x, st.F
+    r = 2 * idx.slack_pos
+    at_slack = (rows >> 1) == idx.slack_pos
+    keep = ~at_slack
+    parts = [(rows[keep], cols[keep], vals[keep]),
+             (np.array([r, r + 1]), np.array([r, r + 1]), np.ones(2))]
+    if idx.dps_col is not None:
+        d = idx.dps_col
+        f_r, f_i = F[r], F[r + 1]
+        on = rows[at_slack]  # r or r + 1, the row's own voltage column
+        parts.append((np.full(on.size, d), cols[at_slack], vals[at_slack] * x[on]))
+        parts.append((np.full(3, d), np.array([r, r + 1, d]),
+                      np.array([f_r, f_i, -1.0])))
+        F[d] = x[r] * f_r + x[r + 1] * f_i - idx.slack_p_sched - x[d]
+    v_set = st.case.buses[idx.slack_pos].v_init_real
+    if idx.slack_gen_idx:
+        v_set = st.case.generators[idx.slack_gen_idx[0]].v_set
+    F[r] = x[r] - v_set
+    F[r + 1] = x[r + 1]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
-# Full-system assembly
+# Full-system evaluation
 # ---------------------------------------------------------------------------
 
-def _stamp_all(asm: Assembler):
-    case = asm.case
-    idx = asm.index
-    for bi, br in enumerate(case.branches):
-        if bi in idx.tap_col:
-            stamp_transformer(asm, bi, br)
-        elif bi in asm.ctl.fixed_tap_ratio:
-            stamp_branch(asm, br, ratio=asm.ctl.fixed_tap_ratio[bi])
-        else:
-            stamp_branch(asm, br)
-    for sh in case.fixed_shunts:
-        stamp_fixed_shunt(asm, sh)
+def _stamp_pass(case: NetworkCase, state: StateVector, ctl: ControlMode):
+    """F and the Jacobian triplets (rows, cols, vals) at the state."""
+    st = _Pass(case, state, ctl)
+    idx = st.index
+    nv = idx.voltage_dim()
+    net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
+    st.F[:nv] = np.bincount(idx.net_rows, net * st.x[idx.net_cols],
+                            minlength=nv)
+    for bi in idx.tap_col:
+        stamp_transformer(st, bi, case.branches[bi])
+    for bi in idx.snapped_taps:
+        _stamp_tapped_branch(st, case.branches[bi], ctl.fixed_tap_ratio[bi])
     for load in case.loads:
-        stamp_load(asm, load)
+        stamp_load(st, load)
     for i in idx.local_gen_idx:
-        stamp_generator(asm, i, case.generators[i])
+        g = case.generators[i]
+        stamp_q_device(st, ("gen", i), g.bus, _gen_active_power(st, i, g),
+                       g.q_min, g.q_max, g.v_set)
     for gi, grp in enumerate(case.remote_groups):
-        stamp_remote_group(asm, gi, grp)
+        stamp_remote_group(st, gi, grp)
     for j, sh in enumerate(case.shunts):
-        if j in asm.ctl.fixed_shunt_b:
-            _kcl_admittance(
-                asm,
-                idx.bus_pos[sh.bus],
-                complex(0.0, asm.ctl.fixed_shunt_b[j]),
-                idx.bus_pos[sh.bus],
-            )
+        if j in ctl.fixed_shunt_b:
+            pos = idx.bus_pos[sh.bus]
+            _kcl_admittance(st, pos, complex(0.0, ctl.fixed_shunt_b[j]), pos)
         else:
-            stamp_switched_shunt(asm, j, sh)
-    stamp_slack(asm)
+            stamp_q_device(st, ("shunt", j), sh.bus, (0.0, None, 0.0),
+                           sh.b_min, sh.b_max, sh.v_set)
+    rows = np.concatenate((idx.net_rows, np.array(st.rows, dtype=np.intp)))
+    cols = np.concatenate((idx.net_cols, np.array(st.cols, dtype=np.intp)))
+    vals = np.concatenate((net, np.array(st.vals, dtype=float)))
+    return (st.F, *_stamp_slack(st, rows, cols, vals))
 
 
-def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode) -> LinearSystem:
-    """Build the square NR system whose solution is the next iterate."""
-    asm = Assembler(case, state, ctl, want_matrix=True)
-    _stamp_all(asm)
-    return asm.sys
+def assemble(case: NetworkCase, state: StateVector,
+             ctl: ControlMode) -> tuple[np.ndarray, csc_matrix]:
+    """Residual F and Jacobian J at the state; NR solves J dx = -F."""
+    F, rows, cols, vals = _stamp_pass(case, state, ctl)
+    dim = state.index.dim
+    return F, csc_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def residual(case: NetworkCase, state: StateVector, ctl: ControlMode) -> np.ndarray:
     """Exact nonlinear residuals F(x) of every equation at the given state."""
-    asm = Assembler(case, state, ctl, want_matrix=False)
-    _stamp_all(asm)
-    return asm.res
+    return _stamp_pass(case, state, ctl)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import click
 
@@ -175,6 +175,24 @@ def _apply_contingency(case: NetworkCase, spec: str) -> NetworkCase:
     return case.drop_generator(int(spec.split(":", 1)[1]))
 
 
+def _inputs(case_file, fmt, homotopy, tol, max_iter, agc=False,
+            contingency=None) -> tuple[NetworkCase, SolverOptions]:
+    """The case and solver options; any input error exits with status 2."""
+    try:
+        case = load_case(case_file, fmt)
+        if agc:
+            case = replace(case, agc_enabled=True)
+        if contingency:
+            case = _apply_contingency(case, contingency)
+        if homotopy == "p-limit" and not case.agc_enabled:
+            raise ValueError("--homotopy p-limit needs distributed slack "
+                             "(--agc)")
+        return case, SolverOptions(tol_residual=tol, max_iter=max_iter)
+    except (OSError, ValueError, SplitflowError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+
+
 @click.group()
 def main():
     """Power flow with continuous device-control models."""
@@ -204,19 +222,8 @@ def main():
 def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
           contingency, snap, order, trace_path, fmt):
     """Solve one case and print a key/value summary."""
-    try:
-        case = load_case(case_file, fmt)
-        if agc:
-            from dataclasses import replace as _replace
-
-            case = _replace(case, agc_enabled=True)
-        if contingency:
-            case = _apply_contingency(case, contingency)
-    except (OSError, SplitflowError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-    opts = SolverOptions(tol_residual=tol, max_iter=max_iter)
+    case, opts = _inputs(case_file, fmt, homotopy, tol, max_iter, agc,
+                         contingency)
     try:
         if models == "continuous":
             result = run_continuous(case, opts, method=homotopy,
@@ -250,13 +257,7 @@ def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
 def compare(case_file, homotopy, smoothing, tol, max_iter, order, trace_path,
             fmt):
     """Run the continuous and outer-loop pipelines side by side."""
-    try:
-        case = load_case(case_file, fmt)
-    except (OSError, SplitflowError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-    opts = SolverOptions(tol_residual=tol, max_iter=max_iter)
+    case, opts = _inputs(case_file, fmt, homotopy, tol, max_iter)
     columns = {}
     for label, runner in (
         ("continuous", lambda: run_continuous(case, opts, method=homotopy,

@@ -58,6 +58,12 @@ class HomotopySchedule:
             raise ValueError(f"unknown homotopy method {self.method!r}")
         if not (0.0 < self.decrement < 1.0):
             raise ValueError("decrement must be in (0, 1)")
+        if not (0.0 < self.backtrack < 1.0):
+            raise ValueError("backtrack must be in (0, 1)")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be >= 0")
+        if self.initial_steepness <= 0.0:
+            raise ValueError("initial_steepness must be > 0")
 
 
 def _try_solve(case, state, ctl, opts, phase, step):
@@ -143,20 +149,6 @@ def _tx_path(base: ControlMode, sched: HomotopySchedule):
         return replace(base, tx_relax=min(lam, sched.tx_initial))
 
     return make
-
-
-def tx_stepping(base: ControlMode, sched: HomotopySchedule) -> list[ControlMode]:
-    """The ladder of admittance-relaxed ControlModes the tx schedule visits
-    (without backtracking); the final entry is the original problem."""
-    make = _tx_path(base, sched)
-    out = []
-    t = 1.0
-    while t > 0.0:
-        out.append(make(t))
-        t_next = t * sched.decrement
-        t = 0.0 if t_next <= sched.snap_fraction else t_next
-    out.append(make(0.0))
-    return out
 
 
 def _unbounded_control(case: NetworkCase, base: ControlMode) -> ControlMode:

@@ -1,5 +1,8 @@
-"""Newton-Raphson inner loop: assemble, sparse-solve, damp, iterate.
+"""Newton-Raphson inner loop: evaluate, sparse-solve, damp, iterate.
 
+Each iteration takes the residual F and Jacobian J from one stamp pass
+(`circuit_stamps.assemble`), solves J dx = -F by sparse LU, clamps the
+step per variable and backtracks it until the residual norm drops.
 Convergence requires both the KCL/control residual and the step to fall
 below tolerance: near-saturated sigmoid plateaus can make steps tiny
 while the network equations are still violated, so the residual is the
@@ -11,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import spmatrix
 from scipy.sparse.linalg import splu
 
 from .case_model import NetworkCase
 from .circuit_stamps import (
-    Assembler,
     ControlMode,
-    LinearSystem,
     StateVector,
     assemble,
     classify_regions,
@@ -36,7 +38,6 @@ class SolverOptions:
     max_iter: int = 100
     step_limit_voltage: float = 0.1
     step_limit_q: float = 1.0
-    damping: str = "step-clamp"  # or "none"
 
     def __post_init__(self):
         if self.tol_residual <= 0 or self.tol_step <= 0:
@@ -73,14 +74,14 @@ class SolveReport:
     diagnostics: list = field(default_factory=list)
 
 
-def solve_linear(sys: LinearSystem) -> np.ndarray:
-    """Direct sparse LU solve of the assembled system.
+def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Direct sparse LU solve of mat x = rhs.
 
     Raises SingularSystemError carrying a suspect row index when the
     factorization fails or the solution does not satisfy the system.
     """
-    mat = sys.matrix().tocsc()
-    if not np.all(np.isfinite(mat.data)) or not np.all(np.isfinite(sys.rhs)):
+    mat = mat.tocsc()
+    if not np.all(np.isfinite(mat.data)) or not np.all(np.isfinite(rhs)):
         raise SingularSystemError("non-finite entries in assembled system")
     row_mass = np.asarray(abs(mat).sum(axis=1)).ravel()
     empty = np.where(row_mass == 0.0)[0]
@@ -91,12 +92,12 @@ def solve_linear(sys: LinearSystem) -> np.ndarray:
         )
     try:
         lu = splu(mat)
-        x = lu.solve(sys.rhs)
+        x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite values")
-    err = np.abs(mat @ x - sys.rhs).max() / max(1.0, np.abs(sys.rhs).max())
+    err = np.abs(mat @ x - rhs).max() / max(1.0, np.abs(rhs).max())
     if err > 1e-8:
         raise SingularSystemError(
             f"near-singular system: relative solve error {err:.3e}"
@@ -133,10 +134,10 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     max_iter is reached. Non-convergence is reported, not raised;
     singular systems raise SingularSystemError with the iteration.
 
-    With step-clamp damping the per-variable-clamped Newton step is
-    additionally backtracked (halving, floor 1/64) until the residual
-    norm decreases; without the guard, steep saturation curves settle
-    into period-2 limit cycles instead of converging.
+    The per-variable-clamped Newton step is backtracked (halving, floor
+    1/64) until the residual norm decreases; without the guard, steep
+    saturation curves settle into period-2 limit cycles instead of
+    converging.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
@@ -146,35 +147,30 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     it = 0
     max_res = _residual_norm(case, state, ctl)
     for it in range(1, opts.max_iter + 1):
-        sys = assemble(case, state, ctl)
+        F, J = assemble(case, state, ctl)
         try:
-            x_new = solve_linear(sys)
+            dx = solve_linear(J, -F)
         except SingularSystemError as exc:
             exc.iteration = it
             raise
-        dx = x_new - state.x
-        if opts.damping == "step-clamp":
-            dx = step_limit(dx, state, opts)
-            alpha, best_x, best_res, best_alpha = 1.0, None, float("inf"), 0.0
-            while alpha >= 1.0 / 64.0:
-                trial = StateVector(state.index, state.x + alpha * dx)
-                r = _residual_norm(case, trial, ctl)
-                if r < best_res:
-                    best_x, best_res, best_alpha = trial.x, r, alpha
-                if r < max_res:
-                    break
-                alpha /= 2.0
-            if best_x is None:
-                max_res = float("inf")
-                trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g,
-                                      lam_p, lam_tx, max_res, 0.0))
+        dx = step_limit(dx, state, opts)
+        alpha, best_x, best_res, best_alpha = 1.0, None, float("inf"), 0.0
+        while alpha >= 1.0 / 64.0:
+            trial = StateVector(state.index, state.x + alpha * dx)
+            r = _residual_norm(case, trial, ctl)
+            if r < best_res:
+                best_x, best_res, best_alpha = trial.x, r, alpha
+            if r < max_res:
                 break
-            dx = best_alpha * dx
-            state.x = best_x
-            max_res = best_res
-        else:
-            state.x = state.x + dx
-            max_res = _residual_norm(case, state, ctl)
+            alpha /= 2.0
+        if best_x is None:
+            max_res = float("inf")
+            trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g,
+                                  lam_p, lam_tx, max_res, 0.0))
+            break
+        dx = best_alpha * dx
+        state.x = best_x
+        max_res = best_res
         for bi, col in state.index.tap_col.items():
             if state.x[col] < TAP_FLOOR:
                 diagnostics.append(

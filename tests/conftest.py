@@ -245,7 +245,7 @@ def fd_jacobian(case, state, ctl, h=1e-6):
 
 
 def assert_jacobian_matches(case, state, ctl, rel_tol=1e-5, abs_floor=1e-8):
-    A = assemble(case, state, ctl).matrix().toarray()
+    A = assemble(case, state, ctl)[1].toarray()
     J = fd_jacobian(case, state, ctl)
     err = np.abs(A - J)
     denom = np.maximum(abs_floor, np.abs(J))

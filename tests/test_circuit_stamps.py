@@ -16,7 +16,6 @@ from splitflow.case_model import TapControl
 from splitflow.circuit_stamps import (
     FIXED_Q,
     FIXED_V,
-    Assembler,
     ControlMode,
     StateVector,
     agc_response,
@@ -26,8 +25,6 @@ from splitflow.circuit_stamps import (
     classify_regions,
     flat_start,
     residual,
-    stamp_branch,
-    stamp_load,
 )
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
@@ -45,22 +42,32 @@ from tests.conftest import (
 OPTS = SolverOptions()
 
 
+def branch_jacobian(branch):
+    """J of a two-bus case holding only the given branch from bus 1 to 2."""
+    case = NetworkCase(
+        s_base=100.0,
+        buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pq")),
+        branches=(branch,), generators=(), loads=(),
+    )
+    ctl = base_control(case)
+    state = flat_start(case, ctl)
+    return assemble(case, state, ctl)[1].toarray(), state.index
+
+
+def load_delta(case):
+    """(dF, dJ, index): what the case's loads add at its flat start."""
+    ctl = base_control(case)
+    state = flat_start(case, ctl)
+    F, J = assemble(case, state, ctl)
+    F0, J0 = assemble(replace(case, loads=()), state, ctl)
+    return F - F0, (J - J0).toarray(), state.index
+
+
 class TestBranchStamp:
     def test_hand_expanded_entries(self):
         # series g=1, b=-5: the real KCL row at the from bus carries
         # +g on V_R1, -b on V_I1, -g on V_R2, +b on V_I2
-        case = NetworkCase(
-            s_base=100.0,
-            buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pq")),
-            branches=(Branch(1, 2, 1.0, -5.0),),
-            generators=(), loads=(Load(2, 0.1, 0.0),),
-        )
-        ctl = base_control(case)
-        state = flat_start(case, ctl)
-        asm = Assembler(case, state, ctl, want_matrix=True)
-        stamp_branch(asm, case.branches[0])
-        A = asm.sys.matrix().toarray()
-        idx = state.index
+        A, idx = branch_jacobian(Branch(1, 2, 1.0, -5.0))
         row = idx.vr(1)  # real KCL at bus 2 (bus 1 rows are slack-replaced)
         assert A[row, idx.vr(1)] == pytest.approx(1.0)
         assert A[row, idx.vi(1)] == pytest.approx(5.0)
@@ -72,18 +79,7 @@ class TestBranchStamp:
 
     def test_zero_charging_adds_no_shunt_term(self):
         g, b = 1.0, -5.0
-        case = NetworkCase(
-            s_base=100.0,
-            buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pq")),
-            branches=(Branch(1, 2, g, b, b_sh=0.0),),
-            generators=(), loads=(Load(2, 0.1, 0.0),),
-        )
-        ctl = base_control(case)
-        state = flat_start(case, ctl)
-        asm = Assembler(case, state, ctl, want_matrix=True)
-        stamp_branch(asm, case.branches[0])
-        A = asm.sys.matrix().toarray()
-        idx = state.index
+        A, idx = branch_jacobian(Branch(1, 2, g, b, b_sh=0.0))
         # without charging, the cross term V_I2 in the real row at bus 2
         # is exactly -b; charging would shift it
         assert A[idx.vr(1), idx.vi(1)] == pytest.approx(-b)
@@ -92,44 +88,23 @@ class TestBranchStamp:
         # a fixed-ratio transformer scales the from-side self block by
         # 1/ratio^2 and the transfer blocks by 1/ratio
         ratio = 0.95
-        case = NetworkCase(
-            s_base=100.0,
-            buses=(Bus(1, 230.0, "slack"), Bus(2, 115.0, "pq")),
-            branches=(Branch(1, 2, 1.0, -5.0, ratio=ratio),),
-            generators=(), loads=(Load(2, 0.1, 0.0),),
-        )
-        ctl = base_control(case)
-        state = flat_start(case, ctl)
-        asm = Assembler(case, state, ctl, want_matrix=True)
-        stamp_branch(asm, case.branches[0])
-        A = asm.sys.matrix().toarray()
-        idx = state.index
+        A, idx = branch_jacobian(Branch(1, 2, 1.0, -5.0, ratio=ratio))
         assert A[idx.vr(1), idx.vr(1)] == pytest.approx(1.0)
         assert A[idx.vr(1), idx.vr(0)] == pytest.approx(-1.0 / ratio)
 
 
 class TestLoadStamp:
     def test_zero_load_contributes_nothing(self):
-        case = two_bus_case(p_load=0.0, q_load=0.0)
-        ctl = base_control(case)
-        state = flat_start(case, ctl)
-        asm = Assembler(case, state, ctl, want_matrix=True)
-        stamp_load(asm, case.loads[0])
-        assert all(v == 0.0 for v in asm.sys.vals)
-        assert np.all(asm.sys.rhs == 0.0)
+        dF, dJ, _ = load_delta(two_bus_case(p_load=0.0, q_load=0.0))
+        assert np.all(dF == 0.0)
+        assert np.all(dJ == 0.0)
 
     def test_unit_load_partials(self):
         # P=1, Q=0 at V=1+j0: injection I_R = -1 and dI_R/dV_R = +1
-        case = two_bus_case(p_load=1.0, q_load=0.0)
-        ctl = base_control(case)
-        state = flat_start(case, ctl)
-        asm = Assembler(case, state, ctl, want_matrix=True)
-        stamp_load(asm, case.loads[0])
-        A = asm.sys.matrix().toarray()
-        idx = state.index
+        dF, dJ, idx = load_delta(two_bus_case(p_load=1.0, q_load=0.0))
         # KCL subtracts the injection, so the row carries -dI/dV
-        assert A[idx.vr(1), idx.vr(1)] == pytest.approx(-1.0)
-        assert asm.res[idx.vr(1)] == pytest.approx(1.0)  # -(I_R) = +1
+        assert dJ[idx.vr(1), idx.vr(1)] == pytest.approx(-1.0)
+        assert dF[idx.vr(1)] == pytest.approx(1.0)  # -(I_R) = +1
 
     def test_collapsed_voltage_raises(self):
         case = two_bus_case()
@@ -206,19 +181,6 @@ class TestJacobians:
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
 
-class TestTaylorConsistency:
-    def test_rhs_encodes_residual(self):
-        # direct-solution convention: A(x0) x0 - b(x0) = F(x0)
-        for case in (two_bus_case(), three_bus_pv_case(), remote_pair_case(),
-                     tapped_case(), shunt_case(), lossless_agc_case()):
-            ctl = base_control(case)
-            state = random_state(case, ctl, 5)
-            sys = assemble(case, state, ctl)
-            F = residual(case, state, ctl)
-            lhs = sys.matrix() @ state.x - sys.rhs
-            assert np.abs(lhs - F).max() < 1e-10
-
-
 class TestCountingRule:
     def test_two_bus_dimension(self):
         case = two_bus_case()
@@ -259,8 +221,7 @@ class TestCountingRule:
                      tapped_case(), shunt_case(), lossless_agc_case()):
             ctl = base_control(case)
             state = flat_start(case, ctl)
-            sys = assemble(case, state, ctl)
-            mat = sys.matrix()
+            mat = assemble(case, state, ctl)[1]
             assert mat.shape == (state.index.dim, state.index.dim)
             assert np.all(np.asarray(abs(mat).sum(axis=1)).ravel() > 0)
 
@@ -274,10 +235,10 @@ class TestStructuralSymmetry:
             case = bundled_matpower[name]
             ctl = base_control(case)
             state = random_state(case, ctl, 1)
-            sys = assemble(case, state, ctl)
+            J = assemble(case, state, ctl)[1].tocoo()
             s = state.index.slack_pos
             skip = {2 * s, 2 * s + 1}
-            written = {(r, c) for r, c in zip(sys.rows, sys.cols)
+            written = {(r, c) for r, c in zip(J.row, J.col)
                        if r not in skip and c not in skip}
             missing = {(c, r) for r, c in written} - written
             assert not missing, f"unpaired structural entries: {missing}"

@@ -17,7 +17,6 @@ from splitflow.homotopy_driver import (
     init_p_limit_relaxation,
     init_q_limit_relaxation,
     run_homotopy,
-    tx_stepping,
 )
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
@@ -46,6 +45,21 @@ class TestScheduleAndPaths:
         with pytest.raises(ValueError):
             HomotopySchedule(method="anneal")
 
+    @pytest.mark.parametrize("backtrack", [0.0, 1.0, 5.0, -0.5])
+    def test_backtrack_outside_unit_interval_rejected(self, backtrack):
+        with pytest.raises(ValueError, match="backtrack"):
+            HomotopySchedule(backtrack=backtrack)
+
+    def test_negative_max_backtracks_rejected(self):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            HomotopySchedule(max_backtracks=-1)
+        assert HomotopySchedule(max_backtracks=0).max_backtracks == 0
+
+    @pytest.mark.parametrize("steepness", [0.0, -100.0])
+    def test_non_positive_initial_steepness_rejected(self, steepness):
+        with pytest.raises(ValueError, match="initial_steepness"):
+            HomotopySchedule(initial_steepness=steepness)
+
     def test_smoothing_initial_steepness(self):
         # the first relaxed problem runs at effective steepness 100
         sched = HomotopySchedule(method="smoothing")
@@ -58,8 +72,16 @@ class TestScheduleAndPaths:
         assert make(0.0).effective_steepness() == pytest.approx(5000.0)
 
     def test_tx_ladder_reaches_exact_zero(self):
-        base = base_control(two_bus_case())
-        ladder = tx_stepping(base, HomotopySchedule(method="tx"))
+        # the t values the continuation visits when no step fails
+        from splitflow.homotopy_driver import _tx_path
+
+        sched = HomotopySchedule(method="tx")
+        make = _tx_path(base_control(two_bus_case()), sched)
+        ts = [1.0]
+        while ts[-1] > 0.0:
+            t_next = ts[-1] * sched.decrement
+            ts.append(0.0 if t_next <= sched.snap_fraction else t_next)
+        ladder = [make(t) for t in ts]
         assert ladder[0].tx_relax == pytest.approx(1.0)
         relaxes = [c.tx_relax for c in ladder]
         assert all(a > b for a, b in zip(relaxes, relaxes[1:]))
@@ -70,10 +92,10 @@ class TestScheduleAndPaths:
         case = three_bus_pv_case()
         base = base_control(case)
         state = flat_start(case, base)
-        sys0 = assemble(case, state, base)
-        sys1 = assemble(case, state, replace(base, tx_relax=0.0))
-        assert np.array_equal(sys0.matrix().toarray(), sys1.matrix().toarray())
-        assert np.array_equal(sys0.rhs, sys1.rhs)
+        F0, J0 = assemble(case, state, base)
+        F1, J1 = assemble(case, state, replace(base, tx_relax=0.0))
+        assert np.array_equal(J0.toarray(), J1.toarray())
+        assert np.array_equal(F0, F1)
 
     def test_tx_shorted_network_pins_voltages(self):
         case = two_bus_case()

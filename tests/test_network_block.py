@@ -1,0 +1,50 @@
+"""The constant network block and every converged bundled solution,
+checked against the independent admittance matrix of network_reference."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from splitflow.circuit_stamps import TX_SCALE, base_control, build_index
+from splitflow.homotopy_driver import HomotopySchedule, run_homotopy
+from splitflow.nr_solver import SolverOptions
+from tests.conftest import MATPOWER_CASES, NATIVE_CASES, load_matpower, load_native
+from tests.network_reference import make_ybus, power_mismatch, real_expansion
+
+ALL_CASES = MATPOWER_CASES + NATIVE_CASES
+OPTS = SolverOptions()
+
+
+def bundled(name):
+    return load_matpower(name) if name in MATPOWER_CASES else load_native(name)
+
+
+@pytest.mark.parametrize("tx_relax", [0.0, 0.3])
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_block_equals_ybus_expansion(name, tx_relax):
+    # the block holds every branch without a tap column, and the fixed shunts
+    case = bundled(name)
+    idx = build_index(case, base_control(case))
+    nv = idx.voltage_dim()
+    block = np.zeros((nv, nv))
+    np.add.at(block, (idx.net_rows, idx.net_cols),
+              (1.0 + tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt)
+    ref = real_expansion(make_ybus(case, tx_relax, skip=idx.tap_col))
+    assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# oscillation4 does not converge from a flat start without homotopy: it is
+# the case where plain NR and the outer loop go astray
+PIPELINES = [(name, method) for name in ALL_CASES
+             for method in ("none", "tx", "q-limit", "composite")
+             if (name, method) != ("oscillation4", "none")]
+
+
+@pytest.mark.parametrize("name,method", PIPELINES)
+def test_converged_solution_balances_power(name, method):
+    case = replace(bundled(name), agc_enabled=False)
+    state, report = run_homotopy(case, None, HomotopySchedule(method=method),
+                                 OPTS)
+    assert report.converged
+    assert power_mismatch(case, state).max() <= 1e-5
