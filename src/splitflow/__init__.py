@@ -11,7 +11,7 @@ inside NR, with homotopy continuation for robustness. A classical
 hard-switching outer loop is included for comparison.
 """
 
-from .baseline_outer_loop import OuterPolicy, SwitchTrace, classify_stability, solve_outer_loop
+from .baseline_outer_loop import SwitchTrace, classify_stability, solve_outer_loop
 from .case_model import (
     Branch,
     Bus,
@@ -48,7 +48,6 @@ from .errors import (
     SplitflowError,
 )
 from .homotopy_driver import (
-    HomotopySchedule,
     init_p_limit_relaxation,
     init_q_limit_relaxation,
     run_homotopy,

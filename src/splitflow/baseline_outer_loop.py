@@ -38,6 +38,10 @@ SWITCH_TOL = 1e-9
 STABLE = "stable"
 UNSTABLE = "unstable"
 
+# a generator switched this many times is locked as PQ for good
+MAX_SWITCHES_PER_GEN = 5
+MAX_OUTER_ITERATIONS = 50
+
 
 @dataclass
 class SwitchEvent:
@@ -57,17 +61,6 @@ class SwitchTrace:
         return len(self.events)
 
 
-@dataclass
-class OuterPolicy:
-    order: str = SMALLEST_FIRST
-    max_switches_per_gen: int = 5
-    max_outer_iterations: int = 50
-
-    def __post_init__(self):
-        if self.order not in (SMALLEST_FIRST, LARGEST_FIRST):
-            raise ValueError(f"unknown switch order {self.order!r}")
-
-
 def _gen_size(gen) -> float:
     # "size" for ordering purposes: reactive capability range
     return gen.q_max - gen.q_min
@@ -76,16 +69,18 @@ def _gen_size(gen) -> float:
 def solve_outer_loop(
     case: NetworkCase,
     opts: SolverOptions,
-    policy: OuterPolicy | None = None,
+    order: str = SMALLEST_FIRST,
     base: ControlMode | None = None,
     init: StateVector | None = None,
 ) -> tuple[StateVector, SolveReport, SwitchTrace]:
-    """Inner NR with hard PV/PQ generator models plus the switching loop.
+    """Inner NR with hard PV/PQ generator models plus the switching loop,
+    switching in size order `order` (SMALLEST_FIRST or LARGEST_FIRST).
 
     Returns the final state, a report whose converged flag requires both
     inner convergence and a settled outer loop, and the switch trace.
     """
-    policy = policy if policy is not None else OuterPolicy()
+    if order not in (SMALLEST_FIRST, LARGEST_FIRST):
+        raise ValueError(f"unknown switch order {order!r}")
     base = base if base is not None else base_control(case)
 
     index_probe = flat_start(case, base).index
@@ -101,7 +96,7 @@ def solve_outer_loop(
     outer = 0
     report = None
 
-    for outer in range(1, policy.max_outer_iterations + 1):
+    for outer in range(1, MAX_OUTER_ITERATIONS + 1):
         ctl = replace(base, device_modes=dict(modes), fixed_q=dict(fixed_q))
         if state is None:
             state = flat_start(case, ctl)
@@ -122,12 +117,12 @@ def solve_outer_loop(
             break
 
         candidates = _switch_candidates(case, state, modes, fixed_q, strace,
-                                        policy, local)
+                                        local)
         if not candidates:
             status = "settled"
             break
 
-        reverse = policy.order == LARGEST_FIRST
+        reverse = order == LARGEST_FIRST
         candidates.sort(
             key=lambda c: (_gen_size(case.generators[c[0]]), c[0]),
             reverse=reverse,
@@ -148,7 +143,7 @@ def solve_outer_loop(
                 last.pv_to_pq += 1
             else:
                 last.pq_to_pv += 1
-        if strace.toggles[gen_i] >= policy.max_switches_per_gen:
+        if strace.toggles[gen_i] >= MAX_SWITCHES_PER_GEN:
             # oscillation suppression: lock the generator as PQ for good
             strace.fixed_as_pq.add(gen_i)
             if modes[key] != FIXED_Q:
@@ -171,7 +166,7 @@ def solve_outer_loop(
     return state, final, strace
 
 
-def _switch_candidates(case, state, modes, fixed_q, strace, policy, local):
+def _switch_candidates(case, state, modes, fixed_q, strace, local):
     """(gen_index, direction, limit) for every switch the rules allow."""
     out = []
     for i in local:

@@ -241,6 +241,9 @@ def _matpower_tables(text: str) -> tuple[float, dict[str, list[tuple[int, list[f
                 values = [float(tok) for tok in chunk.split()]
             except ValueError:
                 raise CaseParseError(f"malformed table row {chunk!r}", line=lineno)
+            if not all(map(math.isfinite, values)):
+                raise CaseParseError(f"value not finite in row {chunk!r}",
+                                     line=lineno)
             tables[current].append((lineno, values))
         if done:
             current = None
@@ -379,10 +382,24 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
 # Native format (JSON)
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
 def _need(obj: dict, key: str, where: str):
     if key not in obj:
         raise CaseParseError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _field(obj: dict, key: str, where: str, conv=float, default=_REQUIRED):
+    """obj[key] (or default when absent) converted by conv; a missing or
+    unconvertible value raises CaseParseError naming the field."""
+    value = (_need(obj, key, where) if default is _REQUIRED
+             else obj.get(key, default))
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError, IndexError) as exc:
+        raise CaseParseError(f"{where}.{key}: {exc}") from exc
 
 
 def parse_native(text: str, name: str = "") -> NetworkCase:
@@ -396,19 +413,20 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
     version = _need(doc, "format_version", "case")
     if version != NATIVE_FORMAT_VERSION:
         raise CaseParseError(f"unsupported format_version {version}")
-    s_base = float(_need(doc, "s_base", "case"))
+    s_base = _field(doc, "s_base", "case")
 
     buses = []
     for i, b in enumerate(doc.get("buses", [])):
         where = f"buses[{i}]"
-        v_init = b.get("v_init", [1.0, 0.0])
+        v_init = _field(b, "v_init", where,
+                        lambda v: (float(v[0]), float(v[1])), (1.0, 0.0))
         buses.append(
             Bus(
-                id=int(_need(b, "id", where)),
-                base_kv=float(_need(b, "base_kv", where)),
-                kind=str(_need(b, "kind", where)),
-                v_init_real=float(v_init[0]),
-                v_init_imag=float(v_init[1]),
+                id=_field(b, "id", where, int),
+                base_kv=_field(b, "base_kv", where),
+                kind=_field(b, "kind", where, str),
+                v_init_real=v_init[0],
+                v_init_imag=v_init[1],
             )
         )
 
@@ -418,22 +436,22 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
         tap = None
         if br.get("tap") is not None:
             t = br["tap"]
-            step = t.get("step_size")
             tap = TapControl(
-                tr_min=float(_need(t, "tr_min", where + ".tap")),
-                tr_max=float(_need(t, "tr_max", where + ".tap")),
-                v_set=float(_need(t, "v_set", where + ".tap")),
+                tr_min=_field(t, "tr_min", where + ".tap"),
+                tr_max=_field(t, "tr_max", where + ".tap"),
+                v_set=_field(t, "v_set", where + ".tap"),
                 controlled_side=t.get("controlled_side", "primary"),
-                step_size=float(step) if step is not None else None,
+                step_size=(None if t.get("step_size") is None
+                           else _field(t, "step_size", where + ".tap")),
             )
         branches.append(
             Branch(
-                from_bus=int(_need(br, "from", where)),
-                to_bus=int(_need(br, "to", where)),
-                g=float(_need(br, "g", where)),
-                b=float(_need(br, "b", where)),
-                b_sh=float(br.get("b_sh", 0.0)),
-                ratio=float(br.get("ratio", 1.0)),
+                from_bus=_field(br, "from", where, int),
+                to_bus=_field(br, "to", where, int),
+                g=_field(br, "g", where),
+                b=_field(br, "b", where),
+                b_sh=_field(br, "b_sh", where, default=0.0),
+                ratio=_field(br, "ratio", where, default=1.0),
                 tap=tap,
             )
         )
@@ -441,45 +459,45 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
     generators = []
     for i, g in enumerate(doc.get("generators", [])):
         where = f"generators[{i}]"
-        remote = g.get("remote_bus")
         generators.append(
             Generator(
-                bus=int(_need(g, "bus", where)),
-                p_g=float(_need(g, "p_g", where)),
-                v_set=float(_need(g, "v_set", where)),
-                q_min=float(_need(g, "q_min", where)),
-                q_max=float(_need(g, "q_max", where)),
-                p_min=float(_need(g, "p_min", where)),
-                p_max=float(_need(g, "p_max", where)),
-                agc_factor=float(g.get("agc_factor", 0.0)),
-                remote_bus=int(remote) if remote is not None else None,
-                remote_factor=float(g.get("remote_factor", 0.0)),
+                bus=_field(g, "bus", where, int),
+                p_g=_field(g, "p_g", where),
+                v_set=_field(g, "v_set", where),
+                q_min=_field(g, "q_min", where),
+                q_max=_field(g, "q_max", where),
+                p_min=_field(g, "p_min", where),
+                p_max=_field(g, "p_max", where),
+                agc_factor=_field(g, "agc_factor", where, default=0.0),
+                remote_bus=(None if g.get("remote_bus") is None
+                            else _field(g, "remote_bus", where, int)),
+                remote_factor=_field(g, "remote_factor", where, default=0.0),
             )
         )
 
     loads = [
         Load(
-            bus=int(_need(l, "bus", f"loads[{i}]")),
-            p=float(_need(l, "p", f"loads[{i}]")),
-            q=float(_need(l, "q", f"loads[{i}]")),
+            bus=_field(l, "bus", f"loads[{i}]", int),
+            p=_field(l, "p", f"loads[{i}]"),
+            q=_field(l, "q", f"loads[{i}]"),
         )
         for i, l in enumerate(doc.get("loads", []))
     ]
     fixed_shunts = [
         FixedShunt(
-            bus=int(_need(s, "bus", f"fixed_shunts[{i}]")),
-            g=float(s.get("g", 0.0)),
-            b=float(s.get("b", 0.0)),
+            bus=_field(s, "bus", f"fixed_shunts[{i}]", int),
+            g=_field(s, "g", f"fixed_shunts[{i}]", default=0.0),
+            b=_field(s, "b", f"fixed_shunts[{i}]", default=0.0),
         )
         for i, s in enumerate(doc.get("fixed_shunts", []))
     ]
     shunts = [
         SwitchedShunt(
-            bus=int(_need(s, "bus", f"shunts[{i}]")),
-            b_min=float(_need(s, "b_min", f"shunts[{i}]")),
-            b_max=float(_need(s, "b_max", f"shunts[{i}]")),
-            step_size=float(_need(s, "step_size", f"shunts[{i}]")),
-            v_set=float(_need(s, "v_set", f"shunts[{i}]")),
+            bus=_field(s, "bus", f"shunts[{i}]", int),
+            b_min=_field(s, "b_min", f"shunts[{i}]"),
+            b_max=_field(s, "b_max", f"shunts[{i}]"),
+            step_size=_field(s, "step_size", f"shunts[{i}]"),
+            v_set=_field(s, "v_set", f"shunts[{i}]"),
         )
         for i, s in enumerate(doc.get("shunts", []))
     ]

@@ -15,16 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import click
 
-from .baseline_outer_loop import (
-    OuterPolicy,
-    classify_stability,
-    solve_outer_loop,
-)
+from .baseline_outer_loop import classify_stability, solve_outer_loop
 from .case_model import NetworkCase, parse_matpower, parse_native
 from .circuit_stamps import ControlMode, StateVector, base_control, flat_start
 from .discrete_control import resolve_after_snap
 from .errors import SplitflowError
-from .homotopy_driver import METHODS, HomotopySchedule, run_homotopy
+from .homotopy_driver import METHODS, run_homotopy
 from .nr_solver import SolveReport, SolverOptions
 
 SUMMARY_VERSION = 1
@@ -65,8 +61,7 @@ def run_continuous(
     snap: bool = False,
 ) -> PipelineResult:
     base = base_control(case, smoothing=smoothing)
-    sched = HomotopySchedule(method=method)
-    state, report = run_homotopy(case, None, sched, opts, base)
+    state, report = run_homotopy(case, None, method, opts, base)
     result = PipelineResult(case, state, report,
                             stability=classify_stability(case, state))
     if snap and report.converged:
@@ -86,8 +81,7 @@ def run_baseline(
     smoothing: float = 5000.0,
 ) -> PipelineResult:
     base = base_control(case, smoothing=smoothing)
-    policy = OuterPolicy(order=order)
-    state, report, strace = solve_outer_loop(case, opts, policy, base)
+    state, report, strace = solve_outer_loop(case, opts, order, base)
     return PipelineResult(case, state, report,
                           stability=classify_stability(case, state),
                           switch_trace=strace)

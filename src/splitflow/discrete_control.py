@@ -15,16 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .case_model import NetworkCase
-from .circuit_stamps import (
-    ControlMode,
-    StateVector,
-    base_control,
-    classify_regions,
-    flat_start,
-    residual,
-)
+from .circuit_stamps import ControlMode, StateVector, base_control, flat_start
 from .errors import ContinuationError, SnappedInfeasibleError
-from .homotopy_driver import HomotopySchedule, _continuation
+from .homotopy_driver import Tally, _continuation, endpoint_report
 from .nr_solver import SolveReport, SolverOptions, nr_solve
 
 
@@ -120,26 +113,16 @@ def resolve_after_snap(
         }
         return replace(base, fixed_shunt_b=shunt_b, fixed_tap_ratio=taps)
 
-    sched = HomotopySchedule(method="none")
-    trace: list = []
-    counters = {"iterations": 0, "backtracks": 0}
+    tally = Tally()
     try:
-        state = _continuation(case, warm, make, sched, opts, "snap-sweep",
-                              trace, counters)
+        state = _continuation(case, warm, make, opts, "snap-sweep", tally)
     except ContinuationError as exc:
         raise SnappedInfeasibleError(
             f"snapped case did not converge ({exc}); feasibility repair of "
             f"infeasible snapped states is out of scope"
         ) from exc
-    final_res = float(np.abs(residual(case, state, snapped_ctl)).max())
-    report = SolveReport(
-        converged=final_res < opts.tol_residual,
-        iterations=counters["iterations"],
-        final_residual=final_res,
-        trace=trace,
-        device_regions=classify_regions(case, state, snapped_ctl),
-        diagnostics=["snap continuation used"],
-    )
+    report = endpoint_report(case, state, snapped_ctl, opts, tally,
+                             ["snap continuation used"])
     if not report.converged:
         raise SnappedInfeasibleError(
             "snapped case did not converge after continuation; feasibility "

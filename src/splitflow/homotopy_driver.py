@@ -1,14 +1,19 @@
-"""Continuation loop and the concrete relaxation embeddings.
+"""One continuation driver and the relaxation stages it runs.
 
-Each method defines a path of ControlModes parameterized by t in [1, 0]:
-t = 1 is the fully relaxed (trivial) problem, t = 0 the original one.
-The loop solves at the current t, advances geometrically toward 0 with
-warm starts, and backtracks halfway on sub-solve failure. The returned
-solution is always re-verified against the unrelaxed equations.
+A method in STAGES is a tuple of stages (phase label, stage function,
+soft?), run in order, each warm-started where the one before ended. A
+stage function maps (case, opts, target control, warm state or None) to
+a path t -> ControlMode, t = 1 fully relaxed and t = 0 the target (None
+when nothing needs relaxing), and the state to start from; a soft stage
+targets the reduced steepness INITIAL_STEEPNESS. `_continuation` follows
+a path from t = 1 to 0 with warm starts, keeping DECREMENT of the
+remaining distance per step, snapping to 0 below SNAP_FRACTION and
+shrinking a failed step by BACKTRACK up to MAX_BACKTRACKS times; only
+the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. If no stage
+has a path, one NR solve at the target stands in. The result is always
+re-verified against the unrelaxed equations.
 
-Methods:
-  smoothing  - sigmoid steepness relaxed to an initial value (default 100)
-               and tightened back to the configured smoothing.
+  smoothing  - sigmoid steepness relaxed to INITIAL_STEEPNESS, tightened.
   q-limit    - reactive limits scaled out to cover the unbounded solve
                (ratio per device, additive when the violated limit is 0),
                then shrunk back to 1.
@@ -16,21 +21,22 @@ Methods:
                reappear as the relaxation is removed.
   tx         - branch series admittances scaled by (1 + t*1e3), starting
                from a virtually shorted network.
-  composite  - tx, then q-limit, then smoothing, sequentially.
+  composite  - tx and q-limit soft, then smoothing; FALLBACK["q-limit"]
+               reuses the last two when the q-limit path dead-ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .case_model import NetworkCase
 from .circuit_stamps import (
     FIXED_V,
+    TX_SCALE,
     ControlMode,
     StateVector,
-    agc_response,
     base_control,
     build_index,
     classify_regions,
@@ -40,93 +46,107 @@ from .circuit_stamps import (
 from .errors import ContinuationError, SingularPointError, SingularSystemError
 from .nr_solver import SolveReport, SolverOptions, nr_solve
 
-METHODS = ("none", "smoothing", "q-limit", "p-limit", "tx", "composite")
+INITIAL_STEEPNESS = 100.0  # sigmoid steepness of the relaxed smoothing problem
+TX_INITIAL = 1.0  # tx_relax at t = 1
+DECREMENT = 0.5  # fraction of remaining distance kept per step
+BACKTRACK = 0.5  # shrink factor applied to a failed decrement
+MAX_BACKTRACKS = 10
+SNAP_FRACTION = 1e-3  # remaining distance below which t snaps to 0
+SUB_MAX_ITER = 40  # NR budget of the warm-started intermediate sub-solves
 
 
 @dataclass
-class HomotopySchedule:
-    method: str = "none"
-    initial_steepness: float = 100.0
-    tx_initial: float = 1.0
-    decrement: float = 0.5  # fraction of remaining distance kept per step
-    backtrack: float = 0.5  # shrink factor applied to a failed decrement
-    max_backtracks: int = 10
-    snap_fraction: float = 1e-3  # remaining distance below which t snaps to 0
+class Tally:
+    """NR iterations, backtracks and trace rows summed over sub-solves."""
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown homotopy method {self.method!r}")
-        if not (0.0 < self.decrement < 1.0):
-            raise ValueError("decrement must be in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack must be in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0")
-        if self.initial_steepness <= 0.0:
-            raise ValueError("initial_steepness must be > 0")
+    iterations: int = 0
+    backtracks: int = 0
+    trace: list = field(default_factory=list)
+
+    def add(self, report: SolveReport) -> None:
+        self.iterations += report.iterations
+        self.trace.extend(report.trace)
+
+
+def endpoint_report(case, state, ctl, opts, tally, diagnostics) -> SolveReport:
+    """Report a continuation's end state, converged only if the residual
+    at the unrelaxed control ctl is within tolerance: the last sub-solve
+    is never trusted alone."""
+    final_res = float(np.abs(residual(case, state, ctl)).max())
+    return SolveReport(
+        converged=final_res < opts.tol_residual, iterations=tally.iterations,
+        final_residual=final_res, trace=tally.trace,
+        device_regions=classify_regions(case, state, ctl),
+        diagnostics=diagnostics)
 
 
 def _try_solve(case, state, ctl, opts, phase, step):
+    """nr_solve, with a singular system or point reported as a failed
+    solve whose diagnostics carry the error text."""
     try:
         return nr_solve(case, state, ctl, opts, phase=phase, outer_iter=step)
-    except (SingularSystemError, SingularPointError):
-        report = SolveReport(converged=False, iterations=0,
-                             final_residual=float("inf"))
-        return state, report
+    except (SingularSystemError, SingularPointError) as exc:
+        return state, SolveReport(converged=False, iterations=0,
+                                  final_residual=float("inf"),
+                                  diagnostics=[str(exc)])
 
 
-def _continuation(case, state, make_ctl, sched, opts, phase, trace, counters):
+def _stuck(phase, t, what, report) -> ContinuationError:
+    """The error that ends a stage, naming its last failed sub-solve."""
+    why = (report.diagnostics[-1] if report.iterations == 0 else
+           f"not converged after {report.iterations} iterations, "
+           f"residual {report.final_residual:.3e}")
+    return ContinuationError(f"{phase}: {what}; last sub-solve: {why}",
+                             frontier=(phase, t))
+
+
+def _continuation(case, state, make_ctl, opts, phase, tally):
     """Drive t from 1 to 0; returns the state solved at t = 0.
 
-    make_ctl(t) produces the ControlMode for progress t. Failed steps
-    shrink the attempted decrement by sched.backtrack; more than
-    sched.max_backtracks consecutive shrinks abort the continuation.
-    Warm-started intermediate sub-solves get a reduced iteration budget
-    so failed probes stay cheap; only the final (t = 0) solve uses the
-    caller's full budget.
+    make_ctl(t) produces the ControlMode for progress t; every sub-solve
+    is added to tally.
     """
-    sub_opts = replace(opts, max_iter=min(opts.max_iter, 40))
+    sub_opts = replace(opts, max_iter=min(opts.max_iter, SUB_MAX_ITER))
     step = 0
     state, report = _try_solve(case, state, make_ctl(1.0), sub_opts, phase, step)
-    trace.extend(report.trace)
-    counters["iterations"] += report.iterations
+    tally.add(report)
     if not report.converged:
-        raise ContinuationError(
-            f"{phase}: relaxed problem unsolvable", frontier=(phase, 1.0)
-        )
+        raise _stuck(phase, 1.0, "relaxed problem unsolvable", report)
     t = 1.0
     while t > 0.0:
-        decrement = t * (1.0 - sched.decrement)
+        decrement = t * (1.0 - DECREMENT)
         backtracks = 0
         while True:
             t_next = t - decrement
-            if t_next <= sched.snap_fraction:
+            if t_next <= SNAP_FRACTION:
                 t_next = 0.0
             step += 1
             candidate, report = _try_solve(
                 case, state.copy(), make_ctl(t_next),
                 opts if t_next == 0.0 else sub_opts, phase, step,
             )
-            trace.extend(report.trace)
-            counters["iterations"] += report.iterations
+            tally.add(report)
             if report.converged:
                 state = candidate
                 t = t_next
                 break
             backtracks += 1
-            counters["backtracks"] += 1
-            if backtracks > sched.max_backtracks:
-                raise ContinuationError(
-                    f"{phase}: stuck at t = {t:.6g} after "
-                    f"{backtracks - 1} backtracks",
-                    frontier=(phase, t),
-                )
-            decrement *= sched.backtrack
+            tally.backtracks += 1
+            if backtracks > MAX_BACKTRACKS:
+                raise _stuck(phase, t, f"stuck at t = {t:.6g} after "
+                             f"{backtracks - 1} backtracks", report)
+            decrement *= BACKTRACK
     return state
 
 
-def _smoothing_path(base: ControlMode, sched: HomotopySchedule):
-    relax_init = max(base.smoothing - sched.initial_steepness, 0.0)
+def _softened(base: ControlMode) -> ControlMode:
+    """base at the reduced steepness INITIAL_STEEPNESS."""
+    return replace(base, smoothing_relax=max(
+        base.smoothing - INITIAL_STEEPNESS, 0.0))
+
+
+def _smoothing_path(base: ControlMode):
+    relax_init = _softened(base).smoothing_relax
 
     def make(t: float) -> ControlMode:
         return replace(base, smoothing_relax=t * relax_init)
@@ -134,19 +154,17 @@ def _smoothing_path(base: ControlMode, sched: HomotopySchedule):
     return make
 
 
-def _tx_path(base: ControlMode, sched: HomotopySchedule):
-    from .circuit_stamps import TX_SCALE
-
+def _tx_path(base: ControlMode):
     # log-spaced in the admittance scale: equal steps in t multiply the
     # shorting factor by a constant, so the hard final stretch (scale
     # approaching 1) is resolved as finely as the start
-    top = 1.0 + sched.tx_initial * TX_SCALE
+    top = 1.0 + TX_INITIAL * TX_SCALE
 
     def make(t: float) -> ControlMode:
         if t <= 0.0:
             return replace(base, tx_relax=0.0)
         lam = (top**t - 1.0) / TX_SCALE
-        return replace(base, tx_relax=min(lam, sched.tx_initial))
+        return replace(base, tx_relax=min(lam, TX_INITIAL))
 
     return make
 
@@ -193,7 +211,6 @@ def init_q_limit_relaxation(
     opts: SolverOptions,
     base: ControlMode | None = None,
     warm: StateVector | None = None,
-    sched: HomotopySchedule | None = None,
 ) -> tuple[ControlMode, StateVector]:
     """Solve once with unbounded reactive limits, then size each device's
     relaxation so the relaxed sigmoid covers its unbounded output.
@@ -203,18 +220,14 @@ def init_q_limit_relaxation(
     unbounded solve diverges, a tx-stepped pre-solve is attempted first.
     """
     base = base if base is not None else base_control(case)
-    sched = sched if sched is not None else HomotopySchedule(method="q-limit")
     unbounded = _unbounded_control(case, base)
     state = warm if warm is not None else flat_start(case, unbounded)
     state, report = _try_solve(case, state, unbounded, opts, "q-limit-init", 0)
     if not report.converged:
         # fall back to reaching the unbounded solution via tx stepping
-        trace: list = []
-        counters = {"iterations": 0, "backtracks": 0}
         state = _continuation(
-            case, flat_start(case, replace(unbounded, tx_relax=sched.tx_initial)),
-            _tx_path(unbounded, sched), sched, opts, "q-limit-init-tx",
-            trace, counters,
+            case, flat_start(case, replace(unbounded, tx_relax=TX_INITIAL)),
+            _tx_path(unbounded), opts, "q-limit-init-tx", Tally(),
         )
     index = state.index
     q_scale = {}
@@ -243,15 +256,6 @@ def init_q_limit_relaxation(
         size_relax(("tap", bi), float(state.x[col]), tap.tr_min, tap.tr_max)
     relaxed = replace(base, q_scale=q_scale, q_widen=q_widen)
     return relaxed, state
-
-
-def _q_limit_path(base: ControlMode, relaxed: ControlMode):
-    def make(t: float) -> ControlMode:
-        scale = {k: 1.0 + t * (v - 1.0) for k, v in relaxed.q_scale.items()}
-        widen = {k: (t * lo, t * hi) for k, (lo, hi) in relaxed.q_widen.items()}
-        return replace(base, q_scale=scale, q_widen=widen)
-
-    return make
 
 
 def init_p_limit_relaxation(
@@ -301,107 +305,106 @@ def init_p_limit_relaxation(
     return relaxed, state
 
 
-def _p_limit_path(relaxed: ControlMode):
-    def make(t: float) -> ControlMode:
-        return replace(relaxed, p_relax=t)
+# Stage functions: (case, opts, target control, warm state or None) ->
+# (path or None, state to start from).
 
-    return make
+def _smoothing_stage(case, opts, base, state):
+    state = state if state is not None else flat_start(case, base)
+    return _smoothing_path(base), state
+
+
+def _tx_stage(case, opts, base, state):
+    make = _tx_path(base)
+    state = state if state is not None else flat_start(case, make(1.0))
+    return make, state
+
+
+def _q_limit_stage(case, opts, base, state):
+    relaxed, state = init_q_limit_relaxation(case, opts, base, state)
+    if not relaxed.q_scale and not relaxed.q_widen:
+        return None, state  # nothing violated
+
+    def make(t: float) -> ControlMode:
+        scale = {k: 1.0 + t * (v - 1.0) for k, v in relaxed.q_scale.items()}
+        widen = {k: (t * lo, t * hi) for k, (lo, hi) in relaxed.q_widen.items()}
+        return replace(base, q_scale=scale, q_widen=widen)
+
+    return make, state
+
+
+def _p_limit_stage(case, opts, base, state):
+    relaxed, state = init_p_limit_relaxation(case, opts, base, state)
+    return (lambda t: replace(relaxed, p_relax=t)), state
+
+
+STAGES = {
+    "none": (),
+    "smoothing": (("smoothing", _smoothing_stage, False),),
+    "q-limit": (("q-limit", _q_limit_stage, False),),
+    "p-limit": (("p-limit", _p_limit_stage, False),),
+    "tx": (("tx", _tx_stage, False),),
+    "composite": (("composite-tx", _tx_stage, True),
+                  ("composite-q", _q_limit_stage, True),
+                  ("composite-smoothing", _smoothing_stage, False)),
+}
+# the limit-relaxation path can dead-end on a fold when the case has
+# several nearby equilibria; retrace it at reduced steepness from a flat
+# start, then tighten the smoothing separately
+FALLBACK = {
+    "q-limit": (("q-limit-soft", _q_limit_stage, True),
+                ("q-limit-tighten", _smoothing_stage, False)),
+}
+METHODS = tuple(STAGES)
+
+
+def _run_stages(case, stages, fallback, state, opts, base, tally):
+    """Follow each stage's path from the state the previous one reached.
+
+    Returns the final state and whether any stage had a path. When a
+    path dead-ends, the fallback stages, if any, run in place of the rest.
+    """
+    followed = False
+    for phase, stage, soft in stages:
+        make, state = stage(case, opts, _softened(base) if soft else base,
+                            state)
+        if make is None:
+            continue
+        try:
+            state = _continuation(case, state, make, opts, phase, tally)
+        except ContinuationError:
+            if not fallback:
+                raise
+            return _run_stages(case, fallback, (), None, opts, base, tally)
+        followed = True
+    return state, followed
 
 
 def run_homotopy(
     case: NetworkCase,
     init: StateVector | None,
-    sched: HomotopySchedule,
+    method: str,
     opts: SolverOptions,
     base: ControlMode | None = None,
 ) -> tuple[StateVector, SolveReport]:
-    """Solve the case by the configured continuation method.
+    """Solve the case by the stages of one of METHODS.
 
     The final sub-solve runs at the target (unrelaxed) problem; its
     solution is re-verified by an independent residual evaluation before
     being reported converged.
     """
+    if method not in STAGES:
+        raise ValueError(f"unknown homotopy method {method!r}")
     base = base if base is not None else base_control(case)
-    trace: list = []
-    counters = {"iterations": 0, "backtracks": 0}
-
-    if sched.method == "none":
-        state = init if init is not None else flat_start(case, base)
-        state, report = nr_solve(case, state, base, opts)
-        counters["iterations"] = report.iterations
-        trace = report.trace
-    elif sched.method == "smoothing":
-        state = init if init is not None else flat_start(case, base)
-        state = _continuation(case, state, _smoothing_path(base, sched),
-                              sched, opts, "smoothing", trace, counters)
-    elif sched.method == "tx":
-        make = _tx_path(base, sched)
-        state = init if init is not None else flat_start(case, make(1.0))
-        state = _continuation(case, state, make, sched, opts, "tx",
-                              trace, counters)
-    elif sched.method == "q-limit":
-        relaxed, state = init_q_limit_relaxation(case, opts, base, init, sched)
-        if not relaxed.q_scale and not relaxed.q_widen:
-            # nothing violated: the homotopy degenerates to a single solve
-            state, report = nr_solve(case, state, base, opts, phase="q-limit")
-            trace.extend(report.trace)
-            counters["iterations"] += report.iterations
-            if not report.converged:
-                raise ContinuationError("q-limit: original problem diverged "
-                                        "after clean unbounded solve",
-                                        frontier=("q-limit", 0.0))
-        else:
-            try:
-                state = _continuation(case, state, _q_limit_path(base, relaxed),
-                                      sched, opts, "q-limit", trace, counters)
-            except ContinuationError:
-                # the limit-relaxation path can dead-end on a fold when the
-                # case has several nearby equilibria; retrace it at reduced
-                # steepness, then tighten the smoothing separately
-                counters["escalations"] = counters.get("escalations", 0) + 1
-                soft = replace(base, smoothing_relax=max(
-                    base.smoothing - sched.initial_steepness, 0.0))
-                relaxed, state = init_q_limit_relaxation(case, opts, soft,
-                                                         None, sched)
-                state = _continuation(case, state,
-                                      _q_limit_path(soft, relaxed), sched,
-                                      opts, "q-limit-soft", trace, counters)
-                state = _continuation(case, state,
-                                      _smoothing_path(base, sched), sched,
-                                      opts, "q-limit-tighten", trace,
-                                      counters)
-    elif sched.method == "p-limit":
-        relaxed, state = init_p_limit_relaxation(case, opts, base, init)
-        state = _continuation(case, state, _p_limit_path(relaxed), sched,
-                              opts, "p-limit", trace, counters)
-    elif sched.method == "composite":
-        make_tx = _tx_path(replace(base, smoothing_relax=max(
-            base.smoothing - sched.initial_steepness, 0.0)), sched)
-        state = init if init is not None else flat_start(case, make_tx(1.0))
-        state = _continuation(case, state, make_tx, sched, opts,
-                              "composite-tx", trace, counters)
-        soft = replace(base, smoothing_relax=max(
-            base.smoothing - sched.initial_steepness, 0.0))
-        relaxed, state = init_q_limit_relaxation(case, opts, soft, state, sched)
-        if relaxed.q_scale or relaxed.q_widen:
-            state = _continuation(case, state, _q_limit_path(soft, relaxed),
-                                  sched, opts, "composite-q", trace, counters)
-        state = _continuation(case, state, _smoothing_path(base, sched),
-                              sched, opts, "composite-smoothing", trace,
-                              counters)
-    else:  # pragma: no cover - guarded by HomotopySchedule
-        raise ValueError(sched.method)
-
-    # endpoint fidelity: never trust the last sub-solve alone
-    final_res = float(np.abs(residual(case, state, base)).max())
-    converged = final_res < opts.tol_residual
-    report = SolveReport(
-        converged=converged,
-        iterations=counters["iterations"],
-        final_residual=final_res,
-        trace=trace,
-        device_regions=classify_regions(case, state, base),
-        diagnostics=[f"homotopy backtracks: {counters['backtracks']}"]
-        if counters["backtracks"] else [],
-    )
-    return state, report
+    tally = Tally()
+    stages = STAGES[method]
+    state, followed = _run_stages(case, stages, FALLBACK.get(method), init,
+                                  opts, base, tally)
+    if not followed:
+        # nothing to relax: one solve at the target problem stands in
+        state = state if state is not None else flat_start(case, base)
+        state, report = nr_solve(case, state, base, opts,
+                                 phase=stages[-1][0] if stages else "solve")
+        tally.add(report)
+    diagnostics = ([f"homotopy backtracks: {tally.backtracks}"]
+                   if tally.backtracks else [])
+    return state, endpoint_report(case, state, base, opts, tally, diagnostics)

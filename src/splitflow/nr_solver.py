@@ -29,19 +29,19 @@ from .errors import SingularPointError, SingularSystemError
 
 # taps are clamped at this floor if an update drives the ratio negative
 TAP_FLOOR = 1e-6
+TOL_STEP = 1e-6  # largest step of a converged iteration
+STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
+STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
 
 
 @dataclass
 class SolverOptions:
     tol_residual: float = 1e-6
-    tol_step: float = 1e-6
     max_iter: int = 100
-    step_limit_voltage: float = 0.1
-    step_limit_q: float = 1.0
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -105,13 +105,13 @@ def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def step_limit(dx: np.ndarray, state: StateVector, opts: SolverOptions) -> np.ndarray:
-    """Per-variable clamp: voltages move at most step_limit_voltage per
-    iteration, all other unknowns at most step_limit_q. Signs preserved."""
+def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:
+    """Per-variable clamp: voltages move at most STEP_LIMIT_VOLTAGE per
+    iteration, all other unknowns at most STEP_LIMIT_Q. Signs preserved."""
     nv = state.index.voltage_dim()
     out = dx.copy()
-    np.clip(out[:nv], -opts.step_limit_voltage, opts.step_limit_voltage, out=out[:nv])
-    np.clip(out[nv:], -opts.step_limit_q, opts.step_limit_q, out=out[nv:])
+    np.clip(out[:nv], -STEP_LIMIT_VOLTAGE, STEP_LIMIT_VOLTAGE, out=out[:nv])
+    np.clip(out[nv:], -STEP_LIMIT_Q, STEP_LIMIT_Q, out=out[nv:])
     return out
 
 
@@ -153,7 +153,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         except SingularSystemError as exc:
             exc.iteration = it
             raise
-        dx = step_limit(dx, state, opts)
+        dx = step_limit(dx, state)
         alpha, best_x, best_res, best_alpha = 1.0, None, float("inf"), 0.0
         while alpha >= 1.0 / 64.0:
             trial = StateVector(state.index, state.x + alpha * dx)
@@ -182,7 +182,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
                               lam_tx, max_res, max_step))
         if not np.isfinite(max_res):
             break
-        if max_res < opts.tol_residual and max_step < opts.tol_step:
+        if max_res < opts.tol_residual and max_step < TOL_STEP:
             converged = True
             break
     report = SolveReport(

@@ -8,11 +8,10 @@ from splitflow.baseline_outer_loop import (
     LARGEST_FIRST,
     SMALLEST_FIRST,
     UNSTABLE,
-    OuterPolicy,
     classify_stability,
     solve_outer_loop,
 )
-from splitflow.homotopy_driver import HomotopySchedule, run_homotopy
+from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import load_native
 
@@ -38,8 +37,7 @@ def unstable(case, state):
 ])
 def test_switching_order_picks_the_solution(oscillation4, order, vmax,
                                             switches, n_unstable):
-    state, report, strace = solve_outer_loop(oscillation4, OPTS,
-                                             OuterPolicy(order=order))
+    state, report, strace = solve_outer_loop(oscillation4, OPTS, order=order)
     assert report.converged
     assert v_max(oscillation4, state) == pytest.approx(vmax, abs=5e-4)
     assert strace.total_switches() == switches
@@ -49,16 +47,15 @@ def test_switching_order_picks_the_solution(oscillation4, order, vmax,
 
 @pytest.mark.parametrize("method", ["q-limit", "composite", "smoothing", "tx"])
 def test_continuous_models_reach_one_stable_answer(oscillation4, method):
-    state, report = run_homotopy(oscillation4, None,
-                                 HomotopySchedule(method=method), OPTS)
+    state, report = run_homotopy(oscillation4, None, method, OPTS)
     assert report.converged
     assert v_max(oscillation4, state) == pytest.approx(1.0004, abs=5e-5)
     assert unstable(oscillation4, state) == 0
 
 
-def test_unknown_order_rejected():
-    with pytest.raises(ValueError):
-        OuterPolicy(order="random")
+def test_unknown_order_rejected(oscillation4):
+    with pytest.raises(ValueError, match="switch order"):
+        solve_outer_loop(oscillation4, OPTS, order="random")
 
 
 def test_stability_labels(oscillation4):

@@ -61,6 +61,13 @@ class TestMatpower:
         with pytest.raises(CaseParseError, match=r"line \d+"):
             parse_matpower(text)
 
+    def test_non_finite_value_names_line(self):
+        # nan parses as a float, but is no bus id
+        text = TWO_BUS_M.replace("2 1 81 20", "nan 1 81 20")
+        with pytest.raises(CaseParseError,
+                           match=r"line 6: value not finite in row 'nan 1 81"):
+            parse_matpower(text)
+
     def test_missing_slack_rejected(self):
         text = TWO_BUS_M.replace("1 3 0  0", "1 2 0  0")
         with pytest.raises(CaseValidationError, match="missing slack"):
@@ -132,6 +139,13 @@ class TestNative:
         doc = {"format_version": 1, "s_base": 100.0,
                "buses": [{"id": 1, "kind": "slack"}]}
         with pytest.raises(CaseParseError, match="buses\\[0\\].*base_kv"):
+            parse_native(json.dumps(doc))
+
+    def test_unconvertible_number_names_field(self):
+        doc = json.loads(serialize_native(load_native("discrete4")))
+        doc["branches"][1]["g"] = "abc"
+        with pytest.raises(CaseParseError, match=r"branches\[1\]\.g: could "
+                           "not convert string to float: 'abc'"):
             parse_native(json.dumps(doc))
 
     def test_unsupported_version(self):

@@ -56,6 +56,16 @@ def test_non_finite_native_number_is_input_error(tmp_path):
     assert "branches[0].g" in result.stderr
 
 
+def test_unconvertible_native_number_is_input_error(tmp_path):
+    doc = json.loads((CASE_DIR / "discrete4.native.json").read_text())
+    doc["loads"][0]["p"] = "abc"
+    path = tmp_path / "bad.native.json"
+    path.write_text(json.dumps(doc))
+    result = run("solve", path)
+    assert_input_error(result)
+    assert "loads[0].p" in result.stderr
+
+
 def test_p_limit_without_agc_is_input_error():
     assert_input_error(run("solve", CASE_DIR / "case9.m",
                            "--homotopy", "p-limit"))

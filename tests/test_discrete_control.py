@@ -1,9 +1,22 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from splitflow import (
+    Branch,
+    Bus,
+    ContinuationError,
+    Load,
+    NetworkCase,
+    SnappedInfeasibleError,
+    SwitchedShunt,
+)
+from splitflow.circuit_stamps import StateVector, base_control, flat_start
 from splitflow.discrete_control import build_steps, resolve_after_snap, snap_to_steps
-from splitflow.homotopy_driver import HomotopySchedule, run_homotopy
+from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import load_native
+from tests.conftest import load_native, remote_pair_case
 from tests.network_reference import power_mismatch
 
 OPTS = SolverOptions()
@@ -23,7 +36,7 @@ class TestResolveAfterSnap:
     @pytest.fixture(scope="class")
     def snapped(self):
         case = load_native("discrete4")
-        state, report = run_homotopy(case, None, HomotopySchedule(), OPTS)
+        state, report = run_homotopy(case, None, "none", OPTS)
         assert report.converged
         return case, resolve_after_snap(case, state, OPTS)
 
@@ -45,3 +58,61 @@ class TestResolveAfterSnap:
         case, (state, _, plan) = snapped
         assert power_mismatch(case, state, tap_ratio=plan.tap_ratio,
                               shunt_b=plan.shunt_b).max() <= 1e-5
+
+
+def test_infeasible_snap_raises_after_the_sweep():
+    # the continuous shunt settles near b = 1.81 and rounds to 0 on its
+    # single 4.0 step; without it the load is past the nose, so the warm
+    # re-solve fails and the sweep from 1.81 to 0 sticks part-way
+    case = NetworkCase(
+        s_base=100.0,
+        buses=(Bus(1, 230.0, "slack", 1.0, 0.0), Bus(2, 230.0, "pq")),
+        branches=(Branch(1, 2, 1.0, -8.0),),
+        generators=(),
+        loads=(Load(2, 3.5, 0.5),),
+        shunts=(SwitchedShunt(2, 0.0, 4.0, 4.0, 1.0),),
+        name="snap_infeasible",
+    )
+    state, report = run_homotopy(case, None, "none", OPTS)
+    assert report.converged
+    with pytest.raises(SnappedInfeasibleError) as err:
+        resolve_after_snap(case, state, OPTS)
+    sweep = err.value.__cause__
+    assert isinstance(sweep, ContinuationError)
+    phase, t = sweep.frontier
+    assert phase == "snap-sweep"
+    assert t == pytest.approx(0.483, abs=1e-3)
+
+
+@pytest.mark.parametrize("case,shunt_b,tap_ratio", [
+    # q and tap columns, and the slack surplus
+    (replace(load_native("discrete4"), agc_enabled=True), {0: 0.2},
+     {2: 0.975}),
+    # q and remote-request columns
+    (replace(remote_pair_case(),
+             shunts=(SwitchedShunt(4, 0.0, 0.5, 0.1, 1.0),)), {0: 0.2}, {}),
+], ids=["discrete4", "remote_pair"])
+def test_remap_carries_shared_columns(case, shunt_b, tap_ratio):
+    base = base_control(case)
+    full = flat_start(case, base).index
+    snapped = flat_start(case, replace(base, fixed_shunt_b=shunt_b,
+                                       fixed_tap_ratio=tap_ratio)).index
+    source = StateVector(full, np.arange(1.0, full.dim + 1.0))
+    out = source.remap(snapped)
+    assert out.x.size == snapped.dim
+    nv = full.voltage_dim()
+    assert np.array_equal(out.x[:nv], source.x[:nv])
+    for new_cols, old_cols in ((snapped.q_col, full.q_col),
+                               (snapped.qreq_col, full.qreq_col),
+                               (snapped.tap_col, full.tap_col)):
+        for key, col in new_cols.items():
+            assert out.x[col] == source.x[old_cols[key]]
+    if full.dps_col is not None:
+        assert out.x[snapped.dps_col] == source.x[full.dps_col]
+    # back again: the snapped devices' columns are zero-filled
+    back = out.remap(full)
+    dropped = ([full.q_col[("shunt", j)] for j in shunt_b]
+               + [full.tap_col[bi] for bi in tap_ratio])
+    kept = np.setdiff1d(np.arange(full.dim), dropped)
+    assert np.all(back.x[dropped] == 0.0)
+    assert np.array_equal(back.x[kept], source.x[kept])

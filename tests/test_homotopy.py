@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,12 @@ from splitflow.circuit_stamps import (
     residual,
 )
 from splitflow.homotopy_driver import (
-    HomotopySchedule,
+    DECREMENT,
+    INITIAL_STEEPNESS,
+    SNAP_FRACTION,
+    _smoothing_path,
+    _try_solve,
+    _tx_path,
     init_p_limit_relaxation,
     init_q_limit_relaxation,
     run_homotopy,
@@ -36,51 +42,29 @@ class TestScheduleAndPaths:
         case = two_bus_case()
         ctl = base_control(case)
         st_plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
-        st_h, rep_h = run_homotopy(case, None, HomotopySchedule(method="none"),
-                                   OPTS)
+        st_h, rep_h = run_homotopy(case, None, "none", OPTS)
         assert rep_h.converged
         assert np.array_equal(st_h.x, st_plain.x)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            HomotopySchedule(method="anneal")
-
-    @pytest.mark.parametrize("backtrack", [0.0, 1.0, 5.0, -0.5])
-    def test_backtrack_outside_unit_interval_rejected(self, backtrack):
-        with pytest.raises(ValueError, match="backtrack"):
-            HomotopySchedule(backtrack=backtrack)
-
-    def test_negative_max_backtracks_rejected(self):
-        with pytest.raises(ValueError, match="max_backtracks"):
-            HomotopySchedule(max_backtracks=-1)
-        assert HomotopySchedule(max_backtracks=0).max_backtracks == 0
-
-    @pytest.mark.parametrize("steepness", [0.0, -100.0])
-    def test_non_positive_initial_steepness_rejected(self, steepness):
-        with pytest.raises(ValueError, match="initial_steepness"):
-            HomotopySchedule(initial_steepness=steepness)
+        with pytest.raises(ValueError, match="anneal"):
+            run_homotopy(two_bus_case(), None, "anneal", OPTS)
 
     def test_smoothing_initial_steepness(self):
         # the first relaxed problem runs at effective steepness 100
-        sched = HomotopySchedule(method="smoothing")
-        assert sched.initial_steepness == 100.0
+        assert INITIAL_STEEPNESS == 100.0
         base = base_control(three_bus_pv_case())
-        from splitflow.homotopy_driver import _smoothing_path
-
-        make = _smoothing_path(base, sched)
+        make = _smoothing_path(base)
         assert make(1.0).effective_steepness() == pytest.approx(100.0)
         assert make(0.0).effective_steepness() == pytest.approx(5000.0)
 
     def test_tx_ladder_reaches_exact_zero(self):
         # the t values the continuation visits when no step fails
-        from splitflow.homotopy_driver import _tx_path
-
-        sched = HomotopySchedule(method="tx")
-        make = _tx_path(base_control(two_bus_case()), sched)
+        make = _tx_path(base_control(two_bus_case()))
         ts = [1.0]
         while ts[-1] > 0.0:
-            t_next = ts[-1] * sched.decrement
-            ts.append(0.0 if t_next <= sched.snap_fraction else t_next)
+            t_next = ts[-1] * DECREMENT
+            ts.append(0.0 if t_next <= SNAP_FRACTION else t_next)
         ladder = [make(t) for t in ts]
         assert ladder[0].tx_relax == pytest.approx(1.0)
         relaxes = [c.tx_relax for c in ladder]
@@ -111,8 +95,7 @@ class TestQLimitRelaxation:
         relaxed, state = init_q_limit_relaxation(case, OPTS)
         assert relaxed.q_scale == {}
         assert relaxed.q_widen == {}
-        st, rep = run_homotopy(case, None, HomotopySchedule(method="q-limit"),
-                               OPTS)
+        st, rep = run_homotopy(case, None, "q-limit", OPTS)
         assert rep.converged
 
     def test_scale_ratio_from_unbounded_solve(self):
@@ -148,8 +131,7 @@ class TestQLimitRelaxation:
         ctl = base_control(case)
         st, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert not rep.converged
-        st, rep = run_homotopy(case, None, HomotopySchedule(method="q-limit"),
-                               OPTS)
+        st, rep = run_homotopy(case, None, "q-limit", OPTS)
         assert rep.converged
         assert rep.final_residual < OPTS.tol_residual
 
@@ -224,8 +206,7 @@ class TestRunHomotopy:
         case = remote_pair_case()
         base = base_control(case)
         for method in ("smoothing", "q-limit", "tx", "composite"):
-            state, rep = run_homotopy(case, None,
-                                      HomotopySchedule(method=method), OPTS)
+            state, rep = run_homotopy(case, None, method, OPTS)
             assert rep.converged, method
             res = np.abs(residual(case, state, base)).max()
             assert res < OPTS.tol_residual
@@ -234,8 +215,7 @@ class TestRunHomotopy:
         case = remote_pair_case()
         solutions = []
         for method in ("smoothing", "q-limit", "tx", "composite"):
-            state, rep = run_homotopy(case, None,
-                                      HomotopySchedule(method=method), OPTS)
+            state, rep = run_homotopy(case, None, method, OPTS)
             solutions.append(state.x)
         for x in solutions[1:]:
             assert np.abs(x - solutions[0]).max() < 1e-6
@@ -246,7 +226,7 @@ class TestRunHomotopy:
         ctl = base_control(case)
         st, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert not rep.converged
-        st, rep = run_homotopy(case, None, HomotopySchedule(method="tx"), OPTS)
+        st, rep = run_homotopy(case, None, "tx", OPTS)
         assert rep.converged
 
     def test_tx_solves_stiff_feeder(self):
@@ -255,8 +235,7 @@ class TestRunHomotopy:
         # solve
         case = stiff_feeder_case()
         ctl = base_control(case)
-        st_tx, rep_tx = run_homotopy(case, None,
-                                     HomotopySchedule(method="tx"), OPTS)
+        st_tx, rep_tx = run_homotopy(case, None, "tx", OPTS)
         assert rep_tx.converged
         st_plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged
@@ -266,13 +245,31 @@ class TestRunHomotopy:
     def test_infeasible_case_raises_with_frontier(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)  # beyond the nose
         with pytest.raises(ContinuationError) as err:
-            run_homotopy(case, None, HomotopySchedule(method="tx"), OPTS)
-        assert err.value.frontier is not None
+            run_homotopy(case, None, "tx", OPTS)
+        phase, t = err.value.frontier
+        assert phase == "tx" and 0.0 < t < 1.0
+        # the error names the last failed sub-solve
+        match = re.search(r"last sub-solve: not converged after 40 "
+                          r"iterations, residual (\S+)$", str(err.value))
+        assert match is not None, str(err.value)
+        assert float(match.group(1)) == pytest.approx(1.8e-3, rel=0.01)
+
+    def test_swallowed_solver_error_kept_in_diagnostics(self):
+        # a collapsed bus voltage makes the load stamp raise; the failed
+        # sub-solve keeps the message
+        case = two_bus_case()
+        ctl = base_control(case)
+        state = flat_start(case, ctl)
+        state.x[2:4] = 0.0
+        _, report = _try_solve(case, state, ctl, OPTS, "probe", 0)
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.diagnostics == [
+            "voltage magnitude collapsed at bus 2 (|V|^2 = 0.000e+00)"]
 
     def test_trace_carries_lambda_columns(self):
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05)
-        state, rep = run_homotopy(case, None,
-                                  HomotopySchedule(method="q-limit"), OPTS)
+        state, rep = run_homotopy(case, None, "q-limit", OPTS)
         assert rep.converged
         assert any(row.lambda_g_max > 1.0 for row in rep.trace)
         final = rep.trace[-1]

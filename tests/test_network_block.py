@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splitflow.circuit_stamps import TX_SCALE, base_control, build_index
-from splitflow.homotopy_driver import HomotopySchedule, run_homotopy
+from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import MATPOWER_CASES, NATIVE_CASES, load_matpower, load_native
 from tests.network_reference import make_ybus, power_mismatch, real_expansion
@@ -34,17 +34,36 @@ def test_block_equals_ybus_expansion(name, tx_relax):
     assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-# oscillation4 does not converge from a flat start without homotopy: it is
-# the case where plain NR and the outer loop go astray
+# NR iterations per (case, pipeline) with distributed slack off. The counts
+# are machine-independent, so a change to any of them is a change in how
+# the solver walks, not in the machine. oscillation4 does not converge from
+# a flat start without homotopy: it is the case where plain NR and the
+# outer loop go astray.
+ITERATIONS = {
+    "case9": {"none": 22, "smoothing": 24, "tx": 63, "q-limit": 2,
+              "composite": 60},
+    "case14": {"none": 18, "smoothing": 37, "tx": 69, "q-limit": 3,
+               "composite": 74},
+    "case30": {"none": 5, "smoothing": 32, "tx": 46, "q-limit": 33,
+               "composite": 95},
+    "case118": {"none": 9, "smoothing": 34, "tx": 413, "q-limit": 34,
+                "composite": 100},
+    "savnw_like": {"none": 9, "smoothing": 34, "tx": 39, "q-limit": 4,
+                   "composite": 67},
+    "oscillation4": {"smoothing": 283, "tx": 41, "q-limit": 2003,
+                     "composite": 360},
+    "discrete4": {"none": 9, "smoothing": 75, "tx": 44, "q-limit": 4,
+                  "composite": 108},
+}
 PIPELINES = [(name, method) for name in ALL_CASES
-             for method in ("none", "tx", "q-limit", "composite")
-             if (name, method) != ("oscillation4", "none")]
+             for method in ("none", "smoothing", "tx", "q-limit", "composite")
+             if method in ITERATIONS[name]]
 
 
 @pytest.mark.parametrize("name,method", PIPELINES)
 def test_converged_solution_balances_power(name, method):
     case = replace(bundled(name), agc_enabled=False)
-    state, report = run_homotopy(case, None, HomotopySchedule(method=method),
-                                 OPTS)
+    state, report = run_homotopy(case, None, method, OPTS)
     assert report.converged
     assert power_mismatch(case, state).max() <= 1e-5
+    assert report.iterations == ITERATIONS[name][method]

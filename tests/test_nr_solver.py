@@ -68,20 +68,20 @@ class TestStepLimit:
     def test_voltage_clamp(self):
         state = self._state()
         dx = np.array([0.5, -0.3, 0.01, 0.02])
-        out = step_limit(dx, state, OPTS)
+        out = step_limit(dx, state)
         assert out == pytest.approx([0.1, -0.1, 0.01, 0.02])
 
     def test_within_limits_unchanged(self):
         state = self._state()
         dx = np.array([0.05, -0.03, 0.09, -0.09])
-        assert step_limit(dx, state, OPTS) == pytest.approx(dx)
+        assert step_limit(dx, state) == pytest.approx(dx)
 
     def test_sign_preserved(self):
         state = self._state()
         rng = np.random.default_rng(4)
         for _ in range(50):
             dx = rng.normal(scale=2.0, size=4)
-            out = step_limit(dx, state, OPTS)
+            out = step_limit(dx, state)
             assert np.all(np.sign(out) == np.sign(dx))
             assert np.all(np.abs(out) <= np.abs(dx) + 1e-15)
 
