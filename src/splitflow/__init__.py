@@ -2,9 +2,9 @@
 
 The solver works in rectangular current-voltage coordinates, where the
 network is linear: ratio-fixed branches and fixed shunts form a constant
-admittance block built once per index map, and only the devices are
-stamped one by one. Each NR step solves J dx = -F, with F and J from one
-stamp pass. The control loops that classical solvers run in outer
+admittance block built once per index map, next to a table of the
+injecting devices that each stamp pass evaluates as arrays. Each NR step
+solves J dx = -F, with F and J from one stamp pass. The control loops that classical solvers run in outer
 iterations (reactive limits, remote voltage control, switched shunts,
 transformer taps, distributed slack) are smooth models solved implicitly
 inside NR, with homotopy continuation for robustness. A classical

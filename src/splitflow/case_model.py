@@ -254,6 +254,13 @@ def _matpower_tables(text: str) -> tuple[float, dict[str, list[tuple[int, list[f
     return base, tables
 
 
+def _integer(value: float, what: str, lineno: int) -> int:
+    """A table entry that must be an integer, such as a bus id."""
+    if not value.is_integer():
+        raise CaseParseError(f"{what} {value!r} is not an integer", line=lineno)
+    return int(value)
+
+
 def parse_matpower(text: str, name: str = "") -> NetworkCase:
     """Parse a MATPOWER-style case (baseMVA, bus, gen, branch tables).
 
@@ -276,8 +283,8 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
             raise CaseParseError(
                 f"bus row needs 13 columns, got {len(row)}", line=lineno
             )
-        bus_id = int(row[0])
-        btype = int(row[1])
+        bus_id = _integer(row[0], "bus id", lineno)
+        btype = _integer(row[1], "bus type", lineno)
         if btype == 4:
             raise CaseParseError(f"bus {bus_id} is isolated (type 4)", line=lineno)
         if btype not in _MATPOWER_BUS_TYPES:
@@ -309,7 +316,7 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
             )
         if row[7] <= 0:  # GEN_STATUS
             continue
-        bus_id = int(row[0])
+        bus_id = _integer(row[0], "generator bus", lineno)
         generators.append(
             Generator(
                 bus=bus_id,
@@ -330,22 +337,21 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
             )
         if row[10] <= 0:  # BR_STATUS
             continue
+        f = _integer(row[0], "branch from bus", lineno)
+        t = _integer(row[1], "branch to bus", lineno)
         r, x = row[2], row[3]
         if r == 0.0 and x == 0.0:
-            raise CaseParseError(
-                f"zero-impedance branch {int(row[0])}-{int(row[1])}", line=lineno
-            )
+            raise CaseParseError(f"zero-impedance branch {f}-{t}", line=lineno)
         if row[9] != 0.0:
             raise CaseParseError(
-                f"phase-shifting branch {int(row[0])}-{int(row[1])} unsupported",
-                line=lineno,
+                f"phase-shifting branch {f}-{t} unsupported", line=lineno
             )
         den = r * r + x * x
         ratio = row[8] if row[8] != 0.0 else 1.0
         branches.append(
             Branch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=f,
+                to_bus=t,
                 g=r / den,
                 b=-x / den,
                 b_sh=row[4],

@@ -1,15 +1,28 @@
 """Residual F and Jacobian J of the split-circuit NR system, in one pass.
 
-In current-voltage coordinates the network is linear. The ratio-fixed
-branches and the fixed shunts form a constant real 2n x 2n block, built
-once per IndexMap in two parts: a series part, scaled by the tx
-relaxation 1 + tx_relax * TX_SCALE, and an unscaled shunt part (line
-charging and fixed shunts). A pass adds the block's currents to F and
-its triplets to J. Only the devices stamp themselves one by one: loads,
-generators, switched shunts, remote groups, controlled and snapped taps,
-and the slack rows. Each adds its nonlinear residual to F and its exact
-partial derivatives to J, so `residual` and `assemble` come from the same
-code and J is testable against finite differences of `residual`.
+`build_index` turns a case into static arrays once per IndexMap. In
+current-voltage coordinates the network is linear: the ratio-fixed
+branches and the fixed shunts form a constant real 2n x 2n block, kept
+as a series part, scaled by the tx relaxation 1 + tx_relax * TX_SCALE,
+and an unscaled shunt part (line charging and fixed shunts). Next to it
+sits one table of every injecting device (`Injectors`): loads, local
+generators, remote-group members and switched shunts, with their buses,
+reactive-power columns, active power, limits, v_set, participation
+factors and the fixed row/column of each Jacobian entry they can emit;
+and the distributed-slack members' factors and headrooms. A stamp pass
+evaluates the table as arrays. Of the ControlMode it derives only what
+the mode sets (relaxed limits, fixed modes, group modes), and that once
+per mode; a mode that sets none of them uses the table's default.
+Controlled and snapped taps, snapped shunts and the remote groups'
+request rows stamp one by one; the slack rows come last.
+
+`residual` runs the pass for F alone and builds no Jacobian entries.
+`assemble` runs the same pass and also emits every device's exact
+partial derivatives, so F is the same either way and J is testable
+against finite differences of `residual`. All KCL terms, network and
+devices alike, enter F through one bincount in stamp order, and J's
+triplets keep the device-by-device stamp order, so duplicate entries
+always sum in the same order.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -33,9 +46,11 @@ from .smooth_primitives import (
     DECREASING,
     INCREASING,
     SigmoidSaturation,
+    default_patch_width,
+    participation_arrays,
     participation_build,
-    participation_deriv,
     participation_eval,
+    sigmoid_arrays,
     sigmoid_deriv,
     sigmoid_eval,
 )
@@ -98,8 +113,58 @@ def base_control(case: NetworkCase, smoothing: float = 5000.0) -> ControlMode:
 
 
 @dataclass
+class Injectors:
+    """Every device that injects power at its bus, as one table in stamp
+    order: loads, local generators, remote-group members and the switched
+    shunts that are not snapped. Local generators and switched shunts
+    ("local" rows) have a control row each, members a participation row.
+
+    J slots of a row, in order: the four voltage partials of its current,
+    its q column (twice), the slack-surplus column (twice), then its
+    control or participation row: (col, col), and (col, V_R), (col, V_I)
+    for a local row or (col, group request) for a member.
+    """
+
+    pos: np.ndarray  # bus position
+    vr_c: np.ndarray  # V_R and V_I columns of the bus
+    vi_c: np.ndarray
+    p: np.ndarray  # scheduled active power (a load's -p, a shunt's 0)
+    q: np.ndarray  # a load's -q; the rows after the loads read q from x
+    n_loads: int
+    q_cols: np.ndarray  # q columns of the rows after the loads
+    agc_at: np.ndarray  # rows of distributed-slack members, and their
+    agc_pos: np.ndarray  # positions in IndexMap.agc_member_idx
+    local: np.ndarray  # rows of the local generators and switched shunts
+    local_keys: list  # their ControlMode keys, limits and v_set
+    local_min: np.ndarray
+    local_max: np.ndarray
+    local_v_set: np.ndarray
+    members: np.ndarray  # rows of the remote-group members
+    member_keys: list
+    member_min: np.ndarray
+    member_max: np.ndarray
+    kappa: np.ndarray  # participation factors
+    qreq: np.ndarray  # request column of each member's group
+    # per group: request column, controlled bus position, v_set, and the
+    # first and end positions of its members in `members`
+    groups: list
+    # (row, group, shunt): before table row `row`, stamp the request row
+    # of that group or the snapped shunt with that index
+    breaks: list
+    ctl_rows: np.ndarray  # F rows of the control rows: local, then members
+    j_rows: np.ndarray  # J row and column of every slot, row by row
+    j_cols: np.ndarray
+    j_keep: np.ndarray  # (slot, row): slots kept in every control mode
+    # _controls of a ControlMode that sets no modes, relaxed limits or
+    # group modes, and (fields, _Controls) of the last one that does
+    default: "_Controls | None" = None
+    last: tuple | None = None
+
+
+@dataclass
 class IndexMap:
-    """Row/column assignment for one case + control configuration."""
+    """Row/column assignment and static stamp arrays for one case +
+    control configuration."""
 
     n_bus: int
     bus_pos: dict
@@ -114,12 +179,18 @@ class IndexMap:
     agc_member_idx: list
     slack_gen_idx: list
     slack_p_sched: float
+    slack_v_set: float
     snapped_taps: list  # branch indices stamped at ctl.fixed_tap_ratio
     # network block triplets; J gets scale * net_series + net_shunt
     net_rows: np.ndarray
     net_cols: np.ndarray
     net_series: np.ndarray
     net_shunt: np.ndarray
+    inj: Injectors
+    # distributed-slack members (agc_member_idx): factors, P headrooms
+    agc_kappa: np.ndarray
+    agc_lo: np.ndarray
+    agc_hi: np.ndarray
 
     def vr(self, pos: int) -> int:
         return 2 * pos
@@ -185,6 +256,11 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
                 if bi not in tap_col and bi not in ctl.fixed_tap_ratio]
     net_rows, net_cols, net_series, net_shunt = _network_block(
         case, bus_pos, in_block)
+
+    agc_gens = [case.generators[i] for i in agc_member_idx]
+    slack_v_set = case.buses[slack_pos].v_init_real
+    if slack_gen_idx:
+        slack_v_set = case.generators[slack_gen_idx[0]].v_set
     return IndexMap(
         n_bus=len(case.buses),
         bus_pos=bus_pos,
@@ -199,12 +275,94 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         agc_member_idx=agc_member_idx,
         slack_gen_idx=slack_gen_idx,
         slack_p_sched=sum(case.generators[i].p_g for i in slack_gen_idx),
+        slack_v_set=slack_v_set,
         snapped_taps=sorted(ctl.fixed_tap_ratio),
         net_rows=net_rows,
         net_cols=net_cols,
         net_series=net_series,
         net_shunt=net_shunt,
+        inj=_injectors(case, bus_pos, q_col, qreq_col, local_gen_idx,
+                       agc_member_idx, dps_col),
+        agc_kappa=np.array([g.agc_factor for g in agc_gens], dtype=float),
+        agc_lo=np.array([g.p_min - g.p_g for g in agc_gens], dtype=float),
+        agc_hi=np.array([g.p_max - g.p_g for g in agc_gens], dtype=float),
     )
+
+
+def _injectors(case: NetworkCase, bus_pos: dict, q_col: dict, qreq_col: dict,
+               local_gen_idx: list, agc_member_idx: list,
+               dps_col: int | None) -> Injectors:
+    gens = case.generators
+
+    def gen(i):
+        g = gens[i]
+        return ("gen", i), g.bus, g.p_g, 0.0, g.q_min, g.q_max, g.v_set
+
+    # (key, bus, p, q, q_min, q_max, v_set) per row, in stamp order
+    table = [(None, ld.bus, -ld.p, -ld.q, 0.0, 0.0, 0.0) for ld in case.loads]
+    table += [gen(i) for i in local_gen_idx]
+    first_member = len(table)
+    groups = []
+    for gi, grp in enumerate(case.remote_groups):
+        start = len(table) - first_member
+        table += [gen(m) for m in grp.members]
+        groups.append((qreq_col[gi], bus_pos[grp.controlled_bus], grp.v_set,
+                       start, len(table) - first_member))
+    # each group's request row follows its last member, and each snapped
+    # shunt stamps as an admittance between its switched neighbours
+    breaks = [(first_member + end, gi, None)
+              for gi, (*_, end) in enumerate(groups)]
+    first_shunt = len(table)
+    for j, sh in enumerate(case.shunts):
+        if ("shunt", j) in q_col:
+            table.append((("shunt", j), sh.bus, 0.0, 0.0, sh.b_min, sh.b_max,
+                          sh.v_set))
+        else:
+            breaks.append((len(table), None, j))
+
+    n, n_loads = len(table), len(case.loads)
+    keys = [row[0] for row in table]
+    pos = np.array([bus_pos[row[1]] for row in table], dtype=np.intp)
+    p, q, q_min, q_max, v_set = (
+        np.array([row[2:] for row in table], dtype=float).reshape(-1, 5).T.copy())
+    col = np.array([q_col.get(k, 0) for k in keys], dtype=np.intp)
+    local = np.r_[n_loads:first_member, first_shunt:n]
+    members = np.arange(first_member, first_shunt)
+    qreq = np.array([qreq_col[gi] for gi, grp in enumerate(case.remote_groups)
+                     for _ in grp.members], dtype=np.intp)
+    agc = {("gen", i): k for k, i in enumerate(agc_member_idx)}
+    agc_at = np.array([r for r, k in enumerate(keys) if k in agc], dtype=np.intp)
+
+    vr_c = 2 * pos
+    vi_c = vr_c + 1
+    d = np.full(n, 0 if dps_col is None else dps_col)
+    j_rows = np.array((vr_c, vr_c, vi_c, vi_c, vr_c, vi_c, vr_c, vi_c,
+                       col, col, col))
+    j_cols = np.array((vr_c, vi_c, vr_c, vi_c, col, col, d, d,
+                       col, vr_c, vi_c))
+    j_cols[9, members] = qreq
+    j_keep = np.zeros(j_rows.shape, dtype=bool)
+    j_keep[:4] = True
+    j_keep[4:6, n_loads:] = True
+    j_keep[8, members] = True
+    t = Injectors(
+        pos=pos, vr_c=vr_c, vi_c=vi_c,
+        p=p, q=q, n_loads=n_loads, q_cols=col[n_loads:],
+        agc_at=agc_at,
+        agc_pos=np.array([agc[keys[r]] for r in agc_at], dtype=np.intp),
+        local=local, local_keys=[keys[r] for r in local],
+        local_min=q_min[local], local_max=q_max[local],
+        local_v_set=v_set[local],
+        members=members, member_keys=[keys[r] for r in members],
+        member_min=q_min[members], member_max=q_max[members],
+        kappa=np.array([f for grp in case.remote_groups for f in grp.factors],
+                       dtype=float),
+        qreq=qreq, groups=groups, breaks=breaks,
+        ctl_rows=np.concatenate((col[local], col[members])),
+        j_rows=j_rows.T.ravel(), j_cols=j_cols.T.ravel(), j_keep=j_keep,
+    )
+    t.default = _controls(ControlMode(), t)
+    return t
 
 
 def _network_block(case: NetworkCase, bus_pos: dict, in_block: list):
@@ -336,31 +494,34 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
 
 
 class _Pass:
-    """One stamp pass at a state: the residual F and the Jacobian triplets.
+    """One stamp pass at a state.
 
-    Every KCL contribution goes to row 2 * pos + comp of its bus, the
-    slack bus included; `_stamp_slack` then turns the slack rows into
-    voltage constraints and, with distributed slack, into the surplus row.
+    Stamps append F terms to `f` as (rows, values) and, when jac is set,
+    J triplets to `j` as (rows, cols, values), both in stamp order. Every
+    KCL term goes to row 2 * pos + comp of its bus, the slack bus
+    included; `_slack_rows` then turns the slack rows into voltage
+    constraints and, with distributed slack, into the surplus row.
     """
 
-    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode):
+    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode,
+                 jac: bool):
         self.case = case
         self.ctl = ctl
-        self.index = state.index
+        self.jac = jac
+        self.index = idx = state.index
         self.x = state.x
-        self.F = np.zeros(self.index.dim)
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-
-    def add(self, row: int, col: int, grad: float):
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(grad)
+        self.f: list = []
+        self.j: list = []
+        # (extra active power, its slope in the surplus) per slack member
+        self.agc = None
+        if idx.dps_col is not None and idx.agc_member_idx:
+            self.agc = _slack_participation(
+                ctl, idx.agc_member_idx, idx.agc_kappa, idx.agc_lo, idx.agc_hi,
+                self.x[idx.dps_col])
 
 
 # ---------------------------------------------------------------------------
-# Elementary contribution helpers
+# Scalar helpers for the devices that stamp one by one
 # ---------------------------------------------------------------------------
 
 def _kcl_admittance(st: _Pass, at_pos: int, y: complex, v_pos: int):
@@ -368,47 +529,10 @@ def _kcl_admittance(st: _Pass, at_pos: int, y: complex, v_pos: int):
     g, b = y.real, y.imag
     row, vr_c, vi_c = 2 * at_pos, 2 * v_pos, 2 * v_pos + 1
     vr, vi = st.x[vr_c], st.x[vi_c]
-    st.F[row] += g * vr - b * vi
-    st.F[row + 1] += b * vr + g * vi
-    st.add(row, vr_c, g)
-    st.add(row, vi_c, -b)
-    st.add(row + 1, vr_c, b)
-    st.add(row + 1, vi_c, g)
-
-
-def _kcl_injection(st: _Pass, pos: int, p: float, q: float,
-                   q_col: int | None = None, p_col: int | None = None,
-                   dp_dcol: float = 0.0):
-    """Power injection as currents I_R = (p vr + q vi)/|V|^2,
-    I_I = (p vi - q vr)/|V|^2, entering KCL with negative sign.
-
-    q_col: column of the reactive-power unknown, when q is one.
-    p_col/dp_dcol: chain-rule column for p when it depends on an unknown
-    (slack surplus participation).
-    """
-    vr_c, vi_c = 2 * pos, 2 * pos + 1
-    vr, vi = st.x[vr_c], st.x[vi_c]
-    dd = vr * vr + vi * vi
-    if dd <= EPS_V * EPS_V:
-        bus = st.case.buses[pos].id
-        raise SingularPointError(
-            f"voltage magnitude collapsed at bus {bus} (|V|^2 = {dd:.3e})", bus=bus
-        )
-    ir = (p * vr + q * vi) / dd
-    ii = (p * vi - q * vr) / dd
-    # injections enter the KCL sum negatively
-    st.F[vr_c] -= ir
-    st.F[vi_c] -= ii
-    st.add(vr_c, vr_c, -(p / dd - 2.0 * vr * ir / dd))
-    st.add(vr_c, vi_c, -(q / dd - 2.0 * vi * ir / dd))
-    st.add(vi_c, vr_c, -(-q / dd - 2.0 * vr * ii / dd))
-    st.add(vi_c, vi_c, -(p / dd - 2.0 * vi * ii / dd))
-    if q_col is not None:
-        st.add(vr_c, q_col, -(vi / dd))
-        st.add(vi_c, q_col, vr / dd)
-    if p_col is not None and dp_dcol != 0.0:
-        st.add(vr_c, p_col, -(vr / dd) * dp_dcol)
-        st.add(vi_c, p_col, -(vi / dd) * dp_dcol)
+    st.f.append(((row, row + 1), (g * vr - b * vi, b * vr + g * vi)))
+    if st.jac:
+        st.j.append(((row, row, row + 1, row + 1), (vr_c, vi_c, vr_c, vi_c),
+                     (g, -b, b, g)))
 
 
 def _vmag(st: _Pass, pos: int):
@@ -427,25 +551,88 @@ def _sigmoid_control_row(st: _Pass, row: int, value_col: int, pos: int,
                          curve: SigmoidSaturation):
     """Row: value - sigmoid(|V(pos)|) = 0, chain rule through |V|."""
     vr_c, vi_c, vr, vi, vm = _vmag(st, pos)
-    st.F[row] += st.x[value_col] - sigmoid_eval(curve, vm)
-    ds = sigmoid_deriv(curve, vm)
-    st.add(row, value_col, 1.0)
-    st.add(row, vr_c, -ds * vr / vm)
-    st.add(row, vi_c, -ds * vi / vm)
+    st.f.append(((row,), (st.x[value_col] - sigmoid_eval(curve, vm),)))
+    if st.jac:
+        ds = sigmoid_deriv(curve, vm)
+        st.j.append(((row, row, row), (value_col, vr_c, vi_c),
+                     (1.0, -ds * vr / vm, -ds * vi / vm)))
 
 
 def _fixed_v_row(st: _Pass, row: int, pos: int, v_set: float):
     """Hard voltage-magnitude row: V_R^2 + V_I^2 - V_set^2 = 0."""
     vr_c, vi_c = 2 * pos, 2 * pos + 1
     vr, vi = st.x[vr_c], st.x[vi_c]
-    st.F[row] += vr * vr + vi * vi - v_set * v_set
-    st.add(row, vr_c, 2.0 * vr)
-    st.add(row, vi_c, 2.0 * vi)
+    st.f.append(((row,), (vr * vr + vi * vi - v_set * v_set,)))
+    if st.jac:
+        st.j.append(((row, row), (vr_c, vi_c), (2.0 * vr, 2.0 * vi)))
 
 
 def _fixed_q_row(st: _Pass, row: int, value_col: int, q_fixed: float):
-    st.F[row] += st.x[value_col] - q_fixed
-    st.add(row, value_col, 1.0)
+    st.f.append(((row,), (st.x[value_col] - q_fixed,)))
+    if st.jac:
+        st.j.append(((row,), (value_col,), (1.0,)))
+
+
+# ---------------------------------------------------------------------------
+# Array helpers for the devices that stamp as arrays
+# ---------------------------------------------------------------------------
+
+def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
+    """Raise SingularPointError at the first device whose bus voltage
+    collapsed, |V|^2 <= EPS_V^2."""
+    low = dd <= EPS_V * EPS_V
+    if np.count_nonzero(low):
+        k = int(low.argmax())
+        bus = st.case.buses[pos[k]].id
+        raise SingularPointError(
+            f"voltage magnitude collapsed at bus {bus} (|V|^2 = {dd[k]:.3e})",
+            bus=bus)
+
+
+def _relaxed_limits(ctl: ControlMode, keys: list, q_min, q_max):
+    """ControlMode.relaxed_q_limits of each device, as two arrays."""
+    return np.array([ctl.relaxed_q_limits(k, a, b) for k, a, b
+                     in zip(keys, q_min.tolist(), q_max.tolist())],
+                    dtype=float).reshape(-1, 2).T
+
+
+def _slack_participation(ctl: ControlMode, members: list, kappa, lo, hi, dps):
+    """Participating generators' extra active power for a given slack
+    surplus, with its sensitivity d(dP_G)/d(dP_S), as arrays.
+
+    members are generator indices, kappa their factors and lo/hi their
+    active-power headrooms p_min - p_g and p_max - p_g. At full
+    relaxation (p_relax >= 1) the participation is purely linear; below
+    that, limits are the headrooms widened by p_relax * extra, where
+    extra comes from the unbounded pre-solve.
+    """
+    if ctl.p_relax >= 1.0:
+        return kappa * dps, kappa
+    extra_lo = extra_hi = 0.0
+    if ctl.p_extra:
+        extra_lo, extra_hi = np.array(
+            [ctl.p_extra.get(i, (0.0, 0.0)) for i in members],
+            dtype=float).reshape(-1, 2).T
+    lo = lo + ctl.p_relax * extra_lo
+    hi = hi + ctl.p_relax * extra_hi
+    live = ~(hi - lo < DEGENERATE_RANGE)
+    dp, ddp = np.zeros(len(members)), np.zeros(len(members))
+    if live.any():
+        k, lo, hi = kappa[live], lo[live], hi[live]
+        # active-power spans dwarf typical surpluses, so the default 2%
+        # patch would swallow the linear sharing region; use 0.1% here
+        dp[live], ddp[live] = participation_arrays(
+            k, lo, hi, 0.001 * (hi - lo) / k, dps)
+    return dp, ddp
+
+
+def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
+    """Participating generator's extra active power for a given slack
+    surplus, with its sensitivity d(dP_G)/d(dP_S)."""
+    dp, ddp = _slack_participation(
+        ctl, [gen_idx], np.array([gen.agc_factor]),
+        np.array([gen.p_min - gen.p_g]), np.array([gen.p_max - gen.p_g]), dps)
+    return float(dp[0]), float(ddp[0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +652,14 @@ def _stamp_tapped_branch(st: _Pass, branch, tau: float,
     _kcl_admittance(st, f, yft, t)
     _kcl_admittance(st, t, yft, f)
     _kcl_admittance(st, t, y + c, t)
-    if tau_col is None:
+    if tau_col is None or not st.jac:
         return
     vf = complex(st.x[2 * f], st.x[2 * f + 1])
     vt = complex(st.x[2 * t], st.x[2 * t + 1])
     dif = -2.0 * (y + c) / tau**3 * vf + y / (tau * tau) * vt
     dit = y / (tau * tau) * vf
-    st.add(2 * f, tau_col, dif.real)
-    st.add(2 * f + 1, tau_col, dif.imag)
-    st.add(2 * t, tau_col, dit.real)
-    st.add(2 * t + 1, tau_col, dit.imag)
+    st.j.append(((2 * f, 2 * f + 1, 2 * t, 2 * t + 1), (tau_col,) * 4,
+                 (dif.real, dif.imag, dit.real, dit.imag)))
 
 
 def stamp_transformer(st: _Pass, br_idx: int, branch):
@@ -499,145 +684,213 @@ def stamp_transformer(st: _Pass, br_idx: int, branch):
     _sigmoid_control_row(st, tau_col, tau_col, ctl_pos, curve)
 
 
-def stamp_load(st: _Pass, load):
-    _kcl_injection(st, st.index.bus_pos[load.bus], -load.p, -load.q)
+def _modes(ctl: ControlMode, keys: list):
+    """(FIXED_V mask, FIXED_Q mask, FIXED_Q values) of the devices."""
+    modes = [ctl.device_modes.get(k, SIGMOID) for k in keys]
+    fixed_q = [m == FIXED_Q for m in modes]
+    return (np.array([m == FIXED_V for m in modes], dtype=bool),
+            np.array(fixed_q, dtype=bool),
+            np.array([ctl.fixed_q[k] if on else 0.0
+                      for k, on in zip(keys, fixed_q)], dtype=float))
 
 
-def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
-    """Participating generator's extra active power for a given slack
-    surplus, with its sensitivity d(dP_G)/d(dP_S).
+@dataclass
+class _Controls:
+    """What a ControlMode makes of the rows of an Injectors table."""
 
-    At full relaxation (p_relax >= 1) the participation is purely linear;
-    below that, limits are the active-power headrooms widened by
-    p_relax * extra, where extra comes from the unbounded pre-solve.
+    held: np.ndarray  # local rows' value off the curve: fixed_q or lo
+    fixed_v: np.ndarray  # local positions that hold |V| at v_set
+    sig: np.ndarray  # local positions on their sigmoid, their table rows
+    on: np.ndarray  # and their relaxed limits and v_set
+    lo: np.ndarray
+    hi: np.ndarray
+    v_set: np.ndarray
+    m_lo: np.ndarray  # members: relaxed limits
+    m_hi: np.ndarray
+    hard: np.ndarray  # members of FIXED_V groups
+    follow: np.ndarray  # members whose row reads the request
+    curve: np.ndarray  # members on their participation curve
+    keep: np.ndarray  # J slots kept, row by row (surplus slots off)
+
+
+def _controls(ctl: ControlMode, t: Injectors) -> _Controls:
+    """The _Controls of ctl: the table's default when ctl sets none of
+    the fields below, else the last one derived when they are unchanged
+    (an NR solve stamps many states under one ControlMode)."""
+    key = (ctl.device_modes, ctl.fixed_q, ctl.q_scale, ctl.q_widen,
+           ctl.group_modes)
+    if t.default is not None and not any(key):
+        return t.default
+    if t.last is not None and t.last[0] == key:
+        return t.last[1]
+    fixed_v, fixed_q, q_fixed = _modes(ctl, t.local_keys)
+    lo, hi = _relaxed_limits(ctl, t.local_keys, t.local_min, t.local_max)
+    sig = ~(fixed_v | fixed_q | (hi - lo < DEGENERATE_RANGE))
+    hard = np.zeros(len(t.members), dtype=bool)
+    for gi, (*_, a, b) in enumerate(t.groups):
+        hard[a:b] = ctl.group_modes.get(gi, SIGMOID) == FIXED_V
+    m_lo, m_hi = _relaxed_limits(ctl, t.member_keys, t.member_min, t.member_max)
+    follow = hard | ~(m_hi - m_lo < DEGENERATE_RANGE)
+    keep = t.j_keep.copy()
+    keep[8, t.local] = ~fixed_v
+    keep[9, t.local] = keep[10, t.local] = fixed_v | sig
+    keep[9, t.members] = follow
+    c = _Controls(np.where(fixed_q, q_fixed, lo), np.flatnonzero(fixed_v),
+                  sig, t.local[sig], lo[sig], hi[sig], t.local_v_set[sig],
+                  m_lo, m_hi, hard, follow, follow & ~hard, keep.T.ravel())
+    # copies, so that a ControlMode changed in place is not mistaken
+    t.last = (tuple(dict(d) for d in key), c)
+    return c
+
+
+def stamp_injections(st: _Pass):
+    """Every injecting device at once (IndexMap.inj): its current into
+    the KCL sums, and the control row of each local generator and
+    switched shunt and the participation row of each remote-group member.
+    Each group's request row follows its last member, and each snapped
+    shunt, an admittance, stamps between its switched neighbours.
+
+    An injection p + jq enters KCL as -(I_R, I_I), with
+    I_R = (p vr + q vi)/|V|^2 and I_I = (p vi - q vr)/|V|^2. A load
+    injects its -p - jq; a generator its active power (plus its slack
+    participation) and its reactive unknown q; a continuous switched
+    shunt no active power and q, with susceptance limits, which are its
+    reactive limits at nominal voltage. A local row holds |V| at v_set
+    (FIXED_V), q at ctl.fixed_q (FIXED_Q), q at its lower limit when the
+    relaxed limits are degenerate, and q = sigmoid(|V|) between them
+    otherwise. A member's row splits the group request through its
+    participation curve, or linearly in a FIXED_V group.
     """
-    kappa = gen.agc_factor
-    if ctl.p_relax >= 1.0:
-        return kappa * dps, kappa
-    extra_lo, extra_hi = ctl.p_extra.get(gen_idx, (0.0, 0.0))
-    lo = (gen.p_min - gen.p_g) + ctl.p_relax * extra_lo
-    hi = (gen.p_max - gen.p_g) + ctl.p_relax * extra_hi
-    if hi - lo < DEGENERATE_RANGE:
-        return 0.0, 0.0
-    # active-power spans dwarf typical surpluses, so the default 2% patch
-    # would swallow the linear sharing region; use 0.1% here
-    curve = participation_build(kappa, lo, hi, delta=0.001 * (hi - lo) / kappa)
-    return participation_eval(curve, dps), participation_deriv(curve, dps)
+    t, x, ctl = st.index.inj, st.x, st.ctl
+    n = len(t.pos)
+    c = _controls(ctl, t)
+    vr, vi = x[t.vr_c], x[t.vi_c]
+    dd = vr * vr + vi * vi
+    # a local row reads |V| at its own bus, whose |V|^2 this checks
+    _check_collapse(st, t.pos, dd)
+    q = t.q.copy()
+    q[t.n_loads:] = x[t.q_cols]
+    p, dp = t.p, None
+    if st.agc is not None and len(t.agc_at):
+        extra, slope = st.agc
+        p, dp = t.p.copy(), np.zeros(n)
+        p[t.agc_at] = t.p[t.agc_at] + extra[t.agc_pos]
+        dp[t.agc_at] = slope[t.agc_pos]
 
+    ir = (p * vr + q * vi) / dd
+    ii = (p * vi - q * vr) / dd
+    kcl = -np.concatenate((ir, ii))
+    L = t.local
+    target = c.held.copy()
+    if len(c.on):
+        vm = np.array(list(map(math.hypot, vr[c.on].tolist(),
+                               vi[c.on].tolist())))
+        target[c.sig], ds = sigmoid_arrays(
+            c.lo, c.hi, c.v_set, ctl.effective_steepness(), vm)
+    f_ctl = q[L] - target
+    fv = L[c.fixed_v]
+    if len(fv):
+        v_set = t.local_v_set[c.fixed_v]
+        f_ctl[c.fixed_v] = dd[fv] - v_set * v_set
 
-def _gen_active_power(st: _Pass, gen_idx: int, gen):
-    """(p_effective, p_col, dp/dcol) for a generator's injection,
-    substituting the slack-surplus participation when active."""
-    idx = st.index
-    if gen_idx in idx.agc_member_idx and idx.dps_col is not None:
-        dp, ddp = agc_response(gen, st.ctl, gen_idx, st.x[idx.dps_col])
-        return gen.p_g + dp, idx.dps_col, ddp
-    return gen.p_g, None, 0.0
+    M = t.members
+    if len(M):
+        qreq = x[t.qreq]
+        # FIXED_V groups split the request linearly, with no flats
+        m_target = np.where(c.hard, t.kappa * qreq, c.m_lo)
+        m_slope = np.where(c.hard, t.kappa, 0.0)
+        if np.count_nonzero(c.curve):
+            k, lo, hi = t.kappa[c.curve], c.m_lo[c.curve], c.m_hi[c.curve]
+            m_target[c.curve], m_slope[c.curve] = participation_arrays(
+                k, lo, hi, default_patch_width(k, lo, hi), qreq[c.curve])
+        f_ctl = np.concatenate((f_ctl, q[M] - m_target))
+    st.f.append((t.ctl_rows, f_ctl))
 
+    if st.jac:
+        # slot-major values; the same expressions as the scalar partials
+        V = np.empty(t.j_keep.shape)
+        v2 = np.array((vr, vi))
+        V[:4] = -(np.array((p, q, -q, p)) / dd
+                  - 2.0 * v2[[0, 1, 0, 1]] * np.array((ir, ir, ii, ii)) / dd)
+        vd = v2 / dd
+        V[4] = -vd[1]
+        V[5] = vd[0]
+        V[8] = 1.0
+        keep = c.keep
+        if dp is not None:
+            V[6:8] = -vd * dp
+            keep = keep.copy()
+            keep[6::11] = keep[7::11] = dp != 0.0
+        if len(c.on):
+            V[9:, c.on] = -ds * v2[:, c.on] / vm
+        if len(fv):
+            V[9:, fv] = 2.0 * v2[:, fv]
+        if len(M):
+            V[9, M] = -m_slope
+        V = V.T.ravel()
 
-def stamp_q_device(st: _Pass, key, bus: int, p: tuple, q_min: float,
-                   q_max: float, v_set: float):
-    """Locally controlling reactive device: injection currents plus the
-    control row of its reactive-power unknown.
+    def emit(a, b):
+        """The currents and J slots of table rows a to b."""
+        if a == b:
+            return
+        st.f.append((np.concatenate((t.vr_c[a:b], t.vi_c[a:b])),
+                     np.concatenate((kcl[a:b], kcl[n + a:n + b]))))
+        if st.jac:
+            k = keep[11 * a:11 * b]
+            st.j.append((t.j_rows[11 * a:11 * b][k], t.j_cols[11 * a:11 * b][k],
+                         V[11 * a:11 * b][k]))
 
-    p is (p_effective, p_col, dp/dcol) as from _gen_active_power. A
-    generator passes its active power and reactive limits; a continuous
-    switched shunt passes zero active power and its susceptance limits,
-    which are its reactive limits at nominal voltage.
-    """
-    q_col = st.index.q_col[key]
-    pos = st.index.bus_pos[bus]
-    p_eff, p_col, ddp = p
-    _kcl_injection(st, pos, p_eff, st.x[q_col], q_col=q_col,
-                   p_col=p_col, dp_dcol=ddp)
-    mode = st.ctl.device_modes.get(key, SIGMOID)
-    if mode == FIXED_V:
-        _fixed_v_row(st, q_col, pos, v_set)
-        return
-    if mode == FIXED_Q:
-        _fixed_q_row(st, q_col, q_col, st.ctl.fixed_q[key])
-        return
-    lo, hi = st.ctl.relaxed_q_limits(key, q_min, q_max)
-    if hi - lo < DEGENERATE_RANGE:
-        _fixed_q_row(st, q_col, q_col, lo)
-        return
-    curve = SigmoidSaturation(lo, hi, v_set, st.ctl.effective_steepness())
-    _sigmoid_control_row(st, q_col, q_col, pos, curve)
-
-
-def stamp_remote_group(st: _Pass, gi: int, group):
-    """Remote voltage control: per-member participation rows driven by the
-    shared group request, the group request row tying the request to the
-    remote bus voltage, and member injection currents."""
-    idx = st.index
-    qreq_col = idx.qreq_col[gi]
-    qreq = st.x[qreq_col]
-    sum_lo = sum_hi = 0.0
-    hard = st.ctl.group_modes.get(gi, SIGMOID) == FIXED_V
-
-    for gen_i, kappa in zip(group.members, group.factors):
-        gen = st.case.generators[gen_i]
-        key = ("gen", gen_i)
-        q_col = idx.q_col[key]
-        p_eff, p_col, ddp = _gen_active_power(st, gen_i, gen)
-        _kcl_injection(st, idx.bus_pos[gen.bus], p_eff, st.x[q_col],
-                       q_col=q_col, p_col=p_col, dp_dcol=ddp)
-        lo, hi = st.ctl.relaxed_q_limits(key, gen.q_min, gen.q_max)
-        sum_lo += lo
-        sum_hi += hi
-        if hard:
-            # unbounded mode: pure linear split, no flats
-            st.F[q_col] += st.x[q_col] - kappa * qreq
-            st.add(q_col, q_col, 1.0)
-            st.add(q_col, qreq_col, -kappa)
+    start = 0
+    for row, gi, j in t.breaks:
+        emit(start, row)
+        start = row
+        if j is not None:
+            pos = st.index.bus_pos[st.case.shunts[j].bus]
+            _kcl_admittance(st, pos, complex(0.0, ctl.fixed_shunt_b[j]), pos)
             continue
-        if hi - lo < DEGENERATE_RANGE:
-            _fixed_q_row(st, q_col, q_col, lo)
-            continue
-        curve = participation_build(kappa, lo, hi)
-        st.F[q_col] += st.x[q_col] - participation_eval(curve, qreq)
-        st.add(q_col, q_col, 1.0)
-        st.add(q_col, qreq_col, -participation_deriv(curve, qreq))
-
-    rpos = idx.bus_pos[group.controlled_bus]
-    if hard:
-        _fixed_v_row(st, qreq_col, rpos, group.v_set)
-    elif sum_hi - sum_lo < DEGENERATE_RANGE:
-        _fixed_q_row(st, qreq_col, qreq_col, sum_lo)
-    else:
-        curve = SigmoidSaturation(
-            sum_lo, sum_hi, group.v_set, st.ctl.effective_steepness()
-        )
-        _sigmoid_control_row(st, qreq_col, qreq_col, rpos, curve)
+        qreq_col, pos, v_set, a, b = t.groups[gi]
+        s_lo = s_hi = 0.0
+        for lo, hi in zip(c.m_lo[a:b].tolist(), c.m_hi[a:b].tolist()):
+            s_lo += lo
+            s_hi += hi
+        if c.hard[a]:
+            _fixed_v_row(st, qreq_col, pos, v_set)
+        elif s_hi - s_lo < DEGENERATE_RANGE:
+            _fixed_q_row(st, qreq_col, qreq_col, s_lo)
+        else:
+            curve = SigmoidSaturation(s_lo, s_hi, v_set,
+                                      ctl.effective_steepness())
+            _sigmoid_control_row(st, qreq_col, qreq_col, pos, curve)
+    emit(start, n)
 
 
-def _stamp_slack(st: _Pass, rows, cols, vals):
-    """Replace the slack bus KCL rows by V_R = V_set, V_I = 0 and return
-    the final triplets.
+def _slack_rows(st: _Pass, F: np.ndarray):
+    """Replace the slack bus KCL rows of F by V_R = V_set, V_I = 0 and,
+    with jac, return the final triplets.
 
     With distributed slack, the KCL sums at the slack bus are the slack
     source currents I_S, and they build the surplus row
     P_S + dP_S = V_SR * I_SR + V_SI * I_SI.
     """
-    idx, x, F = st.index, st.x, st.F
-    r = 2 * idx.slack_pos
+    idx, x = st.index, st.x
+    r, d = 2 * idx.slack_pos, idx.dps_col
+    f_r, f_i = F[r], F[r + 1]
+    if d is not None:
+        F[d] = x[r] * f_r + x[r + 1] * f_i - idx.slack_p_sched - x[d]
+    F[r] = x[r] - idx.slack_v_set
+    F[r + 1] = x[r + 1]
+    if not st.jac:
+        return None
+    rows, cols, vals = (np.concatenate(a) for a in zip(*st.j))
     at_slack = (rows >> 1) == idx.slack_pos
     keep = ~at_slack
     parts = [(rows[keep], cols[keep], vals[keep]),
              (np.array([r, r + 1]), np.array([r, r + 1]), np.ones(2))]
-    if idx.dps_col is not None:
-        d = idx.dps_col
-        f_r, f_i = F[r], F[r + 1]
+    if d is not None:
         on = rows[at_slack]  # r or r + 1, the row's own voltage column
         parts.append((np.full(on.size, d), cols[at_slack], vals[at_slack] * x[on]))
         parts.append((np.full(3, d), np.array([r, r + 1, d]),
                       np.array([f_r, f_i, -1.0])))
-        F[d] = x[r] * f_r + x[r + 1] * f_i - idx.slack_p_sched - x[d]
-    v_set = st.case.buses[idx.slack_pos].v_init_real
-    if idx.slack_gen_idx:
-        v_set = st.case.generators[idx.slack_gen_idx[0]].v_set
-    F[r] = x[r] - v_set
-    F[r + 1] = x[r + 1]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -645,50 +898,40 @@ def _stamp_slack(st: _Pass, rows, cols, vals):
 # Full-system evaluation
 # ---------------------------------------------------------------------------
 
-def _stamp_pass(case: NetworkCase, state: StateVector, ctl: ControlMode):
-    """F and the Jacobian triplets (rows, cols, vals) at the state."""
-    st = _Pass(case, state, ctl)
+def _stamp_pass(case: NetworkCase, state: StateVector, ctl: ControlMode,
+                jac: bool):
+    """F and, with jac, the Jacobian triplets (rows, cols, vals)."""
+    st = _Pass(case, state, ctl, jac)
     idx = st.index
-    nv = idx.voltage_dim()
     net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
-    st.F[:nv] = np.bincount(idx.net_rows, net * st.x[idx.net_cols],
-                            minlength=nv)
+    st.f.append((idx.net_rows, net * st.x[idx.net_cols]))
+    if jac:
+        st.j.append((idx.net_rows, idx.net_cols, net))
     for bi in idx.tap_col:
         stamp_transformer(st, bi, case.branches[bi])
     for bi in idx.snapped_taps:
         _stamp_tapped_branch(st, case.branches[bi], ctl.fixed_tap_ratio[bi])
-    for load in case.loads:
-        stamp_load(st, load)
-    for i in idx.local_gen_idx:
-        g = case.generators[i]
-        stamp_q_device(st, ("gen", i), g.bus, _gen_active_power(st, i, g),
-                       g.q_min, g.q_max, g.v_set)
-    for gi, grp in enumerate(case.remote_groups):
-        stamp_remote_group(st, gi, grp)
-    for j, sh in enumerate(case.shunts):
-        if j in ctl.fixed_shunt_b:
-            pos = idx.bus_pos[sh.bus]
-            _kcl_admittance(st, pos, complex(0.0, ctl.fixed_shunt_b[j]), pos)
-        else:
-            stamp_q_device(st, ("shunt", j), sh.bus, (0.0, None, 0.0),
-                           sh.b_min, sh.b_max, sh.v_set)
-    rows = np.concatenate((idx.net_rows, np.array(st.rows, dtype=np.intp)))
-    cols = np.concatenate((idx.net_cols, np.array(st.cols, dtype=np.intp)))
-    vals = np.concatenate((net, np.array(st.vals, dtype=float)))
-    return (st.F, *_stamp_slack(st, rows, cols, vals))
+    stamp_injections(st)
+    rows, vals = (np.concatenate(a) for a in zip(*st.f))
+    F = np.bincount(rows, vals, minlength=idx.dim)
+    return F, _slack_rows(st, F)
 
 
 def assemble(case: NetworkCase, state: StateVector,
              ctl: ControlMode) -> tuple[np.ndarray, csc_matrix]:
     """Residual F and Jacobian J at the state; NR solves J dx = -F."""
-    F, rows, cols, vals = _stamp_pass(case, state, ctl)
+    F, (rows, cols, vals) = _stamp_pass(case, state, ctl, jac=True)
     dim = state.index.dim
-    return F, csc_matrix((vals, (rows, cols)), shape=(dim, dim))
+    # scipy stores int32 indices at any size a case reaches; handing them
+    # over as int32 spares it a range scan of int64 ones
+    return F, csc_matrix((vals, (rows.astype(np.int32), cols.astype(np.int32))),
+                         shape=(dim, dim))
 
 
 def residual(case: NetworkCase, state: StateVector, ctl: ControlMode) -> np.ndarray:
-    """Exact nonlinear residuals F(x) of every equation at the given state."""
-    return _stamp_pass(case, state, ctl)[0]
+    """Exact nonlinear residuals F(x) of every equation at the given state;
+    the same F as `assemble`, without building J."""
+    return _stamp_pass(case, state, ctl, jac=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
     mat = mat.tocsc()
     if not np.all(np.isfinite(mat.data)) or not np.all(np.isfinite(rhs)):
         raise SingularSystemError("non-finite entries in assembled system")
-    row_mass = np.asarray(abs(mat).sum(axis=1)).ravel()
+    # CSC indices are row indices: the absolute row sums, stored zeros too
+    row_mass = np.bincount(mat.indices, np.abs(mat.data), minlength=mat.shape[0])
     empty = np.where(row_mass == 0.0)[0]
     if empty.size:
         raise SingularSystemError(

@@ -4,12 +4,18 @@ Two primitives: a logistic saturation curve joining a controlled regime to
 hard output limits, and a five-region participation curve (flat, quadratic
 patch, linear, quadratic patch, flat) that coordinates several devices
 through one shared variable while respecting per-device limits.
+
+Each has a scalar form on a curve object and an array form over many
+devices at once (`sigmoid_arrays`, `participation_arrays`); the array
+forms give the scalar forms' results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # exp() overflows above ~709.8; the guarded forms below only ever
 # exponentiate a non-positive argument, so this clamp merely pins the
@@ -58,7 +64,9 @@ def _logistic(u: float) -> float:
 
 
 def sigmoid_eval(s: SigmoidSaturation, x: float) -> float:
-    """Curve value at x; always within [y_min, y_max]."""
+    """Curve value at x; within [y_min, y_max], except that the
+    saturated tail (y_max - y_min) * 1 + y_min can round above y_max by
+    one rounding of the limits' size."""
     u = s.smoothing * (x - s.x_set)
     if s.orientation == INCREASING:
         u = -u
@@ -75,6 +83,19 @@ def sigmoid_deriv(s: SigmoidSaturation, x: float) -> float:
     if s.orientation == INCREASING:
         slope = -slope
     return slope
+
+
+def sigmoid_arrays(y_min, y_max, x_set, smoothing: float, x):
+    """Values and slopes of decreasing sigmoids at x, elementwise.
+
+    Each element equals sigmoid_eval/sigmoid_deriv of the scalar curve
+    bit for bit; the exponential runs through math.exp, since np.exp can
+    differ from it in the last bit. Limits are not validated.
+    """
+    u = smoothing * (x - x_set)
+    w = np.fromiter(map(_logistic, u.tolist()), float, len(u))
+    span = y_max - y_min
+    return span * w + y_min, -smoothing * span * w * (1.0 - w)
 
 
 @dataclass(frozen=True)
@@ -170,3 +191,27 @@ def participation_deriv(p: ParticipationCurve, x: float) -> float:
     if x <= p.x_hi_in:
         return p.slope
     return p.slope * (p.x_hi_out - x) / (2.0 * p.delta)
+
+
+def participation_arrays(slope, y_min, y_max, delta, x):
+    """Values and slopes of participation curves at x, elementwise.
+
+    Each element equals participation_eval/participation_deriv of
+    participation_build(slope, y_min, y_max, delta) bit for bit. The
+    curves are not validated.
+    """
+    x_lo_out, x_lo_in = y_min / slope - delta, y_min / slope + delta
+    x_hi_in, x_hi_out = y_max / slope - delta, y_max / slope + delta
+    t_lo, t_hi = x - x_lo_out, x_hi_out - x
+    below, low_patch = x <= x_lo_out, x < x_lo_in
+    linear, high_patch = x <= x_hi_in, x < x_hi_out
+    where = np.where
+    value = where(below, y_min, where(
+        low_patch, y_min + slope * t_lo * t_lo / (4.0 * delta), where(
+            linear, slope * x, where(
+                high_patch, y_max - slope * t_hi * t_hi / (4.0 * delta),
+                y_max))))
+    deriv = where(below | (x >= x_hi_out), 0.0, where(
+        low_patch, slope * t_lo / (2.0 * delta), where(
+            linear, slope, slope * t_hi / (2.0 * delta))))
+    return value, deriv

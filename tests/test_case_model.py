@@ -68,6 +68,20 @@ class TestMatpower:
                            match=r"line 6: value not finite in row 'nan 1 81"):
             parse_matpower(text)
 
+    @pytest.mark.parametrize("old, new, what, line", [
+        ("2 1 81 20", "2.7 1 81 20", "bus id 2.7", 6),
+        ("2 1 81 20", "2 1.5 81 20", "bus type 1.5", 6),
+        ("1 50 0 90", "1.2 50 0 90", "generator bus 1.2", 9),
+        ("1 2 0.01 0.1", "1 2.7 0.01 0.1", "branch to bus 2.7", 12),
+        ("1 2 0.01 0.1", "0.5 2 0.01 0.1", "branch from bus 0.5", 12),
+    ])
+    def test_fractional_id_rejected(self, old, new, what, line):
+        # int() would silently truncate these to another bus
+        text = TWO_BUS_M.replace(old, new)
+        with pytest.raises(CaseParseError,
+                           match=rf"line {line}: {what} is not an integer"):
+            parse_matpower(text)
+
     def test_missing_slack_rejected(self):
         text = TWO_BUS_M.replace("1 3 0  0", "1 2 0  0")
         with pytest.raises(CaseValidationError, match="missing slack"):

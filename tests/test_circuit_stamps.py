@@ -59,7 +59,10 @@ def load_delta(case):
     ctl = base_control(case)
     state = flat_start(case, ctl)
     F, J = assemble(case, state, ctl)
-    F0, J0 = assemble(replace(case, loads=()), state, ctl)
+    # the index holds the case's device arrays, so the load-free case
+    # gets its own (same-shaped) index
+    bare = replace(case, loads=())
+    F0, J0 = assemble(bare, StateVector(build_index(bare, ctl), state.x), ctl)
     return F - F0, (J - J0).toarray(), state.index
 
 

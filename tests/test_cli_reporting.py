@@ -46,6 +46,16 @@ def test_non_finite_matpower_number_is_input_error(tmp_path, bad):
     assert "not finite" in result.stderr
 
 
+def test_fractional_matpower_bus_id_is_input_error(tmp_path):
+    text = (CASE_DIR / "case9.m").read_text()
+    path = tmp_path / "case9_bad.m"
+    # bus 5's id
+    path.write_text(text.replace("5\t1\t90\t30", "5.5\t1\t90\t30", 1))
+    result = run("solve", path)
+    assert_input_error(result)
+    assert "bus id 5.5 is not an integer" in result.stderr
+
+
 def test_non_finite_native_number_is_input_error(tmp_path):
     doc = json.loads((CASE_DIR / "discrete4.native.json").read_text())
     doc["branches"][0]["g"] = float("inf")

@@ -39,6 +39,15 @@ class TestSolveLinear:
         except SingularSystemError as exc:
             assert exc.row == 1
 
+    def test_stored_zeros_count_as_empty(self):
+        # row 1 holds only an explicitly stored zero
+        mat = csc_matrix((np.array([1.0, 0.0]), np.array([0, 1]),
+                          np.array([0, 1, 2])), shape=(2, 2))
+        assert mat.nnz == 2
+        with pytest.raises(SingularSystemError, match="row 1 is empty") as exc:
+            solve_linear(mat, np.array([1.0, 1.0]))
+        assert exc.value.row == 1
+
     def test_numerically_singular(self):
         sys = dense_system([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
         with pytest.raises(SingularSystemError):
