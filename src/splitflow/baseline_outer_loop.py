@@ -24,6 +24,7 @@ from .circuit_stamps import (
     ControlMode,
     StateVector,
     base_control,
+    build_index,
     flat_start,
 )
 from .errors import SingularPointError, SingularSystemError
@@ -83,8 +84,7 @@ def solve_outer_loop(
         raise ValueError(f"unknown switch order {order!r}")
     base = base if base is not None else base_control(case)
 
-    index_probe = flat_start(case, base).index
-    local = list(index_probe.local_gen_idx)
+    local = list(build_index(case, base).local_gen_idx)
     modes = {("gen", i): FIXED_V for i in local}
     fixed_q: dict = {}
 

@@ -21,8 +21,12 @@ request rows stamp one by one; the slack rows come last.
 partial derivatives, so F is the same either way and J is testable
 against finite differences of `residual`. All KCL terms, network and
 devices alike, enter F through one bincount in stamp order, and J's
-triplets keep the device-by-device stamp order, so duplicate entries
-always sum in the same order.
+triplets keep the device-by-device stamp order. J's CSC structure (row
+indices, column pointers, the slack-row rewrite and the order in which
+duplicate triplets are summed, which is scipy's own) is cached on the
+IndexMap, keyed by the stamp-order triplet rows and columns, and rebuilt
+when they change; each `assemble` fills in only the values, so J equals
+scipy's COO -> CSC conversion of the triplets byte for byte.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -191,6 +195,9 @@ class IndexMap:
     agc_kappa: np.ndarray
     agc_lo: np.ndarray
     agc_hi: np.ndarray
+    # J's CSC structure for the last triplet pattern `assemble` saw
+    jac: "_JacobianStructure | None" = field(default=None, repr=False,
+                                             compare=False)
 
     def vr(self, pos: int) -> int:
         return 2 * pos
@@ -865,11 +872,10 @@ def stamp_injections(st: _Pass):
 
 
 def _slack_rows(st: _Pass, F: np.ndarray):
-    """Replace the slack bus KCL rows of F by V_R = V_set, V_I = 0 and,
-    with jac, return the final triplets.
+    """Replace the slack bus KCL rows of F by V_R = V_set, V_I = 0, and
+    return what they held, the slack source currents (I_SR, I_SI).
 
-    With distributed slack, the KCL sums at the slack bus are the slack
-    source currents I_S, and they build the surplus row
+    With distributed slack, those currents build the surplus row
     P_S + dP_S = V_SR * I_SR + V_SI * I_SI.
     """
     idx, x = st.index, st.x
@@ -879,19 +885,103 @@ def _slack_rows(st: _Pass, F: np.ndarray):
         F[d] = x[r] * f_r + x[r + 1] * f_i - idx.slack_p_sched - x[d]
     F[r] = x[r] - idx.slack_v_set
     F[r + 1] = x[r + 1]
-    if not st.jac:
-        return None
-    rows, cols, vals = (np.concatenate(a) for a in zip(*st.j))
-    at_slack = (rows >> 1) == idx.slack_pos
-    keep = ~at_slack
-    parts = [(rows[keep], cols[keep], vals[keep]),
-             (np.array([r, r + 1]), np.array([r, r + 1]), np.ones(2))]
+    return f_r, f_i
+
+
+# ---------------------------------------------------------------------------
+# Jacobian structure
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _JacobianStructure:
+    """J's CSC structure for one pattern of stamp-order triplets.
+
+    A call's J values come from its source vector: the pass's triplet
+    values, the two unit diagonals of the slack voltage rows and, with
+    distributed slack, the slack-row triplets moved to the surplus row
+    (each times its row's own voltage) and the surplus row's own entries
+    I_SR, I_SI and -1.
+    """
+
+    rows: np.ndarray  # the key: the pass's triplet rows and cols
+    cols: np.ndarray
+    at: np.ndarray  # triplets in the slack bus rows, and their voltage
+    on: np.ndarray  # columns (each row's own)
+    first: np.ndarray  # source position of each stored entry's first term
+    rest: np.ndarray  # source positions of the other terms, in the order
+    rest_slot: np.ndarray  # scipy adds them, and the entry each adds to
+    indices: np.ndarray  # CSC row indices and column pointers, read-only
+    indptr: np.ndarray
+
+
+def _jacobian_structure(idx: IndexMap, rows: np.ndarray,
+                        cols: np.ndarray) -> _JacobianStructure:
+    """Analyse the pass's triplets once: the slack-row rewrite, and the
+    CSC structure scipy's COO -> CSC conversion gives the rewritten ones.
+
+    scipy buckets the triplets by column in input order, sorts each
+    column by row with an unstable std::sort, and sums runs of equal
+    rows from the first. A stable sort would order equal rows
+    differently, and floating-point sums depend on the order, so scipy
+    sorts the triplet ids itself here: its permutation depends on the
+    row keys alone.
+    """
+    dim, r, d = idx.dim, 2 * idx.slack_pos, idx.dps_col
+    at = np.flatnonzero((rows >> 1) == idx.slack_pos)
+    # rows and columns of the source vector (see _JacobianStructure); the
+    # slack-row triplets' own places are left out
+    src_rows, src_cols = [rows, (r, r + 1)], [cols, (r, r + 1)]
     if d is not None:
-        on = rows[at_slack]  # r or r + 1, the row's own voltage column
-        parts.append((np.full(on.size, d), cols[at_slack], vals[at_slack] * x[on]))
-        parts.append((np.full(3, d), np.array([r, r + 1, d]),
-                      np.array([f_r, f_i, -1.0])))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+        src_rows += [np.full(at.size, d), (d, d, d)]
+        src_cols += [cols[at], (r, r + 1, d)]
+    src_rows, src_cols = np.concatenate(src_rows), np.concatenate(src_cols)
+    used = np.ones(src_rows.size, dtype=bool)
+    used[at] = False
+    src = np.flatnonzero(used)
+    rows_f, cols_f = src_rows[src], src_cols[src]
+
+    order = np.argsort(cols_f, kind="stable")
+    raw = csc_matrix((order.astype(float), rows_f[order].astype(np.int32),
+                      _col_pointers(cols_f, dim)), shape=(dim, dim))
+    raw.sort_indices()
+    perm = src[raw.data.astype(np.intp)]
+    s_rows, s_cols = raw.indices, cols_f[order]
+    new = np.r_[True, (s_rows[1:] != s_rows[:-1]) | (s_cols[1:] != s_cols[:-1])]
+    slot = np.cumsum(new) - 1
+    indices, indptr = s_rows[new], _col_pointers(s_cols[new], dim)
+    # every J returned shares these two; an in-place scipy op must not
+    # rewrite the cache
+    indices.flags.writeable = indptr.flags.writeable = False
+    return _JacobianStructure(rows, cols, at, rows[at], perm[new], perm[~new],
+                              slot[~new], indices, indptr)
+
+
+def _col_pointers(cols: np.ndarray, dim: int) -> np.ndarray:
+    """CSC column pointers of entries with these columns, sorted."""
+    return np.r_[0, np.cumsum(np.bincount(cols, minlength=dim))].astype(np.int32)
+
+
+def _jacobian(idx: IndexMap, x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+              vals: np.ndarray, slack_currents) -> csc_matrix:
+    """J from the pass's triplets, filled into the structure cached on the
+    index map; the structure is rebuilt when the triplet rows or columns
+    differ from the cached ones (a generator switched between PV and PQ,
+    a slack member's slope exactly 0, a tap or group row of another
+    kind). The result equals csc_matrix((vals, (rows, cols))) of the
+    rewritten triplets byte for byte."""
+    s = idx.jac
+    if s is None or not (np.array_equal(rows, s.rows)
+                         and np.array_equal(cols, s.cols)):
+        s = idx.jac = _jacobian_structure(idx, rows, cols)
+    parts = [vals, (1.0, 1.0)]
+    if idx.dps_col is not None:
+        parts += [vals[s.at] * x[s.on], (*slack_currents, -1.0)]
+    src = np.concatenate(parts)
+    data = src[s.first]
+    np.add.at(data, s.rest_slot, src[s.rest])
+    J = csc_matrix((data, s.indices, s.indptr), shape=(idx.dim, idx.dim))
+    J.has_canonical_format = True  # sorted and summed by construction
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +990,9 @@ def _slack_rows(st: _Pass, F: np.ndarray):
 
 def _stamp_pass(case: NetworkCase, state: StateVector, ctl: ControlMode,
                 jac: bool):
-    """F and, with jac, the Jacobian triplets (rows, cols, vals)."""
+    """F and, with jac, the Jacobian triplets (rows, cols, vals) in stamp
+    order, slack bus rows not yet rewritten, and the slack source currents
+    (I_SR, I_SI); see `_slack_rows`."""
     st = _Pass(case, state, ctl, jac)
     idx = st.index
     net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
@@ -914,18 +1006,23 @@ def _stamp_pass(case: NetworkCase, state: StateVector, ctl: ControlMode,
     stamp_injections(st)
     rows, vals = (np.concatenate(a) for a in zip(*st.f))
     F = np.bincount(rows, vals, minlength=idx.dim)
-    return F, _slack_rows(st, F)
+    slack_currents = _slack_rows(st, F)
+    if not jac:
+        return F, None
+    rows, cols, vals = (np.concatenate(a) for a in zip(*st.j))
+    return F, (rows, cols, vals, slack_currents)
 
 
 def assemble(case: NetworkCase, state: StateVector,
              ctl: ControlMode) -> tuple[np.ndarray, csc_matrix]:
-    """Residual F and Jacobian J at the state; NR solves J dx = -F."""
-    F, (rows, cols, vals) = _stamp_pass(case, state, ctl, jac=True)
-    dim = state.index.dim
-    # scipy stores int32 indices at any size a case reaches; handing them
-    # over as int32 spares it a range scan of int64 ones
-    return F, csc_matrix((vals, (rows.astype(np.int32), cols.astype(np.int32))),
-                         shape=(dim, dim))
+    """Residual F and Jacobian J at the state; NR solves J dx = -F.
+
+    J's CSC structure is cached on the state's IndexMap, keyed by the
+    pass's stamp-order triplet rows and columns, and only its values are
+    filled per call, duplicates summed in scipy's own order (see
+    `_jacobian`)."""
+    F, (rows, cols, vals, slack_currents) = _stamp_pass(case, state, ctl, jac=True)
+    return F, _jacobian(state.index, state.x, rows, cols, vals, slack_currents)
 
 
 def residual(case: NetworkCase, state: StateVector, ctl: ControlMode) -> np.ndarray:

@@ -146,9 +146,12 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     diagnostics: list[str] = []
     converged = False
     it = 0
-    max_res = _residual_norm(case, state, ctl)
+    max_res = None
     for it in range(1, opts.max_iter + 1):
         F, J = assemble(case, state, ctl)
+        if max_res is None:
+            # the starting norm; a collapsed start raises in assemble
+            max_res = float(np.abs(F).max())
         try:
             dx = solve_linear(J, -F)
         except SingularSystemError as exc:

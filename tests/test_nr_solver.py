@@ -3,7 +3,8 @@ import pytest
 
 from scipy.sparse import csc_matrix
 
-from splitflow import SingularSystemError
+import splitflow.nr_solver as nr_solver
+from splitflow import SingularPointError, SingularSystemError
 from splitflow.circuit_stamps import base_control, flat_start
 from splitflow.nr_solver import (
     SolverOptions,
@@ -172,6 +173,38 @@ class TestNrSolve:
         opts = SolverOptions(max_iter=3)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl, opts)
         assert rep.iterations <= 3
+
+    def test_start_evaluated_once(self, bundled_matpower, monkeypatch):
+        # the starting norm is iteration 1's assembled F; residual runs
+        # for line-search trials only
+        case = bundled_matpower["case9"]
+        ctl = base_control(case)
+        init = flat_start(case, ctl)
+        seen = {"assemble": [], "residual": []}
+
+        def recorded(name):
+            fn = getattr(nr_solver, name)
+
+            def wrapper(case, state, ctl):
+                seen[name].append(state.x.copy())
+                return fn(case, state, ctl)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(nr_solver, name, recorded(name))
+        _, rep = nr_solve(case, init, ctl, OPTS)
+        assert len(seen["assemble"]) == rep.iterations
+        assert np.array_equal(seen["assemble"][0], init.x)
+        assert not any(np.array_equal(x, init.x) for x in seen["residual"])
+
+    def test_collapsed_start_raises(self):
+        case = two_bus_case()
+        ctl = base_control(case)
+        state = flat_start(case, ctl)
+        state.x[state.index.vr(1)] = 1e-5
+        state.x[state.index.vi(1)] = 0.0
+        with pytest.raises(SingularPointError, match="bus 2"):
+            nr_solve(case, state, ctl, OPTS)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
