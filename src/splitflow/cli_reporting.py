@@ -23,12 +23,14 @@ from .errors import SplitflowError
 from .homotopy_driver import METHODS, run_homotopy
 from .nr_solver import SolveReport, SolverOptions
 
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
+# t is empty outside a continuation; accepted is 1 when the continuation
+# kept the sub-solve the row belongs to, 0 when it backed the step off
 TRACE_COLUMNS = [
     "phase", "outer_iter", "inner_iter", "lambda_s", "lambda_g_max",
     "lambda_p", "lambda_tx", "max_residual", "max_step", "pv_to_pq",
-    "pq_to_pv",
+    "pq_to_pv", "t", "accepted",
 ]
 
 
@@ -68,6 +70,8 @@ def run_continuous(
         state2, report2, plan = resolve_after_snap(case, state, opts, base)
         report2.trace = report.trace + report2.trace
         report2.iterations += report.iterations
+        report2.stalled_subsolves += report.stalled_subsolves
+        report2.continuation_backtracks += report.continuation_backtracks
         result = PipelineResult(case, state2, report2,
                                 stability=classify_stability(case, state2),
                                 snap_plan=plan)
@@ -114,6 +118,8 @@ def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
         f"converged: {'true' if report.converged else 'false'}",
         f"iterations: {report.iterations}",
         f"outer_iterations: {report.outer_iterations}",
+        f"stalled_subsolves: {report.stalled_subsolves}",
+        f"continuation_backtracks: {report.continuation_backtracks}",
         f"final_residual: {report.final_residual:.3e}",
         f"v_max_pu: {vmax:.6f}",
         f"v_min_pu: {vmin:.6f}",
@@ -158,6 +164,7 @@ def write_trace(path: str, rows) -> None:
                 f"{r.lambda_p:.6g}", f"{r.lambda_tx:.6g}",
                 f"{r.max_residual:.6e}", f"{r.max_step:.6e}",
                 r.pv_to_pq, r.pq_to_pv,
+                "" if r.t is None else f"{r.t:.6g}", int(r.accepted),
             ])
 
 

@@ -9,8 +9,16 @@ targets the reduced steepness INITIAL_STEEPNESS. `_continuation` follows
 a path from t = 1 to 0 with warm starts, keeping DECREMENT of the
 remaining distance per step, snapping to 0 below SNAP_FRACTION and
 shrinking a failed step by BACKTRACK up to MAX_BACKTRACKS times; only
-the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. If no stage
-has a path, one NR solve at the target stands in. The result is always
+the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
+sub-solve on the path, t = 0 included, also ends as failed once it
+stalls: STALL_WINDOW consecutive NR iterations without bringing max|F|
+below the lowest value it has reached (`SolveReport.stalled`). A
+corrector that has stopped contracting rarely recovers within its
+budget, so the step is backed off at once instead of after
+SUB_MAX_ITER iterations. Solves outside a continuation (the init
+solves, `none`, the outer loop) run without the window, since a plain
+solve can cross a long plateau and still converge. If no stage has a
+path, one NR solve at the target stands in. The result is always
 re-verified against the unrelaxed equations.
 
   smoothing  - sigmoid steepness relaxed to INITIAL_STEEPNESS, tightened.
@@ -53,18 +61,22 @@ BACKTRACK = 0.5  # shrink factor applied to a failed decrement
 MAX_BACKTRACKS = 10
 SNAP_FRACTION = 1e-3  # remaining distance below which t snaps to 0
 SUB_MAX_ITER = 40  # NR budget of the warm-started intermediate sub-solves
+STALL_WINDOW = 4  # non-improving NR iterations that end a sub-solve
 
 
 @dataclass
 class Tally:
-    """NR iterations, backtracks and trace rows summed over sub-solves."""
+    """NR iterations, backtracks, stalled sub-solves and trace rows
+    summed over sub-solves."""
 
     iterations: int = 0
     backtracks: int = 0
+    stalled: int = 0
     trace: list = field(default_factory=list)
 
     def add(self, report: SolveReport) -> None:
         self.iterations += report.iterations
+        self.stalled += report.stalled
         self.trace.extend(report.trace)
 
 
@@ -77,14 +89,16 @@ def endpoint_report(case, state, ctl, opts, tally, diagnostics) -> SolveReport:
         converged=final_res < opts.tol_residual, iterations=tally.iterations,
         final_residual=final_res, trace=tally.trace,
         device_regions=classify_regions(case, state, ctl),
-        diagnostics=diagnostics)
+        diagnostics=diagnostics, stalled_subsolves=tally.stalled,
+        continuation_backtracks=tally.backtracks)
 
 
-def _try_solve(case, state, ctl, opts, phase, step):
+def _try_solve(case, state, ctl, opts, phase, step, stall_window=None):
     """nr_solve, with a singular system or point reported as a failed
     solve whose diagnostics carry the error text."""
     try:
-        return nr_solve(case, state, ctl, opts, phase=phase, outer_iter=step)
+        return nr_solve(case, state, ctl, opts, phase=phase, outer_iter=step,
+                        stall_window=stall_window)
     except (SingularSystemError, SingularPointError) as exc:
         return state, SolveReport(converged=False, iterations=0,
                                   final_residual=float("inf"),
@@ -93,9 +107,13 @@ def _try_solve(case, state, ctl, opts, phase, step):
 
 def _stuck(phase, t, what, report) -> ContinuationError:
     """The error that ends a stage, naming its last failed sub-solve."""
-    why = (report.diagnostics[-1] if report.iterations == 0 else
-           f"not converged after {report.iterations} iterations, "
-           f"residual {report.final_residual:.3e}")
+    if report.iterations == 0:
+        why = report.diagnostics[-1]
+    else:
+        how = (f"stalled after {report.iterations} iterations, no progress "
+               f"in the last {STALL_WINDOW}" if report.stalled else
+               f"not converged after {report.iterations} iterations")
+        why = f"{how}, residual {report.final_residual:.3e}"
     return ContinuationError(f"{phase}: {what}; last sub-solve: {why}",
                              frontier=(phase, t))
 
@@ -104,15 +122,23 @@ def _continuation(case, state, make_ctl, opts, phase, tally):
     """Drive t from 1 to 0; returns the state solved at t = 0.
 
     make_ctl(t) produces the ControlMode for progress t; every sub-solve
-    is added to tally.
+    is added to tally, its trace rows marked with t and whether it was
+    kept. Every sub-solve, t = 0 included, ends early once it stalls.
     """
     sub_opts = replace(opts, max_iter=min(opts.max_iter, SUB_MAX_ITER))
-    step = 0
-    state, report = _try_solve(case, state, make_ctl(1.0), sub_opts, phase, step)
-    tally.add(report)
+
+    def solve(start, t, solve_opts, step):
+        out, report = _try_solve(case, start, make_ctl(t), solve_opts, phase,
+                                 step, STALL_WINDOW)
+        for row in report.trace:
+            row.t, row.accepted = t, report.converged
+        tally.add(report)
+        return out, report
+
+    state, report = solve(state, 1.0, sub_opts, 0)
     if not report.converged:
         raise _stuck(phase, 1.0, "relaxed problem unsolvable", report)
-    t = 1.0
+    step, t = 0, 1.0
     while t > 0.0:
         decrement = t * (1.0 - DECREMENT)
         backtracks = 0
@@ -121,11 +147,9 @@ def _continuation(case, state, make_ctl, opts, phase, tally):
             if t_next <= SNAP_FRACTION:
                 t_next = 0.0
             step += 1
-            candidate, report = _try_solve(
-                case, state.copy(), make_ctl(t_next),
-                opts if t_next == 0.0 else sub_opts, phase, step,
-            )
-            tally.add(report)
+            candidate, report = solve(state.copy(), t_next,
+                                      opts if t_next == 0.0 else sub_opts,
+                                      step)
             if report.converged:
                 state = candidate
                 t = t_next
@@ -405,6 +429,4 @@ def run_homotopy(
         state, report = nr_solve(case, state, base, opts,
                                  phase=stages[-1][0] if stages else "solve")
         tally.add(report)
-    diagnostics = ([f"homotopy backtracks: {tally.backtracks}"]
-                   if tally.backtracks else [])
-    return state, endpoint_report(case, state, base, opts, tally, diagnostics)
+    return state, endpoint_report(case, state, base, opts, tally, [])

@@ -61,6 +61,8 @@ class TraceRow:
     max_step: float
     pv_to_pq: int = 0
     pq_to_pv: int = 0
+    t: float | None = None  # continuation progress; None outside one
+    accepted: bool = True  # whether the continuation kept this sub-solve
 
 
 @dataclass
@@ -72,6 +74,9 @@ class SolveReport:
     device_regions: dict = field(default_factory=dict)
     outer_iterations: int = 0
     diagnostics: list = field(default_factory=list)
+    stalled: bool = False  # ended by the stall window, not by max_iter
+    stalled_subsolves: int = 0  # continuation sub-solves ended stalled
+    continuation_backtracks: int = 0  # failed continuation steps retried
 
 
 def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -130,7 +135,8 @@ def _residual_norm(case, state, ctl) -> float:
 
 def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
              opts: SolverOptions, phase: str = "solve",
-             outer_iter: int = 0) -> tuple[StateVector, SolveReport]:
+             outer_iter: int = 0, stall_window: int | None = None,
+             ) -> tuple[StateVector, SolveReport]:
     """Iterate until residual and step are both below tolerance, or
     max_iter is reached. Non-convergence is reported, not raised;
     singular systems raise SingularSystemError with the iteration.
@@ -139,19 +145,26 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     1/64) until the residual norm decreases; without the guard, steep
     saturation curves settle into period-2 limit cycles instead of
     converging.
+
+    With a stall_window, the solve also ends, not converged and with
+    report.stalled set, once that many consecutive iterations fail to
+    bring max|F| below the lowest value it has reached (the start
+    included). Continuation sub-solves use it to give up early on a
+    step that has stopped contracting; a top-level solve keeps the
+    default None, since it can cross a long plateau and still converge.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
     trace: list[TraceRow] = []
     diagnostics: list[str] = []
-    converged = False
-    it = 0
+    converged = stalled = False
+    it = idle = 0
     max_res = None
     for it in range(1, opts.max_iter + 1):
         F, J = assemble(case, state, ctl)
         if max_res is None:
             # the starting norm; a collapsed start raises in assemble
-            max_res = float(np.abs(F).max())
+            max_res = lowest = float(np.abs(F).max())
         try:
             dx = solve_linear(J, -F)
         except SingularSystemError as exc:
@@ -189,6 +202,13 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         if max_res < opts.tol_residual and max_step < TOL_STEP:
             converged = True
             break
+        if max_res < lowest:
+            lowest, idle = max_res, 0
+        else:
+            idle += 1
+            if stall_window is not None and idle >= stall_window:
+                stalled = True
+                break
     report = SolveReport(
         converged=converged,
         iterations=it,
@@ -196,5 +216,6 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         trace=trace,
         device_regions=classify_regions(case, state, ctl),
         diagnostics=diagnostics,
+        stalled=stalled,
     )
     return state, report

@@ -1,12 +1,20 @@
-"""The CLI exit-code contract: 0 converged, 1 not converged, 2 input error."""
+"""The CLI exit-code contract (0 converged, 1 not converged, 2 input
+error) and the summary and trace formats."""
 
+import csv
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from splitflow.cli_reporting import main
-from tests.conftest import CASE_DIR
+from splitflow.cli_reporting import (
+    SUMMARY_VERSION,
+    TRACE_COLUMNS,
+    main,
+    run_continuous,
+)
+from splitflow.nr_solver import SolverOptions
+from tests.conftest import CASE_DIR, load_native
 
 
 def run(*args):
@@ -89,3 +97,58 @@ def test_invalid_solver_option_is_input_error(option, value):
 
 def test_missing_file_is_input_error(tmp_path):
     assert_input_error(run("solve", tmp_path / "absent.m"))
+
+
+def read_trace(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], [dict(zip(rows[0], r)) for r in rows[1:]]
+
+
+def test_continuation_trace_marks_t_and_accepted(tmp_path):
+    path = tmp_path / "trace.csv"
+    result = run("solve", CASE_DIR / "oscillation4.native.json",
+                 "--homotopy", "q-limit", "--trace", path)
+    assert result.exit_code == 0, result.output
+    header, rows = read_trace(path)
+    assert header == TRACE_COLUMNS
+    assert {r["accepted"] for r in rows} == {"0", "1"}
+    assert all(0.0 <= float(r["t"]) <= 1.0 for r in rows)
+    # the last sub-solve is the one kept at t = 0
+    assert rows[-1]["accepted"] == "1" and float(rows[-1]["t"]) == 0.0
+    lines = result.stdout.splitlines()
+    assert f"summary_version: {SUMMARY_VERSION}" in lines
+    assert SUMMARY_VERSION == 2
+    stalled = int(next(line for line in lines
+                       if line.startswith("stalled_subsolves:")).split()[1])
+    backtracks = int(next(line for line in lines if line.startswith(
+        "continuation_backtracks:")).split()[1])
+    assert stalled > 0 and backtracks > 0
+    # one rejected sub-solve per backtrack
+    rejected = {(r["phase"], r["outer_iter"]) for r in rows
+                if r["accepted"] == "0"}
+    assert len(rejected) == backtracks
+
+
+def test_plain_solve_trace_has_empty_t(tmp_path):
+    path = tmp_path / "trace.csv"
+    result = run("solve", CASE_DIR / "case9.m", "--trace", path)
+    assert result.exit_code == 0, result.output
+    header, rows = read_trace(path)
+    assert header == TRACE_COLUMNS
+    assert rows and all(r["t"] == "" and r["accepted"] == "1" for r in rows)
+    assert "stalled_subsolves: 0" in result.stdout.splitlines()
+    assert "continuation_backtracks: 0" in result.stdout.splitlines()
+
+
+def test_snap_keeps_the_continuation_counters():
+    # discrete4 `smoothing` backs off once; the snapped re-solve that
+    # follows must not drop that from the report
+    case = load_native("discrete4")
+    plain = run_continuous(case, SolverOptions(), method="smoothing")
+    snapped = run_continuous(case, SolverOptions(), method="smoothing",
+                             snap=True)
+    assert snapped.snap_plan is not None and snapped.report.converged
+    assert plain.report.continuation_backtracks == 1
+    for report in (plain.report, snapped.report):
+        assert report.stalled_subsolves == report.continuation_backtracks == 1

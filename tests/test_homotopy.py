@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import splitflow.homotopy_driver as homotopy_driver
 from splitflow import ContinuationError
 from splitflow.circuit_stamps import (
     FIXED_V,
@@ -17,6 +18,8 @@ from splitflow.homotopy_driver import (
     DECREMENT,
     INITIAL_STEEPNESS,
     SNAP_FRACTION,
+    STALL_WINDOW,
+    SUB_MAX_ITER,
     _smoothing_path,
     _try_solve,
     _tx_path,
@@ -26,6 +29,7 @@ from splitflow.homotopy_driver import (
 )
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
+    load_matpower,
     load_native,
     qlimit_rescue_case,
     remote_pair_case,
@@ -248,11 +252,14 @@ class TestRunHomotopy:
             run_homotopy(case, None, "tx", OPTS)
         phase, t = err.value.frontier
         assert phase == "tx" and 0.0 < t < 1.0
-        # the error names the last failed sub-solve
-        match = re.search(r"last sub-solve: not converged after 40 "
-                          r"iterations, residual (\S+)$", str(err.value))
+        # the error names the last failed sub-solve, which stalled well
+        # inside its budget
+        match = re.search(r"last sub-solve: stalled after (\d+) iterations, "
+                          rf"no progress in the last {STALL_WINDOW}, "
+                          r"residual (\S+)$", str(err.value))
         assert match is not None, str(err.value)
-        assert float(match.group(1)) == pytest.approx(1.8e-3, rel=0.01)
+        assert STALL_WINDOW <= int(match.group(1)) < SUB_MAX_ITER
+        assert float(match.group(2)) == pytest.approx(1.67e-3, rel=0.01)
 
     def test_swallowed_solver_error_kept_in_diagnostics(self):
         # a collapsed bus voltage makes the load stamp raise; the failed
@@ -287,3 +294,58 @@ class TestRunHomotopy:
         state, rep = nr_solve(case, flat_start(case, hard), hard, OPTS)
         assert rep.converged
         assert state.v_mag(1) == pytest.approx(1.03, abs=1e-9)
+
+
+def _longest_idle_run(report) -> int:
+    """Most consecutive iterations that did not lower max|F| below the
+    lowest value reached before them."""
+    lowest, idle, longest = float("inf"), 0, 0
+    for row in report.trace:
+        if row.max_residual < lowest:
+            lowest, idle = row.max_residual, 0
+        else:
+            idle += 1
+            longest = max(longest, idle)
+    return longest
+
+
+class TestStallWindow:
+    def test_top_level_solve_crosses_a_plateau(self):
+        # case118 with distributed slack, loads at 1.05 and the generator at
+        # bus 118 out: plain NR makes no progress for longer than the window
+        # and still converges, so top-level solves must run without it
+        case = load_matpower("case118")
+        case = replace(case, agc_enabled=True, loads=tuple(
+            replace(ld, p=ld.p * 1.05, q=ld.q * 1.05) for ld in case.loads))
+        case = case.drop_generator(118)
+        _, rep = run_homotopy(case, None, "none", OPTS)
+        assert rep.converged and not rep.stalled
+        assert rep.iterations == 36
+        assert _longest_idle_run(rep) > STALL_WINDOW
+
+    @pytest.mark.parametrize("method", ["q-limit", "composite"])
+    def test_no_effect_without_failing_sub_solves(self, method, monkeypatch):
+        # case118 q-limit and composite have no failing sub-solve, so the
+        # window changes nothing, bit for bit
+        case = load_matpower("case118")
+        st_on, rep_on = run_homotopy(case, None, method, OPTS)
+        monkeypatch.setattr(homotopy_driver, "STALL_WINDOW", 10**9)
+        st_off, rep_off = run_homotopy(case, None, method, OPTS)
+        assert rep_on.converged and rep_on.continuation_backtracks == 0
+        assert st_on.x.tobytes() == st_off.x.tobytes()
+        assert rep_on.trace == rep_off.trace
+        assert rep_on.iterations == rep_off.iterations
+
+    def test_failed_sub_solves_end_stalled(self):
+        case = load_native("oscillation4")
+        _, rep = run_homotopy(case, None, "q-limit", OPTS)
+        assert rep.converged
+        assert rep.continuation_backtracks > 0
+        assert rep.stalled_subsolves == rep.continuation_backtracks
+        rejected = [row for row in rep.trace if not row.accepted]
+        assert rejected and all(row.t is not None for row in rep.trace)
+        # no rejected sub-solve ran its whole budget
+        runs = {}
+        for row in rejected:
+            runs[(row.phase, row.outer_iter)] = row.inner_iter
+        assert max(runs.values()) < SUB_MAX_ITER

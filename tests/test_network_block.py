@@ -46,14 +46,14 @@ ITERATIONS = {
                "composite": 74},
     "case30": {"none": 5, "smoothing": 32, "tx": 46, "q-limit": 33,
                "composite": 95},
-    "case118": {"none": 9, "smoothing": 34, "tx": 413, "q-limit": 34,
+    "case118": {"none": 9, "smoothing": 34, "tx": 149, "q-limit": 34,
                 "composite": 100},
     "savnw_like": {"none": 9, "smoothing": 34, "tx": 39, "q-limit": 4,
                    "composite": 67},
-    "oscillation4": {"smoothing": 283, "tx": 41, "q-limit": 2003,
-                     "composite": 360},
-    "discrete4": {"none": 9, "smoothing": 75, "tx": 44, "q-limit": 4,
-                  "composite": 108},
+    "oscillation4": {"smoothing": 74, "tx": 41, "q-limit": 573,
+                     "composite": 151},
+    "discrete4": {"none": 9, "smoothing": 43, "tx": 44, "q-limit": 4,
+                  "composite": 76},
 }
 PIPELINES = [(name, method) for name in ALL_CASES
              for method in ("none", "smoothing", "tx", "q-limit", "composite")

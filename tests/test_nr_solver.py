@@ -167,6 +167,37 @@ class TestNrSolve:
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert not rep.converged
 
+    def test_stall_window_ends_solve_past_the_nose(self):
+        case = two_bus_case(p_load=5.0, q_load=2.0)
+        ctl = base_control(case)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+                          stall_window=4)
+        assert rep.stalled and not rep.converged
+        res = [row.max_residual for row in rep.trace]
+        # the lowest max|F| came at iteration 3; iterations 4-7 missed it
+        assert rep.iterations == len(res) == 7
+        assert res[2] == min(res) < res[0]
+        assert min(res[3:]) >= res[2]
+
+    def test_equal_residual_is_no_progress(self, monkeypatch):
+        # every line-search trial reports exactly the starting norm, which
+        # is not below the lowest value reached, so each iteration is idle
+        case = two_bus_case()
+        ctl = base_control(case)
+        init = flat_start(case, ctl)
+        start = float(np.abs(nr_solver.residual(case, init, ctl)).max())
+        monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: start)
+        _, rep = nr_solve(case, init, ctl, OPTS, stall_window=3)
+        assert rep.stalled and not rep.converged
+        assert rep.iterations == 3
+
+    def test_without_stall_window_runs_to_max_iter(self):
+        case = two_bus_case(p_load=5.0, q_load=2.0)
+        ctl = base_control(case)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert not rep.converged and not rep.stalled
+        assert rep.iterations == OPTS.max_iter
+
     def test_max_iter_respected(self, bundled_matpower):
         case = bundled_matpower["case9"]
         ctl = base_control(case)
