@@ -90,7 +90,7 @@ def solve_outer_loop(
 
     strace = SwitchTrace(toggles={i: 0 for i in local})
     trace_rows: list[TraceRow] = []
-    total_inner = 0
+    total_inner = evals = backtracks = 0
     state = init if init is not None else None
     status = "outer-cap-reached"
     outer = 0
@@ -111,6 +111,8 @@ def solve_outer_loop(
             trace_rows.extend(report.trace)
             break
         total_inner += report.iterations
+        evals += report.residual_evals
+        backtracks += report.line_search_backtracks
         trace_rows.extend(report.trace)
         if not report.converged:
             status = "inner-diverged"
@@ -160,6 +162,8 @@ def solve_outer_loop(
         trace=trace_rows,
         device_regions=report.device_regions if report else {},
         outer_iterations=outer,
+        residual_evals=evals,
+        line_search_backtracks=backtracks,
         diagnostics=[f"outer loop status: {status}"]
         + (report.diagnostics if report else []),
     )

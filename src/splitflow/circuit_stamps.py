@@ -16,17 +16,22 @@ per mode; a mode that sets none of them uses the table's default.
 Controlled and snapped taps, snapped shunts and the remote groups'
 request rows stamp one by one; the slack rows come last.
 
-`residual` runs the pass for F alone and builds no Jacobian entries.
-`assemble` runs the same pass and also emits every device's exact
-partial derivatives, so F is the same either way and J is testable
-against finite differences of `residual`. All KCL terms, network and
-devices alike, enter F through one bincount in stamp order, and J's
-triplets keep the device-by-device stamp order. J's CSC structure (row
-indices, column pointers, the slack-row rewrite and the order in which
-duplicate triplets are summed, which is scipy's own) is cached on the
-IndexMap, keyed by the stamp-order triplet rows and columns, and rebuilt
-when they change; each `assemble` fills in only the values, so J equals
-scipy's COO -> CSC conversion of the triplets byte for byte.
+One pass serves F and J alike. It computes F and keeps what J needs:
+the one-by-one devices' triplets, and the injection table's currents,
+|V|^2 and curve slopes, from which J's values are only built when J is
+asked for. `residual` returns the pass's F, and on request the pass
+itself; `assemble` builds J from a new pass or from one `residual` kept
+at the same state (the NR line search keeps the pass of the trial it
+accepts), so F is the same either way and J is testable against finite
+differences of `residual`. All KCL terms, network and devices alike,
+enter F through one bincount in stamp order, and J's triplets keep the
+device-by-device stamp order. J's CSC structure (row indices, column
+pointers, the slack-row rewrite and the order in which duplicate
+triplets are summed, which is scipy's own) is cached on the IndexMap,
+keyed by the stamp-order triplet rows and columns, and rebuilt when they
+change; each `assemble` fills in only the values, so J equals scipy's
+COO -> CSC conversion of the triplets byte for byte. The structure also
+keeps the LU column order of its pattern for `nr_solver.solve_linear`.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -503,28 +508,45 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
 class _Pass:
     """One stamp pass at a state.
 
-    Stamps append F terms to `f` as (rows, values) and, when jac is set,
-    J triplets to `j` as (rows, cols, values), both in stamp order. Every
-    KCL term goes to row 2 * pos + comp of its bus, the slack bus
-    included; `_slack_rows` then turns the slack rows into voltage
-    constraints and, with distributed slack, into the surplus row.
+    Stamps append F terms to `f` as (rows, values) and their J triplets
+    to `j` as (rows, cols, values), both in stamp order; the injection
+    table's J slots wait in `j` as a range of table rows, to be filled
+    from the values the pass keeps (`inj`) only when J is asked for
+    (`triplets`). Every KCL term goes to row 2 * pos + comp of its bus,
+    the slack bus included; `_slack_rows` then turns the slack rows into
+    voltage constraints and, with distributed slack, into the surplus row.
     """
 
-    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode,
-                 jac: bool):
+    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode):
         self.case = case
         self.ctl = ctl
-        self.jac = jac
         self.index = idx = state.index
         self.x = state.x
         self.f: list = []
         self.j: list = []
+        self.inj = None  # what stamp_injections keeps for its J slots
+        self.F = self.slack_currents = None
         # (extra active power, its slope in the surplus) per slack member
         self.agc = None
         if idx.dps_col is not None and idx.agc_member_idx:
             self.agc = _slack_participation(
                 ctl, idx.agc_member_idx, idx.agc_kappa, idx.agc_lo, idx.agc_hi,
                 self.x[idx.dps_col])
+
+    def triplets(self):
+        """J triplets (rows, cols, vals) in stamp order, slack bus rows not
+        yet rewritten, and the slack source currents (I_SR, I_SI)."""
+        t = self.index.inj
+        V, keep = _injection_slots(self)
+        parts = []
+        for part in self.j:
+            if isinstance(part, range):
+                a, b = 11 * part.start, 11 * part.stop
+                k = keep[a:b]
+                part = (t.j_rows[a:b][k], t.j_cols[a:b][k], V[a:b][k])
+            parts.append(part)
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        return rows, cols, vals, self.slack_currents
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +559,8 @@ def _kcl_admittance(st: _Pass, at_pos: int, y: complex, v_pos: int):
     row, vr_c, vi_c = 2 * at_pos, 2 * v_pos, 2 * v_pos + 1
     vr, vi = st.x[vr_c], st.x[vi_c]
     st.f.append(((row, row + 1), (g * vr - b * vi, b * vr + g * vi)))
-    if st.jac:
-        st.j.append(((row, row, row + 1, row + 1), (vr_c, vi_c, vr_c, vi_c),
-                     (g, -b, b, g)))
+    st.j.append(((row, row, row + 1, row + 1), (vr_c, vi_c, vr_c, vi_c),
+                 (g, -b, b, g)))
 
 
 def _vmag(st: _Pass, pos: int):
@@ -559,10 +580,9 @@ def _sigmoid_control_row(st: _Pass, row: int, value_col: int, pos: int,
     """Row: value - sigmoid(|V(pos)|) = 0, chain rule through |V|."""
     vr_c, vi_c, vr, vi, vm = _vmag(st, pos)
     st.f.append(((row,), (st.x[value_col] - sigmoid_eval(curve, vm),)))
-    if st.jac:
-        ds = sigmoid_deriv(curve, vm)
-        st.j.append(((row, row, row), (value_col, vr_c, vi_c),
-                     (1.0, -ds * vr / vm, -ds * vi / vm)))
+    ds = sigmoid_deriv(curve, vm)
+    st.j.append(((row, row, row), (value_col, vr_c, vi_c),
+                 (1.0, -ds * vr / vm, -ds * vi / vm)))
 
 
 def _fixed_v_row(st: _Pass, row: int, pos: int, v_set: float):
@@ -570,14 +590,12 @@ def _fixed_v_row(st: _Pass, row: int, pos: int, v_set: float):
     vr_c, vi_c = 2 * pos, 2 * pos + 1
     vr, vi = st.x[vr_c], st.x[vi_c]
     st.f.append(((row,), (vr * vr + vi * vi - v_set * v_set,)))
-    if st.jac:
-        st.j.append(((row, row), (vr_c, vi_c), (2.0 * vr, 2.0 * vi)))
+    st.j.append(((row, row), (vr_c, vi_c), (2.0 * vr, 2.0 * vi)))
 
 
 def _fixed_q_row(st: _Pass, row: int, value_col: int, q_fixed: float):
     st.f.append(((row,), (st.x[value_col] - q_fixed,)))
-    if st.jac:
-        st.j.append(((row,), (value_col,), (1.0,)))
+    st.j.append(((row,), (value_col,), (1.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +677,7 @@ def _stamp_tapped_branch(st: _Pass, branch, tau: float,
     _kcl_admittance(st, f, yft, t)
     _kcl_admittance(st, t, yft, f)
     _kcl_admittance(st, t, y + c, t)
-    if tau_col is None or not st.jac:
+    if tau_col is None:
         return
     vf = complex(st.x[2 * f], st.x[2 * f + 1])
     vt = complex(st.x[2 * t], st.x[2 * t + 1])
@@ -789,6 +807,7 @@ def stamp_injections(st: _Pass):
     kcl = -np.concatenate((ir, ii))
     L = t.local
     target = c.held.copy()
+    vm = ds = m_slope = None
     if len(c.on):
         vm = np.array(list(map(math.hypot, vr[c.on].tolist(),
                                vi[c.on].tolist())))
@@ -812,40 +831,16 @@ def stamp_injections(st: _Pass):
                 k, lo, hi, default_patch_width(k, lo, hi), qreq[c.curve])
         f_ctl = np.concatenate((f_ctl, q[M] - m_target))
     st.f.append((t.ctl_rows, f_ctl))
-
-    if st.jac:
-        # slot-major values; the same expressions as the scalar partials
-        V = np.empty(t.j_keep.shape)
-        v2 = np.array((vr, vi))
-        V[:4] = -(np.array((p, q, -q, p)) / dd
-                  - 2.0 * v2[[0, 1, 0, 1]] * np.array((ir, ir, ii, ii)) / dd)
-        vd = v2 / dd
-        V[4] = -vd[1]
-        V[5] = vd[0]
-        V[8] = 1.0
-        keep = c.keep
-        if dp is not None:
-            V[6:8] = -vd * dp
-            keep = keep.copy()
-            keep[6::11] = keep[7::11] = dp != 0.0
-        if len(c.on):
-            V[9:, c.on] = -ds * v2[:, c.on] / vm
-        if len(fv):
-            V[9:, fv] = 2.0 * v2[:, fv]
-        if len(M):
-            V[9, M] = -m_slope
-        V = V.T.ravel()
+    # what the J slots are built from, if J is asked for (_injection_slots)
+    st.inj = (c, vr, vi, dd, p, q, ir, ii, dp, vm, ds, fv, m_slope)
 
     def emit(a, b):
-        """The currents and J slots of table rows a to b."""
+        """The currents of table rows a to b, and their J slots' place."""
         if a == b:
             return
         st.f.append((np.concatenate((t.vr_c[a:b], t.vi_c[a:b])),
                      np.concatenate((kcl[a:b], kcl[n + a:n + b]))))
-        if st.jac:
-            k = keep[11 * a:11 * b]
-            st.j.append((t.j_rows[11 * a:11 * b][k], t.j_cols[11 * a:11 * b][k],
-                         V[11 * a:11 * b][k]))
+        st.j.append(range(a, b))
 
     start = 0
     for row, gi, j in t.breaks:
@@ -869,6 +864,34 @@ def stamp_injections(st: _Pass):
                                       ctl.effective_steepness())
             _sigmoid_control_row(st, qreq_col, qreq_col, pos, curve)
     emit(start, n)
+
+
+def _injection_slots(st: _Pass):
+    """The values of every J slot of the injection table, row by row, and
+    which slots are kept, from what `stamp_injections` kept of the pass."""
+    t = st.index.inj
+    c, vr, vi, dd, p, q, ir, ii, dp, vm, ds, fv, m_slope = st.inj
+    # slot-major values; the same expressions as the scalar partials
+    V = np.empty(t.j_keep.shape)
+    v2 = np.array((vr, vi))
+    V[:4] = -(np.array((p, q, -q, p)) / dd
+              - 2.0 * v2[[0, 1, 0, 1]] * np.array((ir, ir, ii, ii)) / dd)
+    vd = v2 / dd
+    V[4] = -vd[1]
+    V[5] = vd[0]
+    V[8] = 1.0
+    keep = c.keep
+    if dp is not None:
+        V[6:8] = -vd * dp
+        keep = keep.copy()
+        keep[6::11] = keep[7::11] = dp != 0.0
+    if vm is not None:
+        V[9:, c.on] = -ds * v2[:, c.on] / vm
+    if len(fv):
+        V[9:, fv] = 2.0 * v2[:, fv]
+    if m_slope is not None:
+        V[9, t.members] = -m_slope
+    return V.T.ravel(), keep
 
 
 def _slack_rows(st: _Pass, F: np.ndarray):
@@ -912,6 +935,37 @@ class _JacobianStructure:
     rest_slot: np.ndarray  # scipy adds them, and the entry each adds to
     indices: np.ndarray  # CSC row indices and column pointers, read-only
     indptr: np.ndarray
+    # the pattern's LU column order, once `keep_order` has it: its
+    # inverse, the gather that puts J's data into that order, and the
+    # permuted matrix each factorization refills
+    inv: np.ndarray | None = None
+    gather: np.ndarray | None = None
+    permuted: csc_matrix | None = None
+
+    def keep_order(self, perm_c: np.ndarray) -> None:
+        """Keep perm_c, the column order SuperLU chose for this pattern.
+
+        The order (COLAMD by default) reads the pattern alone, so every J
+        of this structure shares it. With inv = argsort(perm_c), the
+        permuted matrix is J[inv][:, inv]: factored in its NATURAL order
+        it gives the LU, pivots and solution bits that J gives with
+        perm_c, and J x = b becomes permuted y = b[inv], x[inv] = y.
+        SuperLU prefers the diagonal of Pc' A Pc as pivot when it ties
+        for the largest, so the rows are renumbered with the columns;
+        and its column search visits a column's rows in stored order, so
+        each column keeps J's row order (unsorted in the new numbering)."""
+        inv = np.argsort(perm_c)
+        counts = np.diff(self.indptr)[inv]
+        indptr = np.r_[0, np.cumsum(counts)].astype(np.int32)
+        self.gather = (np.repeat(self.indptr[inv] - indptr[:-1], counts)
+                       + np.arange(indptr[-1]))
+        rows = perm_c[self.indices[self.gather]].astype(np.int32)
+        dim = len(inv)
+        self.permuted = csc_matrix((np.empty(len(rows)), rows, indptr),
+                                   shape=(dim, dim))
+        # no duplicates, and splu must not sort the rows (see above)
+        self.permuted.has_canonical_format = True
+        self.inv = inv
 
 
 def _jacobian_structure(idx: IndexMap, rows: np.ndarray,
@@ -981,6 +1035,7 @@ def _jacobian(idx: IndexMap, x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     np.add.at(data, s.rest_slot, src[s.rest])
     J = csc_matrix((data, s.indices, s.indptr), shape=(idx.dim, idx.dim))
     J.has_canonical_format = True  # sorted and summed by construction
+    J.structure = s
     return J
 
 
@@ -988,47 +1043,54 @@ def _jacobian(idx: IndexMap, x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 # Full-system evaluation
 # ---------------------------------------------------------------------------
 
-def _stamp_pass(case: NetworkCase, state: StateVector, ctl: ControlMode,
-                jac: bool):
-    """F and, with jac, the Jacobian triplets (rows, cols, vals) in stamp
-    order, slack bus rows not yet rewritten, and the slack source currents
-    (I_SR, I_SI); see `_slack_rows`."""
-    st = _Pass(case, state, ctl, jac)
+def _stamp_pass(case: NetworkCase, state: StateVector,
+                ctl: ControlMode) -> _Pass:
+    """One stamp pass at the state: F in `F` (slack rows rewritten, see
+    `_slack_rows`), and what `_Pass.triplets` builds J's triplets from."""
+    st = _Pass(case, state, ctl)
     idx = st.index
     net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
     st.f.append((idx.net_rows, net * st.x[idx.net_cols]))
-    if jac:
-        st.j.append((idx.net_rows, idx.net_cols, net))
+    st.j.append((idx.net_rows, idx.net_cols, net))
     for bi in idx.tap_col:
         stamp_transformer(st, bi, case.branches[bi])
     for bi in idx.snapped_taps:
         _stamp_tapped_branch(st, case.branches[bi], ctl.fixed_tap_ratio[bi])
     stamp_injections(st)
     rows, vals = (np.concatenate(a) for a in zip(*st.f))
-    F = np.bincount(rows, vals, minlength=idx.dim)
-    slack_currents = _slack_rows(st, F)
-    if not jac:
-        return F, None
-    rows, cols, vals = (np.concatenate(a) for a in zip(*st.j))
-    return F, (rows, cols, vals, slack_currents)
+    st.F = np.bincount(rows, vals, minlength=idx.dim)
+    st.slack_currents = _slack_rows(st, st.F)
+    return st
 
 
-def assemble(case: NetworkCase, state: StateVector,
-             ctl: ControlMode) -> tuple[np.ndarray, csc_matrix]:
+def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
+             kept: _Pass | None = None) -> tuple[np.ndarray, csc_matrix]:
     """Residual F and Jacobian J at the state; NR solves J dx = -F.
 
+    kept, if given, is the pass `residual(case, state, ctl, keep=True)`
+    returned at this very state (state.x unchanged since): J is built
+    from the values that pass kept, and the state is not stamped again.
     J's CSC structure is cached on the state's IndexMap, keyed by the
     pass's stamp-order triplet rows and columns, and only its values are
     filled per call, duplicates summed in scipy's own order (see
-    `_jacobian`)."""
-    F, (rows, cols, vals, slack_currents) = _stamp_pass(case, state, ctl, jac=True)
-    return F, _jacobian(state.index, state.x, rows, cols, vals, slack_currents)
+    `_jacobian`). J carries that structure as `J.structure`, where
+    `nr_solver.solve_linear` keeps the LU column order of the pattern."""
+    st = kept
+    if st is None:
+        st = _stamp_pass(case, state, ctl)
+    elif st.x is not state.x or st.ctl is not ctl:
+        raise ValueError("kept pass was stamped at another state or control")
+    return st.F, _jacobian(state.index, state.x, *st.triplets())
 
 
-def residual(case: NetworkCase, state: StateVector, ctl: ControlMode) -> np.ndarray:
+def residual(case: NetworkCase, state: StateVector, ctl: ControlMode,
+             keep: bool = False):
     """Exact nonlinear residuals F(x) of every equation at the given state;
-    the same F as `assemble`, without building J."""
-    return _stamp_pass(case, state, ctl, jac=False)[0]
+    the same F as `assemble`, without building J. With keep, returns
+    (F, pass): the pass lets `assemble(..., kept=pass)` build J at this
+    state without stamping it again."""
+    st = _stamp_pass(case, state, ctl)
+    return (st.F, st) if keep else st.F
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,16 @@ from .errors import SplitflowError
 from .homotopy_driver import METHODS, run_homotopy
 from .nr_solver import SolveReport, SolverOptions
 
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 # t is empty outside a continuation; accepted is 1 when the continuation
-# kept the sub-solve the row belongs to, 0 when it backed the step off
+# kept the sub-solve the row belongs to, 0 when it backed the step off;
+# alpha is the line-search step the iteration took (1 = the full Newton
+# step, halved per rejected trial; 0 when no trial was taken)
 TRACE_COLUMNS = [
     "phase", "outer_iter", "inner_iter", "lambda_s", "lambda_g_max",
     "lambda_p", "lambda_tx", "max_residual", "max_step", "pv_to_pq",
-    "pq_to_pv", "t", "accepted",
+    "pq_to_pv", "t", "accepted", "alpha",
 ]
 
 
@@ -72,6 +74,8 @@ def run_continuous(
         report2.iterations += report.iterations
         report2.stalled_subsolves += report.stalled_subsolves
         report2.continuation_backtracks += report.continuation_backtracks
+        report2.residual_evals += report.residual_evals
+        report2.line_search_backtracks += report.line_search_backtracks
         result = PipelineResult(case, state2, report2,
                                 stability=classify_stability(case, state2),
                                 snap_plan=plan)
@@ -120,6 +124,8 @@ def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
         f"outer_iterations: {report.outer_iterations}",
         f"stalled_subsolves: {report.stalled_subsolves}",
         f"continuation_backtracks: {report.continuation_backtracks}",
+        f"residual_evals: {report.residual_evals}",
+        f"line_search_backtracks: {report.line_search_backtracks}",
         f"final_residual: {report.final_residual:.3e}",
         f"v_max_pu: {vmax:.6f}",
         f"v_min_pu: {vmin:.6f}",
@@ -165,6 +171,7 @@ def write_trace(path: str, rows) -> None:
                 f"{r.max_residual:.6e}", f"{r.max_step:.6e}",
                 r.pv_to_pq, r.pq_to_pv,
                 "" if r.t is None else f"{r.t:.6g}", int(r.accepted),
+                f"{r.alpha:.6g}",
             ])
 
 

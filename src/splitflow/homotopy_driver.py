@@ -66,17 +66,21 @@ STALL_WINDOW = 4  # non-improving NR iterations that end a sub-solve
 
 @dataclass
 class Tally:
-    """NR iterations, backtracks, stalled sub-solves and trace rows
-    summed over sub-solves."""
+    """NR iterations, backtracks, stalled sub-solves, line-search counts
+    and trace rows summed over sub-solves."""
 
     iterations: int = 0
     backtracks: int = 0
     stalled: int = 0
+    residual_evals: int = 0
+    line_search_backtracks: int = 0
     trace: list = field(default_factory=list)
 
     def add(self, report: SolveReport) -> None:
         self.iterations += report.iterations
         self.stalled += report.stalled
+        self.residual_evals += report.residual_evals
+        self.line_search_backtracks += report.line_search_backtracks
         self.trace.extend(report.trace)
 
 
@@ -90,7 +94,9 @@ def endpoint_report(case, state, ctl, opts, tally, diagnostics) -> SolveReport:
         final_residual=final_res, trace=tally.trace,
         device_regions=classify_regions(case, state, ctl),
         diagnostics=diagnostics, stalled_subsolves=tally.stalled,
-        continuation_backtracks=tally.backtracks)
+        continuation_backtracks=tally.backtracks,
+        residual_evals=tally.residual_evals,
+        line_search_backtracks=tally.line_search_backtracks)
 
 
 def _try_solve(case, state, ctl, opts, phase, step, stall_window=None):

@@ -7,6 +7,14 @@ Convergence requires both the KCL/control residual and the step to fall
 below tolerance: near-saturated sigmoid plateaus can make steps tiny
 while the network equations are still violated, so the residual is the
 ground truth and the step alone is never trusted.
+
+Every state is stamped once. The line search's pass at the trial it
+accepts is kept, and the next iteration builds J from it; only the
+first iteration, and a state the tap floor has rewritten, stamp anew.
+The sparse LU keeps the column order of each J pattern: the first
+factorization of a pattern orders its columns (COLAMD), and later ones
+factor J with its columns already in that order, which gives the same
+LU and the same solution bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ class TraceRow:
     pq_to_pv: int = 0
     t: float | None = None  # continuation progress; None outside one
     accepted: bool = True  # whether the continuation kept this sub-solve
+    alpha: float = 0.0  # line-search step taken; 0 when none was
 
 
 @dataclass
@@ -77,10 +86,16 @@ class SolveReport:
     stalled: bool = False  # ended by the stall window, not by max_iter
     stalled_subsolves: int = 0  # continuation sub-solves ended stalled
     continuation_backtracks: int = 0  # failed continuation steps retried
+    residual_evals: int = 0  # line-search trials evaluated
+    line_search_backtracks: int = 0  # trials rejected, each halving the step
 
 
 def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse LU solve of mat x = rhs.
+
+    A J from `assemble` carries its cached structure, which keeps the
+    LU column order of its pattern after the first factorization (see
+    `_factor`); any other matrix is ordered afresh.
 
     Raises SingularSystemError carrying a suspect row index when the
     factorization fails or the solution does not satisfy the system.
@@ -97,10 +112,13 @@ def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
             row=int(empty[0]),
         )
     try:
-        lu = splu(mat)
-        x = lu.solve(rhs)
+        lu, inv = _factor(mat)
+        x = lu.solve(rhs if inv is None else rhs[inv])
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
+    if inv is not None:
+        y, x = x, np.empty_like(x)
+        x[inv] = y
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite values")
     err = np.abs(mat @ x - rhs).max() / max(1.0, np.abs(rhs).max())
@@ -109,6 +127,29 @@ def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
             f"near-singular system: relative solve error {err:.3e}"
         )
     return x
+
+
+def _factor(mat):
+    """splu of mat, and the order inv that it solves in, or None: with
+    inv, mat x = b is solved as y = lu.solve(b[inv]), x[inv] = y.
+
+    A J that shares its pattern with the structure it carries is factored
+    as the structure's permuted matrix, refilled with J's values, in the
+    NATURAL order, once the structure has the pattern's order; the first
+    factorization of a pattern orders it and gives the structure that
+    order."""
+    s = getattr(mat, "structure", None)
+    # scipy keeps the structure's column pointers and a view of its row
+    # indices; a J whose pattern arrays were replaced is ordered afresh
+    if s is None or mat.indptr is not s.indptr or (
+            mat.indices is not s.indices and mat.indices.base is not s.indices):
+        return splu(mat), None
+    if s.permuted is None:
+        lu = splu(mat)
+        s.keep_order(lu.perm_c)
+        return lu, None
+    np.take(mat.data, s.gather, out=s.permuted.data)
+    return splu(s.permuted, permc_spec="NATURAL"), s.inv
 
 
 def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:
@@ -126,11 +167,14 @@ def _trace_lambdas(ctl: ControlMode):
     return ctl.smoothing_relax, lg, ctl.p_relax, ctl.tx_relax
 
 
-def _residual_norm(case, state, ctl) -> float:
+def _residual_norm(case, state, ctl):
+    """max|F| at a line-search trial, and its pass kept for `assemble`;
+    a collapsed voltage counts as an infinite residual, with no pass."""
     try:
-        return float(np.abs(residual(case, state, ctl)).max())
+        F, kept = residual(case, state, ctl, keep=True)
     except SingularPointError:
-        return float("inf")
+        return float("inf"), None
+    return float(np.abs(F).max()), kept
 
 
 def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
@@ -144,7 +188,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     The per-variable-clamped Newton step is backtracked (halving, floor
     1/64) until the residual norm decreases; without the guard, steep
     saturation curves settle into period-2 limit cycles instead of
-    converging.
+    converging. The pass at the accepted trial gives the next
+    iteration's F and J, unless the tap floor rewrote the state.
 
     With a stall_window, the solve also ends, not converged and with
     report.stalled set, once that many consecutive iterations fail to
@@ -158,10 +203,10 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     trace: list[TraceRow] = []
     diagnostics: list[str] = []
     converged = stalled = False
-    it = idle = 0
-    max_res = None
+    it = idle = evals = backtracks = 0
+    max_res = kept = None
     for it in range(1, opts.max_iter + 1):
-        F, J = assemble(case, state, ctl)
+        F, J = assemble(case, state, ctl, kept)
         if max_res is None:
             # the starting norm; a collapsed start raises in assemble
             max_res = lowest = float(np.abs(F).max())
@@ -174,11 +219,13 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         alpha, best_x, best_res, best_alpha = 1.0, None, float("inf"), 0.0
         while alpha >= 1.0 / 64.0:
             trial = StateVector(state.index, state.x + alpha * dx)
-            r = _residual_norm(case, trial, ctl)
+            r, trial_pass = _residual_norm(case, trial, ctl)
+            evals += 1
             if r < best_res:
-                best_x, best_res, best_alpha = trial.x, r, alpha
+                best_x, best_res, best_alpha, kept = trial.x, r, alpha, trial_pass
             if r < max_res:
                 break
+            backtracks += 1
             alpha /= 2.0
         if best_x is None:
             max_res = float("inf")
@@ -194,9 +241,10 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
                     f"iteration {it}: tap on branch {bi} clamped at {TAP_FLOOR}"
                 )
                 state.x[col] = TAP_FLOOR
+                kept = None  # the pass saw the unclamped state
         max_step = float(np.abs(dx).max())
         trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g, lam_p,
-                              lam_tx, max_res, max_step))
+                              lam_tx, max_res, max_step, alpha=best_alpha))
         if not np.isfinite(max_res):
             break
         if max_res < opts.tol_residual and max_step < TOL_STEP:
@@ -217,5 +265,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         device_regions=classify_regions(case, state, ctl),
         diagnostics=diagnostics,
         stalled=stalled,
+        residual_evals=evals,
+        line_search_backtracks=backtracks,
     )
     return state, report

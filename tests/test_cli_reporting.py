@@ -3,16 +3,21 @@ error) and the summary and trace formats."""
 
 import csv
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
+import splitflow.baseline_outer_loop as outer_loop
+import splitflow.homotopy_driver as homotopy_driver
 from splitflow.cli_reporting import (
     SUMMARY_VERSION,
     TRACE_COLUMNS,
     main,
+    run_baseline,
     run_continuous,
 )
+from splitflow.discrete_control import resolve_after_snap
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import CASE_DIR, load_native
 
@@ -118,7 +123,7 @@ def test_continuation_trace_marks_t_and_accepted(tmp_path):
     assert rows[-1]["accepted"] == "1" and float(rows[-1]["t"]) == 0.0
     lines = result.stdout.splitlines()
     assert f"summary_version: {SUMMARY_VERSION}" in lines
-    assert SUMMARY_VERSION == 2
+    assert SUMMARY_VERSION == 3
     stalled = int(next(line for line in lines
                        if line.startswith("stalled_subsolves:")).split()[1])
     backtracks = int(next(line for line in lines if line.startswith(
@@ -152,3 +157,67 @@ def test_snap_keeps_the_continuation_counters():
     assert plain.report.continuation_backtracks == 1
     for report in (plain.report, snapped.report):
         assert report.stalled_subsolves == report.continuation_backtracks == 1
+
+
+def summary_value(lines, key):
+    return int(next(line for line in lines
+                    if line.startswith(f"{key}:")).split()[1])
+
+
+def test_trace_alpha_and_line_search_counters(tmp_path):
+    # case9 backtracks and lowers max|F| on every iteration, so each
+    # row's alpha is 2^-k after k rejected trials
+    path = tmp_path / "trace.csv"
+    result = run("solve", CASE_DIR / "case9.m", "--trace", path)
+    assert result.exit_code == 0, result.output
+    header, rows = read_trace(path)
+    assert header == TRACE_COLUMNS and header[-1] == "alpha"
+    lines = result.stdout.splitlines()
+    evals = summary_value(lines, "residual_evals")
+    backtracks = summary_value(lines, "line_search_backtracks")
+    rejected = [round(-math.log2(float(r["alpha"]))) for r in rows]
+    assert backtracks == sum(rejected) > 0
+    assert evals == len(rows) + backtracks
+
+
+COUNTERS = ("residual_evals", "line_search_backtracks")
+
+
+@pytest.mark.parametrize("module, pipeline", [
+    (homotopy_driver, lambda case, opts: run_continuous(case, opts,
+                                                        method="q-limit")),
+    (outer_loop, lambda case, opts: run_baseline(case, opts,
+                                                 order="largest-first")),
+])
+def test_line_search_counters_summed(module, pipeline, monkeypatch):
+    # over every NR solve of a continuation or of the outer loop; the
+    # q-limit init solve stays out, as it does from report.iterations
+    reports = []
+    nr_solve = module.nr_solve
+
+    def recording(*args, **kw):
+        state, report = nr_solve(*args, **kw)
+        if kw.get("phase") != "q-limit-init":
+            reports.append(report)
+        return state, report
+
+    monkeypatch.setattr(module, "nr_solve", recording)
+    result = pipeline(load_native("oscillation4"), SolverOptions())
+    assert len(reports) > 1
+    assert result.report.iterations == sum(r.iterations for r in reports)
+    for key in COUNTERS:
+        assert getattr(result.report, key) == sum(getattr(r, key)
+                                                  for r in reports)
+    assert result.report.residual_evals > 0
+
+
+def test_snap_sums_line_search_counters():
+    opts = SolverOptions()
+    case = load_native("discrete4")
+    plain = run_continuous(case, opts, method="smoothing")
+    snapped = run_continuous(case, opts, method="smoothing", snap=True)
+    _, alone, _ = resolve_after_snap(case, plain.state, opts)
+    assert alone.residual_evals > 0 and plain.report.line_search_backtracks > 0
+    for key in COUNTERS:
+        assert getattr(snapped.report, key) == (getattr(plain.report, key)
+                                                + getattr(alone, key))

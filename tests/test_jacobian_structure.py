@@ -1,12 +1,18 @@
 """`assemble` fills J's values into a CSC structure cached on the
 IndexMap. Its J must equal scipy's own COO -> CSC conversion of the same
-triplets byte for byte, also when the structure changes under one map."""
+triplets byte for byte, also when the structure changes under one map,
+and when it is built from a pass the line search kept. `solve_linear`
+keeps each structure's LU column order, and its solutions must equal
+plain `splu` byte for byte."""
 
 import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 import splitflow.baseline_outer_loop as outer_loop
+import splitflow.nr_solver as nr_solver
+from splitflow import SingularSystemError
 from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
 from splitflow.circuit_stamps import (
     StateVector,
@@ -14,8 +20,10 @@ from splitflow.circuit_stamps import (
     _stamp_pass,
     assemble,
     base_control,
+    flat_start,
+    residual,
 )
-from splitflow.nr_solver import SolverOptions
+from splitflow.nr_solver import SolverOptions, solve_linear
 from tests.conftest import load_matpower, load_native, random_state
 from tests.test_residual_paths import (
     CASES,
@@ -29,7 +37,7 @@ from tests.test_residual_paths import (
 def reference_jacobian(case, state, ctl):
     """csc_matrix((vals, (rows, cols))) of the pass's triplets, with the
     slack rows rewritten the direct way (see `rewritten`)."""
-    _, triplets = _stamp_pass(case, state, ctl, jac=True)
+    triplets = _stamp_pass(case, state, ctl).triplets()
     return rewritten(state.index, state.x, *triplets)
 
 
@@ -99,7 +107,7 @@ def test_slack_member_on_a_flat():
     assert on_flat.index is idx
     sizes = []
     for s in (state, on_flat, state):
-        sizes.append(len(_stamp_pass(case, s, ctl, jac=True)[1][0]))
+        sizes.append(len(_stamp_pass(case, s, ctl).triplets()[0]))
         check(case, s, ctl)
     assert sizes[1] < sizes[0] == sizes[2]
 
@@ -132,7 +140,7 @@ def test_same_rows_other_columns_rebuild_the_structure():
     case, ctl = variant(load_matpower("case9"), "base")
     state = random_state(case, ctl, 0)
     idx, x = state.index, state.x
-    rows, cols, vals, currents = _stamp_pass(case, state, ctl, jac=True)[1]
+    rows, cols, vals, currents = _stamp_pass(case, state, ctl).triplets()
     moved = cols.copy()
     k = np.flatnonzero((rows >> 1) != idx.slack_pos)[-1]
     moved[k] = (cols[k] + 1) % idx.dim
@@ -167,3 +175,136 @@ def test_cached_index_arrays_are_read_only():
         J.eliminate_zeros()  # scipy would compress the shared arrays in place
     assert_same_bytes(assemble(case, state, ctl)[1],
                       reference_jacobian(case, state, ctl))
+
+
+@pytest.mark.parametrize("variant_name", VARIANTS)
+@pytest.mark.parametrize("case_name", CASES)
+def test_jacobian_from_kept_pass_equals_assembled(case_name, variant_name):
+    # the line search's pass at a trial gives the same J as a fresh
+    # assemble at that state, byte for byte
+    case, ctl = variant(load(case_name), variant_name)
+    for seed in (0, 1):
+        state = random_state(case, ctl, seed)
+        F, kept = residual(case, state, ctl, keep=True)
+        F_kept, J_kept = assemble(case, state, ctl, kept)
+        F_full, J_full = assemble(case, state, ctl)
+        assert F_kept is F
+        assert F_kept.tobytes() == F_full.tobytes()
+        assert_same_bytes(J_kept, J_full)
+
+
+def test_kept_pass_of_another_state_rejected():
+    case, ctl = variant(load_matpower("case9"), "base")
+    state = random_state(case, ctl, 0)
+    _, kept = residual(case, state, ctl, keep=True)
+    with pytest.raises(ValueError, match="another state"):
+        assemble(case, state.copy(), ctl, kept)
+
+
+class SpyFactor:
+    """Records the permc_spec of every splu call nr_solver makes."""
+
+    def __init__(self, monkeypatch):
+        self.specs = []
+        monkeypatch.setattr(nr_solver, "splu", self)
+
+    def __call__(self, mat, permc_spec=None):
+        self.specs.append(permc_spec)
+        return splu(mat, permc_spec=permc_spec)
+
+
+def plain_solve(J, rhs):
+    """Today's path for any matrix: splu with its default ordering."""
+    return splu(csc_matrix(J)).solve(rhs)
+
+
+@pytest.mark.parametrize("variant_name", VARIANTS)
+@pytest.mark.parametrize("case_name", CASES)
+def test_stored_order_solves_bit_equal(case_name, variant_name, monkeypatch):
+    # the first factorization of a structure orders its columns; later
+    # ones reuse that order and still give plain splu's solution bytes
+    case, ctl = variant(load(case_name), variant_name)
+    idx = random_state(case, ctl, 0).index
+    spy = SpyFactor(monkeypatch)
+    structures = []
+    # a flat start ties pivot candidates with the diagonal
+    for seed in (0, "flat", 1, 2, 0):
+        x = (flat_start(case, ctl) if seed == "flat"
+             else random_state(case, ctl, seed)).x
+        state = StateVector(idx, x)
+        F, J = assemble(case, state, ctl)
+        x = solve_linear(J, -F)
+        assert x.tobytes() == plain_solve(J, -F).tobytes()
+        new = not any(s is J.structure for s in structures)
+        structures.append(J.structure)
+        assert spy.specs[-1] == (None if new else "NATURAL")
+        assert J.structure.inv is not None
+    assert "NATURAL" in spy.specs
+
+
+def test_order_dropped_with_the_structure(monkeypatch):
+    # oscillation4's PV <-> PQ switches rebuild J's structure under one
+    # index map; each new structure orders its columns afresh
+    case = load_native("oscillation4")
+    seen = []
+    nr_solve = outer_loop.nr_solve
+
+    def recording(case, init, ctl, opts, **kw):
+        state, report = nr_solve(case, init, ctl, opts, **kw)
+        seen.append((state, ctl))
+        return state, report
+
+    monkeypatch.setattr(outer_loop, "nr_solve", recording)
+    solve_outer_loop(case, SolverOptions(), order=LARGEST_FIRST)
+    spy = SpyFactor(monkeypatch)
+    last, rebuilt = None, 0
+    for state, ctl in seen + seen[::-1]:
+        F, J = assemble(case, state, ctl)
+        if J.structure is not last:
+            assert J.structure.inv is None
+            rebuilt += 1
+        x = solve_linear(J, -F)
+        assert spy.specs[-1] == (None if J.structure is not last
+                                 else "NATURAL")
+        assert x.tobytes() == plain_solve(J, -F).tobytes()
+        last = J.structure
+    assert rebuilt > 2
+
+
+def test_singular_first_factorization_stores_nothing():
+    case, ctl = variant(load_matpower("case30"), "base")
+    state = random_state(case, ctl, 0)
+    F, J = assemble(case, state, ctl)
+    # a column of zeros whose rows all hold other entries: no row is
+    # empty, but the factorization meets an exactly zero pivot
+    rows_per = np.bincount(J.indices, minlength=J.shape[0])
+    col = next(c for c in range(J.shape[1])
+               if all(rows_per[J.indices[J.indptr[c]:J.indptr[c + 1]]] > 1))
+    singular = J.copy()
+    singular.structure = J.structure
+    singular.indices, singular.indptr = J.indices, J.indptr
+    singular.data[J.indptr[col]:J.indptr[col + 1]] = 0.0
+    with pytest.raises(SingularSystemError):
+        solve_linear(singular, -F)
+    s = J.structure
+    assert s.inv is None and s.gather is None and s.permuted is None
+    # the same matrix with J's values is ordered and stores the order
+    singular.data[:] = J.data
+    assert solve_linear(singular, -F).tobytes() == plain_solve(J, -F).tobytes()
+    assert s.inv is not None
+
+
+def test_earlier_jacobian_keeps_its_data_and_solution():
+    # every solve refills the structure's permuted matrix; the J handed
+    # out earlier is left as it was and still solves to the same bytes
+    case, ctl = variant(load_matpower("case118"), "slack-0.5")
+    first = random_state(case, ctl, 0)
+    F1, J1 = assemble(case, first, ctl)
+    data = J1.data.copy()
+    x1 = solve_linear(J1, -F1)
+    F2, J2 = assemble(case, StateVector(first.index,
+                                        random_state(case, ctl, 1).x), ctl)
+    assert J2.structure is J1.structure
+    solve_linear(J2, -F2)
+    assert J1.data.tobytes() == data.tobytes()
+    assert solve_linear(J1, -F1).tobytes() == x1.tobytes()

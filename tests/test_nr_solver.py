@@ -1,18 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from scipy.sparse import csc_matrix
 
+import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
 from splitflow import SingularPointError, SingularSystemError
-from splitflow.circuit_stamps import base_control, flat_start
+from splitflow.circuit_stamps import base_control, flat_start, residual
 from splitflow.nr_solver import (
     SolverOptions,
     nr_solve,
     solve_linear,
     step_limit,
 )
-from tests.conftest import load_matpower, two_bus_case
+from tests.conftest import load_matpower, load_native, two_bus_case
 
 OPTS = SolverOptions()
 
@@ -186,7 +189,7 @@ class TestNrSolve:
         ctl = base_control(case)
         init = flat_start(case, ctl)
         start = float(np.abs(nr_solver.residual(case, init, ctl)).max())
-        monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: start)
+        monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: (start, None))
         _, rep = nr_solve(case, init, ctl, OPTS, stall_window=3)
         assert rep.stalled and not rep.converged
         assert rep.iterations == 3
@@ -216,9 +219,9 @@ class TestNrSolve:
         def recorded(name):
             fn = getattr(nr_solver, name)
 
-            def wrapper(case, state, ctl):
+            def wrapper(case, state, ctl, *kept, **keep):
                 seen[name].append(state.x.copy())
-                return fn(case, state, ctl)
+                return fn(case, state, ctl, *kept, **keep)
             return wrapper
 
         for name in seen:
@@ -244,3 +247,123 @@ class TestNrSolve:
             SolverOptions(max_iter=0)
         with pytest.raises(TypeError):
             SolverOptions(damping="none")  # the step is always clamped
+
+
+class TestStampedOnce:
+    """nr_solve builds each iteration's J from the line search's pass at
+    the trial it accepted, so every state is stamped once."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        passes = []
+        stamp = circuit_stamps._stamp_pass
+
+        def counted(case, state, ctl):
+            passes.append(state.x.copy())
+            return stamp(case, state, ctl)
+
+        monkeypatch.setattr(circuit_stamps, "_stamp_pass", counted)
+        return passes
+
+    @pytest.mark.parametrize("name", ["case9", "case118"])
+    def test_one_stamp_pass_per_state(self, name, monkeypatch):
+        case = load_matpower(name)
+        ctl = base_control(case)
+        passes = self.count_passes(monkeypatch)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert rep.converged
+        # the start, then one pass per line-search trial and no other
+        assert len(passes) == 1 + rep.residual_evals
+        assert len({x.tobytes() for x in passes}) == len(passes)
+
+    def test_tap_floor_clamp_restamps(self, monkeypatch):
+        # a floor above every ratio clamps the tap on each iteration; the
+        # trial's pass saw the unclamped state, so the next J is stamped
+        # anew at the clamped one
+        case = load_native("discrete4")
+        ctl = base_control(case)
+        init = flat_start(case, ctl)
+        (tap_col,) = init.index.tap_col.values()
+        monkeypatch.setattr(nr_solver, "TAP_FLOOR", 2.0)
+        assembled = []
+        assemble = nr_solver.assemble
+
+        def checked(case, state, ctl, kept=None):
+            F, J = assemble(case, state, ctl, kept)
+            assembled.append((state.x[tap_col], kept))
+            assert F.tobytes() == residual(case, state, ctl).tobytes()
+            return F, J
+
+        monkeypatch.setattr(nr_solver, "assemble", checked)
+        passes = self.count_passes(monkeypatch)
+        _, rep = nr_solve(case, init, ctl, SolverOptions(max_iter=4))
+        assert rep.iterations == 4
+        assert sum("clamped" in d for d in rep.diagnostics) == 4
+        assert all(kept is None for _, kept in assembled)
+        assert all(tap == 2.0 for tap, _ in assembled[1:])
+        # the F check above stamps too, once per assemble
+        assert len(passes) == 2 * rep.iterations + rep.residual_evals
+
+    def test_best_trial_pass_kept(self, monkeypatch):
+        # no trial lowers max|F|, and the second of each iteration's seven
+        # (alpha 1/2) reads lowest: its pass, not the last one's, must
+        # give the next J
+        case = load_matpower("case9")
+        ctl = base_control(case)
+        trials = []
+        norm = nr_solver._residual_norm
+
+        def second_best(case, state, ctl):
+            _, kept = norm(case, state, ctl)
+            trials.append(state.x)
+            return (1e9 if len(trials) % 7 == 2 else 2e9), kept
+
+        assembled = []
+        assemble = nr_solver.assemble
+
+        def checked(case, state, ctl, kept=None):
+            assembled.append(kept)
+            return assemble(case, state, ctl, kept)
+
+        monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
+        monkeypatch.setattr(nr_solver, "assemble", checked)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl,
+                          SolverOptions(max_iter=3))
+        assert [r.alpha for r in rep.trace] == [0.5] * 3
+        assert rep.residual_evals == rep.line_search_backtracks == 21
+        assert assembled[0] is None
+        assert [k.x is trials[7 * i + 1] for i, k in
+                enumerate(assembled[1:])] == [True, True]
+
+
+class TestLineSearchCounters:
+    def test_counts_match_the_trials(self, monkeypatch):
+        # case9 backtracks, and every iteration finds a lower residual
+        case = load_matpower("case9")
+        ctl = base_control(case)
+        calls = []
+        residual_fn = nr_solver.residual
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return residual_fn(*args, **kw)
+
+        monkeypatch.setattr(nr_solver, "residual", counted)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert rep.converged and rep.line_search_backtracks > 0
+        assert rep.residual_evals == len(calls)
+        assert rep.line_search_backtracks == len(calls) - rep.iterations
+        # each row's step is the full one halved once per rejected trial
+        assert sum(-math.log2(r.alpha) for r in rep.trace) == \
+            rep.line_search_backtracks
+
+    def test_iteration_without_a_lower_trial(self):
+        # oscillation4 without homotopy never converges; an iteration
+        # whose seven trials all fail to lower max|F| still takes the best
+        case = load_native("oscillation4")
+        ctl = base_control(case)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert not rep.converged
+        lowered = rep.residual_evals - rep.line_search_backtracks
+        assert 0 < lowered < rep.iterations
+        assert all(1.0 / 64.0 <= r.alpha <= 1.0 for r in rep.trace)
