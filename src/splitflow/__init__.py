@@ -2,9 +2,10 @@
 
 The solver works in rectangular current-voltage coordinates, where the
 network is linear: ratio-fixed branches and fixed shunts form a constant
-admittance block built once per index map, next to a table of the
-injecting devices that each stamp pass evaluates as arrays. Each NR step
-solves J dx = -F, with F and J from one stamp pass. The control loops that classical solvers run in outer
+admittance block built once per index map, next to tables of the taps,
+the injecting devices and the control rows, which each stamp pass
+evaluates as arrays. Each NR step solves J dx = -F, with F and J from
+one stamp pass. The control loops that classical solvers run in outer
 iterations (reactive limits, remote voltage control, switched shunts,
 transformer taps, distributed slack) are smooth models solved implicitly
 inside NR, with homotopy continuation for robustness. A classical
@@ -53,14 +54,5 @@ from .homotopy_driver import (
     run_homotopy,
 )
 from .nr_solver import SolveReport, SolverOptions, nr_solve, solve_linear, step_limit
-from .smooth_primitives import (
-    ParticipationCurve,
-    SigmoidSaturation,
-    participation_build,
-    participation_deriv,
-    participation_eval,
-    sigmoid_deriv,
-    sigmoid_eval,
-)
 
 __version__ = "0.1.0"

@@ -39,6 +39,9 @@ SWITCH_TOL = 1e-9
 STABLE = "stable"
 UNSTABLE = "unstable"
 
+# a generator this close to a reactive limit sits at it (classify_stability)
+AT_LIMIT_TOL = 1e-6
+
 # a generator switched this many times is locked as PQ for good
 MAX_SWITCHES_PER_GEN = 5
 MAX_OUTER_ITERATIONS = 50
@@ -72,7 +75,6 @@ def solve_outer_loop(
     opts: SolverOptions,
     order: str = SMALLEST_FIRST,
     base: ControlMode | None = None,
-    init: StateVector | None = None,
 ) -> tuple[StateVector, SolveReport, SwitchTrace]:
     """Inner NR with hard PV/PQ generator models plus the switching loop,
     switching in size order `order` (SMALLEST_FIRST or LARGEST_FIRST).
@@ -91,7 +93,7 @@ def solve_outer_loop(
     strace = SwitchTrace(toggles={i: 0 for i in local})
     trace_rows: list[TraceRow] = []
     total_inner = evals = backtracks = 0
-    state = init if init is not None else None
+    state = None
     status = "outer-cap-reached"
     outer = 0
     report = None
@@ -198,8 +200,7 @@ def _switch_candidates(case, state, modes, fixed_q, strace, local):
     return out
 
 
-def classify_stability(case: NetworkCase, state: StateVector,
-                       at_limit_tol: float = 1e-6) -> dict:
+def classify_stability(case: NetworkCase, state: StateVector) -> dict:
     """Per-generator stable/unstable labels.
 
     A generator is unstable when it sits at its minimum reactive output
@@ -217,8 +218,8 @@ def classify_stability(case: NetworkCase, state: StateVector,
         ref_bus = g.remote_bus if g.remote_bus is not None else g.bus
         vm = state.v_mag(state.index.bus_pos[ref_bus])
         unstable = (
-            (abs(q - g.q_min) <= at_limit_tol and vm < g.v_set)
-            or (abs(q - g.q_max) <= at_limit_tol and vm > g.v_set)
+            (abs(q - g.q_min) <= AT_LIMIT_TOL and vm < g.v_set)
+            or (abs(q - g.q_max) <= AT_LIMIT_TOL and vm > g.v_set)
         )
         out[i] = UNSTABLE if unstable else STABLE
     return out

@@ -4,34 +4,30 @@
 current-voltage coordinates the network is linear: the ratio-fixed
 branches and the fixed shunts form a constant real 2n x 2n block, kept
 as a series part, scaled by the tx relaxation 1 + tx_relax * TX_SCALE,
-and an unscaled shunt part (line charging and fixed shunts). Next to it
-sits one table of every injecting device (`Injectors`): loads, local
-generators, remote-group members and switched shunts, with their buses,
-reactive-power columns, active power, limits, v_set, participation
-factors and the fixed row/column of each Jacobian entry they can emit;
-and the distributed-slack members' factors and headrooms. A stamp pass
-evaluates the table as arrays. Of the ControlMode it derives only what
-the mode sets (relaxed limits, fixed modes, group modes), and that once
-per mode; a mode that sets none of them uses the table's default.
-Controlled and snapped taps, snapped shunts and the remote groups'
-request rows stamp one by one; the slack rows come last.
+and an unscaled shunt part (line charging and fixed shunts). Every other
+device is a row of one of three tables: `Taps` (controlled and snapped),
+`Injectors` (loads, generators, switched shunts) and `ControlRows`
+(every row that holds a value against a bus voltage magnitude: local
+generators and switched shunts, controlled taps, group requests). A
+stamp pass evaluates them as a fixed list of array segments: network,
+taps, injections, control rows, slack rows. Of the ControlMode it
+derives only what the mode sets, once per mode (`_controls`).
 
-One pass serves F and J alike. It computes F and keeps what J needs:
-the one-by-one devices' triplets, and the injection table's currents,
-|V|^2 and curve slopes, from which J's values are only built when J is
-asked for. `residual` returns the pass's F, and on request the pass
-itself; `assemble` builds J from a new pass or from one `residual` kept
-at the same state (the NR line search keeps the pass of the trial it
+One pass serves F and J alike. It computes F and keeps what J needs
+(currents, |V|^2, curve slopes), from which J's values are only built
+when J is asked for. `residual` returns the pass's F, and on request the
+pass itself; `assemble` builds J from a new pass or from one `residual`
+kept at the same state (the NR line search keeps the pass of the trial it
 accepts), so F is the same either way and J is testable against finite
-differences of `residual`. All KCL terms, network and devices alike,
-enter F through one bincount in stamp order, and J's triplets keep the
-device-by-device stamp order. J's CSC structure (row indices, column
-pointers, the slack-row rewrite and the order in which duplicate
-triplets are summed, which is scipy's own) is cached on the IndexMap,
-keyed by the stamp-order triplet rows and columns, and rebuilt when they
-change; each `assemble` fills in only the values, so J equals scipy's
-COO -> CSC conversion of the triplets byte for byte. The structure also
-keeps the LU column order of its pattern for `nr_solver.solve_linear`.
+differences of `residual`. All KCL terms enter F through one bincount in
+stamp order, and J's triplets keep the device-by-device stamp order
+(`IndexMap.order`). J's CSC structure (row indices, column pointers, the
+slack-row rewrite and the order in which duplicate triplets are summed,
+which is scipy's own) is cached on the IndexMap, keyed by the stamp-order
+triplet rows and columns, and rebuilt when they change; each `assemble`
+fills in only the values, so J equals scipy's COO -> CSC conversion of
+the triplets byte for byte. The structure also keeps the LU column order
+of its pattern for `nr_solver.solve_linear`.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -44,7 +40,7 @@ equation lives on the row with the same index as its unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -52,16 +48,9 @@ from scipy.sparse import csc_matrix
 from .case_model import NetworkCase
 from .errors import SingularPointError
 from .smooth_primitives import (
-    DECREASING,
-    INCREASING,
-    SigmoidSaturation,
     default_patch_width,
     participation_arrays,
-    participation_build,
-    participation_eval,
     sigmoid_arrays,
-    sigmoid_deriv,
-    sigmoid_eval,
 )
 
 # voltage magnitudes below this are treated as a collapsed (singular) point
@@ -121,19 +110,51 @@ def base_control(case: NetworkCase, smoothing: float = 5000.0) -> ControlMode:
     return ControlMode(smoothing=smoothing, agc_enabled=case.agc_enabled)
 
 
-@dataclass
-class Injectors:
-    """Every device that injects power at its bus, as one table in stamp
-    order: loads, local generators, remote-group members and the switched
-    shunts that are not snapped. Local generators and switched shunts
-    ("local" rows) have a control row each, members a participation row.
+def device_limits(case: NetworkCase, key) -> tuple[float, float]:
+    """(lo, hi) output limits of the controlled device ("gen" | "shunt" |
+    "tap", i): reactive power, susceptance or ratio."""
+    kind, i = key
+    if kind == "gen":
+        g = case.generators[i]
+        return g.q_min, g.q_max
+    if kind == "shunt":
+        sh = case.shunts[i]
+        return sh.b_min, sh.b_max
+    tap = case.branches[i].tap
+    return tap.tr_min, tap.tr_max
 
-    J slots of a row, in order: the four voltage partials of its current,
-    its q column (twice), the slack-surplus column (twice), then its
-    control or participation row: (col, col), and (col, V_R), (col, V_I)
-    for a local row or (col, group request) for a member.
+
+@dataclass
+class Taps:
+    """The taps outside the network block: the controlled ones in
+    ratio-column order, then the snapped ones (IndexMap.snapped_taps).
+    Each is a pi-model branch at ratio tau from bus f to t, with series
+    admittance y = g + jb and half its line charging, jc, at each end: it
+    adds (y + jc)/tau^2, -y/tau, -y/tau and y + jc at (f, f), (f, t),
+    (t, f) and (t, t). J slots of a tap: those four 2 x 2 blocks, then,
+    if it is controlled, its ratio column in the rows of f and t.
     """
 
+    branches: list  # branch indices
+    g: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    cols: np.ndarray  # ratio columns of the controlled taps
+    at: np.ndarray  # V_R rows (2f, 2f, 2t, 2t) and V_R columns
+    v: np.ndarray  # (2f, 2t, 2f, 2t) of the blocks, per tap
+
+
+@dataclass
+class Injectors:
+    """Every device that injects current at its bus, as one table in
+    stamp order: loads, local generators, remote-group members, switched
+    shunts. A snapped shunt is the admittance jb; every other row injects
+    power p + jq. J slots of a row: the four voltage partials of its
+    current, its q column (twice), the slack-surplus column (twice); and a
+    member's participation row has (col, col) and (col, group request).
+    """
+
+    keys: list  # ControlMode key of each row (None for a load)
     pos: np.ndarray  # bus position
     vr_c: np.ndarray  # V_R and V_I columns of the bus
     vi_c: np.ndarray
@@ -141,33 +162,46 @@ class Injectors:
     q: np.ndarray  # a load's -q; the rows after the loads read q from x
     n_loads: int
     q_cols: np.ndarray  # q columns of the rows after the loads
+    kcl_rows: np.ndarray  # F rows of the currents: V_R rows, then V_I rows
     agc_at: np.ndarray  # rows of distributed-slack members, and their
     agc_pos: np.ndarray  # positions in IndexMap.agc_member_idx
-    local: np.ndarray  # rows of the local generators and switched shunts
-    local_keys: list  # their ControlMode keys, limits and v_set
-    local_min: np.ndarray
-    local_max: np.ndarray
-    local_v_set: np.ndarray
-    members: np.ndarray  # rows of the remote-group members
-    member_keys: list
-    member_min: np.ndarray
+    local: np.ndarray  # rows with a control row (IndexMap.rows)
+    snapped: np.ndarray  # rows of the snapped shunts
+    divides: np.ndarray  # buses of the other rows, whose |V|^2 they divide by
+    members: np.ndarray  # rows of the remote-group members, their limits,
+    member_min: np.ndarray  # q columns, factors and request columns
     member_max: np.ndarray
-    kappa: np.ndarray  # participation factors
-    qreq: np.ndarray  # request column of each member's group
-    # per group: request column, controlled bus position, v_set, and the
-    # first and end positions of its members in `members`
-    groups: list
-    # (row, group, shunt): before table row `row`, stamp the request row
-    # of that group or the snapped shunt with that index
-    breaks: list
-    ctl_rows: np.ndarray  # F rows of the control rows: local, then members
-    j_rows: np.ndarray  # J row and column of every slot, row by row
-    j_cols: np.ndarray
-    j_keep: np.ndarray  # (slot, row): slots kept in every control mode
-    # _controls of a ControlMode that sets no modes, relaxed limits or
-    # group modes, and (fields, _Controls) of the last one that does
-    default: "_Controls | None" = None
-    last: tuple | None = None
+    m_cols: np.ndarray
+    kappa: np.ndarray
+    qreq: np.ndarray
+    spans: list  # each group's first and end positions in `members`
+
+
+@dataclass
+class ControlRows:
+    """Every row that holds a value against a bus voltage magnitude: the
+    local generators' and switched shunts' (Injectors.local), the
+    controlled taps', then the remote groups' requests.
+
+    Row k is the F row of its own unknown, cols[k]. It holds |V| at bus
+    pos[k] at v_set[k] (FIXED_V), holds its unknown at a value (FIXED_Q,
+    local devices only, or degenerate limits), or follows the sigmoid of
+    |V| between its limits, decreasing with sign 1 and increasing with
+    sign -1. A tap regulates the bus of its controlled side, lowering its
+    ratio as a primary-side voltage rises and raising it as a
+    secondary-side one does, and follows its sigmoid unless FIXED_V. A
+    group's limits are the sums of its members'. J slots of a row:
+    (col, col), (col, V_R), (col, V_I).
+    """
+
+    cols: np.ndarray
+    pos: np.ndarray
+    v_set: np.ndarray
+    sign: np.ndarray
+    keys: list  # ControlMode keys of the local rows and taps, and
+    lo: np.ndarray  # their limits before relaxing
+    hi: np.ndarray
+    n_local: int
 
 
 @dataclass
@@ -183,7 +217,6 @@ class IndexMap:
     tap_col: dict  # branch index -> column
     dps_col: int | None
     dim: int
-    member_group: dict  # gen index -> (group index, member position)
     local_gen_idx: list
     agc_member_idx: list
     slack_gen_idx: list
@@ -195,11 +228,27 @@ class IndexMap:
     net_cols: np.ndarray
     net_series: np.ndarray
     net_shunt: np.ndarray
+    taps: Taps
     inj: Injectors
+    rows: ControlRows
+    # the tables' J slots, table by table and row by row (taps,
+    # injections, control rows, participation rows): rows, cols, whether
+    # the first two tables' are kept, the stamp order, and the injection
+    # rows' slack-surplus slots
+    j_rows: np.ndarray
+    j_cols: np.ndarray
+    j_keep: np.ndarray
+    order: np.ndarray
+    surplus: np.ndarray
     # distributed-slack members (agc_member_idx): factors, P headrooms
     agc_kappa: np.ndarray
     agc_lo: np.ndarray
     agc_hi: np.ndarray
+    # _controls of a ControlMode that sets none of the fields it reads,
+    # and (fields, _Controls) of the last one that does
+    default: "_Controls | None" = field(default=None, repr=False,
+                                        compare=False)
+    last: tuple | None = field(default=None, repr=False, compare=False)
     # J's CSC structure for the last triplet pattern `assemble` saw
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
@@ -218,10 +267,7 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
     bus_pos = case.bus_index()
     slack_pos = bus_pos[case.slack_bus().id]
 
-    member_group = {}
-    for gi, grp in enumerate(case.remote_groups):
-        for mpos, gen_i in enumerate(grp.members):
-            member_group[gen_i] = (gi, mpos)
+    members = {gen_i for grp in case.remote_groups for gen_i in grp.members}
 
     slack_bus_id = case.buses[slack_pos].id
     local_gen_idx = []
@@ -231,7 +277,7 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         if g.bus == slack_bus_id:
             slack_gen_idx.append(i)
             continue
-        if i not in member_group:
+        if i not in members:
             local_gen_idx.append(i)
         if ctl.agc_enabled and g.agc_factor > 0.0:
             agc_member_idx.append(i)
@@ -264,11 +310,13 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         dps_col = col
         col += 1
 
+    snapped_taps = sorted(ctl.fixed_tap_ratio)
     in_block = [bi for bi in range(len(case.branches))
                 if bi not in tap_col and bi not in ctl.fixed_tap_ratio]
-    net_rows, net_cols, net_series, net_shunt = _network_block(
-        case, bus_pos, in_block)
-
+    taps = _taps(case, bus_pos, tap_col, snapped_taps)
+    inj = _injectors(case, bus_pos, q_col, qreq_col, local_gen_idx,
+                     agc_member_idx)
+    rows = _control_rows(case, bus_pos, q_col, qreq_col, tap_col, inj)
     agc_gens = [case.generators[i] for i in agc_member_idx]
     slack_v_set = case.buses[slack_pos].v_init_real
     if slack_gen_idx:
@@ -282,104 +330,167 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         tap_col=tap_col,
         dps_col=dps_col,
         dim=col,
-        member_group=member_group,
         local_gen_idx=local_gen_idx,
         agc_member_idx=agc_member_idx,
         slack_gen_idx=slack_gen_idx,
         slack_p_sched=sum(case.generators[i].p_g for i in slack_gen_idx),
         slack_v_set=slack_v_set,
-        snapped_taps=sorted(ctl.fixed_tap_ratio),
-        net_rows=net_rows,
-        net_cols=net_cols,
-        net_series=net_series,
-        net_shunt=net_shunt,
-        inj=_injectors(case, bus_pos, q_col, qreq_col, local_gen_idx,
-                       agc_member_idx, dps_col),
+        snapped_taps=snapped_taps,
+        **_network_block(case, bus_pos, in_block),
+        taps=taps,
+        inj=inj,
+        rows=rows,
+        **_slots(taps, inj, rows, dps_col),
         agc_kappa=np.array([g.agc_factor for g in agc_gens], dtype=float),
         agc_lo=np.array([g.p_min - g.p_g for g in agc_gens], dtype=float),
         agc_hi=np.array([g.p_max - g.p_g for g in agc_gens], dtype=float),
     )
 
 
+def _taps(case: NetworkCase, bus_pos: dict, tap_col: dict,
+          snapped: list) -> Taps:
+    branches = list(tap_col) + snapped
+    brs = [case.branches[bi] for bi in branches]
+    f = 2 * np.array([bus_pos[br.from_bus] for br in brs], dtype=np.intp)
+    t = 2 * np.array([bus_pos[br.to_bus] for br in brs], dtype=np.intp)
+    g, b, c = np.array([(br.g, br.b, br.b_sh / 2.0) for br in brs],
+                       dtype=float).reshape(-1, 3).T
+    return Taps(branches, g, b, c,
+                np.array(list(tap_col.values()), dtype=np.intp),
+                np.array((f, f, t, t)), np.array((f, t, f, t)))
+
+
 def _injectors(case: NetworkCase, bus_pos: dict, q_col: dict, qreq_col: dict,
-               local_gen_idx: list, agc_member_idx: list,
-               dps_col: int | None) -> Injectors:
+               local_gen_idx: list, agc_member_idx: list) -> Injectors:
     gens = case.generators
 
     def gen(i):
         g = gens[i]
-        return ("gen", i), g.bus, g.p_g, 0.0, g.q_min, g.q_max, g.v_set
+        return ("gen", i), g.bus, g.p_g, 0.0, g.q_min, g.q_max
 
-    # (key, bus, p, q, q_min, q_max, v_set) per row, in stamp order
-    table = [(None, ld.bus, -ld.p, -ld.q, 0.0, 0.0, 0.0) for ld in case.loads]
+    # (key, bus, p, q, q_min, q_max) per row, in stamp order
+    table = [(None, ld.bus, -ld.p, -ld.q, 0.0, 0.0) for ld in case.loads]
     table += [gen(i) for i in local_gen_idx]
     first_member = len(table)
-    groups = []
-    for gi, grp in enumerate(case.remote_groups):
+    spans = []
+    for grp in case.remote_groups:
         start = len(table) - first_member
         table += [gen(m) for m in grp.members]
-        groups.append((qreq_col[gi], bus_pos[grp.controlled_bus], grp.v_set,
-                       start, len(table) - first_member))
-    # each group's request row follows its last member, and each snapped
-    # shunt stamps as an admittance between its switched neighbours
-    breaks = [(first_member + end, gi, None)
-              for gi, (*_, end) in enumerate(groups)]
+        spans.append((start, len(table) - first_member))
     first_shunt = len(table)
-    for j, sh in enumerate(case.shunts):
-        if ("shunt", j) in q_col:
-            table.append((("shunt", j), sh.bus, 0.0, 0.0, sh.b_min, sh.b_max,
-                          sh.v_set))
-        else:
-            breaks.append((len(table), None, j))
+    table += [(("shunt", j), sh.bus, 0.0, 0.0, sh.b_min, sh.b_max)
+              for j, sh in enumerate(case.shunts)]
 
-    n, n_loads = len(table), len(case.loads)
+    n_loads = len(case.loads)
     keys = [row[0] for row in table]
     pos = np.array([bus_pos[row[1]] for row in table], dtype=np.intp)
-    p, q, q_min, q_max, v_set = (
-        np.array([row[2:] for row in table], dtype=float).reshape(-1, 5).T.copy())
+    p, q, q_min, q_max = (
+        np.array([row[2:] for row in table], dtype=float).reshape(-1, 4).T.copy())
     col = np.array([q_col.get(k, 0) for k in keys], dtype=np.intp)
-    local = np.r_[n_loads:first_member, first_shunt:n]
     members = np.arange(first_member, first_shunt)
-    qreq = np.array([qreq_col[gi] for gi, grp in enumerate(case.remote_groups)
-                     for _ in grp.members], dtype=np.intp)
+    snapped = np.array([r for r in range(first_shunt, len(keys))
+                        if keys[r] not in q_col], dtype=np.intp)
     agc = {("gen", i): k for k, i in enumerate(agc_member_idx)}
     agc_at = np.array([r for r, k in enumerate(keys) if k in agc], dtype=np.intp)
-
-    vr_c = 2 * pos
-    vi_c = vr_c + 1
-    d = np.full(n, 0 if dps_col is None else dps_col)
-    j_rows = np.array((vr_c, vr_c, vi_c, vi_c, vr_c, vi_c, vr_c, vi_c,
-                       col, col, col))
-    j_cols = np.array((vr_c, vi_c, vr_c, vi_c, col, col, d, d,
-                       col, vr_c, vi_c))
-    j_cols[9, members] = qreq
-    j_keep = np.zeros(j_rows.shape, dtype=bool)
-    j_keep[:4] = True
-    j_keep[4:6, n_loads:] = True
-    j_keep[8, members] = True
-    t = Injectors(
-        pos=pos, vr_c=vr_c, vi_c=vi_c,
+    return Injectors(
+        keys=keys, pos=pos, vr_c=2 * pos, vi_c=2 * pos + 1,
         p=p, q=q, n_loads=n_loads, q_cols=col[n_loads:],
-        agc_at=agc_at,
+        kcl_rows=np.concatenate((2 * pos, 2 * pos + 1)), agc_at=agc_at,
         agc_pos=np.array([agc[keys[r]] for r in agc_at], dtype=np.intp),
-        local=local, local_keys=[keys[r] for r in local],
-        local_min=q_min[local], local_max=q_max[local],
-        local_v_set=v_set[local],
-        members=members, member_keys=[keys[r] for r in members],
-        member_min=q_min[members], member_max=q_max[members],
+        local=np.array([r for r, k in enumerate(keys) if k in q_col
+                        and not first_member <= r < first_shunt], dtype=np.intp),
+        snapped=snapped, divides=np.delete(pos, snapped),
+        members=members, member_min=q_min[members], member_max=q_max[members],
+        m_cols=col[members],
         kappa=np.array([f for grp in case.remote_groups for f in grp.factors],
                        dtype=float),
-        qreq=qreq, groups=groups, breaks=breaks,
-        ctl_rows=np.concatenate((col[local], col[members])),
-        j_rows=j_rows.T.ravel(), j_cols=j_cols.T.ravel(), j_keep=j_keep,
-    )
-    t.default = _controls(ControlMode(), t)
-    return t
+        qreq=np.array([qreq_col[gi] for gi, grp in enumerate(case.remote_groups)
+                       for _ in grp.members], dtype=np.intp),
+        spans=spans)
 
 
-def _network_block(case: NetworkCase, bus_pos: dict, in_block: list):
-    """Real I-V triplets (rows, cols, series, shunt) of the branches in
-    in_block and of the fixed shunts.
+def _control_rows(case: NetworkCase, bus_pos: dict, q_col: dict,
+                  qreq_col: dict, tap_col: dict, inj: Injectors) -> ControlRows:
+    # (key, col, regulated bus, v_set, sign) per row
+    table = []
+    for key in [inj.keys[r] for r in inj.local]:
+        kind, i = key
+        dev = case.generators[i] if kind == "gen" else case.shunts[i]
+        table.append((key, q_col[key], dev.bus, dev.v_set, 1.0))
+    for bi, c in tap_col.items():
+        br = case.branches[bi]
+        primary = br.tap.controlled_side == "primary"
+        table.append((("tap", bi), c, br.from_bus if primary else br.to_bus,
+                      br.tap.v_set, 1.0 if primary else -1.0))
+    keys = [row[0] for row in table]
+    table += [(gi, qreq_col[gi], grp.controlled_bus, grp.v_set, 1.0)
+              for gi, grp in enumerate(case.remote_groups)]
+    lo, hi = np.array([device_limits(case, k) for k in keys],
+                      dtype=float).reshape(-1, 2).T
+    return ControlRows(
+        np.array([row[1] for row in table], dtype=np.intp),
+        np.array([bus_pos[row[2]] for row in table], dtype=np.intp),
+        np.array([row[3] for row in table], dtype=float),
+        np.array([row[4] for row in table], dtype=float),
+        keys, lo, hi, len(inj.local))
+
+
+def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
+    """The tables' J slots (IndexMap.j_rows to surplus).
+
+    A slot's stamp place is (its row's place, its place in the row). Tap
+    k is at place k, injection row r at n_taps + r. A tap's control row
+    follows its 20 slots; a local row's control row and a member's
+    participation row follow its 8 slots, and a group's request row the
+    participation row of its last member."""
+    T, tc, n = len(taps.branches), len(taps.cols), len(inj.pos)
+    at = T + np.arange(n)
+    parts = []  # per table: each slot's row, col, place and place in it
+
+    def table(rows, cols, place, first):
+        """Add a table's slots; rows and cols are (slot, device) grids."""
+        rows, cols, width = np.array(rows), np.array(cols), len(rows)
+        parts.append((rows.T.ravel(), cols.T.ravel(), np.repeat(place, width),
+                      np.add.outer(first, np.arange(width)).ravel()))
+
+    tap_keep = np.ones((20, T), dtype=bool)
+    if T:
+        f, t = taps.at[0], taps.at[2]
+        tau = np.zeros(T, dtype=np.intp)
+        tau[:tc] = taps.cols
+        k = np.arange(16) % 4  # the blocks' (R, R), (R, I), (I, R), (I, I)
+        table(np.vstack((np.repeat(taps.at, 4, axis=0) + (k >> 1)[:, None],
+                         (f, f + 1, t, t + 1))),
+              np.vstack((np.repeat(taps.v, 4, axis=0) + (k & 1)[:, None],
+                         (tau, tau, tau, tau))),
+              np.arange(T), np.zeros(T, dtype=np.intp))
+        tap_keep[16:, tc:] = False
+    vr, vi, q = inj.vr_c, inj.vi_c, np.zeros(n, dtype=np.intp)
+    q[inj.n_loads:] = inj.q_cols
+    d = np.full(n, dps_col or 0)
+    table((vr, vr, vi, vi, vr, vi, vr, vi), (vr, vi, vr, vi, q, q, d, d),
+          at, np.zeros(n, dtype=np.intp))
+    inj_keep = np.zeros((8, n), dtype=bool)
+    inj_keep[:4] = True
+    inj_keep[4:6, inj.local] = inj_keep[4:6, inj.members] = True
+    c, v = rows.cols, 2 * rows.pos
+    ends = [inj.members[b - 1] for _, b in inj.spans]
+    table((c, c, c), (c, v, v + 1),
+          np.concatenate((at[inj.local], np.arange(tc), at[ends])),
+          np.repeat((8, 20, 10), (len(inj.local), tc, len(ends))))
+    if len(inj.members):
+        m = inj.m_cols
+        table((m, m), (m, inj.qreq), at[inj.members], np.full(len(m), 8))
+    j_rows, j_cols, major, minor = map(np.concatenate, zip(*parts))
+    return dict(j_rows=j_rows, j_cols=j_cols,
+                j_keep=np.concatenate((tap_keep.T.ravel(), inj_keep.T.ravel())),
+                order=np.argsort(32 * major + minor),  # minor < 32
+                surplus=20 * T + 8 * np.arange(n) + np.array([[6], [7]]))
+
+
+def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
+    """Real I-V triplets (IndexMap.net_rows to net_shunt) of the branches
+    in in_block and of the fixed shunts.
 
     The complex entries follow MATPOWER's makeYbus: a branch with series
     admittance y and ratio t adds y/t^2, -y/t, -y/t and y to the series
@@ -405,9 +516,9 @@ def _network_block(case: NetworkCase, bus_pos: dict, in_block: list):
     def real(z):
         return np.concatenate((z.real, -z.imag, z.imag, z.real))
 
-    rows = np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1))
-    cols = np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1))
-    return rows, cols, real(series), real(shunt)
+    return dict(net_rows=np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1)),
+                net_cols=np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1)),
+                net_series=real(series), net_shunt=real(shunt))
 
 
 class StateVector:
@@ -431,90 +542,175 @@ class StateVector:
         """Transfer shared unknowns into a differently-shaped state."""
         x = np.zeros(new_index.dim)
         x[: new_index.voltage_dim()] = self.x[: self.index.voltage_dim()]
-        for key, c in new_index.q_col.items():
-            if key in self.index.q_col:
-                x[c] = self.x[self.index.q_col[key]]
-        for gi, c in new_index.qreq_col.items():
-            if gi in self.index.qreq_col:
-                x[c] = self.x[self.index.qreq_col[gi]]
-        for bi, c in new_index.tap_col.items():
-            if bi in self.index.tap_col:
-                x[c] = self.x[self.index.tap_col[bi]]
+        for name in ("q_col", "qreq_col", "tap_col"):
+            old = getattr(self.index, name)
+            for key, c in getattr(new_index, name).items():
+                if key in old:
+                    x[c] = self.x[old[key]]
         if new_index.dps_col is not None and self.index.dps_col is not None:
             x[new_index.dps_col] = self.x[self.index.dps_col]
         return StateVector(new_index, x)
 
 
 def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
-    """Initial state: case voltages, model-consistent control values."""
+    """Initial state: case voltages, model-consistent control values.
+
+    Every control row starts on its curve at those voltages whatever
+    ctl's modes (degenerate limits hold the lower one), and every member
+    on its participation curve; a controlled tap starts at its case
+    ratio, within its limits."""
     index = build_index(case, ctl)
+    n = index.n_bus
     x = np.zeros(index.dim)
-    for pos, bus in enumerate(case.buses):
-        x[index.vr(pos)] = bus.v_init_real
-        x[index.vi(pos)] = bus.v_init_imag
-    steep = ctl.effective_steepness()
-    for i in index.local_gen_idx:
-        g = case.generators[i]
-        lo, hi = ctl.relaxed_q_limits(("gen", i), g.q_min, g.q_max)
-        vm = abs(complex(x[index.vr(index.bus_pos[g.bus])],
-                         x[index.vi(index.bus_pos[g.bus])]))
-        x[index.q_col[("gen", i)]] = sigmoid_eval(
-            SigmoidSaturation(lo, hi, g.v_set, steep), vm
-        )
-    for gi, grp in enumerate(case.remote_groups):
-        lo = hi = 0.0
-        for m in grp.members:
-            g = case.generators[m]
-            mlo, mhi = ctl.relaxed_q_limits(("gen", m), g.q_min, g.q_max)
-            lo += mlo
-            hi += mhi
-        pos = index.bus_pos[grp.controlled_bus]
-        vm = abs(complex(x[index.vr(pos)], x[index.vi(pos)]))
-        if hi - lo < DEGENERATE_RANGE:
-            qreq = lo
-        else:
-            qreq = sigmoid_eval(SigmoidSaturation(lo, hi, grp.v_set, steep), vm)
-        x[index.qreq_col[gi]] = qreq
-        for m, kappa in zip(grp.members, grp.factors):
-            g = case.generators[m]
-            mlo, mhi = ctl.relaxed_q_limits(("gen", m), g.q_min, g.q_max)
-            if mhi - mlo < DEGENERATE_RANGE:
-                x[index.q_col[("gen", m)]] = mlo
-            else:
-                curve = participation_build(kappa, mlo, mhi)
-                x[index.q_col[("gen", m)]] = participation_eval(curve, qreq)
-    for j, sh in enumerate(case.shunts):
-        key = ("shunt", j)
-        if key not in index.q_col:
-            continue
-        lo, hi = ctl.relaxed_q_limits(key, sh.b_min, sh.b_max)
-        pos = index.bus_pos[sh.bus]
-        vm = abs(complex(x[index.vr(pos)], x[index.vi(pos)]))
-        if hi - lo < DEGENERATE_RANGE:
-            x[index.q_col[key]] = lo
-        else:
-            x[index.q_col[key]] = sigmoid_eval(
-                SigmoidSaturation(lo, hi, sh.v_set, steep), vm
-            )
-    for bi, c in index.tap_col.items():
-        tap = case.branches[bi].tap
-        ratio = case.branches[bi].ratio
-        x[c] = min(max(ratio, tap.tr_min), tap.tr_max)
-    if index.dps_col is not None:
-        x[index.dps_col] = 0.0
+    x[0:2 * n:2] = [bus.v_init_real for bus in case.buses]
+    x[1:2 * n:2] = [bus.v_init_imag for bus in case.buses]
+    if ctl.device_modes or ctl.fixed_q or ctl.group_modes:
+        ctl = replace(ctl, device_modes={}, fixed_q={}, group_modes={})
+    c, r = _controls(ctl, index), index.rows
+    x[r.cols] = _targets(c, x, ctl.effective_steepness())[0]
+    x[index.inj.m_cols] = _member_targets(c, index.inj, x)[0]
+    ratio = [case.branches[bi].ratio for bi in index.tap_col]
+    x[index.taps.cols] = np.minimum(np.maximum(ratio, r.lo[r.n_local:]),
+                                    r.hi[r.n_local:])
     return StateVector(index, x)
 
+
+# ---------------------------------------------------------------------------
+# What a ControlMode makes of the tables
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Controls:
+    """What a ControlMode makes of an IndexMap's tables."""
+
+    held: np.ndarray  # control rows' values off the curve: fixed_q, else lo
+    sig: np.ndarray  # control rows on their sigmoid, and their (V_R and
+    curves: tuple  # V_I columns, relaxed lo, hi, v_set, sign)
+    fixed_v: np.ndarray  # control rows that hold |V|, and (V_R and V_I
+    held_v: tuple  # columns, bus, v_set)
+    sensed: np.ndarray  # buses whose |V| the pass divides by, in the
+    # order they are checked: sigmoid taps, injections, sigmoid groups
+    m_lo: np.ndarray  # members: relaxed limits
+    m_hi: np.ndarray
+    hard: np.ndarray  # members of FIXED_V groups
+    curve: np.ndarray  # members on their participation curve
+    tap_ratio: np.ndarray  # snapped taps' ratios
+    shunt_b: np.ndarray  # snapped shunts' susceptances
+    keep: np.ndarray  # J slots kept (IndexMap.j_rows; surplus slots off)
+    # (slots, rows, cols) of keep in stamp order, network first, once a
+    # pass without surplus slots asks for them
+    stamped: tuple | None = None
+
+
+def _relaxed_limits(ctl: ControlMode, keys: list, q_min, q_max):
+    """ControlMode.relaxed_q_limits of each device, as two arrays."""
+    if not (ctl.q_scale or ctl.q_widen):
+        return q_min - 0.0, q_max + 0.0  # its arithmetic at scale 1, no widening
+    return np.array([ctl.relaxed_q_limits(k, a, b) for k, a, b
+                     in zip(keys, q_min.tolist(), q_max.tolist())],
+                    dtype=float).reshape(-1, 2).T
+
+
+def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
+    """The _Controls of ctl: the index map's default when ctl sets none
+    of the fields below, else the last one derived when they are
+    unchanged (an NR solve stamps many states under one ControlMode)."""
+    key = (ctl.device_modes, ctl.fixed_q, ctl.q_scale, ctl.q_widen,
+           ctl.group_modes, ctl.fixed_shunt_b, ctl.fixed_tap_ratio)
+    if not any(key) and idx.default is not None:
+        return idx.default
+    if idx.last is not None and idx.last[0] == key:
+        return idx.last[1]
+    r, t = idx.rows, idx.inj
+    L, n = r.n_local, len(r.keys)
+    modes = ([ctl.device_modes.get(k, SIGMOID) for k in r.keys]
+             + [ctl.group_modes.get(gi, SIGMOID) for gi in range(len(t.spans))])
+    fixed_v = np.array([m == FIXED_V for m in modes], dtype=bool)
+    # only local devices take FIXED_Q, and only taps never hold a value
+    fixed_q = np.zeros(len(modes), dtype=bool)
+    fixed_q[:L] = [m == FIXED_Q for m in modes[:L]]
+    m_lo, m_hi = _relaxed_limits(ctl, [t.keys[m] for m in t.members],
+                                 t.member_min, t.member_max)
+    sums = []  # each group's members' relaxed limits, summed in order
+    for a, b in t.spans:
+        lo = hi = 0.0
+        for mlo, mhi in zip(m_lo[a:b].tolist(), m_hi[a:b].tolist()):
+            lo, hi = lo + mlo, hi + mhi
+        sums.append((lo, hi))
+    lo, hi = np.hstack((_relaxed_limits(ctl, r.keys, r.lo, r.hi),
+                        np.reshape(sums, (-1, 2)).T))
+    degenerate = hi - lo < DEGENERATE_RANGE
+    degenerate[L:n] = False
+    sig = ~(fixed_v | fixed_q | degenerate)
+    held = lo.copy()
+    held[fixed_q] = [ctl.fixed_q[k] for k, on in zip(r.keys, fixed_q) if on]
+    hard = np.repeat(fixed_v[n:], [b - a for a, b in t.spans])
+    follow = hard | ~(m_hi - m_lo < DEGENERATE_RANGE)
+    tap, grp = np.zeros(len(sig), dtype=bool), np.zeros(len(sig), dtype=bool)
+    tap[L:n], grp[n:] = sig[L:n], sig[n:]
+    v = np.array((2 * r.pos, 2 * r.pos + 1))
+    c = _Controls(
+        held=held, sig=sig,
+        curves=(v[:, sig], lo[sig], hi[sig], r.v_set[sig], r.sign[sig]),
+        fixed_v=fixed_v,
+        held_v=(v[:, fixed_v], r.pos[fixed_v], r.v_set[fixed_v]),
+        sensed=np.concatenate((r.pos[tap], t.divides, r.pos[grp])),
+        m_lo=m_lo, m_hi=m_hi, hard=hard, curve=follow & ~hard,
+        tap_ratio=np.array([ctl.fixed_tap_ratio[bi] for bi in idx.snapped_taps],
+                           dtype=float),
+        shunt_b=np.array([ctl.fixed_shunt_b[t.keys[k][1]] for k in t.snapped],
+                         dtype=float),
+        keep=np.concatenate((
+            idx.j_keep,
+            np.array((~fixed_v, fixed_v | sig, fixed_v | sig)).T.ravel(),
+            np.array((np.ones_like(follow), follow)).T.ravel())))
+    if not any(key):
+        idx.default = c
+    else:
+        # copies, so that a ControlMode changed in place is not mistaken
+        idx.last = (tuple(dict(d) for d in key), c)
+    return c
+
+
+def _targets(c: _Controls, x: np.ndarray, steepness: float):
+    """The control rows' values at x: held, or on the sigmoid of |V|;
+    and the sigmoid rows' |V| and slopes."""
+    target = c.held.copy()
+    vm = ds = None
+    if np.count_nonzero(c.sig):
+        cols, lo, hi, v_set, sign = c.curves
+        vr, vi = x[cols].tolist()
+        vm = np.array(list(map(math.hypot, vr, vi)))
+        target[c.sig], ds = sigmoid_arrays(lo, hi, v_set, steepness, vm, sign)
+    return target, vm, ds
+
+
+def _member_targets(c: _Controls, t: Injectors, x: np.ndarray):
+    """The members' outputs for their groups' requests at x, and their
+    slopes: on the participation curve, at the lower limit when the
+    limits are degenerate, and split linearly in a FIXED_V group."""
+    qreq = x[t.qreq]
+    target = np.where(c.hard, t.kappa * qreq, c.m_lo)
+    slope = np.where(c.hard, t.kappa, 0.0)
+    if np.count_nonzero(c.curve):
+        k, lo, hi = t.kappa[c.curve], c.m_lo[c.curve], c.m_hi[c.curve]
+        target[c.curve], slope[c.curve] = participation_arrays(
+            k, lo, hi, default_patch_width(k, lo, hi), qreq[c.curve])
+    return target, slope
+
+
+# ---------------------------------------------------------------------------
+# The stamp pass
+# ---------------------------------------------------------------------------
 
 class _Pass:
     """One stamp pass at a state.
 
-    Stamps append F terms to `f` as (rows, values) and their J triplets
-    to `j` as (rows, cols, values), both in stamp order; the injection
-    table's J slots wait in `j` as a range of table rows, to be filled
-    from the values the pass keeps (`inj`) only when J is asked for
-    (`triplets`). Every KCL term goes to row 2 * pos + comp of its bus,
-    the slack bus included; `_slack_rows` then turns the slack rows into
-    voltage constraints and, with distributed slack, into the surplus row.
+    Each segment returns its F terms as (rows, values) and keeps what its
+    J slots are built from when J is asked for (`triplets`). Every KCL
+    term goes to row 2 * pos + comp of its bus, the slack bus included;
+    `_slack_rows` then turns the slack rows into voltage constraints and,
+    with distributed slack, into the surplus row.
     """
 
     def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode):
@@ -522,9 +718,9 @@ class _Pass:
         self.ctl = ctl
         self.index = idx = state.index
         self.x = state.x
-        self.f: list = []
-        self.j: list = []
-        self.inj = None  # what stamp_injections keeps for its J slots
+        self.c = _controls(ctl, idx)
+        # what the segments keep for the J slots
+        self.net = self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
         # (extra active power, its slope in the surplus) per slack member
         self.agc = None
@@ -536,71 +732,27 @@ class _Pass:
     def triplets(self):
         """J triplets (rows, cols, vals) in stamp order, slack bus rows not
         yet rewritten, and the slack source currents (I_SR, I_SI)."""
-        t = self.index.inj
-        V, keep = _injection_slots(self)
-        parts = []
-        for part in self.j:
-            if isinstance(part, range):
-                a, b = 11 * part.start, 11 * part.stop
-                k = keep[a:b]
-                part = (t.j_rows[a:b][k], t.j_cols[a:b][k], V[a:b][k])
-            parts.append(part)
-        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-        return rows, cols, vals, self.slack_currents
+        idx, c, dp = self.index, self.c, self.inj[-1]
+        if dp is None:
+            if c.stamped is None:
+                c.stamped = _stamped(idx, c.keep)
+            sel, rows, cols = c.stamped
+        else:
+            keep = c.keep.copy()
+            keep[idx.surplus] = dp != 0.0
+            sel, rows, cols = _stamped(idx, keep)
+        V = np.concatenate((_tap_slots(self), _injection_slots(self),
+                            _control_slots(self)))
+        return rows, cols, np.concatenate((self.net, V[sel])), self.slack_currents
 
 
-# ---------------------------------------------------------------------------
-# Scalar helpers for the devices that stamp one by one
-# ---------------------------------------------------------------------------
+def _stamped(idx: IndexMap, keep: np.ndarray):
+    """The kept slots in stamp order, and the rows and cols of the network
+    block's triplets and theirs."""
+    sel = idx.order[keep[idx.order]]
+    return (sel, np.concatenate((idx.net_rows, idx.j_rows[sel])),
+            np.concatenate((idx.net_cols, idx.j_cols[sel])))
 
-def _kcl_admittance(st: _Pass, at_pos: int, y: complex, v_pos: int):
-    """Current y * V(v_pos) entering the KCL sum at at_pos (linear)."""
-    g, b = y.real, y.imag
-    row, vr_c, vi_c = 2 * at_pos, 2 * v_pos, 2 * v_pos + 1
-    vr, vi = st.x[vr_c], st.x[vi_c]
-    st.f.append(((row, row + 1), (g * vr - b * vi, b * vr + g * vi)))
-    st.j.append(((row, row, row + 1, row + 1), (vr_c, vi_c, vr_c, vi_c),
-                 (g, -b, b, g)))
-
-
-def _vmag(st: _Pass, pos: int):
-    vr_c, vi_c = 2 * pos, 2 * pos + 1
-    vr, vi = st.x[vr_c], st.x[vi_c]
-    vm = math.hypot(vr, vi)
-    if vm <= EPS_V:
-        bus = st.case.buses[pos].id
-        raise SingularPointError(
-            f"voltage magnitude collapsed at bus {bus} (|V| = {vm:.3e})", bus=bus
-        )
-    return vr_c, vi_c, vr, vi, vm
-
-
-def _sigmoid_control_row(st: _Pass, row: int, value_col: int, pos: int,
-                         curve: SigmoidSaturation):
-    """Row: value - sigmoid(|V(pos)|) = 0, chain rule through |V|."""
-    vr_c, vi_c, vr, vi, vm = _vmag(st, pos)
-    st.f.append(((row,), (st.x[value_col] - sigmoid_eval(curve, vm),)))
-    ds = sigmoid_deriv(curve, vm)
-    st.j.append(((row, row, row), (value_col, vr_c, vi_c),
-                 (1.0, -ds * vr / vm, -ds * vi / vm)))
-
-
-def _fixed_v_row(st: _Pass, row: int, pos: int, v_set: float):
-    """Hard voltage-magnitude row: V_R^2 + V_I^2 - V_set^2 = 0."""
-    vr_c, vi_c = 2 * pos, 2 * pos + 1
-    vr, vi = st.x[vr_c], st.x[vi_c]
-    st.f.append(((row,), (vr * vr + vi * vi - v_set * v_set,)))
-    st.j.append(((row, row), (vr_c, vi_c), (2.0 * vr, 2.0 * vi)))
-
-
-def _fixed_q_row(st: _Pass, row: int, value_col: int, q_fixed: float):
-    st.f.append(((row,), (st.x[value_col] - q_fixed,)))
-    st.j.append(((row,), (value_col,), (1.0,)))
-
-
-# ---------------------------------------------------------------------------
-# Array helpers for the devices that stamp as arrays
-# ---------------------------------------------------------------------------
 
 def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
     """Raise SingularPointError at the first device whose bus voltage
@@ -612,13 +764,6 @@ def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
         raise SingularPointError(
             f"voltage magnitude collapsed at bus {bus} (|V|^2 = {dd[k]:.3e})",
             bus=bus)
-
-
-def _relaxed_limits(ctl: ControlMode, keys: list, q_min, q_max):
-    """ControlMode.relaxed_q_limits of each device, as two arrays."""
-    return np.array([ctl.relaxed_q_limits(k, a, b) for k, a, b
-                     in zip(keys, q_min.tolist(), q_max.tolist())],
-                    dtype=float).reshape(-1, 2).T
 
 
 def _slack_participation(ctl: ControlMode, members: list, kappa, lo, hi, dps):
@@ -660,238 +805,150 @@ def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
     return float(dp[0]), float(ddp[0])
 
 
-# ---------------------------------------------------------------------------
-# Device stamps
-# ---------------------------------------------------------------------------
+# Complex products and quotients on (real, imag) arrays, as CPython
+# computes them on complex numbers, bit for bit; a real operand r takes
+# part as complex(r, 0.0), and a divisor must be real and nonzero.
 
-def _stamp_tapped_branch(st: _Pass, branch, tau: float,
-                         tau_col: int | None = None):
-    """Pi-model branch at ratio tau, outside the network block: a
-    controlled tap (tau is the unknown at tau_col) or a snapped one."""
-    f = st.index.bus_pos[branch.from_bus]
-    t = st.index.bus_pos[branch.to_bus]
-    y = complex(branch.g, branch.b) * (1.0 + st.ctl.tx_relax * TX_SCALE)
-    c = complex(0.0, branch.b_sh / 2.0)
-    yft = -y / tau
-    _kcl_admittance(st, f, (y + c) / (tau * tau), f)
-    _kcl_admittance(st, f, yft, t)
-    _kcl_admittance(st, t, yft, f)
-    _kcl_admittance(st, t, y + c, t)
-    if tau_col is None:
-        return
-    vf = complex(st.x[2 * f], st.x[2 * f + 1])
-    vt = complex(st.x[2 * t], st.x[2 * t + 1])
-    dif = -2.0 * (y + c) / tau**3 * vf + y / (tau * tau) * vt
-    dit = y / (tau * tau) * vf
-    st.j.append(((2 * f, 2 * f + 1, 2 * t, 2 * t + 1), (tau_col,) * 4,
-                 (dif.real, dif.imag, dit.real, dit.imag)))
+def _cmul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def stamp_transformer(st: _Pass, br_idx: int, branch):
-    """Branch with a controllable ratio: tapped currents plus the ratio
-    control row tr = sigmoid(|V_ctl|)."""
-    idx = st.index
-    tau_col = idx.tap_col[br_idx]
-    _stamp_tapped_branch(st, branch, st.x[tau_col], tau_col)
-    tap = branch.tap
-    ctl_pos = idx.bus_pos[branch.from_bus if tap.controlled_side == "primary"
-                          else branch.to_bus]
-    key = ("tap", br_idx)
-    if st.ctl.device_modes.get(key) == FIXED_V:
-        # limit-free regulation: hold the controlled voltage outright
-        _fixed_v_row(st, tau_col, ctl_pos, tap.v_set)
-        return
-    orientation = DECREASING if tap.controlled_side == "primary" else INCREASING
-    lo, hi = st.ctl.relaxed_q_limits(key, tap.tr_min, tap.tr_max)
-    curve = SigmoidSaturation(
-        lo, hi, tap.v_set, st.ctl.effective_steepness(), orientation
-    )
-    _sigmoid_control_row(st, tau_col, tau_col, ctl_pos, curve)
+def _cdiv(ar, ai, d):
+    r = 0.0 / d
+    return (ar + ai * r) / d, (ai - ar * r) / d
 
 
-def _modes(ctl: ControlMode, keys: list):
-    """(FIXED_V mask, FIXED_Q mask, FIXED_Q values) of the devices."""
-    modes = [ctl.device_modes.get(k, SIGMOID) for k in keys]
-    fixed_q = [m == FIXED_Q for m in modes]
-    return (np.array([m == FIXED_V for m in modes], dtype=bool),
-            np.array(fixed_q, dtype=bool),
-            np.array([ctl.fixed_q[k] if on else 0.0
-                      for k, on in zip(keys, fixed_q)], dtype=float))
+def _stamp_taps(st: _Pass) -> list:
+    """The taps' currents into the KCL sums, tap by tap: each block's
+    admittance G + jB times its voltage."""
+    tp, x = st.index.taps, st.x
+    if not tp.branches:
+        return []
+    tau = np.concatenate((x[tp.cols], st.c.tap_ratio))
+    if not tau.all():
+        bi = tp.branches[int(np.argmin(tau != 0.0))]
+        raise SingularPointError(f"tap ratio of branch {bi} is 0")
+    y = _cmul(tp.g, tp.b, 1.0 + st.ctl.tx_relax * TX_SCALE, 0.0)
+    yc = y[0] + 0.0, y[1] + tp.c  # y + jc
+    ff, ft = _cdiv(*yc, tau * tau), _cdiv(-y[0], -y[1], tau)
+    G = np.array((ff[0], ft[0], ft[0], yc[0]))
+    B = np.array((ff[1], ft[1], ft[1], yc[1]))
+    vr, vi = x[tp.v], x[tp.v + 1]
+    st.taps = (tau, y, yc, G, B)
+    at = tp.at.T.ravel()
+    return [(np.concatenate((at, at + 1)),
+             np.concatenate(((G * vr - B * vi).T.ravel(),
+                             (B * vr + G * vi).T.ravel())))]
 
 
-@dataclass
-class _Controls:
-    """What a ControlMode makes of the rows of an Injectors table."""
-
-    held: np.ndarray  # local rows' value off the curve: fixed_q or lo
-    fixed_v: np.ndarray  # local positions that hold |V| at v_set
-    sig: np.ndarray  # local positions on their sigmoid, their table rows
-    on: np.ndarray  # and their relaxed limits and v_set
-    lo: np.ndarray
-    hi: np.ndarray
-    v_set: np.ndarray
-    m_lo: np.ndarray  # members: relaxed limits
-    m_hi: np.ndarray
-    hard: np.ndarray  # members of FIXED_V groups
-    follow: np.ndarray  # members whose row reads the request
-    curve: np.ndarray  # members on their participation curve
-    keep: np.ndarray  # J slots kept, row by row (surplus slots off)
-
-
-def _controls(ctl: ControlMode, t: Injectors) -> _Controls:
-    """The _Controls of ctl: the table's default when ctl sets none of
-    the fields below, else the last one derived when they are unchanged
-    (an NR solve stamps many states under one ControlMode)."""
-    key = (ctl.device_modes, ctl.fixed_q, ctl.q_scale, ctl.q_widen,
-           ctl.group_modes)
-    if t.default is not None and not any(key):
-        return t.default
-    if t.last is not None and t.last[0] == key:
-        return t.last[1]
-    fixed_v, fixed_q, q_fixed = _modes(ctl, t.local_keys)
-    lo, hi = _relaxed_limits(ctl, t.local_keys, t.local_min, t.local_max)
-    sig = ~(fixed_v | fixed_q | (hi - lo < DEGENERATE_RANGE))
-    hard = np.zeros(len(t.members), dtype=bool)
-    for gi, (*_, a, b) in enumerate(t.groups):
-        hard[a:b] = ctl.group_modes.get(gi, SIGMOID) == FIXED_V
-    m_lo, m_hi = _relaxed_limits(ctl, t.member_keys, t.member_min, t.member_max)
-    follow = hard | ~(m_hi - m_lo < DEGENERATE_RANGE)
-    keep = t.j_keep.copy()
-    keep[8, t.local] = ~fixed_v
-    keep[9, t.local] = keep[10, t.local] = fixed_v | sig
-    keep[9, t.members] = follow
-    c = _Controls(np.where(fixed_q, q_fixed, lo), np.flatnonzero(fixed_v),
-                  sig, t.local[sig], lo[sig], hi[sig], t.local_v_set[sig],
-                  m_lo, m_hi, hard, follow, follow & ~hard, keep.T.ravel())
-    # copies, so that a ControlMode changed in place is not mistaken
-    t.last = (tuple(dict(d) for d in key), c)
-    return c
+def _tap_slots(st: _Pass) -> np.ndarray:
+    """The taps' J slot values: the blocks' [[G, -B], [B, G]], and a
+    controlled tap's ratio column, d/dtau of its currents at f and t."""
+    tp, x = st.index.taps, st.x
+    if not tp.branches:
+        return np.empty(0)
+    tau, y, yc, G, B = st.taps
+    V = np.zeros((20, len(tau)))
+    V[0:16:4] = V[3:16:4] = G
+    V[1:16:4], V[2:16:4] = -B, B
+    k = len(tp.cols)
+    if k:
+        # -2 (y + jc) / tau^3 * V_f + y / tau^2 * V_t, and y / tau^2 * V_f;
+        # tau^3 is libm's pow, as Python's, which np.power need not be
+        t = tau[:k]
+        cube = np.array([math.pow(v, 3.0) for v in t.tolist()])
+        a = _cdiv(*_cmul(-2.0, 0.0, yc[0][:k], yc[1][:k]), cube)
+        b = _cdiv(y[0][:k], y[1][:k], t * t)
+        f, to = tp.at[0][:k], tp.at[2][:k]
+        vf, vt = (x[f], x[f + 1]), (x[to], x[to + 1])
+        dif = [u + w for u, w in zip(_cmul(*a, *vf), _cmul(*b, *vt))]
+        V[16:20, :k] = (*dif, *_cmul(*b, *vf))
+    return V.T.ravel()
 
 
-def stamp_injections(st: _Pass):
-    """Every injecting device at once (IndexMap.inj): its current into
-    the KCL sums, and the control row of each local generator and
-    switched shunt and the participation row of each remote-group member.
-    Each group's request row follows its last member, and each snapped
-    shunt, an admittance, stamps between its switched neighbours.
+def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
+    """Every injecting device's current into the KCL sums, and the
+    snapped shunts'.
 
     An injection p + jq enters KCL as -(I_R, I_I), with
     I_R = (p vr + q vi)/|V|^2 and I_I = (p vi - q vr)/|V|^2. A load
     injects its -p - jq; a generator its active power (plus its slack
     participation) and its reactive unknown q; a continuous switched
     shunt no active power and q, with susceptance limits, which are its
-    reactive limits at nominal voltage. A local row holds |V| at v_set
-    (FIXED_V), q at ctl.fixed_q (FIXED_Q), q at its lower limit when the
-    relaxed limits are degenerate, and q = sigmoid(|V|) between them
-    otherwise. A member's row splits the group request through its
-    participation curve, or linearly in a FIXED_V group.
+    reactive limits at nominal voltage. A snapped shunt is the admittance
+    jb at its bus.
     """
-    t, x, ctl = st.index.inj, st.x, st.ctl
-    n = len(t.pos)
-    c = _controls(ctl, t)
-    vr, vi = x[t.vr_c], x[t.vi_c]
-    dd = vr * vr + vi * vi
-    # a local row reads |V| at its own bus, whose |V|^2 this checks
-    _check_collapse(st, t.pos, dd)
+    t, x = st.index.inj, st.x
+    vr, vi, dd = x[t.vr_c], x[t.vi_c], dd_bus[t.pos]
     q = t.q.copy()
     q[t.n_loads:] = x[t.q_cols]
     p, dp = t.p, None
     if st.agc is not None and len(t.agc_at):
         extra, slope = st.agc
-        p, dp = t.p.copy(), np.zeros(n)
+        p, dp = t.p.copy(), np.zeros(len(t.pos))
         p[t.agc_at] = t.p[t.agc_at] + extra[t.agc_pos]
         dp[t.agc_at] = slope[t.agc_pos]
-
     ir = (p * vr + q * vi) / dd
     ii = (p * vi - q * vr) / dd
-    kcl = -np.concatenate((ir, ii))
-    L = t.local
-    target = c.held.copy()
-    vm = ds = m_slope = None
-    if len(c.on):
-        vm = np.array(list(map(math.hypot, vr[c.on].tolist(),
-                               vi[c.on].tolist())))
-        target[c.sig], ds = sigmoid_arrays(
-            c.lo, c.hi, c.v_set, ctl.effective_steepness(), vm)
-    f_ctl = q[L] - target
-    fv = L[c.fixed_v]
-    if len(fv):
-        v_set = t.local_v_set[c.fixed_v]
-        f_ctl[c.fixed_v] = dd[fv] - v_set * v_set
-
-    M = t.members
-    if len(M):
-        qreq = x[t.qreq]
-        # FIXED_V groups split the request linearly, with no flats
-        m_target = np.where(c.hard, t.kappa * qreq, c.m_lo)
-        m_slope = np.where(c.hard, t.kappa, 0.0)
-        if np.count_nonzero(c.curve):
-            k, lo, hi = t.kappa[c.curve], c.m_lo[c.curve], c.m_hi[c.curve]
-            m_target[c.curve], m_slope[c.curve] = participation_arrays(
-                k, lo, hi, default_patch_width(k, lo, hi), qreq[c.curve])
-        f_ctl = np.concatenate((f_ctl, q[M] - m_target))
-    st.f.append((t.ctl_rows, f_ctl))
-    # what the J slots are built from, if J is asked for (_injection_slots)
-    st.inj = (c, vr, vi, dd, p, q, ir, ii, dp, vm, ds, fv, m_slope)
-
-    def emit(a, b):
-        """The currents of table rows a to b, and their J slots' place."""
-        if a == b:
-            return
-        st.f.append((np.concatenate((t.vr_c[a:b], t.vi_c[a:b])),
-                     np.concatenate((kcl[a:b], kcl[n + a:n + b]))))
-        st.j.append(range(a, b))
-
-    start = 0
-    for row, gi, j in t.breaks:
-        emit(start, row)
-        start = row
-        if j is not None:
-            pos = st.index.bus_pos[st.case.shunts[j].bus]
-            _kcl_admittance(st, pos, complex(0.0, ctl.fixed_shunt_b[j]), pos)
-            continue
-        qreq_col, pos, v_set, a, b = t.groups[gi]
-        s_lo = s_hi = 0.0
-        for lo, hi in zip(c.m_lo[a:b].tolist(), c.m_hi[a:b].tolist()):
-            s_lo += lo
-            s_hi += hi
-        if c.hard[a]:
-            _fixed_v_row(st, qreq_col, pos, v_set)
-        elif s_hi - s_lo < DEGENERATE_RANGE:
-            _fixed_q_row(st, qreq_col, qreq_col, s_lo)
-        else:
-            curve = SigmoidSaturation(s_lo, s_hi, v_set,
-                                      ctl.effective_steepness())
-            _sigmoid_control_row(st, qreq_col, qreq_col, pos, curve)
-    emit(start, n)
+    if len(t.snapped):
+        b, sv = st.c.shunt_b, t.vr_c[t.snapped]
+        ir[t.snapped], ii[t.snapped] = b * x[sv + 1], -b * x[sv]
+    st.inj = (vr, vi, dd, p, q, ir, ii, dp)
+    return [(t.kcl_rows, -np.concatenate((ir, ii)))]
 
 
-def _injection_slots(st: _Pass):
-    """The values of every J slot of the injection table, row by row, and
-    which slots are kept, from what `stamp_injections` kept of the pass."""
-    t = st.index.inj
-    c, vr, vi, dd, p, q, ir, ii, dp, vm, ds, fv, m_slope = st.inj
-    # slot-major values; the same expressions as the scalar partials
-    V = np.empty(t.j_keep.shape)
+def _injection_slots(st: _Pass) -> np.ndarray:
+    """The injection rows' J slot values, row by row."""
+    vr, vi, dd, p, q, ir, ii, dp = st.inj
+    V = np.empty((8, len(vr)))
     v2 = np.array((vr, vi))
     V[:4] = -(np.array((p, q, -q, p)) / dd
               - 2.0 * v2[[0, 1, 0, 1]] * np.array((ir, ir, ii, ii)) / dd)
     vd = v2 / dd
     V[4] = -vd[1]
     V[5] = vd[0]
-    V[8] = 1.0
-    keep = c.keep
     if dp is not None:
         V[6:8] = -vd * dp
-        keep = keep.copy()
-        keep[6::11] = keep[7::11] = dp != 0.0
+    t, b = st.index.inj, st.c.shunt_b
+    if len(t.snapped):
+        V[:4, t.snapped] = (np.zeros_like(b), -b, b, np.zeros_like(b))
+    return V.T.ravel()
+
+
+def _stamp_control_rows(st: _Pass, dd_bus: np.ndarray) -> list:
+    """Every control row (IndexMap.rows), and the participation rows.
+
+    A control row holds |V| at v_set (FIXED_V): |V|^2 - v_set^2 = 0; its
+    value at ctl.fixed_q (FIXED_Q) or at its lower limit when the relaxed
+    limits are degenerate; or value = sigmoid(|V|) between them. A
+    member's row splits the group request through its participation
+    curve, or linearly in a FIXED_V group.
+    """
+    c, x, r, t = st.c, st.x, st.index.rows, st.index.inj
+    target, *st.curves = _targets(c, x, st.ctl.effective_steepness())
+    f = x[r.cols] - target
+    if np.count_nonzero(c.fixed_v):
+        _, pos, v_set = c.held_v
+        f[c.fixed_v] = dd_bus[pos] - v_set * v_set
+    if not len(t.members):
+        return [(r.cols, f)]
+    target, st.m_slope = _member_targets(c, t, x)
+    return [(r.cols, f), (t.m_cols, x[t.m_cols] - target)]
+
+
+def _control_slots(st: _Pass) -> np.ndarray:
+    """The control rows' J slot values, then the participation rows'."""
+    c, x = st.c, st.x
+    V = np.ones((3, len(c.held)))
+    vm, ds = st.curves
     if vm is not None:
-        V[9:, c.on] = -ds * v2[:, c.on] / vm
-    if len(fv):
-        V[9:, fv] = 2.0 * v2[:, fv]
-    if m_slope is not None:
-        V[9, t.members] = -m_slope
-    return V.T.ravel(), keep
+        V[1:, c.sig] = -ds * x[c.curves[0]] / vm
+    if np.count_nonzero(c.fixed_v):
+        V[1:, c.fixed_v] = 2.0 * x[c.held_v[0]]
+    if st.m_slope is None:
+        return V.T.ravel()
+    return np.concatenate((V.T.ravel(), np.array(
+        (np.ones_like(st.m_slope), -st.m_slope)).T.ravel()))
 
 
 def _slack_rows(st: _Pass, F: np.ndarray):
@@ -1039,25 +1096,27 @@ def _jacobian(idx: IndexMap, x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return J
 
 
+
 # ---------------------------------------------------------------------------
 # Full-system evaluation
 # ---------------------------------------------------------------------------
 
 def _stamp_pass(case: NetworkCase, state: StateVector,
                 ctl: ControlMode) -> _Pass:
-    """One stamp pass at the state: F in `F` (slack rows rewritten, see
-    `_slack_rows`), and what `_Pass.triplets` builds J's triplets from."""
+    """One stamp pass at the state, segment by segment: F in `F` (slack
+    rows rewritten, see `_slack_rows`), and what `_Pass.triplets` builds
+    J's triplets from."""
     st = _Pass(case, state, ctl)
-    idx = st.index
-    net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
-    st.f.append((idx.net_rows, net * st.x[idx.net_cols]))
-    st.j.append((idx.net_rows, idx.net_cols, net))
-    for bi in idx.tap_col:
-        stamp_transformer(st, bi, case.branches[bi])
-    for bi in idx.snapped_taps:
-        _stamp_tapped_branch(st, case.branches[bi], ctl.fixed_tap_ratio[bi])
-    stamp_injections(st)
-    rows, vals = (np.concatenate(a) for a in zip(*st.f))
+    idx, x = st.index, st.x
+    vr, vi = x[0:2 * idx.n_bus:2], x[1:2 * idx.n_bus:2]
+    dd = vr * vr + vi * vi
+    _check_collapse(st, st.c.sensed, dd[st.c.sensed])
+    st.net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
+    parts = [(idx.net_rows, st.net * x[idx.net_cols])]
+    parts += _stamp_taps(st)
+    parts += _stamp_injections(st, dd)
+    parts += _stamp_control_rows(st, dd)
+    rows, vals = (np.concatenate(a) for a in zip(*parts))
     st.F = np.bincount(rows, vals, minlength=idx.dim)
     st.slack_currents = _slack_rows(st, st.F)
     return st
@@ -1113,17 +1172,9 @@ def classify_regions(case: NetworkCase, state: StateVector, ctl: ControlMode) ->
     where its output sits within its (unrelaxed) limits."""
     idx = state.index
     out = {}
-    for key, col in idx.q_col.items():
-        kind, i = key
-        if kind == "gen":
-            g = case.generators[i]
-            out[key] = _classify(state.x[col], g.q_min, g.q_max)
-        else:
-            sh = case.shunts[i]
-            out[key] = _classify(state.x[col], sh.b_min, sh.b_max)
-    for bi, col in idx.tap_col.items():
-        tap = case.branches[bi].tap
-        out[("tap", bi)] = _classify(state.x[col], tap.tr_min, tap.tr_max)
+    taps = ((("tap", bi), col) for bi, col in idx.tap_col.items())
+    for key, col in (*idx.q_col.items(), *taps):
+        out[key] = _classify(state.x[col], *device_limits(case, key))
     if idx.dps_col is not None:
         dps = state.x[idx.dps_col]
         for i in idx.agc_member_idx:

@@ -41,6 +41,7 @@ import numpy as np
 
 from .case_model import NetworkCase
 from .circuit_stamps import (
+    FIXED_Q,
     FIXED_V,
     TX_SCALE,
     ControlMode,
@@ -48,6 +49,7 @@ from .circuit_stamps import (
     base_control,
     build_index,
     classify_regions,
+    device_limits,
     flat_start,
     residual,
 )
@@ -200,38 +202,21 @@ def _tx_path(base: ControlMode):
 
 
 def _unbounded_control(case: NetworkCase, base: ControlMode) -> ControlMode:
-    """All reactive controls in hard voltage-set mode with no limits."""
-    modes = dict(base.device_modes)
-    fixed_q = dict(base.fixed_q)
-    fixed_v_buses = set()
-    index = build_index(case, base)
-    for key in index.q_col:
-        kind, i = key
-        if kind == "gen" and i in index.member_group:
-            continue  # handled through the group
-        bus = case.generators[i].bus if kind == "gen" else case.shunts[i].bus
-        if bus in fixed_v_buses:
-            # a second controller on one bus would duplicate the voltage
-            # row; pin it mid-range instead
-            modes[key] = "fixed-q"
-            dev = case.generators[i] if kind == "gen" else case.shunts[i]
-            lo = dev.q_min if kind == "gen" else dev.b_min
-            hi = dev.q_max if kind == "gen" else dev.b_max
-            fixed_q[key] = 0.5 * (lo + hi)
-            continue
-        fixed_v_buses.add(bus)
-        modes[key] = FIXED_V
-    for bi in index.tap_col:
-        tap = case.branches[bi].tap
-        ctl_bus = (case.branches[bi].from_bus
-                   if tap.controlled_side == "primary"
-                   else case.branches[bi].to_bus)
-        if ctl_bus not in fixed_v_buses:
-            fixed_v_buses.add(ctl_bus)
-            modes[("tap", bi)] = FIXED_V
+    """All voltage controls in hard voltage-set mode with no limits. The
+    first control row regulating a bus holds its voltage; a second local
+    device there would duplicate that row, so it is pinned mid-range,
+    and a second tap keeps its mode. Every group holds its bus."""
+    modes, fixed_q = dict(base.device_modes), dict(base.fixed_q)
+    rows, held = build_index(case, base).rows, set()
+    for key, pos in zip(rows.keys, rows.pos.tolist()):
+        if pos not in held:
+            held.add(pos)
+            modes[key] = FIXED_V
+        elif key[0] != "tap":
+            lo, hi = device_limits(case, key)
+            modes[key], fixed_q[key] = FIXED_Q, 0.5 * (lo + hi)
     group_modes = dict(base.group_modes)
-    for gi in range(len(case.remote_groups)):
-        group_modes[gi] = FIXED_V
+    group_modes.update(dict.fromkeys(range(len(case.remote_groups)), FIXED_V))
     return replace(base, device_modes=modes, group_modes=group_modes,
                    fixed_q=fixed_q)
 
@@ -275,15 +260,9 @@ def init_q_limit_relaxation(
             else:
                 q_widen[key] = (lo - value, 0.0)
 
-    for key, col in index.q_col.items():
-        kind, i = key
-        dev = case.generators[i] if kind == "gen" else case.shunts[i]
-        lo = dev.q_min if kind == "gen" else dev.b_min
-        hi = dev.q_max if kind == "gen" else dev.b_max
-        size_relax(key, float(state.x[col]), lo, hi)
-    for bi, col in index.tap_col.items():
-        tap = case.branches[bi].tap
-        size_relax(("tap", bi), float(state.x[col]), tap.tr_min, tap.tr_max)
+    taps = ((("tap", bi), col) for bi, col in index.tap_col.items())
+    for key, col in (*index.q_col.items(), *taps):
+        size_relax(key, float(state.x[col]), *device_limits(case, key))
     relaxed = replace(base, q_scale=q_scale, q_widen=q_widen)
     return relaxed, state
 

@@ -1,19 +1,17 @@
-"""C1 building blocks for continuous device-control models.
+"""C1 building blocks for continuous device-control models, as arrays.
 
-Two primitives: a logistic saturation curve joining a controlled regime to
-hard output limits, and a five-region participation curve (flat, quadratic
-patch, linear, quadratic patch, flat) that coordinates several devices
-through one shared variable while respecting per-device limits.
-
-Each has a scalar form on a curve object and an array form over many
-devices at once (`sigmoid_arrays`, `participation_arrays`); the array
-forms give the scalar forms' results bit for bit.
+Two primitives, each evaluated over many devices at once: a logistic
+saturation curve joining a controlled regime to hard output limits
+(`sigmoid_arrays`), and a five-region participation curve (flat,
+quadratic patch, linear, quadratic patch, flat) that coordinates several
+devices through one shared variable while respecting per-device limits
+(`participation_arrays`). Curves are not validated here; the callers
+build them from validated limits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,34 +19,6 @@ import numpy as np
 # exponentiate a non-positive argument, so this clamp merely pins the
 # saturated tails to exact limits.
 EXP_ARG_LIMIT = 745.0
-
-DECREASING = "decreasing"
-INCREASING = "increasing"
-
-
-@dataclass(frozen=True)
-class SigmoidSaturation:
-    """Logistic curve between y_min and y_max, centered at x_set.
-
-    Decreasing orientation: output tends to y_max as x -> -inf and to
-    y_min as x -> +inf. Increasing orientation swaps the tails.
-    The smoothing factor sets the steepness; large values approximate a
-    hard switch at x_set.
-    """
-
-    y_min: float
-    y_max: float
-    x_set: float
-    smoothing: float
-    orientation: str = DECREASING
-
-    def __post_init__(self):
-        if self.y_min > self.y_max:
-            raise ValueError(f"y_min {self.y_min} > y_max {self.y_max}")
-        if self.smoothing <= 0.0:
-            raise ValueError(f"smoothing must be > 0, got {self.smoothing}")
-        if self.orientation not in (DECREASING, INCREASING):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
 
 def _logistic(u: float) -> float:
@@ -63,142 +33,40 @@ def _logistic(u: float) -> float:
     return 1.0 / (1.0 + math.exp(u))
 
 
-def sigmoid_eval(s: SigmoidSaturation, x: float) -> float:
-    """Curve value at x; within [y_min, y_max], except that the
-    saturated tail (y_max - y_min) * 1 + y_min can round above y_max by
-    one rounding of the limits' size."""
-    u = s.smoothing * (x - s.x_set)
-    if s.orientation == INCREASING:
-        u = -u
-    return (s.y_max - s.y_min) * _logistic(u) + s.y_min
+def sigmoid_arrays(y_min, y_max, x_set, smoothing: float, x, sign=1.0):
+    """Values and slopes of logistic curves at x, elementwise.
 
-
-def sigmoid_deriv(s: SigmoidSaturation, x: float) -> float:
-    """Exact d(value)/dx; 0.0 exactly on the saturated tails."""
-    u = s.smoothing * (x - s.x_set)
-    if s.orientation == INCREASING:
-        u = -u
-    w = _logistic(u)
-    slope = -s.smoothing * (s.y_max - s.y_min) * w * (1.0 - w)
-    if s.orientation == INCREASING:
-        slope = -slope
-    return slope
-
-
-def sigmoid_arrays(y_min, y_max, x_set, smoothing: float, x):
-    """Values and slopes of decreasing sigmoids at x, elementwise.
-
-    Each element equals sigmoid_eval/sigmoid_deriv of the scalar curve
-    bit for bit; the exponential runs through math.exp, since np.exp can
-    differ from it in the last bit. Limits are not validated.
+    A curve runs between y_min and y_max, centred at x_set: with sign 1
+    it decreases, tending to y_max as x -> -inf and to y_min as
+    x -> +inf; with sign -1 it increases. The smoothing sets the
+    steepness; large values approximate a hard switch at x_set. Values
+    lie within [y_min, y_max], except that the saturated tail
+    (y_max - y_min) * 1 + y_min can round above y_max by one rounding of
+    the limits' size; slopes are 0.0 exactly on the saturated tails. The
+    exponential runs through math.exp (`_logistic`), since np.exp can
+    differ from it in the last bit.
     """
-    u = smoothing * (x - x_set)
+    u = smoothing * (x - x_set) * sign
     w = np.fromiter(map(_logistic, u.tolist()), float, len(u))
     span = y_max - y_min
-    return span * w + y_min, -smoothing * span * w * (1.0 - w)
+    return span * w + y_min, -smoothing * span * w * (1.0 - w) * sign
 
 
-@dataclass(frozen=True)
-class ParticipationCurve:
-    """Piecewise C1 curve: y_min / quadratic / slope*x / quadratic / y_max.
-
-    The quadratic patches of half-width delta (in x units) around the
-    limit crossings x = y_min/slope and x = y_max/slope make value and
-    first derivative continuous everywhere. Patch polynomial coefficients
-    (a, b, c for a*x^2 + b*x + c) are derived, not free.
-    """
-
-    slope: float
-    y_min: float
-    y_max: float
-    delta: float
-    # breakpoints, ascending: flat | patch | linear | patch | flat
-    x_lo_out: float = field(init=False)
-    x_lo_in: float = field(init=False)
-    x_hi_in: float = field(init=False)
-    x_hi_out: float = field(init=False)
-    a_min: float = field(init=False)
-    b_min: float = field(init=False)
-    c_min: float = field(init=False)
-    a_max: float = field(init=False)
-    b_max: float = field(init=False)
-    c_max: float = field(init=False)
-
-    def __post_init__(self):
-        k, lo, hi, d = self.slope, self.y_min, self.y_max, self.delta
-        if k <= 0.0:
-            raise ValueError(f"slope must be > 0, got {k}")
-        if lo >= hi:
-            raise ValueError(f"y_min {lo} must be < y_max {hi}")
-        if d <= 0.0:
-            raise ValueError(f"delta must be > 0, got {d}")
-        if 2.0 * d * k >= hi - lo:
-            raise ValueError(
-                f"patches overlap: 2*delta*slope = {2.0 * d * k} "
-                f">= y_max - y_min = {hi - lo}"
-            )
-        object.__setattr__(self, "x_lo_out", lo / k - d)
-        object.__setattr__(self, "x_lo_in", lo / k + d)
-        object.__setattr__(self, "x_hi_in", hi / k - d)
-        object.__setattr__(self, "x_hi_out", hi / k + d)
-        # Each patch is the unique quadratic matching the flat segment
-        # (value, zero slope) at its outer edge and the linear segment
-        # (value, slope k) at its inner edge:
-        #   low side:  q(x) = y_min + k*(x - x_lo_out)^2 / (4*delta)
-        #   high side: q(x) = y_max - k*(x_hi_out - x)^2 / (4*delta)
-        q = k / (4.0 * d)
-        object.__setattr__(self, "a_min", q)
-        object.__setattr__(self, "b_min", -2.0 * q * self.x_lo_out)
-        object.__setattr__(self, "c_min", lo + q * self.x_lo_out**2)
-        object.__setattr__(self, "a_max", -q)
-        object.__setattr__(self, "b_max", 2.0 * q * self.x_hi_out)
-        object.__setattr__(self, "c_max", hi - q * self.x_hi_out**2)
-
-
-def participation_build(
-    slope: float, y_min: float, y_max: float, delta: float | None = None
-) -> ParticipationCurve:
-    """Construct a participation curve; delta defaults to 2% of the linear span."""
-    if delta is None:
-        delta = default_patch_width(slope, y_min, y_max)
-    return ParticipationCurve(slope, y_min, y_max, delta)
-
-
-def default_patch_width(slope: float, y_min: float, y_max: float) -> float:
+def default_patch_width(slope, y_min, y_max):
     """2% of the linear-region input span (y_max - y_min) / slope."""
     return 0.02 * (y_max - y_min) / slope
-
-
-def participation_eval(p: ParticipationCurve, x: float) -> float:
-    if x <= p.x_lo_out:
-        return p.y_min
-    if x < p.x_lo_in:
-        t = x - p.x_lo_out
-        return p.y_min + p.slope * t * t / (4.0 * p.delta)
-    if x <= p.x_hi_in:
-        return p.slope * x
-    if x < p.x_hi_out:
-        t = p.x_hi_out - x
-        return p.y_max - p.slope * t * t / (4.0 * p.delta)
-    return p.y_max
-
-
-def participation_deriv(p: ParticipationCurve, x: float) -> float:
-    if x <= p.x_lo_out or x >= p.x_hi_out:
-        return 0.0
-    if x < p.x_lo_in:
-        return p.slope * (x - p.x_lo_out) / (2.0 * p.delta)
-    if x <= p.x_hi_in:
-        return p.slope
-    return p.slope * (p.x_hi_out - x) / (2.0 * p.delta)
 
 
 def participation_arrays(slope, y_min, y_max, delta, x):
     """Values and slopes of participation curves at x, elementwise.
 
-    Each element equals participation_eval/participation_deriv of
-    participation_build(slope, y_min, y_max, delta) bit for bit. The
-    curves are not validated.
+    A curve is y_min, a quadratic patch, slope * x, a quadratic patch and
+    y_max in turn. The patches, of half-width delta (in x units) around
+    the limit crossings x = y_min/slope and x = y_max/slope, are the
+    quadratics that match the flat segment (value, zero slope) at their
+    outer edge and the linear one (value, slope) at their inner edge, so
+    value and slope are continuous everywhere. A curve needs slope > 0,
+    y_min < y_max, delta > 0 and 2 * delta * slope < y_max - y_min.
     """
     x_lo_out, x_lo_in = y_min / slope - delta, y_min / slope + delta
     x_hi_in, x_hi_out = y_max / slope - delta, y_max / slope + delta

@@ -1,9 +1,11 @@
 """Shared fixtures: bundled case files and constructed test networks."""
 
+import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from splitflow import (
     Branch,
@@ -15,11 +17,16 @@ from splitflow import (
     SwitchedShunt,
     parse_matpower,
     parse_native,
+    serialize_native,
 )
 from splitflow.case_model import TapControl
 from splitflow.circuit_stamps import StateVector, assemble, residual
 
 CASE_DIR = pathlib.Path(__file__).parent / "cases"
+
+# the property tests' long run, selected with --hypothesis-profile=ci:
+# more examples, drawn the same way on every run
+settings.register_profile("ci", max_examples=1000, derandomize=True)
 
 MATPOWER_CASES = ["case9", "case14", "case30", "case118"]
 NATIVE_CASES = ["savnw_like", "oscillation4", "discrete4"]
@@ -92,6 +99,14 @@ def remote_pair_case():
         loads=(Load(4, 0.8, 0.25),),
         name="remote_pair",
     )
+
+
+def zero_factor_remote_pair_text():
+    """remote_pair_case as native JSON, with generator 1's remote factor
+    0: its normalized share is 0 while generator 0's is 1."""
+    doc = json.loads(serialize_native(remote_pair_case()))
+    doc["generators"][1]["remote_factor"] = 0.0
+    return json.dumps(doc)
 
 
 def tapped_case(controlled_side="secondary", step_size=0.0125):

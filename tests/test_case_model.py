@@ -15,7 +15,12 @@ from splitflow import (
     serialize_native,
     validate,
 )
-from tests.conftest import CASE_DIR, load_matpower, load_native
+from tests.conftest import (
+    CASE_DIR,
+    load_matpower,
+    load_native,
+    zero_factor_remote_pair_text,
+)
 
 TWO_BUS_M = """
 function mpc = two
@@ -254,6 +259,13 @@ class TestValidate:
             loads=(),
         )
         assert any("must be pq" in d for d in validate(case))
+
+    def test_zero_participation_factor_rejected(self):
+        # generator 1's share of a group whose other member has a positive
+        # factor normalizes to 0, which no participation curve can take
+        with pytest.raises(CaseValidationError,
+                           match="remote group 0 .*generator 1 .*factor 0.0"):
+            parse_native(zero_factor_remote_pair_text())
 
     def test_pv_bus_without_generator(self):
         case = NetworkCase(

@@ -19,7 +19,7 @@ from splitflow.cli_reporting import (
 )
 from splitflow.discrete_control import resolve_after_snap
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import CASE_DIR, load_native
+from tests.conftest import CASE_DIR, load_native, zero_factor_remote_pair_text
 
 
 def run(*args):
@@ -87,6 +87,14 @@ def test_unconvertible_native_number_is_input_error(tmp_path):
     result = run("solve", path)
     assert_input_error(result)
     assert "loads[0].p" in result.stderr
+
+
+def test_zero_participation_factor_is_input_error(tmp_path):
+    path = tmp_path / "remote_pair.native.json"
+    path.write_text(zero_factor_remote_pair_text())
+    result = run("solve", path)
+    assert_input_error(result)
+    assert "participation factor 0.0" in result.stderr
 
 
 def test_p_limit_without_agc_is_input_error():

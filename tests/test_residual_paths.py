@@ -21,12 +21,25 @@ from tests.conftest import (
     load_matpower,
     load_native,
     random_state,
+    remote_pair_case,
+    shunt_case,
+    tapped_case,
 )
 
-CASES = MATPOWER_CASES + NATIVE_CASES
+# constructed cases with the devices no bundled case has: a remote group,
+# a tap on either side, and a switched shunt alone
+CONSTRUCTED = {
+    "remote_pair": remote_pair_case,
+    "tapped-primary": lambda: tapped_case("primary"),
+    "tapped-secondary": lambda: tapped_case("secondary"),
+    "shunted": shunt_case,
+}
+CASES = MATPOWER_CASES + NATIVE_CASES + list(CONSTRUCTED)
 
 
 def load(name):
+    if name in CONSTRUCTED:
+        return CONSTRUCTED[name]()
     return load_matpower(name) if name in MATPOWER_CASES else load_native(name)
 
 

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from splitflow.smooth_primitives import (
+from tests.smooth_reference import (
     DECREASING,
     INCREASING,
     ParticipationCurve,

@@ -7,15 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitflow.smooth_primitives import (
-    DECREASING,
     EXP_ARG_LIMIT,
+    participation_arrays,
+    sigmoid_arrays,
+)
+from tests.smooth_reference import (
+    DECREASING,
     INCREASING,
     SigmoidSaturation,
-    participation_arrays,
     participation_build,
     participation_deriv,
     participation_eval,
-    sigmoid_arrays,
     sigmoid_deriv,
     sigmoid_eval,
 )
@@ -112,13 +114,16 @@ def test_participation_continuous_at_breakpoints(c, which):
 @given(st.lists(st.tuples(sigmoids(), st.floats(-20.0, 20.0)), min_size=1,
                 max_size=8), st.floats(1e-3, 1e5))
 def test_sigmoid_arrays_equal_scalar_forms(draws, smoothing):
-    curves = [SigmoidSaturation(s.y_min, s.y_max, s.x_set, smoothing)
-              for s, _ in draws]
+    # both orientations: sign 1 decreasing, -1 increasing
+    curves = [SigmoidSaturation(s.y_min, s.y_max, s.x_set, smoothing,
+                                s.orientation) for s, _ in draws]
     x = np.array([x for _, x in draws])
+    sign = np.array([1.0 if s.orientation == DECREASING else -1.0
+                     for s in curves])
     value, slope = sigmoid_arrays(np.array([s.y_min for s in curves]),
                                   np.array([s.y_max for s in curves]),
                                   np.array([s.x_set for s in curves]),
-                                  smoothing, x)
+                                  smoothing, x, sign)
     for k, s in enumerate(curves):
         assert value[k].tobytes() == np.float64(sigmoid_eval(s, x[k])).tobytes()
         assert slope[k].tobytes() == np.float64(sigmoid_deriv(s, x[k])).tobytes()
