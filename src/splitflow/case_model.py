@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import CaseParseError, CaseValidationError
 
@@ -92,8 +92,8 @@ class FixedShunt:
     """Constant admittance to ground (MATPOWER GS/BS columns)."""
 
     bus: int
-    g: float = 0.0
-    b: float = 0.0
+    g: float
+    b: float
 
 
 @dataclass(frozen=True)
@@ -408,36 +408,6 @@ def _field(obj: dict, key: str, where: str, conv=float, default=_REQUIRED):
         raise CaseParseError(f"{where}.{key}: {exc}") from exc
 
 
-# The native format: each record is an object of its dataclass fields,
-# except that a branch's ends are "from" and "to" and a bus's initial
-# voltage is the pair "v_init"; an absent field takes its default.
-_NATIVE_KEYS = {"from_bus": "from", "to_bus": "to"}
-_NATIVE_RECORDS = (("buses", Bus), ("branches", Branch),
-                   ("generators", Generator), ("loads", Load),
-                   ("fixed_shunts", FixedShunt), ("shunts", SwitchedShunt))
-_CONVERSIONS = {"int": int, "float": float, "str": str}
-
-
-def _native_record(cls, obj: dict, where: str):
-    """A cls record from its native object; errors name where."""
-    kw = {}
-    for f in fields(cls):
-        key, kind = _NATIVE_KEYS.get(f.name, f.name), f.type.split(" | ")[0]
-        if f.name == "v_init_real":
-            kw["v_init_real"], kw["v_init_imag"] = _field(
-                obj, "v_init", where, lambda v: (float(v[0]), float(v[1])),
-                (f.default, 0.0))
-        elif f.name == "v_init_imag" or (f.default is None
-                                         and obj.get(key) is None):
-            continue  # set with v_init_real, or None by default
-        elif kind == "TapControl":
-            kw[f.name] = _native_record(TapControl, obj[key], f"{where}.{key}")
-        else:
-            kw[f.name] = _field(obj, key, where, _CONVERSIONS[kind],
-                                _REQUIRED if f.default is MISSING else f.default)
-    return cls(**kw)
-
-
 def parse_native(text: str, name: str = "") -> NetworkCase:
     """Parse the native JSON case format (see serialize_native for schema)."""
     try:
@@ -449,11 +419,103 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
     version = _need(doc, "format_version", "case")
     if version != NATIVE_FORMAT_VERSION:
         raise CaseParseError(f"unsupported format_version {version}")
+    s_base = _field(doc, "s_base", "case")
+
+    buses = []
+    for i, b in enumerate(doc.get("buses", [])):
+        where = f"buses[{i}]"
+        v_init = _field(b, "v_init", where,
+                        lambda v: (float(v[0]), float(v[1])), (1.0, 0.0))
+        buses.append(
+            Bus(
+                id=_field(b, "id", where, int),
+                base_kv=_field(b, "base_kv", where),
+                kind=_field(b, "kind", where, str),
+                v_init_real=v_init[0],
+                v_init_imag=v_init[1],
+            )
+        )
+
+    branches = []
+    for i, br in enumerate(doc.get("branches", [])):
+        where = f"branches[{i}]"
+        tap = None
+        if br.get("tap") is not None:
+            t = br["tap"]
+            tap = TapControl(
+                tr_min=_field(t, "tr_min", where + ".tap"),
+                tr_max=_field(t, "tr_max", where + ".tap"),
+                v_set=_field(t, "v_set", where + ".tap"),
+                controlled_side=t.get("controlled_side", "primary"),
+                step_size=(None if t.get("step_size") is None
+                           else _field(t, "step_size", where + ".tap")),
+            )
+        branches.append(
+            Branch(
+                from_bus=_field(br, "from", where, int),
+                to_bus=_field(br, "to", where, int),
+                g=_field(br, "g", where),
+                b=_field(br, "b", where),
+                b_sh=_field(br, "b_sh", where, default=0.0),
+                ratio=_field(br, "ratio", where, default=1.0),
+                tap=tap,
+            )
+        )
+
+    generators = []
+    for i, g in enumerate(doc.get("generators", [])):
+        where = f"generators[{i}]"
+        generators.append(
+            Generator(
+                bus=_field(g, "bus", where, int),
+                p_g=_field(g, "p_g", where),
+                v_set=_field(g, "v_set", where),
+                q_min=_field(g, "q_min", where),
+                q_max=_field(g, "q_max", where),
+                p_min=_field(g, "p_min", where),
+                p_max=_field(g, "p_max", where),
+                agc_factor=_field(g, "agc_factor", where, default=0.0),
+                remote_bus=(None if g.get("remote_bus") is None
+                            else _field(g, "remote_bus", where, int)),
+                remote_factor=_field(g, "remote_factor", where, default=0.0),
+            )
+        )
+
+    loads = [
+        Load(
+            bus=_field(l, "bus", f"loads[{i}]", int),
+            p=_field(l, "p", f"loads[{i}]"),
+            q=_field(l, "q", f"loads[{i}]"),
+        )
+        for i, l in enumerate(doc.get("loads", []))
+    ]
+    fixed_shunts = [
+        FixedShunt(
+            bus=_field(s, "bus", f"fixed_shunts[{i}]", int),
+            g=_field(s, "g", f"fixed_shunts[{i}]", default=0.0),
+            b=_field(s, "b", f"fixed_shunts[{i}]", default=0.0),
+        )
+        for i, s in enumerate(doc.get("fixed_shunts", []))
+    ]
+    shunts = [
+        SwitchedShunt(
+            bus=_field(s, "bus", f"shunts[{i}]", int),
+            b_min=_field(s, "b_min", f"shunts[{i}]"),
+            b_max=_field(s, "b_max", f"shunts[{i}]"),
+            step_size=_field(s, "step_size", f"shunts[{i}]"),
+            v_set=_field(s, "v_set", f"shunts[{i}]"),
+        )
+        for i, s in enumerate(doc.get("shunts", []))
+    ]
+
     case = NetworkCase(
-        s_base=_field(doc, "s_base", "case"),
-        **{key: tuple(_native_record(cls, obj, f"{key}[{i}]")
-                      for i, obj in enumerate(doc.get(key, [])))
-           for key, cls in _NATIVE_RECORDS},
+        s_base=s_base,
+        buses=tuple(buses),
+        branches=tuple(branches),
+        generators=tuple(generators),
+        loads=tuple(loads),
+        fixed_shunts=tuple(fixed_shunts),
+        shunts=tuple(shunts),
         agc_enabled=bool(doc.get("agc_enabled", False)),
         name=name or doc.get("name", ""),
     )
@@ -463,24 +525,72 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
     return case
 
 
-def _native_object(record) -> dict:
-    out = {}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.name == "v_init_real":
-            out["v_init"] = [value, record.v_init_imag]
-        elif f.name != "v_init_imag":
-            out[_NATIVE_KEYS.get(f.name, f.name)] = (
-                _native_object(value) if is_dataclass(value) else value)
-    return out
-
-
 def serialize_native(case: NetworkCase) -> str:
     """Serialize to the native JSON format; parse_native round-trips it."""
-    doc = {"format_version": NATIVE_FORMAT_VERSION, "name": case.name,
-           "s_base": case.s_base, "agc_enabled": case.agc_enabled}
-    for key, _ in _NATIVE_RECORDS:
-        doc[key] = [_native_object(r) for r in getattr(case, key)]
+    doc = {
+        "format_version": NATIVE_FORMAT_VERSION,
+        "name": case.name,
+        "s_base": case.s_base,
+        "agc_enabled": case.agc_enabled,
+        "buses": [
+            {
+                "id": b.id,
+                "base_kv": b.base_kv,
+                "kind": b.kind,
+                "v_init": [b.v_init_real, b.v_init_imag],
+            }
+            for b in case.buses
+        ],
+        "branches": [
+            {
+                "from": br.from_bus,
+                "to": br.to_bus,
+                "g": br.g,
+                "b": br.b,
+                "b_sh": br.b_sh,
+                "ratio": br.ratio,
+                "tap": None
+                if br.tap is None
+                else {
+                    "tr_min": br.tap.tr_min,
+                    "tr_max": br.tap.tr_max,
+                    "v_set": br.tap.v_set,
+                    "controlled_side": br.tap.controlled_side,
+                    "step_size": br.tap.step_size,
+                },
+            }
+            for br in case.branches
+        ],
+        "generators": [
+            {
+                "bus": g.bus,
+                "p_g": g.p_g,
+                "v_set": g.v_set,
+                "q_min": g.q_min,
+                "q_max": g.q_max,
+                "p_min": g.p_min,
+                "p_max": g.p_max,
+                "agc_factor": g.agc_factor,
+                "remote_bus": g.remote_bus,
+                "remote_factor": g.remote_factor,
+            }
+            for g in case.generators
+        ],
+        "loads": [{"bus": l.bus, "p": l.p, "q": l.q} for l in case.loads],
+        "fixed_shunts": [
+            {"bus": s.bus, "g": s.g, "b": s.b} for s in case.fixed_shunts
+        ],
+        "shunts": [
+            {
+                "bus": s.bus,
+                "b_min": s.b_min,
+                "b_max": s.b_max,
+                "step_size": s.step_size,
+                "v_set": s.v_set,
+            }
+            for s in case.shunts
+        ],
+    }
     return json.dumps(doc, indent=2)
 
 

@@ -556,9 +556,9 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     """Initial state: case voltages, model-consistent control values.
 
     Every control row starts on its curve at those voltages whatever
-    ctl's modes (degenerate limits hold the lower one), and every member
-    on its participation curve; a controlled tap starts at its case
-    ratio, within its limits."""
+    ctl's modes (degenerate limits hold the lower one, except a local
+    generator's), and every member on its participation curve; a
+    controlled tap starts at its case ratio, within its limits."""
     index = build_index(case, ctl)
     n = index.n_bus
     x = np.zeros(index.dim)
@@ -567,6 +567,9 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     if ctl.device_modes or ctl.fixed_q or ctl.group_modes:
         ctl = replace(ctl, device_modes={}, fixed_q={}, group_modes={})
     c, r = _controls(ctl, index), index.rows
+    on = c.sig.copy()
+    on[:len(index.local_gen_idx)] = True  # the local generators' rows
+    c = replace(c, sig=on, curves=_curves(r, *c.limits, on))
     x[r.cols] = _targets(c, x, ctl.effective_steepness())[0]
     x[index.inj.m_cols] = _member_targets(c, index.inj, x)[0]
     ratio = [case.branches[bi].ratio for bi in index.tap_col]
@@ -586,6 +589,7 @@ class _Controls:
     held: np.ndarray  # control rows' values off the curve: fixed_q, else lo
     sig: np.ndarray  # control rows on their sigmoid, and their (V_R and
     curves: tuple  # V_I columns, relaxed lo, hi, v_set, sign)
+    limits: tuple  # every control row's relaxed (lo, hi)
     fixed_v: np.ndarray  # control rows that hold |V|, and (V_R and V_I
     held_v: tuple  # columns, bus, v_set)
     sensed: np.ndarray  # buses whose |V| the pass divides by, in the
@@ -597,18 +601,19 @@ class _Controls:
     tap_ratio: np.ndarray  # snapped taps' ratios
     shunt_b: np.ndarray  # snapped shunts' susceptances
     keep: np.ndarray  # J slots kept (IndexMap.j_rows; surplus slots off)
-    # (slots, rows, cols) of keep in stamp order, network first, once a
-    # pass without surplus slots asks for them
-    stamped: tuple | None = None
 
 
 def _relaxed_limits(ctl: ControlMode, keys: list, q_min, q_max):
     """ControlMode.relaxed_q_limits of each device, as two arrays."""
-    if not (ctl.q_scale or ctl.q_widen):
-        return q_min - 0.0, q_max + 0.0  # its arithmetic at scale 1, no widening
     return np.array([ctl.relaxed_q_limits(k, a, b) for k, a, b
                      in zip(keys, q_min.tolist(), q_max.tolist())],
                     dtype=float).reshape(-1, 2).T
+
+
+def _curves(r: ControlRows, lo, hi, on):
+    """(V_R and V_I columns, lo, hi, v_set, sign) of the rows in on."""
+    return (np.array((2 * r.pos[on], 2 * r.pos[on] + 1)), lo[on], hi[on],
+            r.v_set[on], r.sign[on])
 
 
 def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
@@ -650,8 +655,7 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     tap[L:n], grp[n:] = sig[L:n], sig[n:]
     v = np.array((2 * r.pos, 2 * r.pos + 1))
     c = _Controls(
-        held=held, sig=sig,
-        curves=(v[:, sig], lo[sig], hi[sig], r.v_set[sig], r.sign[sig]),
+        held=held, sig=sig, curves=_curves(r, lo, hi, sig), limits=(lo, hi),
         fixed_v=fixed_v,
         held_v=(v[:, fixed_v], r.pos[fixed_v], r.v_set[fixed_v]),
         sensed=np.concatenate((r.pos[tap], t.divides, r.pos[grp])),
@@ -722,36 +726,20 @@ class _Pass:
         # what the segments keep for the J slots
         self.net = self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
-        # (extra active power, its slope in the surplus) per slack member
-        self.agc = None
-        if idx.dps_col is not None and idx.agc_member_idx:
-            self.agc = _slack_participation(
-                ctl, idx.agc_member_idx, idx.agc_kappa, idx.agc_lo, idx.agc_hi,
-                self.x[idx.dps_col])
 
     def triplets(self):
         """J triplets (rows, cols, vals) in stamp order, slack bus rows not
         yet rewritten, and the slack source currents (I_SR, I_SI)."""
-        idx, c, dp = self.index, self.c, self.inj[-1]
-        if dp is None:
-            if c.stamped is None:
-                c.stamped = _stamped(idx, c.keep)
-            sel, rows, cols = c.stamped
-        else:
-            keep = c.keep.copy()
+        idx, keep, dp = self.index, self.c.keep, self.inj[-1]
+        if dp is not None:
+            keep = keep.copy()
             keep[idx.surplus] = dp != 0.0
-            sel, rows, cols = _stamped(idx, keep)
+        sel = idx.order[keep[idx.order]]  # the kept slots in stamp order
         V = np.concatenate((_tap_slots(self), _injection_slots(self),
                             _control_slots(self)))
-        return rows, cols, np.concatenate((self.net, V[sel])), self.slack_currents
-
-
-def _stamped(idx: IndexMap, keep: np.ndarray):
-    """The kept slots in stamp order, and the rows and cols of the network
-    block's triplets and theirs."""
-    sel = idx.order[keep[idx.order]]
-    return (sel, np.concatenate((idx.net_rows, idx.j_rows[sel])),
-            np.concatenate((idx.net_cols, idx.j_cols[sel])))
+        return (np.concatenate((idx.net_rows, idx.j_rows[sel])),
+                np.concatenate((idx.net_cols, idx.j_cols[sel])),
+                np.concatenate((self.net, V[sel])), self.slack_currents)
 
 
 def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
@@ -878,13 +866,17 @@ def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
     reactive limits at nominal voltage. A snapped shunt is the admittance
     jb at its bus.
     """
-    t, x = st.index.inj, st.x
+    idx, x = st.index, st.x
+    t = idx.inj
     vr, vi, dd = x[t.vr_c], x[t.vi_c], dd_bus[t.pos]
     q = t.q.copy()
     q[t.n_loads:] = x[t.q_cols]
     p, dp = t.p, None
-    if st.agc is not None and len(t.agc_at):
-        extra, slope = st.agc
+    if idx.dps_col is not None and len(t.agc_at):
+        # the slack members' extra active power, and its slope in the surplus
+        extra, slope = _slack_participation(
+            st.ctl, idx.agc_member_idx, idx.agc_kappa, idx.agc_lo, idx.agc_hi,
+            x[idx.dps_col])
         p, dp = t.p.copy(), np.zeros(len(t.pos))
         p[t.agc_at] = t.p[t.agc_at] + extra[t.agc_pos]
         dp[t.agc_at] = slope[t.agc_pos]

@@ -119,6 +119,28 @@ class TestLoadStamp:
             residual(case, state, ctl)
 
 
+class TestTapRatio:
+    def test_zero_ratio_is_singular_point(self):
+        case = tapped_case("primary")
+        ctl = base_control(case)
+        state = flat_start(case, ctl)
+        state.x[state.index.tap_col[1]] = 0.0
+        for evaluate in (residual, assemble):
+            with pytest.raises(SingularPointError,
+                               match="tap ratio of branch 1 is 0"):
+                evaluate(case, state, ctl)
+
+    def test_solve_through_a_zero_ratio_trial(self):
+        # the first full Newton step takes the primary-side tap from ratio
+        # 1.0 to exactly 0; the line search must back off, not crash
+        case = tapped_case("primary")
+        ctl = base_control(case)
+        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert rep.converged
+        assert rep.line_search_backtracks >= 1
+        assert 0.9 <= state.x[state.index.tap_col[1]] <= 1.1
+
+
 class TestJacobians:
     """Each device type's stamped partials against central differences."""
 
@@ -261,6 +283,20 @@ class TestGeneratorBehavior:
         state.x[idx.q_col[("gen", 0)]] = 0.0  # midpoint of [-0.4, 0.4]
         F = residual(case, state, ctl)
         assert F[idx.q_col[("gen", 0)]] == pytest.approx(0.0, abs=1e-14)
+
+    def test_flat_start_on_sigmoid_at_degenerate_limits(self):
+        # the pass holds a generator whose limits span less than
+        # DEGENERATE_RANGE at its lower one, but its start is still its
+        # sigmoid at the case voltage, here the midpoint; a switched
+        # shunt's start holds the lower limit
+        lo, hi = 0.1, 0.1 + 5e-13
+        case = three_bus_pv_case(q_min=lo, q_max=hi)
+        state = flat_start(case, base_control(case))
+        start = state.x[state.index.q_col[("gen", 0)]]
+        assert start == (hi - lo) * 0.5 + lo != lo
+        case = shunt_case(b_min=lo, b_max=hi)
+        state = flat_start(case, base_control(case))
+        assert state.x[state.index.q_col[("shunt", 0)]] == lo
 
     def test_default_smoothing_is_5000(self):
         assert ControlMode().smoothing == 5000.0
