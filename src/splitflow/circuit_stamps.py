@@ -19,15 +19,14 @@ when J is asked for. `residual` returns the pass's F, and on request the
 pass itself; `assemble` builds J from a new pass or from one `residual`
 kept at the same state (the NR line search keeps the pass of the trial it
 accepts), so F is the same either way and J is testable against finite
-differences of `residual`. All KCL terms enter F through one bincount in
-stamp order, and J's triplets keep the device-by-device stamp order
-(`IndexMap.order`). J's CSC structure (row indices, column pointers, the
-slack-row rewrite and the order in which duplicate triplets are summed,
-which is scipy's own) is cached on the IndexMap, keyed by the stamp-order
-triplet rows and columns, and rebuilt when they change; each `assemble`
-fills in only the values, so J equals scipy's COO -> CSC conversion of
-the triplets byte for byte. The structure also keeps the LU column order
-of its pattern for `nr_solver.solve_linear`.
+differences of `residual`. All KCL terms enter F through one bincount.
+J's pattern is fixed by the index map and the J slots a pass keeps
+(`_Pass.kept`), so J's CSC structure (row indices, column pointers, the
+slack-row rewrite and the entry each value adds to) is cached on the
+IndexMap, keyed by the kept slots, and rebuilt when they change; each
+`assemble` emits values only and sums them into the structure with one
+bincount, duplicates in emitted order. The structure also keeps the LU
+column order of its pattern for `nr_solver.solve_linear`.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -39,7 +38,6 @@ equation lives on the row with the same index as its unknown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,16 +127,15 @@ class Taps:
     """The taps outside the network block: the controlled ones in
     ratio-column order, then the snapped ones (IndexMap.snapped_taps).
     Each is a pi-model branch at ratio tau from bus f to t, with series
-    admittance y = g + jb and half its line charging, jc, at each end: it
-    adds (y + jc)/tau^2, -y/tau, -y/tau and y + jc at (f, f), (f, t),
-    (t, f) and (t, t). J slots of a tap: those four 2 x 2 blocks, then,
-    if it is controlled, its ratio column in the rows of f and t.
+    admittance y and half its line charging, jc, at each end: it adds
+    (y + jc)/tau^2, -y/tau, -y/tau and y + jc at (f, f), (f, t), (t, f)
+    and (t, t). J slots of a tap: those four 2 x 2 blocks, then, if it is
+    controlled, its ratio column in the rows of f and t.
     """
 
     branches: list  # branch indices
-    g: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    y: np.ndarray  # complex
+    jc: np.ndarray  # complex
     cols: np.ndarray  # ratio columns of the controlled taps
     at: np.ndarray  # V_R rows (2f, 2f, 2t, 2t) and V_R columns
     v: np.ndarray  # (2f, 2t, 2f, 2t) of the blocks, per tap
@@ -146,10 +143,10 @@ class Taps:
 
 @dataclass
 class Injectors:
-    """Every device that injects current at its bus, as one table in
-    stamp order: loads, local generators, remote-group members, switched
-    shunts. A snapped shunt is the admittance jb; every other row injects
-    power p + jq. J slots of a row: the four voltage partials of its
+    """Every device that injects current at its bus, as one table:
+    loads, local generators, remote-group members, switched shunts. A
+    snapped shunt is the admittance jb; every other row injects power
+    p + jq. J slots of a row: the four voltage partials of its
     current, its q column (twice), the slack-surplus column (twice); and a
     member's participation row has (col, col) and (col, group request).
     """
@@ -231,14 +228,13 @@ class IndexMap:
     taps: Taps
     inj: Injectors
     rows: ControlRows
-    # the tables' J slots, table by table and row by row (taps,
-    # injections, control rows, participation rows): rows, cols, whether
-    # the first two tables' are kept, the stamp order, and the injection
-    # rows' slack-surplus slots
+    # the tables' J slots, table by table (taps, injections, control
+    # rows, participation rows) and slot by slot: rows, cols, whether the
+    # first two tables' are kept, and the injection rows' slack-surplus
+    # slots
     j_rows: np.ndarray
     j_cols: np.ndarray
     j_keep: np.ndarray
-    order: np.ndarray
     surplus: np.ndarray
     # distributed-slack members (agc_member_idx): factors, P headrooms
     agc_kappa: np.ndarray
@@ -249,7 +245,7 @@ class IndexMap:
     default: "_Controls | None" = field(default=None, repr=False,
                                         compare=False)
     last: tuple | None = field(default=None, repr=False, compare=False)
-    # J's CSC structure for the last triplet pattern `assemble` saw
+    # J's CSC structure for the last kept slots `assemble` saw
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
 
@@ -353,9 +349,10 @@ def _taps(case: NetworkCase, bus_pos: dict, tap_col: dict,
     brs = [case.branches[bi] for bi in branches]
     f = 2 * np.array([bus_pos[br.from_bus] for br in brs], dtype=np.intp)
     t = 2 * np.array([bus_pos[br.to_bus] for br in brs], dtype=np.intp)
-    g, b, c = np.array([(br.g, br.b, br.b_sh / 2.0) for br in brs],
-                       dtype=float).reshape(-1, 3).T
-    return Taps(branches, g, b, c,
+    return Taps(branches,
+                np.array([complex(br.g, br.b) for br in brs], dtype=complex),
+                np.array([complex(0.0, br.b_sh / 2.0) for br in brs],
+                         dtype=complex),
                 np.array(list(tap_col.values()), dtype=np.intp),
                 np.array((f, f, t, t)), np.array((f, t, f, t)))
 
@@ -368,7 +365,7 @@ def _injectors(case: NetworkCase, bus_pos: dict, q_col: dict, qreq_col: dict,
         g = gens[i]
         return ("gen", i), g.bus, g.p_g, 0.0, g.q_min, g.q_max
 
-    # (key, bus, p, q, q_min, q_max) per row, in stamp order
+    # (key, bus, p, q, q_min, q_max) per row
     table = [(None, ld.bus, -ld.p, -ld.q, 0.0, 0.0) for ld in case.loads]
     table += [gen(i) for i in local_gen_idx]
     first_member = len(table)
@@ -436,56 +433,36 @@ def _control_rows(case: NetworkCase, bus_pos: dict, q_col: dict,
 
 
 def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
-    """The tables' J slots (IndexMap.j_rows to surplus).
-
-    A slot's stamp place is (its row's place, its place in the row). Tap
-    k is at place k, injection row r at n_taps + r. A tap's control row
-    follows its 20 slots; a local row's control row and a member's
-    participation row follow its 8 slots, and a group's request row the
-    participation row of its last member."""
+    """The tables' J slots (IndexMap.j_rows to surplus). Each table is a
+    (slot, row) grid, raveled slot by slot."""
     T, tc, n = len(taps.branches), len(taps.cols), len(inj.pos)
-    at = T + np.arange(n)
-    parts = []  # per table: each slot's row, col, place and place in it
-
-    def table(rows, cols, place, first):
-        """Add a table's slots; rows and cols are (slot, device) grids."""
-        rows, cols, width = np.array(rows), np.array(cols), len(rows)
-        parts.append((rows.T.ravel(), cols.T.ravel(), np.repeat(place, width),
-                      np.add.outer(first, np.arange(width)).ravel()))
-
-    tap_keep = np.ones((20, T), dtype=bool)
-    if T:
-        f, t = taps.at[0], taps.at[2]
-        tau = np.zeros(T, dtype=np.intp)
-        tau[:tc] = taps.cols
-        k = np.arange(16) % 4  # the blocks' (R, R), (R, I), (I, R), (I, I)
-        table(np.vstack((np.repeat(taps.at, 4, axis=0) + (k >> 1)[:, None],
-                         (f, f + 1, t, t + 1))),
-              np.vstack((np.repeat(taps.v, 4, axis=0) + (k & 1)[:, None],
-                         (tau, tau, tau, tau))),
-              np.arange(T), np.zeros(T, dtype=np.intp))
-        tap_keep[16:, tc:] = False
+    f, t = taps.at[0], taps.at[2]
+    tau = np.zeros(T, dtype=np.intp)
+    tau[:tc] = taps.cols
+    k = np.arange(16) % 4  # the blocks' (R, R), (R, I), (I, R), (I, I)
     vr, vi, q = inj.vr_c, inj.vi_c, np.zeros(n, dtype=np.intp)
     q[inj.n_loads:] = inj.q_cols
     d = np.full(n, dps_col or 0)
-    table((vr, vr, vi, vi, vr, vi, vr, vi), (vr, vi, vr, vi, q, q, d, d),
-          at, np.zeros(n, dtype=np.intp))
+    c, v, m = rows.cols, 2 * rows.pos, inj.m_cols
+    # (rows, cols) of the taps, injections, control and participation rows
+    grids = [
+        (np.vstack((np.repeat(taps.at, 4, axis=0) + (k >> 1)[:, None],
+                    (f, f + 1, t, t + 1))),
+         np.vstack((np.repeat(taps.v, 4, axis=0) + (k & 1)[:, None],
+                    (tau, tau, tau, tau)))),
+        ((vr, vr, vi, vi, vr, vi, vr, vi), (vr, vi, vr, vi, q, q, d, d)),
+        ((c, c, c), (c, v, v + 1)),
+        ((m, m), (m, inj.qreq)),
+    ]
+    tap_keep = np.ones((20, T), dtype=bool)
+    tap_keep[16:, tc:] = False
     inj_keep = np.zeros((8, n), dtype=bool)
     inj_keep[:4] = True
     inj_keep[4:6, inj.local] = inj_keep[4:6, inj.members] = True
-    c, v = rows.cols, 2 * rows.pos
-    ends = [inj.members[b - 1] for _, b in inj.spans]
-    table((c, c, c), (c, v, v + 1),
-          np.concatenate((at[inj.local], np.arange(tc), at[ends])),
-          np.repeat((8, 20, 10), (len(inj.local), tc, len(ends))))
-    if len(inj.members):
-        m = inj.m_cols
-        table((m, m), (m, inj.qreq), at[inj.members], np.full(len(m), 8))
-    j_rows, j_cols, major, minor = map(np.concatenate, zip(*parts))
-    return dict(j_rows=j_rows, j_cols=j_cols,
-                j_keep=np.concatenate((tap_keep.T.ravel(), inj_keep.T.ravel())),
-                order=np.argsort(32 * major + minor),  # minor < 32
-                surplus=20 * T + 8 * np.arange(n) + np.array([[6], [7]]))
+    return dict(j_rows=np.concatenate([np.ravel(r) for r, _ in grids]),
+                j_cols=np.concatenate([np.ravel(c) for _, c in grids]),
+                j_keep=np.concatenate((tap_keep.ravel(), inj_keep.ravel())),
+                surplus=20 * T + n * np.array([[6], [7]]) + np.arange(n))
 
 
 def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
@@ -664,10 +641,8 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
                            dtype=float),
         shunt_b=np.array([ctl.fixed_shunt_b[t.keys[k][1]] for k in t.snapped],
                          dtype=float),
-        keep=np.concatenate((
-            idx.j_keep,
-            np.array((~fixed_v, fixed_v | sig, fixed_v | sig)).T.ravel(),
-            np.array((np.ones_like(follow), follow)).T.ravel())))
+        keep=np.concatenate((idx.j_keep, ~fixed_v, fixed_v | sig,
+                             fixed_v | sig, np.ones_like(follow), follow)))
     if not any(key):
         idx.default = c
     else:
@@ -683,8 +658,7 @@ def _targets(c: _Controls, x: np.ndarray, steepness: float):
     vm = ds = None
     if np.count_nonzero(c.sig):
         cols, lo, hi, v_set, sign = c.curves
-        vr, vi = x[cols].tolist()
-        vm = np.array(list(map(math.hypot, vr, vi)))
+        vm = np.hypot(*x[cols])
         target[c.sig], ds = sigmoid_arrays(lo, hi, v_set, steepness, vm, sign)
     return target, vm, ds
 
@@ -711,7 +685,7 @@ class _Pass:
     """One stamp pass at a state.
 
     Each segment returns its F terms as (rows, values) and keeps what its
-    J slots are built from when J is asked for (`triplets`). Every KCL
+    J slots are built from when J is asked for (`slot_values`). Every KCL
     term goes to row 2 * pos + comp of its bus, the slack bus included;
     `_slack_rows` then turns the slack rows into voltage constraints and,
     with distributed slack, into the surplus row.
@@ -727,19 +701,19 @@ class _Pass:
         self.net = self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
 
-    def triplets(self):
-        """J triplets (rows, cols, vals) in stamp order, slack bus rows not
-        yet rewritten, and the slack source currents (I_SR, I_SI)."""
-        idx, keep, dp = self.index, self.c.keep, self.inj[-1]
+    def kept(self) -> np.ndarray:
+        """The J slots the pass emits (IndexMap.j_rows): its ControlMode's,
+        and a slack member's surplus slots where its slope is not 0."""
+        keep, dp = self.c.keep, self.inj[-1]
         if dp is not None:
             keep = keep.copy()
-            keep[idx.surplus] = dp != 0.0
-        sel = idx.order[keep[idx.order]]  # the kept slots in stamp order
-        V = np.concatenate((_tap_slots(self), _injection_slots(self),
-                            _control_slots(self)))
-        return (np.concatenate((idx.net_rows, idx.j_rows[sel])),
-                np.concatenate((idx.net_cols, idx.j_cols[sel])),
-                np.concatenate((self.net, V[sel])), self.slack_currents)
+            keep[self.index.surplus] = dp != 0.0
+        return keep
+
+    def slot_values(self) -> np.ndarray:
+        """Every J slot's value, kept or not, in IndexMap.j_rows order."""
+        return np.concatenate((_tap_slots(self), _injection_slots(self),
+                               _control_slots(self)))
 
 
 def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
@@ -793,22 +767,9 @@ def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
     return float(dp[0]), float(ddp[0])
 
 
-# Complex products and quotients on (real, imag) arrays, as CPython
-# computes them on complex numbers, bit for bit; a real operand r takes
-# part as complex(r, 0.0), and a divisor must be real and nonzero.
-
-def _cmul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(ar, ai, d):
-    r = 0.0 / d
-    return (ar + ai * r) / d, (ai - ar * r) / d
-
-
 def _stamp_taps(st: _Pass) -> list:
-    """The taps' currents into the KCL sums, tap by tap: each block's
-    admittance G + jB times its voltage."""
+    """The taps' currents into the KCL sums: each block's admittance
+    times its voltage."""
     tp, x = st.index.taps, st.x
     if not tp.branches:
         return []
@@ -816,17 +777,14 @@ def _stamp_taps(st: _Pass) -> list:
     if not tau.all():
         bi = tp.branches[int(np.argmin(tau != 0.0))]
         raise SingularPointError(f"tap ratio of branch {bi} is 0")
-    y = _cmul(tp.g, tp.b, 1.0 + st.ctl.tx_relax * TX_SCALE, 0.0)
-    yc = y[0] + 0.0, y[1] + tp.c  # y + jc
-    ff, ft = _cdiv(*yc, tau * tau), _cdiv(-y[0], -y[1], tau)
-    G = np.array((ff[0], ft[0], ft[0], yc[0]))
-    B = np.array((ff[1], ft[1], ft[1], yc[1]))
-    vr, vi = x[tp.v], x[tp.v + 1]
-    st.taps = (tau, y, yc, G, B)
-    at = tp.at.T.ravel()
-    return [(np.concatenate((at, at + 1)),
-             np.concatenate(((G * vr - B * vi).T.ravel(),
-                             (B * vr + G * vi).T.ravel())))]
+    y = tp.y * (1.0 + st.ctl.tx_relax * TX_SCALE)
+    yc = y + tp.jc
+    ft = -y / tau
+    Y = np.array((yc / (tau * tau), ft, ft, yc))
+    I = Y * (x[tp.v] + 1j * x[tp.v + 1])
+    st.taps = (tau, y, yc, Y)
+    return [(np.concatenate((tp.at.ravel(), tp.at.ravel() + 1)),
+             np.concatenate((I.real.ravel(), I.imag.ravel())))]
 
 
 def _tap_slots(st: _Pass) -> np.ndarray:
@@ -835,23 +793,19 @@ def _tap_slots(st: _Pass) -> np.ndarray:
     tp, x = st.index.taps, st.x
     if not tp.branches:
         return np.empty(0)
-    tau, y, yc, G, B = st.taps
+    tau, y, yc, Y = st.taps
     V = np.zeros((20, len(tau)))
-    V[0:16:4] = V[3:16:4] = G
-    V[1:16:4], V[2:16:4] = -B, B
+    V[0:16:4] = V[3:16:4] = Y.real
+    V[1:16:4], V[2:16:4] = -Y.imag, Y.imag
     k = len(tp.cols)
     if k:
-        # -2 (y + jc) / tau^3 * V_f + y / tau^2 * V_t, and y / tau^2 * V_f;
-        # tau^3 is libm's pow, as Python's, which np.power need not be
-        t = tau[:k]
-        cube = np.array([math.pow(v, 3.0) for v in t.tolist()])
-        a = _cdiv(*_cmul(-2.0, 0.0, yc[0][:k], yc[1][:k]), cube)
-        b = _cdiv(y[0][:k], y[1][:k], t * t)
-        f, to = tp.at[0][:k], tp.at[2][:k]
-        vf, vt = (x[f], x[f + 1]), (x[to], x[to + 1])
-        dif = [u + w for u, w in zip(_cmul(*a, *vf), _cmul(*b, *vt))]
-        V[16:20, :k] = (*dif, *_cmul(*b, *vf))
-    return V.T.ravel()
+        # -2 (y + jc) / tau^3 * V_f + y / tau^2 * V_t, and y / tau^2 * V_f
+        t, f, to = tau[:k], tp.at[0][:k], tp.at[2][:k]
+        vf, vt = x[f] + 1j * x[f + 1], x[to] + 1j * x[to + 1]
+        b = y[:k] / (t * t)
+        at_f, at_t = -2.0 * yc[:k] / (t * t * t) * vf + b * vt, b * vf
+        V[16:20, :k] = at_f.real, at_f.imag, at_t.real, at_t.imag
+    return V.ravel()
 
 
 def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
@@ -890,9 +844,9 @@ def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
 
 
 def _injection_slots(st: _Pass) -> np.ndarray:
-    """The injection rows' J slot values, row by row."""
+    """The injection rows' J slot values."""
     vr, vi, dd, p, q, ir, ii, dp = st.inj
-    V = np.empty((8, len(vr)))
+    V = np.zeros((8, len(vr)))
     v2 = np.array((vr, vi))
     V[:4] = -(np.array((p, q, -q, p)) / dd
               - 2.0 * v2[[0, 1, 0, 1]] * np.array((ir, ir, ii, ii)) / dd)
@@ -904,7 +858,7 @@ def _injection_slots(st: _Pass) -> np.ndarray:
     t, b = st.index.inj, st.c.shunt_b
     if len(t.snapped):
         V[:4, t.snapped] = (np.zeros_like(b), -b, b, np.zeros_like(b))
-    return V.T.ravel()
+    return V.ravel()
 
 
 def _stamp_control_rows(st: _Pass, dd_bus: np.ndarray) -> list:
@@ -938,9 +892,9 @@ def _control_slots(st: _Pass) -> np.ndarray:
     if np.count_nonzero(c.fixed_v):
         V[1:, c.fixed_v] = 2.0 * x[c.held_v[0]]
     if st.m_slope is None:
-        return V.T.ravel()
-    return np.concatenate((V.T.ravel(), np.array(
-        (np.ones_like(st.m_slope), -st.m_slope)).T.ravel()))
+        return V.ravel()
+    return np.concatenate((V.ravel(), np.ones_like(st.m_slope),
+                           -st.m_slope))
 
 
 def _slack_rows(st: _Pass, F: np.ndarray):
@@ -966,22 +920,21 @@ def _slack_rows(st: _Pass, F: np.ndarray):
 
 @dataclass
 class _JacobianStructure:
-    """J's CSC structure for one pattern of stamp-order triplets.
+    """J's CSC structure for one set of kept slots.
 
-    A call's J values come from its source vector: the pass's triplet
-    values, the two unit diagonals of the slack voltage rows and, with
-    distributed slack, the slack-row triplets moved to the surplus row
-    (each times its row's own voltage) and the surplus row's own entries
-    I_SR, I_SI and -1.
+    A call's J values come from its source vector: the network block's
+    values, every slot's value, the two unit diagonals of the slack
+    voltage rows and, with distributed slack, the kept values in the slack
+    bus rows moved to the surplus row (each times its row's own voltage)
+    and the surplus row's own entries I_SR, I_SI and -1. The used source
+    values are summed into their entries in source order, from 0.0.
     """
 
-    rows: np.ndarray  # the key: the pass's triplet rows and cols
-    cols: np.ndarray
-    at: np.ndarray  # triplets in the slack bus rows, and their voltage
-    on: np.ndarray  # columns (each row's own)
-    first: np.ndarray  # source position of each stored entry's first term
-    rest: np.ndarray  # source positions of the other terms, in the order
-    rest_slot: np.ndarray  # scipy adds them, and the entry each adds to
+    keep: np.ndarray  # the key: the kept slots (_Pass.kept)
+    at: np.ndarray  # kept sources in the slack bus rows, and their
+    on: np.ndarray  # voltage columns (each row's own)
+    used: np.ndarray  # source positions that enter J, and the entry each
+    slot: np.ndarray  # adds to
     indices: np.ndarray  # CSC row indices and column pointers, read-only
     indptr: np.ndarray
     # the pattern's LU column order, once `keep_order` has it: its
@@ -1017,76 +970,55 @@ class _JacobianStructure:
         self.inv = inv
 
 
-def _jacobian_structure(idx: IndexMap, rows: np.ndarray,
-                        cols: np.ndarray) -> _JacobianStructure:
-    """Analyse the pass's triplets once: the slack-row rewrite, and the
-    CSC structure scipy's COO -> CSC conversion gives the rewritten ones.
-
-    scipy buckets the triplets by column in input order, sorts each
-    column by row with an unstable std::sort, and sums runs of equal
-    rows from the first. A stable sort would order equal rows
-    differently, and floating-point sums depend on the order, so scipy
-    sorts the triplet ids itself here: its permutation depends on the
-    row keys alone.
-    """
+def _jacobian_structure(idx: IndexMap, keep: np.ndarray) -> _JacobianStructure:
+    """J's structure when a pass keeps these slots: the slack-row
+    rewrite, and the distinct (row, col) entries of the used sources,
+    sorted by column and row."""
     dim, r, d = idx.dim, 2 * idx.slack_pos, idx.dps_col
-    at = np.flatnonzero((rows >> 1) == idx.slack_pos)
-    # rows and columns of the source vector (see _JacobianStructure); the
-    # slack-row triplets' own places are left out
+    rows = np.concatenate((idx.net_rows, idx.j_rows))
+    cols = np.concatenate((idx.net_cols, idx.j_cols))
+    kept = np.concatenate((np.ones(idx.net_rows.size, dtype=bool), keep))
+    slack = (rows >> 1) == idx.slack_pos
+    at = np.flatnonzero(kept & slack)
+    # rows and columns of the source vector (see _JacobianStructure)
     src_rows, src_cols = [rows, (r, r + 1)], [cols, (r, r + 1)]
     if d is not None:
         src_rows += [np.full(at.size, d), (d, d, d)]
         src_cols += [cols[at], (r, r + 1, d)]
     src_rows, src_cols = np.concatenate(src_rows), np.concatenate(src_cols)
     used = np.ones(src_rows.size, dtype=bool)
-    used[at] = False
-    src = np.flatnonzero(used)
-    rows_f, cols_f = src_rows[src], src_cols[src]
-
-    order = np.argsort(cols_f, kind="stable")
-    raw = csc_matrix((order.astype(float), rows_f[order].astype(np.int32),
-                      _col_pointers(cols_f, dim)), shape=(dim, dim))
-    raw.sort_indices()
-    perm = src[raw.data.astype(np.intp)]
-    s_rows, s_cols = raw.indices, cols_f[order]
-    new = np.r_[True, (s_rows[1:] != s_rows[:-1]) | (s_cols[1:] != s_cols[:-1])]
-    slot = np.cumsum(new) - 1
-    indices, indptr = s_rows[new], _col_pointers(s_cols[new], dim)
+    used[:rows.size] = kept & ~slack
+    used = np.flatnonzero(used)
+    entries, slot = np.unique(src_cols[used] * dim + src_rows[used],
+                              return_inverse=True)
+    indices = (entries % dim).astype(np.int32)
+    indptr = np.searchsorted(entries, dim * np.arange(dim + 1)).astype(np.int32)
     # every J returned shares these two; an in-place scipy op must not
     # rewrite the cache
     indices.flags.writeable = indptr.flags.writeable = False
-    return _JacobianStructure(rows, cols, at, rows[at], perm[new], perm[~new],
-                              slot[~new], indices, indptr)
+    return _JacobianStructure(keep.copy(), at, rows[at], used, slot, indices,
+                              indptr)
 
 
-def _col_pointers(cols: np.ndarray, dim: int) -> np.ndarray:
-    """CSC column pointers of entries with these columns, sorted."""
-    return np.r_[0, np.cumsum(np.bincount(cols, minlength=dim))].astype(np.int32)
-
-
-def _jacobian(idx: IndexMap, x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-              vals: np.ndarray, slack_currents) -> csc_matrix:
-    """J from the pass's triplets, filled into the structure cached on the
-    index map; the structure is rebuilt when the triplet rows or columns
-    differ from the cached ones (a generator switched between PV and PQ,
-    a slack member's slope exactly 0, a tap or group row of another
-    kind). The result equals csc_matrix((vals, (rows, cols))) of the
-    rewritten triplets byte for byte."""
+def _jacobian(st: _Pass) -> csc_matrix:
+    """J from the pass's values, summed into the structure cached on the
+    index map; the structure is rebuilt when the pass keeps other slots
+    (a generator switched between PV and PQ, a slack member's slope
+    exactly 0, a tap or group row of another kind)."""
+    idx, keep = st.index, st.kept()
     s = idx.jac
-    if s is None or not (np.array_equal(rows, s.rows)
-                         and np.array_equal(cols, s.cols)):
-        s = idx.jac = _jacobian_structure(idx, rows, cols)
-    parts = [vals, (1.0, 1.0)]
+    if s is None or not np.array_equal(keep, s.keep):
+        s = idx.jac = _jacobian_structure(idx, keep)
+    head = np.concatenate((st.net, st.slot_values()))
+    parts = [head, (1.0, 1.0)]
     if idx.dps_col is not None:
-        parts += [vals[s.at] * x[s.on], (*slack_currents, -1.0)]
-    src = np.concatenate(parts)
-    data = src[s.first]
-    np.add.at(data, s.rest_slot, src[s.rest])
+        parts += [head[s.at] * st.x[s.on], (*st.slack_currents, -1.0)]
+    data = np.bincount(s.slot, np.concatenate(parts)[s.used],
+                       minlength=s.indices.size)
     J = csc_matrix((data, s.indices, s.indptr), shape=(idx.dim, idx.dim))
     J.has_canonical_format = True  # sorted and summed by construction
     J.structure = s
     return J
-
 
 
 # ---------------------------------------------------------------------------
@@ -1096,8 +1028,8 @@ def _jacobian(idx: IndexMap, x: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 def _stamp_pass(case: NetworkCase, state: StateVector,
                 ctl: ControlMode) -> _Pass:
     """One stamp pass at the state, segment by segment: F in `F` (slack
-    rows rewritten, see `_slack_rows`), and what `_Pass.triplets` builds
-    J's triplets from."""
+    rows rewritten, see `_slack_rows`), and what `_Pass.slot_values`
+    builds J's values from."""
     st = _Pass(case, state, ctl)
     idx, x = st.index, st.x
     vr, vi = x[0:2 * idx.n_bus:2], x[1:2 * idx.n_bus:2]
@@ -1122,16 +1054,16 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     returned at this very state (state.x unchanged since): J is built
     from the values that pass kept, and the state is not stamped again.
     J's CSC structure is cached on the state's IndexMap, keyed by the
-    pass's stamp-order triplet rows and columns, and only its values are
-    filled per call, duplicates summed in scipy's own order (see
-    `_jacobian`). J carries that structure as `J.structure`, where
-    `nr_solver.solve_linear` keeps the LU column order of the pattern."""
+    J slots the pass keeps, and only its values are emitted per call,
+    duplicates summed in emitted order (see `_jacobian`). J carries that
+    structure as `J.structure`, where `nr_solver.solve_linear` keeps the
+    LU column order of the pattern."""
     st = kept
     if st is None:
         st = _stamp_pass(case, state, ctl)
     elif st.x is not state.x or st.ctl is not ctl:
         raise ValueError("kept pass was stamped at another state or control")
-    return st.F, _jacobian(state.index, state.x, *st.triplets())
+    return st.F, _jacobian(st)
 
 
 def residual(case: NetworkCase, state: StateVector, ctl: ControlMode,

@@ -11,26 +11,7 @@ build them from validated limits.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-# exp() overflows above ~709.8; the guarded forms below only ever
-# exponentiate a non-positive argument, so this clamp merely pins the
-# saturated tails to exact limits.
-EXP_ARG_LIMIT = 745.0
-
-
-def _logistic(u: float) -> float:
-    """1 / (1 + exp(u)), overflow-safe for any finite u."""
-    if u > EXP_ARG_LIMIT:
-        return 0.0
-    if u < -EXP_ARG_LIMIT:
-        return 1.0
-    if u >= 0.0:
-        z = math.exp(-u)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(u))
 
 
 def sigmoid_arrays(y_min, y_max, x_set, smoothing: float, x, sign=1.0):
@@ -39,17 +20,21 @@ def sigmoid_arrays(y_min, y_max, x_set, smoothing: float, x, sign=1.0):
     A curve runs between y_min and y_max, centred at x_set: with sign 1
     it decreases, tending to y_max as x -> -inf and to y_min as
     x -> +inf; with sign -1 it increases. The smoothing sets the
-    steepness; large values approximate a hard switch at x_set. Values
-    lie within [y_min, y_max], except that the saturated tail
-    (y_max - y_min) * 1 + y_min can round above y_max by one rounding of
-    the limits' size; slopes are 0.0 exactly on the saturated tails. The
-    exponential runs through math.exp (`_logistic`), since np.exp can
-    differ from it in the last bit.
+    steepness; large values approximate a hard switch at x_set. The
+    logistic w = 1 / (1 + exp(u)) of u = smoothing * (x - x_set) * sign
+    is taken from z = exp(-|u|), which never overflows. Values lie within
+    [y_min, y_max]: where w rounds to 1 the value is y_max itself, since
+    span * 1 + y_min can round to either side of it; below 1, span * w
+    falls short of span by at least one rounding of span, enough to keep
+    span * w + y_min at or below y_max. Once z underflows (|u| > 745.2) a
+    curve is exactly at its limit, with slope 0.0.
     """
     u = smoothing * (x - x_set) * sign
-    w = np.fromiter(map(_logistic, u.tolist()), float, len(u))
+    z = np.exp(-np.abs(u))
+    w = np.where(u >= 0.0, z, 1.0) / (1.0 + z)
     span = y_max - y_min
-    return span * w + y_min, -smoothing * span * w * (1.0 - w) * sign
+    value = np.where(w < 1.0, span * w + y_min, y_max)
+    return value, -smoothing * span * w * (1.0 - w) * sign
 
 
 def default_patch_width(slope, y_min, y_max):

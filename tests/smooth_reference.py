@@ -2,18 +2,37 @@
 
 `splitflow.smooth_primitives` evaluates its curves only as arrays; these
 scalar curve objects and functions are the reference its array forms are
-checked against, bit for bit (tests/test_smooth_properties.py), and the
-forms the closed-form tests of tests/test_smooth_primitives.py read.
+checked against (tests/test_smooth_properties.py: the participation
+curves bit for bit, the sigmoids to a few roundings), and the forms the
+closed-form tests of tests/test_smooth_primitives.py read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from splitflow.smooth_primitives import _logistic, default_patch_width
+from splitflow.smooth_primitives import default_patch_width
 
 DECREASING = "decreasing"
 INCREASING = "increasing"
+
+# exp() overflows above ~709.8; `_logistic` only ever exponentiates a
+# non-positive argument, so this clamp merely pins the saturated tails
+# to exact limits.
+EXP_ARG_LIMIT = 745.0
+
+
+def _logistic(u: float) -> float:
+    """1 / (1 + exp(u)), overflow-safe for any finite u."""
+    if u > EXP_ARG_LIMIT:
+        return 0.0
+    if u < -EXP_ARG_LIMIT:
+        return 1.0
+    if u >= 0.0:
+        z = math.exp(-u)
+        return z / (1.0 + z)
+    return 1.0 / (1.0 + math.exp(u))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
-"""`assemble` fills J's values into a CSC structure cached on the
-IndexMap. Its J must equal scipy's own COO -> CSC conversion of the same
-triplets byte for byte, also when the structure changes under one map,
-and when it is built from a pass the line search kept. `solve_linear`
-keeps each structure's LU column order, and its solutions must equal
-plain `splu` byte for byte."""
+"""`assemble` sums J's values into a CSC structure cached on the
+IndexMap, keyed by the J slots a pass keeps. Its J must equal the pass's
+triplets with duplicates summed in the order they are emitted, byte for
+byte, also when the structure changes under one map, and when it is
+built from a pass the line search kept. `solve_linear` keeps each
+structure's LU column order, and its solutions must equal plain `splu`
+byte for byte."""
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +20,14 @@ from splitflow import SingularSystemError
 from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
 from splitflow.circuit_stamps import (
     StateVector,
-    _jacobian,
+    _Pass,
     _stamp_pass,
     assemble,
     base_control,
     flat_start,
     residual,
 )
+from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions, solve_linear
 from tests.conftest import load_matpower, load_native, random_state
 from tests.test_residual_paths import (
@@ -34,18 +39,29 @@ from tests.test_residual_paths import (
 )
 
 
+def triplets(st):
+    """The pass's J triplets (rows, cols, vals) in emitted order: the
+    network block's, then every kept slot's; slack bus rows not yet
+    rewritten."""
+    idx, keep = st.index, st.kept()
+    return (np.concatenate((idx.net_rows, idx.j_rows[keep])),
+            np.concatenate((idx.net_cols, idx.j_cols[keep])),
+            np.concatenate((st.net, st.slot_values()[keep])))
+
+
 def reference_jacobian(case, state, ctl):
-    """csc_matrix((vals, (rows, cols))) of the pass's triplets, with the
-    slack rows rewritten the direct way (see `rewritten`)."""
-    triplets = _stamp_pass(case, state, ctl).triplets()
-    return rewritten(state.index, state.x, *triplets)
+    """The pass's triplets with the slack rows rewritten the direct way
+    (see `rewritten`)."""
+    st = _stamp_pass(case, state, ctl)
+    return rewritten(state.index, state.x, *triplets(st), st.slack_currents)
 
 
 def rewritten(idx, x, rows, cols, vals, slack_currents):
     """The slack bus triplets leave their rows, which become unit
     diagonals, and with distributed slack move to the surplus row times
     their row's own voltage, followed by the surplus row's entries I_SR,
-    I_SI and -1; scipy converts the result."""
+    I_SI and -1. Duplicates are summed in that order, each from 0.0, and
+    the entries sorted by column and row."""
     r, d = 2 * idx.slack_pos, idx.dps_col
     at = (rows >> 1) == idx.slack_pos
     parts = [(rows[~at], cols[~at], vals[~at]),
@@ -55,8 +71,19 @@ def rewritten(idx, x, rows, cols, vals, slack_currents):
         parts.append((np.full(on.size, d), cols[at], vals[at] * x[on]))
         parts.append(([d, d, d], [r, r + 1, d], [*slack_currents, -1.0]))
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return csc_matrix((vals, (rows.astype(np.int32), cols.astype(np.int32))),
+    sums = {}
+    for entry, v in zip(zip(cols.tolist(), rows.tolist()), vals.tolist()):
+        sums[entry] = sums.get(entry, 0.0) + v
+    entries = sorted(sums)
+    counts = np.bincount([c for c, _ in entries], minlength=idx.dim)
+    return csc_matrix((np.array([sums[e] for e in entries]),
+                       np.array([r for _, r in entries], dtype=np.int32),
+                       np.r_[0, np.cumsum(counts)].astype(np.int32)),
                       shape=(idx.dim, idx.dim))
+
+
+def pattern(J):
+    return J.indices.tobytes(), J.indptr.tobytes()
 
 
 def assert_same_bytes(J, ref):
@@ -87,8 +114,7 @@ def test_alternating_structures_on_one_index_map():
     state = random_state(case, base, 0)
     patterns = []
     for ctl in (base, fixed, base):
-        J = check(case, state, ctl)
-        patterns.append((J.indices.tobytes(), J.indptr.tobytes()))
+        patterns.append(pattern(check(case, state, ctl)))
     assert patterns[0] != patterns[1] and patterns[0] == patterns[2]
 
 
@@ -107,7 +133,7 @@ def test_slack_member_on_a_flat():
     assert on_flat.index is idx
     sizes = []
     for s in (state, on_flat, state):
-        sizes.append(len(_stamp_pass(case, s, ctl).triplets()[0]))
+        sizes.append(np.count_nonzero(_stamp_pass(case, s, ctl).kept()))
         check(case, s, ctl)
     assert sizes[1] < sizes[0] == sizes[2]
 
@@ -130,23 +156,61 @@ def test_outer_loop_switches(monkeypatch):
     assert len({id(state.index) for state, _ in seen}) == 1
     patterns = set()
     for state, ctl in seen + seen[::-1]:
-        J = check(case, state, ctl)
-        patterns.add((J.indices.tobytes(), J.indptr.tobytes()))
+        patterns.add(pattern(check(case, state, ctl)))
     assert len(patterns) > 1
 
 
-def test_same_rows_other_columns_rebuild_the_structure():
-    # the stamps change rows and columns together, but the key holds both
+def test_flipping_one_kept_slot_rebuilds_the_structure(monkeypatch):
+    # the kept slots are the key: one slot turned off gives a new
+    # structure, and turned on again another new one with the first's
+    # pattern (only the last structure is cached)
     case, ctl = variant(load_matpower("case9"), "base")
     state = random_state(case, ctl, 0)
-    idx, x = state.index, state.x
-    rows, cols, vals, currents = _stamp_pass(case, state, ctl).triplets()
-    moved = cols.copy()
-    k = np.flatnonzero((rows >> 1) != idx.slack_pos)[-1]
-    moved[k] = (cols[k] + 1) % idx.dim
-    for c in (cols, moved, cols):
-        assert_same_bytes(_jacobian(idx, x, rows, c, vals, currents),
-                          rewritten(idx, x, rows, c, vals, currents))
+    idx = state.index
+    first = check(case, state, ctl)
+    keep = _stamp_pass(case, state, ctl).kept()
+    entries = Counter(zip(idx.j_rows[keep].tolist(), idx.j_cols[keep].tolist()))
+    entries.update(zip(idx.net_rows.tolist(), idx.net_cols.tolist()))
+    # a kept slot outside the slack rows whose entry no other source has
+    k = next(k for k in np.flatnonzero(keep)
+             if idx.j_rows[k] >> 1 != idx.slack_pos
+             and entries[idx.j_rows[k], idx.j_cols[k]] == 1)
+    kept = _Pass.kept
+
+    def flipped(st):
+        keep = kept(st).copy()
+        keep[k] = False
+        return keep
+
+    monkeypatch.setattr(_Pass, "kept", flipped)
+    off = check(case, state, ctl)
+    assert off.structure is not first.structure
+    assert off.nnz == first.nnz - 1
+    monkeypatch.undo()
+    on = check(case, state, ctl)
+    assert on.structure is not off.structure
+    assert on.structure is not first.structure
+    assert pattern(on) == pattern(first)
+
+
+def test_q_limit_steps_share_one_structure(monkeypatch):
+    # the q-limit continuation's steps differ in q_scale alone, which
+    # keeps the same slots: every step of the path reuses one structure
+    case = replace(load_matpower("case30"), agc_enabled=False)
+    seen = []
+    real = nr_solver.assemble
+
+    def recording(case, state, ctl, kept=None):
+        F, J = real(case, state, ctl, kept)
+        if ctl.q_scale and not ctl.device_modes:
+            seen.append((ctl, J.structure))
+        return F, J
+
+    monkeypatch.setattr(nr_solver, "assemble", recording)
+    _, report = run_homotopy(case, None, "q-limit", SolverOptions())
+    assert report.converged
+    assert len({id(ctl) for ctl, _ in seen}) > 2
+    assert len({id(s) for _, s in seen}) == 1
 
 
 def test_returned_jacobian_keeps_its_values():
