@@ -947,15 +947,15 @@ class _JacobianStructure:
     def keep_order(self, perm_c: np.ndarray) -> None:
         """Keep perm_c, the column order SuperLU chose for this pattern.
 
-        The order (COLAMD by default) reads the pattern alone, so every J
-        of this structure shares it. With inv = argsort(perm_c), the
-        permuted matrix is J[inv][:, inv]: factored in its NATURAL order
-        it gives the LU, pivots and solution bits that J gives with
-        perm_c, and J x = b becomes permuted y = b[inv], x[inv] = y.
-        SuperLU prefers the diagonal of Pc' A Pc as pivot when it ties
-        for the largest, so the rows are renumbered with the columns;
-        and its column search visits a column's rows in stored order, so
-        each column keeps J's row order (unsorted in the new numbering)."""
+        The order (minimum degree on J + Jᵀ, `nr_solver.SPLU`) reads the
+        pattern alone, so every J of this structure shares it. With
+        inv = argsort(perm_c), the permuted matrix is J[inv][:, inv]:
+        factored in its NATURAL order it gives the LU, pivots and solution
+        bits that J gives with perm_c, and J x = b becomes permuted
+        y = b[inv], x[inv] = y. SuperLU prefers the diagonal of Pc' A Pc
+        as pivot, so the rows are renumbered with the columns; and its
+        column search visits a column's rows in stored order, so each
+        column keeps J's row order (unsorted in the new numbering)."""
         inv = np.argsort(perm_c)
         counts = np.diff(self.indptr)[inv]
         indptr = np.r_[0, np.cumsum(counts)].astype(np.int32)

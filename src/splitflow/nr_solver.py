@@ -11,10 +11,13 @@ ground truth and the step alone is never trusted.
 Every state is stamped once. The line search's pass at the trial it
 accepts is kept, and the next iteration builds J from it; only the
 first iteration, and a state the tap floor has rewritten, stamp anew.
-The sparse LU keeps the column order of each J pattern: the first
-factorization of a pattern orders its columns (COLAMD), and later ones
-factor J with its columns already in that order, which gives the same
-LU and the same solution bit for bit.
+Every sparse LU runs with the settings in `SPLU`: a minimum-degree
+column order on the pattern of J + Jᵀ, which suits power-flow Jacobians
+(near-symmetric in pattern), no relaxed supernodes or panels (their
+supernodes are tiny), and diagonal-preferring pivots. The LU keeps the
+column order of each J pattern: the first factorization of a pattern
+orders its columns, and later ones factor J with its columns already in
+that order, which gives the same LU and the same solution bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ TAP_FLOOR = 1e-6
 TOL_STEP = 1e-6  # largest step of a converged iteration
 STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
 STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
+# SuperLU settings of every factorization. The diagonal stays the pivot
+# unless it is below a tenth of its column's largest entry, so a unit row
+# whose column has entries elsewhere (a degenerate device) keeps its unit
+# pivot and solves exactly; threshold 1 can pivot on another row there
+SPLU = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1,
+        "diag_pivot_thresh": 0.1}
+# the same settings for a matrix whose columns are already in order
+_SPLU_ORDERED = SPLU | {"permc_spec": "NATURAL"}
 
 
 @dataclass
@@ -93,9 +104,10 @@ class SolveReport:
 def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Direct sparse LU solve of mat x = rhs.
 
-    A J from `assemble` carries its cached structure, which keeps the
-    LU column order of its pattern after the first factorization (see
-    `_factor`); any other matrix is ordered afresh.
+    Factors with the `SPLU` settings. A J from `assemble` carries its
+    cached structure, which keeps the LU column order of its pattern
+    after the first factorization (see `_factor`); any other matrix is
+    ordered on each call.
 
     Raises SingularSystemError carrying a suspect row index when the
     factorization fails or the solution does not satisfy the system.
@@ -136,20 +148,20 @@ def _factor(mat):
     A J that shares its pattern with the structure it carries is factored
     as the structure's permuted matrix, refilled with J's values, in the
     NATURAL order, once the structure has the pattern's order; the first
-    factorization of a pattern orders it and gives the structure that
-    order."""
+    factorization of a pattern orders it (minimum degree on J + Jᵀ) and
+    gives the structure that order. Every call uses the `SPLU` settings."""
     s = getattr(mat, "structure", None)
     # scipy keeps the structure's column pointers and a view of its row
     # indices; a J whose pattern arrays were replaced is ordered afresh
     if s is None or mat.indptr is not s.indptr or (
             mat.indices is not s.indices and mat.indices.base is not s.indices):
-        return splu(mat), None
+        return splu(mat, **SPLU), None
     if s.permuted is None:
-        lu = splu(mat)
+        lu = splu(mat, **SPLU)
         s.keep_order(lu.perm_c)
         return lu, None
     np.take(mat.data, s.gather, out=s.permuted.data)
-    return splu(s.permuted, permc_spec="NATURAL"), s.inv
+    return splu(s.permuted, **_SPLU_ORDERED), s.inv
 
 
 def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:

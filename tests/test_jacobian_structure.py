@@ -2,9 +2,9 @@
 IndexMap, keyed by the J slots a pass keeps. Its J must equal the pass's
 triplets with duplicates summed in the order they are emitted, byte for
 byte, also when the structure changes under one map, and when it is
-built from a pass the line search kept. `solve_linear` keeps each
-structure's LU column order, and its solutions must equal plain `splu`
-byte for byte."""
+built from a pass the line search kept. `solve_linear` factors with the
+`nr_solver.SPLU` settings and keeps each structure's LU column order,
+and its solutions must equal `splu` with those settings byte for byte."""
 
 from collections import Counter
 from dataclasses import replace
@@ -28,7 +28,7 @@ from splitflow.circuit_stamps import (
     residual,
 )
 from splitflow.homotopy_driver import run_homotopy
-from splitflow.nr_solver import SolverOptions, solve_linear
+from splitflow.nr_solver import SPLU, SolverOptions, solve_linear
 from tests.conftest import load_matpower, load_native, random_state
 from tests.test_residual_paths import (
     CASES,
@@ -265,21 +265,27 @@ def test_kept_pass_of_another_state_rejected():
         assemble(case, state.copy(), ctl, kept)
 
 
+ORDER = "MMD_AT_PLUS_A"  # the column order of a pattern's first factorization
+
+
 class SpyFactor:
-    """Records the permc_spec of every splu call nr_solver makes."""
+    """Records the permc_spec of every splu call nr_solver makes, after
+    checking that the call carries every other `SPLU` setting."""
 
     def __init__(self, monkeypatch):
         self.specs = []
         monkeypatch.setattr(nr_solver, "splu", self)
 
-    def __call__(self, mat, permc_spec=None):
-        self.specs.append(permc_spec)
-        return splu(mat, permc_spec=permc_spec)
+    def __call__(self, mat, **kw):
+        # the settings, but for the column order (checked by the caller)
+        assert kw | {"permc_spec": ORDER} == SPLU
+        self.specs.append(kw["permc_spec"])
+        return splu(mat, **kw)
 
 
 def plain_solve(J, rhs):
-    """Today's path for any matrix: splu with its default ordering."""
-    return splu(csc_matrix(J)).solve(rhs)
+    """The path for any matrix: splu with the `SPLU` settings."""
+    return splu(csc_matrix(J), **SPLU).solve(rhs)
 
 
 @pytest.mark.parametrize("variant_name", VARIANTS)
@@ -301,9 +307,23 @@ def test_stored_order_solves_bit_equal(case_name, variant_name, monkeypatch):
         assert x.tobytes() == plain_solve(J, -F).tobytes()
         new = not any(s is J.structure for s in structures)
         structures.append(J.structure)
-        assert spy.specs[-1] == (None if new else "NATURAL")
+        assert spy.specs[-1] == (ORDER if new else "NATURAL")
         assert J.structure.inv is not None
     assert "NATURAL" in spy.specs
+
+
+@pytest.mark.parametrize("agc", [False, True])
+def test_kept_order_fill_on_case118(agc):
+    # minimum degree on J + Jᵀ: at case118's flat start the kept order's
+    # L and U hold at most 6000 entries (COLAMD's held 8455 without
+    # distributed slack and 8927 with it)
+    case = replace(load_matpower("case118"), agc_enabled=agc)
+    ctl = base_control(case)
+    F, J = assemble(case, flat_start(case, ctl), ctl)
+    solve_linear(J, -F)
+    lu, inv = nr_solver._factor(J)
+    assert inv is J.structure.inv is not None  # factored in the kept order
+    assert lu.L.nnz + lu.U.nnz <= 6000
 
 
 def test_order_dropped_with_the_structure(monkeypatch):
@@ -328,7 +348,7 @@ def test_order_dropped_with_the_structure(monkeypatch):
             assert J.structure.inv is None
             rebuilt += 1
         x = solve_linear(J, -F)
-        assert spy.specs[-1] == (None if J.structure is not last
+        assert spy.specs[-1] == (ORDER if J.structure is not last
                                  else "NATURAL")
         assert x.tobytes() == plain_solve(J, -F).tobytes()
         last = J.structure

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
 from splitflow import SingularPointError, SingularSystemError
 from splitflow.circuit_stamps import base_control, flat_start, residual
 from splitflow.nr_solver import (
+    SPLU,
     SolverOptions,
     nr_solve,
     solve_linear,
@@ -71,6 +73,20 @@ class TestSolveLinear:
         # built from them sums duplicates
         mat = csc_matrix(([1.5, 0.5], ([0, 0], [0, 0])), shape=(1, 1))
         assert solve_linear(mat, np.array([4.0])) == pytest.approx([2.0])
+
+    def test_unit_row_solves_exactly(self):
+        # unknown 1 is a degenerate device's output: its own row holds it
+        # at rhs[1], and its column also enters two network rows. The
+        # diagonal-preferring pivot keeps the unit pivot, so the solve
+        # returns rhs[1] exactly; pivoting on the column's largest entry
+        # (threshold 1) leaves a rounding error there
+        A, b = dense_system([[4.0, 1.3, 0.0, 2.0],
+                             [0.0, 1.0, 0.0, 0.0],
+                             [0.0, 3.7, 5.0, 1.0],
+                             [1.0, 0.0, 2.0, 6.0]], [0.3, 0.7, 0.1, -0.9])
+        assert solve_linear(A, b)[1] == b[1]
+        largest = splu(A, **(SPLU | {"diag_pivot_thresh": 1.0}))
+        assert largest.solve(b)[1] != b[1]
 
 
 class TestStepLimit:

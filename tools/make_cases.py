@@ -5,6 +5,9 @@ The 9- and 14-bus files are the classic public test systems; these two
 are deterministic constructed meshed networks of the stated sizes (ring
 plus chords, mixed generator Q headroom so a few limits bind, some fixed
 off-nominal taps). Regenerate with:  python3 tools/make_cases.py
+
+`build` also makes larger cases at run time, with random chords or with
+chords between buses at most max_span apart (`tools/lu_probe.py`).
 """
 
 import pathlib
@@ -15,7 +18,11 @@ HERE = pathlib.Path(__file__).resolve().parent
 CASES = HERE.parent / "tests" / "cases"
 
 
-def build(n_bus, gen_buses, n_chords, load_total, seed, tight_q=()):
+def build(n_bus, gen_buses, n_chords, load_total, seed, tight_q=(),
+          max_span=None):
+    """(branches, loads, gens, shunt_bus) of a ring of n_bus buses plus
+    n_chords random chords, each between buses at least 2 and, with
+    max_span, at most max_span apart along the ring's numbering."""
     rng = np.random.default_rng(seed)
     branches = []
     for i in range(1, n_bus):
@@ -25,8 +32,12 @@ def build(n_bus, gen_buses, n_chords, load_total, seed, tight_q=()):
     branches.append((n_bus, 1, 0.02, 0.08, 0.02, 0.0))
     seen = {(min(a, b), max(a, b)) for a, b, *_ in branches}
     while len(branches) < n_bus + n_chords:
-        a, b = sorted(rng.choice(np.arange(1, n_bus + 1), 2, replace=False))
-        if (a, b) in seen or b - a < 2:
+        if max_span is None:
+            a, b = sorted(rng.choice(np.arange(1, n_bus + 1), 2, replace=False))
+        else:
+            a = int(rng.integers(1, n_bus + 1))
+            b = a + int(rng.integers(2, max_span + 1))
+        if (a, b) in seen or b - a < 2 or b > n_bus:
             continue
         seen.add((a, b))
         x = rng.uniform(0.05, 0.20)
@@ -93,19 +104,22 @@ def emit(name, n_bus, branches, loads, gens, shunt_bus):
     return "\n".join(out)
 
 
-def main():
-    b30, l30, g30, s30 = build(
-        30, [1, 2, 5, 8, 11, 13], 11, 2.8, seed=30301, tight_q=[5, 11]
-    )
-    (CASES / "case30.m").write_text(emit("case30", 30, b30, l30, g30, s30))
-
+def bundled():
+    """{file name: MATPOWER text} of the bundled synthetic cases."""
     gen118 = [1, 6, 12, 19, 25, 32, 40, 46, 54, 61, 66, 72, 80, 87, 94, 100,
               105, 110, 115, 118]
-    b118, l118, g118, s118 = build(
-        118, gen118, 68, 22.0, seed=118118, tight_q=[19, 54, 87, 110]
-    )
-    (CASES / "case118.m").write_text(emit("case118", 118, b118, l118, g118, s118))
-    print("wrote", CASES / "case30.m", "and", CASES / "case118.m")
+    return {
+        "case30.m": emit("case30", 30, *build(
+            30, [1, 2, 5, 8, 11, 13], 11, 2.8, seed=30301, tight_q=[5, 11])),
+        "case118.m": emit("case118", 118, *build(
+            118, gen118, 68, 22.0, seed=118118, tight_q=[19, 54, 87, 110])),
+    }
+
+
+def main():
+    for name, text in bundled().items():
+        (CASES / name).write_text(text)
+        print("wrote", CASES / name)
 
 
 if __name__ == "__main__":
