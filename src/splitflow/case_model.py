@@ -5,6 +5,16 @@ branch tables) and a native JSON format that carries the fields MATPOWER
 lacks (switched-shunt step sizes, tap control setpoints, AGC factors,
 remote-controlled buses). All electrical quantities are stored per-unit
 on the system MVA base.
+
+Native schema: an object with format_version (1), s_base, name (default
+"") and agc_enabled (default false), and the lists buses, branches,
+generators, loads, fixed_shunts and shunts (default []) of records. A
+record's keys are its dataclass fields, except that a branch's ends are
+"from"/"to" and a bus's v_init_real/v_init_imag are one pair "v_init".
+A field with a default may be absent, as may a fixed shunt's g and b
+(0.0); tap (a TapControl object), remote_bus and step_size may be null.
+Integer fields take integral numbers, and a boolean is no number.
+Remote control groups are not stored: they are inferred from generators.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 from .errors import CaseParseError, CaseValidationError
 
@@ -254,8 +264,8 @@ def _matpower_tables(text: str) -> tuple[float, dict[str, list[tuple[int, list[f
     return base, tables
 
 
-def _integer(value: float, what: str, lineno: int) -> int:
-    """A table entry that must be an integer, such as a bus id."""
+def _integer(value: float, what: str, lineno: int | None = None) -> int:
+    """A number that must be an integer, such as a bus id."""
     if not value.is_integer():
         raise CaseParseError(f"{what} {value!r} is not an integer", line=lineno)
     return int(value)
@@ -388,137 +398,103 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
 # Native format (JSON)
 # ---------------------------------------------------------------------------
 
-_REQUIRED = object()
+# JSON key of each record field whose key is not the field's name; a
+# bus's v_init is split into its two parts before decoding
+_KEY = {"from_bus": "from", "to_bus": "to",
+        "v_init_real": "v_init[0]", "v_init_imag": "v_init[1]"}
+# fields the JSON may omit although the record requires them
+_OMITTED = {(FixedShunt, "g"): 0.0, (FixedShunt, "b"): 0.0}
+# the record lists of a case, by their key in the JSON and in NetworkCase
+_LISTS = {"buses": Bus, "branches": Branch, "generators": Generator,
+          "loads": Load, "fixed_shunts": FixedShunt, "shunts": SwitchedShunt}
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise CaseParseError(f"{where}: missing field {key!r}")
-    return obj[key]
+def _expect(value, kind: type, what: str, where: str):
+    """value when it is a kind, else CaseParseError naming where."""
+    if not isinstance(value, kind):
+        raise CaseParseError(
+            f"{where}: expected {what}, got {type(value).__name__}")
+    return value
 
 
-def _field(obj: dict, key: str, where: str, conv=float, default=_REQUIRED):
-    """obj[key] (or default when absent) converted by conv; a missing or
-    unconvertible value raises CaseParseError naming the field."""
-    value = (_need(obj, key, where) if default is _REQUIRED
-             else obj.get(key, default))
+def _scalar(kind: str, value, where: str):
+    """value as the record field type kind: 'str', 'float' or 'int'."""
+    if kind == "str":
+        return _expect(value, str, "a string", where)
+    if isinstance(value, bool):
+        raise CaseParseError(f"{where}: expected a number, got bool")
+    if kind == "int" and isinstance(value, int):
+        return value
     try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError, IndexError) as exc:
-        raise CaseParseError(f"{where}.{key}: {exc}") from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CaseParseError(f"{where}: {exc}") from exc
+    return number if kind == "float" else _integer(number, where)
+
+
+def _decode(cls, obj, where: str):
+    """The cls record a JSON object holds. Each field converts by its
+    annotation; a field with a default may be absent, and an optional
+    one may be null."""
+    obj = _expect(obj, dict, "an object", where)
+    if cls is Bus and "v_init" in obj:
+        pair = obj["v_init"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CaseParseError(f"{where}.v_init: expected a [real, imag] pair")
+        obj = {**obj, "v_init[0]": pair[0], "v_init[1]": pair[1]}
+    values = {}
+    for f in fields(cls):
+        key = _KEY.get(f.name, f.name)
+        kind = f.type.removesuffix(" | None")
+        if key not in obj:
+            value = _OMITTED.get((cls, f.name), f.default)
+            if value is MISSING:
+                raise CaseParseError(f"{where}: missing field {key!r}")
+        elif obj[key] is None and kind != f.type:  # an X | None field
+            value = None
+        elif kind == "TapControl":
+            value = _decode(TapControl, obj[key], f"{where}.{key}")
+        else:
+            value = _scalar(kind, obj[key], f"{where}.{key}")
+        values[f.name] = value
+    return cls(**values)
+
+
+def _encode(record) -> dict:
+    """The JSON object of a record; inverse of _decode."""
+    out = {_KEY.get(f.name, f.name): getattr(record, f.name)
+           for f in fields(record)}
+    if isinstance(record, Bus):
+        out["v_init"] = [out.pop("v_init[0]"), out.pop("v_init[1]")]
+    if isinstance(record, Branch) and record.tap is not None:
+        out["tap"] = _encode(record.tap)
+    return out
 
 
 def parse_native(text: str, name: str = "") -> NetworkCase:
-    """Parse the native JSON case format (see serialize_native for schema)."""
+    """Parse the native JSON case format (schema in the module docstring)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CaseParseError("top-level document must be an object")
-    version = _need(doc, "format_version", "case")
-    if version != NATIVE_FORMAT_VERSION:
+    doc = _expect(doc, dict, "an object", "case")
+    for key in ("format_version", "s_base"):
+        if key not in doc:
+            raise CaseParseError(f"case: missing field {key!r}")
+    version = doc["format_version"]
+    if version != NATIVE_FORMAT_VERSION or isinstance(version, bool):
         raise CaseParseError(f"unsupported format_version {version}")
-    s_base = _field(doc, "s_base", "case")
-
-    buses = []
-    for i, b in enumerate(doc.get("buses", [])):
-        where = f"buses[{i}]"
-        v_init = _field(b, "v_init", where,
-                        lambda v: (float(v[0]), float(v[1])), (1.0, 0.0))
-        buses.append(
-            Bus(
-                id=_field(b, "id", where, int),
-                base_kv=_field(b, "base_kv", where),
-                kind=_field(b, "kind", where, str),
-                v_init_real=v_init[0],
-                v_init_imag=v_init[1],
-            )
-        )
-
-    branches = []
-    for i, br in enumerate(doc.get("branches", [])):
-        where = f"branches[{i}]"
-        tap = None
-        if br.get("tap") is not None:
-            t = br["tap"]
-            tap = TapControl(
-                tr_min=_field(t, "tr_min", where + ".tap"),
-                tr_max=_field(t, "tr_max", where + ".tap"),
-                v_set=_field(t, "v_set", where + ".tap"),
-                controlled_side=t.get("controlled_side", "primary"),
-                step_size=(None if t.get("step_size") is None
-                           else _field(t, "step_size", where + ".tap")),
-            )
-        branches.append(
-            Branch(
-                from_bus=_field(br, "from", where, int),
-                to_bus=_field(br, "to", where, int),
-                g=_field(br, "g", where),
-                b=_field(br, "b", where),
-                b_sh=_field(br, "b_sh", where, default=0.0),
-                ratio=_field(br, "ratio", where, default=1.0),
-                tap=tap,
-            )
-        )
-
-    generators = []
-    for i, g in enumerate(doc.get("generators", [])):
-        where = f"generators[{i}]"
-        generators.append(
-            Generator(
-                bus=_field(g, "bus", where, int),
-                p_g=_field(g, "p_g", where),
-                v_set=_field(g, "v_set", where),
-                q_min=_field(g, "q_min", where),
-                q_max=_field(g, "q_max", where),
-                p_min=_field(g, "p_min", where),
-                p_max=_field(g, "p_max", where),
-                agc_factor=_field(g, "agc_factor", where, default=0.0),
-                remote_bus=(None if g.get("remote_bus") is None
-                            else _field(g, "remote_bus", where, int)),
-                remote_factor=_field(g, "remote_factor", where, default=0.0),
-            )
-        )
-
-    loads = [
-        Load(
-            bus=_field(l, "bus", f"loads[{i}]", int),
-            p=_field(l, "p", f"loads[{i}]"),
-            q=_field(l, "q", f"loads[{i}]"),
-        )
-        for i, l in enumerate(doc.get("loads", []))
-    ]
-    fixed_shunts = [
-        FixedShunt(
-            bus=_field(s, "bus", f"fixed_shunts[{i}]", int),
-            g=_field(s, "g", f"fixed_shunts[{i}]", default=0.0),
-            b=_field(s, "b", f"fixed_shunts[{i}]", default=0.0),
-        )
-        for i, s in enumerate(doc.get("fixed_shunts", []))
-    ]
-    shunts = [
-        SwitchedShunt(
-            bus=_field(s, "bus", f"shunts[{i}]", int),
-            b_min=_field(s, "b_min", f"shunts[{i}]"),
-            b_max=_field(s, "b_max", f"shunts[{i}]"),
-            step_size=_field(s, "step_size", f"shunts[{i}]"),
-            v_set=_field(s, "v_set", f"shunts[{i}]"),
-        )
-        for i, s in enumerate(doc.get("shunts", []))
-    ]
-
-    case = NetworkCase(
-        s_base=s_base,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
-        loads=tuple(loads),
-        fixed_shunts=tuple(fixed_shunts),
-        shunts=tuple(shunts),
-        agc_enabled=bool(doc.get("agc_enabled", False)),
-        name=name or doc.get("name", ""),
-    )
+    s_base = _scalar("float", doc["s_base"], "case.s_base")
+    agc_enabled = _expect(doc.get("agc_enabled", False), bool, "a boolean",
+                          "case.agc_enabled")
+    doc_name = _expect(doc.get("name", ""), str, "a string", "case.name")
+    records = {
+        key: [_decode(cls, obj, f"{key}[{i}]") for i, obj in enumerate(
+            _expect(doc.get(key, []), list, "a list", f"case.{key}"))]
+        for key, cls in _LISTS.items()
+    }
+    case = NetworkCase(s_base=s_base, agc_enabled=agc_enabled,
+                       name=name or doc_name, **records)
     problems = validate(case)
     if problems:
         raise CaseValidationError(problems)
@@ -532,65 +508,9 @@ def serialize_native(case: NetworkCase) -> str:
         "name": case.name,
         "s_base": case.s_base,
         "agc_enabled": case.agc_enabled,
-        "buses": [
-            {
-                "id": b.id,
-                "base_kv": b.base_kv,
-                "kind": b.kind,
-                "v_init": [b.v_init_real, b.v_init_imag],
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from": br.from_bus,
-                "to": br.to_bus,
-                "g": br.g,
-                "b": br.b,
-                "b_sh": br.b_sh,
-                "ratio": br.ratio,
-                "tap": None
-                if br.tap is None
-                else {
-                    "tr_min": br.tap.tr_min,
-                    "tr_max": br.tap.tr_max,
-                    "v_set": br.tap.v_set,
-                    "controlled_side": br.tap.controlled_side,
-                    "step_size": br.tap.step_size,
-                },
-            }
-            for br in case.branches
-        ],
-        "generators": [
-            {
-                "bus": g.bus,
-                "p_g": g.p_g,
-                "v_set": g.v_set,
-                "q_min": g.q_min,
-                "q_max": g.q_max,
-                "p_min": g.p_min,
-                "p_max": g.p_max,
-                "agc_factor": g.agc_factor,
-                "remote_bus": g.remote_bus,
-                "remote_factor": g.remote_factor,
-            }
-            for g in case.generators
-        ],
-        "loads": [{"bus": l.bus, "p": l.p, "q": l.q} for l in case.loads],
-        "fixed_shunts": [
-            {"bus": s.bus, "g": s.g, "b": s.b} for s in case.fixed_shunts
-        ],
-        "shunts": [
-            {
-                "bus": s.bus,
-                "b_min": s.b_min,
-                "b_max": s.b_max,
-                "step_size": s.step_size,
-                "v_set": s.v_set,
-            }
-            for s in case.shunts
-        ],
     }
+    for key in _LISTS:
+        doc[key] = [_encode(r) for r in getattr(case, key)]
     return json.dumps(doc, indent=2)
 
 

@@ -45,9 +45,6 @@ class SnapPlan:
     continuous_shunt_b: dict = field(default_factory=dict)
     continuous_tap: dict = field(default_factory=dict)
 
-    def devices(self) -> int:
-        return len(self.shunt_b) + len(self.tap_ratio)
-
 
 def plan_snap(case: NetworkCase, solution: StateVector) -> SnapPlan:
     """Read the continuous solution and snap every steppable device.

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -167,6 +168,16 @@ class TestNative:
                            "not convert string to float: 'abc'"):
             parse_native(json.dumps(doc))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("agc_enabled", "false", "case.agc_enabled: expected a boolean, got str"),
+        ("name", 5, "case.name: expected a string, got int"),
+    ])
+    def test_top_level_type_checked(self, key, value, message):
+        doc = json.loads(serialize_native(load_native("discrete4")))
+        doc[key] = value
+        with pytest.raises(CaseParseError, match=re.escape(message)):
+            parse_native(json.dumps(doc))
+
     def test_unsupported_version(self):
         with pytest.raises(CaseParseError, match="format_version"):
             parse_native(json.dumps({"format_version": 99, "s_base": 1.0}))
@@ -184,6 +195,7 @@ class TestNative:
         for name in ("savnw_like", "oscillation4", "discrete4"):
             text = (CASE_DIR / f"{name}.native.json").read_text()
             case = parse_native(text)
+            assert serialize_native(case) == text
             again = parse_native(serialize_native(case))
             assert again == case
             assert serialize_native(again) == serialize_native(case)

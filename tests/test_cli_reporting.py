@@ -69,6 +69,40 @@ def test_fractional_matpower_bus_id_is_input_error(tmp_path):
     assert "bus id 5.5 is not an integer" in result.stderr
 
 
+def native_with(tmp_path, keys, value):
+    """discrete4 as a native file, with the entry at the path keys set to
+    value."""
+    doc = json.loads((CASE_DIR / "discrete4.native.json").read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "bad.native.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_fractional_native_bus_id_is_input_error(tmp_path):
+    result = run("solve", native_with(tmp_path, ("buses", 1, "id"), 2.5))
+    assert_input_error(result)
+    assert "buses[1].id 2.5 is not an integer" in result.stderr
+
+
+@pytest.mark.parametrize("keys,value,message", [
+    (("buses",), [1], "buses[0]: expected an object, got int"),
+    (("buses",), {}, "case.buses: expected a list, got dict"),
+    (("branches", 0, "tap"), 5, "branches[0].tap: expected an object, got int"),
+    (("buses", 0, "id"), True, "buses[0].id: expected a number, got bool"),
+    (("loads", 0, "p"), False, "loads[0].p: expected a number, got bool"),
+    (("buses", 0, "v_init"), [1.0], "buses[0].v_init: expected a [real, imag]"),
+    (("agc_enabled",), "false", "case.agc_enabled: expected a boolean"),
+])
+def test_malformed_native_record_is_input_error(tmp_path, keys, value, message):
+    result = run("solve", native_with(tmp_path, keys, value))
+    assert_input_error(result)
+    assert message in result.stderr
+
+
 def test_non_finite_native_number_is_input_error(tmp_path):
     doc = json.loads((CASE_DIR / "discrete4.native.json").read_text())
     doc["branches"][0]["g"] = float("inf")
