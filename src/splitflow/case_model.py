@@ -13,7 +13,9 @@ record's keys are its dataclass fields, except that a branch's ends are
 "from"/"to" and a bus's v_init_real/v_init_imag are one pair "v_init".
 A field with a default may be absent, as may a fixed shunt's g and b
 (0.0); tap (a TapControl object), remote_bus and step_size may be null.
-Integer fields take integral numbers, and a boolean is no number.
+Integer fields take integral numbers; a boolean or a string is no
+number. A key the schema does not name is an error, at the top level
+and in a record.
 Remote control groups are not stored: they are inferred from generators.
 """
 
@@ -407,6 +409,8 @@ _OMITTED = {(FixedShunt, "g"): 0.0, (FixedShunt, "b"): 0.0}
 # the record lists of a case, by their key in the JSON and in NetworkCase
 _LISTS = {"buses": Bus, "branches": Branch, "generators": Generator,
           "loads": Load, "fixed_shunts": FixedShunt, "shunts": SwitchedShunt}
+# every key of a case's top-level object
+_TOP_KEYS = {"format_version", "s_base", "name", "agc_enabled", *_LISTS}
 
 
 def _expect(value, kind: type, what: str, where: str):
@@ -421,15 +425,31 @@ def _scalar(kind: str, value, where: str):
     """value as the record field type kind: 'str', 'float' or 'int'."""
     if kind == "str":
         return _expect(value, str, "a string", where)
-    if isinstance(value, bool):
-        raise CaseParseError(f"{where}: expected a number, got bool")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CaseParseError(
+            f"{where}: expected a number, got {type(value).__name__}")
     if kind == "int" and isinstance(value, int):
         return value
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise CaseParseError(f"{where}: {exc}") from exc
     return number if kind == "float" else _integer(number, where)
+
+
+def _keys(cls) -> set:
+    """The JSON keys of a cls record."""
+    keys = {_KEY.get(f.name, f.name) for f in fields(cls)}
+    if cls is Bus:
+        keys = keys - {"v_init[0]", "v_init[1]"} | {"v_init"}
+    return keys
+
+
+def _known_keys(obj: dict, keys, where: str):
+    """CaseParseError naming the first key of obj not in keys, if any."""
+    for key in obj:
+        if key not in keys:
+            raise CaseParseError(f"{where}: unknown field {key!r}")
 
 
 def _decode(cls, obj, where: str):
@@ -437,6 +457,7 @@ def _decode(cls, obj, where: str):
     annotation; a field with a default may be absent, and an optional
     one may be null."""
     obj = _expect(obj, dict, "an object", where)
+    _known_keys(obj, _keys(cls), where)
     if cls is Bus and "v_init" in obj:
         pair = obj["v_init"]
         if not isinstance(pair, list) or len(pair) != 2:
@@ -478,6 +499,7 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
     except json.JSONDecodeError as exc:
         raise CaseParseError(f"invalid JSON: {exc}") from exc
     doc = _expect(doc, dict, "an object", "case")
+    _known_keys(doc, _TOP_KEYS, "case")
     for key in ("format_version", "s_base"):
         if key not in doc:
             raise CaseParseError(f"case: missing field {key!r}")

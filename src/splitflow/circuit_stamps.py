@@ -535,12 +535,19 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     Every control row starts on its curve at those voltages whatever
     ctl's modes (degenerate limits hold the lower one, except a local
     generator's), and every member on its participation curve; a
-    controlled tap starts at its case ratio, within its limits."""
+    controlled tap starts at its case ratio, within its limits. The
+    slack surplus dP_S starts at the lossless estimate: total load less
+    scheduled generation, shared by the slack and its members in
+    proportion 1 : agc_factor."""
     index = build_index(case, ctl)
     n = index.n_bus
     x = np.zeros(index.dim)
     x[0:2 * n:2] = [bus.v_init_real for bus in case.buses]
     x[1:2 * n:2] = [bus.v_init_imag for bus in case.buses]
+    if index.dps_col is not None:
+        x[index.dps_col] = (sum(ld.p for ld in case.loads)
+                            - sum(g.p_g for g in case.generators)
+                            ) / (1.0 + index.agc_kappa.sum())
     if ctl.device_modes or ctl.fixed_q or ctl.group_modes:
         ctl = replace(ctl, device_modes={}, fixed_q={}, group_modes={})
     c, r = _controls(ctl, index), index.rows

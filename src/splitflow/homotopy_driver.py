@@ -12,10 +12,10 @@ shrinking a failed step by BACKTRACK up to MAX_BACKTRACKS times; only
 the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
 sub-solve on the path, t = 0 included, also ends as failed once it
 stalls: STALL_WINDOW consecutive NR iterations without bringing max|F|
-below the lowest value it has reached (`SolveReport.stalled`). A
-corrector that has stopped contracting rarely recovers within its
-budget, so the step is backed off at once instead of after
-SUB_MAX_ITER iterations. Solves outside a continuation (the init
+below the lowest value it has reached by more than `STALL_DROP` (1%) of
+it (`SolveReport.stalled`). A corrector that has stopped contracting
+rarely recovers within its budget, so the step is backed off at once
+instead of after SUB_MAX_ITER iterations. Solves outside a continuation (the init
 solves, `none`, the outer loop) run without the window, since a plain
 solve can cross a long plateau and still converge. If no stage has a
 path, one NR solve at the target stands in. The result is always

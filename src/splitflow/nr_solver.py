@@ -42,7 +42,12 @@ from .errors import SingularPointError, SingularSystemError
 TAP_FLOOR = 1e-6
 TOL_STEP = 1e-6  # largest step of a converged iteration
 STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
-STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
+# per-iteration clamp on every other unknown but the slack surplus dP_S:
+# reactive powers, taps and group requests
+STEP_LIMIT_Q = 1.0
+# a stall-window iteration makes progress only if it brings max|F| below
+# the lowest value reached by more than this fraction of that value
+STALL_DROP = 0.01
 # SuperLU settings of every factorization. The diagonal stays the pivot
 # unless it is below a tenth of its column's largest entry, so a unit row
 # whose column has entries elsewhere (a degenerate device) keeps its unit
@@ -166,11 +171,18 @@ def _factor(mat):
 
 def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:
     """Per-variable clamp: voltages move at most STEP_LIMIT_VOLTAGE per
-    iteration, all other unknowns at most STEP_LIMIT_Q. Signs preserved."""
-    nv = state.index.voltage_dim()
+    iteration, the other unknowns at most STEP_LIMIT_Q, except the slack
+    surplus dP_S, which is not clamped. Signs preserved.
+
+    dP_S is a system-wide active-power balance, not a device's output:
+    after an outage it can lie several pu from where it starts, and a
+    1-pu clamp would hold it there for iterations."""
+    nv, d = state.index.voltage_dim(), state.index.dps_col
     out = dx.copy()
     np.clip(out[:nv], -STEP_LIMIT_VOLTAGE, STEP_LIMIT_VOLTAGE, out=out[:nv])
     np.clip(out[nv:], -STEP_LIMIT_Q, STEP_LIMIT_Q, out=out[nv:])
+    if d is not None:
+        out[d] = dx[d]
     return out
 
 
@@ -206,9 +218,13 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     With a stall_window, the solve also ends, not converged and with
     report.stalled set, once that many consecutive iterations fail to
     bring max|F| below the lowest value it has reached (the start
-    included). Continuation sub-solves use it to give up early on a
-    step that has stopped contracting; a top-level solve keeps the
-    default None, since it can cross a long plateau and still converge.
+    included) by more than STALL_DROP of that value; a sub-solve that
+    creeps by a few parts in a thousand per iteration counts as idle.
+    Continuation sub-solves use it to give up early on a step that has
+    stopped contracting; a top-level solve keeps the default None, since
+    it can cross a plateau (six idle iterations, say, on case118 with
+    distributed slack, loads x1.05 and the generator at bus 94 out)
+    and still converge.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
@@ -262,9 +278,10 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         if max_res < opts.tol_residual and max_step < TOL_STEP:
             converged = True
             break
-        if max_res < lowest:
+        if max_res < lowest * (1.0 - STALL_DROP):
             lowest, idle = max_res, 0
         else:
+            lowest = min(lowest, max_res)
             idle += 1
             if stall_window is not None and idle >= stall_window:
                 stalled = True

@@ -164,8 +164,30 @@ class TestNative:
     def test_unconvertible_number_names_field(self):
         doc = json.loads(serialize_native(load_native("discrete4")))
         doc["branches"][1]["g"] = "abc"
-        with pytest.raises(CaseParseError, match=r"branches\[1\]\.g: could "
-                           "not convert string to float: 'abc'"):
+        with pytest.raises(CaseParseError, match=r"branches\[1\]\.g: expected "
+                           "a number, got str"):
+            parse_native(json.dumps(doc))
+
+    def test_numeric_string_is_no_number(self):
+        doc = json.loads(serialize_native(load_native("savnw_like")))
+        doc["generators"][0]["p_g"] = "7.5"
+        with pytest.raises(CaseParseError, match=re.escape(
+                "generators[0].p_g: expected a number, got str")):
+            parse_native(json.dumps(doc))
+
+    @pytest.mark.parametrize("keys,message", [
+        (("generators", 0, "agc_factr"), "generators[0]: unknown field 'agc_factr'"),
+        (("branches", 2, "tap", "v_sett"), "branches[2].tap: unknown field 'v_sett'"),
+        (("buses", 0, "v_init[0]"), "buses[0]: unknown field 'v_init[0]'"),
+        (("agc_enable",), "case: unknown field 'agc_enable'"),
+    ])
+    def test_unknown_key_names_it(self, keys, message):
+        doc = json.loads(serialize_native(load_native("discrete4")))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = 0.0
+        with pytest.raises(CaseParseError, match=re.escape(message)):
             parse_native(json.dumps(doc))
 
     @pytest.mark.parametrize("key,value,message", [

@@ -458,6 +458,18 @@ class TestDistributedSlack:
         dp2, _ = agc_response(case.generators[1], ctl, 1, dps)
         assert dp1 == dp2
 
+    def test_flat_start_surplus_is_lossless_estimate(self):
+        # 0.4 pu of load beyond the schedule, shared 1 : 0.5 by the slack
+        # and its member; the network is lossless, so that is the solution
+        case = replace(lossless_agc_case(), loads=(Load(3, 1.4, 0.2),))
+        ctl = base_control(case)
+        init = flat_start(case, ctl)
+        assert init.x[init.index.dps_col] == pytest.approx(0.4 / 1.5)
+        state, rep = nr_solve(case, init, ctl, OPTS)
+        assert rep.converged
+        assert state.x[state.index.dps_col] == pytest.approx(0.4 / 1.5,
+                                                             abs=1e-6)
+
     def test_slack_voltage_pinned(self):
         case = lossless_agc_case()
         ctl = base_control(case)

@@ -96,6 +96,9 @@ def test_fractional_native_bus_id_is_input_error(tmp_path):
     (("loads", 0, "p"), False, "loads[0].p: expected a number, got bool"),
     (("buses", 0, "v_init"), [1.0], "buses[0].v_init: expected a [real, imag]"),
     (("agc_enabled",), "false", "case.agc_enabled: expected a boolean"),
+    (("loads", 0, "p"), "7.5", "loads[0].p: expected a number, got str"),
+    (("generators", 0, "agc_factr"), 0.2,
+     "generators[0]: unknown field 'agc_factr'"),
 ])
 def test_malformed_native_record_is_input_error(tmp_path, keys, value, message):
     result = run("solve", native_with(tmp_path, keys, value))

@@ -27,7 +27,7 @@ from splitflow.homotopy_driver import (
     init_q_limit_relaxation,
     run_homotopy,
 )
-from splitflow.nr_solver import SolverOptions, nr_solve
+from splitflow.nr_solver import STALL_DROP, SolverOptions, nr_solve
 from tests.conftest import (
     load_matpower,
     load_native,
@@ -298,12 +298,13 @@ class TestRunHomotopy:
 
 def _longest_idle_run(report) -> int:
     """Most consecutive iterations that did not lower max|F| below the
-    lowest value reached before them."""
+    lowest value reached before them by more than STALL_DROP of it."""
     lowest, idle, longest = float("inf"), 0, 0
     for row in report.trace:
-        if row.max_residual < lowest:
+        if row.max_residual < lowest * (1.0 - STALL_DROP):
             lowest, idle = row.max_residual, 0
         else:
+            lowest = min(lowest, row.max_residual)
             idle += 1
             longest = max(longest, idle)
     return longest
@@ -312,15 +313,15 @@ def _longest_idle_run(report) -> int:
 class TestStallWindow:
     def test_top_level_solve_crosses_a_plateau(self):
         # case118 with distributed slack, loads at 1.05 and the generator at
-        # bus 118 out: plain NR makes no progress for longer than the window
+        # bus 94 out: plain NR makes no progress for longer than the window
         # and still converges, so top-level solves must run without it
         case = load_matpower("case118")
         case = replace(case, agc_enabled=True, loads=tuple(
             replace(ld, p=ld.p * 1.05, q=ld.q * 1.05) for ld in case.loads))
-        case = case.drop_generator(118)
+        case = case.drop_generator(94)
         _, rep = run_homotopy(case, None, "none", OPTS)
         assert rep.converged and not rep.stalled
-        assert rep.iterations == 36
+        assert rep.iterations == 19
         assert _longest_idle_run(rep) > STALL_WINDOW
 
     @pytest.mark.parametrize("method", ["q-limit", "composite"])

@@ -46,14 +46,14 @@ ITERATIONS = {
                "composite": 74},
     "case30": {"none": 5, "smoothing": 32, "tx": 46, "q-limit": 33,
                "composite": 95},
-    "case118": {"none": 9, "smoothing": 34, "tx": 149, "q-limit": 34,
+    "case118": {"none": 9, "smoothing": 34, "tx": 148, "q-limit": 34,
                 "composite": 100},
     "savnw_like": {"none": 9, "smoothing": 34, "tx": 39, "q-limit": 4,
                    "composite": 67},
-    "oscillation4": {"smoothing": 74, "tx": 41, "q-limit": 573,
+    "oscillation4": {"smoothing": 74, "tx": 41, "q-limit": 462,
                      "composite": 151},
-    "discrete4": {"none": 9, "smoothing": 43, "tx": 44, "q-limit": 4,
-                  "composite": 76},
+    "discrete4": {"none": 9, "smoothing": 42, "tx": 44, "q-limit": 4,
+                  "composite": 75},
 }
 PIPELINES = [(name, method) for name in ALL_CASES
              for method in ("none", "smoothing", "tx", "q-limit", "composite")

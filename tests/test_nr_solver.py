@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,20 @@ from splitflow import SingularPointError, SingularSystemError
 from splitflow.circuit_stamps import base_control, flat_start, residual
 from splitflow.nr_solver import (
     SPLU,
+    STALL_DROP,
+    STEP_LIMIT_Q,
+    STEP_LIMIT_VOLTAGE,
     SolverOptions,
     nr_solve,
     solve_linear,
     step_limit,
 )
-from tests.conftest import load_matpower, load_native, two_bus_case
+from tests.conftest import (
+    load_matpower,
+    load_native,
+    lossless_agc_case,
+    two_bus_case,
+)
 
 OPTS = SolverOptions()
 
@@ -114,6 +123,21 @@ class TestStepLimit:
             assert np.all(np.sign(out) == np.sign(dx))
             assert np.all(np.abs(out) <= np.abs(dx) + 1e-15)
 
+    @pytest.mark.parametrize("size", [5.0, -5.0])
+    def test_slack_surplus_not_clamped(self, size):
+        # dP_S takes its whole step; reactive powers and voltages stay
+        # clamped
+        case = lossless_agc_case()
+        state = flat_start(case, base_control(case))
+        idx = state.index
+        q_cols = list(idx.q_col.values())
+        assert q_cols and idx.dps_col is not None
+        out = step_limit(np.full(idx.dim, size), state)
+        assert out[idx.dps_col] == size
+        assert np.all(out[q_cols] == math.copysign(STEP_LIMIT_Q, size))
+        assert np.all(out[:idx.voltage_dim()]
+                      == math.copysign(STEP_LIMIT_VOLTAGE, size))
+
 
 class TestNrSolve:
     def test_two_bus_closed_form(self):
@@ -209,6 +233,28 @@ class TestNrSolve:
         _, rep = nr_solve(case, init, ctl, OPTS, stall_window=3)
         assert rep.stalled and not rep.converged
         assert rep.iterations == 3
+
+    @pytest.mark.parametrize("drop,stalled", [(0.5 * STALL_DROP, True),
+                                               (2.0 * STALL_DROP, False)])
+    def test_creeping_residual_is_no_progress(self, drop, stalled,
+                                              monkeypatch):
+        # each iteration's first trial lowers max|F| by the fraction drop:
+        # below STALL_DROP every iteration is idle, above it none is
+        case = two_bus_case()
+        ctl = base_control(case)
+        init = flat_start(case, ctl)
+        norm = [float(np.abs(nr_solver.residual(case, init, ctl)).max())]
+
+        def creeping(*args):
+            norm[0] *= 1.0 - drop
+            return norm[0], None
+
+        monkeypatch.setattr(nr_solver, "_residual_norm", creeping)
+        opts = SolverOptions(max_iter=6)
+        _, rep = nr_solve(case, init, ctl, opts, stall_window=3)
+        assert rep.stalled is stalled and not rep.converged
+        assert rep.iterations == (3 if stalled else opts.max_iter)
+        assert rep.residual_evals == rep.iterations
 
     def test_without_stall_window_runs_to_max_iter(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)
@@ -383,3 +429,24 @@ class TestLineSearchCounters:
         lowered = rep.residual_evals - rep.line_search_backtracks
         assert 0 < lowered < rep.iterations
         assert all(1.0 / 64.0 <= r.alpha <= 1.0 for r in rep.trace)
+
+
+class TestOutageSweep:
+    def test_case118_outages_at_high_load(self):
+        # every generator outage of case118 with distributed slack and
+        # loads x1.05, from a flat start: the sums pin the step rule and
+        # dP_S's start (512 iterations and 2244 evaluations with dP_S
+        # clamped at 1 pu per step and started at 0)
+        case = load_matpower("case118")
+        case = replace(case, agc_enabled=True, loads=tuple(
+            replace(ld, p=ld.p * 1.05, q=ld.q * 1.05) for ld in case.loads))
+        iterations = evals = 0
+        for gen in case.generators:
+            out = case.drop_generator(gen.bus)
+            ctl = base_control(out)
+            _, rep = nr_solve(out, flat_start(out, ctl), ctl, OPTS)
+            assert rep.converged
+            iterations += rep.iterations
+            evals += rep.residual_evals
+        assert len(case.generators) == 20
+        assert (iterations, evals) == (330, 1210)
