@@ -411,6 +411,10 @@ _LISTS = {"buses": Bus, "branches": Branch, "generators": Generator,
           "loads": Load, "fixed_shunts": FixedShunt, "shunts": SwitchedShunt}
 # every key of a case's top-level object
 _TOP_KEYS = {"format_version", "s_base", "name", "agc_enabled", *_LISTS}
+# every key of each record type's JSON object
+_JSON_KEYS = {cls: {_KEY.get(f.name, f.name) for f in fields(cls)}
+              for cls in (TapControl, *_LISTS.values())}
+_JSON_KEYS[Bus] = _JSON_KEYS[Bus] - {"v_init[0]", "v_init[1]"} | {"v_init"}
 
 
 def _expect(value, kind: type, what: str, where: str):
@@ -437,14 +441,6 @@ def _scalar(kind: str, value, where: str):
     return number if kind == "float" else _integer(number, where)
 
 
-def _keys(cls) -> set:
-    """The JSON keys of a cls record."""
-    keys = {_KEY.get(f.name, f.name) for f in fields(cls)}
-    if cls is Bus:
-        keys = keys - {"v_init[0]", "v_init[1]"} | {"v_init"}
-    return keys
-
-
 def _known_keys(obj: dict, keys, where: str):
     """CaseParseError naming the first key of obj not in keys, if any."""
     for key in obj:
@@ -457,7 +453,7 @@ def _decode(cls, obj, where: str):
     annotation; a field with a default may be absent, and an optional
     one may be null."""
     obj = _expect(obj, dict, "an object", where)
-    _known_keys(obj, _keys(cls), where)
+    _known_keys(obj, _JSON_KEYS[cls], where)
     if cls is Bus and "v_init" in obj:
         pair = obj["v_init"]
         if not isinstance(pair, list) or len(pair) != 2:

@@ -42,9 +42,7 @@ from .errors import SingularPointError, SingularSystemError
 TAP_FLOOR = 1e-6
 TOL_STEP = 1e-6  # largest step of a converged iteration
 STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
-# per-iteration clamp on every other unknown but the slack surplus dP_S:
-# reactive powers, taps and group requests
-STEP_LIMIT_Q = 1.0
+STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
 # a stall-window iteration makes progress only if it brings max|F| below
 # the lowest value reached by more than this fraction of that value
 STALL_DROP = 0.01
@@ -171,18 +169,11 @@ def _factor(mat):
 
 def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:
     """Per-variable clamp: voltages move at most STEP_LIMIT_VOLTAGE per
-    iteration, the other unknowns at most STEP_LIMIT_Q, except the slack
-    surplus dP_S, which is not clamped. Signs preserved.
-
-    dP_S is a system-wide active-power balance, not a device's output:
-    after an outage it can lie several pu from where it starts, and a
-    1-pu clamp would hold it there for iterations."""
-    nv, d = state.index.voltage_dim(), state.index.dps_col
+    iteration, all other unknowns at most STEP_LIMIT_Q. Signs preserved."""
+    nv = state.index.voltage_dim()
     out = dx.copy()
     np.clip(out[:nv], -STEP_LIMIT_VOLTAGE, STEP_LIMIT_VOLTAGE, out=out[:nv])
     np.clip(out[nv:], -STEP_LIMIT_Q, STEP_LIMIT_Q, out=out[nv:])
-    if d is not None:
-        out[d] = dx[d]
     return out
 
 

@@ -14,19 +14,12 @@ from splitflow.circuit_stamps import base_control, flat_start, residual
 from splitflow.nr_solver import (
     SPLU,
     STALL_DROP,
-    STEP_LIMIT_Q,
-    STEP_LIMIT_VOLTAGE,
     SolverOptions,
     nr_solve,
     solve_linear,
     step_limit,
 )
-from tests.conftest import (
-    load_matpower,
-    load_native,
-    lossless_agc_case,
-    two_bus_case,
-)
+from tests.conftest import load_matpower, load_native, two_bus_case
 
 OPTS = SolverOptions()
 
@@ -122,21 +115,6 @@ class TestStepLimit:
             out = step_limit(dx, state)
             assert np.all(np.sign(out) == np.sign(dx))
             assert np.all(np.abs(out) <= np.abs(dx) + 1e-15)
-
-    @pytest.mark.parametrize("size", [5.0, -5.0])
-    def test_slack_surplus_not_clamped(self, size):
-        # dP_S takes its whole step; reactive powers and voltages stay
-        # clamped
-        case = lossless_agc_case()
-        state = flat_start(case, base_control(case))
-        idx = state.index
-        q_cols = list(idx.q_col.values())
-        assert q_cols and idx.dps_col is not None
-        out = step_limit(np.full(idx.dim, size), state)
-        assert out[idx.dps_col] == size
-        assert np.all(out[q_cols] == math.copysign(STEP_LIMIT_Q, size))
-        assert np.all(out[:idx.voltage_dim()]
-                      == math.copysign(STEP_LIMIT_VOLTAGE, size))
 
 
 class TestNrSolve:
@@ -434,9 +412,9 @@ class TestLineSearchCounters:
 class TestOutageSweep:
     def test_case118_outages_at_high_load(self):
         # every generator outage of case118 with distributed slack and
-        # loads x1.05, from a flat start: the sums pin the step rule and
-        # dP_S's start (512 iterations and 2244 evaluations with dP_S
-        # clamped at 1 pu per step and started at 0)
+        # loads x1.05, from a flat start: the sums pin dP_S's start at the
+        # lossless estimate (512 iterations and 2244 evaluations with dP_S
+        # started at 0)
         case = load_matpower("case118")
         case = replace(case, agc_enabled=True, loads=tuple(
             replace(ld, p=ld.p * 1.05, q=ld.q * 1.05) for ld in case.loads))
