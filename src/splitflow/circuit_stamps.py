@@ -585,6 +585,7 @@ class _Controls:
     tap_ratio: np.ndarray  # snapped taps' ratios
     shunt_b: np.ndarray  # snapped shunts' susceptances
     keep: np.ndarray  # J slots kept (IndexMap.j_rows; surplus slots off)
+    gen_curves: np.ndarray  # local generators' q columns on their sigmoid
 
 
 def _relaxed_limits(ctl: ControlMode, keys: list, q_min, q_max):
@@ -611,7 +612,7 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     if idx.last is not None and idx.last[0] == key:
         return idx.last[1]
     r, t = idx.rows, idx.inj
-    L, n = r.n_local, len(r.keys)
+    G, L, n = len(idx.local_gen_idx), r.n_local, len(r.keys)
     modes = ([ctl.device_modes.get(k, SIGMOID) for k in r.keys]
              + [ctl.group_modes.get(gi, SIGMOID) for gi in range(len(t.spans))])
     fixed_v = np.array([m == FIXED_V for m in modes], dtype=bool)
@@ -649,7 +650,8 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
         shunt_b=np.array([ctl.fixed_shunt_b[t.keys[k][1]] for k in t.snapped],
                          dtype=float),
         keep=np.concatenate((idx.j_keep, ~fixed_v, fixed_v | sig,
-                             fixed_v | sig, np.ones_like(follow), follow)))
+                             fixed_v | sig, np.ones_like(follow), follow)),
+        gen_curves=r.cols[:G][sig[:G]])
     if not any(key):
         idx.default = c
     else:
@@ -1071,6 +1073,12 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     elif st.x is not state.x or st.ctl is not ctl:
         raise ValueError("kept pass was stamped at another state or control")
     return st.F, _jacobian(st)
+
+
+def generator_curves(index: IndexMap, ctl: ControlMode) -> np.ndarray:
+    """The q columns of the local generators on their sigmoid under ctl;
+    each row is q - sigmoid(|V|), so q - F[col] is on the curve."""
+    return _controls(ctl, index).gen_curves
 
 
 def residual(case: NetworkCase, state: StateVector, ctl: ControlMode,

@@ -2,16 +2,22 @@
 
 Each iteration takes the residual F and Jacobian J from one stamp pass
 (`circuit_stamps.assemble`), solves J dx = -F by sparse LU, clamps the
-step per variable and backtracks it until the residual norm drops.
-Convergence requires both the KCL/control residual and the step to fall
-below tolerance: near-saturated sigmoid plateaus can make steps tiny
-while the network equations are still violated, so the residual is the
-ground truth and the step alone is never trusted.
+step per variable and backtracks it until the residual norm drops. If
+that cut the step, a solve outside a continuation lands each local
+generator's q on its sigmoid at the accepted voltages: its row is
+q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
+elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996).
+Otherwise a steep curve, crossed by almost any full voltage step, holds
+max|F| up at every trial. Convergence requires both the KCL/control
+residual and the step to fall below tolerance: near-saturated sigmoid
+plateaus can make steps tiny while the network equations are still
+violated, so the residual is the ground truth and the step alone is
+never trusted.
 
-Every state is stamped once. The line search's pass at the trial it
-accepts is kept, and the next iteration builds J from it; only the
-first iteration, and a state the tap floor has rewritten, stamp anew.
-Every sparse LU runs with the settings in `SPLU`: a minimum-degree
+Every state is stamped once. The pass at the accepted trial, or at the
+landed state, is kept, and the next iteration builds J from it; only
+the first iteration, and a state the tap floor has rewritten, stamp
+anew. Every sparse LU runs with the settings in `SPLU`: a minimum-degree
 column order on the pattern of J + Jᵀ, which suits power-flow Jacobians
 (near-symmetric in pattern), no relaxed supernodes or panels (their
 supernodes are tiny), and diagonal-preferring pivots. The LU keeps the
@@ -34,6 +40,7 @@ from .circuit_stamps import (
     StateVector,
     assemble,
     classify_regions,
+    generator_curves,
     residual,
 )
 from .errors import SingularPointError, SingularSystemError
@@ -200,11 +207,16 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     max_iter is reached. Non-convergence is reported, not raised;
     singular systems raise SingularSystemError with the iteration.
 
-    The per-variable-clamped Newton step is backtracked (halving, floor
-    1/64) until the residual norm decreases; without the guard, steep
+    The step rule: the Newton step is clamped per variable
+    (`step_limit`) and backtracked (halving, floor 1/64) until max|F|
+    decreases, else the best trial is taken; without the guard, steep
     saturation curves settle into period-2 limit cycles instead of
-    converging. The pass at the accepted trial gives the next
-    iteration's F and J, unless the tap floor rewrote the state.
+    converging. Without a stall_window, a cut step (alpha < 1) is
+    followed by landing the local generators on their curves, q -= F[q]
+    from the accepted trial, and one more evaluation; the landing move
+    counts in max_step. That last pass gives the next iteration's F and
+    J, unless the tap floor rewrote the state. residual_evals counts
+    trials and landings, line_search_backtracks the rejected trials.
 
     With a stall_window, the solve also ends, not converged and with
     report.stalled set, once that many consecutive iterations fail to
@@ -212,10 +224,11 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     included) by more than STALL_DROP of that value; a sub-solve that
     creeps by a few parts in a thousand per iteration counts as idle.
     Continuation sub-solves use it to give up early on a step that has
-    stopped contracting; a top-level solve keeps the default None, since
-    it can cross a plateau (six idle iterations, say, on case118 with
-    distributed slack, loads x1.05 and the generator at bus 94 out)
-    and still converge.
+    stopped contracting, and land no generator: inside a continuation,
+    landing made oscillation4 and case118 take more iterations. A
+    top-level solve keeps the default None, since it can cross a plateau
+    (eight idle iterations, say, on the direct solve of a stiff radial
+    feeder) and still converge.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
@@ -224,6 +237,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     converged = stalled = False
     it = idle = evals = backtracks = 0
     max_res = kept = None
+    land = (generator_curves(state.index, ctl) if stall_window is None
+            else np.empty(0, dtype=np.intp))
     for it in range(1, opts.max_iter + 1):
         F, J = assemble(case, state, ctl, kept)
         if max_res is None:
@@ -254,6 +269,12 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         dx = best_alpha * dx
         state.x = best_x
         max_res = best_res
+        if best_alpha < 1.0 and land.size:
+            move = kept.F[land]
+            state.x[land] -= move
+            dx[land] -= move
+            max_res, kept = _residual_norm(case, state, ctl)
+            evals += 1
         for bi, col in state.index.tap_col.items():
             if state.x[col] < TAP_FLOOR:
                 diagnostics.append(

@@ -158,11 +158,12 @@ def lossless_agc_case():
 
 
 def qlimit_rescue_case():
-    """Plain flat-start NR stalls on this 3-bus case (two tightly-limited
-    regulators whose saturated equilibria sit close together: one pressed
-    over a negative reactive ceiling by the load pocket, the other pushed
-    under its floor by the capacitor bank); the continuation schedules
-    converge it."""
+    """Two tightly-limited regulators whose saturated equilibria sit
+    close together on this 3-bus case: one pressed over a negative
+    reactive ceiling by the load pocket, the other pushed under its floor
+    by the capacitor bank. The continuation schedules converge it, and
+    plain flat-start NR reaches the same solution only after 60
+    iterations."""
     g1, b1 = series_gb(0.015, 0.15)
     g3, b3 = series_gb(0.025, 0.25)
     return NetworkCase(
@@ -181,7 +182,8 @@ def qlimit_rescue_case():
 
 def stiff_feeder_case():
     """Radial 10-bus feeder with an end-of-line regulating generator;
-    fails plain flat-start NR, converges under the tx schedule."""
+    plain flat-start NR crosses a plateau of idle iterations on it, and
+    the tx schedule reaches the same solution."""
     g, b = series_gb(0.03, 0.12)
     buses = [Bus(1, 115.0, "slack", 1.0, 0.0)]
     buses += [Bus(i, 115.0, "pq") for i in range(2, 10)]

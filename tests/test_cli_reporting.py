@@ -4,12 +4,14 @@ error) and the summary and trace formats."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 import splitflow.baseline_outer_loop as outer_loop
 import splitflow.homotopy_driver as homotopy_driver
+from splitflow.case_model import parse_native
 from splitflow.cli_reporting import (
     SUMMARY_VERSION,
     TRACE_COLUMNS,
@@ -19,7 +21,12 @@ from splitflow.cli_reporting import (
 )
 from splitflow.discrete_control import resolve_after_snap
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import CASE_DIR, load_native, zero_factor_remote_pair_text
+from tests.conftest import (
+    CASE_DIR,
+    load_native,
+    two_bus_case,
+    zero_factor_remote_pair_text,
+)
 
 
 def run(*args):
@@ -42,10 +49,18 @@ def test_converged_exits_0():
 
 
 def test_not_converged_exits_1():
-    # plain NR from a flat start does not converge on oscillation4
-    result = run("solve", CASE_DIR / "oscillation4.native.json")
+    # the two-bus load is past the nose, so no solver can converge; plain
+    # NR runs out its iterations at max|F| 0.589
+    result = run("solve", CASE_DIR / "two_bus_no_solution.native.json")
     assert result.exit_code == 1
     assert "converged: false" in result.stdout
+    assert "final_residual: 5.887e-01" in result.stdout
+
+
+def test_no_solution_case_is_the_two_bus_case_past_the_nose():
+    text = (CASE_DIR / "two_bus_no_solution.native.json").read_text()
+    assert parse_native(text) == replace(two_bus_case(p_load=5.0),
+                                         name="two_bus_no_solution")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Inf"])
@@ -211,7 +226,8 @@ def summary_value(lines, key):
 
 def test_trace_alpha_and_line_search_counters(tmp_path):
     # case9 backtracks and lowers max|F| on every iteration, so each
-    # row's alpha is 2^-k after k rejected trials
+    # row's alpha is 2^-k after k rejected trials; each row with alpha < 1
+    # also lands the generators' q on their curves, one more evaluation
     path = tmp_path / "trace.csv"
     result = run("solve", CASE_DIR / "case9.m", "--trace", path)
     assert result.exit_code == 0, result.output
@@ -222,7 +238,8 @@ def test_trace_alpha_and_line_search_counters(tmp_path):
     backtracks = summary_value(lines, "line_search_backtracks")
     rejected = [round(-math.log2(float(r["alpha"]))) for r in rows]
     assert backtracks == sum(rejected) > 0
-    assert evals == len(rows) + backtracks
+    landed = sum(k > 0 for k in rejected)
+    assert evals == len(rows) + backtracks + landed
 
 
 COUNTERS = ("residual_evals", "line_search_backtracks")

@@ -20,6 +20,7 @@ from splitflow.nr_solver import (
     step_limit,
 )
 from tests.conftest import load_matpower, load_native, two_bus_case
+from tests.network_reference import power_mismatch
 
 OPTS = SolverOptions()
 
@@ -347,7 +348,9 @@ class TestStampedOnce:
     def test_best_trial_pass_kept(self, monkeypatch):
         # no trial lowers max|F|, and the second of each iteration's seven
         # (alpha 1/2) reads lowest: its pass, not the last one's, must
-        # give the next J
+        # give the next J. A stall window, as in a continuation sub-solve,
+        # keeps the generators' q where the step left it (see
+        # test_landing_pass_gives_the_next_j)
         case = load_matpower("case9")
         ctl = base_control(case)
         trials = []
@@ -368,12 +371,55 @@ class TestStampedOnce:
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
         monkeypatch.setattr(nr_solver, "assemble", checked)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl,
-                          SolverOptions(max_iter=3))
+                          SolverOptions(max_iter=3), stall_window=10)
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == rep.line_search_backtracks == 21
         assert assembled[0] is None
         assert [k.x is trials[7 * i + 1] for i, k in
                 enumerate(assembled[1:])] == [True, True]
+
+
+    def test_landing_pass_gives_the_next_j(self, monkeypatch):
+        # after a cut step, each local generator's q is set onto its curve
+        # at the accepted voltages, q - F[col] from the accepted trial's
+        # pass; the state is stamped once more, and that pass gives the
+        # next J, with the generator rows at 0 up to a rounding. case9
+        # lowers max|F| on every iteration, so the accepted trial is the
+        # last one
+        case = load_matpower("case9")
+        ctl = base_control(case)
+        land = circuit_stamps.generator_curves(flat_start(case, ctl).index,
+                                               ctl)
+        assert land.size == 2
+        events = []
+        norm, assemble = nr_solver._residual_norm, nr_solver.assemble
+
+        def recorded(case, state, ctl):
+            r, kept = norm(case, state, ctl)
+            events.append(("trial", state.x.copy(), kept))
+            return r, kept
+
+        def checked(case, state, ctl, kept=None):
+            events.append(("assemble", None, kept))
+            return assemble(case, state, ctl, kept)
+
+        monkeypatch.setattr(nr_solver, "_residual_norm", recorded)
+        monkeypatch.setattr(nr_solver, "assemble", checked)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert rep.converged
+        at = [i for i, e in enumerate(events) if e[0] == "assemble"]
+        assert len(at) == rep.iterations
+        for row, i in zip(rep.trace, at[1:]):
+            (_, x, trial), (_, y, landed) = events[i - 2:i]
+            if row.alpha == 1.0:
+                assert events[i - 1][2] is events[i][2]
+                continue
+            assert events[i][2] is landed
+            assert np.array_equal(np.delete(y, land), np.delete(x, land))
+            assert np.array_equal(y[land], x[land] - trial.F[land])
+            assert np.abs(landed.F[land]).max() <= 1e-15
+        assert sum(r.alpha < 1.0 for r in rep.trace) > 1
+        assert rep.residual_evals == len(events) - len(at)
 
 
 class TestLineSearchCounters:
@@ -392,39 +438,52 @@ class TestLineSearchCounters:
         _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged and rep.line_search_backtracks > 0
         assert rep.residual_evals == len(calls)
-        assert rep.line_search_backtracks == len(calls) - rep.iterations
+        # every iteration's accepted trial, every rejected one, and one
+        # landing evaluation per iteration that cut the step
+        landed = sum(r.alpha < 1.0 for r in rep.trace)
+        assert landed > 0
+        assert rep.line_search_backtracks == \
+            len(calls) - rep.iterations - landed
         # each row's step is the full one halved once per rejected trial
         assert sum(-math.log2(r.alpha) for r in rep.trace) == \
             rep.line_search_backtracks
 
     def test_iteration_without_a_lower_trial(self):
-        # oscillation4 without homotopy never converges; an iteration
+        # the two-bus load past the nose has no solution; an iteration
         # whose seven trials all fail to lower max|F| still takes the best
-        case = load_native("oscillation4")
+        case = two_bus_case(p_load=5.0)
         ctl = base_control(case)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
-        assert not rep.converged
+        assert not rep.converged and rep.iterations == OPTS.max_iter
         lowered = rep.residual_evals - rep.line_search_backtracks
         assert 0 < lowered < rep.iterations
         assert all(1.0 / 64.0 <= r.alpha <= 1.0 for r in rep.trace)
 
 
 class TestOutageSweep:
-    def test_case118_outages_at_high_load(self):
-        # every generator outage of case118 with distributed slack and
-        # loads x1.05, from a flat start: the sums pin dP_S's start at the
-        # lossless estimate (512 iterations and 2244 evaluations with dP_S
-        # started at 0)
-        case = load_matpower("case118")
-        case = replace(case, agc_enabled=True, loads=tuple(
-            replace(ld, p=ld.p * 1.05, q=ld.q * 1.05) for ld in case.loads))
-        iterations = evals = 0
-        for gen in case.generators:
-            out = case.drop_generator(gen.bus)
-            ctl = base_control(out)
-            _, rep = nr_solve(out, flat_start(out, ctl), ctl, OPTS)
-            assert rep.converged
-            iterations += rep.iterations
-            evals += rep.residual_evals
-        assert len(case.generators) == 20
-        assert (iterations, evals) == (330, 1210)
+    def test_case118_outages_at_three_load_levels(self):
+        # n1-screen's input set: every generator outage of case118 with
+        # distributed slack, at loads x0.95, x1.00 and x1.05, from a flat
+        # start. Each solution balances power by the independent oracle.
+        # The sums per level pin the step rule: landing the generators' q
+        # after a cut step took them from (175, 346), (369, 1264) and
+        # (330, 1210) (iterations, evaluations), 874 and 2820 in all; dP_S
+        # started at 0 gave (512, 2244) at x1.05
+        base = load_matpower("case118")
+        sums = {}
+        for level in (0.95, 1.00, 1.05):
+            case = replace(base, agc_enabled=True, loads=tuple(
+                replace(ld, p=ld.p * level, q=ld.q * level)
+                for ld in base.loads))
+            iterations = evals = 0
+            for gen in case.generators:
+                out = case.drop_generator(gen.bus)
+                ctl = base_control(out)
+                state, rep = nr_solve(out, flat_start(out, ctl), ctl, OPTS)
+                assert rep.converged
+                assert power_mismatch(out, state).max() <= 1e-5
+                iterations += rep.iterations
+                evals += rep.residual_evals
+            sums[level] = (iterations, evals)
+        assert len(base.generators) == 20
+        assert sums == {0.95: (141, 239), 1.00: (199, 482), 1.05: (232, 606)}
