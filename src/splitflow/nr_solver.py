@@ -3,7 +3,7 @@
 Each iteration takes the residual F and Jacobian J from one stamp pass
 (`circuit_stamps.assemble`), solves J dx = -F by sparse LU, clamps the
 step per variable and backtracks it until the residual norm drops. If
-that cut the step, a solve outside a continuation lands each local
+that cut the step, a solve without a stall window lands each local
 generator's q on its sigmoid at the accepted voltages: its row is
 q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
 elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996).
@@ -225,10 +225,11 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     creeps by a few parts in a thousand per iteration counts as idle.
     Continuation sub-solves use it to give up early on a step that has
     stopped contracting, and land no generator: inside a continuation,
-    landing made oscillation4 and case118 take more iterations. A
-    top-level solve keeps the default None, since it can cross a plateau
-    (eight idle iterations, say, on the direct solve of a stiff radial
-    feeder) and still converge.
+    landing made oscillation4 and case118 take more iterations. So does
+    p-limit's flat-started linear solve, which landing took to a far
+    equilibrium on oscillation4. Other top-level solves keep the default
+    None, since they can cross a plateau (eight idle iterations, say, on
+    the direct solve of a stiff radial feeder) and still converge.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)

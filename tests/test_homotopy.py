@@ -166,6 +166,21 @@ class TestPLimitRelaxation:
             if g.agc_factor * dps <= g.p_max - g.p_g:
                 assert i not in relaxed.p_extra
 
+    def test_linear_init_solve_stays_off_the_far_equilibrium(self):
+        # oscillation4 with AGC: a landing flat-start linear solve reaches
+        # the 1.774 pu equilibrium (see
+        # test_plain_nr_reaches_an_undesirable_equilibrium); the init's
+        # stall window sends it to the hard bootstrap, and p-limit ends
+        # where tx does
+        case = replace(load_native("oscillation4"), agc_enabled=True)
+        n = len(case.buses)
+        _, init = init_p_limit_relaxation(case, OPTS)
+        assert max(init.v_mag(p) for p in range(n)) < 1.01
+        st, rep = run_homotopy(case, None, "p-limit", OPTS)
+        ref, rep_tx = run_homotopy(case, None, "tx", OPTS)
+        assert rep.converged and rep_tx.converged
+        assert np.abs(st.x[:2 * n] - ref.x[:2 * n]).max() < 1e-6
+
     def test_conservation_along_path(self):
         # generation minus load minus losses stays balanced at every step
         case = load_native("savnw_like").drop_generator(211)

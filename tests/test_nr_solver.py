@@ -378,6 +378,46 @@ class TestStampedOnce:
         assert [k.x is trials[7 * i + 1] for i, k in
                 enumerate(assembled[1:])] == [True, True]
 
+    def test_best_trial_pass_lands(self, monkeypatch):
+        # as above, without a stall window: each iteration's seven trials
+        # are followed by the landing evaluation, which reads the true
+        # max|F| (far below every trial's), and the generators land from
+        # the best trial's pass, not the last one's
+        case = load_matpower("case9")
+        ctl = base_control(case)
+        land = circuit_stamps.generator_curves(flat_start(case, ctl).index,
+                                               ctl)
+        calls = []
+        norm = nr_solver._residual_norm
+
+        def second_best(case, state, ctl):
+            r, kept = norm(case, state, ctl)
+            calls.append((state.x.copy(), kept))
+            k = len(calls) % 8
+            return (r if k == 0 else 1e9 if k == 2 else 2e9), kept
+
+        assembled = []
+        assemble = nr_solver.assemble
+
+        def checked(case, state, ctl, kept=None):
+            assembled.append(kept)
+            return assemble(case, state, ctl, kept)
+
+        monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
+        monkeypatch.setattr(nr_solver, "assemble", checked)
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl,
+                          SolverOptions(max_iter=3))
+        assert [r.alpha for r in rep.trace] == [0.5] * 3
+        assert rep.residual_evals == len(calls) == 24
+        assert rep.line_search_backtracks == 21
+        assert assembled[0] is None
+        for i in range(3):
+            (x, best), (y, landed) = calls[8 * i + 1], calls[8 * i + 7]
+            assert np.array_equal(np.delete(y, land), np.delete(x, land))
+            assert np.array_equal(y[land], x[land] - best.F[land])
+            assert not np.array_equal(y[land], x[land])
+            if i < 2:
+                assert assembled[i + 1] is landed
 
     def test_landing_pass_gives_the_next_j(self, monkeypatch):
         # after a cut step, each local generator's q is set onto its curve
