@@ -285,9 +285,8 @@ def init_p_limit_relaxation(
     base = base if base is not None else base_control(case)
     linear = replace(base, p_relax=1.0)
     state = warm if warm is not None else flat_start(case, linear)
-    # with a stall window, as a sub-solve: the linear solve lands no
-    # generator and gives up on a plateau, where it can be heading for a
-    # far equilibrium (oscillation4's at 1.774 pu, both q at q_min)
+    # a stall window, as in a sub-solve: landing took this solve to a far
+    # equilibrium (oscillation4's at 1.774 pu); a plateau now ends it
     state, report = _try_solve(case, state, linear, opts, "p-limit-init", 0,
                                STALL_WINDOW)
     if not report.converged:

@@ -6,13 +6,12 @@ step per variable and backtracks it until the residual norm drops. If
 that cut the step, a solve without a stall window lands each local
 generator's q on its sigmoid at the accepted voltages: its row is
 q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
-elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996).
-Otherwise a steep curve, crossed by almost any full voltage step, holds
-max|F| up at every trial. Convergence requires both the KCL/control
-residual and the step to fall below tolerance: near-saturated sigmoid
-plateaus can make steps tiny while the network equations are still
-violated, so the residual is the ground truth and the step alone is
-never trusted.
+elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996);
+a steep curve, crossed by almost any full voltage step, would otherwise
+hold max|F| up at every trial. Convergence requires both the residual
+and the step below tolerance: near-saturated sigmoid plateaus can make
+steps tiny while the network equations are still violated, so the step
+alone is never trusted.
 
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
@@ -207,15 +206,14 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     max_iter is reached. Non-convergence is reported, not raised;
     singular systems raise SingularSystemError with the iteration.
 
-    The step rule: the Newton step is clamped per variable
-    (`step_limit`) and backtracked (halving, floor 1/64) until max|F|
-    decreases, else the best trial is taken; without the guard, steep
-    saturation curves settle into period-2 limit cycles instead of
-    converging. Without a stall_window, a cut step (alpha < 1) is
-    followed by landing the local generators on their curves, q -= F[q]
-    from the accepted trial, and one more evaluation; the landing move
-    counts in max_step. That last pass gives the next iteration's F and
-    J, unless the tap floor rewrote the state. residual_evals counts
+    The step rule: the Newton step is clamped per variable (`step_limit`)
+    and backtracked (halving, floor 1/64) until max|F| decreases, else the
+    best trial is taken; without the guard, steep saturation curves settle
+    into period-2 limit cycles. Without a stall_window, a cut step
+    (alpha < 1) is followed by landing the local generators on their
+    curves, q -= F[q] from the accepted trial, and one more evaluation,
+    whose pass gives the next F and J unless the tap floor rewrote the
+    state; the landing move counts in max_step. residual_evals counts
     trials and landings, line_search_backtracks the rejected trials.
 
     With a stall_window, the solve also ends, not converged and with
@@ -223,13 +221,12 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     bring max|F| below the lowest value it has reached (the start
     included) by more than STALL_DROP of that value; a sub-solve that
     creeps by a few parts in a thousand per iteration counts as idle.
-    Continuation sub-solves use it to give up early on a step that has
-    stopped contracting, and land no generator: inside a continuation,
-    landing made oscillation4 and case118 take more iterations. So does
-    p-limit's flat-started linear solve, which landing took to a far
-    equilibrium on oscillation4. Other top-level solves keep the default
-    None, since they can cross a plateau (eight idle iterations, say, on
-    the direct solve of a stiff radial feeder) and still converge.
+    Continuation sub-solves and p-limit's linear init solve use it to
+    give up on a step that has stopped contracting, and land no
+    generator: it cost the continuations iterations and took that init
+    solve to a far equilibrium on oscillation4. Other top-level solves
+    keep None, since they can cross a plateau (eight idle iterations on
+    a stiff radial feeder's direct solve, say) and still converge.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
