@@ -27,8 +27,7 @@ from .circuit_stamps import (
     build_index,
     flat_start,
 )
-from .errors import SingularPointError, SingularSystemError
-from .nr_solver import SolveReport, SolverOptions, TraceRow, nr_solve
+from .nr_solver import SolveReport, SolverOptions, try_solve
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -79,8 +78,9 @@ def solve_outer_loop(
     """Inner NR with hard PV/PQ generator models plus the switching loop,
     switching in size order `order` (SMALLEST_FIRST or LARGEST_FIRST).
 
-    Returns the final state, a report whose converged flag requires both
-    inner convergence and a settled outer loop, and the switch trace.
+    Returns the final state, the total of the inner solves' reports
+    (converged only if the loop settled; a singular inner system ends it
+    as a diverged solve), and the switch trace.
     """
     if order not in (SMALLEST_FIRST, LARGEST_FIRST):
         raise ValueError(f"unknown switch order {order!r}")
@@ -91,31 +91,19 @@ def solve_outer_loop(
     fixed_q: dict = {}
 
     strace = SwitchTrace(toggles={i: 0 for i in local})
-    trace_rows: list[TraceRow] = []
-    total_inner = evals = backtracks = 0
+    total = SolveReport()
     state = None
     status = "outer-cap-reached"
-    outer = 0
-    report = None
 
     for outer in range(1, MAX_OUTER_ITERATIONS + 1):
         ctl = replace(base, device_modes=dict(modes), fixed_q=dict(fixed_q))
         if state is None:
             state = flat_start(case, ctl)
-        try:
-            state, report = nr_solve(case, state, ctl, opts,
-                                     phase="outer-loop", outer_iter=outer)
-        except (SingularSystemError, SingularPointError) as exc:
-            report = SolveReport(converged=False, iterations=0,
-                                 final_residual=float("inf"),
-                                 diagnostics=[f"outer iteration {outer}: {exc}"])
-            status = "inner-diverged"
-            trace_rows.extend(report.trace)
-            break
-        total_inner += report.iterations
-        evals += report.residual_evals
-        backtracks += report.line_search_backtracks
-        trace_rows.extend(report.trace)
+        state, report = try_solve(case, state, ctl, opts, "outer-loop", outer)
+        if report.iterations == 0:  # a singular system or point
+            report.diagnostics = [f"outer iteration {outer}: "
+                                  f"{report.diagnostics[0]}"]
+        total.add(report)
         if not report.converged:
             status = "inner-diverged"
             break
@@ -141,12 +129,11 @@ def solve_outer_loop(
             modes[key] = FIXED_V
             fixed_q.pop(key, None)
         strace.events.append(SwitchEvent(outer, gen_i, direction, limit))
-        if trace_rows:
-            last = trace_rows[-1]
-            if direction == "pv->pq":
-                last.pv_to_pq += 1
-            else:
-                last.pq_to_pv += 1
+        last = total.trace[-1]  # of the converged inner solve
+        if direction == "pv->pq":
+            last.pv_to_pq += 1
+        else:
+            last.pq_to_pv += 1
         if strace.toggles[gen_i] >= MAX_SWITCHES_PER_GEN:
             # oscillation suppression: lock the generator as PQ for good
             strace.fixed_as_pq.add(gen_i)
@@ -157,19 +144,10 @@ def solve_outer_loop(
                 modes[key] = FIXED_Q
                 fixed_q[key] = limit
 
-    final = SolveReport(
-        converged=(status == "settled") and report is not None and report.converged,
-        iterations=total_inner,
-        final_residual=report.final_residual if report else float("inf"),
-        trace=trace_rows,
-        device_regions=report.device_regions if report else {},
-        outer_iterations=outer,
-        residual_evals=evals,
-        line_search_backtracks=backtracks,
-        diagnostics=[f"outer loop status: {status}"]
-        + (report.diagnostics if report else []),
-    )
-    return state, final, strace
+    total.converged = status == "settled"  # after a converged inner solve
+    total.outer_iterations = outer
+    total.diagnostics.insert(0, f"outer loop status: {status}")
+    return state, total, strace
 
 
 def _switch_candidates(case, state, modes, fixed_q, strace, local):

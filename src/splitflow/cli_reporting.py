@@ -17,7 +17,12 @@ import click
 
 from .baseline_outer_loop import classify_stability, solve_outer_loop
 from .case_model import NetworkCase, parse_matpower, parse_native
-from .circuit_stamps import ControlMode, StateVector, base_control, flat_start
+from .circuit_stamps import (
+    StateVector,
+    agc_response,
+    base_control,
+    classify_regions,
+)
 from .discrete_control import resolve_after_snap
 from .errors import SplitflowError
 from .homotopy_driver import METHODS, run_homotopy
@@ -66,20 +71,13 @@ def run_continuous(
 ) -> PipelineResult:
     base = base_control(case, smoothing=smoothing)
     state, report = run_homotopy(case, None, method, opts, base)
-    result = PipelineResult(case, state, report,
-                            stability=classify_stability(case, state))
+    plan = None
     if snap and report.converged:
-        state2, report2, plan = resolve_after_snap(case, state, opts, base)
-        report2.trace = report.trace + report2.trace
-        report2.iterations += report.iterations
-        report2.stalled_subsolves += report.stalled_subsolves
-        report2.continuation_backtracks += report.continuation_backtracks
-        report2.residual_evals += report.residual_evals
-        report2.line_search_backtracks += report.line_search_backtracks
-        result = PipelineResult(case, state2, report2,
-                                stability=classify_stability(case, state2),
-                                snap_plan=plan)
-    return result
+        state, snapped, plan = resolve_after_snap(case, state, opts, base)
+        report.add(snapped)
+    return PipelineResult(case, state, report,
+                          stability=classify_stability(case, state),
+                          snap_plan=plan)
 
 
 def run_baseline(
@@ -113,7 +111,8 @@ def voltage_extrema(case: NetworkCase, state: StateVector):
 def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
     case, state, report = result.case, result.state, result.report
     vmax, vmin, tmax, tmin = voltage_extrema(case, state)
-    regions = report.device_regions
+    ctl = base_control(case)
+    regions = classify_regions(case, state, ctl)
     unstable = sum(1 for s in result.stability.values() if s == "unstable")
     lines = [
         f"summary_version: {SUMMARY_VERSION}",
@@ -145,11 +144,8 @@ def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
         for bi, tr in sorted(result.snap_plan.tap_ratio.items()):
             lines.append(f"snapped.tap.{bi}: {tr:.6f}")
     if case.agc_enabled and state.index.dps_col is not None:
-        from .circuit_stamps import agc_response
-
         dps = float(state.x[state.index.dps_col])
         lines.append(f"slack_surplus_pu: {dps:.6f}")
-        ctl = base_control(case)
         for i in state.index.agc_member_idx:
             g = case.generators[i]
             dp, _ = agc_response(g, ctl, i, dps)

@@ -17,7 +17,7 @@ import numpy as np
 from .case_model import NetworkCase
 from .circuit_stamps import ControlMode, StateVector, base_control, flat_start
 from .errors import ContinuationError, SnappedInfeasibleError
-from .homotopy_driver import Tally, _continuation, endpoint_report
+from .homotopy_driver import _continuation, endpoint_report
 from .nr_solver import SolveReport, SolverOptions, nr_solve
 
 
@@ -84,7 +84,9 @@ def resolve_after_snap(
 
     Falls back to sweeping device parameters from continuous to snapped
     values when the direct warm re-solve fails; raises
-    SnappedInfeasibleError if even the sweep cannot converge.
+    SnappedInfeasibleError if even the sweep cannot converge. The report
+    is the direct re-solve's, or the sweep's total, which leaves out the
+    failed direct re-solve.
     """
     base = base if base is not None else base_control(case)
     plan = plan_snap(case, solution)
@@ -110,17 +112,15 @@ def resolve_after_snap(
         }
         return replace(base, fixed_shunt_b=shunt_b, fixed_tap_ratio=taps)
 
-    tally = Tally()
+    report = SolveReport(diagnostics=["snap continuation used"])
     try:
-        state = _continuation(case, warm, make, opts, "snap-sweep", tally)
+        state = _continuation(case, warm, make, opts, "snap-sweep", report)
     except ContinuationError as exc:
         raise SnappedInfeasibleError(
             f"snapped case did not converge ({exc}); feasibility repair of "
             f"infeasible snapped states is out of scope"
         ) from exc
-    report = endpoint_report(case, state, snapped_ctl, opts, tally,
-                             ["snap continuation used"])
-    if not report.converged:
+    if not endpoint_report(case, state, snapped_ctl, opts, report).converged:
         raise SnappedInfeasibleError(
             "snapped case did not converge after continuation; feasibility "
             "repair of infeasible snapped states is out of scope"

@@ -11,15 +11,14 @@ remaining distance per step, snapping to 0 below SNAP_FRACTION and
 shrinking a failed step by BACKTRACK up to MAX_BACKTRACKS times; only
 the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
 sub-solve on the path, t = 0 included, also ends as failed once it
-stalls: STALL_WINDOW consecutive NR iterations without bringing max|F|
-below the lowest value it has reached by more than `STALL_DROP` (1%) of
-it (`SolveReport.stalled`). A corrector that has stopped contracting
-rarely recovers within its budget, so the step is backed off at once
-instead of after SUB_MAX_ITER iterations. Solves outside a continuation (the init
-solves, `none`, the outer loop) run without the window, since a plain
-solve can cross a long plateau and still converge. If no stage has a
-path, one NR solve at the target stands in. The result is always
-re-verified against the unrelaxed equations.
+stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR iterations without
+progress; `SolveReport.stalled`). A corrector that has stopped
+contracting rarely recovers within its budget, so the step is backed
+off at once instead of after SUB_MAX_ITER iterations. If no stage has
+a path, one NR solve at the target stands in, not as a sub-solve.
+The result is always re-verified against the unrelaxed equations. The
+report is one SolveReport that every sub-solve, accepted or not, and a
+stand-in solve is added into (`SolveReport.add`); init solves are not.
 
   smoothing  - sigmoid steepness relaxed to INITIAL_STEEPNESS, tightened.
   q-limit    - reactive limits scaled out to cover the unbounded solve
@@ -35,7 +34,7 @@ re-verified against the unrelaxed equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,13 +47,18 @@ from .circuit_stamps import (
     StateVector,
     base_control,
     build_index,
-    classify_regions,
     device_limits,
     flat_start,
     residual,
 )
-from .errors import ContinuationError, SingularPointError, SingularSystemError
-from .nr_solver import SolveReport, SolverOptions, nr_solve
+from .errors import ContinuationError
+from .nr_solver import (
+    STALL_WINDOW,
+    SolveReport,
+    SolverOptions,
+    nr_solve,
+    try_solve,
+)
 
 INITIAL_STEEPNESS = 100.0  # sigmoid steepness of the relaxed smoothing problem
 TX_INITIAL = 1.0  # tx_relax at t = 1
@@ -63,54 +67,15 @@ BACKTRACK = 0.5  # shrink factor applied to a failed decrement
 MAX_BACKTRACKS = 10
 SNAP_FRACTION = 1e-3  # remaining distance below which t snaps to 0
 SUB_MAX_ITER = 40  # NR budget of the warm-started intermediate sub-solves
-STALL_WINDOW = 4  # non-improving NR iterations that end a sub-solve
 
 
-@dataclass
-class Tally:
-    """NR iterations, backtracks, stalled sub-solves, line-search counts
-    and trace rows summed over sub-solves."""
-
-    iterations: int = 0
-    backtracks: int = 0
-    stalled: int = 0
-    residual_evals: int = 0
-    line_search_backtracks: int = 0
-    trace: list = field(default_factory=list)
-
-    def add(self, report: SolveReport) -> None:
-        self.iterations += report.iterations
-        self.stalled += report.stalled
-        self.residual_evals += report.residual_evals
-        self.line_search_backtracks += report.line_search_backtracks
-        self.trace.extend(report.trace)
-
-
-def endpoint_report(case, state, ctl, opts, tally, diagnostics) -> SolveReport:
-    """Report a continuation's end state, converged only if the residual
-    at the unrelaxed control ctl is within tolerance: the last sub-solve
-    is never trusted alone."""
-    final_res = float(np.abs(residual(case, state, ctl)).max())
-    return SolveReport(
-        converged=final_res < opts.tol_residual, iterations=tally.iterations,
-        final_residual=final_res, trace=tally.trace,
-        device_regions=classify_regions(case, state, ctl),
-        diagnostics=diagnostics, stalled_subsolves=tally.stalled,
-        continuation_backtracks=tally.backtracks,
-        residual_evals=tally.residual_evals,
-        line_search_backtracks=tally.line_search_backtracks)
-
-
-def _try_solve(case, state, ctl, opts, phase, step, stall_window=None):
-    """nr_solve, with a singular system or point reported as a failed
-    solve whose diagnostics carry the error text."""
-    try:
-        return nr_solve(case, state, ctl, opts, phase=phase, outer_iter=step,
-                        stall_window=stall_window)
-    except (SingularSystemError, SingularPointError) as exc:
-        return state, SolveReport(converged=False, iterations=0,
-                                  final_residual=float("inf"),
-                                  diagnostics=[str(exc)])
+def endpoint_report(case, state, ctl, opts, report) -> SolveReport:
+    """Re-check a continuation's total report at its end state: converged
+    only if the residual at the unrelaxed control ctl is within
+    tolerance, since the last sub-solve is never trusted alone."""
+    report.final_residual = float(np.abs(residual(case, state, ctl)).max())
+    report.converged = report.final_residual < opts.tol_residual
+    return report
 
 
 def _stuck(phase, t, what, report) -> ContinuationError:
@@ -126,21 +91,22 @@ def _stuck(phase, t, what, report) -> ContinuationError:
                              frontier=(phase, t))
 
 
-def _continuation(case, state, make_ctl, opts, phase, tally):
+def _continuation(case, state, make_ctl, opts, phase, total):
     """Drive t from 1 to 0; returns the state solved at t = 0.
 
     make_ctl(t) produces the ControlMode for progress t; every sub-solve
-    is added to tally, its trace rows marked with t and whether it was
-    kept. Every sub-solve, t = 0 included, ends early once it stalls.
+    and every backtrack is added to the SolveReport total, the sub-solve's
+    trace rows marked with t and whether it was kept. Every sub-solve,
+    t = 0 included, ends early once it stalls.
     """
     sub_opts = replace(opts, max_iter=min(opts.max_iter, SUB_MAX_ITER))
 
     def solve(start, t, solve_opts, step):
-        out, report = _try_solve(case, start, make_ctl(t), solve_opts, phase,
-                                 step, STALL_WINDOW)
+        out, report = try_solve(case, start, make_ctl(t), solve_opts, phase,
+                                step, subsolve=True)
         for row in report.trace:
             row.t, row.accepted = t, report.converged
-        tally.add(report)
+        total.add(report)
         return out, report
 
     state, report = solve(state, 1.0, sub_opts, 0)
@@ -163,7 +129,7 @@ def _continuation(case, state, make_ctl, opts, phase, tally):
                 t = t_next
                 break
             backtracks += 1
-            tally.backtracks += 1
+            total.continuation_backtracks += 1
             if backtracks > MAX_BACKTRACKS:
                 raise _stuck(phase, t, f"stuck at t = {t:.6g} after "
                              f"{backtracks - 1} backtracks", report)
@@ -237,12 +203,12 @@ def init_q_limit_relaxation(
     base = base if base is not None else base_control(case)
     unbounded = _unbounded_control(case, base)
     state = warm if warm is not None else flat_start(case, unbounded)
-    state, report = _try_solve(case, state, unbounded, opts, "q-limit-init", 0)
+    state, report = try_solve(case, state, unbounded, opts, "q-limit-init")
     if not report.converged:
         # fall back to reaching the unbounded solution via tx stepping
         state = _continuation(
             case, flat_start(case, replace(unbounded, tx_relax=TX_INITIAL)),
-            _tx_path(unbounded), opts, "q-limit-init-tx", Tally(),
+            _tx_path(unbounded), opts, "q-limit-init-tx", SolveReport(),
         )
     index = state.index
     q_scale = {}
@@ -285,19 +251,19 @@ def init_p_limit_relaxation(
     base = base if base is not None else base_control(case)
     linear = replace(base, p_relax=1.0)
     state = warm if warm is not None else flat_start(case, linear)
-    # a stall window, as in a sub-solve: landing took this solve to a far
-    # equilibrium (oscillation4's at 1.774 pu); a plateau now ends it
-    state, report = _try_solve(case, state, linear, opts, "p-limit-init", 0,
-                               STALL_WINDOW)
+    # run as a sub-solve: landing took it to a far equilibrium
+    # (oscillation4's at 1.774 pu), and a plateau now ends it
+    state, report = try_solve(case, state, linear, opts, "p-limit-init",
+                              subsolve=True)
     if not report.converged:
         # steep reactive sigmoids can defeat the flat-started linear solve;
         # bootstrap through the hard voltage-set problem, then warm-start
         hard = _unbounded_control(case, linear)
-        boot, rep_hard = _try_solve(case, flat_start(case, hard), hard, opts,
-                                    "p-limit-init", 0)
+        boot, rep_hard = try_solve(case, flat_start(case, hard), hard, opts,
+                                   "p-limit-init")
         if rep_hard.converged:
-            state, report = _try_solve(case, boot, linear, opts,
-                                       "p-limit-init", 1)
+            state, report = try_solve(case, boot, linear, opts,
+                                      "p-limit-init", 1)
     if not report.converged:
         raise ContinuationError(
             "p-limit: unbounded distributed-slack solve diverged",
@@ -369,7 +335,7 @@ FALLBACK = {
 METHODS = tuple(STAGES)
 
 
-def _run_stages(case, stages, fallback, state, opts, base, tally):
+def _run_stages(case, stages, fallback, state, opts, base, total):
     """Follow each stage's path from the state the previous one reached.
 
     Returns the final state and whether any stage had a path. When a
@@ -382,11 +348,11 @@ def _run_stages(case, stages, fallback, state, opts, base, tally):
         if make is None:
             continue
         try:
-            state = _continuation(case, state, make, opts, phase, tally)
+            state = _continuation(case, state, make, opts, phase, total)
         except ContinuationError:
             if not fallback:
                 raise
-            return _run_stages(case, fallback, (), None, opts, base, tally)
+            return _run_stages(case, fallback, (), None, opts, base, total)
         followed = True
     return state, followed
 
@@ -402,19 +368,20 @@ def run_homotopy(
 
     The final sub-solve runs at the target (unrelaxed) problem; its
     solution is re-verified by an independent residual evaluation before
-    being reported converged.
+    being reported converged. The report is the total of every counted
+    solve (see the module docstring).
     """
     if method not in STAGES:
         raise ValueError(f"unknown homotopy method {method!r}")
     base = base if base is not None else base_control(case)
-    tally = Tally()
+    total = SolveReport()
     stages = STAGES[method]
     state, followed = _run_stages(case, stages, FALLBACK.get(method), init,
-                                  opts, base, tally)
+                                  opts, base, total)
     if not followed:
         # nothing to relax: one solve at the target problem stands in
         state = state if state is not None else flat_start(case, base)
         state, report = nr_solve(case, state, base, opts,
                                  phase=stages[-1][0] if stages else "solve")
-        tally.add(report)
-    return state, endpoint_report(case, state, base, opts, tally, [])
+        total.add(report)
+    return state, endpoint_report(case, state, base, opts, total)

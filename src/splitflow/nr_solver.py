@@ -3,7 +3,7 @@
 Each iteration takes the residual F and Jacobian J from one stamp pass
 (`circuit_stamps.assemble`), solves J dx = -F by sparse LU, clamps the
 step per variable and backtracks it until the residual norm drops. If
-that cut the step, a solve without a stall window lands each local
+that cut the step, a solve that is not a sub-solve lands each local
 generator's q on its sigmoid at the accepted voltages: its row is
 q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
 elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996);
@@ -27,7 +27,7 @@ that order, which gives the same LU and the same solution bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import spmatrix
@@ -38,7 +38,6 @@ from .circuit_stamps import (
     ControlMode,
     StateVector,
     assemble,
-    classify_regions,
     generator_curves,
     residual,
 )
@@ -49,9 +48,10 @@ TAP_FLOOR = 1e-6
 TOL_STEP = 1e-6  # largest step of a converged iteration
 STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
 STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
-# a stall-window iteration makes progress only if it brings max|F| below
+# a sub-solve iteration makes progress only if it brings max|F| below
 # the lowest value reached by more than this fraction of that value
 STALL_DROP = 0.01
+STALL_WINDOW = 4  # iterations without progress that end a sub-solve
 # SuperLU settings of every factorization. The diagonal stays the pivot
 # unless it is below a tenth of its column's largest entry, so a unit row
 # whose column has entries elsewhere (a degenerate device) keeps its unit
@@ -96,18 +96,32 @@ class TraceRow:
 
 @dataclass
 class SolveReport:
-    converged: bool
-    iterations: int
-    final_residual: float
+    """One NR solve, or a pipeline's total. SolveReport() is an empty
+    total, and `add` is the one rule that forms any total. A solve counts
+    itself alone (stalled_subsolves is 1 if the stall window ended it);
+    continuation backtracks and outer iterations count into totals."""
+
+    converged: bool = False
+    iterations: int = 0
+    final_residual: float = float("inf")
     trace: list = field(default_factory=list)
-    device_regions: dict = field(default_factory=dict)
     outer_iterations: int = 0
     diagnostics: list = field(default_factory=list)
     stalled: bool = False  # ended by the stall window, not by max_iter
-    stalled_subsolves: int = 0  # continuation sub-solves ended stalled
+    stalled_subsolves: int = 0  # sub-solves ended stalled
     continuation_backtracks: int = 0  # failed continuation steps retried
     residual_evals: int = 0  # line-search trials evaluated
     line_search_backtracks: int = 0  # trials rejected, each halving the step
+
+    def add(self, later: SolveReport) -> None:
+        """Add a later solve into this total: counters, trace rows and
+        diagnostics add up; the outcome (converged, final_residual,
+        stalled) becomes the later solve's."""
+        for f in fields(self):
+            value = getattr(later, f.name)
+            if f.name not in ("converged", "final_residual", "stalled"):
+                value = getattr(self, f.name) + value
+            setattr(self, f.name, value)
 
 
 def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
@@ -200,7 +214,7 @@ def _residual_norm(case, state, ctl):
 
 def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
              opts: SolverOptions, phase: str = "solve",
-             outer_iter: int = 0, stall_window: int | None = None,
+             outer_iter: int = 0, subsolve: bool = False,
              ) -> tuple[StateVector, SolveReport]:
     """Iterate until residual and step are both below tolerance, or
     max_iter is reached. Non-convergence is reported, not raised;
@@ -209,24 +223,24 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     The step rule: the Newton step is clamped per variable (`step_limit`)
     and backtracked (halving, floor 1/64) until max|F| decreases, else the
     best trial is taken; without the guard, steep saturation curves settle
-    into period-2 limit cycles. Without a stall_window, a cut step
+    into period-2 limit cycles. Outside a sub-solve, a cut step
     (alpha < 1) is followed by landing the local generators on their
     curves, q -= F[q] from the accepted trial, and one more evaluation,
     whose pass gives the next F and J unless the tap floor rewrote the
     state; the landing move counts in max_step. residual_evals counts
     trials and landings, line_search_backtracks the rejected trials.
 
-    With a stall_window, the solve also ends, not converged and with
-    report.stalled set, once that many consecutive iterations fail to
+    A subsolve lands no generator, and also ends, not converged and with
+    report.stalled set, once STALL_WINDOW consecutive iterations fail to
     bring max|F| below the lowest value it has reached (the start
     included) by more than STALL_DROP of that value; a sub-solve that
     creeps by a few parts in a thousand per iteration counts as idle.
-    Continuation sub-solves and p-limit's linear init solve use it to
-    give up on a step that has stopped contracting, and land no
-    generator: it cost the continuations iterations and took that init
-    solve to a far equilibrium on oscillation4. Other top-level solves
-    keep None, since they can cross a plateau (eight idle iterations on
-    a stiff radial feeder's direct solve, say) and still converge.
+    Continuation sub-solves and p-limit's linear init solve are
+    sub-solves, to give up on a step that has stopped contracting:
+    landing cost the continuations iterations and took that init solve
+    to a far equilibrium on oscillation4. Other top-level solves are
+    not, since they can cross a plateau (eight idle iterations on a
+    stiff radial feeder's direct solve, say) and still converge.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
@@ -235,8 +249,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     converged = stalled = False
     it = idle = evals = backtracks = 0
     max_res = kept = None
-    land = (generator_curves(state.index, ctl) if stall_window is None
-            else np.empty(0, dtype=np.intp))
+    land = (np.empty(0, dtype=np.intp) if subsolve
+            else generator_curves(state.index, ctl))
     for it in range(1, opts.max_iter + 1):
         F, J = assemble(case, state, ctl, kept)
         if max_res is None:
@@ -293,7 +307,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         else:
             lowest = min(lowest, max_res)
             idle += 1
-            if stall_window is not None and idle >= stall_window:
+            if subsolve and idle >= STALL_WINDOW:
                 stalled = True
                 break
     report = SolveReport(
@@ -301,10 +315,21 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         iterations=it,
         final_residual=max_res,
         trace=trace,
-        device_regions=classify_regions(case, state, ctl),
         diagnostics=diagnostics,
         stalled=stalled,
+        stalled_subsolves=int(stalled),
         residual_evals=evals,
         line_search_backtracks=backtracks,
     )
     return state, report
+
+
+def try_solve(case, init, ctl, opts, phase="solve", outer_iter=0,
+              subsolve=False) -> tuple[StateVector, SolveReport]:
+    """nr_solve, with a singular system or point reported as a failed
+    solve at init, of no iterations, whose diagnostics hold the error."""
+    try:
+        return nr_solve(case, init, ctl, opts, phase=phase,
+                        outer_iter=outer_iter, subsolve=subsolve)
+    except (SingularSystemError, SingularPointError) as exc:
+        return init, SolveReport(diagnostics=[str(exc)])

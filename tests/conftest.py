@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from splitflow import (
     parse_native,
     serialize_native,
 )
+import splitflow.nr_solver as nr_solver
 from splitflow.case_model import TapControl
 from splitflow.circuit_stamps import StateVector, assemble, residual
 
@@ -38,6 +40,18 @@ def load_matpower(name):
 
 def load_native(name):
     return parse_native((CASE_DIR / f"{name}.native.json").read_text(), name=name)
+
+
+def patch_nr_solve(monkeypatch, wrap):
+    """Replace nr_solve by wrap(nr_solve) in every splitflow module that
+    holds it, so that a pipeline's solves reach the wrapper whichever
+    module calls them."""
+    nr_solve = nr_solver.nr_solve
+    wrapped = wrap(nr_solve)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "splitflow"
+                and getattr(module, "nr_solve", None) is nr_solve):
+            monkeypatch.setattr(module, "nr_solve", wrapped)
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,11 @@ from splitflow.baseline_outer_loop import (
     classify_stability,
     solve_outer_loop,
 )
+from splitflow.cli_reporting import run_baseline
+from splitflow.errors import SingularSystemError
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import load_native
+from tests.conftest import load_native, patch_nr_solve
 
 OPTS = SolverOptions()
 
@@ -51,6 +53,31 @@ def test_continuous_models_reach_one_stable_answer(oscillation4, method):
     assert report.converged
     assert v_max(oscillation4, state) == pytest.approx(1.0004, abs=5e-5)
     assert unstable(oscillation4, state) == 0
+
+
+def test_failed_inner_solve_ends_the_loop(monkeypatch):
+    # two_bus_no_solution has no solution: the first inner solve runs out
+    # its iterations, and the loop reports that instead of switching
+    case = load_native("two_bus_no_solution")
+    report = run_baseline(case, OPTS).report
+    assert not report.converged
+    assert (report.iterations, report.outer_iterations) == (100, 1)
+    assert report.diagnostics[0] == "outer loop status: inner-diverged"
+
+    # a singular inner system ends it the same way, and the message says
+    # at which outer iteration
+    def wrap(nr_solve):
+        def singular(*args, **kw):
+            raise SingularSystemError("sparse LU factorization failed")
+        return singular
+
+    patch_nr_solve(monkeypatch, wrap)
+    report = run_baseline(case, OPTS).report
+    assert not report.converged
+    assert (report.iterations, report.outer_iterations) == (0, 1)
+    assert report.diagnostics == [
+        "outer loop status: inner-diverged",
+        "outer iteration 1: sparse LU factorization failed"]
 
 
 def test_unknown_order_rejected(oscillation4):

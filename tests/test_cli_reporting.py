@@ -9,8 +9,6 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-import splitflow.baseline_outer_loop as outer_loop
-import splitflow.homotopy_driver as homotopy_driver
 from splitflow.case_model import parse_native
 from splitflow.cli_reporting import (
     SUMMARY_VERSION,
@@ -18,12 +16,14 @@ from splitflow.cli_reporting import (
     main,
     run_baseline,
     run_continuous,
+    summary_lines,
 )
 from splitflow.discrete_control import resolve_after_snap
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import (
     CASE_DIR,
     load_native,
+    patch_nr_solve,
     two_bus_case,
     zero_factor_remote_pair_text,
 )
@@ -242,44 +242,77 @@ def test_trace_alpha_and_line_search_counters(tmp_path):
     assert evals == len(rows) + backtracks + landed
 
 
-COUNTERS = ("residual_evals", "line_search_backtracks")
+COUNTERS = ("iterations", "stalled_subsolves", "continuation_backtracks",
+            "residual_evals", "line_search_backtracks")
 
 
-@pytest.mark.parametrize("module, pipeline", [
-    (homotopy_driver, lambda case, opts: run_continuous(case, opts,
-                                                        method="q-limit")),
-    (outer_loop, lambda case, opts: run_baseline(case, opts,
-                                                 order="largest-first")),
-])
-def test_line_search_counters_summed(module, pipeline, monkeypatch):
-    # over every NR solve of a continuation or of the outer loop; the
-    # q-limit init solve stays out, as it does from report.iterations
+def record_nr_solves(monkeypatch):
+    """Copies of the reports of the NR solves a pipeline runs, as each
+    solve returned them; the init solves stay out, as no counter
+    includes them."""
     reports = []
-    nr_solve = module.nr_solve
 
-    def recording(*args, **kw):
-        state, report = nr_solve(*args, **kw)
-        if kw.get("phase") != "q-limit-init":
-            reports.append(report)
-        return state, report
+    def wrap(nr_solve):
+        def recording(*args, **kw):
+            state, report = nr_solve(*args, **kw)
+            if "-init" not in kw.get("phase", ""):
+                reports.append(replace(report, trace=list(report.trace)))
+            return state, report
+        return recording
 
-    monkeypatch.setattr(module, "nr_solve", recording)
-    result = pipeline(load_native("oscillation4"), SolverOptions())
-    assert len(reports) > 1
-    assert result.report.iterations == sum(r.iterations for r in reports)
-    for key in COUNTERS:
+    patch_nr_solve(monkeypatch, wrap)
+    return reports
+
+
+@pytest.mark.parametrize("name, pipeline, regions", [
+    pytest.param(
+        "oscillation4",
+        lambda case, opts: run_continuous(case, opts, method="q-limit"),
+        ["devices_at_min: 0", "devices_at_max: 1", "devices_controlling: 1",
+         "region.gen.0: at-max", "region.gen.1: controlling"],
+        id="oscillation4-q-limit"),
+    pytest.param(
+        "oscillation4",
+        lambda case, opts: run_baseline(case, opts, order="largest-first"),
+        ["devices_at_min: 1", "devices_at_max: 1", "devices_controlling: 0",
+         "region.gen.0: at-max", "region.gen.1: at-min"],
+        id="oscillation4-outer-loop-largest-first"),
+    pytest.param(
+        "discrete4",
+        lambda case, opts: run_continuous(case, opts, method="smoothing",
+                                          snap=True),
+        ["devices_at_min: 0", "devices_at_max: 0", "devices_controlling: 1",
+         "region.gen.0: controlling"],
+        id="discrete4-smoothing-snap"),
+])
+def test_line_search_counters_summed(name, pipeline, regions, monkeypatch):
+    # over every NR solve of a continuation, of the outer loop, or of a
+    # continuation and the snapped re-solve after it
+    reports = record_nr_solves(monkeypatch)
+    result = pipeline(load_native(name), SolverOptions())
+    assert len(reports) > 1 and result.report.converged
+    for key in ("iterations", "residual_evals", "line_search_backtracks"):
         assert getattr(result.report, key) == sum(getattr(r, key)
                                                   for r in reports)
+    assert result.report.stalled_subsolves == sum(r.stalled for r in reports)
+    assert len(result.report.trace) == sum(len(r.trace) for r in reports)
     assert result.report.residual_evals > 0
+    # the device regions of the final state, as the summary prints them
+    lines = summary_lines(result)
+    assert [line for line in lines
+            if line.startswith(("devices_", "region."))] == regions
 
 
 def test_snap_sums_line_search_counters():
     opts = SolverOptions()
     case = load_native("discrete4")
-    plain = run_continuous(case, opts, method="smoothing")
-    snapped = run_continuous(case, opts, method="smoothing", snap=True)
-    _, alone, _ = resolve_after_snap(case, plain.state, opts)
-    assert alone.residual_evals > 0 and plain.report.line_search_backtracks > 0
-    for key in COUNTERS:
-        assert getattr(snapped.report, key) == (getattr(plain.report, key)
-                                                + getattr(alone, key))
+    for method in ("smoothing", "none"):
+        plain = run_continuous(case, opts, method=method)
+        snapped = run_continuous(case, opts, method=method, snap=True)
+        _, alone, _ = resolve_after_snap(case, plain.state, opts)
+        assert alone.residual_evals > 0
+        assert plain.report.line_search_backtracks > 0
+        for key in COUNTERS:
+            assert getattr(snapped.report, key) == (getattr(plain.report, key)
+                                                    + getattr(alone, key))
+        assert snapped.report.trace == plain.report.trace + alone.trace

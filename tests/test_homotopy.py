@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import splitflow.homotopy_driver as homotopy_driver
-from splitflow import ContinuationError
+import splitflow.nr_solver as nr_solver
+from splitflow import ContinuationError, SingularSystemError
 from splitflow.circuit_stamps import (
     FIXED_V,
     agc_response,
@@ -18,19 +18,24 @@ from splitflow.homotopy_driver import (
     DECREMENT,
     INITIAL_STEEPNESS,
     SNAP_FRACTION,
-    STALL_WINDOW,
     SUB_MAX_ITER,
     _smoothing_path,
-    _try_solve,
     _tx_path,
     init_p_limit_relaxation,
     init_q_limit_relaxation,
     run_homotopy,
 )
-from splitflow.nr_solver import STALL_DROP, SolverOptions, nr_solve
+from splitflow.nr_solver import (
+    STALL_DROP,
+    STALL_WINDOW,
+    SolverOptions,
+    nr_solve,
+    try_solve,
+)
 from tests.conftest import (
     load_matpower,
     load_native,
+    patch_nr_solve,
     qlimit_rescue_case,
     remote_pair_case,
     stiff_feeder_case,
@@ -309,11 +314,31 @@ class TestRunHomotopy:
         ctl = base_control(case)
         state = flat_start(case, ctl)
         state.x[2:4] = 0.0
-        _, report = _try_solve(case, state, ctl, OPTS, "probe", 0)
+        _, report = try_solve(case, state, ctl, OPTS, "probe")
         assert not report.converged
         assert report.iterations == 0
         assert report.diagnostics == [
             "voltage magnitude collapsed at bus 2 (|V|^2 = 0.000e+00)"]
+
+    def test_swallowed_sub_solve_error_reaches_the_report(self, monkeypatch):
+        # a singular system in the third sub-solve fails that step, which
+        # is backed off; the pipeline still converges, and its report
+        # keeps the message
+        calls = []
+
+        def wrap(nr_solve):
+            def third_singular(*args, **kw):
+                calls.append(kw["phase"])
+                if len(calls) == 3:
+                    raise SingularSystemError("singular at the third")
+                return nr_solve(*args, **kw)
+            return third_singular
+
+        patch_nr_solve(monkeypatch, wrap)
+        _, rep = run_homotopy(two_bus_case(), None, "smoothing", OPTS)
+        assert rep.converged and rep.continuation_backtracks == 1
+        assert calls[:3] == ["smoothing"] * 3
+        assert rep.diagnostics == ["singular at the third"]
 
     def test_trace_carries_lambda_columns(self):
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05)
@@ -369,7 +394,7 @@ class TestStallWindow:
         # window changes nothing, bit for bit
         case = load_matpower("case118")
         st_on, rep_on = run_homotopy(case, None, method, OPTS)
-        monkeypatch.setattr(homotopy_driver, "STALL_WINDOW", 10**9)
+        monkeypatch.setattr(nr_solver, "STALL_WINDOW", 10**9)
         st_off, rep_off = run_homotopy(case, None, method, OPTS)
         assert rep_on.converged and rep_on.continuation_backtracks == 0
         assert st_on.x.tobytes() == st_off.x.tobytes()

@@ -14,7 +14,6 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-import splitflow.baseline_outer_loop as outer_loop
 import splitflow.nr_solver as nr_solver
 from splitflow import SingularSystemError
 from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
@@ -143,14 +142,14 @@ def test_outer_loop_switches(monkeypatch):
     # another kind under the index map it started with
     case = load_native("oscillation4")
     seen = []
-    nr_solve = outer_loop.nr_solve
+    nr_solve = nr_solver.nr_solve
 
     def recording(case, init, ctl, opts, **kw):
         state, report = nr_solve(case, init, ctl, opts, **kw)
         seen.append((state, ctl))
         return state, report
 
-    monkeypatch.setattr(outer_loop, "nr_solve", recording)
+    monkeypatch.setattr(nr_solver, "nr_solve", recording)
     _, _, strace = solve_outer_loop(case, SolverOptions(), order=LARGEST_FIRST)
     assert strace.total_switches() == len(seen) - 1 == 6
     assert len({id(state.index) for state, _ in seen}) == 1
@@ -331,14 +330,14 @@ def test_order_dropped_with_the_structure(monkeypatch):
     # index map; each new structure orders its columns afresh
     case = load_native("oscillation4")
     seen = []
-    nr_solve = outer_loop.nr_solve
+    nr_solve = nr_solver.nr_solve
 
     def recording(case, init, ctl, opts, **kw):
         state, report = nr_solve(case, init, ctl, opts, **kw)
         seen.append((state, ctl))
         return state, report
 
-    monkeypatch.setattr(outer_loop, "nr_solve", recording)
+    monkeypatch.setattr(nr_solver, "nr_solve", recording)
     solve_outer_loop(case, SolverOptions(), order=LARGEST_FIRST)
     spy = SpyFactor(monkeypatch)
     last, rebuilt = None, 0

@@ -193,7 +193,7 @@ class TestNrSolve:
         case = two_bus_case(p_load=5.0, q_load=2.0)
         ctl = base_control(case)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
-                          stall_window=4)
+                          subsolve=True)
         assert rep.stalled and not rep.converged
         res = [row.max_residual for row in rep.trace]
         # the lowest max|F| came at iteration 3; iterations 4-7 missed it
@@ -209,7 +209,8 @@ class TestNrSolve:
         init = flat_start(case, ctl)
         start = float(np.abs(nr_solver.residual(case, init, ctl)).max())
         monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: (start, None))
-        _, rep = nr_solve(case, init, ctl, OPTS, stall_window=3)
+        monkeypatch.setattr(nr_solver, "STALL_WINDOW", 3)
+        _, rep = nr_solve(case, init, ctl, OPTS, subsolve=True)
         assert rep.stalled and not rep.converged
         assert rep.iterations == 3
 
@@ -229,8 +230,9 @@ class TestNrSolve:
             return norm[0], None
 
         monkeypatch.setattr(nr_solver, "_residual_norm", creeping)
+        monkeypatch.setattr(nr_solver, "STALL_WINDOW", 3)
         opts = SolverOptions(max_iter=6)
-        _, rep = nr_solve(case, init, ctl, opts, stall_window=3)
+        _, rep = nr_solve(case, init, ctl, opts, subsolve=True)
         assert rep.stalled is stalled and not rep.converged
         assert rep.iterations == (3 if stalled else opts.max_iter)
         assert rep.residual_evals == rep.iterations
@@ -348,9 +350,10 @@ class TestStampedOnce:
     def test_best_trial_pass_kept(self, monkeypatch):
         # no trial lowers max|F|, and the second of each iteration's seven
         # (alpha 1/2) reads lowest: its pass, not the last one's, must
-        # give the next J. A stall window, as in a continuation sub-solve,
-        # keeps the generators' q where the step left it (see
-        # test_landing_pass_gives_the_next_j)
+        # give the next J. A sub-solve, as in a continuation, keeps the
+        # generators' q where the step left it (see
+        # test_landing_pass_gives_the_next_j); three iterations are too
+        # few for its stall window to end it
         case = load_matpower("case9")
         ctl = base_control(case)
         trials = []
@@ -371,7 +374,7 @@ class TestStampedOnce:
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
         monkeypatch.setattr(nr_solver, "assemble", checked)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl,
-                          SolverOptions(max_iter=3), stall_window=10)
+                          SolverOptions(max_iter=3), subsolve=True)
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == rep.line_search_backtracks == 21
         assert assembled[0] is None
@@ -379,7 +382,7 @@ class TestStampedOnce:
                 enumerate(assembled[1:])] == [True, True]
 
     def test_best_trial_pass_lands(self, monkeypatch):
-        # as above, without a stall window: each iteration's seven trials
+        # as above, outside a sub-solve: each iteration's seven trials
         # are followed by the landing evaluation, which reads the true
         # max|F| (far below every trial's), and the generators land from
         # the best trial's pass, not the last one's
