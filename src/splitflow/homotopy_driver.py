@@ -6,9 +6,11 @@ stage function maps (case, opts, target control, warm state or None) to
 a path t -> ControlMode, t = 1 fully relaxed and t = 0 the target (None
 when nothing needs relaxing), and the state to start from; a soft stage
 targets the reduced steepness INITIAL_STEEPNESS. `_continuation` follows
-a path from t = 1 to 0 with warm starts, keeping DECREMENT of the
-remaining distance per step, snapping to 0 below SNAP_FRACTION and
-shrinking a failed step by BACKTRACK up to MAX_BACKTRACKS times; only
+a path from t = 1 to 0 with warm starts. Each step first tries
+DECREMENT of the remaining distance, or the last accepted step over
+BACKTRACK if that is shorter, and snaps to 0 below SNAP_FRACTION; a
+failed step shrinks by BACKTRACK, and the path is stuck once it would
+fall below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS. Only
 the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
 sub-solve on the path, t = 0 included, also ends as failed once it
 stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR iterations without
@@ -64,7 +66,7 @@ INITIAL_STEEPNESS = 100.0  # sigmoid steepness of the relaxed smoothing problem
 TX_INITIAL = 1.0  # tx_relax at t = 1
 DECREMENT = 0.5  # fraction of remaining distance kept per step
 BACKTRACK = 0.5  # shrink factor applied to a failed decrement
-MAX_BACKTRACKS = 10
+MAX_BACKTRACKS = 10  # halvings from t (1 - DECREMENT) to the step floor
 SNAP_FRACTION = 1e-3  # remaining distance below which t snaps to 0
 SUB_MAX_ITER = 40  # NR budget of the warm-started intermediate sub-solves
 
@@ -112,10 +114,10 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     state, report = solve(state, 1.0, sub_opts, 0)
     if not report.converged:
         raise _stuck(phase, 1.0, "relaxed problem unsolvable", report)
-    step, t = 0, 1.0
+    step, t, last = 0, 1.0, float("inf")
     while t > 0.0:
-        decrement = t * (1.0 - DECREMENT)
-        backtracks = 0
+        decrement = min(t * (1.0 - DECREMENT), last / BACKTRACK)
+        floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
         while True:
             t_next = t - decrement
             if t_next <= SNAP_FRACTION:
@@ -125,14 +127,12 @@ def _continuation(case, state, make_ctl, opts, phase, total):
                                       opts if t_next == 0.0 else sub_opts,
                                       step)
             if report.converged:
-                state = candidate
-                t = t_next
+                state, last, t = candidate, t - t_next, t_next
                 break
-            backtracks += 1
             total.continuation_backtracks += 1
-            if backtracks > MAX_BACKTRACKS:
-                raise _stuck(phase, t, f"stuck at t = {t:.6g} after "
-                             f"{backtracks - 1} backtracks", report)
+            if decrement * BACKTRACK < floor:
+                raise _stuck(phase, t, f"stuck at t = {t:.6g}: no step of "
+                             f"{decrement:.2g} or longer converges", report)
             decrement *= BACKTRACK
     return state
 

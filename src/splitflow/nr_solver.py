@@ -7,11 +7,12 @@ that cut the step, a solve that is not a sub-solve lands each local
 generator's q on its sigmoid at the accepted voltages: its row is
 q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
 elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996);
-a steep curve, crossed by almost any full voltage step, would otherwise
-hold max|F| up at every trial. Convergence requires both the residual
-and the step below tolerance: near-saturated sigmoid plateaus can make
-steps tiny while the network equations are still violated, so the step
-alone is never trusted.
+the move is clamped like a Newton step, at STEP_LIMIT_Q. A steep curve,
+crossed by almost any full voltage step, would otherwise hold max|F| up
+at every trial. Convergence requires both the residual and the step
+below tolerance: near-saturated sigmoid plateaus can make steps tiny
+while the network equations are still violated, so the step alone is
+never trusted.
 
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
@@ -225,10 +226,11 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     best trial is taken; without the guard, steep saturation curves settle
     into period-2 limit cycles. Outside a sub-solve, a cut step
     (alpha < 1) is followed by landing the local generators on their
-    curves, q -= F[q] from the accepted trial, and one more evaluation,
-    whose pass gives the next F and J unless the tap floor rewrote the
-    state; the landing move counts in max_step. residual_evals counts
-    trials and landings, line_search_backtracks the rejected trials.
+    curves, q -= F[q] from the accepted trial clamped at STEP_LIMIT_Q,
+    and one more evaluation, whose pass gives the next F and J unless the
+    tap floor rewrote the state; the landing move counts in max_step.
+    residual_evals counts trials and landings, line_search_backtracks the
+    rejected trials.
 
     A subsolve lands no generator, and also ends, not converged and with
     report.stalled set, once STALL_WINDOW consecutive iterations fail to
@@ -282,7 +284,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         state.x = best_x
         max_res = best_res
         if best_alpha < 1.0 and land.size:
-            move = kept.F[land]
+            move = np.clip(kept.F[land], -STEP_LIMIT_Q, STEP_LIMIT_Q)
             state.x[land] -= move
             dx[land] -= move
             max_res, kept = _residual_norm(case, state, ctl)

@@ -15,8 +15,10 @@ from splitflow.circuit_stamps import (
     residual,
 )
 from splitflow.homotopy_driver import (
+    BACKTRACK,
     DECREMENT,
     INITIAL_STEEPNESS,
+    MAX_BACKTRACKS,
     SNAP_FRACTION,
     SUB_MAX_ITER,
     _smoothing_path,
@@ -44,6 +46,21 @@ from tests.conftest import (
 )
 
 OPTS = SolverOptions()
+
+
+def recorded_reports(monkeypatch):
+    """The list that every later nr_solve report is appended to."""
+    reports = []
+
+    def wrap(nr_solve):
+        def recorded(*args, **kw):
+            state, report = nr_solve(*args, **kw)
+            reports.append(report)
+            return state, report
+        return recorded
+
+    patch_nr_solve(monkeypatch, wrap)
+    return reports
 
 
 class TestScheduleAndPaths:
@@ -135,9 +152,11 @@ class TestQLimitRelaxation:
 
     def test_rescue_case(self):
         # the q-limit schedule converges this case, and plain flat-start
-        # NR reaches the same solution (to 2e-15) after 60 iterations;
-        # before the generators' q was landed on their curves after a cut
-        # step, plain NR ran out its 100 iterations here
+        # NR reaches the same root after 60 iterations; before the
+        # generators' q was landed on their curves after a cut step, plain
+        # NR ran out its 100 iterations here. Both answers stop within the
+        # tolerance of the root (2.2e-12 apart), so one more Newton step
+        # from each shows it is the same one (4e-16 apart)
         case = qlimit_rescue_case()
         ctl = base_control(case)
         plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
@@ -145,7 +164,9 @@ class TestQLimitRelaxation:
         st, rep = run_homotopy(case, None, "q-limit", OPTS)
         assert rep.converged
         assert rep.final_residual < OPTS.tol_residual
-        assert np.abs(plain.x - st.x).max() < 1e-12
+        one = SolverOptions(max_iter=1)
+        polished = [nr_solve(case, x, ctl, one)[0].x for x in (plain, st)]
+        assert np.abs(polished[0] - polished[1]).max() < 1e-12
 
 
 class TestPLimitRelaxation:
@@ -298,14 +319,26 @@ class TestRunHomotopy:
             run_homotopy(case, None, "tx", OPTS)
         phase, t = err.value.frontier
         assert phase == "tx" and 0.0 < t < 1.0
-        # the error names the last failed sub-solve, which stalled well
-        # inside its budget
-        match = re.search(r"last sub-solve: stalled after (\d+) iterations, "
-                          rf"no progress in the last {STALL_WINDOW}, "
-                          r"residual (\S+)$", str(err.value))
+        # the error names the shortest step tried, no longer than the
+        # floor's double, and the last failed sub-solve, which stalled
+        # well inside its budget
+        match = re.search(r"stuck at t = \S+: no step of (\S+) or longer "
+                          r"converges; last sub-solve: stalled after (\d+) "
+                          rf"iterations, no progress in the last "
+                          rf"{STALL_WINDOW}, residual (\S+)$", str(err.value))
         assert match is not None, str(err.value)
-        assert STALL_WINDOW <= int(match.group(1)) < SUB_MAX_ITER
-        assert float(match.group(2)) == pytest.approx(1.67e-3, rel=0.01)
+        floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
+        assert floor <= float(match.group(1)) < 2.0 * floor
+        assert STALL_WINDOW <= int(match.group(2)) < SUB_MAX_ITER
+        assert float(match.group(3)) == pytest.approx(1.634e-3, rel=0.01)
+
+    def test_dead_end_stops_early(self, monkeypatch):
+        # no step past the frontier converges, and the floor on the step
+        # stops the probe well inside its budget (172 NR iterations)
+        reports = recorded_reports(monkeypatch)
+        with pytest.raises(ContinuationError, match="tx: stuck at t = "):
+            run_homotopy(load_native("two_bus_no_solution"), None, "tx", OPTS)
+        assert sum(r.iterations for r in reports) <= 200
 
     def test_swallowed_solver_error_kept_in_diagnostics(self):
         # a collapsed bus voltage makes the load stamp raise; the failed
@@ -339,6 +372,30 @@ class TestRunHomotopy:
         assert rep.converged and rep.continuation_backtracks == 1
         assert calls[:3] == ["smoothing"] * 3
         assert rep.diagnostics == ["singular at the third"]
+
+    def test_step_carried_forward(self, monkeypatch):
+        # case118 tx backtracks on its first steps. After an accepted step
+        # of length d, the next trial is min(2 d, t (1 - DECREMENT)); each
+        # failed trial halves its step
+        reports = recorded_reports(monkeypatch)
+        _, rep = run_homotopy(load_matpower("case118"), None, "tx", OPTS)
+        assert rep.converged and rep.continuation_backtracks > 0
+        path = [(r.trace[0].t, r.converged) for r in reports]
+        assert path[0] == (1.0, True) and path[-1] == (0.0, True)
+        t, last, trial, carried = 1.0, float("inf"), None, 0
+        for t_next, converged in path[1:]:
+            if trial is None:  # the first trial after an accepted step
+                trial = min(t * (1.0 - DECREMENT), last / BACKTRACK)
+                carried += trial < t * (1.0 - DECREMENT)
+            if t_next > 0.0:
+                assert t - t_next == pytest.approx(trial, rel=1e-12)
+            else:
+                assert t - trial <= SNAP_FRACTION
+            if converged:
+                t, last, trial = t_next, t - t_next, None
+            else:
+                trial *= BACKTRACK
+        assert carried > 0
 
     def test_trace_carries_lambda_columns(self):
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05)

@@ -42,18 +42,18 @@ def test_block_equals_ybus_expansion(name, tx_relax):
 # homotopies reach (see test_homotopy); it is the case where plain NR and
 # the outer loop go astray.
 ITERATIONS = {
-    "case9": {"none": 11, "smoothing": 24, "tx": 63, "q-limit": 2,
+    "case9": {"none": 10, "smoothing": 24, "tx": 63, "q-limit": 2,
               "composite": 60},
     "case14": {"none": 14, "smoothing": 37, "tx": 69, "q-limit": 3,
                "composite": 74},
     "case30": {"none": 5, "smoothing": 32, "tx": 46, "q-limit": 33,
                "composite": 95},
-    "case118": {"none": 7, "smoothing": 34, "tx": 148, "q-limit": 34,
+    "case118": {"none": 7, "smoothing": 34, "tx": 132, "q-limit": 34,
                 "composite": 100},
-    "savnw_like": {"none": 10, "smoothing": 34, "tx": 39, "q-limit": 4,
+    "savnw_like": {"none": 9, "smoothing": 34, "tx": 39, "q-limit": 4,
                    "composite": 67},
-    "oscillation4": {"smoothing": 74, "tx": 41, "q-limit": 462,
-                     "composite": 151},
+    "oscillation4": {"smoothing": 67, "tx": 41, "q-limit": 266,
+                     "composite": 144},
     "discrete4": {"none": 9, "smoothing": 42, "tx": 44, "q-limit": 4,
                   "composite": 75},
 }

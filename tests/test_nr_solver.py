@@ -14,6 +14,7 @@ from splitflow.circuit_stamps import base_control, flat_start, residual
 from splitflow.nr_solver import (
     SPLU,
     STALL_DROP,
+    STEP_LIMIT_Q,
     SolverOptions,
     nr_solve,
     solve_linear,
@@ -23,6 +24,11 @@ from tests.conftest import load_matpower, load_native, two_bus_case
 from tests.network_reference import power_mismatch
 
 OPTS = SolverOptions()
+
+
+def clamped(move):
+    """A landing move as nr_solve takes it, at most STEP_LIMIT_Q."""
+    return np.clip(move, -STEP_LIMIT_Q, STEP_LIMIT_Q)
 
 
 def dense_system(A, b):
@@ -417,18 +423,19 @@ class TestStampedOnce:
         for i in range(3):
             (x, best), (y, landed) = calls[8 * i + 1], calls[8 * i + 7]
             assert np.array_equal(np.delete(y, land), np.delete(x, land))
-            assert np.array_equal(y[land], x[land] - best.F[land])
+            assert np.array_equal(y[land], x[land] - clamped(best.F[land]))
             assert not np.array_equal(y[land], x[land])
             if i < 2:
                 assert assembled[i + 1] is landed
 
     def test_landing_pass_gives_the_next_j(self, monkeypatch):
-        # after a cut step, each local generator's q is set onto its curve
-        # at the accepted voltages, q - F[col] from the accepted trial's
-        # pass; the state is stamped once more, and that pass gives the
-        # next J, with the generator rows at 0 up to a rounding. case9
-        # lowers max|F| on every iteration, so the accepted trial is the
-        # last one
+        # after a cut step, each local generator's q is moved toward its
+        # curve at the accepted voltages, q - F[col] from the accepted
+        # trial's pass clamped at STEP_LIMIT_Q; the state is stamped once
+        # more, and that pass gives the next J. The row is linear in q, so
+        # a landed row reads F - move: 0 up to a rounding where the move
+        # was not clamped. case9 lowers max|F| on every iteration, so the
+        # accepted trial is the last one
         case = load_matpower("case9")
         ctl = base_control(case)
         land = circuit_stamps.generator_curves(flat_start(case, ctl).index,
@@ -452,16 +459,21 @@ class TestStampedOnce:
         assert rep.converged
         at = [i for i, e in enumerate(events) if e[0] == "assemble"]
         assert len(at) == rep.iterations
+        clamps = 0
         for row, i in zip(rep.trace, at[1:]):
             (_, x, trial), (_, y, landed) = events[i - 2:i]
             if row.alpha == 1.0:
                 assert events[i - 1][2] is events[i][2]
                 continue
             assert events[i][2] is landed
+            move = clamped(trial.F[land])
             assert np.array_equal(np.delete(y, land), np.delete(x, land))
-            assert np.array_equal(y[land], x[land] - trial.F[land])
-            assert np.abs(landed.F[land]).max() <= 1e-15
+            assert np.array_equal(y[land], x[land] - move)
+            assert np.abs(landed.F[land] - (trial.F[land] - move)).max() \
+                <= 1e-15
+            clamps += int(np.any(move != trial.F[land]))
         assert sum(r.alpha < 1.0 for r in rep.trace) > 1
+        assert clamps > 0
         assert rep.residual_evals == len(events) - len(at)
 
 
@@ -510,8 +522,10 @@ class TestOutageSweep:
         # start. Each solution balances power by the independent oracle.
         # The sums per level pin the step rule: landing the generators' q
         # after a cut step took them from (175, 346), (369, 1264) and
-        # (330, 1210) (iterations, evaluations), 874 and 2820 in all; dP_S
-        # started at 0 gave (512, 2244) at x1.05
+        # (330, 1210) (iterations, evaluations), 874 and 2820 in all, to
+        # (141, 239), (199, 482) and (232, 606), and clamping the landing
+        # move at STEP_LIMIT_Q to the pins below; dP_S started at 0 gave
+        # (512, 2244) at x1.05
         base = load_matpower("case118")
         sums = {}
         for level in (0.95, 1.00, 1.05):
@@ -529,4 +543,4 @@ class TestOutageSweep:
                 evals += rep.residual_evals
             sums[level] = (iterations, evals)
         assert len(base.generators) == 20
-        assert sums == {0.95: (141, 239), 1.00: (199, 482), 1.05: (232, 606)}
+        assert sums == {0.95: (140, 230), 1.00: (199, 458), 1.05: (226, 568)}
