@@ -25,8 +25,10 @@ J's pattern is fixed by the index map and the J slots a pass keeps
 slack-row rewrite and the entry each value adds to) is cached on the
 IndexMap, keyed by the kept slots, and rebuilt when they change; each
 `assemble` emits values only and sums them into the structure with one
-bincount, duplicates in emitted order. The structure also keeps the LU
-column order of its pattern for `nr_solver.solve_linear`.
+bincount, duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the
+same bincount fills a dense J instead, through each entry's flat index,
+for a LAPACK solve; above, J is CSC, and the structure also keeps the
+LU column order of its pattern for `nr_solver.solve_linear`.
 
 Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
 one reactive-power column per voltage-controlling device (local
@@ -59,6 +61,12 @@ STEEPNESS_FLOOR = 10.0
 TX_SCALE = 1e3
 # degenerate-limit threshold: below this range a device is a fixed injection
 DEGENERATE_RANGE = 1e-12
+# J of at most this many unknowns is emitted dense, for a LAPACK solve.
+# A dense fill and LAPACK beat a CSC fill and SuperLU, whose fixed cost
+# dominates a small solve, on every generated case up to 129 unknowns;
+# they split at 140 and lose from 151 on, and case118's 255 are 2.8
+# times slower dense (tools/lu_probe.py, BENCH_lu.json)
+DENSE_MAX_DIM = 128
 
 SIGMOID = "sigmoid"
 FIXED_V = "fixed-v"
@@ -929,7 +937,8 @@ def _slack_rows(st: _Pass, F: np.ndarray):
 
 @dataclass
 class _JacobianStructure:
-    """J's CSC structure for one set of kept slots.
+    """J's CSC structure for one set of kept slots, and the same entries
+    as flat indices into a dense J.
 
     A call's J values come from its source vector: the network block's
     values, every slot's value, the two unit diagonals of the slack
@@ -946,6 +955,7 @@ class _JacobianStructure:
     slot: np.ndarray  # adds to
     indices: np.ndarray  # CSC row indices and column pointers, read-only
     indptr: np.ndarray
+    dense: np.ndarray  # each used source's entry as a row-major flat index
     # the pattern's LU column order, once `keep_order` has it: its
     # inverse, the gather that puts J's data into that order, and the
     # permuted matrix each factorization refills
@@ -1005,15 +1015,18 @@ def _jacobian_structure(idx: IndexMap, keep: np.ndarray) -> _JacobianStructure:
     # every J returned shares these two; an in-place scipy op must not
     # rewrite the cache
     indices.flags.writeable = indptr.flags.writeable = False
+    dense = ((entries % dim) * dim + entries // dim)[slot]
     return _JacobianStructure(keep.copy(), at, rows[at], used, slot, indices,
-                              indptr)
+                              indptr, dense)
 
 
-def _jacobian(st: _Pass) -> csc_matrix:
+def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
     """J from the pass's values, summed into the structure cached on the
     index map; the structure is rebuilt when the pass keeps other slots
     (a generator switched between PV and PQ, a slack member's slope
-    exactly 0, a tap or group row of another kind)."""
+    exactly 0, a tap or group row of another kind). Up to DENSE_MAX_DIM
+    unknowns J is a dense array, else a CSC matrix; both sum the same
+    values in the same order, so their entries are equal bit for bit."""
     idx, keep = st.index, st.kept()
     s = idx.jac
     if s is None or not np.array_equal(keep, s.keep):
@@ -1022,8 +1035,11 @@ def _jacobian(st: _Pass) -> csc_matrix:
     parts = [head, (1.0, 1.0)]
     if idx.dps_col is not None:
         parts += [head[s.at] * st.x[s.on], (*st.slack_currents, -1.0)]
-    data = np.bincount(s.slot, np.concatenate(parts)[s.used],
-                       minlength=s.indices.size)
+    src = np.concatenate(parts)[s.used]
+    if idx.dim <= DENSE_MAX_DIM:
+        return np.bincount(s.dense, src, minlength=idx.dim * idx.dim
+                           ).reshape(idx.dim, idx.dim)
+    data = np.bincount(s.slot, src, minlength=s.indices.size)
     J = csc_matrix((data, s.indices, s.indptr), shape=(idx.dim, idx.dim))
     J.has_canonical_format = True  # sorted and summed by construction
     J.structure = s
@@ -1056,7 +1072,8 @@ def _stamp_pass(case: NetworkCase, state: StateVector,
 
 
 def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
-             kept: _Pass | None = None) -> tuple[np.ndarray, csc_matrix]:
+             kept: _Pass | None = None,
+             ) -> tuple[np.ndarray, np.ndarray | csc_matrix]:
     """Residual F and Jacobian J at the state; NR solves J dx = -F.
 
     kept, if given, is the pass `residual(case, state, ctl, keep=True)`
@@ -1064,9 +1081,19 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     from the values that pass kept, and the state is not stamped again.
     J's CSC structure is cached on the state's IndexMap, keyed by the
     J slots the pass keeps, and only its values are emitted per call,
-    duplicates summed in emitted order (see `_jacobian`). J carries that
-    structure as `J.structure`, where `nr_solver.solve_linear` keeps the
-    LU column order of the pattern."""
+    duplicates summed in emitted order (see `_jacobian`).
+
+    J has two representations, by its dimension alone. Up to
+    DENSE_MAX_DIM unknowns it is a dense ndarray, which
+    `nr_solver.solve_linear` solves with LAPACK: there a dense fill and
+    LAPACK cost less per call than a CSC fill and SuperLU, whose fixed
+    cost dominates at that size (the crossover is measured by
+    `tools/lu_probe.py` into BENCH_lu.json). After LAPACK, the unknown of
+    each row with one entry is set from that row, so a unit row solves
+    exactly. Above the crossover J is a csc_matrix carrying the structure
+    as `J.structure`, where `solve_linear` keeps the LU column order of
+    the pattern. Both sum the same values in the same order: the dense J
+    equals the CSC J's toarray() bit for bit."""
     st = kept
     if st is None:
         st = _stamp_pass(case, state, ctl)

@@ -85,7 +85,7 @@ def resolve_after_snap(
     Falls back to sweeping device parameters from continuous to snapped
     values when the direct warm re-solve fails; raises
     SnappedInfeasibleError if even the sweep cannot converge. The report
-    is the direct re-solve's, or the sweep's total, which leaves out the
+    is the direct re-solve's, or the sweep's total, which starts with the
     failed direct re-solve.
     """
     base = base if base is not None else base_control(case)
@@ -96,9 +96,9 @@ def resolve_after_snap(
         fixed_tap_ratio=dict(plan.tap_ratio),
     )
     warm = solution.remap(flat_start(case, snapped_ctl).index)
-    state, report = nr_solve(case, warm, snapped_ctl, opts, phase="snap")
-    if report.converged:
-        return state, report, plan
+    state, direct = nr_solve(case, warm, snapped_ctl, opts, phase="snap")
+    if direct.converged:
+        return state, direct, plan
 
     # continuation: t = 1 holds the continuous values, t = 0 the snapped ones
     def make(t: float) -> ControlMode:
@@ -113,6 +113,7 @@ def resolve_after_snap(
         return replace(base, fixed_shunt_b=shunt_b, fixed_tap_ratio=taps)
 
     report = SolveReport(diagnostics=["snap continuation used"])
+    report.add(direct)
     try:
         state = _continuation(case, warm, make, opts, "snap-sweep", report)
     except ContinuationError as exc:

@@ -8,10 +8,12 @@ when nothing needs relaxing), and the state to start from; a soft stage
 targets the reduced steepness INITIAL_STEEPNESS. `_continuation` follows
 a path from t = 1 to 0 with warm starts. Each step first tries
 DECREMENT of the remaining distance, or the last accepted step over
-BACKTRACK if that is shorter, and snaps to 0 below SNAP_FRACTION; a
-failed step shrinks by BACKTRACK, and the path is stuck once it would
-fall below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS. Only
-the t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
+BACKTRACK if that is shorter, and tries t = 0 instead if that would
+leave SNAP_FRACTION or less. A failed step shrinks by BACKTRACK and
+never snaps to 0, so when t = 0 fails from just above SNAP_FRACTION, a
+t below it is tried next. The path is stuck once a step would fall
+below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS. Only the
+t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
 sub-solve on the path, t = 0 included, also ends as failed once it
 stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR iterations without
 progress; `SolveReport.stalled`). A corrector that has stopped
@@ -67,7 +69,7 @@ TX_INITIAL = 1.0  # tx_relax at t = 1
 DECREMENT = 0.5  # fraction of remaining distance kept per step
 BACKTRACK = 0.5  # shrink factor applied to a failed decrement
 MAX_BACKTRACKS = 10  # halvings from t (1 - DECREMENT) to the step floor
-SNAP_FRACTION = 1e-3  # remaining distance below which t snaps to 0
+SNAP_FRACTION = 1e-3  # a step's first trial snaps a t at or below this to 0
 SUB_MAX_ITER = 40  # NR budget of the warm-started intermediate sub-solves
 
 
@@ -118,10 +120,12 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     while t > 0.0:
         decrement = min(t * (1.0 - DECREMENT), last / BACKTRACK)
         floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
+        first = True
         while True:
             t_next = t - decrement
-            if t_next <= SNAP_FRACTION:
+            if first and t_next <= SNAP_FRACTION:
                 t_next = 0.0
+            first = False
             step += 1
             candidate, report = solve(state.copy(), t_next,
                                       opts if t_next == 0.0 else sub_opts,

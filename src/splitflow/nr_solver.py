@@ -1,7 +1,7 @@
-"""Newton-Raphson inner loop: evaluate, sparse-solve, damp, iterate.
+"""Newton-Raphson inner loop: evaluate, solve, damp, iterate.
 
 Each iteration takes the residual F and Jacobian J from one stamp pass
-(`circuit_stamps.assemble`), solves J dx = -F by sparse LU, clamps the
+(`circuit_stamps.assemble`), solves J dx = -F by LU, clamps the
 step per variable and backtracks it until the residual norm drops. If
 that cut the step, a solve that is not a sub-solve lands each local
 generator's q on its sigmoid at the accepted voltages: its row is
@@ -17,10 +17,21 @@ never trusted.
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
 the first iteration, and a state the tap floor has rewritten, stamp
-anew. Every sparse LU runs with the settings in `SPLU`: a minimum-degree
-column order on the pattern of J + Jᵀ, which suits power-flow Jacobians
-(near-symmetric in pattern), no relaxed supernodes or panels (their
-supernodes are tiny), and diagonal-preferring pivots. The LU keeps the
+anew.
+
+J comes in two representations, by its dimension alone. Up to
+`circuit_stamps.DENSE_MAX_DIM` unknowns it is a dense array, and
+`solve_linear` runs LAPACK's LU (gesv): at those sizes SuperLU's fixed
+cost per call, not its arithmetic, dominates the solve, and a dense
+fill plus LAPACK is the cheaper call (`tools/lu_probe.py`, whose
+`BENCH_lu.json` times both). After LAPACK, each row with one entry sets
+its unknown to rhs[i] / J[i, j], so a unit row's unknown comes out
+exactly, as it does from SuperLU's diagonal-preferring pivot. Above the
+crossover J is a CSC matrix, and every sparse LU runs with the settings
+in `SPLU`: a minimum-degree column order on the pattern of J + Jᵀ,
+which suits power-flow Jacobians (near-symmetric in pattern), no
+relaxed supernodes or panels (their supernodes are tiny), and
+diagonal-preferring pivots. The LU keeps the
 column order of each J pattern: the first factorization of a pattern
 orders its columns, and later ones factor J with its columns already in
 that order, which gives the same LU and the same solution bit for bit.
@@ -31,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.sparse import spmatrix
 from scipy.sparse.linalg import splu
 
@@ -125,28 +137,68 @@ class SolveReport:
             setattr(self, f.name, value)
 
 
-def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse LU solve of mat x = rhs.
+def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve of mat x = rhs: LAPACK for a dense array, sparse LU
+    for a sparse matrix.
 
-    Factors with the `SPLU` settings. A J from `assemble` carries its
-    cached structure, which keeps the LU column order of its pattern
-    after the first factorization (see `_factor`); any other matrix is
-    ordered on each call.
+    The sparse LU factors with the `SPLU` settings. A J from `assemble`
+    carries its cached structure, which keeps the LU column order of its
+    pattern after the first factorization (see `_factor`); any other
+    sparse matrix is ordered on each call. After the LAPACK solve, each
+    row with one entry sets its unknown to rhs[i] / mat[i, j], which
+    returns rhs[i] exactly for a unit row, as the diagonal-preferring
+    SuperLU pivot does.
 
-    Raises SingularSystemError carrying a suspect row index when the
-    factorization fails or the solution does not satisfy the system.
+    Raises SingularSystemError, carrying a suspect row index for an
+    empty row, when an entry is not finite, a row is empty (stored zeros
+    count as empty), the factorization fails or the solution does not
+    satisfy the system.
     """
-    mat = mat.tocsc()
-    if not np.all(np.isfinite(mat.data)) or not np.all(np.isfinite(rhs)):
+    dense = isinstance(mat, np.ndarray)
+    if not dense:
+        mat = mat.tocsc()
+    if (not np.isfinite(mat if dense else mat.data).all()
+            or not np.isfinite(rhs).all()):
         raise SingularSystemError("non-finite entries in assembled system")
-    # CSC indices are row indices: the absolute row sums, stored zeros too
-    row_mass = np.bincount(mat.indices, np.abs(mat.data), minlength=mat.shape[0])
-    empty = np.where(row_mass == 0.0)[0]
+    if dense:
+        nonzeros = np.count_nonzero(mat, axis=1)
+        empty = np.flatnonzero(nonzeros == 0)
+    else:
+        # CSC indices are row indices: the absolute row sums, stored zeros too
+        row_mass = np.bincount(mat.indices, np.abs(mat.data),
+                               minlength=mat.shape[0])
+        empty = np.flatnonzero(row_mass == 0.0)
     if empty.size:
         raise SingularSystemError(
             f"structurally singular system: row {int(empty[0])} is empty",
             row=int(empty[0]),
         )
+    x = (_solve_dense(mat, rhs, np.flatnonzero(nonzeros == 1)) if dense
+         else _solve_sparse(mat, rhs))
+    if not np.isfinite(x).all():
+        raise SingularSystemError("linear solve produced non-finite values")
+    err = np.abs(mat @ x - rhs).max() / max(1.0, np.abs(rhs).max())
+    if err > 1e-8:
+        raise SingularSystemError(
+            f"near-singular system: relative solve error {err:.3e}"
+        )
+    return x
+
+
+def _solve_dense(mat, rhs, single):
+    """LAPACK's solution of mat x = rhs, the unknown of each row in
+    single, a row with one nonzero mat[i, j], set to rhs[i] / mat[i, j]."""
+    x, info = dgesv(mat, rhs)[2:]
+    if info > 0:
+        raise SingularSystemError(
+            f"dense LU factorization failed: exactly zero pivot {info}")
+    cols = (mat[single] != 0.0).argmax(axis=1)
+    x[cols] = rhs[single] / mat[single, cols]
+    return x
+
+
+def _solve_sparse(mat, rhs):
+    """SuperLU's solution of mat x = rhs, in the kept order if any."""
     try:
         lu, inv = _factor(mat)
         x = lu.solve(rhs if inv is None else rhs[inv])
@@ -155,13 +207,6 @@ def solve_linear(mat: spmatrix, rhs: np.ndarray) -> np.ndarray:
     if inv is not None:
         y, x = x, np.empty_like(x)
         x[inv] = y
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("linear solve produced non-finite values")
-    err = np.abs(mat @ x - rhs).max() / max(1.0, np.abs(rhs).max())
-    if err > 1e-8:
-        raise SingularSystemError(
-            f"near-singular system: relative solve error {err:.3e}"
-        )
     return x
 
 

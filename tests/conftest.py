@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import issparse
 
 from splitflow import (
     Branch,
@@ -275,8 +276,14 @@ def fd_jacobian(case, state, ctl, h=1e-6):
     return J
 
 
+def as_array(J):
+    """J as a dense array, whichever representation `assemble` emitted
+    (a dense array up to `circuit_stamps.DENSE_MAX_DIM` unknowns, CSC above)."""
+    return J.toarray() if issparse(J) else J
+
+
 def assert_jacobian_matches(case, state, ctl, rel_tol=1e-5, abs_floor=1e-8):
-    A = assemble(case, state, ctl)[1].toarray()
+    A = as_array(assemble(case, state, ctl)[1])
     J = fd_jacobian(case, state, ctl)
     err = np.abs(A - J)
     denom = np.maximum(abs_floor, np.abs(J))

@@ -12,6 +12,7 @@ from splitflow import (
     SingularPointError,
     SwitchedShunt,
 )
+import splitflow.circuit_stamps as circuit_stamps
 from splitflow.case_model import TapControl
 from splitflow.circuit_stamps import (
     FIXED_Q,
@@ -28,6 +29,7 @@ from splitflow.circuit_stamps import (
 )
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
+    as_array,
     assert_jacobian_matches,
     lossless_agc_case,
     random_state,
@@ -51,7 +53,7 @@ def branch_jacobian(branch):
     )
     ctl = base_control(case)
     state = flat_start(case, ctl)
-    return assemble(case, state, ctl)[1].toarray(), state.index
+    return as_array(assemble(case, state, ctl)[1]), state.index
 
 
 def load_delta(case):
@@ -63,7 +65,7 @@ def load_delta(case):
     # gets its own (same-shaped) index
     bare = replace(case, loads=())
     F0, J0 = assemble(bare, StateVector(build_index(bare, ctl), state.x), ctl)
-    return F - F0, (J - J0).toarray(), state.index
+    return F - F0, as_array(J - J0), state.index
 
 
 class TestBranchStamp:
@@ -252,10 +254,12 @@ class TestCountingRule:
 
 
 class TestStructuralSymmetry:
-    def test_bundled_matpower_pattern(self, bundled_matpower):
+    def test_bundled_matpower_pattern(self, bundled_matpower, monkeypatch):
         # structural symmetry is a property of which entries the stamps
         # write (values may be zero, e.g. a fully saturated sigmoid slope),
-        # and the replaced slack voltage rows are exempt
+        # and the replaced slack voltage rows are exempt; a CSC J holds
+        # the written entries, a dense J would drop the zeros
+        monkeypatch.setattr(circuit_stamps, "DENSE_MAX_DIM", 0)
         for name in ("case9", "case14"):
             case = bundled_matpower[name]
             ctl = base_control(case)

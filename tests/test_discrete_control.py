@@ -16,7 +16,7 @@ from splitflow.circuit_stamps import StateVector, base_control, flat_start
 from splitflow.discrete_control import build_steps, resolve_after_snap, snap_to_steps
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import load_native, remote_pair_case
+from tests.conftest import load_native, patch_nr_solve, remote_pair_case
 from tests.network_reference import power_mismatch
 
 OPTS = SolverOptions()
@@ -58,6 +58,31 @@ class TestResolveAfterSnap:
         case, (state, _, plan) = snapped
         assert power_mismatch(case, state, tap_ratio=plan.tap_ratio,
                               shunt_b=plan.shunt_b).max() <= 1e-5
+
+
+def test_failed_direct_resolve_counts_in_the_sweep(monkeypatch):
+    # with two iterations per solve the direct re-solve after smoothing
+    # fails (2 iterations) and the sweep takes over (31): the report
+    # totals every NR iteration run, the failed direct re-solve's too
+    case = load_native("discrete4")
+    state, report = run_homotopy(case, None, "smoothing", OPTS)
+    assert report.converged
+    reports = []
+
+    def wrap(nr_solve):
+        def recorded(*args, **kw):
+            out, rep = nr_solve(*args, **kw)
+            reports.append((kw["phase"], rep))
+            return out, rep
+        return recorded
+
+    patch_nr_solve(monkeypatch, wrap)
+    _, report, _ = resolve_after_snap(case, state, SolverOptions(max_iter=2))
+    assert report.converged
+    assert report.diagnostics[0] == "snap continuation used"
+    phase, direct = reports[0]
+    assert phase == "snap" and not direct.converged
+    assert report.iterations == sum(r.iterations for _, r in reports) == 33
 
 
 def test_infeasible_snap_raises_after_the_sweep():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import splitflow.homotopy_driver as homotopy_driver
 import splitflow.nr_solver as nr_solver
 from splitflow import ContinuationError, SingularSystemError
 from splitflow.circuit_stamps import (
@@ -21,6 +22,7 @@ from splitflow.homotopy_driver import (
     MAX_BACKTRACKS,
     SNAP_FRACTION,
     SUB_MAX_ITER,
+    _continuation,
     _smoothing_path,
     _tx_path,
     init_p_limit_relaxation,
@@ -30,11 +32,13 @@ from splitflow.homotopy_driver import (
 from splitflow.nr_solver import (
     STALL_DROP,
     STALL_WINDOW,
+    SolveReport,
     SolverOptions,
     nr_solve,
     try_solve,
 )
 from tests.conftest import (
+    as_array,
     load_matpower,
     load_native,
     patch_nr_solve,
@@ -46,6 +50,16 @@ from tests.conftest import (
 )
 
 OPTS = SolverOptions()
+
+
+class _AtT:
+    """A stand-in state of a stubbed continuation: the t it was solved at."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def copy(self):
+        return _AtT(self.t)
 
 
 def recorded_reports(monkeypatch):
@@ -104,7 +118,7 @@ class TestScheduleAndPaths:
         state = flat_start(case, base)
         F0, J0 = assemble(case, state, base)
         F1, J1 = assemble(case, state, replace(base, tx_relax=0.0))
-        assert np.array_equal(J0.toarray(), J1.toarray())
+        assert np.array_equal(as_array(J0), as_array(J1))
         assert np.array_equal(F0, F1)
 
     def test_tx_shorted_network_pins_voltages(self):
@@ -396,6 +410,30 @@ class TestRunHomotopy:
             else:
                 trial *= BACKTRACK
         assert carried > 0
+
+    def test_snap_only_on_a_step_first_trial(self, monkeypatch):
+        # a stubbed path: the t = 0 solve fails from any t above
+        # SNAP_FRACTION, every other solve converges. Halving reaches
+        # t = 2**-9, just above SNAP_FRACTION; a step's snapped first
+        # trial fails there, and its shortened retries must try t below
+        # SNAP_FRACTION, not t = 0 again, for t = 0 to converge from one
+        tried = []
+
+        def solve(case, start, t, opts, phase, step, subsolve):
+            tried.append((start.t, t))
+            ok = t > 0.0 or start.t <= SNAP_FRACTION
+            return _AtT(t), SolveReport(converged=ok, iterations=1)
+
+        monkeypatch.setattr(homotopy_driver, "try_solve", solve)
+        total = SolveReport()
+        end = _continuation(None, _AtT(1.0), lambda t: t, OPTS, "stub", total)
+        assert end.t == 0.0
+        below = [t for _, t in tried if 0.0 < t <= SNAP_FRACTION]
+        assert len(below) == 1
+        assert tried[-1] == (below[0], 0.0)
+        failed_snaps = [start for start, t in tried[:-1] if t == 0.0]
+        assert failed_snaps and min(failed_snaps) > SNAP_FRACTION
+        assert total.continuation_backtracks == len(failed_snaps)
 
     def test_trace_carries_lambda_columns(self):
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05)

@@ -4,8 +4,13 @@ triplets with duplicates summed in the order they are emitted, byte for
 byte, also when the structure changes under one map, and when it is
 built from a pass the line search kept. `solve_linear` factors with the
 `nr_solver.SPLU` settings and keeps each structure's LU column order,
-and its solutions must equal `splu` with those settings byte for byte."""
+and its solutions must equal `splu` with those settings byte for byte.
 
+Up to `circuit_stamps.DENSE_MAX_DIM` unknowns J is emitted dense; these
+tests have every J emitted as CSC (`emit`), but for those that check
+the dense J against the same references."""
+
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -14,6 +19,7 @@ import pytest
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
+import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
 from splitflow import SingularSystemError
 from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
@@ -36,6 +42,20 @@ from tests.test_residual_paths import (
     variant,
     with_slack_members,
 )
+
+
+REPRESENTATIONS = ("csc", "dense")
+
+
+def emit(monkeypatch, representation):
+    """Have `assemble` emit every J in the representation, at any size."""
+    monkeypatch.setattr(circuit_stamps, "DENSE_MAX_DIM",
+                        sys.maxsize if representation == "dense" else 0)
+
+
+@pytest.fixture(autouse=True)
+def csc_everywhere(monkeypatch):
+    emit(monkeypatch, "csc")
 
 
 def triplets(st):
@@ -86,6 +106,13 @@ def pattern(J):
 
 
 def assert_same_bytes(J, ref):
+    """J's bytes are ref's: a CSC J's data and pattern, or a dense J's
+    every entry, ref given in either representation."""
+    if isinstance(J, np.ndarray):
+        want = ref if isinstance(ref, np.ndarray) else ref.toarray()
+        assert J.dtype == want.dtype and J.shape == want.shape
+        assert J.tobytes() == want.tobytes()
+        return
     for name in ("data", "indices", "indptr"):
         got, want = getattr(J, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
@@ -101,10 +128,30 @@ def check(case, state, ctl):
 
 @pytest.mark.parametrize("variant_name", VARIANTS)
 @pytest.mark.parametrize("case_name", CASES)
-def test_jacobian_equals_scipy_conversion(case_name, variant_name):
+def test_jacobian_equals_scipy_conversion(case_name, variant_name, monkeypatch):
+    case, ctl = variant(load(case_name), variant_name)
+    for representation in REPRESENTATIONS:
+        emit(monkeypatch, representation)
+        for seed in (0, 1):
+            J = check(case, random_state(case, ctl, seed), ctl)
+            assert isinstance(J, np.ndarray) == (representation == "dense")
+
+
+@pytest.mark.parametrize("variant_name", VARIANTS)
+@pytest.mark.parametrize("case_name", CASES)
+def test_dense_jacobian_equals_csc(case_name, variant_name, monkeypatch):
+    # one pass, both representations: the dense J is the CSC J's
+    # toarray() byte for byte
     case, ctl = variant(load(case_name), variant_name)
     for seed in (0, 1):
-        check(case, random_state(case, ctl, seed), ctl)
+        state = random_state(case, ctl, seed)
+        kept = residual(case, state, ctl, keep=True)[1]
+        J = {}
+        for representation in REPRESENTATIONS:
+            emit(monkeypatch, representation)
+            J[representation] = assemble(case, state, ctl, kept)[1]
+        assert isinstance(J["dense"], np.ndarray)
+        assert J["dense"].tobytes() == J["csc"].toarray().tobytes()
 
 
 def test_alternating_structures_on_one_index_map():
@@ -185,7 +232,7 @@ def test_flipping_one_kept_slot_rebuilds_the_structure(monkeypatch):
     off = check(case, state, ctl)
     assert off.structure is not first.structure
     assert off.nnz == first.nnz - 1
-    monkeypatch.undo()
+    monkeypatch.setattr(_Pass, "kept", kept)
     on = check(case, state, ctl)
     assert on.structure is not off.structure
     assert on.structure is not first.structure
@@ -242,18 +289,21 @@ def test_cached_index_arrays_are_read_only():
 
 @pytest.mark.parametrize("variant_name", VARIANTS)
 @pytest.mark.parametrize("case_name", CASES)
-def test_jacobian_from_kept_pass_equals_assembled(case_name, variant_name):
+def test_jacobian_from_kept_pass_equals_assembled(case_name, variant_name,
+                                                  monkeypatch):
     # the line search's pass at a trial gives the same J as a fresh
-    # assemble at that state, byte for byte
+    # assemble at that state, byte for byte, in either representation
     case, ctl = variant(load(case_name), variant_name)
-    for seed in (0, 1):
-        state = random_state(case, ctl, seed)
-        F, kept = residual(case, state, ctl, keep=True)
-        F_kept, J_kept = assemble(case, state, ctl, kept)
-        F_full, J_full = assemble(case, state, ctl)
-        assert F_kept is F
-        assert F_kept.tobytes() == F_full.tobytes()
-        assert_same_bytes(J_kept, J_full)
+    for representation in REPRESENTATIONS:
+        emit(monkeypatch, representation)
+        for seed in (0, 1):
+            state = random_state(case, ctl, seed)
+            F, kept = residual(case, state, ctl, keep=True)
+            F_kept, J_kept = assemble(case, state, ctl, kept)
+            F_full, J_full = assemble(case, state, ctl)
+            assert F_kept is F
+            assert F_kept.tobytes() == F_full.tobytes()
+            assert_same_bytes(J_kept, J_full)
 
 
 def test_kept_pass_of_another_state_rejected():

@@ -31,49 +31,84 @@ def clamped(move):
     return np.clip(move, -STEP_LIMIT_Q, STEP_LIMIT_Q)
 
 
-def dense_system(A, b):
-    """(sparse matrix, right-hand side) holding the nonzeros of A."""
-    return csc_matrix(np.asarray(A, dtype=float)), np.asarray(b, dtype=float)
+def system(A, b, representation="csc"):
+    """(matrix, right-hand side): A as a CSC matrix of its nonzeros, or
+    as the dense array `assemble` emits for a small J."""
+    A = np.asarray(A, dtype=float)
+    mat = A if representation == "dense" else csc_matrix(A)
+    return mat, np.asarray(b, dtype=float)
 
 
 class TestSolveLinear:
+    """solve_linear of a CSC matrix, by sparse LU. TestSolveLinearDense
+    runs every test again on the dense array, by LAPACK: one contract."""
+
+    representation = "csc"
+
+    def system(self, A, b):
+        return system(A, b, self.representation)
+
     def test_identity(self):
-        sys = dense_system(np.eye(3), [1.0, 2.0, 3.0])
+        sys = self.system(np.eye(3), [1.0, 2.0, 3.0])
         assert solve_linear(*sys) == pytest.approx([1.0, 2.0, 3.0])
 
     def test_diagonal(self):
-        sys = dense_system([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
+        sys = self.system([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
         assert solve_linear(*sys) == pytest.approx([1.0, 2.0])
 
     def test_zero_row_names_row(self):
-        sys = dense_system([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
-        with pytest.raises(SingularSystemError, match="row 1"):
+        sys = self.system([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+        with pytest.raises(SingularSystemError, match="row 1") as exc:
             solve_linear(*sys)
-        try:
-            solve_linear(*sys)
-        except SingularSystemError as exc:
-            assert exc.row == 1
+        assert exc.value.row == 1
 
     def test_stored_zeros_count_as_empty(self):
-        # row 1 holds only an explicitly stored zero
+        # row 1 holds only an explicitly stored zero (a zero entry, dense)
         mat = csc_matrix((np.array([1.0, 0.0]), np.array([0, 1]),
                           np.array([0, 1, 2])), shape=(2, 2))
         assert mat.nnz == 2
+        if self.representation == "dense":
+            mat = mat.toarray()
         with pytest.raises(SingularSystemError, match="row 1 is empty") as exc:
             solve_linear(mat, np.array([1.0, 1.0]))
         assert exc.value.row == 1
 
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input(self, where, value):
+        A, b = self.system([[2.0, 1.0], [1.0, 3.0]], [1.0, 1.0])
+        if where == "rhs":
+            b[0] = value
+        elif self.representation == "dense":
+            A[0, 0] = value
+        else:
+            A.data[0] = value
+        with pytest.raises(SingularSystemError, match="non-finite entries") as exc:
+            solve_linear(A, b)
+        assert exc.value.row is None
+
     def test_numerically_singular(self):
-        sys = dense_system([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-        with pytest.raises(SingularSystemError):
+        sys = self.system([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        with pytest.raises(SingularSystemError, match="factorization failed") as exc:
             solve_linear(*sys)
+        assert exc.value.row is None
+
+    def test_near_singular(self):
+        # one singular value 1e-20 of the others: no pivot is exactly
+        # zero, and the solution misses the system far beyond the bound
+        rng = np.random.default_rng(0)
+        U, V = (np.linalg.qr(rng.normal(size=(6, 6)))[0] for _ in range(2))
+        A = U @ np.diag([1.0] * 5 + [1e-20]) @ V.T
+        sys = self.system(A, rng.normal(size=6))
+        with pytest.raises(SingularSystemError, match="near-singular") as exc:
+            solve_linear(*sys)
+        assert exc.value.row is None
 
     def test_solution_quality(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(40, 40)) + 40.0 * np.eye(40)
         b = rng.normal(size=40)
-        sys = dense_system(A, b)
-        x = solve_linear(*sys)
+        x = solve_linear(*self.system(A, b))
         err = np.abs(A @ x - b).max() / max(1.0, np.abs(b).max())
         assert err < 1e-10
 
@@ -81,21 +116,30 @@ class TestSolveLinear:
         # the stamp pass emits one triplet per contribution; the matrix
         # built from them sums duplicates
         mat = csc_matrix(([1.5, 0.5], ([0, 0], [0, 0])), shape=(1, 1))
+        if self.representation == "dense":
+            mat = mat.toarray()
         assert solve_linear(mat, np.array([4.0])) == pytest.approx([2.0])
 
     def test_unit_row_solves_exactly(self):
         # unknown 1 is a degenerate device's output: its own row holds it
         # at rhs[1], and its column also enters two network rows. The
-        # diagonal-preferring pivot keeps the unit pivot, so the solve
-        # returns rhs[1] exactly; pivoting on the column's largest entry
-        # (threshold 1) leaves a rounding error there
-        A, b = dense_system([[4.0, 1.3, 0.0, 2.0],
-                             [0.0, 1.0, 0.0, 0.0],
-                             [0.0, 3.7, 5.0, 1.0],
-                             [1.0, 0.0, 2.0, 6.0]], [0.3, 0.7, 0.1, -0.9])
-        assert solve_linear(A, b)[1] == b[1]
-        largest = splu(A, **(SPLU | {"diag_pivot_thresh": 1.0}))
+        # diagonal-preferring pivot keeps the unit pivot, and LAPACK's
+        # solution takes a one-entry row's unknown from that row, so the
+        # solve returns rhs[1] exactly; pivoting on the column's largest
+        # entry (threshold 1), or LAPACK alone, leaves a rounding error
+        A = [[4.0, 1.3, 0.0, 2.0],
+             [0.0, 1.0, 0.0, 0.0],
+             [0.0, 3.7, 5.0, 1.0],
+             [1.0, 0.0, 2.0, 6.0]]
+        mat, b = self.system(A, [0.3, 0.7, 0.1, -0.9])
+        assert solve_linear(mat, b)[1] == b[1]
+        largest = splu(csc_matrix(A), **(SPLU | {"diag_pivot_thresh": 1.0}))
         assert largest.solve(b)[1] != b[1]
+        assert np.linalg.solve(np.array(A), b)[1] != b[1]
+
+
+class TestSolveLinearDense(TestSolveLinear):
+    representation = "dense"
 
 
 class TestStepLimit:

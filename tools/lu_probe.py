@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Time and size the sparse LU of J under two SuperLU settings.
+"""Time and size the sparse LU of J under two SuperLU settings, and
+time J's CSC and dense representations end to end.
 
-    python3 tools/lu_probe.py --sizes 1000 2000 --rounds 5 --out BENCH_lu.json
+    python3 tools/lu_probe.py --sizes 30 45 60 65 70 75 90 105 125 1000 2000 \
+        --rounds 7 --out BENCH_lu.json
 
 The settings are scipy's defaults (COLAMD column order, SuperLU's
 supernode and panel sizes, pivot threshold 1) and `nr_solver.SPLU`. Each
@@ -13,37 +15,57 @@ written anywhere.
 
 Each setting factors J as `nr_solver._factor` does: the first
 factorization orders the columns and keeps that order, and the timed
-refills factor the kept permuted matrix in NATURAL order. A round times
-a batch of refills under each setting in turn; the record holds the
-median per-refill ms over the rounds and the refill's fill (entries of
-L plus entries of U).
+refills factor the kept permuted matrix in NATURAL order. The two
+representations are timed as an NR iteration spends them: J emitted
+from the flat start's stamp pass (`circuit_stamps._jacobian`), as CSC
+and as dense whatever `circuit_stamps.DENSE_MAX_DIM` says, then
+`solve_linear` of J x = -F, which runs SuperLU in the kept order or
+LAPACK. Dense is timed up to DENSE_PROBE_DIM unknowns. A round times a batch of calls of
+each kind in turn; the record holds the median per-call ms over the
+rounds, and each refill's fill (entries of L plus entries of U). BLAS
+runs on one thread, as in perfbench.
 """
 
-import argparse
-import copy
-import json
-import pathlib
-import platform
-import statistics
-import sys
-import time
+import os
 
-import numpy
-import scipy
-from scipy.sparse.linalg import splu
+# pinned before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from bench_pairs import cpu_model
-from make_cases import CASES, build, emit
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import copy  # noqa: E402
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
+from scipy.sparse.linalg import splu  # noqa: E402
+
+from bench_pairs import cpu_model  # noqa: E402
+from make_cases import CASES, build, emit  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+import splitflow.circuit_stamps as circuit_stamps  # noqa: E402
 from splitflow.case_model import parse_matpower  # noqa: E402
-from splitflow.circuit_stamps import assemble, base_control, flat_start  # noqa: E402
-from splitflow.nr_solver import SPLU  # noqa: E402
+from splitflow.circuit_stamps import (  # noqa: E402
+    _jacobian,
+    base_control,
+    flat_start,
+    residual,
+)
+from splitflow.nr_solver import SPLU, solve_linear  # noqa: E402
 
 SETTINGS = {"scipy-default": {"permc_spec": "COLAMD"}, "SPLU": SPLU}
+REPRESENTATIONS = ("csc", "dense")
 LOCAL_SPAN = 20
-BATCH_S = 0.05  # the least time a round spends on one setting
+BATCH_S = 0.05  # the least time a round spends on one kind of call
+DENSE_PROBE_DIM = 600  # the largest J timed dense
 
 
 def generated(n_bus, max_span):
@@ -52,6 +74,27 @@ def generated(n_bus, max_span):
     parts = build(n_bus, gen_buses, round(0.58 * n_bus), 0.19 * n_bus,
                   seed=n_bus, max_span=max_span)
     return parse_matpower(emit(f"ring{n_bus}", n_bus, *parts))
+
+
+@contextlib.contextmanager
+def emitting(representation):
+    """`_jacobian` emits every J in the representation, at any size."""
+    limit = circuit_stamps.DENSE_MAX_DIM
+    circuit_stamps.DENSE_MAX_DIM = sys.maxsize if representation == "dense" else 0
+    try:
+        yield
+    finally:
+        circuit_stamps.DENSE_MAX_DIM = limit
+
+
+def solve(st, representation):
+    """A function that emits J from the pass in the representation and
+    solves J x = -F; J's structure is ordered before it returns."""
+    def call():
+        with emitting(representation):
+            return solve_linear(_jacobian(st), -st.F)
+    call()
+    return call
 
 
 def refill(J, settings):
@@ -66,9 +109,14 @@ def refill(J, settings):
 
 def probe(name, case, rounds):
     ctl = base_control(case)
-    J = assemble(case, flat_start(case, ctl), ctl)[1]
+    st = residual(case, flat_start(case, ctl), ctl, keep=True)[1]
+    with emitting("csc"):
+        J = _jacobian(st)
     calls = {key: refill(J, settings) for key, settings in SETTINGS.items()}
-    reps, ms = {}, {key: [] for key in SETTINGS}
+    for representation in REPRESENTATIONS:
+        if representation == "csc" or J.shape[0] <= DENSE_PROBE_DIM:
+            calls[representation] = solve(st, representation)
+    reps, ms = {}, {key: [] for key in calls}
     for key, call in calls.items():
         start = time.perf_counter()
         call()
@@ -80,17 +128,20 @@ def probe(name, case, rounds):
                 call()
             ms[key].append(1e3 * (time.perf_counter() - start) / reps[key])
     record = {"case": name, "dim": J.shape[0], "nnz": int(J.nnz)}
-    for key, call in calls.items():
-        lu = call()
-        record[key] = {"ms": round(statistics.median(ms[key]), 4),
-                       "fill": int(lu.L.nnz + lu.U.nnz)}
+    for key in calls:
+        record[key] = {"ms": round(statistics.median(ms[key]), 4)}
+    record.setdefault("dense", None)
+    for key in SETTINGS:
+        lu = calls[key]()
+        record[key]["fill"] = int(lu.L.nnz + lu.U.nnz)
     print(json.dumps(record), file=sys.stderr)
     return record
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", nargs="+", type=int, default=[1000, 2000])
+    ap.add_argument("--sizes", nargs="+", type=int,
+                    default=[30, 45, 60, 65, 70, 75, 90, 105, 125, 1000, 2000])
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("BENCH_lu.json"))
     args = ap.parse_args(argv)
@@ -104,13 +155,17 @@ def main(argv=None):
         "command": ("python3 tools/lu_probe.py --sizes "
                     f"{' '.join(map(str, args.sizes))} --rounds {args.rounds}"),
         "settings": SETTINGS,
-        "method": (f"J at the flat start; per-refill ms is the median over "
+        "method": (f"J at the flat start; per-call ms is the median over "
                    f"{args.rounds} interleaved rounds, each timing a batch of "
-                   f"at least {BATCH_S * 1e3:g} ms per setting; fill is "
-                   "L.nnz + U.nnz of a refill"),
+                   f"at least {BATCH_S * 1e3:g} ms per kind of call: a refill "
+                   "under each setting, whose fill is L.nnz + U.nnz, and J "
+                   "emitted from the stamp pass as csc or as dense, then "
+                   "solve_linear of J x = -F (SuperLU in the kept order, or "
+                   f"LAPACK); dense is null above {DENSE_PROBE_DIM} unknowns"),
+        "dense_max_dim": circuit_stamps.DENSE_MAX_DIM,
         "hardware": {"cpu": cpu_model(), "python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__,
-                     "processes": 1},
+                     "processes": 1, "blas_threads": 1},
         "records": records,
     }, indent=1) + "\n")
     return 0
