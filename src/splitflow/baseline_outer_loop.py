@@ -41,7 +41,10 @@ UNSTABLE = "unstable"
 # a generator this close to a reactive limit sits at it (classify_stability)
 AT_LIMIT_TOL = 1e-6
 
-# a generator switched this many times is locked as PQ for good
+# a generator switched this many times is locked as PQ for good. Every
+# generator starts FIXED_V and its switches alternate pv->pq, pq->pv, so
+# while this is odd the locking switch is a pv->pq one and leaves it
+# FIXED_Q at the limit it crossed
 MAX_SWITCHES_PER_GEN = 5
 MAX_OUTER_ITERATIONS = 50
 
@@ -137,12 +140,6 @@ def solve_outer_loop(
         if strace.toggles[gen_i] >= MAX_SWITCHES_PER_GEN:
             # oscillation suppression: lock the generator as PQ for good
             strace.fixed_as_pq.add(gen_i)
-            if modes[key] != FIXED_Q:
-                g = case.generators[gen_i]
-                q = state.x[state.index.q_col[key]]
-                limit = g.q_max if q >= 0.5 * (g.q_min + g.q_max) else g.q_min
-                modes[key] = FIXED_Q
-                fixed_q[key] = limit
 
     total.converged = status == "settled"  # after a converged inner solve
     total.outer_iterations = outer

@@ -248,10 +248,7 @@ class IndexMap:
     agc_kappa: np.ndarray
     agc_lo: np.ndarray
     agc_hi: np.ndarray
-    # _controls of a ControlMode that sets none of the fields it reads,
-    # and (fields, _Controls) of the last one that does
-    default: "_Controls | None" = field(default=None, repr=False,
-                                        compare=False)
+    # (fields, _Controls) of the last ControlMode _controls derived
     last: tuple | None = field(default=None, repr=False, compare=False)
     # J's CSC structure for the last kept slots `assemble` saw
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
@@ -610,13 +607,10 @@ def _curves(r: ControlRows, lo, hi, on):
 
 
 def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
-    """The _Controls of ctl: the index map's default when ctl sets none
-    of the fields below, else the last one derived when they are
-    unchanged (an NR solve stamps many states under one ControlMode)."""
+    """The _Controls of ctl: the last one derived when the fields below
+    are unchanged (an NR solve stamps many states under one ControlMode)."""
     key = (ctl.device_modes, ctl.fixed_q, ctl.q_scale, ctl.q_widen,
            ctl.group_modes, ctl.fixed_shunt_b, ctl.fixed_tap_ratio)
-    if not any(key) and idx.default is not None:
-        return idx.default
     if idx.last is not None and idx.last[0] == key:
         return idx.last[1]
     r, t = idx.rows, idx.inj
@@ -660,11 +654,8 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
         keep=np.concatenate((idx.j_keep, ~fixed_v, fixed_v | sig,
                              fixed_v | sig, np.ones_like(follow), follow)),
         gen_curves=r.cols[:G][sig[:G]])
-    if not any(key):
-        idx.default = c
-    else:
-        # copies, so that a ControlMode changed in place is not mistaken
-        idx.last = (tuple(dict(d) for d in key), c)
+    # copies, so that a ControlMode changed in place is not mistaken
+    idx.last = (tuple(dict(d) for d in key), c)
     return c
 
 

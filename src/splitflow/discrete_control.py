@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .case_model import NetworkCase
-from .circuit_stamps import ControlMode, StateVector, base_control, flat_start
+from .circuit_stamps import ControlMode, StateVector, base_control, build_index
 from .errors import ContinuationError, SnappedInfeasibleError
 from .homotopy_driver import _continuation, endpoint_report
 from .nr_solver import SolveReport, SolverOptions, nr_solve
@@ -95,7 +95,7 @@ def resolve_after_snap(
         fixed_shunt_b=dict(plan.shunt_b),
         fixed_tap_ratio=dict(plan.tap_ratio),
     )
-    warm = solution.remap(flat_start(case, snapped_ctl).index)
+    warm = solution.remap(build_index(case, snapped_ctl))
     state, direct = nr_solve(case, warm, snapped_ctl, opts, phase="snap")
     if direct.converged:
         return state, direct, plan

@@ -12,14 +12,13 @@ BACKTRACK if that is shorter, and tries t = 0 instead if that would
 leave SNAP_FRACTION or less. A failed step shrinks by BACKTRACK and
 never snaps to 0, so when t = 0 fails from just above SNAP_FRACTION, a
 t below it is tried next. The path is stuck once a step would fall
-below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS. Only the
-t = 0 sub-solve gets more than SUB_MAX_ITER iterations. Every
-sub-solve on the path, t = 0 included, also ends as failed once it
-stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR iterations without
-progress; `SolveReport.stalled`). A corrector that has stopped
-contracting rarely recovers within its budget, so the step is backed
-off at once instead of after SUB_MAX_ITER iterations. If no stage has
-a path, one NR solve at the target stands in, not as a sub-solve.
+below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS. Every
+sub-solve on the path gets the full `opts.max_iter`, and ends as failed
+once it stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR iterations
+without progress; `SolveReport.stalled`). A corrector that has stopped
+contracting rarely recovers, so the stall window, not an iteration cap,
+backs the step off. If no stage has a path, one NR solve at the target
+stands in, not as a sub-solve.
 The result is always re-verified against the unrelaxed equations. The
 report is one SolveReport that every sub-solve, accepted or not, and a
 stand-in solve is added into (`SolveReport.add`); init solves are not.
@@ -70,7 +69,6 @@ DECREMENT = 0.5  # fraction of remaining distance kept per step
 BACKTRACK = 0.5  # shrink factor applied to a failed decrement
 MAX_BACKTRACKS = 10  # halvings from t (1 - DECREMENT) to the step floor
 SNAP_FRACTION = 1e-3  # a step's first trial snaps a t at or below this to 0
-SUB_MAX_ITER = 40  # NR budget of the warm-started intermediate sub-solves
 
 
 def endpoint_report(case, state, ctl, opts, report) -> SolveReport:
@@ -83,7 +81,7 @@ def endpoint_report(case, state, ctl, opts, report) -> SolveReport:
 
 
 def _stuck(phase, t, what, report) -> ContinuationError:
-    """The error that ends a stage, naming its last failed sub-solve."""
+    """The error that ends a stage, naming the solve that failed last."""
     if report.iterations == 0:
         why = report.diagnostics[-1]
     else:
@@ -103,17 +101,15 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     trace rows marked with t and whether it was kept. Every sub-solve,
     t = 0 included, ends early once it stalls.
     """
-    sub_opts = replace(opts, max_iter=min(opts.max_iter, SUB_MAX_ITER))
-
-    def solve(start, t, solve_opts, step):
-        out, report = try_solve(case, start, make_ctl(t), solve_opts, phase,
-                                step, subsolve=True)
+    def solve(start, t, step):
+        out, report = try_solve(case, start, make_ctl(t), opts, phase, step,
+                                subsolve=True)
         for row in report.trace:
             row.t, row.accepted = t, report.converged
         total.add(report)
         return out, report
 
-    state, report = solve(state, 1.0, sub_opts, 0)
+    state, report = solve(state, 1.0, 0)
     if not report.converged:
         raise _stuck(phase, 1.0, "relaxed problem unsolvable", report)
     step, t, last = 0, 1.0, float("inf")
@@ -127,9 +123,7 @@ def _continuation(case, state, make_ctl, opts, phase, total):
                 t_next = 0.0
             first = False
             step += 1
-            candidate, report = solve(state.copy(), t_next,
-                                      opts if t_next == 0.0 else sub_opts,
-                                      step)
+            candidate, report = solve(state.copy(), t_next, step)
             if report.converged:
                 state, last, t = candidate, t - t_next, t_next
                 break
@@ -202,18 +196,15 @@ def init_q_limit_relaxation(
 
     Returns the fully-relaxed ControlMode and the unbounded solution to
     warm-start from. Devices with no violation get no relaxation. If the
-    unbounded solve diverges, a tx-stepped pre-solve is attempted first.
+    unbounded solve fails, a ContinuationError with frontier
+    ("q-limit", 1.0) names its residual or its error.
     """
     base = base if base is not None else base_control(case)
     unbounded = _unbounded_control(case, base)
     state = warm if warm is not None else flat_start(case, unbounded)
     state, report = try_solve(case, state, unbounded, opts, "q-limit-init")
     if not report.converged:
-        # fall back to reaching the unbounded solution via tx stepping
-        state = _continuation(
-            case, flat_start(case, replace(unbounded, tx_relax=TX_INITIAL)),
-            _tx_path(unbounded), opts, "q-limit-init-tx", SolveReport(),
-        )
+        raise _stuck("q-limit", 1.0, "unbounded solve diverged", report)
     index = state.index
     q_scale = {}
     q_widen = {}

@@ -344,8 +344,6 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         max_step = float(np.abs(dx).max())
         trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g, lam_p,
                               lam_tx, max_res, max_step, alpha=best_alpha))
-        if not np.isfinite(max_res):
-            break
         if max_res < opts.tol_residual and max_step < TOL_STEP:
             converged = True
             break

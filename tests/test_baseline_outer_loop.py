@@ -7,15 +7,19 @@ import pytest
 from splitflow.baseline_outer_loop import (
     LARGEST_FIRST,
     SMALLEST_FIRST,
+    SWITCH_TOL,
     UNSTABLE,
+    SwitchTrace,
+    _switch_candidates,
     classify_stability,
     solve_outer_loop,
 )
+from splitflow.circuit_stamps import FIXED_Q, base_control, flat_start
 from splitflow.cli_reporting import run_baseline
 from splitflow.errors import SingularSystemError
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import load_native, patch_nr_solve
+from tests.conftest import load_native, patch_nr_solve, three_bus_pv_case
 
 OPTS = SolverOptions()
 
@@ -78,6 +82,22 @@ def test_failed_inner_solve_ends_the_loop(monkeypatch):
     assert report.diagnostics == [
         "outer loop status: inner-diverged",
         "outer iteration 1: sparse LU factorization failed"]
+
+
+@pytest.mark.parametrize("offset,recovers", [(-10 * SWITCH_TOL, True),
+                                              (10 * SWITCH_TOL, False)])
+def test_recovery_from_q_min(offset, recovers):
+    # a generator held at q_min was pulling its voltage down: it goes back
+    # to PV once the voltage falls below the setpoint, and not before
+    case = three_bus_pv_case()
+    g, key = case.generators[0], ("gen", 0)
+    modes, fixed_q = {key: FIXED_Q}, {key: g.q_min}
+    state = flat_start(case, base_control(case))
+    pos = state.index.bus_pos[g.bus]
+    state.x[2 * pos:2 * pos + 2] = [g.v_set + offset, 0.0]
+    out = _switch_candidates(case, state, modes, fixed_q,
+                             SwitchTrace(toggles={0: 1}), [0])
+    assert out == ([(0, "pq->pv", None)] if recovers else [])
 
 
 def test_unknown_order_rejected(oscillation4):

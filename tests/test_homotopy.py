@@ -6,8 +6,9 @@ import pytest
 
 import splitflow.homotopy_driver as homotopy_driver
 import splitflow.nr_solver as nr_solver
-from splitflow import ContinuationError, SingularSystemError
+from splitflow import ContinuationError, Generator, SingularSystemError
 from splitflow.circuit_stamps import (
+    FIXED_Q,
     FIXED_V,
     agc_response,
     assemble,
@@ -21,10 +22,10 @@ from splitflow.homotopy_driver import (
     INITIAL_STEEPNESS,
     MAX_BACKTRACKS,
     SNAP_FRACTION,
-    SUB_MAX_ITER,
     _continuation,
     _smoothing_path,
     _tx_path,
+    _unbounded_control,
     init_p_limit_relaxation,
     init_q_limit_relaxation,
     run_homotopy,
@@ -45,6 +46,7 @@ from tests.conftest import (
     qlimit_rescue_case,
     remote_pair_case,
     stiff_feeder_case,
+    tapped_case,
     three_bus_pv_case,
     two_bus_case,
 )
@@ -157,6 +159,45 @@ class TestQLimitRelaxation:
         lo, hi = relaxed.q_widen[("gen", 0)]
         assert lo == 0.0
         assert hi == pytest.approx(q_unbounded)
+
+    def test_second_regulator_at_a_bus_is_pinned_mid_range(self):
+        # two generators hold bus 2: the first takes the hard voltage row,
+        # the second, whose row would duplicate it, is held at mid-range
+        case = three_bus_pv_case(q_min=-0.05, q_max=0.05)
+        case = replace(case, generators=case.generators + (
+            Generator(2, 0.2, 1.02, -0.2, 0.6, 0.0, 1.0),))
+        hard = _unbounded_control(case, base_control(case))
+        assert hard.device_modes[("gen", 0)] == FIXED_V
+        assert hard.device_modes[("gen", 1)] == FIXED_Q
+        assert hard.fixed_q == {("gen", 1): pytest.approx(0.2)}
+        relaxed, _ = init_q_limit_relaxation(case, OPTS)
+        assert set(relaxed.q_scale) == {("gen", 0)}  # the path is followed
+        _, rep = run_homotopy(case, None, "q-limit", OPTS)
+        assert rep.converged
+
+    @pytest.mark.parametrize("method", ["q-limit", "composite"])
+    def test_failed_unbounded_solve_raises_at_once(self, method,
+                                                   monkeypatch):
+        # the primary-side tap's unbounded problem has no solution: the
+        # q-limit stage gives up after that one solve, at t = 1
+        init_iterations = []
+
+        def wrap(nr_solve):
+            def counted(*args, **kw):
+                state, rep = nr_solve(*args, **kw)
+                if kw.get("phase", "").startswith("q-limit-init"):
+                    init_iterations.append(rep.iterations)
+                return state, rep
+            return counted
+
+        patch_nr_solve(monkeypatch, wrap)
+        with pytest.raises(ContinuationError) as err:
+            run_homotopy(tapped_case("primary"), None, method, OPTS)
+        assert err.value.frontier == ("q-limit", 1.0)
+        assert str(err.value).startswith(
+            "q-limit: unbounded solve diverged; last sub-solve: not "
+            f"converged after {OPTS.max_iter} iterations, residual ")
+        assert sum(init_iterations) <= OPTS.max_iter
 
     def test_relaxed_limits_scale_linearly(self):
         ctl = replace(base_control(three_bus_pv_case()),
@@ -343,7 +384,7 @@ class TestRunHomotopy:
         assert match is not None, str(err.value)
         floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
         assert floor <= float(match.group(1)) < 2.0 * floor
-        assert STALL_WINDOW <= int(match.group(2)) < SUB_MAX_ITER
+        assert STALL_WINDOW <= int(match.group(2)) < OPTS.max_iter
         assert float(match.group(3)) == pytest.approx(1.634e-3, rel=0.01)
 
     def test_dead_end_stops_early(self, monkeypatch):
@@ -448,8 +489,6 @@ class TestRunHomotopy:
         # the unbounded pre-solve holds every regulated bus exactly at its
         # setpoint through hard rows
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05, v_set=1.03)
-        from splitflow.homotopy_driver import _unbounded_control
-
         hard = _unbounded_control(case, base_control(case))
         assert hard.device_modes[("gen", 0)] == FIXED_V
         state, rep = nr_solve(case, flat_start(case, hard), hard, OPTS)
@@ -508,4 +547,4 @@ class TestStallWindow:
         runs = {}
         for row in rejected:
             runs[(row.phase, row.outer_iter)] = row.inner_iter
-        assert max(runs.values()) < SUB_MAX_ITER
+        assert max(runs.values()) < OPTS.max_iter

@@ -287,6 +287,21 @@ class TestNrSolve:
         assert rep.iterations == (3 if stalled else opts.max_iter)
         assert rep.residual_evals == rep.iterations
 
+    def test_no_finite_trial_ends_the_solve(self, monkeypatch):
+        # every line-search trial sees a collapsed voltage: the solve
+        # ends at once, not converged, at an infinite residual
+        case = two_bus_case()
+        ctl = base_control(case)
+        init = flat_start(case, ctl)
+        monkeypatch.setattr(nr_solver, "_residual_norm",
+                            lambda *a: (float("inf"), None))
+        state, rep = nr_solve(case, init, ctl, OPTS)
+        assert not rep.converged and not rep.stalled
+        assert rep.iterations == 1
+        assert rep.final_residual == float("inf")
+        assert len(rep.trace) == 1 and rep.trace[0].max_step == 0.0
+        assert state.x.tobytes() == init.x.tobytes()
+
     def test_without_stall_window_runs_to_max_iter(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)
         ctl = base_control(case)
