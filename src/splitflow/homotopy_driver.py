@@ -2,23 +2,28 @@
 
 A method in STAGES is a tuple of stages (phase label, stage function,
 soft?), run in order, each warm-started where the one before ended. A
-stage function maps (case, opts, target control, warm state or None) to
-a path t -> ControlMode, t = 1 fully relaxed and t = 0 the target (None
-when nothing needs relaxing), and the state to start from; a soft stage
-targets the reduced steepness INITIAL_STEEPNESS. `_continuation` follows
-a path from t = 1 to 0 with warm starts. Each step first tries
-DECREMENT of the remaining distance, or the last accepted step over
-BACKTRACK if that is shorter, and tries t = 0 instead if that would
-leave SNAP_FRACTION or less. A failed step shrinks by BACKTRACK and
-never snaps to 0, so when t = 0 fails from just above SNAP_FRACTION, a
-t below it is tried next. The path is stuck once a step would fall
-below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS. Every
-sub-solve on the path gets the full `opts.max_iter`, and ends as failed
-once it stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR iterations
-without progress; `SolveReport.stalled`). A corrector that has stopped
-contracting rarely recovers, so the stall window, not an iteration cap,
-backs the step off. If no stage has a path, one NR solve at the target
-stands in, not as a sub-solve.
+stage function maps (case, opts, target control, warm state or None,
+phase label) to a path t -> ControlMode, t = 1 fully relaxed and t = 0
+the target (None when nothing needs relaxing), and the state to start
+from; a soft stage targets the reduced steepness INITIAL_STEEPNESS.
+`_continuation` follows a path from t = 1 to 0 with warm starts. Each
+step first tries DECREMENT of the remaining distance, or the last
+accepted step over BACKTRACK if that is shorter, and tries t = 0 instead
+if that would leave SNAP_FRACTION or less. Its trials start on a
+predicted path (`_slope`): a secant through the accepted (x, t) and the
+step's first trial, from one residual pass there and the LU of the
+accepted sub-solve's last J, which `nr_solve` hands back in its report
+(`SolveReport.factors`), so the predictor factors nothing. The LU is
+freed once the slope is known; no total holds one. A failed step shrinks
+by BACKTRACK and never snaps to 0, so when t = 0 fails from just above
+SNAP_FRACTION, a t below it is tried next. The path is stuck once a step
+would fall below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS.
+Every sub-solve on the path gets the full `opts.max_iter`, and ends as
+failed once it stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR
+iterations without progress; `SolveReport.stalled`). A corrector that
+has stopped contracting rarely recovers, so the stall window, not an
+iteration cap, backs the step off. If no stage has a path, one NR solve
+at the target stands in, not as a sub-solve.
 The result is always re-verified against the unrelaxed equations. The
 report is one SolveReport that every sub-solve, accepted or not, and a
 stand-in solve is added into (`SolveReport.add`); init solves are not.
@@ -80,17 +85,36 @@ def endpoint_report(case, state, ctl, opts, report) -> SolveReport:
     return report
 
 
-def _stuck(phase, t, what, report) -> ContinuationError:
-    """The error that ends a stage, naming the solve that failed last."""
+def _failure(report) -> str:
+    """How a failed solve ended: its error, or its iterations and
+    residual."""
     if report.iterations == 0:
-        why = report.diagnostics[-1]
-    else:
-        how = (f"stalled after {report.iterations} iterations, no progress "
-               f"in the last {STALL_WINDOW}" if report.stalled else
-               f"not converged after {report.iterations} iterations")
-        why = f"{how}, residual {report.final_residual:.3e}"
-    return ContinuationError(f"{phase}: {what}; last sub-solve: {why}",
-                             frontier=(phase, t))
+        return report.diagnostics[-1]
+    how = (f"stalled after {report.iterations} iterations, no progress "
+           f"in the last {STALL_WINDOW}" if report.stalled else
+           f"not converged after {report.iterations} iterations")
+    return f"{how}, residual {report.final_residual:.3e}"
+
+
+def _stuck(phase, t, what, report) -> ContinuationError:
+    """The error that ends a stage, naming the sub-solve that failed last."""
+    return ContinuationError(
+        f"{phase}: {what}; last sub-solve: {_failure(report)}",
+        frontier=(phase, t))
+
+
+def _slope(case, state, t, t_first, ctl_first, factors):
+    """The predicted dx/dt at the accepted (x, t), or None when the
+    accepted solve kept no LU (factors) or the slope is not finite.
+
+    A secant over the step's first trial t_first, under its control
+    ctl_first: v = J⁻¹ F(x, t_first) / (t - t_first), F(x, t) taken as 0
+    since x converged there, with J's LU reused from the accepted
+    sub-solve's last iteration, so no J is stamped or factored."""
+    if factors is None:
+        return None
+    v = factors.solve(residual(case, state, ctl_first)) / (t - t_first)
+    return v if np.isfinite(v).all() else None
 
 
 def _continuation(case, state, make_ctl, opts, phase, total):
@@ -99,7 +123,9 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     make_ctl(t) produces the ControlMode for progress t; every sub-solve
     and every backtrack is added to the SolveReport total, the sub-solve's
     trace rows marked with t and whether it was kept. Every sub-solve,
-    t = 0 included, ends early once it stalls.
+    t = 0 included, ends early once it stalls. Each trial t_next of a
+    step starts at x + v (t_next - t), v the `_slope` at the accepted
+    (x, t), or at x when there is none.
     """
     def solve(start, t, step):
         out, report = try_solve(case, start, make_ctl(t), opts, phase, step,
@@ -116,14 +142,18 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     while t > 0.0:
         decrement = min(t * (1.0 - DECREMENT), last / BACKTRACK)
         floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
-        first = True
+        # only a step's first trial snaps to 0
+        t_next = 0.0 if t - decrement <= SNAP_FRACTION else t - decrement
+        # report is the accepted sub-solve's, at (state, t); its LU is
+        # freed once the slope is known, before the next sub-solve
+        slope = _slope(case, state, t, t_next, make_ctl(t_next),
+                       report.factors)
+        report.factors = None
         while True:
-            t_next = t - decrement
-            if first and t_next <= SNAP_FRACTION:
-                t_next = 0.0
-            first = False
             step += 1
-            candidate, report = solve(state.copy(), t_next, step)
+            start = (state.copy() if slope is None else
+                     StateVector(state.index, state.x + (t_next - t) * slope))
+            candidate, report = solve(start, t_next, step)
             if report.converged:
                 state, last, t = candidate, t - t_next, t_next
                 break
@@ -132,6 +162,7 @@ def _continuation(case, state, make_ctl, opts, phase, total):
                 raise _stuck(phase, t, f"stuck at t = {t:.6g}: no step of "
                              f"{decrement:.2g} or longer converges", report)
             decrement *= BACKTRACK
+            t_next = t - decrement
     return state
 
 
@@ -190,21 +221,25 @@ def init_q_limit_relaxation(
     opts: SolverOptions,
     base: ControlMode | None = None,
     warm: StateVector | None = None,
+    phase: str = "q-limit",
 ) -> tuple[ControlMode, StateVector]:
     """Solve once with unbounded reactive limits, then size each device's
     relaxation so the relaxed sigmoid covers its unbounded output.
 
     Returns the fully-relaxed ControlMode and the unbounded solution to
     warm-start from. Devices with no violation get no relaxation. If the
-    unbounded solve fails, a ContinuationError with frontier
-    ("q-limit", 1.0) names its residual or its error.
+    unbounded solve fails, a ContinuationError with frontier (phase, 1.0),
+    phase the label of the stage that needs the relaxation, names its
+    residual or its error.
     """
     base = base if base is not None else base_control(case)
     unbounded = _unbounded_control(case, base)
     state = warm if warm is not None else flat_start(case, unbounded)
     state, report = try_solve(case, state, unbounded, opts, "q-limit-init")
     if not report.converged:
-        raise _stuck("q-limit", 1.0, "unbounded solve diverged", report)
+        raise ContinuationError(
+            f"{phase}: unbounded solve diverged ({_failure(report)})",
+            frontier=(phase, 1.0))
     index = state.index
     q_scale = {}
     q_widen = {}
@@ -278,22 +313,22 @@ def init_p_limit_relaxation(
     return relaxed, state
 
 
-# Stage functions: (case, opts, target control, warm state or None) ->
-# (path or None, state to start from).
+# Stage functions: (case, opts, target control, warm state or None, phase
+# label) -> (path or None, state to start from).
 
-def _smoothing_stage(case, opts, base, state):
+def _smoothing_stage(case, opts, base, state, phase):
     state = state if state is not None else flat_start(case, base)
     return _smoothing_path(base), state
 
 
-def _tx_stage(case, opts, base, state):
+def _tx_stage(case, opts, base, state, phase):
     make = _tx_path(base)
     state = state if state is not None else flat_start(case, make(1.0))
     return make, state
 
 
-def _q_limit_stage(case, opts, base, state):
-    relaxed, state = init_q_limit_relaxation(case, opts, base, state)
+def _q_limit_stage(case, opts, base, state, phase):
+    relaxed, state = init_q_limit_relaxation(case, opts, base, state, phase)
     if not relaxed.q_scale and not relaxed.q_widen:
         return None, state  # nothing violated
 
@@ -305,7 +340,7 @@ def _q_limit_stage(case, opts, base, state):
     return make, state
 
 
-def _p_limit_stage(case, opts, base, state):
+def _p_limit_stage(case, opts, base, state, phase):
     relaxed, state = init_p_limit_relaxation(case, opts, base, state)
     return (lambda t: replace(relaxed, p_relax=t)), state
 
@@ -339,7 +374,7 @@ def _run_stages(case, stages, fallback, state, opts, base, total):
     followed = False
     for phase, stage, soft in stages:
         make, state = stage(case, opts, _softened(base) if soft else base,
-                            state)
+                            state, phase)
         if make is None:
             continue
         try:

@@ -35,6 +35,14 @@ diagonal-preferring pivots. The LU keeps the
 column order of each J pattern: the first factorization of a pattern
 orders its columns, and later ones factor J with its columns already in
 that order, which gives the same LU and the same solution bit for bit.
+
+A factorization can be kept (`solve_linear(..., keep=True)`): `DenseLU`
+holds LAPACK's LU and pivots and solves again by getrs, `SparseLU` the
+SuperLU object and its kept order. Only a continuation sub-solve keeps
+one: each iteration's, until the next replaces it, and on convergence
+the LU of its last J, handed back in `SolveReport.factors` for the
+continuation to predict its next step from (`homotopy_driver`). Every
+other solve frees each LU once its iteration has solved with it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv, dgetrs
 from scipy.sparse import spmatrix
 from scipy.sparse.linalg import splu
 
@@ -125,21 +133,30 @@ class SolveReport:
     continuation_backtracks: int = 0  # failed continuation steps retried
     residual_evals: int = 0  # line-search trials evaluated
     line_search_backtracks: int = 0  # trials rejected, each halving the step
+    # a converged sub-solve's own: the LU of its last J, which the
+    # continuation predicts its next step from; no total ever holds it
+    factors: DenseLU | SparseLU | None = field(
+        default=None, repr=False, compare=False)
 
     def add(self, later: SolveReport) -> None:
         """Add a later solve into this total: counters, trace rows and
         diagnostics add up; the outcome (converged, final_residual,
-        stalled) becomes the later solve's."""
+        stalled) becomes the later solve's; factors stay the solve's."""
         for f in fields(self):
+            if f.name == "factors":
+                continue
             value = getattr(later, f.name)
             if f.name not in ("converged", "final_residual", "stalled"):
                 value = getattr(self, f.name) + value
             setattr(self, f.name, value)
 
 
-def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray) -> np.ndarray:
+def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray,
+                 keep: bool = False):
     """Direct solve of mat x = rhs: LAPACK for a dense array, sparse LU
-    for a sparse matrix.
+    for a sparse matrix. Returns x, or with keep (x, factors): factors,
+    a `DenseLU` or `SparseLU`, solve mat x = b for another b without
+    factoring anew.
 
     The sparse LU factors with the `SPLU` settings. A J from `assemble`
     carries its cached structure, which keeps the LU column order of its
@@ -173,8 +190,8 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray) -> np.ndarray:
             f"structurally singular system: row {int(empty[0])} is empty",
             row=int(empty[0]),
         )
-    x = (_solve_dense(mat, rhs, np.flatnonzero(nonzeros == 1)) if dense
-         else _solve_sparse(mat, rhs))
+    factors, x = (_factor_dense(mat, rhs, np.flatnonzero(nonzeros == 1))
+                  if dense else _factor_sparse(mat, rhs))
     if not np.isfinite(x).all():
         raise SingularSystemError("linear solve produced non-finite values")
     err = np.abs(mat @ x - rhs).max() / max(1.0, np.abs(rhs).max())
@@ -182,32 +199,63 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError(
             f"near-singular system: relative solve error {err:.3e}"
         )
-    return x
+    return (x, factors) if keep else x
 
 
-def _solve_dense(mat, rhs, single):
-    """LAPACK's solution of mat x = rhs, the unknown of each row in
-    single, a row with one nonzero mat[i, j], set to rhs[i] / mat[i, j]."""
-    x, info = dgesv(mat, rhs)[2:]
+class DenseLU:
+    """LAPACK's LU of a dense matrix with its pivots (from gesv), and the
+    rows with one entry: `solve` is the matrix's solution for any
+    right-hand side by getrs, each such row's unknown set exactly."""
+
+    def __init__(self, lu, piv, rows, cols, entries):
+        self.lu, self.piv = lu, piv
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.exact_rows(dgetrs(self.lu, self.piv, rhs)[0], rhs)
+
+    def exact_rows(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        x[self.cols] = rhs[self.rows] / self.entries
+        return x
+
+
+class SparseLU:
+    """SuperLU's factors of a sparse matrix and the order inv they solve
+    in, or None (see `_factor`): `solve` is the matrix's solution for any
+    right-hand side."""
+
+    def __init__(self, lu, inv):
+        self.lu, self.inv = lu, inv
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.inv is None:
+            return self.lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self.inv] = self.lu.solve(rhs[self.inv])
+        return x
+
+
+def _factor_dense(mat, rhs, single):
+    """LAPACK's LU of mat, and its solution of mat x = rhs with the
+    unknown of each row in single, a row with one nonzero mat[i, j], set
+    to rhs[i] / mat[i, j]."""
+    lu, piv, x, info = dgesv(mat, rhs)
     if info > 0:
         raise SingularSystemError(
             f"dense LU factorization failed: exactly zero pivot {info}")
     cols = (mat[single] != 0.0).argmax(axis=1)
-    x[cols] = rhs[single] / mat[single, cols]
-    return x
+    factors = DenseLU(lu, piv, single, cols, mat[single, cols])
+    return factors, factors.exact_rows(x, rhs)
 
 
-def _solve_sparse(mat, rhs):
-    """SuperLU's solution of mat x = rhs, in the kept order if any."""
+def _factor_sparse(mat, rhs):
+    """SuperLU's factors of mat, in the kept order if any, and their
+    solution of mat x = rhs."""
     try:
-        lu, inv = _factor(mat)
-        x = lu.solve(rhs if inv is None else rhs[inv])
+        factors = SparseLU(*_factor(mat))
+        return factors, factors.solve(rhs)
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
-    if inv is not None:
-        y, x = x, np.empty_like(x)
-        x[inv] = y
-    return x
 
 
 def _factor(mat):
@@ -287,7 +335,9 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     landing cost the continuations iterations and took that init solve
     to a far equilibrium on oscillation4. Other top-level solves are
     not, since they can cross a plateau (eight idle iterations on a
-    stiff radial feeder's direct solve, say) and still converge.
+    stiff radial feeder's direct solve, say) and still converge. A
+    converged sub-solve's report also carries the LU of its last J
+    (`SolveReport.factors`); other solves keep none.
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
@@ -295,7 +345,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     diagnostics: list[str] = []
     converged = stalled = False
     it = idle = evals = backtracks = 0
-    max_res = kept = None
+    max_res = kept = factors = None
     land = (np.empty(0, dtype=np.intp) if subsolve
             else generator_curves(state.index, ctl))
     for it in range(1, opts.max_iter + 1):
@@ -304,7 +354,11 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
             # the starting norm; a collapsed start raises in assemble
             max_res = lowest = float(np.abs(F).max())
         try:
-            dx = solve_linear(J, -F)
+            if subsolve:  # its last LU goes back to the continuation
+                factors = None  # one LU at a time: this one goes first
+                dx, factors = solve_linear(J, -F, keep=True)
+            else:
+                dx = solve_linear(J, -F)
         except SingularSystemError as exc:
             exc.iteration = it
             raise
@@ -365,6 +419,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         stalled_subsolves=int(stalled),
         residual_evals=evals,
         line_search_backtracks=backtracks,
+        factors=factors if converged else None,
     )
     return state, report
 

@@ -24,6 +24,7 @@ from tests.conftest import (
     CASE_DIR,
     load_native,
     patch_nr_solve,
+    tapped_case,
     two_bus_case,
     zero_factor_remote_pair_text,
 )
@@ -207,16 +208,15 @@ def test_plain_solve_trace_has_empty_t(tmp_path):
 
 
 def test_snap_keeps_the_continuation_counters():
-    # discrete4 `smoothing` backs off once; the snapped re-solve that
-    # follows must not drop that from the report
-    case = load_native("discrete4")
-    plain = run_continuous(case, SolverOptions(), method="smoothing")
-    snapped = run_continuous(case, SolverOptions(), method="smoothing",
-                             snap=True)
-    assert snapped.snap_plan is not None and snapped.report.converged
-    assert plain.report.continuation_backtracks == 1
+    # the primary-side tap case's `tx` backs off twice; the snapped
+    # re-solve of its tap that follows must not drop that from the report
+    case = tapped_case("primary")
+    plain = run_continuous(case, SolverOptions(), method="tx")
+    snapped = run_continuous(case, SolverOptions(), method="tx", snap=True)
+    assert snapped.snap_plan.tap_ratio and snapped.report.converged
+    assert plain.report.continuation_backtracks == 2
     for report in (plain.report, snapped.report):
-        assert report.stalled_subsolves == report.continuation_backtracks == 1
+        assert report.stalled_subsolves == report.continuation_backtracks == 2
 
 
 def summary_value(lines, key):

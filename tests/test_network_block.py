@@ -1,6 +1,7 @@
 """The constant network block and every converged bundled solution,
 checked against the independent admittance matrix of network_reference."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,17 @@ import pytest
 from splitflow.circuit_stamps import TX_SCALE, base_control, build_index
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import MATPOWER_CASES, NATIVE_CASES, load_matpower, load_native
+from tests.conftest import (
+    CASE_DIR,
+    MATPOWER_CASES,
+    NATIVE_CASES,
+    load_matpower,
+    load_native,
+)
 from tests.network_reference import make_ybus, power_mismatch, real_expansion
+
+sys.path.insert(0, str(CASE_DIR.parent.parent / "tools"))
+import lu_probe  # noqa: E402
 
 ALL_CASES = MATPOWER_CASES + NATIVE_CASES
 OPTS = SolverOptions()
@@ -42,20 +52,20 @@ def test_block_equals_ybus_expansion(name, tx_relax):
 # homotopies reach (see test_homotopy); it is the case where plain NR and
 # the outer loop go astray.
 ITERATIONS = {
-    "case9": {"none": 10, "smoothing": 24, "tx": 63, "q-limit": 2,
-              "composite": 60},
-    "case14": {"none": 14, "smoothing": 37, "tx": 69, "q-limit": 3,
-               "composite": 74},
-    "case30": {"none": 5, "smoothing": 32, "tx": 46, "q-limit": 33,
-               "composite": 95},
-    "case118": {"none": 7, "smoothing": 34, "tx": 132, "q-limit": 34,
-                "composite": 100},
-    "savnw_like": {"none": 9, "smoothing": 34, "tx": 39, "q-limit": 4,
-                   "composite": 67},
-    "oscillation4": {"smoothing": 67, "tx": 41, "q-limit": 266,
-                     "composite": 144},
-    "discrete4": {"none": 9, "smoothing": 42, "tx": 44, "q-limit": 4,
-                  "composite": 75},
+    "case9": {"none": 10, "smoothing": 23, "tx": 38, "q-limit": 2,
+              "composite": 54},
+    "case14": {"none": 14, "smoothing": 31, "tx": 48, "q-limit": 3,
+               "composite": 62},
+    "case30": {"none": 5, "smoothing": 31, "tx": 37, "q-limit": 23,
+               "composite": 83},
+    "case118": {"none": 7, "smoothing": 32, "tx": 96, "q-limit": 24,
+                "composite": 85},
+    "savnw_like": {"none": 9, "smoothing": 28, "tx": 32, "q-limit": 4,
+                   "composite": 57},
+    "oscillation4": {"smoothing": 54, "tx": 34, "q-limit": 221,
+                     "composite": 117},
+    "discrete4": {"none": 9, "smoothing": 29, "tx": 37, "q-limit": 4,
+                  "composite": 57},
 }
 PIPELINES = [(name, method) for name in ALL_CASES
              for method in ("none", "smoothing", "tx", "q-limit", "composite")
@@ -69,3 +79,14 @@ def test_converged_solution_balances_power(name, method):
     assert report.converged
     assert power_mismatch(case, state).max() <= 1e-5
     assert report.iterations == ITERATIONS[name][method]
+
+
+def test_generated_case_balances_power():
+    # a 300-bus ring with chords of span at most 20, in case118's
+    # proportions, generated at run time: `composite` reaches a solution
+    # that the independent admittance matrix balances
+    case = lu_probe.generated(300, 20)
+    assert len(case.buses) == 300
+    state, report = run_homotopy(case, None, "composite", OPTS)
+    assert report.converged
+    assert power_mismatch(case, state).max() <= 1e-5

@@ -10,12 +10,19 @@ from scipy.sparse.linalg import splu
 import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
 from splitflow import SingularPointError, SingularSystemError
-from splitflow.circuit_stamps import base_control, flat_start, residual
+from splitflow.circuit_stamps import (
+    assemble,
+    base_control,
+    flat_start,
+    residual,
+)
 from splitflow.nr_solver import (
     SPLU,
     STALL_DROP,
     STEP_LIMIT_Q,
+    DenseLU,
     SolverOptions,
+    SparseLU,
     nr_solve,
     solve_linear,
     step_limit,
@@ -138,8 +145,41 @@ class TestSolveLinear:
         assert np.linalg.solve(np.array(A), b)[1] != b[1]
 
 
+    def test_kept_factors_solve_again(self):
+        # the kept LU repeats solve_linear's solution bit for bit, and
+        # solves another right-hand side with the unit row's unknown exact
+        A = [[4.0, 1.3, 0.0, 2.0],
+             [0.0, 1.0, 0.0, 0.0],
+             [0.0, 3.7, 5.0, 1.0],
+             [1.0, 0.0, 2.0, 6.0]]
+        mat, b = self.system(A, [0.3, 0.7, 0.1, -0.9])
+        x, factors = solve_linear(mat, b, keep=True)
+        assert x.tobytes() == solve_linear(mat, b).tobytes()
+        assert factors.solve(b).tobytes() == x.tobytes()
+        c = np.array([-1.1, 0.2, 2.5, 0.4])
+        y = factors.solve(c)
+        assert y[1] == c[1]
+        assert np.abs(np.array(A) @ y - c).max() < 1e-12
+
+
 class TestSolveLinearDense(TestSolveLinear):
     representation = "dense"
+
+
+@pytest.mark.parametrize("name", ["case9", "case118"])
+def test_kept_factors_of_an_assembled_j(name):
+    # case9's J is dense; case118's is sparse, and its second
+    # factorization solves in the pattern's kept column order
+    case = load_matpower(name)
+    ctl = base_control(case)
+    state = flat_start(case, ctl)
+    F, J = assemble(case, state, ctl)
+    solve_linear(J, -F)  # the first factorization orders the pattern
+    F, J = assemble(case, state, ctl)
+    x, factors = solve_linear(J, -F, keep=True)
+    assert isinstance(factors, DenseLU if name == "case9" else SparseLU)
+    assert name == "case9" or factors.inv is not None
+    assert factors.solve(-F).tobytes() == x.tobytes()
 
 
 class TestStepLimit:
