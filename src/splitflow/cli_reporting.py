@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import click
+import numpy as np
 
 from .baseline_outer_loop import classify_stability, solve_outer_loop
 from .case_model import NetworkCase, parse_matpower, parse_native
@@ -95,17 +96,15 @@ def run_baseline(
 
 def voltage_extrema(case: NetworkCase, state: StateVector):
     """(v_max, v_min, theta_max_deg, theta_min_deg) over all buses."""
-    vmax = vmin = None
-    tmax = tmin = None
-    for pos in range(len(case.buses)):
-        v = state.v_complex(pos)
-        vm = abs(v)
-        th = math.degrees(math.atan2(v.imag, v.real))
-        vmax = vm if vmax is None else max(vmax, vm)
-        vmin = vm if vmin is None else min(vmin, vm)
-        tmax = th if tmax is None else max(tmax, th)
-        tmin = th if tmin is None else min(tmin, th)
-    return vmax, vmin, tmax, tmin
+    v = state.x[:2 * len(case.buses)]
+    re, im = v[0::2], v[1::2]
+    vm = np.hypot(re, im)
+    th = np.arctan2(im, re)
+    # the extreme angles again by libm, which numpy's atan2 can miss by an
+    # ulp, so the figures are those of math.atan2 bus by bus
+    tmax, tmin = (math.degrees(math.atan2(im[i], re[i]))
+                  for i in (th.argmax(), th.argmin()))
+    return float(vm.max()), float(vm.min()), tmax, tmin
 
 
 def summary_lines(result: PipelineResult, label: str = "") -> list[str]:

@@ -7,23 +7,27 @@ phase label) to a path t -> ControlMode, t = 1 fully relaxed and t = 0
 the target (None when nothing needs relaxing), and the state to start
 from; a soft stage targets the reduced steepness INITIAL_STEEPNESS.
 `_continuation` follows a path from t = 1 to 0 with warm starts. Each
-step first tries DECREMENT of the remaining distance, or the last
-accepted step over BACKTRACK if that is shorter, and tries t = 0 instead
-if that would leave SNAP_FRACTION or less. Its trials start on a
-predicted path (`_slope`): a secant through the accepted (x, t) and the
-step's first trial, from one residual pass there and the LU of the
-accepted sub-solve's last J, which `nr_solve` hands back in its report
-(`SolveReport.factors`), so the predictor factors nothing. The LU is
+step first tries DECREMENT of the remaining distance, or, if shorter,
+the last accepted step's length: over BACKTRACK when that step held at
+its first trial, unchanged when it held only once shortened (step
+adaptation; Allgower & Georg, Introduction to Numerical Continuation
+Methods, ch. 6). It tries t = 0 instead if that would leave
+SNAP_FRACTION or less. Its trials start on a predicted path (`_slope`):
+a secant through the accepted (x, t) and the step's first trial, from
+one residual pass there and the LU of the accepted sub-solve's last J,
+which `nr_solve` hands back in its report (`SolveReport.factors`), so
+the predictor factors nothing. The LU is
 freed once the slope is known; no total holds one. A failed step shrinks
 by BACKTRACK and never snaps to 0, so when t = 0 fails from just above
 SNAP_FRACTION, a t below it is tried next. The path is stuck once a step
 would fall below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS.
 Every sub-solve on the path gets the full `opts.max_iter`, and ends as
-failed once it stalls (`nr_solve`'s subsolve: `STALL_WINDOW` NR
-iterations without progress; `SolveReport.stalled`). A corrector that
-has stopped contracting rarely recovers, so the stall window, not an
-iteration cap, backs the step off. If no stage has a path, one NR solve
-at the target stands in, not as a sub-solve.
+failed once it stalls (`nr_solve`'s subsolve: at its first NR iteration
+that lowers no max|F|, or after `STALL_WINDOW` iterations without
+progress; `SolveReport.stalled`). A corrector that has stopped
+contracting rarely recovers, so these two rules, not an iteration cap,
+back the step off. If no stage has a path, one NR solve at the target
+stands in, not as a sub-solve.
 The result is always re-verified against the unrelaxed equations. The
 report is one SolveReport that every sub-solve, accepted or not, and a
 stand-in solve is added into (`SolveReport.add`); init solves are not.
@@ -90,10 +94,12 @@ def _failure(report) -> str:
     residual."""
     if report.iterations == 0:
         return report.diagnostics[-1]
-    how = (f"stalled after {report.iterations} iterations, no progress "
-           f"in the last {STALL_WINDOW}" if report.stalled else
-           f"not converged after {report.iterations} iterations")
-    return f"{how}, residual {report.final_residual:.3e}"
+    how = {"descent": "no line-search trial of the last lowered max|F|",
+           "window": f"no progress in the last {STALL_WINDOW}"}
+    ended = (f"stalled after {report.iterations} iterations, "
+             f"{how[report.stalled]}" if report.stalled else
+             f"not converged after {report.iterations} iterations")
+    return f"{ended}, residual {report.final_residual:.3e}"
 
 
 def _stuck(phase, t, what, report) -> ContinuationError:
@@ -138,9 +144,9 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     state, report = solve(state, 1.0, 0)
     if not report.converged:
         raise _stuck(phase, 1.0, "relaxed problem unsolvable", report)
-    step, t, last = 0, 1.0, float("inf")
+    step, t, reach = 0, 1.0, float("inf")
     while t > 0.0:
-        decrement = min(t * (1.0 - DECREMENT), last / BACKTRACK)
+        decrement = min(t * (1.0 - DECREMENT), reach)
         floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
         # only a step's first trial snaps to 0
         t_next = 0.0 if t - decrement <= SNAP_FRACTION else t - decrement
@@ -149,20 +155,22 @@ def _continuation(case, state, make_ctl, opts, phase, total):
         slope = _slope(case, state, t, t_next, make_ctl(t_next),
                        report.factors)
         report.factors = None
+        # the next step may grow past this one only if its first trial holds
+        grow = 1.0 / BACKTRACK
         while True:
             step += 1
             start = (state.copy() if slope is None else
                      StateVector(state.index, state.x + (t_next - t) * slope))
             candidate, report = solve(start, t_next, step)
             if report.converged:
-                state, last, t = candidate, t - t_next, t_next
+                state, reach, t = candidate, (t - t_next) * grow, t_next
                 break
             total.continuation_backtracks += 1
             if decrement * BACKTRACK < floor:
                 raise _stuck(phase, t, f"stuck at t = {t:.6g}: no step of "
                              f"{decrement:.2g} or longer converges", report)
             decrement *= BACKTRACK
-            t_next = t - decrement
+            t_next, grow = t - decrement, 1.0
     return state
 
 

@@ -17,11 +17,13 @@ from splitflow.cli_reporting import (
     run_baseline,
     run_continuous,
     summary_lines,
+    voltage_extrema,
 )
 from splitflow.discrete_control import resolve_after_snap
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import (
     CASE_DIR,
+    load_matpower,
     load_native,
     patch_nr_solve,
     tapped_case,
@@ -56,6 +58,31 @@ def test_not_converged_exits_1():
     assert result.exit_code == 1
     assert "converged: false" in result.stdout
     assert "final_residual: 5.887e-01" in result.stdout
+
+
+def test_voltage_extrema_are_the_bus_by_bus_figures():
+    # the vectorized extrema equal, bit for bit, those of each bus's
+    # complex voltage through math, as the summary has always printed them
+    case = load_matpower("case118")
+    state = run_continuous(case, SolverOptions(), method="q-limit").state
+    v = [state.v_complex(pos) for pos in range(len(case.buses))]
+    mags = [abs(x) for x in v]
+    angles = [math.degrees(math.atan2(x.imag, x.real)) for x in v]
+    assert voltage_extrema(case, state) == (max(mags), min(mags),
+                                            max(angles), min(angles))
+
+
+def test_dead_end_names_the_rule_that_ended_it():
+    # tx gets stuck past the nose; the error names the last failed
+    # sub-solve and the rule that ended it: an iteration whose line
+    # search lowered no max|F|
+    result = run("solve", CASE_DIR / "two_bus_no_solution.native.json",
+                 "--homotopy", "tx")
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [
+        "error: tx: stuck at t = 0.0170746: no step of 1.5e-05 or longer "
+        "converges; last sub-solve: stalled after 3 iterations, no "
+        "line-search trial of the last lowered max|F|, residual 5.764e-04"]
 
 
 def test_no_solution_case_is_the_two_bus_case_past_the_nose():
@@ -208,15 +235,15 @@ def test_plain_solve_trace_has_empty_t(tmp_path):
 
 
 def test_snap_keeps_the_continuation_counters():
-    # the primary-side tap case's `tx` backs off twice; the snapped
+    # the primary-side tap case's `tx` backs off once; the snapped
     # re-solve of its tap that follows must not drop that from the report
     case = tapped_case("primary")
     plain = run_continuous(case, SolverOptions(), method="tx")
     snapped = run_continuous(case, SolverOptions(), method="tx", snap=True)
     assert snapped.snap_plan.tap_ratio and snapped.report.converged
-    assert plain.report.continuation_backtracks == 2
+    assert plain.report.continuation_backtracks == 1
     for report in (plain.report, snapped.report):
-        assert report.stalled_subsolves == report.continuation_backtracks == 2
+        assert report.stalled_subsolves == report.continuation_backtracks == 1
 
 
 def summary_value(lines, key):
@@ -294,7 +321,8 @@ def test_line_search_counters_summed(name, pipeline, regions, monkeypatch):
     for key in ("iterations", "residual_evals", "line_search_backtracks"):
         assert getattr(result.report, key) == sum(getattr(r, key)
                                                   for r in reports)
-    assert result.report.stalled_subsolves == sum(r.stalled for r in reports)
+    assert result.report.stalled_subsolves == sum(bool(r.stalled)
+                                                  for r in reports)
     assert len(result.report.trace) == sum(len(r.trace) for r in reports)
     assert result.report.residual_evals > 0
     # the device regions of the final state, as the summary prints them

@@ -58,12 +58,12 @@ ITERATIONS = {
                "composite": 62},
     "case30": {"none": 5, "smoothing": 31, "tx": 37, "q-limit": 23,
                "composite": 83},
-    "case118": {"none": 7, "smoothing": 32, "tx": 96, "q-limit": 24,
+    "case118": {"none": 7, "smoothing": 32, "tx": 77, "q-limit": 24,
                 "composite": 85},
     "savnw_like": {"none": 9, "smoothing": 28, "tx": 32, "q-limit": 4,
                    "composite": 57},
-    "oscillation4": {"smoothing": 54, "tx": 34, "q-limit": 221,
-                     "composite": 117},
+    "oscillation4": {"smoothing": 42, "tx": 34, "q-limit": 148,
+                     "composite": 105},
     "discrete4": {"none": 9, "smoothing": 29, "tx": 37, "q-limit": 4,
                   "composite": 57},
 }

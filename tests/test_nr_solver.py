@@ -27,7 +27,12 @@ from splitflow.nr_solver import (
     solve_linear,
     step_limit,
 )
-from tests.conftest import load_matpower, load_native, two_bus_case
+from tests.conftest import (
+    load_matpower,
+    load_native,
+    tapped_case,
+    two_bus_case,
+)
 from tests.network_reference import power_mismatch
 
 OPTS = SolverOptions()
@@ -280,29 +285,50 @@ class TestNrSolve:
         assert not rep.converged
 
     def test_stall_window_ends_solve_past_the_nose(self):
+        # past the nose max|F| falls for three iterations; no trial of the
+        # fourth lowers it, and the sub-solve ends there, before its stall
+        # window would have
         case = two_bus_case(p_load=5.0, q_load=2.0)
         ctl = base_control(case)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
                           subsolve=True)
-        assert rep.stalled and not rep.converged
+        assert rep.stalled == "descent" and not rep.converged
         res = [row.max_residual for row in rep.trace]
-        # the lowest max|F| came at iteration 3; iterations 4-7 missed it
-        assert rep.iterations == len(res) == 7
-        assert res[2] == min(res) < res[0]
-        assert min(res[3:]) >= res[2]
+        assert rep.iterations == len(res) == 4
+        assert res[0] > res[1] > res[2] and res[3] >= res[2]
+        # every trial of the fourth iteration was tried and rejected
+        assert rep.residual_evals - rep.line_search_backtracks == 3
+
+    def test_no_descent_ends_only_a_sub_solve(self):
+        # the same input as a top-level solve goes on past the iteration
+        # that lowered no max|F|, to max_iter
+        case = two_bus_case(p_load=5.0, q_load=2.0)
+        ctl = base_control(case)
+        _, sub = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+                          subsolve=True)
+        _, top = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert not top.converged and not top.stalled
+        assert top.iterations == OPTS.max_iter > sub.iterations
+        # the two walk alike up to the sub-solve's end
+        assert [r.max_residual for r in top.trace[:sub.iterations]] == \
+            [r.max_residual for r in sub.trace]
 
     def test_equal_residual_is_no_progress(self, monkeypatch):
         # every line-search trial reports exactly the starting norm, which
-        # is not below the lowest value reached, so each iteration is idle
+        # is no descent: a sub-solve ends at its first iteration, after
+        # all seven trials, and a top-level solve runs on
         case = two_bus_case()
         ctl = base_control(case)
         init = flat_start(case, ctl)
         start = float(np.abs(nr_solver.residual(case, init, ctl)).max())
         monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: (start, None))
-        monkeypatch.setattr(nr_solver, "STALL_WINDOW", 3)
         _, rep = nr_solve(case, init, ctl, OPTS, subsolve=True)
-        assert rep.stalled and not rep.converged
-        assert rep.iterations == 3
+        assert rep.stalled == "descent" and not rep.converged
+        assert rep.iterations == 1 and rep.residual_evals == 7
+        assert rep.final_residual == start
+        opts = SolverOptions(max_iter=5)
+        _, top = nr_solve(case, init, ctl, opts)
+        assert not top.stalled and top.iterations == opts.max_iter
 
     @pytest.mark.parametrize("drop,stalled", [(0.5 * STALL_DROP, True),
                                                (2.0 * STALL_DROP, False)])
@@ -323,7 +349,7 @@ class TestNrSolve:
         monkeypatch.setattr(nr_solver, "STALL_WINDOW", 3)
         opts = SolverOptions(max_iter=6)
         _, rep = nr_solve(case, init, ctl, opts, subsolve=True)
-        assert rep.stalled is stalled and not rep.converged
+        assert (rep.stalled == "window") is stalled and not rep.converged
         assert rep.iterations == (3 if stalled else opts.max_iter)
         assert rep.residual_evals == rep.iterations
 
@@ -455,11 +481,10 @@ class TestStampedOnce:
     def test_best_trial_pass_kept(self, monkeypatch):
         # no trial lowers max|F|, and the second of each iteration's seven
         # (alpha 1/2) reads lowest: its pass, not the last one's, must
-        # give the next J. A sub-solve, as in a continuation, keeps the
-        # generators' q where the step left it (see
-        # test_landing_pass_gives_the_next_j); three iterations are too
-        # few for its stall window to end it
-        case = load_matpower("case9")
+        # give the next J. The case has no generator to land (see
+        # test_best_trial_pass_lands), and the solve is no sub-solve,
+        # which would end at its first iteration without descent
+        case = tapped_case()
         ctl = base_control(case)
         trials = []
         norm = nr_solver._residual_norm
@@ -479,7 +504,7 @@ class TestStampedOnce:
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
         monkeypatch.setattr(nr_solver, "assemble", checked)
         _, rep = nr_solve(case, flat_start(case, ctl), ctl,
-                          SolverOptions(max_iter=3), subsolve=True)
+                          SolverOptions(max_iter=3))
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == rep.line_search_backtracks == 21
         assert assembled[0] is None

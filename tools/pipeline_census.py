@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Run every pipeline on every small case and print one line per run.
+
+    python3 tools/pipeline_census.py > census.tsv
+    python3 tools/pipeline_census.py --against census.tsv
+
+The cases are the bundled ones (tests/cases) and those the test builders
+in tests/conftest.py make. Each runs with distributed slack (AGC) off
+and on, under every homotopy method (`p-limit` with AGC only), with and
+without snapping, and through the outer loop in both switching orders.
+A line holds the case, AGC, the method (`outer-<order>` for the outer
+loop), snap, whether the run converged and its NR iterations; a run that
+raises prints `error` for both. The last line holds the totals.
+
+With --against, the lines of an earlier census are read from the file and
+every run that converged there but not now, or converged in more NR
+iterations now, is listed; the exit status is 1 if there is one.
+"""
+
+import argparse
+import pathlib
+import sys
+from dataclasses import replace
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from splitflow.cli_reporting import run_baseline, run_continuous  # noqa: E402
+from splitflow.errors import SplitflowError  # noqa: E402
+from splitflow.homotopy_driver import METHODS  # noqa: E402
+from splitflow.nr_solver import SolverOptions  # noqa: E402
+from tests import conftest  # noqa: E402
+
+BUILDERS = {
+    "two_bus": conftest.two_bus_case,
+    "three_bus_pv": conftest.three_bus_pv_case,
+    "remote_pair": conftest.remote_pair_case,
+    "tapped_secondary": lambda: conftest.tapped_case("secondary"),
+    "tapped_primary": lambda: conftest.tapped_case("primary"),
+    "shunted": conftest.shunt_case,
+    "lossless_agc": conftest.lossless_agc_case,
+    "qlimit_rescue": conftest.qlimit_rescue_case,
+    "stiff_feeder": conftest.stiff_feeder_case,
+}
+ORDERS = ("smallest-first", "largest-first")
+
+
+def cases():
+    yield from ((n, conftest.load_matpower(n)) for n in conftest.MATPOWER_CASES)
+    yield from ((n, conftest.load_native(n)) for n in conftest.NATIVE_CASES)
+    yield from ((n, build()) for n, build in BUILDERS.items())
+
+
+def runs():
+    """(case, agc, method, snap, pipeline) for every run of the census."""
+    for name, case in cases():
+        for agc in (False, True):
+            on = replace(case, agc_enabled=agc)
+            for method in METHODS:
+                if method == "p-limit" and not agc:
+                    continue
+                for snap in (False, True):
+                    yield name, agc, method, snap, (
+                        lambda c=on, m=method, s=snap:
+                        run_continuous(c, SolverOptions(), method=m, snap=s))
+            for order in ORDERS:
+                yield name, agc, f"outer-{order}", False, (
+                    lambda c=on, o=order: run_baseline(c, SolverOptions(), o))
+
+
+def census():
+    """The census's lines, as printed, without the totals."""
+    lines = []
+    for name, agc, method, snap, pipeline in runs():
+        try:
+            report = pipeline().report
+            outcome = (str(report.converged).lower(), str(report.iterations))
+        except SplitflowError:
+            outcome = ("error", "error")
+        lines.append("\t".join((name, f"agc={'on' if agc else 'off'}", method,
+                                f"snap={'on' if snap else 'off'}", *outcome)))
+    return lines
+
+
+def converged_iterations(lines):
+    """{run: NR iterations} of the run lines that converged; other lines
+    (the totals, a comparison) are skipped."""
+    out = {}
+    for line in lines:
+        fields = line.split("\t")
+        if len(fields) == 6 and fields[4] == "true":
+            out[tuple(fields[:4])] = int(fields[5])
+    return out
+
+
+def worse(before, now):
+    """(run, NR iterations before, NR iterations now or None) for each run
+    that converged before and now did not, or took more iterations."""
+    return [(key, it, now.get(key)) for key, it in before.items()
+            if now.get(key) is None or now[key] > it]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", type=pathlib.Path, default=None,
+                    help="an earlier census to compare with")
+    args = ap.parse_args(argv)
+    lines = census()
+    now = converged_iterations(lines)
+    for line in lines:
+        print(line)
+    print(f"total\t{len(lines)} runs\t{len(now)} converged\t"
+          f"{sum(now.values())} NR iterations of converged runs")
+    if args.against is None:
+        return 0
+    before = converged_iterations(args.against.read_text().splitlines())
+    lost = worse(before, now)
+    for key, it, later in lost:
+        print(f"worse\t{' '.join(key)}\t{it} -> "
+              f"{'not converged' if later is None else later}")
+    both = before.keys() & now.keys()
+    print(f"against\t{len(before)} converged before\t{len(lost)} lost or "
+          f"raised\t{sum(before[k] for k in both)} -> "
+          f"{sum(now[k] for k in both)} NR iterations of runs converged in "
+          "both")
+    return 1 if lost else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
