@@ -24,7 +24,6 @@ from .circuit_stamps import (
     ControlMode,
     StateVector,
     base_control,
-    build_index,
     flat_start,
 )
 from .nr_solver import SolveReport, SolverOptions, try_solve
@@ -89,19 +88,17 @@ def solve_outer_loop(
         raise ValueError(f"unknown switch order {order!r}")
     base = base if base is not None else base_control(case)
 
-    local = list(build_index(case, base).local_gen_idx)
+    state = flat_start(case, base)
+    local = list(state.index.local_gen_idx)
     modes = {("gen", i): FIXED_V for i in local}
     fixed_q: dict = {}
 
     strace = SwitchTrace(toggles={i: 0 for i in local})
     total = SolveReport()
-    state = None
     status = "outer-cap-reached"
 
     for outer in range(1, MAX_OUTER_ITERATIONS + 1):
         ctl = replace(base, device_modes=dict(modes), fixed_q=dict(fixed_q))
-        if state is None:
-            state = flat_start(case, ctl)
         state, report = try_solve(case, state, ctl, opts, "outer-loop", outer)
         if report.iterations == 0:  # a singular system or point
             report.diagnostics = [f"outer iteration {outer}: "

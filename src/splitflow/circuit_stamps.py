@@ -30,16 +30,21 @@ same bincount fills a dense J instead, through each entry's flat index,
 for a LAPACK solve; above, J is CSC, and the structure also keeps the
 LU column order of its pattern for `nr_solver.solve_linear`.
 
-Unknown ordering: interleaved bus voltages (V_real, V_imag per bus), then
-one reactive-power column per voltage-controlling device (local
-generators, remote members, switched shunts), one group-request column
-per remote control group, one ratio column per controlled tap, and the
-slack-surplus column when distributed slack is active. Each control
-equation lives on the row with the same index as its unknown.
+Columns follow one rule, fixed by one walk over the devices in
+`build_index`. The bus at position pos has V_real and V_imag at 2 pos
+and 2 pos + 1. The injector table's rows are the loads, the local
+generators, the remote members group by group, then the switched
+shunts; each row after the loads but a snapped shunt takes the next
+column, from 2n, for its q. Then come one request column per remote
+group, one ratio column per controlled tap (in branch order), and dP_S
+last when the case has distributed slack. Each control equation lives on
+the row with the index of its unknown, so a local control row's column
+is its injector row's q column.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,7 +90,8 @@ class ControlMode:
 
     The default instance is the original problem: full smoothing, exact
     limits, no admittance relaxation. Homotopy drivers and the baseline
-    outer loop build variants of this.
+    outer loop build variants of this. Distributed slack is no mode: it
+    comes from the case (`NetworkCase.agc_enabled`).
     """
 
     smoothing: float = 5000.0
@@ -95,7 +101,6 @@ class ControlMode:
     p_relax: float = 0.0  # 1.0 means purely linear slack participation
     p_extra: dict = field(default_factory=dict)  # gen idx -> (extra_lo, extra_hi)
     tx_relax: float = 0.0
-    agc_enabled: bool = False
     device_modes: dict = field(default_factory=dict)  # key -> SIGMOID|FIXED_V|FIXED_Q
     fixed_q: dict = field(default_factory=dict)  # key -> value for FIXED_Q
     group_modes: dict = field(default_factory=dict)  # group idx -> SIGMOID|FIXED_V
@@ -113,7 +118,7 @@ class ControlMode:
 
 
 def base_control(case: NetworkCase, smoothing: float = 5000.0) -> ControlMode:
-    return ControlMode(smoothing=smoothing, agc_enabled=case.agc_enabled)
+    return ControlMode(smoothing=smoothing)
 
 
 def device_limits(case: NetworkCase, key) -> tuple[float, float]:
@@ -254,12 +259,6 @@ class IndexMap:
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
 
-    def vr(self, pos: int) -> int:
-        return 2 * pos
-
-    def vi(self, pos: int) -> int:
-        return 2 * pos + 1
-
     def voltage_dim(self) -> int:
         return 2 * self.n_bus
 
@@ -267,61 +266,46 @@ class IndexMap:
 def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
     bus_pos = case.bus_index()
     slack_pos = bus_pos[case.slack_bus().id]
+    slack_bus, gens = case.buses[slack_pos].id, case.generators
+    members = {i for grp in case.remote_groups for i in grp.members}
+    slack_gen_idx = [i for i, g in enumerate(gens) if g.bus == slack_bus]
+    local_gen_idx = [i for i, g in enumerate(gens)
+                     if g.bus != slack_bus and i not in members]
+    agc_member_idx = [i for i, g in enumerate(gens) if case.agc_enabled
+                      and g.bus != slack_bus and g.agc_factor > 0.0]
 
-    members = {gen_i for grp in case.remote_groups for gen_i in grp.members}
+    def gen(i):
+        g = gens[i]
+        return ("gen", i), g.bus, g.p_g, 0.0, g.q_min, g.q_max, g.v_set
 
-    slack_bus_id = case.buses[slack_pos].id
-    local_gen_idx = []
-    agc_member_idx = []
-    slack_gen_idx = []
-    for i, g in enumerate(case.generators):
-        if g.bus == slack_bus_id:
-            slack_gen_idx.append(i)
-            continue
-        if i not in members:
-            local_gen_idx.append(i)
-        if ctl.agc_enabled and g.agc_factor > 0.0:
-            agc_member_idx.append(i)
-
-    col = 2 * len(case.buses)
-    q_col = {}
-    for i in local_gen_idx:
-        q_col[("gen", i)] = col
-        col += 1
-    for gi, grp in enumerate(case.remote_groups):
-        for gen_i in grp.members:
-            q_col[("gen", gen_i)] = col
-            col += 1
-    for j in range(len(case.shunts)):
-        if j in ctl.fixed_shunt_b:
-            continue  # snapped: stamped as a constant admittance
-        q_col[("shunt", j)] = col
-        col += 1
-    qreq_col = {}
-    for gi in range(len(case.remote_groups)):
-        qreq_col[gi] = col
-        col += 1
-    tap_col = {}
-    for bi, br in enumerate(case.branches):
-        if br.tap is not None and bi not in ctl.fixed_tap_ratio:
-            tap_col[bi] = col
-            col += 1
-    dps_col = None
-    if ctl.agc_enabled:
-        dps_col = col
-        col += 1
+    # the injectors, (key, bus, p, q, lo, hi, v_set) per row
+    table = [(None, ld.bus, -ld.p, -ld.q, 0.0, 0.0, 0.0) for ld in case.loads]
+    table += [gen(i) for i in local_gen_idx]
+    table += [gen(i) for grp in case.remote_groups for i in grp.members]
+    table += [(("shunt", j), sh.bus, 0.0, 0.0, sh.b_min, sh.b_max, sh.v_set)
+              for j, sh in enumerate(case.shunts)]
+    # the columns after the voltages, in the order of their rows (see the
+    # module docstring)
+    cols = itertools.count(2 * len(case.buses))
+    snapped = {("shunt", j) for j in ctl.fixed_shunt_b}
+    q_col = {row[0]: next(cols) for row in table[len(case.loads):]
+             if row[0] not in snapped}
+    qreq_col = {gi: next(cols) for gi in range(len(case.remote_groups))}
+    tap_col = {bi: next(cols) for bi, br in enumerate(case.branches)
+               if br.tap is not None and bi not in ctl.fixed_tap_ratio}
+    dps_col = next(cols) if case.agc_enabled else None
+    dim = next(cols)
 
     snapped_taps = sorted(ctl.fixed_tap_ratio)
     in_block = [bi for bi in range(len(case.branches))
                 if bi not in tap_col and bi not in ctl.fixed_tap_ratio]
     taps = _taps(case, bus_pos, tap_col, snapped_taps)
-    inj = _injectors(case, bus_pos, q_col, qreq_col, local_gen_idx,
-                     agc_member_idx)
-    rows = _control_rows(case, bus_pos, q_col, qreq_col, tap_col, inj)
-    agc_gens = [case.generators[i] for i in agc_member_idx]
+    inj, rows = _tables(case, table, bus_pos, q_col, qreq_col, tap_col,
+                        len(local_gen_idx), agc_member_idx)
+    agc_gens = [gens[i] for i in agc_member_idx]
     slack_v_set = case.buses[slack_pos].v_init_real
     if slack_gen_idx:
-        slack_v_set = case.generators[slack_gen_idx[0]].v_set
+        slack_v_set = gens[slack_gen_idx[0]].v_set
     return IndexMap(
         n_bus=len(case.buses),
         bus_pos=bus_pos,
@@ -330,11 +314,11 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         qreq_col=qreq_col,
         tap_col=tap_col,
         dps_col=dps_col,
-        dim=col,
+        dim=dim,
         local_gen_idx=local_gen_idx,
         agc_member_idx=agc_member_idx,
         slack_gen_idx=slack_gen_idx,
-        slack_p_sched=sum(case.generators[i].p_g for i in slack_gen_idx),
+        slack_p_sched=sum(gens[i].p_g for i in slack_gen_idx),
         slack_v_set=slack_v_set,
         snapped_taps=snapped_taps,
         **_network_block(case, bus_pos, in_block),
@@ -362,79 +346,62 @@ def _taps(case: NetworkCase, bus_pos: dict, tap_col: dict,
                 np.array((f, f, t, t)), np.array((f, t, f, t)))
 
 
-def _injectors(case: NetworkCase, bus_pos: dict, q_col: dict, qreq_col: dict,
-               local_gen_idx: list, agc_member_idx: list) -> Injectors:
-    gens = case.generators
-
-    def gen(i):
-        g = gens[i]
-        return ("gen", i), g.bus, g.p_g, 0.0, g.q_min, g.q_max
-
-    # (key, bus, p, q, q_min, q_max) per row
-    table = [(None, ld.bus, -ld.p, -ld.q, 0.0, 0.0) for ld in case.loads]
-    table += [gen(i) for i in local_gen_idx]
-    first_member = len(table)
-    spans = []
-    for grp in case.remote_groups:
-        start = len(table) - first_member
-        table += [gen(m) for m in grp.members]
-        spans.append((start, len(table) - first_member))
-    first_shunt = len(table)
-    table += [(("shunt", j), sh.bus, 0.0, 0.0, sh.b_min, sh.b_max)
-              for j, sh in enumerate(case.shunts)]
-
+def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
+            qreq_col: dict, tap_col: dict, n_local_gens: int,
+            agc_member_idx: list) -> tuple[Injectors, ControlRows]:
+    """The Injectors of the injector table and the ControlRows, whose
+    local rows take their column, bus, v_set and limits from it."""
     n_loads = len(case.loads)
+    first_member = n_loads + n_local_gens
+    first_shunt = len(table) - len(case.shunts)
+    spans = list(itertools.pairwise(itertools.accumulate(
+        (len(grp.members) for grp in case.remote_groups), initial=0)))
     keys = [row[0] for row in table]
     pos = np.array([bus_pos[row[1]] for row in table], dtype=np.intp)
-    p, q, q_min, q_max = (
-        np.array([row[2:] for row in table], dtype=float).reshape(-1, 4).T.copy())
+    p, q, lo, hi, v_set = (
+        np.array([row[2:] for row in table], dtype=float).reshape(-1, 5).T.copy())
     col = np.array([q_col.get(k, 0) for k in keys], dtype=np.intp)
     members = np.arange(first_member, first_shunt)
     snapped = np.array([r for r in range(first_shunt, len(keys))
                         if keys[r] not in q_col], dtype=np.intp)
+    local = np.array([r for r in range(n_loads, len(keys)) if keys[r] in q_col
+                      and not first_member <= r < first_shunt], dtype=np.intp)
     agc = {("gen", i): k for k, i in enumerate(agc_member_idx)}
     agc_at = np.array([r for r, k in enumerate(keys) if k in agc], dtype=np.intp)
-    return Injectors(
+    inj = Injectors(
         keys=keys, pos=pos, vr_c=2 * pos, vi_c=2 * pos + 1,
         p=p, q=q, n_loads=n_loads, q_cols=col[n_loads:],
         kcl_rows=np.concatenate((2 * pos, 2 * pos + 1)), agc_at=agc_at,
         agc_pos=np.array([agc[keys[r]] for r in agc_at], dtype=np.intp),
-        local=np.array([r for r, k in enumerate(keys) if k in q_col
-                        and not first_member <= r < first_shunt], dtype=np.intp),
-        snapped=snapped, divides=np.delete(pos, snapped),
-        members=members, member_min=q_min[members], member_max=q_max[members],
+        local=local, snapped=snapped, divides=np.delete(pos, snapped),
+        members=members, member_min=lo[members], member_max=hi[members],
         m_cols=col[members],
         kappa=np.array([f for grp in case.remote_groups for f in grp.factors],
                        dtype=float),
         qreq=np.array([qreq_col[gi] for gi, grp in enumerate(case.remote_groups)
                        for _ in grp.members], dtype=np.intp),
         spans=spans)
-
-
-def _control_rows(case: NetworkCase, bus_pos: dict, q_col: dict,
-                  qreq_col: dict, tap_col: dict, inj: Injectors) -> ControlRows:
-    # (key, col, regulated bus, v_set, sign) per row
-    table = []
-    for key in [inj.keys[r] for r in inj.local]:
-        kind, i = key
-        dev = case.generators[i] if kind == "gen" else case.shunts[i]
-        table.append((key, q_col[key], dev.bus, dev.v_set, 1.0))
+    # (key, col, regulated bus, v_set, sign, lo, hi) per control row
+    rows = [(keys[r], col[r], table[r][1], v_set[r], 1.0, lo[r], hi[r])
+            for r in local]
     for bi, c in tap_col.items():
         br = case.branches[bi]
-        primary = br.tap.controlled_side == "primary"
-        table.append((("tap", bi), c, br.from_bus if primary else br.to_bus,
-                      br.tap.v_set, 1.0 if primary else -1.0))
-    keys = [row[0] for row in table]
-    table += [(gi, qreq_col[gi], grp.controlled_bus, grp.v_set, 1.0)
-              for gi, grp in enumerate(case.remote_groups)]
-    lo, hi = np.array([device_limits(case, k) for k in keys],
-                      dtype=float).reshape(-1, 2).T
-    return ControlRows(
-        np.array([row[1] for row in table], dtype=np.intp),
-        np.array([bus_pos[row[2]] for row in table], dtype=np.intp),
-        np.array([row[3] for row in table], dtype=float),
-        np.array([row[4] for row in table], dtype=float),
-        keys, lo, hi, len(inj.local))
+        tap, primary = br.tap, br.tap.controlled_side == "primary"
+        rows.append((("tap", bi), c, br.from_bus if primary else br.to_bus,
+                     tap.v_set, 1.0 if primary else -1.0, tap.tr_min,
+                     tap.tr_max))
+    limited = len(rows)
+    rows += [(gi, qreq_col[gi], grp.controlled_bus, grp.v_set, 1.0, 0.0, 0.0)
+             for gi, grp in enumerate(case.remote_groups)]
+    return inj, ControlRows(
+        np.array([row[1] for row in rows], dtype=np.intp),
+        np.array([bus_pos[row[2]] for row in rows], dtype=np.intp),
+        np.array([row[3] for row in rows], dtype=float),
+        np.array([row[4] for row in rows], dtype=float),
+        [row[0] for row in rows[:limited]],
+        np.array([row[5] for row in rows[:limited]], dtype=float),
+        np.array([row[6] for row in rows[:limited]], dtype=float),
+        len(local))
 
 
 def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:

@@ -56,9 +56,9 @@ from .circuit_stamps import (
     FIXED_V,
     TX_SCALE,
     ControlMode,
+    IndexMap,
     StateVector,
     base_control,
-    build_index,
     device_limits,
     flat_start,
     residual,
@@ -204,22 +204,22 @@ def _tx_path(base: ControlMode):
     return make
 
 
-def _unbounded_control(case: NetworkCase, base: ControlMode) -> ControlMode:
+def _unbounded_control(index: IndexMap, base: ControlMode) -> ControlMode:
     """All voltage controls in hard voltage-set mode with no limits. The
     first control row regulating a bus holds its voltage; a second local
     device there would duplicate that row, so it is pinned mid-range,
     and a second tap keeps its mode. Every group holds its bus."""
     modes, fixed_q = dict(base.device_modes), dict(base.fixed_q)
-    rows, held = build_index(case, base).rows, set()
-    for key, pos in zip(rows.keys, rows.pos.tolist()):
+    rows, held = index.rows, set()
+    for key, pos, lo, hi in zip(rows.keys, rows.pos.tolist(), rows.lo.tolist(),
+                                rows.hi.tolist()):
         if pos not in held:
             held.add(pos)
             modes[key] = FIXED_V
         elif key[0] != "tap":
-            lo, hi = device_limits(case, key)
             modes[key], fixed_q[key] = FIXED_Q, 0.5 * (lo + hi)
     group_modes = dict(base.group_modes)
-    group_modes.update(dict.fromkeys(range(len(case.remote_groups)), FIXED_V))
+    group_modes.update(dict.fromkeys(index.qreq_col, FIXED_V))
     return replace(base, device_modes=modes, group_modes=group_modes,
                    fixed_q=fixed_q)
 
@@ -241,8 +241,8 @@ def init_q_limit_relaxation(
     residual or its error.
     """
     base = base if base is not None else base_control(case)
-    unbounded = _unbounded_control(case, base)
-    state = warm if warm is not None else flat_start(case, unbounded)
+    state = warm if warm is not None else flat_start(case, base)
+    unbounded = _unbounded_control(state.index, base)
     state, report = try_solve(case, state, unbounded, opts, "q-limit-init")
     if not report.converged:
         raise ContinuationError(
@@ -288,17 +288,17 @@ def init_p_limit_relaxation(
         raise ContinuationError("p-limit relaxation requires distributed slack")
     base = base if base is not None else base_control(case)
     linear = replace(base, p_relax=1.0)
-    state = warm if warm is not None else flat_start(case, linear)
+    start = warm if warm is not None else flat_start(case, linear)
     # run as a sub-solve: landing took it to a far equilibrium
     # (oscillation4's at 1.774 pu), and a plateau now ends it
-    state, report = try_solve(case, state, linear, opts, "p-limit-init",
+    state, report = try_solve(case, start, linear, opts, "p-limit-init",
                               subsolve=True)
     if not report.converged:
         # steep reactive sigmoids can defeat the flat-started linear solve;
-        # bootstrap through the hard voltage-set problem, then warm-start
-        hard = _unbounded_control(case, linear)
-        boot, rep_hard = try_solve(case, flat_start(case, hard), hard, opts,
-                                   "p-limit-init")
+        # bootstrap through the hard voltage-set problem from the same
+        # start, then warm-start
+        hard = _unbounded_control(start.index, linear)
+        boot, rep_hard = try_solve(case, start, hard, opts, "p-limit-init")
         if rep_hard.converged:
             state, report = try_solve(case, boot, linear, opts,
                                       "p-limit-init", 1)

@@ -43,16 +43,20 @@ def load_native(name):
     return parse_native((CASE_DIR / f"{name}.native.json").read_text(), name=name)
 
 
-def patch_nr_solve(monkeypatch, wrap):
-    """Replace nr_solve by wrap(nr_solve) in every splitflow module that
-    holds it, so that a pipeline's solves reach the wrapper whichever
-    module calls them."""
-    nr_solve = nr_solver.nr_solve
-    wrapped = wrap(nr_solve)
+def patch_function(monkeypatch, fn, wrap):
+    """Replace fn by wrap(fn) in every splitflow module that holds it, so
+    that a pipeline's calls reach the wrapper whichever module makes
+    them."""
+    wrapped = wrap(fn)
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "splitflow"
-                and getattr(module, "nr_solve", None) is nr_solve):
-            monkeypatch.setattr(module, "nr_solve", wrapped)
+                and getattr(module, fn.__name__, None) is fn):
+            monkeypatch.setattr(module, fn.__name__, wrapped)
+
+
+def patch_nr_solve(monkeypatch, wrap):
+    """patch_function for nr_solve."""
+    patch_function(monkeypatch, nr_solver.nr_solve, wrap)
 
 
 @pytest.fixture(scope="session")

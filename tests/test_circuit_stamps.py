@@ -29,13 +29,19 @@ from splitflow.circuit_stamps import (
 )
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
+    MATPOWER_CASES,
+    NATIVE_CASES,
     as_array,
     assert_jacobian_matches,
+    load_matpower,
+    load_native,
     lossless_agc_case,
+    qlimit_rescue_case,
     random_state,
     remote_pair_case,
     series_gb,
     shunt_case,
+    stiff_feeder_case,
     tapped_case,
     three_bus_pv_case,
     two_bus_case,
@@ -43,9 +49,52 @@ from tests.conftest import (
 
 OPTS = SolverOptions()
 
+def full_configuration_case():
+    """A local PV generator, a remote group of 2, a controlled tap and
+    AGC."""
+    gt, bt = series_gb(0.002, 0.06)
+    return NetworkCase(
+        s_base=100.0,
+        buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pv", 1.02),
+               Bus(3, 230.0, "pq"), Bus(4, 230.0, "pq"),
+               Bus(5, 230.0, "pq"), Bus(6, 230.0, "pq")),
+        branches=(Branch(1, 5, 1.0, -8.0), Branch(2, 5, 1.0, -8.0),
+                  Branch(3, 5, 1.0, -8.0), Branch(4, 5, 1.0, -8.0),
+                  Branch(5, 6, gt, bt,
+                         tap=TapControl(0.9, 1.1, 1.0, "secondary")),),
+        generators=(
+            Generator(2, 0.2, 1.02, -1, 1, 0, 1, agc_factor=0.5),
+            Generator(3, 0.2, 1.02, -1, 1, 0, 1, remote_bus=5,
+                      remote_factor=0.5),
+            Generator(4, 0.2, 1.02, -1, 1, 0, 1, remote_bus=5,
+                      remote_factor=0.5),
+        ),
+        loads=(Load(6, 0.5, 0.2),),
+        agc_enabled=True,
+    )
+
+
+# every bundled case and every case the conftest builders make, and one
+# with every kind of device
+ALL_CASES = {
+    **{n: lambda n=n: load_matpower(n) for n in MATPOWER_CASES},
+    **{n: lambda n=n: load_native(n) for n in NATIVE_CASES},
+    "two_bus": two_bus_case, "three_bus_pv": three_bus_pv_case,
+    "remote_pair": remote_pair_case,
+    "tapped_secondary": lambda: tapped_case("secondary"),
+    "tapped_primary": lambda: tapped_case("primary"),
+    "shunted": shunt_case, "lossless_agc": lossless_agc_case,
+    "qlimit_rescue": qlimit_rescue_case, "stiff_feeder": stiff_feeder_case,
+    "every_device": lambda: replace(
+        full_configuration_case(),
+        shunts=(SwitchedShunt(6, 0.0, 0.5, 0.1, 1.0),)),
+}
+
 
 def branch_jacobian(branch):
-    """J of a two-bus case holding only the given branch from bus 1 to 2."""
+    """J of a two-bus case holding only the given branch from bus 1 to 2,
+    at positions 0 and 1: bus position pos has its V_R and V_I columns
+    at 2 * pos and 2 * pos + 1."""
     case = NetworkCase(
         s_base=100.0,
         buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pq")),
@@ -53,11 +102,11 @@ def branch_jacobian(branch):
     )
     ctl = base_control(case)
     state = flat_start(case, ctl)
-    return as_array(assemble(case, state, ctl)[1]), state.index
+    return as_array(assemble(case, state, ctl)[1])
 
 
 def load_delta(case):
-    """(dF, dJ, index): what the case's loads add at its flat start."""
+    """(dF, dJ): what the case's loads add at its flat start."""
     ctl = base_control(case)
     state = flat_start(case, ctl)
     F, J = assemble(case, state, ctl)
@@ -65,58 +114,64 @@ def load_delta(case):
     # gets its own (same-shaped) index
     bare = replace(case, loads=())
     F0, J0 = assemble(bare, StateVector(build_index(bare, ctl), state.x), ctl)
-    return F - F0, as_array(J - J0), state.index
+    return F - F0, as_array(J - J0)
 
 
 class TestBranchStamp:
     def test_hand_expanded_entries(self):
         # series g=1, b=-5: the real KCL row at the from bus carries
         # +g on V_R1, -b on V_I1, -g on V_R2, +b on V_I2
-        A, idx = branch_jacobian(Branch(1, 2, 1.0, -5.0))
-        row = idx.vr(1)  # real KCL at bus 2 (bus 1 rows are slack-replaced)
-        assert A[row, idx.vr(1)] == pytest.approx(1.0)
-        assert A[row, idx.vi(1)] == pytest.approx(5.0)
-        assert A[row, idx.vr(0)] == pytest.approx(-1.0)
-        assert A[row, idx.vi(0)] == pytest.approx(-5.0)
-        rowi = idx.vi(1)
-        assert A[rowi, idx.vr(1)] == pytest.approx(-5.0)
-        assert A[rowi, idx.vi(1)] == pytest.approx(1.0)
+        A = branch_jacobian(Branch(1, 2, 1.0, -5.0))
+        f, t = 0, 1  # bus positions
+        row = 2 * t  # real KCL at bus 2 (bus 1 rows are slack-replaced)
+        assert A[row, 2 * t] == pytest.approx(1.0)
+        assert A[row, 2 * t + 1] == pytest.approx(5.0)
+        assert A[row, 2 * f] == pytest.approx(-1.0)
+        assert A[row, 2 * f + 1] == pytest.approx(-5.0)
+        rowi = 2 * t + 1
+        assert A[rowi, 2 * t] == pytest.approx(-5.0)
+        assert A[rowi, 2 * t + 1] == pytest.approx(1.0)
 
     def test_zero_charging_adds_no_shunt_term(self):
         g, b = 1.0, -5.0
-        A, idx = branch_jacobian(Branch(1, 2, g, b, b_sh=0.0))
+        A = branch_jacobian(Branch(1, 2, g, b, b_sh=0.0))
         # without charging, the cross term V_I2 in the real row at bus 2
-        # is exactly -b; charging would shift it
-        assert A[idx.vr(1), idx.vi(1)] == pytest.approx(-b)
+        # (position 1) is exactly -b; charging would shift it
+        t = 1
+        assert A[2 * t, 2 * t + 1] == pytest.approx(-b)
 
     def test_fixed_ratio_blocks(self):
         # a fixed-ratio transformer scales the from-side self block by
         # 1/ratio^2 and the transfer blocks by 1/ratio
         ratio = 0.95
-        A, idx = branch_jacobian(Branch(1, 2, 1.0, -5.0, ratio=ratio))
-        assert A[idx.vr(1), idx.vr(1)] == pytest.approx(1.0)
-        assert A[idx.vr(1), idx.vr(0)] == pytest.approx(-1.0 / ratio)
+        A = branch_jacobian(Branch(1, 2, 1.0, -5.0, ratio=ratio))
+        f, t = 0, 1  # bus positions
+        assert A[2 * t, 2 * t] == pytest.approx(1.0)
+        assert A[2 * t, 2 * f] == pytest.approx(-1.0 / ratio)
 
 
 class TestLoadStamp:
     def test_zero_load_contributes_nothing(self):
-        dF, dJ, _ = load_delta(two_bus_case(p_load=0.0, q_load=0.0))
+        dF, dJ = load_delta(two_bus_case(p_load=0.0, q_load=0.0))
         assert np.all(dF == 0.0)
         assert np.all(dJ == 0.0)
 
     def test_unit_load_partials(self):
         # P=1, Q=0 at V=1+j0: injection I_R = -1 and dI_R/dV_R = +1
-        dF, dJ, idx = load_delta(two_bus_case(p_load=1.0, q_load=0.0))
-        # KCL subtracts the injection, so the row carries -dI/dV
-        assert dJ[idx.vr(1), idx.vr(1)] == pytest.approx(-1.0)
-        assert dF[idx.vr(1)] == pytest.approx(1.0)  # -(I_R) = +1
+        dF, dJ = load_delta(two_bus_case(p_load=1.0, q_load=0.0))
+        # KCL subtracts the injection, so the row carries -dI/dV; the
+        # load's bus 2 is at position 1
+        pos = 1
+        assert dJ[2 * pos, 2 * pos] == pytest.approx(-1.0)
+        assert dF[2 * pos] == pytest.approx(1.0)  # -(I_R) = +1
 
     def test_collapsed_voltage_raises(self):
         case = two_bus_case()
         ctl = base_control(case)
         state = flat_start(case, ctl)
-        state.x[state.index.vr(1)] = 1e-5
-        state.x[state.index.vi(1)] = 0.0
+        pos = state.index.bus_pos[2]
+        state.x[2 * pos] = 1e-5
+        state.x[2 * pos + 1] = 0.0
         with pytest.raises(SingularPointError, match="bus 2"):
             residual(case, state, ctl)
 
@@ -197,7 +252,7 @@ class TestJacobians:
     def test_distributed_slack(self):
         case = lossless_agc_case()
         ctl = base_control(case)
-        assert ctl.agc_enabled
+        assert case.agc_enabled
         for seed in range(100):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
@@ -217,26 +272,7 @@ class TestCountingRule:
     def test_full_configuration_dimension(self):
         # 1 local PV gen + remote group of 2 + 1 controlled tap + AGC:
         # dim = 2N + (1 + 2) + 1 + 1 + 1
-        gt, bt = series_gb(0.002, 0.06)
-        case = NetworkCase(
-            s_base=100.0,
-            buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pv", 1.02),
-                   Bus(3, 230.0, "pq"), Bus(4, 230.0, "pq"),
-                   Bus(5, 230.0, "pq"), Bus(6, 230.0, "pq")),
-            branches=(Branch(1, 5, 1.0, -8.0), Branch(2, 5, 1.0, -8.0),
-                      Branch(3, 5, 1.0, -8.0), Branch(4, 5, 1.0, -8.0),
-                      Branch(5, 6, gt, bt,
-                             tap=TapControl(0.9, 1.1, 1.0, "secondary")),),
-            generators=(
-                Generator(2, 0.2, 1.02, -1, 1, 0, 1, agc_factor=0.5),
-                Generator(3, 0.2, 1.02, -1, 1, 0, 1, remote_bus=5,
-                          remote_factor=0.5),
-                Generator(4, 0.2, 1.02, -1, 1, 0, 1, remote_bus=5,
-                          remote_factor=0.5),
-            ),
-            loads=(Load(6, 0.5, 0.2),),
-            agc_enabled=True,
-        )
+        case = full_configuration_case()
         n = len(case.buses)
         idx = build_index(case, base_control(case))
         assert idx.dim == 2 * n + 3 + 1 + 1 + 1
@@ -251,6 +287,51 @@ class TestCountingRule:
             mat = assemble(case, state, ctl)[1]
             assert mat.shape == (state.index.dim, state.index.dim)
             assert np.all(np.asarray(abs(mat).sum(axis=1)).ravel() > 0)
+
+    @pytest.mark.parametrize("agc", [False, True])
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
+    def test_column_layout(self, name, agc):
+        # the module docstring's order: the voltages, one q column per
+        # injector row after the loads but a snapped shunt's, the group
+        # requests, the controlled taps, and dP_S last; each local control
+        # row holds its injector row's q column
+        case = replace(ALL_CASES[name](), agc_enabled=agc)
+        slack = case.slack_bus().id
+        members = [i for grp in case.remote_groups for i in grp.members]
+        local = [i for i, g in enumerate(case.generators)
+                 if g.bus != slack and i not in members]
+        taps = [bi for bi, br in enumerate(case.branches) if br.tap is not None]
+        snaps = [({}, {})]
+        snaps += [({0: 0.1}, {})] if case.shunts else []
+        snaps += [({}, {taps[0]: 1.0})] if taps else []
+        snaps += [({0: 0.1}, {taps[0]: 1.0})] if case.shunts and taps else []
+        for shunt_b, tap_ratio in snaps:
+            idx = build_index(case, replace(base_control(case),
+                                            fixed_shunt_b=shunt_b,
+                                            fixed_tap_ratio=tap_ratio))
+            t, n = idx.inj, 2 * len(case.buses)
+            assert t.keys == ([None] * len(case.loads)
+                              + [("gen", i) for i in local + members]
+                              + [("shunt", j) for j in range(len(case.shunts))])
+            q_rows = [r for r in range(t.n_loads, len(t.keys))
+                      if t.keys[r][0] == "gen" or t.keys[r][1] not in shunt_b]
+            expected = ([("q", t.keys[r]) for r in q_rows]
+                        + [("qreq", gi) for gi in range(len(case.remote_groups))]
+                        + [("tap", bi) for bi in taps if bi not in tap_ratio]
+                        + [("dps", None)] * agc)
+            named = {c: ("q", k) for k, c in idx.q_col.items()}
+            named.update({c: ("qreq", gi) for gi, c in idx.qreq_col.items()})
+            named.update({c: ("tap", bi) for bi, c in idx.tap_col.items()})
+            if idx.dps_col is not None:
+                named[idx.dps_col] = ("dps", None)
+            assert [named.get(c) for c in range(n, idx.dim)] == expected
+            assert idx.dim == n + len(named) == n + len(expected)
+            assert t.q_cols[np.array(q_rows, dtype=int) - t.n_loads].tolist() == \
+                list(range(n, n + len(q_rows)))
+            r = idx.rows
+            assert r.keys[:r.n_local] == [t.keys[k] for k in t.local]
+            assert r.cols[:r.n_local].tolist() == \
+                t.q_cols[t.local - t.n_loads].tolist()
 
 
 class TestStructuralSymmetry:
@@ -282,8 +363,8 @@ class TestGeneratorBehavior:
         state = flat_start(case, ctl)
         idx = state.index
         pos = idx.bus_pos[2]
-        state.x[idx.vr(pos)] = 1.02
-        state.x[idx.vi(pos)] = 0.0
+        state.x[2 * pos] = 1.02
+        state.x[2 * pos + 1] = 0.0
         state.x[idx.q_col[("gen", 0)]] = 0.0  # midpoint of [-0.4, 0.4]
         F = residual(case, state, ctl)
         assert F[idx.q_col[("gen", 0)]] == pytest.approx(0.0, abs=1e-14)
@@ -347,8 +428,9 @@ class TestSwitchedShuntBehavior:
         ctl = base_control(case)
         state = flat_start(case, ctl)
         idx = state.index
-        state.x[idx.vr(1)] = 1.0
-        state.x[idx.vi(1)] = 0.0
+        pos = idx.bus_pos[2]
+        state.x[2 * pos] = 1.0
+        state.x[2 * pos + 1] = 0.0
         state.x[idx.q_col[("shunt", 0)]] = 0.25
         F = residual(case, state, ctl)
         assert F[idx.q_col[("shunt", 0)]] == pytest.approx(0.0, abs=1e-14)

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+import splitflow.circuit_stamps as circuit_stamps
 from splitflow.case_model import parse_native
 from splitflow.cli_reporting import (
     SUMMARY_VERSION,
@@ -25,6 +26,7 @@ from tests.conftest import (
     CASE_DIR,
     load_matpower,
     load_native,
+    patch_function,
     patch_nr_solve,
     tapped_case,
     two_bus_case,
@@ -344,3 +346,29 @@ def test_snap_sums_line_search_counters():
             assert getattr(snapped.report, key) == (getattr(plain.report, key)
                                                     + getattr(alone, key))
         assert snapped.report.trace == plain.report.trace + alone.trace
+
+
+@pytest.mark.parametrize("name,pipeline", [
+    ("case9", lambda c: run_continuous(c, SolverOptions(), "q-limit")),
+    ("case9", lambda c: run_continuous(c, SolverOptions(), "composite")),
+    ("case9", lambda c: run_baseline(c, SolverOptions())),
+    # with distributed slack, where oscillation4's linear init fails and
+    # p-limit runs the hard bootstrap
+    ("oscillation4", lambda c: run_continuous(c, SolverOptions(), "p-limit")),
+])
+def test_one_index_per_pipeline_run(name, pipeline, monkeypatch):
+    # every solve of the run reuses the index of the state it starts from;
+    # the flat start builds the only one
+    calls = []
+
+    def wrap(build_index):
+        def counted(*args):
+            calls.append(args)
+            return build_index(*args)
+        return counted
+
+    patch_function(monkeypatch, circuit_stamps.build_index, wrap)
+    case = (load_matpower(name) if name == "case9" else
+            replace(load_native(name), agc_enabled=True))
+    assert pipeline(case).report.converged
+    assert len(calls) == 1

@@ -14,6 +14,7 @@ from splitflow.circuit_stamps import (
     agc_response,
     assemble,
     base_control,
+    build_index,
     flat_start,
     residual,
 )
@@ -167,7 +168,8 @@ class TestQLimitRelaxation:
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05)
         case = replace(case, generators=case.generators + (
             Generator(2, 0.2, 1.02, -0.2, 0.6, 0.0, 1.0),))
-        hard = _unbounded_control(case, base_control(case))
+        base = base_control(case)
+        hard = _unbounded_control(build_index(case, base), base)
         assert hard.device_modes[("gen", 0)] == FIXED_V
         assert hard.device_modes[("gen", 1)] == FIXED_Q
         assert hard.fixed_q == {("gen", 1): pytest.approx(0.2)}
@@ -238,6 +240,8 @@ class TestPLimitRelaxation:
         assert relaxed.p_relax == 1.0
         dps = state.x[state.index.dps_col]
         assert dps > 0.0
+        # generators 0, 1 and 2 overshoot their headroom; member 4 does not
+        assert sorted(relaxed.p_extra) == [0, 1, 2]
         for i, (lo, hi) in relaxed.p_extra.items():
             g = case.generators[i]
             dp_linear = g.agc_factor * dps
@@ -529,9 +533,11 @@ class TestRunHomotopy:
         # the unbounded pre-solve holds every regulated bus exactly at its
         # setpoint through hard rows
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05, v_set=1.03)
-        hard = _unbounded_control(case, base_control(case))
+        base = base_control(case)
+        init = flat_start(case, base)
+        hard = _unbounded_control(init.index, base)
         assert hard.device_modes[("gen", 0)] == FIXED_V
-        state, rep = nr_solve(case, flat_start(case, hard), hard, OPTS)
+        state, rep = nr_solve(case, init, hard, OPTS)
         assert rep.converged
         assert state.v_mag(1) == pytest.approx(1.03, abs=1e-9)
 

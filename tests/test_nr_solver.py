@@ -409,8 +409,9 @@ class TestNrSolve:
         case = two_bus_case()
         ctl = base_control(case)
         state = flat_start(case, ctl)
-        state.x[state.index.vr(1)] = 1e-5
-        state.x[state.index.vi(1)] = 0.0
+        pos = state.index.bus_pos[2]
+        state.x[2 * pos] = 1e-5
+        state.x[2 * pos + 1] = 0.0
         with pytest.raises(SingularPointError, match="bus 2"):
             nr_solve(case, state, ctl, OPTS)
 

@@ -38,3 +38,15 @@ def test_lost_and_raised_runs_flagged():
         pipeline_census.converged_iterations(before),
         pipeline_census.converged_iterations(now)) == [
             (("b", *key), 10, 11), (("c", *key), 10, None)]
+
+
+def test_recorded_census_has_every_run():
+    # tools/census.tsv, which CI compares against, is a whole census
+    recorded = (CASE_DIR.parent.parent / "tools" / "census.tsv").read_text()
+    lines = recorded.splitlines()
+    keys = [tuple(line.split("\t")[:4]) for line in lines[:-1]]
+    runs = [(name, f"agc={'on' if agc else 'off'}", method,
+             f"snap={'on' if snap else 'off'}")
+            for name, agc, method, snap, _ in pipeline_census.runs()]
+    assert keys == runs
+    assert lines[-1].startswith(f"total\t{len(runs)} runs\t")

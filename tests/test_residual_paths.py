@@ -105,7 +105,7 @@ def test_jacobian_matches_in_outage_screening_configuration():
     case = replace(case118, agc_enabled=True).drop_generator(
         case118.generators[3].bus)
     ctl = base_control(case)
-    assert ctl.agc_enabled and build_index(case, ctl).dps_col is not None
+    assert case.agc_enabled and build_index(case, ctl).dps_col is not None
     assert_jacobian_matches(case, random_state(case, ctl, 0), ctl)
 
 
