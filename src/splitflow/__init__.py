@@ -32,7 +32,6 @@ from .circuit_stamps import (
     ControlMode,
     StateVector,
     assemble,
-    base_control,
     build_index,
     classify_regions,
     flat_start,

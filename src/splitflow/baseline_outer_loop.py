@@ -23,7 +23,6 @@ from .circuit_stamps import (
     FIXED_V,
     ControlMode,
     StateVector,
-    base_control,
     flat_start,
 )
 from .nr_solver import SolveReport, SolverOptions, try_solve
@@ -86,7 +85,7 @@ def solve_outer_loop(
     """
     if order not in (SMALLEST_FIRST, LARGEST_FIRST):
         raise ValueError(f"unknown switch order {order!r}")
-    base = base if base is not None else base_control(case)
+    base = base if base is not None else ControlMode()
 
     state = flat_start(case, base)
     local = list(state.index.local_gen_idx)

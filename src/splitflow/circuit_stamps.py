@@ -117,24 +117,6 @@ class ControlMode:
         return lo - wlo, hi + whi
 
 
-def base_control(case: NetworkCase, smoothing: float = 5000.0) -> ControlMode:
-    return ControlMode(smoothing=smoothing)
-
-
-def device_limits(case: NetworkCase, key) -> tuple[float, float]:
-    """(lo, hi) output limits of the controlled device ("gen" | "shunt" |
-    "tap", i): reactive power, susceptance or ratio."""
-    kind, i = key
-    if kind == "gen":
-        g = case.generators[i]
-        return g.q_min, g.q_max
-    if kind == "shunt":
-        sh = case.shunts[i]
-        return sh.b_min, sh.b_max
-    tap = case.branches[i].tap
-    return tap.tr_min, tap.tr_max
-
-
 @dataclass
 class Taps:
     """The taps outside the network block: the controlled ones in
@@ -261,6 +243,18 @@ class IndexMap:
 
     def voltage_dim(self) -> int:
         return 2 * self.n_bus
+
+
+def controlled_devices(idx: IndexMap):
+    """(key, column, lo, hi) of every device with an unknown of its own:
+    the control rows' local devices and taps, then the remote-group
+    members. lo and hi are its output limits before relaxing: reactive
+    power, susceptance or ratio."""
+    r, t = idx.rows, idx.inj
+    yield from zip(r.keys, r.cols[:len(r.keys)].tolist(), r.lo.tolist(),
+                   r.hi.tolist())
+    yield from zip([t.keys[m] for m in t.members], t.m_cols.tolist(),
+                   t.member_min.tolist(), t.member_max.tolist())
 
 
 def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
@@ -703,16 +697,18 @@ def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
             bus=bus)
 
 
-def _slack_participation(ctl: ControlMode, members: list, kappa, lo, hi, dps):
-    """Participating generators' extra active power for a given slack
-    surplus, with its sensitivity d(dP_G)/d(dP_S), as arrays.
+def slack_participation(ctl: ControlMode, idx: IndexMap, dps):
+    """The distributed-slack members' (IndexMap.agc_member_idx) extra
+    active power for a given slack surplus, with its sensitivity
+    d(dP_G)/d(dP_S), as arrays.
 
-    members are generator indices, kappa their factors and lo/hi their
-    active-power headrooms p_min - p_g and p_max - p_g. At full
-    relaxation (p_relax >= 1) the participation is purely linear; below
-    that, limits are the headrooms widened by p_relax * extra, where
-    extra comes from the unbounded pre-solve.
+    Each member has its factor agc_kappa and its active-power headrooms
+    agc_lo = p_min - p_g and agc_hi = p_max - p_g. At full relaxation
+    (p_relax >= 1) the participation is purely linear; below that,
+    limits are the headrooms widened by p_relax * extra, where extra
+    comes from the unbounded pre-solve.
     """
+    members, kappa = idx.agc_member_idx, idx.agc_kappa
     if ctl.p_relax >= 1.0:
         return kappa * dps, kappa
     extra_lo = extra_hi = 0.0
@@ -720,8 +716,8 @@ def _slack_participation(ctl: ControlMode, members: list, kappa, lo, hi, dps):
         extra_lo, extra_hi = np.array(
             [ctl.p_extra.get(i, (0.0, 0.0)) for i in members],
             dtype=float).reshape(-1, 2).T
-    lo = lo + ctl.p_relax * extra_lo
-    hi = hi + ctl.p_relax * extra_hi
+    lo = idx.agc_lo + ctl.p_relax * extra_lo
+    hi = idx.agc_hi + ctl.p_relax * extra_hi
     live = ~(hi - lo < DEGENERATE_RANGE)
     dp, ddp = np.zeros(len(members)), np.zeros(len(members))
     if live.any():
@@ -731,15 +727,6 @@ def _slack_participation(ctl: ControlMode, members: list, kappa, lo, hi, dps):
         dp[live], ddp[live] = participation_arrays(
             k, lo, hi, 0.001 * (hi - lo) / k, dps)
     return dp, ddp
-
-
-def agc_response(gen, ctl: ControlMode, gen_idx: int, dps: float):
-    """Participating generator's extra active power for a given slack
-    surplus, with its sensitivity d(dP_G)/d(dP_S)."""
-    dp, ddp = _slack_participation(
-        ctl, [gen_idx], np.array([gen.agc_factor]),
-        np.array([gen.p_min - gen.p_g]), np.array([gen.p_max - gen.p_g]), dps)
-    return float(dp[0]), float(ddp[0])
 
 
 def _stamp_taps(st: _Pass) -> list:
@@ -803,9 +790,7 @@ def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
     p, dp = t.p, None
     if idx.dps_col is not None and len(t.agc_at):
         # the slack members' extra active power, and its slope in the surplus
-        extra, slope = _slack_participation(
-            st.ctl, idx.agc_member_idx, idx.agc_kappa, idx.agc_lo, idx.agc_hi,
-            x[idx.dps_col])
+        extra, slope = slack_participation(st.ctl, idx, x[idx.dps_col])
         p, dp = t.p.copy(), np.zeros(len(t.pos))
         p[t.agc_at] = t.p[t.agc_at] + extra[t.agc_pos]
         dp[t.agc_at] = slope[t.agc_pos]
@@ -1091,18 +1076,15 @@ def _classify(value: float, lo: float, hi: float) -> str:
     return CONTROLLING
 
 
-def classify_regions(case: NetworkCase, state: StateVector, ctl: ControlMode) -> dict:
+def classify_regions(state: StateVector, ctl: ControlMode) -> dict:
     """Label every controlled device at-min / controlling / at-max based on
     where its output sits within its (unrelaxed) limits."""
-    idx = state.index
-    out = {}
-    taps = ((("tap", bi), col) for bi, col in idx.tap_col.items())
-    for key, col in (*idx.q_col.items(), *taps):
-        out[key] = _classify(state.x[col], *device_limits(case, key))
+    idx, x = state.index, state.x.tolist()
+    out = {key: _classify(x[col], lo, hi)
+           for key, col, lo, hi in controlled_devices(idx)}
     if idx.dps_col is not None:
-        dps = state.x[idx.dps_col]
-        for i in idx.agc_member_idx:
-            g = case.generators[i]
-            dp, _ = agc_response(g, ctl, i, dps)
-            out[("agc", i)] = _classify(dp, g.p_min - g.p_g, g.p_max - g.p_g)
+        dp, _ = slack_participation(ctl, idx, x[idx.dps_col])
+        for i, value, lo, hi in zip(idx.agc_member_idx, dp.tolist(),
+                                    idx.agc_lo.tolist(), idx.agc_hi.tolist()):
+            out[("agc", i)] = _classify(value, lo, hi)
     return out

@@ -19,10 +19,10 @@ import numpy as np
 from .baseline_outer_loop import classify_stability, solve_outer_loop
 from .case_model import NetworkCase, parse_matpower, parse_native
 from .circuit_stamps import (
+    ControlMode,
     StateVector,
-    agc_response,
-    base_control,
     classify_regions,
+    slack_participation,
 )
 from .discrete_control import resolve_after_snap
 from .errors import SplitflowError
@@ -70,7 +70,7 @@ def run_continuous(
     smoothing: float = 5000.0,
     snap: bool = False,
 ) -> PipelineResult:
-    base = base_control(case, smoothing=smoothing)
+    base = ControlMode(smoothing=smoothing)
     state, report = run_homotopy(case, None, method, opts, base)
     plan = None
     if snap and report.converged:
@@ -87,7 +87,7 @@ def run_baseline(
     order: str = "smallest-first",
     smoothing: float = 5000.0,
 ) -> PipelineResult:
-    base = base_control(case, smoothing=smoothing)
+    base = ControlMode(smoothing=smoothing)
     state, report, strace = solve_outer_loop(case, opts, order, base)
     return PipelineResult(case, state, report,
                           stability=classify_stability(case, state),
@@ -110,8 +110,8 @@ def voltage_extrema(case: NetworkCase, state: StateVector):
 def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
     case, state, report = result.case, result.state, result.report
     vmax, vmin, tmax, tmin = voltage_extrema(case, state)
-    ctl = base_control(case)
-    regions = classify_regions(case, state, ctl)
+    ctl = ControlMode()
+    regions = classify_regions(state, ctl)
     unstable = sum(1 for s in result.stability.values() if s == "unstable")
     lines = [
         f"summary_version: {SUMMARY_VERSION}",
@@ -142,14 +142,15 @@ def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
             lines.append(f"snapped.shunt.{j}: {b:.6f}")
         for bi, tr in sorted(result.snap_plan.tap_ratio.items()):
             lines.append(f"snapped.tap.{bi}: {tr:.6f}")
-    if case.agc_enabled and state.index.dps_col is not None:
-        dps = float(state.x[state.index.dps_col])
+    idx = state.index
+    if case.agc_enabled and idx.dps_col is not None:
+        dps = float(state.x[idx.dps_col])
         lines.append(f"slack_surplus_pu: {dps:.6f}")
-        for i in state.index.agc_member_idx:
+        dp, _ = slack_participation(ctl, idx, dps)
+        for i, extra in zip(idx.agc_member_idx, dp.tolist()):
             g = case.generators[i]
-            dp, _ = agc_response(g, ctl, i, dps)
             lines.append(
-                f"dispatch.{g.bus}: {(g.p_g + dp) * case.s_base:.2f}"
+                f"dispatch.{g.bus}: {(g.p_g + extra) * case.s_base:.2f}"
             )
     return lines
 
@@ -178,10 +179,12 @@ def _apply_contingency(case: NetworkCase, spec: str) -> NetworkCase:
     return case.drop_generator(int(spec.split(":", 1)[1]))
 
 
-def _inputs(case_file, fmt, homotopy, tol, max_iter, agc=False,
+def _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter, agc=False,
             contingency=None) -> tuple[NetworkCase, SolverOptions]:
     """The case and solver options; any input error exits with status 2."""
     try:
+        if not 0.0 < smoothing < math.inf:
+            raise ValueError("--smoothing must be finite and > 0")
         case = load_case(case_file, fmt)
         if agc:
             case = replace(case, agc_enabled=True)
@@ -225,8 +228,8 @@ def main():
 def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
           contingency, snap, order, trace_path, fmt):
     """Solve one case and print a key/value summary."""
-    case, opts = _inputs(case_file, fmt, homotopy, tol, max_iter, agc,
-                         contingency)
+    case, opts = _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter,
+                         agc, contingency)
     try:
         if models == "continuous":
             result = run_continuous(case, opts, method=homotopy,
@@ -260,7 +263,7 @@ def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
 def compare(case_file, homotopy, smoothing, tol, max_iter, order, trace_path,
             fmt):
     """Run the continuous and outer-loop pipelines side by side."""
-    case, opts = _inputs(case_file, fmt, homotopy, tol, max_iter)
+    case, opts = _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter)
     columns = {}
     for label, runner in (
         ("continuous", lambda: run_continuous(case, opts, method=homotopy,

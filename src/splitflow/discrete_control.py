@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .case_model import NetworkCase
-from .circuit_stamps import ControlMode, StateVector, base_control, build_index
+from .circuit_stamps import ControlMode, StateVector, build_index
 from .errors import ContinuationError, SnappedInfeasibleError
 from .homotopy_driver import _continuation, endpoint_report
 from .nr_solver import SolveReport, SolverOptions, nr_solve
@@ -88,7 +88,7 @@ def resolve_after_snap(
     is the direct re-solve's, or the sweep's total, which starts with the
     failed direct re-solve.
     """
-    base = base if base is not None else base_control(case)
+    base = base if base is not None else ControlMode()
     plan = plan_snap(case, solution)
     snapped_ctl = replace(
         base,

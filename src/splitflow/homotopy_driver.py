@@ -23,11 +23,10 @@ SNAP_FRACTION, a t below it is tried next. The path is stuck once a step
 would fall below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS.
 Every sub-solve on the path gets the full `opts.max_iter`, and ends as
 failed once it stalls (`nr_solve`'s subsolve: at its first NR iteration
-that lowers no max|F|, or after `STALL_WINDOW` iterations without
-progress; `SolveReport.stalled`). A corrector that has stopped
-contracting rarely recovers, so these two rules, not an iteration cap,
-back the step off. If no stage has a path, one NR solve at the target
-stands in, not as a sub-solve.
+that lowers no max|F|; `SolveReport.stalled`). A corrector that has
+stopped contracting rarely recovers, so this rule, not an iteration
+cap, backs the step off. If no stage has a path, one NR solve at the
+target stands in, not as a sub-solve.
 The result is always re-verified against the unrelaxed equations. The
 report is one SolveReport that every sub-solve, accepted or not, and a
 stand-in solve is added into (`SolveReport.add`); init solves are not.
@@ -58,19 +57,12 @@ from .circuit_stamps import (
     ControlMode,
     IndexMap,
     StateVector,
-    base_control,
-    device_limits,
+    controlled_devices,
     flat_start,
     residual,
 )
 from .errors import ContinuationError
-from .nr_solver import (
-    STALL_WINDOW,
-    SolveReport,
-    SolverOptions,
-    nr_solve,
-    try_solve,
-)
+from .nr_solver import SolveReport, SolverOptions, nr_solve, try_solve
 
 INITIAL_STEEPNESS = 100.0  # sigmoid steepness of the relaxed smoothing problem
 TX_INITIAL = 1.0  # tx_relax at t = 1
@@ -94,10 +86,8 @@ def _failure(report) -> str:
     residual."""
     if report.iterations == 0:
         return report.diagnostics[-1]
-    how = {"descent": "no line-search trial of the last lowered max|F|",
-           "window": f"no progress in the last {STALL_WINDOW}"}
-    ended = (f"stalled after {report.iterations} iterations, "
-             f"{how[report.stalled]}" if report.stalled else
+    ended = (f"stalled after {report.iterations} iterations, no line-search "
+             "trial of the last lowered max|F|" if report.stalled else
              f"not converged after {report.iterations} iterations")
     return f"{ended}, residual {report.final_residual:.3e}"
 
@@ -240,7 +230,7 @@ def init_q_limit_relaxation(
     phase the label of the stage that needs the relaxation, names its
     residual or its error.
     """
-    base = base if base is not None else base_control(case)
+    base = base if base is not None else ControlMode()
     state = warm if warm is not None else flat_start(case, base)
     unbounded = _unbounded_control(state.index, base)
     state, report = try_solve(case, state, unbounded, opts, "q-limit-init")
@@ -248,11 +238,11 @@ def init_q_limit_relaxation(
         raise ContinuationError(
             f"{phase}: unbounded solve diverged ({_failure(report)})",
             frontier=(phase, 1.0))
-    index = state.index
+    x = state.x.tolist()
     q_scale = {}
     q_widen = {}
-
-    def size_relax(key, value, lo, hi):
+    for key, col, lo, hi in controlled_devices(state.index):
+        value = x[col]
         if value > hi:
             if hi > 0.0:
                 q_scale[key] = value / hi
@@ -263,10 +253,6 @@ def init_q_limit_relaxation(
                 q_scale[key] = value / lo
             else:
                 q_widen[key] = (lo - value, 0.0)
-
-    taps = ((("tap", bi), col) for bi, col in index.tap_col.items())
-    for key, col in (*index.q_col.items(), *taps):
-        size_relax(key, float(state.x[col]), *device_limits(case, key))
     relaxed = replace(base, q_scale=q_scale, q_widen=q_widen)
     return relaxed, state
 
@@ -286,11 +272,11 @@ def init_p_limit_relaxation(
     """
     if not case.agc_enabled:
         raise ContinuationError("p-limit relaxation requires distributed slack")
-    base = base if base is not None else base_control(case)
+    base = base if base is not None else ControlMode()
     linear = replace(base, p_relax=1.0)
     start = warm if warm is not None else flat_start(case, linear)
     # run as a sub-solve: landing took it to a far equilibrium
-    # (oscillation4's at 1.774 pu), and a plateau now ends it
+    # (oscillation4's at 1.774 pu), and an iteration without descent ends it
     state, report = try_solve(case, start, linear, opts, "p-limit-init",
                               subsolve=True)
     if not report.converged:
@@ -411,7 +397,7 @@ def run_homotopy(
     """
     if method not in STAGES:
         raise ValueError(f"unknown homotopy method {method!r}")
-    base = base if base is not None else base_control(case)
+    base = base if base is not None else ControlMode()
     total = SolveReport()
     stages = STAGES[method]
     state, followed = _run_stages(case, stages, FALLBACK.get(method), init,

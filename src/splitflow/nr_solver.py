@@ -12,10 +12,9 @@ crossed by almost any full voltage step, would otherwise hold max|F| up
 at every trial. Convergence requires both the residual and the step
 below tolerance: near-saturated sigmoid plateaus can make steps tiny
 while the network equations are still violated, so the step alone is
-never trusted. A sub-solve gives up early: at its first
-iteration that no trial brings below the max|F| it started from (a
-monotonicity test; Deuflhard, Newton Methods for Nonlinear Problems,
-2004, ch. 5), or after STALL_WINDOW iterations without progress.
+never trusted. A sub-solve gives up early, at its first iteration that
+no trial brings below the max|F| it started from (a monotonicity test;
+Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5).
 
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
@@ -72,10 +71,6 @@ TAP_FLOOR = 1e-6
 TOL_STEP = 1e-6  # largest step of a converged iteration
 STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
 STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
-# a sub-solve iteration makes progress only if it brings max|F| below
-# the value it started from by more than this fraction of that value
-STALL_DROP = 0.01
-STALL_WINDOW = 4  # iterations without progress that end a sub-solve
 # SuperLU settings of every factorization. The diagonal stays the pivot
 # unless it is below a tenth of its column's largest entry, so a unit row
 # whose column has entries elsewhere (a degenerate device) keeps its unit
@@ -92,8 +87,8 @@ class SolverOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be > 0")
+        if not 0.0 < self.tol_residual < float("inf"):
+            raise ValueError("tol_residual must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -131,10 +126,8 @@ class SolveReport:
     trace: list = field(default_factory=list)
     outer_iterations: int = 0
     diagnostics: list = field(default_factory=list)
-    # the rule that ended a sub-solve early, "" if none did: "descent"
-    # (an iteration that lowered no max|F|) or "window" (STALL_WINDOW
-    # iterations without progress)
-    stalled: str = ""
+    # whether a sub-solve ended early, at an iteration that lowered no max|F|
+    stalled: bool = False
     stalled_subsolves: int = 0  # sub-solves ended stalled
     continuation_backtracks: int = 0  # failed continuation steps retried
     residual_evals: int = 0  # line-search trials evaluated
@@ -334,14 +327,12 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     A subsolve lands no generator, and also ends, not converged and with
     report.stalled set, at the first iteration that does not converge
     and whose line search found no trial below the max|F| it started
-    from ("descent"), or once STALL_WINDOW consecutive iterations each
-    lower max|F| by no more than STALL_DROP of the value it started
-    from ("window"): a sub-solve that creeps by a few parts in a
-    thousand per iteration counts as idle. Measured without the first
-    rule over `tools/pipeline_census.py`, 156 of 162 failed sub-solves
-    had an iteration without descent before their last, and 2 of 3574
-    accepted ones (one solve, run with snap off and on) did, so the rule
-    ends failing sub-solves early and almost never a converging one.
+    from; one that creeps down by any amount runs on to max_iter.
+    Measured without this rule over `tools/pipeline_census.py`, 156 of
+    162 failed sub-solves had an iteration without descent before their
+    last, and 2 of 3574 accepted ones (one solve, run with snap off and
+    on) did, so the rule ends failing sub-solves early and almost never
+    a converging one.
     Continuation sub-solves and p-limit's linear init solve are
     sub-solves, to give up on a step that has stopped contracting:
     landing cost the continuations iterations and took that init solve
@@ -355,8 +346,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
     trace: list[TraceRow] = []
     diagnostics: list[str] = []
-    converged, stalled = False, ""
-    it = idle = evals = backtracks = 0
+    converged = stalled = False
+    it = evals = backtracks = 0
     max_res = kept = factors = None
     land = (np.empty(0, dtype=np.intp) if subsolve
             else generator_curves(state.index, ctl))
@@ -413,11 +404,9 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         if max_res < opts.tol_residual and max_step < TOL_STEP:
             converged = True
             break
-        if subsolve:
-            idle = idle + 1 if max_res >= start * (1.0 - STALL_DROP) else 0
-            if max_res >= start or idle >= STALL_WINDOW:
-                stalled = "descent" if max_res >= start else "window"
-                break
+        if subsolve and max_res >= start:
+            stalled = True
+            break
     report = SolveReport(
         converged=converged,
         iterations=it,
@@ -425,7 +414,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         trace=trace,
         diagnostics=diagnostics,
         stalled=stalled,
-        stalled_subsolves=int(bool(stalled)),
+        stalled_subsolves=int(stalled),
         residual_evals=evals,
         line_search_backtracks=backtracks,
         factors=factors if converged else None,

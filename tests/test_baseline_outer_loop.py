@@ -14,7 +14,7 @@ from splitflow.baseline_outer_loop import (
     classify_stability,
     solve_outer_loop,
 )
-from splitflow.circuit_stamps import FIXED_Q, base_control, flat_start
+from splitflow.circuit_stamps import FIXED_Q, ControlMode, flat_start
 from splitflow.cli_reporting import run_baseline
 from splitflow.errors import SingularSystemError
 from splitflow.homotopy_driver import run_homotopy
@@ -92,7 +92,7 @@ def test_recovery_from_q_min(offset, recovers):
     case = three_bus_pv_case()
     g, key = case.generators[0], ("gen", 0)
     modes, fixed_q = {key: FIXED_Q}, {key: g.q_min}
-    state = flat_start(case, base_control(case))
+    state = flat_start(case, ControlMode())
     pos = state.index.bus_pos[g.bus]
     state.x[2 * pos:2 * pos + 2] = [g.v_set + offset, 0.0]
     out = _switch_candidates(case, state, modes, fixed_q,

@@ -19,13 +19,13 @@ from splitflow.circuit_stamps import (
     FIXED_V,
     ControlMode,
     StateVector,
-    agc_response,
     assemble,
-    base_control,
     build_index,
     classify_regions,
+    controlled_devices,
     flat_start,
     residual,
+    slack_participation,
 )
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
@@ -91,6 +91,29 @@ ALL_CASES = {
 }
 
 
+def snapped_variants(case):
+    """(fixed_shunt_b, fixed_tap_ratio) of no snap, of the first shunt
+    snapped and of the first tap snapped, each where the case has one,
+    and of both."""
+    taps = [bi for bi, br in enumerate(case.branches) if br.tap is not None]
+    snaps = [({}, {})]
+    snaps += [({0: 0.1}, {})] if case.shunts else []
+    snaps += [({}, {taps[0]: 1.0})] if taps else []
+    snaps += [({0: 0.1}, {taps[0]: 1.0})] if case.shunts and taps else []
+    return snaps
+
+
+def case_limits(case, key):
+    """The (lo, hi) limits the case gives the device key: q_min/q_max,
+    b_min/b_max or tr_min/tr_max."""
+    kind, i = key
+    if kind == "gen":
+        return case.generators[i].q_min, case.generators[i].q_max
+    if kind == "shunt":
+        return case.shunts[i].b_min, case.shunts[i].b_max
+    return case.branches[i].tap.tr_min, case.branches[i].tap.tr_max
+
+
 def branch_jacobian(branch):
     """J of a two-bus case holding only the given branch from bus 1 to 2,
     at positions 0 and 1: bus position pos has its V_R and V_I columns
@@ -100,14 +123,14 @@ def branch_jacobian(branch):
         buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pq")),
         branches=(branch,), generators=(), loads=(),
     )
-    ctl = base_control(case)
+    ctl = ControlMode()
     state = flat_start(case, ctl)
     return as_array(assemble(case, state, ctl)[1])
 
 
 def load_delta(case):
     """(dF, dJ): what the case's loads add at its flat start."""
-    ctl = base_control(case)
+    ctl = ControlMode()
     state = flat_start(case, ctl)
     F, J = assemble(case, state, ctl)
     # the index holds the case's device arrays, so the load-free case
@@ -167,7 +190,7 @@ class TestLoadStamp:
 
     def test_collapsed_voltage_raises(self):
         case = two_bus_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         state = flat_start(case, ctl)
         pos = state.index.bus_pos[2]
         state.x[2 * pos] = 1e-5
@@ -179,7 +202,7 @@ class TestLoadStamp:
 class TestTapRatio:
     def test_zero_ratio_is_singular_point(self):
         case = tapped_case("primary")
-        ctl = base_control(case)
+        ctl = ControlMode()
         state = flat_start(case, ctl)
         state.x[state.index.tap_col[1]] = 0.0
         for evaluate in (residual, assemble):
@@ -191,7 +214,7 @@ class TestTapRatio:
         # the first full Newton step takes the primary-side tap from ratio
         # 1.0 to exactly 0; the line search must back off, not crash
         case = tapped_case("primary")
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert rep.line_search_backtracks >= 1
@@ -203,19 +226,19 @@ class TestJacobians:
 
     def test_branch_and_load(self):
         case = two_bus_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         for seed in range(100):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
     def test_generator_sigmoid(self):
         case = three_bus_pv_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         for seed in range(100):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
     def test_generator_relaxed_limits(self):
         case = three_bus_pv_case()
-        ctl = replace(base_control(case), q_scale={("gen", 0): 1.7},
+        ctl = replace(ControlMode(), q_scale={("gen", 0): 1.7},
                       q_widen={("gen", 0): (0.05, 0.1)}, smoothing_relax=4900.0)
         for seed in range(40):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
@@ -223,7 +246,7 @@ class TestJacobians:
     def test_generator_hard_rows(self):
         case = three_bus_pv_case()
         for mode, extra in ((FIXED_V, {}), (FIXED_Q, {("gen", 0): 0.25})):
-            ctl = replace(base_control(case),
+            ctl = replace(ControlMode(),
                           device_modes={("gen", 0): mode}, fixed_q=extra)
             for seed in range(25):
                 assert_jacobian_matches(case, random_state(case, ctl, seed),
@@ -231,34 +254,34 @@ class TestJacobians:
 
     def test_remote_group(self):
         case = remote_pair_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         for seed in range(100):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
     def test_transformer(self):
         for side in ("primary", "secondary"):
             case = tapped_case(controlled_side=side)
-            ctl = base_control(case)
+            ctl = ControlMode()
             for seed in range(50):
                 assert_jacobian_matches(case, random_state(case, ctl, seed),
                                         ctl)
 
     def test_switched_shunt(self):
         case = shunt_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         for seed in range(100):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
     def test_distributed_slack(self):
         case = lossless_agc_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         assert case.agc_enabled
         for seed in range(100):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
     def test_tx_relaxed_network(self):
         case = three_bus_pv_case()
-        ctl = replace(base_control(case), tx_relax=0.3, smoothing_relax=4900.0)
+        ctl = replace(ControlMode(), tx_relax=0.3, smoothing_relax=4900.0)
         for seed in range(25):
             assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
 
@@ -266,7 +289,7 @@ class TestJacobians:
 class TestCountingRule:
     def test_two_bus_dimension(self):
         case = two_bus_case()
-        idx = build_index(case, base_control(case))
+        idx = build_index(case, ControlMode())
         assert idx.dim == 4
 
     def test_full_configuration_dimension(self):
@@ -274,7 +297,7 @@ class TestCountingRule:
         # dim = 2N + (1 + 2) + 1 + 1 + 1
         case = full_configuration_case()
         n = len(case.buses)
-        idx = build_index(case, base_control(case))
+        idx = build_index(case, ControlMode())
         assert idx.dim == 2 * n + 3 + 1 + 1 + 1
 
     def test_unknowns_equal_equations(self):
@@ -282,7 +305,7 @@ class TestCountingRule:
         # nonempty row set for every configuration we bundle
         for case in (two_bus_case(), three_bus_pv_case(), remote_pair_case(),
                      tapped_case(), shunt_case(), lossless_agc_case()):
-            ctl = base_control(case)
+            ctl = ControlMode()
             state = flat_start(case, ctl)
             mat = assemble(case, state, ctl)[1]
             assert mat.shape == (state.index.dim, state.index.dim)
@@ -301,12 +324,8 @@ class TestCountingRule:
         local = [i for i, g in enumerate(case.generators)
                  if g.bus != slack and i not in members]
         taps = [bi for bi, br in enumerate(case.branches) if br.tap is not None]
-        snaps = [({}, {})]
-        snaps += [({0: 0.1}, {})] if case.shunts else []
-        snaps += [({}, {taps[0]: 1.0})] if taps else []
-        snaps += [({0: 0.1}, {taps[0]: 1.0})] if case.shunts and taps else []
-        for shunt_b, tap_ratio in snaps:
-            idx = build_index(case, replace(base_control(case),
+        for shunt_b, tap_ratio in snapped_variants(case):
+            idx = build_index(case, replace(ControlMode(),
                                             fixed_shunt_b=shunt_b,
                                             fixed_tap_ratio=tap_ratio))
             t, n = idx.inj, 2 * len(case.buses)
@@ -334,6 +353,34 @@ class TestCountingRule:
                 t.q_cols[t.local - t.n_loads].tolist()
 
 
+class TestControlledDevices:
+    @pytest.mark.parametrize("agc", [False, True])
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
+    def test_limits_are_the_case_s(self, name, agc):
+        # every generator off the slack bus, unsnapped shunt and unsnapped
+        # tap once, at its q or ratio column, with the case's own limits
+        case = replace(ALL_CASES[name](), agc_enabled=agc)
+        slack = case.slack_bus().id
+        for shunt_b, tap_ratio in snapped_variants(case):
+            idx = build_index(case, replace(ControlMode(),
+                                            fixed_shunt_b=shunt_b,
+                                            fixed_tap_ratio=tap_ratio))
+            walk = list(controlled_devices(idx))
+            cols = {key: col for key, col, _, _ in walk}
+            assert len(cols) == len(walk)
+            assert cols == {**idx.q_col, **{("tap", bi): c for bi, c
+                                            in idx.tap_col.items()}}
+            assert set(cols) == (
+                {("gen", i) for i, g in enumerate(case.generators)
+                 if g.bus != slack}
+                | {("shunt", j) for j in range(len(case.shunts))
+                   if j not in shunt_b}
+                | {("tap", bi) for bi, br in enumerate(case.branches)
+                   if br.tap is not None and bi not in tap_ratio})
+            for key, _, lo, hi in walk:
+                assert (lo, hi) == case_limits(case, key)
+
+
 class TestStructuralSymmetry:
     def test_bundled_matpower_pattern(self, bundled_matpower, monkeypatch):
         # structural symmetry is a property of which entries the stamps
@@ -343,7 +390,7 @@ class TestStructuralSymmetry:
         monkeypatch.setattr(circuit_stamps, "DENSE_MAX_DIM", 0)
         for name in ("case9", "case14"):
             case = bundled_matpower[name]
-            ctl = base_control(case)
+            ctl = ControlMode()
             state = random_state(case, ctl, 1)
             J = assemble(case, state, ctl)[1].tocoo()
             s = state.index.slack_pos
@@ -359,7 +406,7 @@ class TestGeneratorBehavior:
         # a converged solution with |V| exactly at the setpoint has the
         # reactive output at the middle of its range
         case = three_bus_pv_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         state = flat_start(case, ctl)
         idx = state.index
         pos = idx.bus_pos[2]
@@ -376,11 +423,11 @@ class TestGeneratorBehavior:
         # shunt's start holds the lower limit
         lo, hi = 0.1, 0.1 + 5e-13
         case = three_bus_pv_case(q_min=lo, q_max=hi)
-        state = flat_start(case, base_control(case))
+        state = flat_start(case, ControlMode())
         start = state.x[state.index.q_col[("gen", 0)]]
         assert start == (hi - lo) * 0.5 + lo != lo
         case = shunt_case(b_min=lo, b_max=hi)
-        state = flat_start(case, base_control(case))
+        state = flat_start(case, ControlMode())
         assert state.x[state.index.q_col[("shunt", 0)]] == lo
 
     def test_default_smoothing_is_5000(self):
@@ -390,7 +437,7 @@ class TestGeneratorBehavior:
         # on the continuous model, |V| below setpoint implies output above
         # the midpoint and vice versa: the unstable quadrants cannot occur
         for name, case in bundled_matpower.items():
-            ctl = base_control(case)
+            ctl = ControlMode()
             state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
             assert rep.converged, name
             for key, col in state.index.q_col.items():
@@ -407,7 +454,7 @@ class TestGeneratorBehavior:
 
     def test_kcl_at_convergence(self):
         case = three_bus_pv_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         F = residual(case, state, ctl)
@@ -418,14 +465,14 @@ class TestGeneratorBehavior:
 class TestSwitchedShuntBehavior:
     def test_degenerate_zero_range_is_noop(self):
         case = shunt_case(b_min=0.0, b_max=0.0)
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert state.x[state.index.q_col[("shunt", 0)]] == 0.0
 
     def test_midpoint_at_setpoint(self):
         case = shunt_case(b_min=0.0, b_max=0.5)
-        ctl = base_control(case)
+        ctl = ControlMode()
         state = flat_start(case, ctl)
         idx = state.index
         pos = idx.bus_pos[2]
@@ -436,12 +483,12 @@ class TestSwitchedShuntBehavior:
         assert F[idx.q_col[("shunt", 0)]] == pytest.approx(0.0, abs=1e-14)
 
     def test_saturated_shunt_raises_voltage(self):
-        ctl_off = base_control(shunt_case(b_min=0.0, b_max=0.0))
+        ctl_off = ControlMode()
         case_off = shunt_case(b_min=0.0, b_max=0.0)
         st_off, rep_off = nr_solve(case_off, flat_start(case_off, ctl_off),
                                    ctl_off, OPTS)
         case_on = shunt_case(b_min=0.0, b_max=0.5)
-        ctl_on = base_control(case_on)
+        ctl_on = ControlMode()
         st_on, rep_on = nr_solve(case_on, flat_start(case_on, ctl_on),
                                  ctl_on, OPTS)
         assert rep_off.converged and rep_on.converged
@@ -455,7 +502,7 @@ class TestRemoteGroup:
         from splitflow.case_model import RemoteControlGroup
 
         base = three_bus_pv_case(q_min=-0.4, q_max=0.4, v_set=1.02)
-        local_ctl = base_control(base)
+        local_ctl = ControlMode()
         st_local, rep1 = nr_solve(base, flat_start(base, local_ctl),
                                   local_ctl, OPTS)
         grouped = NetworkCase(
@@ -468,7 +515,7 @@ class TestRemoteGroup:
             remote_groups=(RemoteControlGroup(
                 controlled_bus=2, v_set=1.02, members=(0,), factors=(1.0,)),),
         )
-        ctl = base_control(grouped)
+        ctl = ControlMode()
         st_remote, rep2 = nr_solve(grouped, flat_start(grouped, ctl), ctl,
                                    OPTS)
         assert rep1.converged and rep2.converged
@@ -481,7 +528,7 @@ class TestRemoteGroup:
 
     def test_kappa_proportional_sharing(self):
         case = remote_pair_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         q1 = state.x[state.index.q_col[("gen", 0)]]
@@ -502,7 +549,7 @@ class TestRemoteGroup:
         )
         case = replace(case, generators=gens, loads=(Load(4, 0.8, 1.8),),
                        remote_groups=())
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         qreq = state.x[state.index.qreq_col[0]]
@@ -517,38 +564,45 @@ class TestRemoteGroup:
 class TestDistributedSlack:
     def test_zero_contingency_zero_surplus(self):
         case = lossless_agc_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert state.x[state.index.dps_col] == pytest.approx(0.0, abs=1e-9)
-        dp, _ = agc_response(case.generators[1], ctl, 1, 0.0)
-        assert dp == 0.0
+        dp, _ = slack_participation(ctl, state.index, 0.0)
+        assert dp.tolist() == [0.0]
 
     def test_linear_mode(self):
+        case = lossless_agc_case()
         gen = Generator(2, 0.5, 1.0, -9, 9, 0.0, 5.0, agc_factor=0.4)
+        case = replace(case, generators=(case.generators[0], gen))
         ctl = replace(ControlMode(), p_relax=1.0)
+        idx = build_index(case, ctl)
         for dps in (-2.0, 0.0, 3.0, 50.0):
-            dp, ddp = agc_response(gen, ctl, 0, dps)
-            assert dp == pytest.approx(0.4 * dps)
-            assert ddp == 0.4
+            dp, ddp = slack_participation(ctl, idx, dps)
+            assert dp.tolist() == [pytest.approx(0.4 * dps)]
+            assert ddp.tolist() == [0.4]
 
     def test_substitution_consistency(self):
         # the participation value recomputed at the converged surplus
         # matches what the currents used, exactly
         case = replace(lossless_agc_case(), loads=(Load(3, 1.4, 0.2),))
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
-        dps = state.x[state.index.dps_col]
-        dp1, _ = agc_response(case.generators[1], ctl, 1, dps)
-        dp2, _ = agc_response(case.generators[1], ctl, 1, dps)
-        assert dp1 == dp2
+        idx = state.index
+        dp, _ = slack_participation(ctl, idx, float(state.x[idx.dps_col]))
+        used = residual(case, state, ctl, keep=True)[1].inj[3]
+        at = idx.inj.agc_at
+        assert used[at].tolist() == \
+            (idx.inj.p[at] + dp[idx.inj.agc_pos]).tolist()
+        assert dp.tolist() == [case.generators[1].agc_factor
+                               * state.x[idx.dps_col]]
 
     def test_flat_start_surplus_is_lossless_estimate(self):
         # 0.4 pu of load beyond the schedule, shared 1 : 0.5 by the slack
         # and its member; the network is lossless, so that is the solution
         case = replace(lossless_agc_case(), loads=(Load(3, 1.4, 0.2),))
-        ctl = base_control(case)
+        ctl = ControlMode()
         init = flat_start(case, ctl)
         assert init.x[init.index.dps_col] == pytest.approx(0.4 / 1.5)
         state, rep = nr_solve(case, init, ctl, OPTS)
@@ -558,7 +612,7 @@ class TestDistributedSlack:
 
     def test_slack_voltage_pinned(self):
         case = lossless_agc_case()
-        ctl = base_control(case)
+        ctl = ControlMode()
         state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert state.v_complex(0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
@@ -566,10 +620,10 @@ class TestDistributedSlack:
 class TestRegions:
     def test_classification_thresholds(self):
         case = three_bus_pv_case(q_min=-1.0, q_max=1.0)
-        ctl = base_control(case)
+        ctl = ControlMode()
         state = flat_start(case, ctl)
         col = state.index.q_col[("gen", 0)]
         for q, expect in ((-1.0, "at-min"), (-0.999, "at-min"),
                           (0.0, "controlling"), (0.999, "at-max")):
             state.x[col] = q
-            assert classify_regions(case, state, ctl)[("gen", 0)] == expect
+            assert classify_regions(state, ctl)[("gen", 0)] == expect

@@ -184,7 +184,10 @@ def test_p_limit_without_agc_is_input_error():
                            "--homotopy", "p-limit"))
 
 
-@pytest.mark.parametrize("option,value", [("--max-iter", 0), ("--tol", -1)])
+@pytest.mark.parametrize("option,value", [
+    ("--max-iter", 0), ("--tol", -1), ("--tol", "nan"), ("--tol", "inf"),
+    ("--smoothing", "nan"), ("--smoothing", "inf"), ("--smoothing", 0),
+    ("--smoothing", -5)])
 def test_invalid_solver_option_is_input_error(option, value):
     assert_input_error(run("solve", CASE_DIR / "case9.m", option, value))
     assert_input_error(run("compare", CASE_DIR / "case9.m", option, value))

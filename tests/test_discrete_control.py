@@ -12,7 +12,7 @@ from splitflow import (
     SnappedInfeasibleError,
     SwitchedShunt,
 )
-from splitflow.circuit_stamps import StateVector, base_control, flat_start
+from splitflow.circuit_stamps import ControlMode, StateVector, flat_start
 from splitflow.discrete_control import build_steps, resolve_after_snap, snap_to_steps
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
@@ -118,7 +118,7 @@ def test_infeasible_snap_raises_after_the_sweep():
              shunts=(SwitchedShunt(4, 0.0, 0.5, 0.1, 1.0),)), {0: 0.2}, {}),
 ], ids=["discrete4", "remote_pair"])
 def test_remap_carries_shared_columns(case, shunt_b, tap_ratio):
-    base = base_control(case)
+    base = ControlMode()
     full = flat_start(case, base).index
     snapped = flat_start(case, replace(base, fixed_shunt_b=shunt_b,
                                        fixed_tap_ratio=tap_ratio)).index

@@ -24,11 +24,11 @@ import splitflow.nr_solver as nr_solver
 from splitflow import SingularSystemError
 from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
 from splitflow.circuit_stamps import (
+    ControlMode,
     StateVector,
     _Pass,
     _stamp_pass,
     assemble,
-    base_control,
     flat_start,
     residual,
 )
@@ -169,7 +169,7 @@ def test_slack_member_on_a_flat():
     # exactly 0 and emits no surplus-column entries, which changes J's
     # structure under the same index map
     case = with_slack_members(load_matpower("case30"))
-    ctl = base_control(case)
+    ctl = ControlMode()
     state = random_state(case, ctl, 0)
     idx = state.index
     k = idx.agc_kappa
@@ -367,7 +367,7 @@ def test_kept_order_fill_on_case118(agc):
     # L and U hold at most 6000 entries (COLAMD's held 8455 without
     # distributed slack and 8927 with it)
     case = replace(load_matpower("case118"), agc_enabled=agc)
-    ctl = base_control(case)
+    ctl = ControlMode()
     F, J = assemble(case, flat_start(case, ctl), ctl)
     solve_linear(J, -F)
     lu, inv = nr_solver._factor(J)

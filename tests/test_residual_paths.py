@@ -9,8 +9,8 @@ import pytest
 from splitflow.circuit_stamps import (
     FIXED_Q,
     FIXED_V,
+    ControlMode,
     assemble,
-    base_control,
     build_index,
     residual,
 )
@@ -54,7 +54,7 @@ def with_slack_members(case):
 
 def variant(case, name):
     """(case, ControlMode) of one control variant."""
-    ctl = base_control(case)
+    ctl = ControlMode()
     idx = build_index(case, ctl)
     keys = list(idx.q_col) + [("tap", bi) for bi in idx.tap_col]
     if name == "base":
@@ -70,7 +70,7 @@ def variant(case, name):
                              group_modes={0: FIXED_V})
     if name.startswith("slack-"):
         case = with_slack_members(case)
-        ctl = base_control(case)
+        ctl = ControlMode()
         members = build_index(case, ctl).agc_member_idx
         return case, replace(ctl, p_relax=float(name[len("slack-"):]),
                              p_extra={i: (0.3, 0.5) for i in members[::2]})
@@ -104,7 +104,7 @@ def test_jacobian_matches_in_outage_screening_configuration():
     case118 = load_matpower("case118")
     case = replace(case118, agc_enabled=True).drop_generator(
         case118.generators[3].bus)
-    ctl = base_control(case)
+    ctl = ControlMode()
     assert case.agc_enabled and build_index(case, ctl).dps_col is not None
     assert_jacobian_matches(case, random_state(case, ctl, 0), ctl)
 
@@ -113,7 +113,7 @@ def test_control_mode_changed_in_place_is_seen():
     # the pass reuses what it derived from the last ControlMode; a mode
     # whose dicts change in place must still be stamped as it now is
     case = load_matpower("case9")
-    ctl = base_control(case)
+    ctl = ControlMode()
     keys = list(build_index(case, ctl).q_col)
     ctl = replace(ctl, q_scale={k: 1.5 for k in keys})
     state = random_state(case, ctl, 0)

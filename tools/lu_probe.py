@@ -54,8 +54,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import splitflow.circuit_stamps as circuit_stamps  # noqa: E402
 from splitflow.case_model import parse_matpower  # noqa: E402
 from splitflow.circuit_stamps import (  # noqa: E402
+    ControlMode,
     _jacobian,
-    base_control,
     flat_start,
     residual,
 )
@@ -108,7 +108,7 @@ def refill(J, settings):
 
 
 def probe(name, case, rounds):
-    ctl = base_control(case)
+    ctl = ControlMode()
     st = residual(case, flat_start(case, ctl), ctl, keep=True)[1]
     with emitting("csc"):
         J = _jacobian(st)
