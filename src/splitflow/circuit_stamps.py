@@ -20,15 +20,15 @@ pass itself; `assemble` builds J from a new pass or from one `residual`
 kept at the same state (the NR line search keeps the pass of the trial it
 accepts), so F is the same either way and J is testable against finite
 differences of `residual`. All KCL terms enter F through one bincount.
-J's pattern is fixed by the index map and the J slots a pass keeps
-(`_Pass.kept`), so J's CSC structure (row indices, column pointers, the
-slack-row rewrite and the entry each value adds to) is cached on the
-IndexMap, keyed by the kept slots, and rebuilt when they change; each
-`assemble` emits values only and sums them into the structure with one
-bincount, duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the
-same bincount fills a dense J instead, through each entry's flat index,
-for a LAPACK solve; above, J is CSC, and the structure also keeps the
-LU column order of its pattern for `nr_solver.solve_linear`.
+J's pattern is fixed by the index map, which has every slot that can be
+non-zero (a mode without a partial emits 0.0 in it), so J's CSC
+structure (row indices, column pointers, the slack-row rewrite and the
+entry each value adds to) is built once per IndexMap; each `assemble`
+emits values only and sums them into the structure with one bincount,
+duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the same
+bincount fills a dense J instead, through each entry's flat index, for a
+LAPACK solve; above, J is CSC, and the structure also keeps the LU
+column order of its pattern for `nr_solver.solve_linear`.
 
 Columns follow one rule, fixed by one walk over the devices in
 `build_index`. The bus at position pos has V_real and V_imag at 2 pos
@@ -224,20 +224,18 @@ class IndexMap:
     inj: Injectors
     rows: ControlRows
     # the tables' J slots, table by table (taps, injections, control
-    # rows, participation rows) and slot by slot: rows, cols, whether the
-    # first two tables' are kept, and the injection rows' slack-surplus
-    # slots
+    # rows, participation rows) and slot by slot: rows, cols, and whether
+    # the map has the slot
     j_rows: np.ndarray
     j_cols: np.ndarray
     j_keep: np.ndarray
-    surplus: np.ndarray
     # distributed-slack members (agc_member_idx): factors, P headrooms
     agc_kappa: np.ndarray
     agc_lo: np.ndarray
     agc_hi: np.ndarray
     # (fields, _Controls) of the last ControlMode _controls derived
     last: tuple | None = field(default=None, repr=False, compare=False)
-    # J's CSC structure for the last kept slots `assemble` saw
+    # J's CSC structure, built by the first `assemble` on the map
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
 
@@ -399,8 +397,10 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
 
 
 def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
-    """The tables' J slots (IndexMap.j_rows to surplus). Each table is a
-    (slot, row) grid, raveled slot by slot."""
+    """The tables' J slots (IndexMap.j_rows to j_keep). Each table is a
+    (slot, row) grid, raveled slot by slot. The map has every slot but a
+    snapped tap's ratio slots, a load's or snapped shunt's q slots, and
+    the surplus slots of a row that is no distributed-slack member."""
     T, tc, n = len(taps.branches), len(taps.cols), len(inj.pos)
     f, t = taps.at[0], taps.at[2]
     tau = np.zeros(T, dtype=np.intp)
@@ -420,15 +420,16 @@ def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
         ((c, c, c), (c, v, v + 1)),
         ((m, m), (m, inj.qreq)),
     ]
-    tap_keep = np.ones((20, T), dtype=bool)
-    tap_keep[16:, tc:] = False
-    inj_keep = np.zeros((8, n), dtype=bool)
-    inj_keep[:4] = True
-    inj_keep[4:6, inj.local] = inj_keep[4:6, inj.members] = True
+    keep = [np.ones((20, T), dtype=bool), np.zeros((8, n), dtype=bool)]
+    keep[0][16:, tc:] = False
+    keep[1][:4] = True
+    keep[1][4:6, inj.local] = keep[1][4:6, inj.members] = True
+    if dps_col is not None:
+        keep[1][6:, inj.agc_at] = True
+    keep += [np.ones(3 * len(c) + 2 * len(m), dtype=bool)]
     return dict(j_rows=np.concatenate([np.ravel(r) for r, _ in grids]),
                 j_cols=np.concatenate([np.ravel(c) for _, c in grids]),
-                j_keep=np.concatenate((tap_keep.ravel(), inj_keep.ravel())),
-                surplus=20 * T + n * np.array([[6], [7]]) + np.arange(n))
+                j_keep=np.concatenate([np.ravel(k) for k in keep]))
 
 
 def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
@@ -550,7 +551,6 @@ class _Controls:
     curve: np.ndarray  # members on their participation curve
     tap_ratio: np.ndarray  # snapped taps' ratios
     shunt_b: np.ndarray  # snapped shunts' susceptances
-    keep: np.ndarray  # J slots kept (IndexMap.j_rows; surplus slots off)
     gen_curves: np.ndarray  # local generators' q columns on their sigmoid
 
 
@@ -612,8 +612,6 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
                            dtype=float),
         shunt_b=np.array([ctl.fixed_shunt_b[t.keys[k][1]] for k in t.snapped],
                          dtype=float),
-        keep=np.concatenate((idx.j_keep, ~fixed_v, fixed_v | sig,
-                             fixed_v | sig, np.ones_like(follow), follow)),
         gen_curves=r.cols[:G][sig[:G]])
     # copies, so that a ControlMode changed in place is not mistaken
     idx.last = (tuple(dict(d) for d in key), c)
@@ -670,17 +668,9 @@ class _Pass:
         self.net = self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
 
-    def kept(self) -> np.ndarray:
-        """The J slots the pass emits (IndexMap.j_rows): its ControlMode's,
-        and a slack member's surplus slots where its slope is not 0."""
-        keep, dp = self.c.keep, self.inj[-1]
-        if dp is not None:
-            keep = keep.copy()
-            keep[self.index.surplus] = dp != 0.0
-        return keep
-
     def slot_values(self) -> np.ndarray:
-        """Every J slot's value, kept or not, in IndexMap.j_rows order."""
+        """Every J slot's value, the map's or not, in IndexMap.j_rows
+        order."""
         return np.concatenate((_tap_slots(self), _injection_slots(self),
                                _control_slots(self)))
 
@@ -843,9 +833,12 @@ def _stamp_control_rows(st: _Pass, dd_bus: np.ndarray) -> list:
 
 
 def _control_slots(st: _Pass) -> np.ndarray:
-    """The control rows' J slot values, then the participation rows'."""
+    """The control rows' J slot values, then the participation rows'; 0.0
+    where a row's mode has no partial (a FIXED_V row's own column, a held
+    row's voltages)."""
     c, x = st.c, st.x
-    V = np.ones((3, len(c.held)))
+    V = np.zeros((3, len(c.held)))
+    V[0] = ~c.fixed_v
     vm, ds = st.curves
     if vm is not None:
         V[1:, c.sig] = -ds * x[c.curves[0]] / vm
@@ -880,19 +873,18 @@ def _slack_rows(st: _Pass, F: np.ndarray):
 
 @dataclass
 class _JacobianStructure:
-    """J's CSC structure for one set of kept slots, and the same entries
-    as flat indices into a dense J.
+    """J's CSC structure on one IndexMap, and the same entries as flat
+    indices into a dense J.
 
     A call's J values come from its source vector: the network block's
     values, every slot's value, the two unit diagonals of the slack
-    voltage rows and, with distributed slack, the kept values in the slack
-    bus rows moved to the surplus row (each times its row's own voltage)
-    and the surplus row's own entries I_SR, I_SI and -1. The used source
-    values are summed into their entries in source order, from 0.0.
+    voltage rows and, with distributed slack, the map's values in the
+    slack bus rows moved to the surplus row (each times its row's own
+    voltage) and the surplus row's own entries I_SR, I_SI and -1. The used
+    source values are summed into their entries in source order, from 0.0.
     """
 
-    keep: np.ndarray  # the key: the kept slots (_Pass.kept)
-    at: np.ndarray  # kept sources in the slack bus rows, and their
+    at: np.ndarray  # the map's sources in the slack bus rows, and their
     on: np.ndarray  # voltage columns (each row's own)
     used: np.ndarray  # source positions that enter J, and the entry each
     slot: np.ndarray  # adds to
@@ -932,14 +924,13 @@ class _JacobianStructure:
         self.inv = inv
 
 
-def _jacobian_structure(idx: IndexMap, keep: np.ndarray) -> _JacobianStructure:
-    """J's structure when a pass keeps these slots: the slack-row
-    rewrite, and the distinct (row, col) entries of the used sources,
-    sorted by column and row."""
+def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
+    """J's structure on the map: the slack-row rewrite, and the distinct
+    (row, col) entries of the used sources, sorted by column and row."""
     dim, r, d = idx.dim, 2 * idx.slack_pos, idx.dps_col
     rows = np.concatenate((idx.net_rows, idx.j_rows))
     cols = np.concatenate((idx.net_cols, idx.j_cols))
-    kept = np.concatenate((np.ones(idx.net_rows.size, dtype=bool), keep))
+    kept = np.concatenate((np.ones(idx.net_rows.size, dtype=bool), idx.j_keep))
     slack = (rows >> 1) == idx.slack_pos
     at = np.flatnonzero(kept & slack)
     # rows and columns of the source vector (see _JacobianStructure)
@@ -959,21 +950,18 @@ def _jacobian_structure(idx: IndexMap, keep: np.ndarray) -> _JacobianStructure:
     # rewrite the cache
     indices.flags.writeable = indptr.flags.writeable = False
     dense = ((entries % dim) * dim + entries // dim)[slot]
-    return _JacobianStructure(keep.copy(), at, rows[at], used, slot, indices,
-                              indptr, dense)
+    return _JacobianStructure(at, rows[at], used, slot, indices, indptr, dense)
 
 
 def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
-    """J from the pass's values, summed into the structure cached on the
-    index map; the structure is rebuilt when the pass keeps other slots
-    (a generator switched between PV and PQ, a slack member's slope
-    exactly 0, a tap or group row of another kind). Up to DENSE_MAX_DIM
-    unknowns J is a dense array, else a CSC matrix; both sum the same
-    values in the same order, so their entries are equal bit for bit."""
-    idx, keep = st.index, st.kept()
+    """J from the pass's values, summed into the index map's structure,
+    which the first call on the map builds. Up to DENSE_MAX_DIM unknowns J
+    is a dense array, else a CSC matrix; both sum the same values in the
+    same order, so their entries are equal bit for bit."""
+    idx = st.index
+    if idx.jac is None:
+        idx.jac = _jacobian_structure(idx)
     s = idx.jac
-    if s is None or not np.array_equal(keep, s.keep):
-        s = idx.jac = _jacobian_structure(idx, keep)
     head = np.concatenate((st.net, st.slot_values()))
     parts = [head, (1.0, 1.0)]
     if idx.dps_col is not None:
@@ -1022,9 +1010,9 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     kept, if given, is the pass `residual(case, state, ctl, keep=True)`
     returned at this very state (state.x unchanged since): J is built
     from the values that pass kept, and the state is not stamped again.
-    J's CSC structure is cached on the state's IndexMap, keyed by the
-    J slots the pass keeps, and only its values are emitted per call,
-    duplicates summed in emitted order (see `_jacobian`).
+    J's CSC structure is built once per IndexMap, and only its values
+    are emitted per call, duplicates summed in emitted order (see
+    `_jacobian`).
 
     J has two representations, by its dimension alone. Up to
     DENSE_MAX_DIM unknowns it is a dense ndarray, which

@@ -19,6 +19,7 @@ import numpy as np
 from .baseline_outer_loop import classify_stability, solve_outer_loop
 from .case_model import NetworkCase, parse_matpower, parse_native
 from .circuit_stamps import (
+    STEEPNESS_FLOOR,
     ControlMode,
     StateVector,
     classify_regions,
@@ -71,7 +72,7 @@ def run_continuous(
     snap: bool = False,
 ) -> PipelineResult:
     base = ControlMode(smoothing=smoothing)
-    state, report = run_homotopy(case, None, method, opts, base)
+    state, report = run_homotopy(case, method, opts, base)
     plan = None
     if snap and report.converged:
         state, snapped, plan = resolve_after_snap(case, state, opts, base)
@@ -183,8 +184,9 @@ def _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter, agc=False,
             contingency=None) -> tuple[NetworkCase, SolverOptions]:
     """The case and solver options; any input error exits with status 2."""
     try:
-        if not 0.0 < smoothing < math.inf:
-            raise ValueError("--smoothing must be finite and > 0")
+        if not STEEPNESS_FLOOR <= smoothing < math.inf:
+            raise ValueError(f"--smoothing must be finite and at least the "
+                             f"steepness floor {STEEPNESS_FLOOR:g}")
         case = load_case(case_file, fmt)
         if agc:
             case = replace(case, agc_enabled=True)

@@ -186,10 +186,7 @@ def _tx_path(base: ControlMode):
     top = 1.0 + TX_INITIAL * TX_SCALE
 
     def make(t: float) -> ControlMode:
-        if t <= 0.0:
-            return replace(base, tx_relax=0.0)
-        lam = (top**t - 1.0) / TX_SCALE
-        return replace(base, tx_relax=min(lam, TX_INITIAL))
+        return replace(base, tx_relax=(top**t - 1.0) / TX_SCALE)
 
     return make
 
@@ -359,13 +356,14 @@ FALLBACK = {
 METHODS = tuple(STAGES)
 
 
-def _run_stages(case, stages, fallback, state, opts, base, total):
-    """Follow each stage's path from the state the previous one reached.
+def _run_stages(case, stages, fallback, opts, base, total):
+    """Follow each stage's path from the state the previous one reached,
+    the first from its own start.
 
     Returns the final state and whether any stage had a path. When a
     path dead-ends, the fallback stages, if any, run in place of the rest.
     """
-    followed = False
+    state, followed = None, False
     for phase, stage, soft in stages:
         make, state = stage(case, opts, _softened(base) if soft else base,
                             state, phase)
@@ -376,14 +374,13 @@ def _run_stages(case, stages, fallback, state, opts, base, total):
         except ContinuationError:
             if not fallback:
                 raise
-            return _run_stages(case, fallback, (), None, opts, base, total)
+            return _run_stages(case, fallback, (), opts, base, total)
         followed = True
     return state, followed
 
 
 def run_homotopy(
     case: NetworkCase,
-    init: StateVector | None,
     method: str,
     opts: SolverOptions,
     base: ControlMode | None = None,
@@ -400,8 +397,8 @@ def run_homotopy(
     base = base if base is not None else ControlMode()
     total = SolveReport()
     stages = STAGES[method]
-    state, followed = _run_stages(case, stages, FALLBACK.get(method), init,
-                                  opts, base, total)
+    state, followed = _run_stages(case, stages, FALLBACK.get(method), opts,
+                                  base, total)
     if not followed:
         # nothing to relax: one solve at the target problem stands in
         state = state if state is not None else flat_start(case, base)

@@ -33,18 +33,17 @@ crossover J is a CSC matrix, and every sparse LU runs with the settings
 in `SPLU`: a minimum-degree column order on the pattern of J + Jᵀ,
 which suits power-flow Jacobians (near-symmetric in pattern), no
 relaxed supernodes or panels (their supernodes are tiny), and
-diagonal-preferring pivots. The LU keeps the
-column order of each J pattern: the first factorization of a pattern
-orders its columns, and later ones factor J with its columns already in
-that order, which gives the same LU and the same solution bit for bit.
+diagonal-preferring pivots. J has one pattern per index map, and the
+first factorization on a map orders its columns; later ones factor J
+with its columns already in that order, which gives the same LU and the
+same solution bit for bit.
 
-A factorization can be kept (`solve_linear(..., keep=True)`): `DenseLU`
-holds LAPACK's LU and pivots and solves again by getrs, `SparseLU` the
-SuperLU object and its kept order. Only a continuation sub-solve keeps
-one: each iteration's, until the next replaces it, and on convergence
-the LU of its last J, handed back in `SolveReport.factors` for the
-continuation to predict its next step from (`homotopy_driver`). Every
-other solve frees each LU once its iteration has solved with it.
+`solve_linear` also returns its factorization: `DenseLU` holds LAPACK's
+LU and pivots and solves again by getrs, `SparseLU` the SuperLU object
+and its kept order. A solve holds one LU at a time, each iteration's
+until the next replaces it, and a converged solve hands the LU of its
+last J back in `SolveReport.factors`, which a continuation predicts its
+next step from (`homotopy_driver`).
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ class SolveReport:
     continuation_backtracks: int = 0  # failed continuation steps retried
     residual_evals: int = 0  # line-search trials evaluated
     line_search_backtracks: int = 0  # trials rejected, each halving the step
-    # a converged sub-solve's own: the LU of its last J, which the
-    # continuation predicts its next step from; no total ever holds it
+    # a converged solve's own: the LU of its last J, which a continuation
+    # predicts its next step from; no total ever holds it
     factors: DenseLU | SparseLU | None = field(
         default=None, repr=False, compare=False)
 
@@ -150,17 +149,15 @@ class SolveReport:
             setattr(self, f.name, value)
 
 
-def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray,
-                 keep: bool = False):
+def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     """Direct solve of mat x = rhs: LAPACK for a dense array, sparse LU
-    for a sparse matrix. Returns x, or with keep (x, factors): factors,
-    a `DenseLU` or `SparseLU`, solve mat x = b for another b without
-    factoring anew.
+    for a sparse matrix. Returns (x, factors): factors, a `DenseLU` or
+    `SparseLU`, solve mat x = b for another b without factoring anew.
 
     The sparse LU factors with the `SPLU` settings. A J from `assemble`
-    carries its cached structure, which keeps the LU column order of its
-    pattern after the first factorization (see `_factor`); any other
-    sparse matrix is ordered on each call. After the LAPACK solve, each
+    carries its index map's structure, which keeps the LU column order
+    of its pattern after the first factorization (see `_factor`); any
+    other sparse matrix is ordered on each call. After the LAPACK solve, each
     row with one entry sets its unknown to rhs[i] / mat[i, j], which
     returns rhs[i] exactly for a unit row, as the diagonal-preferring
     SuperLU pivot does.
@@ -198,7 +195,7 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray,
         raise SingularSystemError(
             f"near-singular system: relative solve error {err:.3e}"
         )
-    return (x, factors) if keep else x
+    return x, factors
 
 
 class DenseLU:
@@ -264,8 +261,9 @@ def _factor(mat):
     A J that shares its pattern with the structure it carries is factored
     as the structure's permuted matrix, refilled with J's values, in the
     NATURAL order, once the structure has the pattern's order; the first
-    factorization of a pattern orders it (minimum degree on J + Jᵀ) and
-    gives the structure that order. Every call uses the `SPLU` settings."""
+    factorization on an index map orders it (minimum degree on J + Jᵀ)
+    and gives the structure that order. Every call uses the `SPLU`
+    settings."""
     s = getattr(mat, "structure", None)
     # scipy keeps the structure's column pointers and a view of its row
     # indices; a J whose pattern arrays were replaced is ordered afresh
@@ -339,8 +337,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     to a far equilibrium on oscillation4. Other top-level solves are
     not, since they can cross a plateau (eight idle iterations on a
     stiff radial feeder's direct solve, say) and still converge. A
-    converged sub-solve's report also carries the LU of its last J
-    (`SolveReport.factors`); other solves keep none.
+    converged solve's report also carries the LU of its last J
+    (`SolveReport.factors`).
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
@@ -357,11 +355,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
             # the starting norm; a collapsed start raises in assemble
             max_res = float(np.abs(F).max())
         try:
-            if subsolve:  # its last LU goes back to the continuation
-                factors = None  # one LU at a time: this one goes first
-                dx, factors = solve_linear(J, -F, keep=True)
-            else:
-                dx = solve_linear(J, -F)
+            factors = None  # one LU at a time: this one goes first
+            dx, factors = solve_linear(J, -F)
         except SingularSystemError as exc:
             exc.iteration = it
             raise

@@ -53,7 +53,7 @@ def test_switching_order_picks_the_solution(oscillation4, order, vmax,
 
 @pytest.mark.parametrize("method", ["q-limit", "composite", "smoothing", "tx"])
 def test_continuous_models_reach_one_stable_answer(oscillation4, method):
-    state, report = run_homotopy(oscillation4, None, method, OPTS)
+    state, report = run_homotopy(oscillation4, method, OPTS)
     assert report.converged
     assert v_max(oscillation4, state) == pytest.approx(1.0004, abs=5e-5)
     assert unstable(oscillation4, state) == 0

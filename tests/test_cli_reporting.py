@@ -193,6 +193,23 @@ def test_invalid_solver_option_is_input_error(option, value):
     assert_input_error(run("compare", CASE_DIR / "case9.m", option, value))
 
 
+@pytest.mark.parametrize("value", [5, 9.99])
+def test_smoothing_below_the_floor_is_input_error(value):
+    # below STEEPNESS_FLOOR the solve would run at the floor, not at value
+    floor = f"steepness floor {circuit_stamps.STEEPNESS_FLOOR:g}"
+    for command in ("solve", "compare"):
+        result = run(command, CASE_DIR / "case9.m", "--smoothing", value)
+        assert_input_error(result)
+        assert floor in result.stderr
+
+
+def test_smoothing_at_the_floor_is_accepted():
+    result = run("solve", CASE_DIR / "case9.m", "--smoothing",
+                 circuit_stamps.STEEPNESS_FLOOR)
+    assert result.exit_code == 0, result.output
+    assert "converged: true" in result.stdout.splitlines()
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert_input_error(run("solve", tmp_path / "absent.m"))
 

@@ -36,7 +36,7 @@ class TestResolveAfterSnap:
     @pytest.fixture(scope="class")
     def snapped(self):
         case = load_native("discrete4")
-        state, report = run_homotopy(case, None, "none", OPTS)
+        state, report = run_homotopy(case, "none", OPTS)
         assert report.converged
         return case, resolve_after_snap(case, state, OPTS)
 
@@ -65,7 +65,7 @@ def test_failed_direct_resolve_counts_in_the_sweep(monkeypatch):
     # fails (2 iterations) and the sweep takes over (15): the report
     # totals every NR iteration run, the failed direct re-solve's too
     case = load_native("discrete4")
-    state, report = run_homotopy(case, None, "smoothing", OPTS)
+    state, report = run_homotopy(case, "smoothing", OPTS)
     assert report.converged
     reports = []
 
@@ -98,7 +98,7 @@ def test_infeasible_snap_raises_after_the_sweep():
         shunts=(SwitchedShunt(2, 0.0, 4.0, 4.0, 1.0),),
         name="snap_infeasible",
     )
-    state, report = run_homotopy(case, None, "none", OPTS)
+    state, report = run_homotopy(case, "none", OPTS)
     assert report.converged
     with pytest.raises(SnappedInfeasibleError) as err:
         resolve_after_snap(case, state, OPTS)

@@ -79,13 +79,13 @@ class TestScheduleAndPaths:
         case = two_bus_case()
         ctl = ControlMode()
         st_plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
-        st_h, rep_h = run_homotopy(case, None, "none", OPTS)
+        st_h, rep_h = run_homotopy(case, "none", OPTS)
         assert rep_h.converged
         assert np.array_equal(st_h.x, st_plain.x)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="anneal"):
-            run_homotopy(two_bus_case(), None, "anneal", OPTS)
+            run_homotopy(two_bus_case(), "anneal", OPTS)
 
     def test_smoothing_initial_steepness(self):
         # the first relaxed problem runs at effective steepness 100
@@ -132,7 +132,7 @@ class TestQLimitRelaxation:
         relaxed, state = init_q_limit_relaxation(case, OPTS)
         assert relaxed.q_scale == {}
         assert relaxed.q_widen == {}
-        st, rep = run_homotopy(case, None, "q-limit", OPTS)
+        st, rep = run_homotopy(case, "q-limit", OPTS)
         assert rep.converged
 
     def test_scale_ratio_from_unbounded_solve(self):
@@ -168,7 +168,7 @@ class TestQLimitRelaxation:
         assert hard.fixed_q == {("gen", 1): pytest.approx(0.2)}
         relaxed, _ = init_q_limit_relaxation(case, OPTS)
         assert set(relaxed.q_scale) == {("gen", 0)}  # the path is followed
-        _, rep = run_homotopy(case, None, "q-limit", OPTS)
+        _, rep = run_homotopy(case, "q-limit", OPTS)
         assert rep.converged
 
     @pytest.mark.parametrize("method", ["q-limit", "composite"])
@@ -190,7 +190,7 @@ class TestQLimitRelaxation:
 
         patch_nr_solve(monkeypatch, wrap)
         with pytest.raises(ContinuationError) as err:
-            run_homotopy(tapped_case("primary"), None, method, OPTS)
+            run_homotopy(tapped_case("primary"), method, OPTS)
         assert err.value.frontier == (phase, 1.0)
         assert str(err.value).startswith(
             f"{phase}: unbounded solve diverged (not converged after "
@@ -214,7 +214,7 @@ class TestQLimitRelaxation:
         ctl = ControlMode()
         plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged and rep_plain.iterations == 60
-        st, rep = run_homotopy(case, None, "q-limit", OPTS)
+        st, rep = run_homotopy(case, "q-limit", OPTS)
         assert rep.converged
         assert rep.final_residual < OPTS.tol_residual
         one = SolverOptions(max_iter=1)
@@ -257,8 +257,8 @@ class TestPLimitRelaxation:
         n = len(case.buses)
         _, init = init_p_limit_relaxation(case, OPTS)
         assert max(init.v_mag(p) for p in range(n)) < 1.01
-        st, rep = run_homotopy(case, None, "p-limit", OPTS)
-        ref, rep_tx = run_homotopy(case, None, "tx", OPTS)
+        st, rep = run_homotopy(case, "p-limit", OPTS)
+        ref, rep_tx = run_homotopy(case, "tx", OPTS)
         assert rep.converged and rep_tx.converged
         assert np.abs(st.x[:2 * n] - ref.x[:2 * n]).max() < 1e-6
 
@@ -311,7 +311,7 @@ class TestRunHomotopy:
         case = remote_pair_case()
         base = ControlMode()
         for method in ("smoothing", "q-limit", "tx", "composite"):
-            state, rep = run_homotopy(case, None, method, OPTS)
+            state, rep = run_homotopy(case, method, OPTS)
             assert rep.converged, method
             res = np.abs(residual(case, state, base)).max()
             assert res < OPTS.tol_residual
@@ -320,7 +320,7 @@ class TestRunHomotopy:
         case = remote_pair_case()
         solutions = []
         for method in ("smoothing", "q-limit", "tx", "composite"):
-            state, rep = run_homotopy(case, None, method, OPTS)
+            state, rep = run_homotopy(case, method, OPTS)
             solutions.append(state.x)
         for x in solutions[1:]:
             assert np.abs(x - solutions[0]).max() < 1e-6
@@ -332,7 +332,7 @@ class TestRunHomotopy:
         ctl = ControlMode()
         plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged
-        st, rep = run_homotopy(case, None, "tx", OPTS)
+        st, rep = run_homotopy(case, "tx", OPTS)
         assert rep.converged
         assert np.abs(plain.x - st.x).max() < 1e-12
 
@@ -351,7 +351,7 @@ class TestRunHomotopy:
         for key, col in plain.index.q_col.items():
             assert plain.x[col] == pytest.approx(case.generators[key[1]].q_min)
         for method in ("tx", "q-limit"):
-            st, rep = run_homotopy(case, None, method, OPTS)
+            st, rep = run_homotopy(case, method, OPTS)
             assert rep.converged
             assert max(st.v_mag(p) for p in range(n)) < 1.01
             assert np.abs(plain.x[:2 * n] - st.x[:2 * n]).max() == \
@@ -363,7 +363,7 @@ class TestRunHomotopy:
         # solve
         case = stiff_feeder_case()
         ctl = ControlMode()
-        st_tx, rep_tx = run_homotopy(case, None, "tx", OPTS)
+        st_tx, rep_tx = run_homotopy(case, "tx", OPTS)
         assert rep_tx.converged
         st_plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged
@@ -373,7 +373,7 @@ class TestRunHomotopy:
     def test_infeasible_case_raises_with_frontier(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)  # beyond the nose
         with pytest.raises(ContinuationError) as err:
-            run_homotopy(case, None, "tx", OPTS)
+            run_homotopy(case, "tx", OPTS)
         phase, t = err.value.frontier
         assert phase == "tx" and 0.0 < t < 1.0
         # the error names the shortest step tried, no longer than the
@@ -394,7 +394,7 @@ class TestRunHomotopy:
         # stops the probe well inside its budget (87 NR iterations)
         reports = recorded_reports(monkeypatch)
         with pytest.raises(ContinuationError, match="tx: stuck at t = "):
-            run_homotopy(load_native("two_bus_no_solution"), None, "tx", OPTS)
+            run_homotopy(load_native("two_bus_no_solution"), "tx", OPTS)
         assert sum(r.iterations for r in reports) <= 100
 
     def test_swallowed_solver_error_kept_in_diagnostics(self):
@@ -425,7 +425,7 @@ class TestRunHomotopy:
             return third_singular
 
         patch_nr_solve(monkeypatch, wrap)
-        _, rep = run_homotopy(two_bus_case(), None, "smoothing", OPTS)
+        _, rep = run_homotopy(two_bus_case(), "smoothing", OPTS)
         assert rep.converged and rep.continuation_backtracks == 1
         assert calls[:3] == ["smoothing"] * 3
         assert rep.diagnostics == ["singular at the third"]
@@ -436,7 +436,7 @@ class TestRunHomotopy:
         # 1 / BACKTRACK if d was the step's first trial and 1 if it was a
         # shortened one; each failed trial halves its step
         reports = recorded_reports(monkeypatch)
-        _, rep = run_homotopy(load_matpower("case118"), None, "tx", OPTS)
+        _, rep = run_homotopy(load_matpower("case118"), "tx", OPTS)
         assert rep.converged and rep.continuation_backtracks > 0
         path = [(r.trace[0].t, r.converged) for r in reports]
         assert path[0] == (1.0, True) and path[-1] == (0.0, True)
@@ -462,7 +462,7 @@ class TestRunHomotopy:
         # to t = 0.75 and holds; twice it, to t = 0.625, failed here when
         # every accepted step doubled. From then on the steps hold at once
         reports = recorded_reports(monkeypatch)
-        _, rep = run_homotopy(load_matpower("case118"), None, "tx", OPTS)
+        _, rep = run_homotopy(load_matpower("case118"), "tx", OPTS)
         path = [(r.trace[0].t, r.converged) for r in reports]
         assert path == ([(1.0, True), (0.5, False), (0.75, False),
                          (0.875, True), (0.75, True), (0.5, True)]
@@ -497,7 +497,7 @@ class TestRunHomotopy:
 
     def test_trace_carries_lambda_columns(self):
         case = three_bus_pv_case(q_min=-0.05, q_max=0.05)
-        state, rep = run_homotopy(case, None, "q-limit", OPTS)
+        state, rep = run_homotopy(case, "q-limit", OPTS)
         assert rep.converged
         assert any(row.lambda_g_max > 1.0 for row in rep.trace)
         final = rep.trace[-1]
@@ -537,7 +537,7 @@ class TestPredictor:
                                 counted(attr, getattr(nr_solver, attr)))
         reports = recorded_reports(monkeypatch)
         case = load_matpower(name) if name == "case118" else load_native(name)
-        _, rep = run_homotopy(case, None, method, OPTS)
+        _, rep = run_homotopy(case, method, OPTS)
         assert rep.converged and rep.continuation_backtracks > 0
         assert len(factored) == sum(r.iterations for r in reports)
         assert set(factored) == {"splu" if name == "case118" else "dgesv"}
@@ -560,7 +560,7 @@ class TestPredictor:
 
         patch_nr_solve(monkeypatch, wrap)
         case = load_matpower("case118")
-        _, total = run_homotopy(case, None, "tx", OPTS)
+        _, total = run_homotopy(case, "tx", OPTS)
         assert total.converged and total.continuation_backtracks > 0
         accepted = first = None
         shortened = 0
@@ -613,14 +613,14 @@ class TestStallWindow:
         # still converges, not stalled (13 iterations; 94 and 84 before
         # the generators' q was landed after a cut step)
         case = stiff_feeder_case()
-        _, rep = run_homotopy(case, None, "none", OPTS)
+        _, rep = run_homotopy(case, "none", OPTS)
         assert rep.converged and not rep.stalled
         assert rep.iterations == 13
         assert _longest_idle_run(rep) == 8
 
     def test_failed_sub_solves_end_stalled(self):
         case = load_native("oscillation4")
-        _, rep = run_homotopy(case, None, "q-limit", OPTS)
+        _, rep = run_homotopy(case, "q-limit", OPTS)
         assert rep.converged
         assert rep.continuation_backtracks > 0
         assert rep.stalled_subsolves == rep.continuation_backtracks

@@ -1,17 +1,17 @@
-"""`assemble` sums J's values into a CSC structure cached on the
-IndexMap, keyed by the J slots a pass keeps. Its J must equal the pass's
-triplets with duplicates summed in the order they are emitted, byte for
-byte, also when the structure changes under one map, and when it is
-built from a pass the line search kept. `solve_linear` factors with the
+"""`assemble` sums J's values into a CSC structure built once per
+IndexMap. Its J must equal the pass's triplets with duplicates summed in
+the order they are emitted, byte for byte, also when modes switch under
+one map, and when it is built from a pass the line search kept. Every J
+on one map shares one structure. `solve_linear` factors with the
 `nr_solver.SPLU` settings and keeps each structure's LU column order,
-and its solutions must equal `splu` with those settings byte for byte.
+ordering once per map, and its solutions must equal `splu` with those
+settings byte for byte.
 
 Up to `circuit_stamps.DENSE_MAX_DIM` unknowns J is emitted dense; these
 tests have every J emitted as CSC (`emit`), but for those that check
 the dense J against the same references."""
 
 import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +26,6 @@ from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
 from splitflow.circuit_stamps import (
     ControlMode,
     StateVector,
-    _Pass,
     _stamp_pass,
     assemble,
     flat_start,
@@ -60,9 +59,9 @@ def csc_everywhere(monkeypatch):
 
 def triplets(st):
     """The pass's J triplets (rows, cols, vals) in emitted order: the
-    network block's, then every kept slot's; slack bus rows not yet
-    rewritten."""
-    idx, keep = st.index, st.kept()
+    network block's, then every slot of the index map; slack bus rows not
+    yet rewritten."""
+    idx, keep = st.index, st.index.j_keep
     return (np.concatenate((idx.net_rows, idx.j_rows[keep])),
             np.concatenate((idx.net_cols, idx.j_cols[keep])),
             np.concatenate((st.net, st.slot_values()[keep])))
@@ -101,10 +100,6 @@ def rewritten(idx, x, rows, cols, vals, slack_currents):
                       shape=(idx.dim, idx.dim))
 
 
-def pattern(J):
-    return J.indices.tobytes(), J.indptr.tobytes()
-
-
 def assert_same_bytes(J, ref):
     """J's bytes are ref's: a CSC J's data and pattern, or a dense J's
     every entry, ref given in either representation."""
@@ -124,6 +119,29 @@ def check(case, state, ctl):
     J = assemble(case, state, ctl)[1]
     assert_same_bytes(J, reference_jacobian(case, state, ctl))
     return J
+
+
+ORDER = "MMD_AT_PLUS_A"  # the column order of a pattern's first factorization
+
+
+class SpyFactor:
+    """Records the permc_spec of every splu call nr_solver makes, after
+    checking that the call carries every other `SPLU` setting."""
+
+    def __init__(self, monkeypatch):
+        self.specs = []
+        monkeypatch.setattr(nr_solver, "splu", self)
+
+    def __call__(self, mat, **kw):
+        # the settings, but for the column order (checked by the caller)
+        assert kw | {"permc_spec": ORDER} == SPLU
+        self.specs.append(kw["permc_spec"])
+        return splu(mat, **kw)
+
+
+def plain_solve(J, rhs):
+    """The path for any matrix: splu with the `SPLU` settings."""
+    return splu(csc_matrix(J), **SPLU).solve(rhs)
 
 
 @pytest.mark.parametrize("variant_name", VARIANTS)
@@ -154,20 +172,31 @@ def test_dense_jacobian_equals_csc(case_name, variant_name, monkeypatch):
         assert J["dense"].tobytes() == J["csc"].toarray().tobytes()
 
 
-def test_alternating_structures_on_one_index_map():
+def test_modes_share_one_structure_on_case30(monkeypatch):
+    # FIXED_V rows have no (col, col) partial and held rows no voltage
+    # partials: those slots hold stored zeros, so switching modes on one
+    # index map keeps its structure and the column order of its first
+    # factorization
     case, base = variant(load_matpower("case30"), "base")
     _, fixed = variant(case, "fixed-modes")
     state = random_state(case, base, 0)
-    patterns = []
+    spy = SpyFactor(monkeypatch)
+    Js = []
     for ctl in (base, fixed, base):
-        patterns.append(pattern(check(case, state, ctl)))
-    assert patterns[0] != patterns[1] and patterns[0] == patterns[2]
+        Js.append(check(case, state, ctl))
+        F = residual(case, state, ctl)
+        assert (solve_linear(Js[-1], -F)[0].tobytes()
+                == plain_solve(Js[-1], -F).tobytes())
+    assert all(J.structure is state.index.jac for J in Js)
+    assert spy.specs == [ORDER, "NATURAL", "NATURAL"]
+    assert np.count_nonzero(Js[1].data == 0.0) > np.count_nonzero(
+        Js[0].data == 0.0)
 
 
 def test_slack_member_on_a_flat():
     # a distributed-slack member past the end of its headroom has slope
-    # exactly 0 and emits no surplus-column entries, which changes J's
-    # structure under the same index map
+    # exactly 0: its surplus-column slots hold stored zeros, and J keeps
+    # its index map's structure
     case = with_slack_members(load_matpower("case30"))
     ctl = ControlMode()
     state = random_state(case, ctl, 0)
@@ -177,16 +206,16 @@ def test_slack_member_on_a_flat():
     on_flat = state.copy()
     on_flat.x[idx.dps_col] = past_end.min() + 1e-6
     assert on_flat.index is idx
-    sizes = []
-    for s in (state, on_flat, state):
-        sizes.append(np.count_nonzero(_stamp_pass(case, s, ctl).kept()))
-        check(case, s, ctl)
-    assert sizes[1] < sizes[0] == sizes[2]
+    Js = [check(case, s, ctl) for s in (state, on_flat, state)]
+    assert all(J.structure is idx.jac for J in Js)
+    zeros = [np.count_nonzero(J.data == 0.0) for J in Js]
+    assert zeros[1] > zeros[0] == zeros[2]
 
 
 def test_outer_loop_switches(monkeypatch):
     # every PV <-> PQ switch of the outer loop re-stamps generator rows of
-    # another kind under the index map it started with
+    # another kind under the index map it started with: one structure,
+    # ordered by the first factorization alone
     case = load_native("oscillation4")
     seen = []
     nr_solve = nr_solver.nr_solve
@@ -197,66 +226,39 @@ def test_outer_loop_switches(monkeypatch):
         return state, report
 
     monkeypatch.setattr(nr_solver, "nr_solve", recording)
+    spy = SpyFactor(monkeypatch)
     _, _, strace = solve_outer_loop(case, SolverOptions(), order=LARGEST_FIRST)
     assert strace.total_switches() == len(seen) - 1 == 6
     assert len({id(state.index) for state, _ in seen}) == 1
-    patterns = set()
+    assert spy.specs[0] == ORDER and spy.specs.count(ORDER) == 1
+    idx = seen[0][0].index
     for state, ctl in seen + seen[::-1]:
-        patterns.add(pattern(check(case, state, ctl)))
-    assert len(patterns) > 1
-
-
-def test_flipping_one_kept_slot_rebuilds_the_structure(monkeypatch):
-    # the kept slots are the key: one slot turned off gives a new
-    # structure, and turned on again another new one with the first's
-    # pattern (only the last structure is cached)
-    case, ctl = variant(load_matpower("case9"), "base")
-    state = random_state(case, ctl, 0)
-    idx = state.index
-    first = check(case, state, ctl)
-    keep = _stamp_pass(case, state, ctl).kept()
-    entries = Counter(zip(idx.j_rows[keep].tolist(), idx.j_cols[keep].tolist()))
-    entries.update(zip(idx.net_rows.tolist(), idx.net_cols.tolist()))
-    # a kept slot outside the slack rows whose entry no other source has
-    k = next(k for k in np.flatnonzero(keep)
-             if idx.j_rows[k] >> 1 != idx.slack_pos
-             and entries[idx.j_rows[k], idx.j_cols[k]] == 1)
-    kept = _Pass.kept
-
-    def flipped(st):
-        keep = kept(st).copy()
-        keep[k] = False
-        return keep
-
-    monkeypatch.setattr(_Pass, "kept", flipped)
-    off = check(case, state, ctl)
-    assert off.structure is not first.structure
-    assert off.nnz == first.nnz - 1
-    monkeypatch.setattr(_Pass, "kept", kept)
-    on = check(case, state, ctl)
-    assert on.structure is not off.structure
-    assert on.structure is not first.structure
-    assert pattern(on) == pattern(first)
+        J, F = check(case, state, ctl), residual(case, state, ctl)
+        assert J.structure is idx.jac
+        assert solve_linear(J, -F)[0].tobytes() == plain_solve(J, -F).tobytes()
+    assert spy.specs.count(ORDER) == 1
 
 
 def test_q_limit_steps_share_one_structure(monkeypatch):
-    # the q-limit continuation's steps differ in q_scale alone, which
-    # keeps the same slots: every step of the path reuses one structure
+    # the q-limit run's unbounded init holds voltages (FIXED_V rows), and
+    # its continuation steps follow sigmoids under scaled limits: every J
+    # of the run is on one index map and shares its structure
     case = replace(load_matpower("case30"), agc_enabled=False)
     seen = []
     real = nr_solver.assemble
 
     def recording(case, state, ctl, kept=None):
         F, J = real(case, state, ctl, kept)
-        if ctl.q_scale and not ctl.device_modes:
-            seen.append((ctl, J.structure))
+        seen.append((state.index, ctl, J.structure))
         return F, J
 
     monkeypatch.setattr(nr_solver, "assemble", recording)
-    _, report = run_homotopy(case, None, "q-limit", SolverOptions())
+    _, report = run_homotopy(case, "q-limit", SolverOptions())
     assert report.converged
-    assert len({id(ctl) for ctl, _ in seen}) > 2
-    assert len({id(s) for _, s in seen}) == 1
+    assert any(ctl.device_modes for _, ctl, _ in seen)
+    assert len({id(ctl) for _, ctl, _ in seen if ctl.q_scale}) > 2
+    assert len({id(idx) for idx, _, _ in seen}) == 1
+    assert all(s is idx.jac for idx, _, s in seen)
 
 
 def test_returned_jacobian_keeps_its_values():
@@ -314,29 +316,6 @@ def test_kept_pass_of_another_state_rejected():
         assemble(case, state.copy(), ctl, kept)
 
 
-ORDER = "MMD_AT_PLUS_A"  # the column order of a pattern's first factorization
-
-
-class SpyFactor:
-    """Records the permc_spec of every splu call nr_solver makes, after
-    checking that the call carries every other `SPLU` setting."""
-
-    def __init__(self, monkeypatch):
-        self.specs = []
-        monkeypatch.setattr(nr_solver, "splu", self)
-
-    def __call__(self, mat, **kw):
-        # the settings, but for the column order (checked by the caller)
-        assert kw | {"permc_spec": ORDER} == SPLU
-        self.specs.append(kw["permc_spec"])
-        return splu(mat, **kw)
-
-
-def plain_solve(J, rhs):
-    """The path for any matrix: splu with the `SPLU` settings."""
-    return splu(csc_matrix(J), **SPLU).solve(rhs)
-
-
 @pytest.mark.parametrize("variant_name", VARIANTS)
 @pytest.mark.parametrize("case_name", CASES)
 def test_stored_order_solves_bit_equal(case_name, variant_name, monkeypatch):
@@ -352,7 +331,7 @@ def test_stored_order_solves_bit_equal(case_name, variant_name, monkeypatch):
              else random_state(case, ctl, seed)).x
         state = StateVector(idx, x)
         F, J = assemble(case, state, ctl)
-        x = solve_linear(J, -F)
+        x, _ = solve_linear(J, -F)
         assert x.tobytes() == plain_solve(J, -F).tobytes()
         new = not any(s is J.structure for s in structures)
         structures.append(J.structure)
@@ -375,35 +354,6 @@ def test_kept_order_fill_on_case118(agc):
     assert lu.L.nnz + lu.U.nnz <= 6000
 
 
-def test_order_dropped_with_the_structure(monkeypatch):
-    # oscillation4's PV <-> PQ switches rebuild J's structure under one
-    # index map; each new structure orders its columns afresh
-    case = load_native("oscillation4")
-    seen = []
-    nr_solve = nr_solver.nr_solve
-
-    def recording(case, init, ctl, opts, **kw):
-        state, report = nr_solve(case, init, ctl, opts, **kw)
-        seen.append((state, ctl))
-        return state, report
-
-    monkeypatch.setattr(nr_solver, "nr_solve", recording)
-    solve_outer_loop(case, SolverOptions(), order=LARGEST_FIRST)
-    spy = SpyFactor(monkeypatch)
-    last, rebuilt = None, 0
-    for state, ctl in seen + seen[::-1]:
-        F, J = assemble(case, state, ctl)
-        if J.structure is not last:
-            assert J.structure.inv is None
-            rebuilt += 1
-        x = solve_linear(J, -F)
-        assert spy.specs[-1] == (ORDER if J.structure is not last
-                                 else "NATURAL")
-        assert x.tobytes() == plain_solve(J, -F).tobytes()
-        last = J.structure
-    assert rebuilt > 2
-
-
 def test_singular_first_factorization_stores_nothing():
     case, ctl = variant(load_matpower("case30"), "base")
     state = random_state(case, ctl, 0)
@@ -423,7 +373,8 @@ def test_singular_first_factorization_stores_nothing():
     assert s.inv is None and s.gather is None and s.permuted is None
     # the same matrix with J's values is ordered and stores the order
     singular.data[:] = J.data
-    assert solve_linear(singular, -F).tobytes() == plain_solve(J, -F).tobytes()
+    assert (solve_linear(singular, -F)[0].tobytes()
+            == plain_solve(J, -F).tobytes())
     assert s.inv is not None
 
 
@@ -434,10 +385,10 @@ def test_earlier_jacobian_keeps_its_data_and_solution():
     first = random_state(case, ctl, 0)
     F1, J1 = assemble(case, first, ctl)
     data = J1.data.copy()
-    x1 = solve_linear(J1, -F1)
+    x1, _ = solve_linear(J1, -F1)
     F2, J2 = assemble(case, StateVector(first.index,
                                         random_state(case, ctl, 1).x), ctl)
     assert J2.structure is J1.structure
     solve_linear(J2, -F2)
     assert J1.data.tobytes() == data.tobytes()
-    assert solve_linear(J1, -F1).tobytes() == x1.tobytes()
+    assert solve_linear(J1, -F1)[0].tobytes() == x1.tobytes()

@@ -75,7 +75,7 @@ PIPELINES = [(name, method) for name in ALL_CASES
 @pytest.mark.parametrize("name,method", PIPELINES)
 def test_converged_solution_balances_power(name, method):
     case = replace(bundled(name), agc_enabled=False)
-    state, report = run_homotopy(case, None, method, OPTS)
+    state, report = run_homotopy(case, method, OPTS)
     assert report.converged
     assert power_mismatch(case, state).max() <= 1e-5
     assert report.iterations == ITERATIONS[name][method]
@@ -87,6 +87,6 @@ def test_generated_case_balances_power():
     # that the independent admittance matrix balances
     case = lu_probe.generated(300, 20)
     assert len(case.buses) == 300
-    state, report = run_homotopy(case, None, "composite", OPTS)
+    state, report = run_homotopy(case, "composite", OPTS)
     assert report.converged
     assert power_mismatch(case, state).max() <= 1e-5

@@ -99,6 +99,20 @@ def test_residual_equals_assembled_residual(case_name, variant_name):
         assert np.array_equal(f_only.view(np.uint64), f_full.view(np.uint64))
 
 
+@pytest.mark.parametrize("variant_name", VARIANTS)
+@pytest.mark.parametrize("case_name", CASES)
+def test_jacobian_matches_finite_differences(case_name, variant_name):
+    # every slot of the index map, the stored zeros of held rows, snapped
+    # devices and slack members included. No one step fits every case:
+    # round-off spoils some entries at h = 1e-6 (savnw_like tx-relaxed),
+    # truncation others at h = 1e-5 (remote_pair base), so each entry is
+    # judged by the closer of the two
+    case, ctl = variant(load(case_name), variant_name)
+    for seed in (0, 1):
+        assert_jacobian_matches(case, random_state(case, ctl, seed), ctl,
+                                steps=(1e-6, 1e-5))
+
+
 def test_jacobian_matches_in_outage_screening_configuration():
     # distributed slack on and one generator dropped, as an N-1 sweep runs
     case118 = load_matpower("case118")

@@ -92,7 +92,7 @@ def solve(st, representation):
     solves J x = -F; J's structure is ordered before it returns."""
     def call():
         with emitting(representation):
-            return solve_linear(_jacobian(st), -st.F)
+            return solve_linear(_jacobian(st), -st.F)[0]
     call()
     return call
 
