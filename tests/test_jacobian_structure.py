@@ -28,6 +28,7 @@ from splitflow.circuit_stamps import (
     StateVector,
     _stamp_pass,
     assemble,
+    build_index,
     flat_start,
     residual,
 )
@@ -237,6 +238,37 @@ def test_outer_loop_switches(monkeypatch):
         assert J.structure is idx.jac
         assert solve_linear(J, -F)[0].tobytes() == plain_solve(J, -F).tobytes()
     assert spy.specs.count(ORDER) == 1
+
+
+def test_order_dropped_with_the_structure(monkeypatch):
+    # the column order lives on the structure, and the structure on its
+    # index map: the outer loop's solution moved to a freshly built map
+    # is ordered afresh, and the first map keeps its own order
+    case = load_native("oscillation4")
+    seen = []
+    nr_solve = nr_solver.nr_solve
+
+    def recording(case, init, ctl, opts, **kw):
+        state, report = nr_solve(case, init, ctl, opts, **kw)
+        seen.append((state, ctl))
+        return state, report
+
+    monkeypatch.setattr(nr_solver, "nr_solve", recording)
+    solve_outer_loop(case, SolverOptions(), order=LARGEST_FIRST)
+    state, ctl = seen[-1]
+    old = state.index.jac
+    inv = old.inv
+    assert inv is not None
+    moved = state.remap(build_index(case, ctl))
+    assert moved.index is not state.index and moved.index.jac is None
+    spy = SpyFactor(monkeypatch)
+    for s in (moved, moved, state):
+        J, F = check(case, s, ctl), residual(case, s, ctl)
+        assert J.structure is s.index.jac
+        assert solve_linear(J, -F)[0].tobytes() == plain_solve(J, -F).tobytes()
+    assert spy.specs == [ORDER, "NATURAL", "NATURAL"]
+    assert moved.index.jac is not old and moved.index.jac.inv is not None
+    assert old.inv is inv
 
 
 def test_q_limit_steps_share_one_structure(monkeypatch):
