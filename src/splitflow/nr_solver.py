@@ -12,9 +12,11 @@ crossed by almost any full voltage step, would otherwise hold max|F| up
 at every trial. Convergence requires both the residual and the step
 below tolerance: near-saturated sigmoid plateaus can make steps tiny
 while the network equations are still violated, so the step alone is
-never trusted. A sub-solve gives up early, at its first iteration that
-no trial brings below the max|F| it started from (a monotonicity test;
-Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5).
+never trusted, except under a waypoint bound (`nr_solve`'s waypoint),
+below which max|F| alone converges. A sub-solve gives up early, at its
+first iteration that no trial brings below the max|F| it started from
+(a monotonicity test; Deuflhard, Newton Methods for Nonlinear Problems,
+2004, ch. 5).
 
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
@@ -131,7 +133,8 @@ class SolveReport:
     continuation_backtracks: int = 0  # failed continuation steps retried
     residual_evals: int = 0  # line-search trials evaluated
     line_search_backtracks: int = 0  # trials rejected, each halving the step
-    # a converged solve's own: the LU of its last J, which a continuation
+    # a converged solve's own: the LU of its last J, at the iterate before
+    # its last step (of any length at a waypoint), which a continuation
     # predicts its next step from; no total ever holds it
     factors: DenseLU | SparseLU | None = field(
         default=None, repr=False, compare=False)
@@ -306,10 +309,12 @@ def _residual_norm(case, state, ctl):
 def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
              opts: SolverOptions, phase: str = "solve",
              outer_iter: int = 0, subsolve: bool = False,
+             waypoint: float | None = None,
              ) -> tuple[StateVector, SolveReport]:
     """Iterate until residual and step are both below tolerance, or
-    max_iter is reached. Non-convergence is reported, not raised;
-    singular systems raise SingularSystemError with the iteration.
+    max|F| alone is below a given waypoint, or max_iter is reached.
+    Non-convergence is reported, not raised; singular systems raise
+    SingularSystemError with the iteration.
 
     The step rule: the Newton step is clamped per variable (`step_limit`)
     and backtracked (halving, floor 1/64) until max|F| decreases, else the
@@ -396,7 +401,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         max_step = float(np.abs(dx).max())
         trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g, lam_p,
                               lam_tx, max_res, max_step, alpha=best_alpha))
-        if max_res < opts.tol_residual and max_step < TOL_STEP:
+        if (max_res < opts.tol_residual and max_step < TOL_STEP
+                or waypoint is not None and max_res < waypoint):
             converged = True
             break
         if subsolve and max_res >= start:
@@ -418,11 +424,12 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
 
 
 def try_solve(case, init, ctl, opts, phase="solve", outer_iter=0,
-              subsolve=False) -> tuple[StateVector, SolveReport]:
-    """nr_solve, with a singular system or point reported as a failed
-    solve at init, of no iterations, whose diagnostics hold the error."""
+              **kw) -> tuple[StateVector, SolveReport]:
+    """nr_solve, keywords (subsolve, waypoint) passed on, with a singular
+    system or point reported as a failed solve at init, of no iterations,
+    whose diagnostics hold the error."""
     try:
         return nr_solve(case, init, ctl, opts, phase=phase,
-                        outer_iter=outer_iter, subsolve=subsolve)
+                        outer_iter=outer_iter, **kw)
     except (SingularSystemError, SingularPointError) as exc:
         return init, SolveReport(diagnostics=[str(exc)])

@@ -82,9 +82,9 @@ def test_dead_end_names_the_rule_that_ended_it():
                  "--homotopy", "tx")
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [
-        "error: tx: stuck at t = 0.0170746: no step of 1.5e-05 or longer "
-        "converges; last sub-solve: stalled after 3 iterations, no "
-        "line-search trial of the last lowered max|F|, residual 5.764e-04"]
+        "error: tx: stuck at t = 0.0170593: no step of 1.5e-05 or longer "
+        "converges; last sub-solve: stalled after 4 iterations, no "
+        "line-search trial of the last lowered max|F|, residual 1.225e-03"]
 
 
 def test_no_solution_case_is_the_two_bus_case_past_the_nose():

@@ -62,7 +62,7 @@ class TestResolveAfterSnap:
 
 def test_failed_direct_resolve_counts_in_the_sweep(monkeypatch):
     # with two iterations per solve the direct re-solve after smoothing
-    # fails (2 iterations) and the sweep takes over (15): the report
+    # fails (2 iterations) and the sweep takes over (11): the report
     # totals every NR iteration run, the failed direct re-solve's too
     case = load_native("discrete4")
     state, report = run_homotopy(case, "smoothing", OPTS)
@@ -82,7 +82,7 @@ def test_failed_direct_resolve_counts_in_the_sweep(monkeypatch):
     assert report.diagnostics[0] == "snap continuation used"
     phase, direct = reports[0]
     assert phase == "snap" and not direct.converged
-    assert report.iterations == sum(r.iterations for _, r in reports) == 17
+    assert report.iterations == sum(r.iterations for _, r in reports) == 13
 
 
 def test_infeasible_snap_raises_after_the_sweep():

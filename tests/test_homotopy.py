@@ -20,6 +20,7 @@ from splitflow.circuit_stamps import (
 )
 from splitflow.homotopy_driver import (
     BACKTRACK,
+    CORRECTOR_TOL,
     DECREMENT,
     INITIAL_STEEPNESS,
     MAX_BACKTRACKS,
@@ -32,7 +33,13 @@ from splitflow.homotopy_driver import (
     init_q_limit_relaxation,
     run_homotopy,
 )
-from splitflow.nr_solver import SolveReport, SolverOptions, nr_solve, try_solve
+from splitflow.nr_solver import (
+    TOL_STEP,
+    SolveReport,
+    SolverOptions,
+    nr_solve,
+    try_solve,
+)
 from tests.conftest import (
     as_array,
     load_matpower,
@@ -387,7 +394,7 @@ class TestRunHomotopy:
         floor = t * (1.0 - DECREMENT) * BACKTRACK**MAX_BACKTRACKS
         assert floor <= float(match.group(1)) < 2.0 * floor
         assert int(match.group(2)) < 4
-        assert float(match.group(3)) == pytest.approx(1.378e-3, rel=0.01)
+        assert float(match.group(3)) == pytest.approx(1.347e-3, rel=0.01)
 
     def test_dead_end_stops_early(self, monkeypatch):
         # no step past the frontier converges, and the floor on the step
@@ -469,7 +476,35 @@ class TestRunHomotopy:
                         + [(2.0**-k, True) for k in range(2, 10)]
                         + [(0.0, True)])
         assert rep.converged and rep.continuation_backtracks == 2
-        assert rep.iterations == 77
+        assert rep.iterations == 60
+
+    @pytest.mark.parametrize("name,method,phases", [
+        ("case118", "tx", {"tx"}),
+        ("oscillation4", "composite",
+         {"composite-tx", "composite-q", "composite-smoothing"})])
+    def test_waypoints_end_below_corrector_tol(self, name, method, phases,
+                                               monkeypatch):
+        # every stage ends on a t = 0 sub-solve that meets the full test;
+        # an accepted sub-solve at t > 0 is a waypoint, ended at its first
+        # iteration below CORRECTOR_TOL, some with a step of TOL_STEP or
+        # more or a max|F| of tol_residual or more
+        reports = recorded_reports(monkeypatch)
+        case = load_matpower(name) if name == "case118" else load_native(name)
+        _, rep = run_homotopy(case, method, OPTS)
+        assert rep.converged
+        accepted = [(r.trace[0].phase, r.trace[0].t, r.trace[-1])
+                    for r in reports if r.converged and r.trace[0].t is not None]
+        ends = [last for _, t, last in accepted if t == 0.0]
+        waypoints = [last for _, t, last in accepted if t > 0.0]
+        assert {phase for phase, t, _ in accepted if t == 0.0} == phases
+        assert len(ends) == len(phases)
+        assert all(last.max_residual < OPTS.tol_residual
+                   and last.max_step < TOL_STEP for last in ends)
+        assert waypoints
+        assert all(last.max_residual < CORRECTOR_TOL for last in waypoints)
+        assert any(last.max_step >= TOL_STEP for last in waypoints)
+        assert any(last.max_residual >= OPTS.tol_residual
+                   for last in waypoints)
 
     def test_snap_only_on_a_step_first_trial(self, monkeypatch):
         # a stubbed path: the t = 0 solve fails from any t above
@@ -479,7 +514,9 @@ class TestRunHomotopy:
         # SNAP_FRACTION, not t = 0 again, for t = 0 to converge from one
         tried = []
 
-        def solve(case, start, t, opts, phase, step, subsolve):
+        def solve(case, start, t, opts, phase, step, subsolve, waypoint):
+            # every t above 0 is a waypoint, and t = 0 gets the full test
+            assert waypoint == (CORRECTOR_TOL if t > 0.0 else None)
             tried.append((start.t, t))
             ok = t > 0.0 or start.t <= SNAP_FRACTION
             return _AtT(t), SolveReport(converged=ok, iterations=1)
@@ -546,35 +583,45 @@ class TestPredictor:
         # each trial after an accepted (x, t) starts at x + v (t_next - t).
         # The first trial's move is -J⁻¹ F(x, t_first), J the accepted
         # sub-solve's last: its kept LU gives that move, and J stamped
-        # afresh at x, one tiny step away, nearly does. The shortened
+        # afresh at the iterate it was stamped at, one step before x (a
+        # waypoint ends on a step of any length), does too. The shortened
         # trials' moves lie on the same line, scaled by their step
-        solves = []
+        solves, stamped = [], []
+        assemble_in_solver = nr_solver.assemble
+
+        def recorded_assemble(case, state, *args):
+            stamped.append(state.x.copy())
+            return assemble_in_solver(case, state, *args)
 
         def wrap(nr_solve):
             def recorded(case, init, ctl, *args, **kw):
+                stamped.clear()
                 out, rep = nr_solve(case, init, ctl, *args, **kw)
                 # the continuation frees the LU once it has its slope
-                solves.append((init.x.copy(), ctl, out, rep, rep.factors))
+                solves.append((init.x.copy(), ctl, out, rep, rep.factors,
+                               stamped[-1] if stamped else None))
                 return out, rep
             return recorded
 
+        monkeypatch.setattr(nr_solver, "assemble", recorded_assemble)
         patch_nr_solve(monkeypatch, wrap)
         case = load_matpower("case118")
         _, total = run_homotopy(case, "tx", OPTS)
         assert total.converged and total.continuation_backtracks > 0
         accepted = first = None
         shortened = 0
-        for start, ctl, out, rep, kept in solves:
+        for start, ctl, out, rep, kept, last in solves:
             t = rep.trace[0].t
             if accepted is not None:
-                x, ctl_x, t_x, factors = accepted
+                x, ctl_x, t_x, factors, x_last = accepted
                 move = start - x
                 if first is None:
                     at_x = StateVector(out.index, x)
                     F = residual(case, at_x, ctl)
                     assert move == pytest.approx(-factors.solve(F),
                                                  rel=1e-12, abs=1e-15)
-                    J = as_array(assemble(case, at_x, ctl_x)[1])
+                    at_last = StateVector(out.index, x_last)
+                    J = as_array(assemble(case, at_last, ctl_x)[1])
                     scale = np.abs(F).max()
                     assert scale > 0.0
                     assert np.abs(J @ move + F).max() <= 1e-3 * scale
@@ -585,7 +632,7 @@ class TestPredictor:
                                                  rel=1e-9, abs=1e-15)
                     shortened += 1
             if rep.converged:
-                accepted, first = (out.x.copy(), ctl, t, kept), None
+                accepted, first = (out.x.copy(), ctl, t, kept, last), None
             else:
                 assert kept is None  # a failed sub-solve hands back no LU
         assert shortened > 0

@@ -52,20 +52,20 @@ def test_block_equals_ybus_expansion(name, tx_relax):
 # homotopies reach (see test_homotopy); it is the case where plain NR and
 # the outer loop go astray.
 ITERATIONS = {
-    "case9": {"none": 10, "smoothing": 23, "tx": 38, "q-limit": 2,
-              "composite": 54},
-    "case14": {"none": 14, "smoothing": 31, "tx": 48, "q-limit": 3,
-               "composite": 62},
-    "case30": {"none": 5, "smoothing": 31, "tx": 37, "q-limit": 23,
-               "composite": 83},
-    "case118": {"none": 7, "smoothing": 32, "tx": 77, "q-limit": 24,
-                "composite": 85},
-    "savnw_like": {"none": 9, "smoothing": 28, "tx": 32, "q-limit": 4,
-                   "composite": 57},
-    "oscillation4": {"smoothing": 42, "tx": 34, "q-limit": 148,
-                     "composite": 105},
-    "discrete4": {"none": 9, "smoothing": 29, "tx": 37, "q-limit": 4,
-                  "composite": 57},
+    "case9": {"none": 10, "smoothing": 19, "tx": 26, "q-limit": 2,
+              "composite": 35},
+    "case14": {"none": 14, "smoothing": 22, "tx": 37, "q-limit": 3,
+               "composite": 40},
+    "case30": {"none": 5, "smoothing": 24, "tx": 23, "q-limit": 15,
+               "composite": 51},
+    "case118": {"none": 7, "smoothing": 25, "tx": 60, "q-limit": 15,
+                "composite": 54},
+    "savnw_like": {"none": 9, "smoothing": 20, "tx": 20, "q-limit": 4,
+                   "composite": 35},
+    "oscillation4": {"smoothing": 34, "tx": 21, "q-limit": 97,
+                     "composite": 64},
+    "discrete4": {"none": 9, "smoothing": 25, "tx": 23, "q-limit": 4,
+                  "composite": 33},
 }
 PIPELINES = [(name, method) for name in ALL_CASES
              for method in ("none", "smoothing", "tx", "q-limit", "composite")

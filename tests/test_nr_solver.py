@@ -19,6 +19,7 @@ from splitflow.circuit_stamps import (
 from splitflow.nr_solver import (
     SPLU,
     STEP_LIMIT_Q,
+    TOL_STEP,
     DenseLU,
     SolverOptions,
     SparseLU,
@@ -361,6 +362,31 @@ class TestNrSolve:
         assert rep.final_residual == float("inf")
         assert len(rep.trace) == 1 and rep.trace[0].max_step == 0.0
         assert state.x.tobytes() == init.x.tobytes()
+
+    def test_waypoint_ends_at_the_first_iteration_below_it(self,
+                                                           bundled_matpower):
+        # case9 from a flat start, as a sub-solve: with a waypoint bound
+        # the solve converges at its first iteration below the bound, here
+        # with a step still above TOL_STEP, and hands back its last LU;
+        # without one it runs on to the full test. A bound of 0 is the
+        # full test
+        case = bundled_matpower["case9"]
+        ctl = ControlMode()
+        bound = 1e-3
+        _, full = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+                           subsolve=True)
+        first = next(row for row in full.trace if row.max_residual < bound)
+        assert first.max_step >= TOL_STEP
+        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+                          subsolve=True, waypoint=bound)
+        assert rep.converged and rep.factors is not None
+        assert rep.iterations == first.inner_iter < full.iterations
+        assert full.converged
+        assert [(r.max_residual, r.max_step) for r in rep.trace] == \
+            [(r.max_residual, r.max_step) for r in full.trace[:rep.iterations]]
+        _, zero = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+                           subsolve=True, waypoint=0.0)
+        assert zero.iterations == full.iterations
 
     def test_without_stall_window_runs_to_max_iter(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)
