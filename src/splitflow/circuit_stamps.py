@@ -1,11 +1,11 @@
 """Residual F and Jacobian J of the split-circuit NR system, in one pass.
 
-`build_index` turns a case into static arrays once per IndexMap. In
+`build_index` turns a case into static arrays, its one IndexMap. In
 current-voltage coordinates the network is linear: the ratio-fixed
 branches and the fixed shunts form a constant real 2n x 2n block, kept
 as a series part, scaled by the tx relaxation 1 + tx_relax * TX_SCALE,
 and an unscaled shunt part (line charging and fixed shunts). Every other
-device is a row of one of three tables: `Taps` (controlled and snapped),
+device is a row of one of three tables: `Taps` (the controlled taps),
 `Injectors` (loads, generators, switched shunts) and `ControlRows`
 (every row that holds a value against a bus voltage magnitude: local
 generators and switched shunts, controlled taps, group requests). A
@@ -34,12 +34,14 @@ Columns follow one rule, fixed by one walk over the devices in
 `build_index`. The bus at position pos has V_real and V_imag at 2 pos
 and 2 pos + 1. The injector table's rows are the loads, the local
 generators, the remote members group by group, then the switched
-shunts; each row after the loads but a snapped shunt takes the next
-column, from 2n, for its q. Then come one request column per remote
-group, one ratio column per controlled tap (in branch order), and dP_S
-last when the case has distributed slack. Each control equation lives on
-the row with the index of its unknown, so a local control row's column
-is its injector row's q column.
+shunts; each row after the loads takes the next column, from 2n, for
+its q. Then come one request column per remote group, one ratio column
+per controlled tap (in branch order), and dP_S last when the case has
+distributed slack. Each control equation lives on the row with the
+index of its unknown, so a local control row's column is its injector
+row's q column. The layout is the case's alone: a snapped device keeps
+its column, which its control row holds at the snapped value (see
+`ControlMode`).
 """
 
 from __future__ import annotations
@@ -89,9 +91,14 @@ class ControlMode:
     """How device controls are stamped for one solve.
 
     The default instance is the original problem: full smoothing, exact
-    limits, no admittance relaxation. Homotopy drivers and the baseline
-    outer loop build variants of this. Distributed slack is no mode: it
-    comes from the case (`NetworkCase.agc_enabled`).
+    limits, no admittance relaxation. Homotopy drivers, the baseline
+    outer loop and snapping build variants of this. Distributed slack is
+    no mode: it comes from the case (`NetworkCase.agc_enabled`).
+
+    A local device or tap in FIXED_Q holds its column at fixed_q[key]; a
+    snapped tap is such a hold at its snapped ratio. A shunt in
+    fixed_shunt_b is snapped: its current is the admittance jb, and its
+    control row holds its q column at b.
     """
 
     smoothing: float = 5000.0
@@ -105,7 +112,6 @@ class ControlMode:
     fixed_q: dict = field(default_factory=dict)  # key -> value for FIXED_Q
     group_modes: dict = field(default_factory=dict)  # group idx -> SIGMOID|FIXED_V
     fixed_shunt_b: dict = field(default_factory=dict)  # shunt idx -> susceptance
-    fixed_tap_ratio: dict = field(default_factory=dict)  # branch idx -> ratio
 
     def effective_steepness(self) -> float:
         return max(self.smoothing - self.smoothing_relax, STEEPNESS_FLOOR)
@@ -119,19 +125,19 @@ class ControlMode:
 
 @dataclass
 class Taps:
-    """The taps outside the network block: the controlled ones in
-    ratio-column order, then the snapped ones (IndexMap.snapped_taps).
-    Each is a pi-model branch at ratio tau from bus f to t, with series
-    admittance y and half its line charging, jc, at each end: it adds
-    (y + jc)/tau^2, -y/tau, -y/tau and y + jc at (f, f), (f, t), (t, f)
-    and (t, t). J slots of a tap: those four 2 x 2 blocks, then, if it is
-    controlled, its ratio column in the rows of f and t.
+    """The taps outside the network block, every branch with a
+    TapControl, in ratio-column order. Each is a pi-model branch at the
+    ratio tau of its column from bus f to t, with series admittance y and
+    half its line charging, jc, at each end: it adds (y + jc)/tau^2,
+    -y/tau, -y/tau and y + jc at (f, f), (f, t), (t, f) and (t, t). J
+    slots of a tap: those four 2 x 2 blocks, then its ratio column in the
+    rows of f and t.
     """
 
     branches: list  # branch indices
     y: np.ndarray  # complex
     jc: np.ndarray  # complex
-    cols: np.ndarray  # ratio columns of the controlled taps
+    cols: np.ndarray  # ratio columns
     at: np.ndarray  # V_R rows (2f, 2f, 2t, 2t) and V_R columns
     v: np.ndarray  # (2f, 2t, 2f, 2t) of the blocks, per tap
 
@@ -140,10 +146,11 @@ class Taps:
 class Injectors:
     """Every device that injects current at its bus, as one table:
     loads, local generators, remote-group members, switched shunts. A
-    snapped shunt is the admittance jb; every other row injects power
-    p + jq. J slots of a row: the four voltage partials of its
-    current, its q column (twice), the slack-surplus column (twice); and a
-    member's participation row has (col, col) and (col, group request).
+    row injects power p + jq, but a snapped shunt's is the admittance jb
+    (ControlMode.fixed_shunt_b). J slots of a row: the four voltage
+    partials of its current, its q column (twice; 0.0 for a snapped
+    shunt), the slack-surplus column (twice); and a member's
+    participation row has (col, col) and (col, group request).
     """
 
     keys: list  # ControlMode key of each row (None for a load)
@@ -158,8 +165,6 @@ class Injectors:
     agc_at: np.ndarray  # rows of distributed-slack members, and their
     agc_pos: np.ndarray  # positions in IndexMap.agc_member_idx
     local: np.ndarray  # rows with a control row (IndexMap.rows)
-    snapped: np.ndarray  # rows of the snapped shunts
-    divides: np.ndarray  # buses of the other rows, whose |V|^2 they divide by
     members: np.ndarray  # rows of the remote-group members, their limits,
     member_min: np.ndarray  # q columns, factors and request columns
     member_max: np.ndarray
@@ -176,14 +181,14 @@ class ControlRows:
     controlled taps', then the remote groups' requests.
 
     Row k is the F row of its own unknown, cols[k]. It holds |V| at bus
-    pos[k] at v_set[k] (FIXED_V), holds its unknown at a value (FIXED_Q,
-    local devices only, or degenerate limits), or follows the sigmoid of
-    |V| between its limits, decreasing with sign 1 and increasing with
-    sign -1. A tap regulates the bus of its controlled side, lowering its
-    ratio as a primary-side voltage rises and raising it as a
-    secondary-side one does, and follows its sigmoid unless FIXED_V. A
-    group's limits are the sums of its members'. J slots of a row:
-    (col, col), (col, V_R), (col, V_I).
+    pos[k] at v_set[k] (FIXED_V), holds its unknown at a value (FIXED_Q or
+    a snapped shunt's b, local devices and taps; or degenerate limits,
+    local devices only), or follows the sigmoid of |V| between its
+    limits, decreasing with sign 1 and increasing with sign -1. A tap
+    regulates the bus of its controlled side, lowering its ratio as a
+    primary-side voltage rises and raising it as a secondary-side one
+    does. A group's limits are the sums of its members'. J slots of a
+    row: (col, col), (col, V_R), (col, V_I).
     """
 
     cols: np.ndarray
@@ -198,8 +203,7 @@ class ControlRows:
 
 @dataclass
 class IndexMap:
-    """Row/column assignment and static stamp arrays for one case +
-    control configuration."""
+    """Row/column assignment and static stamp arrays of one case."""
 
     n_bus: int
     bus_pos: dict
@@ -214,7 +218,6 @@ class IndexMap:
     slack_gen_idx: list
     slack_p_sched: float
     slack_v_set: float
-    snapped_taps: list  # branch indices stamped at ctl.fixed_tap_ratio
     # network block triplets; J gets scale * net_series + net_shunt
     net_rows: np.ndarray
     net_cols: np.ndarray
@@ -255,7 +258,7 @@ def controlled_devices(idx: IndexMap):
                    t.member_min.tolist(), t.member_max.tolist())
 
 
-def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
+def build_index(case: NetworkCase) -> IndexMap:
     bus_pos = case.bus_index()
     slack_pos = bus_pos[case.slack_bus().id]
     slack_bus, gens = case.buses[slack_pos].id, case.generators
@@ -279,19 +282,15 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
     # the columns after the voltages, in the order of their rows (see the
     # module docstring)
     cols = itertools.count(2 * len(case.buses))
-    snapped = {("shunt", j) for j in ctl.fixed_shunt_b}
-    q_col = {row[0]: next(cols) for row in table[len(case.loads):]
-             if row[0] not in snapped}
+    q_col = {row[0]: next(cols) for row in table[len(case.loads):]}
     qreq_col = {gi: next(cols) for gi in range(len(case.remote_groups))}
     tap_col = {bi: next(cols) for bi, br in enumerate(case.branches)
-               if br.tap is not None and bi not in ctl.fixed_tap_ratio}
+               if br.tap is not None}
     dps_col = next(cols) if case.agc_enabled else None
     dim = next(cols)
 
-    snapped_taps = sorted(ctl.fixed_tap_ratio)
-    in_block = [bi for bi in range(len(case.branches))
-                if bi not in tap_col and bi not in ctl.fixed_tap_ratio]
-    taps = _taps(case, bus_pos, tap_col, snapped_taps)
+    in_block = [bi for bi in range(len(case.branches)) if bi not in tap_col]
+    taps = _taps(case, bus_pos, tap_col)
     inj, rows = _tables(case, table, bus_pos, q_col, qreq_col, tap_col,
                         len(local_gen_idx), agc_member_idx)
     agc_gens = [gens[i] for i in agc_member_idx]
@@ -312,7 +311,6 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
         slack_gen_idx=slack_gen_idx,
         slack_p_sched=sum(gens[i].p_g for i in slack_gen_idx),
         slack_v_set=slack_v_set,
-        snapped_taps=snapped_taps,
         **_network_block(case, bus_pos, in_block),
         taps=taps,
         inj=inj,
@@ -324,9 +322,8 @@ def build_index(case: NetworkCase, ctl: ControlMode) -> IndexMap:
     )
 
 
-def _taps(case: NetworkCase, bus_pos: dict, tap_col: dict,
-          snapped: list) -> Taps:
-    branches = list(tap_col) + snapped
+def _taps(case: NetworkCase, bus_pos: dict, tap_col: dict) -> Taps:
+    branches = list(tap_col)
     brs = [case.branches[bi] for bi in branches]
     f = 2 * np.array([bus_pos[br.from_bus] for br in brs], dtype=np.intp)
     t = 2 * np.array([bus_pos[br.to_bus] for br in brs], dtype=np.intp)
@@ -354,10 +351,7 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
         np.array([row[2:] for row in table], dtype=float).reshape(-1, 5).T.copy())
     col = np.array([q_col.get(k, 0) for k in keys], dtype=np.intp)
     members = np.arange(first_member, first_shunt)
-    snapped = np.array([r for r in range(first_shunt, len(keys))
-                        if keys[r] not in q_col], dtype=np.intp)
-    local = np.array([r for r in range(n_loads, len(keys)) if keys[r] in q_col
-                      and not first_member <= r < first_shunt], dtype=np.intp)
+    local = np.r_[n_loads:first_member, first_shunt:len(keys)].astype(np.intp)
     agc = {("gen", i): k for k, i in enumerate(agc_member_idx)}
     agc_at = np.array([r for r, k in enumerate(keys) if k in agc], dtype=np.intp)
     inj = Injectors(
@@ -365,9 +359,8 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
         p=p, q=q, n_loads=n_loads, q_cols=col[n_loads:],
         kcl_rows=np.concatenate((2 * pos, 2 * pos + 1)), agc_at=agc_at,
         agc_pos=np.array([agc[keys[r]] for r in agc_at], dtype=np.intp),
-        local=local, snapped=snapped, divides=np.delete(pos, snapped),
-        members=members, member_min=lo[members], member_max=hi[members],
-        m_cols=col[members],
+        local=local, members=members, member_min=lo[members],
+        member_max=hi[members], m_cols=col[members],
         kappa=np.array([f for grp in case.remote_groups for f in grp.factors],
                        dtype=float),
         qreq=np.array([qreq_col[gi] for gi, grp in enumerate(case.remote_groups)
@@ -399,12 +392,10 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
 def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
     """The tables' J slots (IndexMap.j_rows to j_keep). Each table is a
     (slot, row) grid, raveled slot by slot. The map has every slot but a
-    snapped tap's ratio slots, a load's or snapped shunt's q slots, and
-    the surplus slots of a row that is no distributed-slack member."""
-    T, tc, n = len(taps.branches), len(taps.cols), len(inj.pos)
+    load's q slots and the surplus slots of a row that is no
+    distributed-slack member."""
+    T, n, tau = len(taps.branches), len(inj.pos), taps.cols
     f, t = taps.at[0], taps.at[2]
-    tau = np.zeros(T, dtype=np.intp)
-    tau[:tc] = taps.cols
     k = np.arange(16) % 4  # the blocks' (R, R), (R, I), (I, R), (I, I)
     vr, vi, q = inj.vr_c, inj.vi_c, np.zeros(n, dtype=np.intp)
     q[inj.n_loads:] = inj.q_cols
@@ -420,8 +411,7 @@ def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
         ((c, c, c), (c, v, v + 1)),
         ((m, m), (m, inj.qreq)),
     ]
-    keep = [np.ones((20, T), dtype=bool), np.zeros((8, n), dtype=bool)]
-    keep[0][16:, tc:] = False
+    keep = [np.ones(20 * T, dtype=bool), np.zeros((8, n), dtype=bool)]
     keep[1][:4] = True
     keep[1][4:6, inj.local] = keep[1][4:6, inj.members] = True
     if dps_col is not None:
@@ -482,19 +472,6 @@ class StateVector:
     def v_mag(self, pos: int) -> float:
         return abs(self.v_complex(pos))
 
-    def remap(self, new_index: IndexMap) -> "StateVector":
-        """Transfer shared unknowns into a differently-shaped state."""
-        x = np.zeros(new_index.dim)
-        x[: new_index.voltage_dim()] = self.x[: self.index.voltage_dim()]
-        for name in ("q_col", "qreq_col", "tap_col"):
-            old = getattr(self.index, name)
-            for key, c in getattr(new_index, name).items():
-                if key in old:
-                    x[c] = self.x[old[key]]
-        if new_index.dps_col is not None and self.index.dps_col is not None:
-            x[new_index.dps_col] = self.x[self.index.dps_col]
-        return StateVector(new_index, x)
-
 
 def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     """Initial state: case voltages, model-consistent control values.
@@ -506,7 +483,7 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     slack surplus dP_S starts at the lossless estimate: total load less
     scheduled generation, shared by the slack and its members in
     proportion 1 : agc_factor."""
-    index = build_index(case, ctl)
+    index = build_index(case)
     n = index.n_bus
     x = np.zeros(index.dim)
     x[0:2 * n:2] = [bus.v_init_real for bus in case.buses]
@@ -537,7 +514,8 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
 class _Controls:
     """What a ControlMode makes of an IndexMap's tables."""
 
-    held: np.ndarray  # control rows' values off the curve: fixed_q, else lo
+    held: np.ndarray  # control rows' values off the curve: fixed_q or a
+    # snapped shunt's b, else lo
     sig: np.ndarray  # control rows on their sigmoid, and their (V_R and
     curves: tuple  # V_I columns, relaxed lo, hi, v_set, sign)
     limits: tuple  # every control row's relaxed (lo, hi)
@@ -545,12 +523,12 @@ class _Controls:
     held_v: tuple  # columns, bus, v_set)
     sensed: np.ndarray  # buses whose |V| the pass divides by, in the
     # order they are checked: sigmoid taps, injections, sigmoid groups
+    snapped: np.ndarray  # injector rows of the snapped shunts, and their
+    shunt_b: np.ndarray  # susceptances
     m_lo: np.ndarray  # members: relaxed limits
     m_hi: np.ndarray
     hard: np.ndarray  # members of FIXED_V groups
     curve: np.ndarray  # members on their participation curve
-    tap_ratio: np.ndarray  # snapped taps' ratios
-    shunt_b: np.ndarray  # snapped shunts' susceptances
     gen_curves: np.ndarray  # local generators' q columns on their sigmoid
 
 
@@ -571,7 +549,7 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     """The _Controls of ctl: the last one derived when the fields below
     are unchanged (an NR solve stamps many states under one ControlMode)."""
     key = (ctl.device_modes, ctl.fixed_q, ctl.q_scale, ctl.q_widen,
-           ctl.group_modes, ctl.fixed_shunt_b, ctl.fixed_tap_ratio)
+           ctl.group_modes, ctl.fixed_shunt_b)
     if idx.last is not None and idx.last[0] == key:
         return idx.last[1]
     r, t = idx.rows, idx.inj
@@ -579,9 +557,12 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     modes = ([ctl.device_modes.get(k, SIGMOID) for k in r.keys]
              + [ctl.group_modes.get(gi, SIGMOID) for gi in range(len(t.spans))])
     fixed_v = np.array([m == FIXED_V for m in modes], dtype=bool)
-    # only local devices take FIXED_Q, and only taps never hold a value
+    # local devices and taps take FIXED_Q, and a snapped shunt holds its b
     fixed_q = np.zeros(len(modes), dtype=bool)
-    fixed_q[:L] = [m == FIXED_Q for m in modes[:L]]
+    fixed_q[:n] = [m == FIXED_Q for m in modes[:n]]
+    snapped = np.array([k for k, (kind, j) in enumerate(r.keys[:L])
+                        if kind == "shunt" and j in ctl.fixed_shunt_b],
+                       dtype=np.intp)
     m_lo, m_hi = _relaxed_limits(ctl, [t.keys[m] for m in t.members],
                                  t.member_min, t.member_max)
     sums = []  # each group's members' relaxed limits, summed in order
@@ -594,9 +575,11 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
                         np.reshape(sums, (-1, 2)).T))
     degenerate = hi - lo < DEGENERATE_RANGE
     degenerate[L:n] = False
-    sig = ~(fixed_v | fixed_q | degenerate)
     held = lo.copy()
     held[fixed_q] = [ctl.fixed_q[k] for k, on in zip(r.keys, fixed_q) if on]
+    held[snapped] = [ctl.fixed_shunt_b[r.keys[k][1]] for k in snapped]
+    fixed_q[snapped] = True
+    sig = ~(fixed_v | fixed_q | degenerate)
     hard = np.repeat(fixed_v[n:], [b - a for a, b in t.spans])
     follow = hard | ~(m_hi - m_lo < DEGENERATE_RANGE)
     tap, grp = np.zeros(len(sig), dtype=bool), np.zeros(len(sig), dtype=bool)
@@ -606,12 +589,10 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
         held=held, sig=sig, curves=_curves(r, lo, hi, sig), limits=(lo, hi),
         fixed_v=fixed_v,
         held_v=(v[:, fixed_v], r.pos[fixed_v], r.v_set[fixed_v]),
-        sensed=np.concatenate((r.pos[tap], t.divides, r.pos[grp])),
+        sensed=np.concatenate((r.pos[tap], np.delete(t.pos, t.local[snapped]),
+                               r.pos[grp])),
+        snapped=t.local[snapped], shunt_b=held[snapped],
         m_lo=m_lo, m_hi=m_hi, hard=hard, curve=follow & ~hard,
-        tap_ratio=np.array([ctl.fixed_tap_ratio[bi] for bi in idx.snapped_taps],
-                           dtype=float),
-        shunt_b=np.array([ctl.fixed_shunt_b[t.keys[k][1]] for k in t.snapped],
-                         dtype=float),
         gen_curves=r.cols[:G][sig[:G]])
     # copies, so that a ControlMode changed in place is not mistaken
     idx.last = (tuple(dict(d) for d in key), c)
@@ -721,14 +702,15 @@ def slack_participation(ctl: ControlMode, idx: IndexMap, dps):
 
 def _stamp_taps(st: _Pass) -> list:
     """The taps' currents into the KCL sums: each block's admittance
-    times its voltage."""
+    times its voltage. A ratio that is not > 0 is a singular point."""
     tp, x = st.index.taps, st.x
     if not tp.branches:
         return []
-    tau = np.concatenate((x[tp.cols], st.c.tap_ratio))
-    if not tau.all():
-        bi = tp.branches[int(np.argmin(tau != 0.0))]
-        raise SingularPointError(f"tap ratio of branch {bi} is 0")
+    tau = x[tp.cols]
+    if not (tau > 0.0).all():
+        k = int(np.argmin(tau > 0.0))
+        raise SingularPointError(
+            f"tap ratio of branch {tp.branches[k]} is {tau[k]:g}")
     y = tp.y * (1.0 + st.ctl.tx_relax * TX_SCALE)
     yc = y + tp.jc
     ft = -y / tau
@@ -740,23 +722,21 @@ def _stamp_taps(st: _Pass) -> list:
 
 
 def _tap_slots(st: _Pass) -> np.ndarray:
-    """The taps' J slot values: the blocks' [[G, -B], [B, G]], and a
-    controlled tap's ratio column, d/dtau of its currents at f and t."""
+    """The taps' J slot values: the blocks' [[G, -B], [B, G]], and the
+    ratio column, d/dtau of the currents at f and t."""
     tp, x = st.index.taps, st.x
     if not tp.branches:
         return np.empty(0)
     tau, y, yc, Y = st.taps
-    V = np.zeros((20, len(tau)))
+    V = np.empty((20, len(tau)))
     V[0:16:4] = V[3:16:4] = Y.real
     V[1:16:4], V[2:16:4] = -Y.imag, Y.imag
-    k = len(tp.cols)
-    if k:
-        # -2 (y + jc) / tau^3 * V_f + y / tau^2 * V_t, and y / tau^2 * V_f
-        t, f, to = tau[:k], tp.at[0][:k], tp.at[2][:k]
-        vf, vt = x[f] + 1j * x[f + 1], x[to] + 1j * x[to + 1]
-        b = y[:k] / (t * t)
-        at_f, at_t = -2.0 * yc[:k] / (t * t * t) * vf + b * vt, b * vf
-        V[16:20, :k] = at_f.real, at_f.imag, at_t.real, at_t.imag
+    # -2 (y + jc) / tau^3 * V_f + y / tau^2 * V_t, and y / tau^2 * V_f
+    f, to = tp.at[0], tp.at[2]
+    vf, vt = x[f] + 1j * x[f + 1], x[to] + 1j * x[to + 1]
+    b = y / (tau * tau)
+    at_f, at_t = -2.0 * yc / (tau * tau * tau) * vf + b * vt, b * vf
+    V[16:20] = at_f.real, at_f.imag, at_t.real, at_t.imag
     return V.ravel()
 
 
@@ -786,9 +766,10 @@ def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
         dp[t.agc_at] = slope[t.agc_pos]
     ir = (p * vr + q * vi) / dd
     ii = (p * vi - q * vr) / dd
-    if len(t.snapped):
-        b, sv = st.c.shunt_b, t.vr_c[t.snapped]
-        ir[t.snapped], ii[t.snapped] = b * x[sv + 1], -b * x[sv]
+    s = st.c.snapped
+    if len(s):
+        b, sv = st.c.shunt_b, t.vr_c[s]
+        ir[s], ii[s] = b * x[sv + 1], -b * x[sv]
     st.inj = (vr, vi, dd, p, q, ir, ii, dp)
     return [(t.kcl_rows, -np.concatenate((ir, ii)))]
 
@@ -805,9 +786,11 @@ def _injection_slots(st: _Pass) -> np.ndarray:
     V[5] = vd[0]
     if dp is not None:
         V[6:8] = -vd * dp
-    t, b = st.index.inj, st.c.shunt_b
-    if len(t.snapped):
-        V[:4, t.snapped] = (np.zeros_like(b), -b, b, np.zeros_like(b))
+    s, b = st.c.snapped, st.c.shunt_b
+    if len(s):
+        # the admittance jb, with no partial in its q column
+        V[:6, s] = 0.0
+        V[1, s], V[2, s] = -b, b
     return V.ravel()
 
 

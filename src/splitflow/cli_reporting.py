@@ -113,6 +113,11 @@ def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
     vmax, vmin, tmax, tmin = voltage_extrema(case, state)
     ctl = ControlMode()
     regions = classify_regions(state, ctl)
+    if result.snap_plan is not None:
+        # a snapped device holds a step, not a region
+        for key in ([("shunt", j) for j in result.snap_plan.shunt_b]
+                    + [("tap", bi) for bi in result.snap_plan.tap_ratio]):
+            del regions[key]
     unstable = sum(1 for s in result.stability.values() if s == "unstable")
     lines = [
         f"summary_version: {SUMMARY_VERSION}",

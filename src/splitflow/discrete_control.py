@@ -1,8 +1,11 @@
 """Snap continuous shunt/tap solutions to their discrete steps and re-solve.
 
 All discrete devices snap simultaneously to the nearest step (ties break
-toward the smaller step), are fixed as constants in a reduced system, and
-the case is re-solved warm-started from the continuous solution. If that
+toward the smaller step) and are held there by their control rows, on
+the continuous solution's own index map: a snapped tap's row holds its
+ratio column (FIXED_Q), and a snapped shunt becomes the admittance jb,
+its row holding its q column at b (ControlMode.fixed_shunt_b). The case
+is re-solved warm-started from the continuous solution. If that
 diverges, the device values are swept from their continuous values to the
 snapped ones by continuation. Snapped infeasibility is detected and
 reported, not repaired.
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .case_model import NetworkCase
-from .circuit_stamps import ControlMode, StateVector, build_index
+from .circuit_stamps import FIXED_Q, ControlMode, StateVector
 from .errors import ContinuationError, SnappedInfeasibleError
 from .homotopy_driver import _continuation, endpoint_report
 from .nr_solver import SolveReport, SolverOptions, nr_solve
@@ -56,11 +59,8 @@ def plan_snap(case: NetworkCase, solution: StateVector) -> SnapPlan:
     plan = SnapPlan()
     idx = solution.index
     for j, sh in enumerate(case.shunts):
-        col = idx.q_col.get(("shunt", j))
-        if col is None:
-            continue
         vm = solution.v_mag(idx.bus_pos[sh.bus])
-        b_cont = float(solution.x[col]) / (vm * vm)
+        b_cont = float(solution.x[idx.q_col[("shunt", j)]]) / (vm * vm)
         steps = build_steps(sh.b_min, sh.b_max, sh.step_size)
         plan.continuous_shunt_b[j] = b_cont
         plan.shunt_b[j] = snap_to_steps(b_cont, steps)
@@ -80,42 +80,53 @@ def resolve_after_snap(
     opts: SolverOptions,
     base: ControlMode | None = None,
 ) -> tuple[StateVector, SolveReport, SnapPlan]:
-    """Fix discrete devices at snapped values and re-solve warm.
+    """Hold discrete devices at snapped values and re-solve warm, on the
+    solution's own index map.
 
-    Falls back to sweeping device parameters from continuous to snapped
-    values when the direct warm re-solve fails; raises
-    SnappedInfeasibleError if even the sweep cannot converge. The report
-    is the direct re-solve's, or the sweep's total, which starts with the
-    failed direct re-solve.
+    The direct re-solve starts from the solution with the snapped values
+    written into the devices' columns. When it fails, the device values
+    are swept from continuous to snapped, starting from the solution with
+    the continuous values written in; raises SnappedInfeasibleError if
+    even the sweep cannot converge. The report is the direct re-solve's,
+    or the sweep's total, which starts with the failed direct re-solve.
     """
     base = base if base is not None else ControlMode()
     plan = plan_snap(case, solution)
-    snapped_ctl = replace(
-        base,
-        fixed_shunt_b=dict(plan.shunt_b),
-        fixed_tap_ratio=dict(plan.tap_ratio),
-    )
-    warm = solution.remap(build_index(case, snapped_ctl))
+    idx = solution.index
+
+    def held(shunt_b: dict, tap_ratio: dict) -> ControlMode:
+        taps = {("tap", bi): tau for bi, tau in tap_ratio.items()}
+        modes = base.device_modes | dict.fromkeys(taps, FIXED_Q)
+        return replace(base, fixed_shunt_b=shunt_b, device_modes=modes,
+                       fixed_q=base.fixed_q | taps)
+
+    def written(shunt_b: dict, tap_ratio: dict) -> StateVector:
+        state = solution.copy()
+        for j, b in shunt_b.items():
+            state.x[idx.q_col[("shunt", j)]] = b
+        for bi, tau in tap_ratio.items():
+            state.x[idx.tap_col[bi]] = tau
+        return state
+
+    snapped_ctl = held(plan.shunt_b, plan.tap_ratio)
+    warm = written(plan.shunt_b, plan.tap_ratio)
     state, direct = nr_solve(case, warm, snapped_ctl, opts, phase="snap")
     if direct.converged:
         return state, direct, plan
 
     # continuation: t = 1 holds the continuous values, t = 0 the snapped ones
     def make(t: float) -> ControlMode:
-        shunt_b = {
-            j: plan.shunt_b[j] + t * (plan.continuous_shunt_b[j] - plan.shunt_b[j])
-            for j in plan.shunt_b
-        }
-        taps = {
-            bi: plan.tap_ratio[bi] + t * (plan.continuous_tap[bi] - plan.tap_ratio[bi])
-            for bi in plan.tap_ratio
-        }
-        return replace(base, fixed_shunt_b=shunt_b, fixed_tap_ratio=taps)
+        return held(
+            {j: b + t * (plan.continuous_shunt_b[j] - b)
+             for j, b in plan.shunt_b.items()},
+            {bi: tau + t * (plan.continuous_tap[bi] - tau)
+             for bi, tau in plan.tap_ratio.items()})
 
     report = SolveReport(diagnostics=["snap continuation used"])
     report.add(direct)
+    start = written(plan.continuous_shunt_b, plan.continuous_tap)
     try:
-        state = _continuation(case, warm, make, opts, "snap-sweep", report)
+        state = _continuation(case, start, make, opts, "snap-sweep", report)
     except ContinuationError as exc:
         raise SnappedInfeasibleError(
             f"snapped case did not converge ({exc}); feasibility repair of "

@@ -20,8 +20,9 @@ first iteration that no trial brings below the max|F| it started from
 
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
-the first iteration, and a state the tap floor has rewritten, stamp
-anew.
+the first iteration stamps anew. A trial that takes a tap ratio to 0 or
+below is a singular point, like a collapsed voltage: its max|F| counts
+as infinite, and the step is halved.
 
 J comes in two representations, by its dimension alone. Up to
 `circuit_stamps.DENSE_MAX_DIM` unknowns it is a dense array, and
@@ -67,8 +68,6 @@ from .circuit_stamps import (
 )
 from .errors import SingularPointError, SingularSystemError
 
-# taps are clamped at this floor if an update drives the ratio negative
-TAP_FLOOR = 1e-6
 TOL_STEP = 1e-6  # largest step of a converged iteration
 STEP_LIMIT_VOLTAGE = 0.1  # per-iteration clamp on each voltage component
 STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
@@ -298,7 +297,8 @@ def _trace_lambdas(ctl: ControlMode):
 
 def _residual_norm(case, state, ctl):
     """max|F| at a line-search trial, and its pass kept for `assemble`;
-    a collapsed voltage counts as an infinite residual, with no pass."""
+    a singular point (a collapsed voltage, a tap ratio not > 0) counts
+    as an infinite residual, with no pass."""
     try:
         F, kept = residual(case, state, ctl, keep=True)
     except SingularPointError:
@@ -322,8 +322,8 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     into period-2 limit cycles. Outside a sub-solve, a cut step
     (alpha < 1) is followed by landing the local generators on their
     curves, q -= F[q] from the accepted trial clamped at STEP_LIMIT_Q,
-    and one more evaluation, whose pass gives the next F and J unless the
-    tap floor rewrote the state; the landing move counts in max_step.
+    and one more evaluation, whose pass gives the next F and J; the
+    landing move counts in max_step.
     residual_evals counts trials and landings, line_search_backtracks the
     rejected trials.
 
@@ -348,7 +348,6 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
     trace: list[TraceRow] = []
-    diagnostics: list[str] = []
     converged = stalled = False
     it = evals = backtracks = 0
     max_res = kept = factors = None
@@ -391,13 +390,6 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
             dx[land] -= move
             max_res, kept = _residual_norm(case, state, ctl)
             evals += 1
-        for bi, col in state.index.tap_col.items():
-            if state.x[col] < TAP_FLOOR:
-                diagnostics.append(
-                    f"iteration {it}: tap on branch {bi} clamped at {TAP_FLOOR}"
-                )
-                state.x[col] = TAP_FLOOR
-                kept = None  # the pass saw the unclamped state
         max_step = float(np.abs(dx).max())
         trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g, lam_p,
                               lam_tx, max_res, max_step, alpha=best_alpha))
@@ -413,7 +405,6 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         iterations=it,
         final_residual=max_res,
         trace=trace,
-        diagnostics=diagnostics,
         stalled=stalled,
         stalled_subsolves=int(stalled),
         residual_evals=evals,

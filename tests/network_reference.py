@@ -56,17 +56,18 @@ def power_mismatch(case, state, tap_ratio=None, shunt_b=None):
     S_i = V_i conj(sum_j Y_ij V_j). Injections are read from the state:
     generator active power as scheduled, generator and switched-shunt
     reactive power and tap ratios from their columns. tap_ratio and
-    shunt_b give the values of snapped taps and shunts, which have no
-    column; a snapped shunt is an admittance on the diagonal.
+    shunt_b give the values of snapped taps and shunts, used in place of
+    their columns; a snapped shunt is an admittance on the diagonal.
     """
     idx = state.index
     pos = case.bus_index()
     nv = idx.voltage_dim()
     V = state.x[0:nv:2] + 1j * state.x[1:nv:2]
-    ratios = dict(tap_ratio or {})
-    ratios.update({bi: state.x[col] for bi, col in idx.tap_col.items()})
+    shunt_b = shunt_b or {}
+    ratios = {bi: state.x[col] for bi, col in idx.tap_col.items()}
+    ratios.update(tap_ratio or {})
     Y = make_ybus(case, ratios=ratios)
-    for j, b in (shunt_b or {}).items():
+    for j, b in shunt_b.items():
         Y[pos[case.shunts[j].bus], pos[case.shunts[j].bus]] += complex(0.0, b)
     injection = np.zeros(len(case.buses), dtype=complex)
     for i, g in enumerate(case.generators):
@@ -76,9 +77,9 @@ def power_mismatch(case, state, tap_ratio=None, shunt_b=None):
     for load in case.loads:
         injection[pos[load.bus]] -= complex(load.p, load.q)
     for j, sh in enumerate(case.shunts):
-        col = idx.q_col.get(("shunt", j))
-        if col is not None:
-            injection[pos[sh.bus]] += complex(0.0, state.x[col])
+        if j not in shunt_b:
+            q = state.x[idx.q_col[("shunt", j)]]
+            injection[pos[sh.bus]] += complex(0.0, q)
     mismatch = np.abs(V * np.conj(Y @ V) - injection)
     mismatch[idx.slack_pos] = 0.0
     return mismatch

@@ -92,15 +92,20 @@ ALL_CASES = {
 
 
 def snapped_variants(case):
-    """(fixed_shunt_b, fixed_tap_ratio) of no snap, of the first shunt
-    snapped and of the first tap snapped, each where the case has one,
-    and of both."""
+    """ControlModes of the first shunt snapped at b = 0.1 and of the first
+    tap held at ratio 1.0 (FIXED_Q), each where the case has one, and of
+    both; with the held values by device key."""
     taps = [bi for bi, br in enumerate(case.branches) if br.tap is not None]
-    snaps = [({}, {})]
-    snaps += [({0: 0.1}, {})] if case.shunts else []
-    snaps += [({}, {taps[0]: 1.0})] if taps else []
-    snaps += [({0: 0.1}, {taps[0]: 1.0})] if case.shunts and taps else []
-    return snaps
+    shunt = [({0: 0.1}, {("shunt", 0): 0.1})] if case.shunts else []
+    tap = [{("tap", taps[0]): 1.0}] if taps else []
+    out = []
+    for shunt_b, held in shunt + [({}, {})]:
+        for fixed in tap + [{}]:
+            ctl = replace(ControlMode(), fixed_shunt_b=shunt_b,
+                          device_modes=dict.fromkeys(fixed, FIXED_Q),
+                          fixed_q=fixed)
+            out.append((ctl, held | fixed))
+    return out[:-1]
 
 
 def case_limits(case, key):
@@ -136,7 +141,7 @@ def load_delta(case):
     # the index holds the case's device arrays, so the load-free case
     # gets its own (same-shaped) index
     bare = replace(case, loads=())
-    F0, J0 = assemble(bare, StateVector(build_index(bare, ctl), state.x), ctl)
+    F0, J0 = assemble(bare, StateVector(build_index(bare), state.x), ctl)
     return F - F0, as_array(J - J0)
 
 
@@ -289,7 +294,7 @@ class TestJacobians:
 class TestCountingRule:
     def test_two_bus_dimension(self):
         case = two_bus_case()
-        idx = build_index(case, ControlMode())
+        idx = build_index(case)
         assert idx.dim == 4
 
     def test_full_configuration_dimension(self):
@@ -297,7 +302,7 @@ class TestCountingRule:
         # dim = 2N + (1 + 2) + 1 + 1 + 1
         case = full_configuration_case()
         n = len(case.buses)
-        idx = build_index(case, ControlMode())
+        idx = build_index(case)
         assert idx.dim == 2 * n + 3 + 1 + 1 + 1
 
     def test_unknowns_equal_equations(self):
@@ -315,70 +320,79 @@ class TestCountingRule:
     @pytest.mark.parametrize("name", sorted(ALL_CASES))
     def test_column_layout(self, name, agc):
         # the module docstring's order: the voltages, one q column per
-        # injector row after the loads but a snapped shunt's, the group
-        # requests, the controlled taps, and dP_S last; each local control
-        # row holds its injector row's q column
+        # injector row after the loads, the group requests, the taps, and
+        # dP_S last; each local control row holds its injector row's q
+        # column
         case = replace(ALL_CASES[name](), agc_enabled=agc)
         slack = case.slack_bus().id
         members = [i for grp in case.remote_groups for i in grp.members]
         local = [i for i, g in enumerate(case.generators)
                  if g.bus != slack and i not in members]
         taps = [bi for bi, br in enumerate(case.branches) if br.tap is not None]
-        for shunt_b, tap_ratio in snapped_variants(case):
-            idx = build_index(case, replace(ControlMode(),
-                                            fixed_shunt_b=shunt_b,
-                                            fixed_tap_ratio=tap_ratio))
-            t, n = idx.inj, 2 * len(case.buses)
-            assert t.keys == ([None] * len(case.loads)
-                              + [("gen", i) for i in local + members]
-                              + [("shunt", j) for j in range(len(case.shunts))])
-            q_rows = [r for r in range(t.n_loads, len(t.keys))
-                      if t.keys[r][0] == "gen" or t.keys[r][1] not in shunt_b]
-            expected = ([("q", t.keys[r]) for r in q_rows]
-                        + [("qreq", gi) for gi in range(len(case.remote_groups))]
-                        + [("tap", bi) for bi in taps if bi not in tap_ratio]
-                        + [("dps", None)] * agc)
-            named = {c: ("q", k) for k, c in idx.q_col.items()}
-            named.update({c: ("qreq", gi) for gi, c in idx.qreq_col.items()})
-            named.update({c: ("tap", bi) for bi, c in idx.tap_col.items()})
-            if idx.dps_col is not None:
-                named[idx.dps_col] = ("dps", None)
-            assert [named.get(c) for c in range(n, idx.dim)] == expected
-            assert idx.dim == n + len(named) == n + len(expected)
-            assert t.q_cols[np.array(q_rows, dtype=int) - t.n_loads].tolist() == \
-                list(range(n, n + len(q_rows)))
-            r = idx.rows
-            assert r.keys[:r.n_local] == [t.keys[k] for k in t.local]
-            assert r.cols[:r.n_local].tolist() == \
-                t.q_cols[t.local - t.n_loads].tolist()
+        idx = build_index(case)
+        t, n = idx.inj, 2 * len(case.buses)
+        assert t.keys == ([None] * len(case.loads)
+                          + [("gen", i) for i in local + members]
+                          + [("shunt", j) for j in range(len(case.shunts))])
+        expected = ([("q", k) for k in t.keys[t.n_loads:]]
+                    + [("qreq", gi) for gi in range(len(case.remote_groups))]
+                    + [("tap", bi) for bi in taps]
+                    + [("dps", None)] * agc)
+        named = {c: ("q", k) for k, c in idx.q_col.items()}
+        named.update({c: ("qreq", gi) for gi, c in idx.qreq_col.items()})
+        named.update({c: ("tap", bi) for bi, c in idx.tap_col.items()})
+        if idx.dps_col is not None:
+            named[idx.dps_col] = ("dps", None)
+        assert [named.get(c) for c in range(n, idx.dim)] == expected
+        assert idx.dim == n + len(named) == n + len(expected)
+        assert t.q_cols.tolist() == list(range(n, n + len(t.q_cols)))
+        r = idx.rows
+        assert r.keys[:r.n_local] == [t.keys[k] for k in t.local]
+        assert r.cols[:r.n_local].tolist() == \
+            t.q_cols[t.local - t.n_loads].tolist()
+
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
+    def test_snapped_variants_keep_the_layout(self, name, monkeypatch):
+        # snapping is a control mode, not a layout: every snapped variant
+        # stamps on the case's one index map and shares its J structure,
+        # and a snapped device's row holds its own column at its value
+        monkeypatch.setattr(circuit_stamps, "DENSE_MAX_DIM", 0)
+        case = ALL_CASES[name]()
+        state = random_state(case, ControlMode(), 0)
+        idx = state.index
+        J = assemble(case, state, ControlMode())[1]
+        cols = idx.q_col | {("tap", bi): c for bi, c in idx.tap_col.items()}
+        for ctl, held in snapped_variants(case):
+            F, Js = assemble(case, state, ctl)
+            assert Js.structure is J.structure is idx.jac
+            for key, value in held.items():
+                col = cols[key]
+                assert F[col] == state.x[col] - value
+                assert Js[col].nonzero()[1].tolist() == [col]
 
 
 class TestControlledDevices:
     @pytest.mark.parametrize("agc", [False, True])
     @pytest.mark.parametrize("name", sorted(ALL_CASES))
     def test_limits_are_the_case_s(self, name, agc):
-        # every generator off the slack bus, unsnapped shunt and unsnapped
-        # tap once, at its q or ratio column, with the case's own limits
+        # every generator off the slack bus, switched shunt and tap once,
+        # at its q or ratio column, with the case's own limits
         case = replace(ALL_CASES[name](), agc_enabled=agc)
         slack = case.slack_bus().id
-        for shunt_b, tap_ratio in snapped_variants(case):
-            idx = build_index(case, replace(ControlMode(),
-                                            fixed_shunt_b=shunt_b,
-                                            fixed_tap_ratio=tap_ratio))
-            walk = list(controlled_devices(idx))
-            cols = {key: col for key, col, _, _ in walk}
-            assert len(cols) == len(walk)
-            assert cols == {**idx.q_col, **{("tap", bi): c for bi, c
-                                            in idx.tap_col.items()}}
-            assert set(cols) == (
-                {("gen", i) for i, g in enumerate(case.generators)
-                 if g.bus != slack}
-                | {("shunt", j) for j in range(len(case.shunts))
-                   if j not in shunt_b}
-                | {("tap", bi) for bi, br in enumerate(case.branches)
-                   if br.tap is not None and bi not in tap_ratio})
-            for key, _, lo, hi in walk:
-                assert (lo, hi) == case_limits(case, key)
+        idx = build_index(case)
+        walk = list(controlled_devices(idx))
+        cols = {key: col for key, col, _, _ in walk}
+        assert len(cols) == len(walk)
+        assert cols == {**idx.q_col, **{("tap", bi): c for bi, c
+                                        in idx.tap_col.items()}}
+        assert set(cols) == (
+            {("gen", i) for i, g in enumerate(case.generators)
+             if g.bus != slack}
+            | {("shunt", j) for j in range(len(case.shunts))}
+            | {("tap", bi) for bi, br in enumerate(case.branches)
+               if br.tap is not None})
+        for key, _, lo, hi in walk:
+            assert (lo, hi) == case_limits(case, key)
 
 
 class TestStructuralSymmetry:
@@ -576,7 +590,7 @@ class TestDistributedSlack:
         gen = Generator(2, 0.5, 1.0, -9, 9, 0.0, 5.0, agc_factor=0.4)
         case = replace(case, generators=(case.generators[0], gen))
         ctl = replace(ControlMode(), p_relax=1.0)
-        idx = build_index(case, ctl)
+        idx = build_index(case)
         for dps in (-2.0, 0.0, 3.0, 50.0):
             dp, ddp = slack_participation(ctl, idx, dps)
             assert dp.tolist() == [pytest.approx(0.4 * dps)]

@@ -1,6 +1,3 @@
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from splitflow import (
@@ -12,11 +9,11 @@ from splitflow import (
     SnappedInfeasibleError,
     SwitchedShunt,
 )
-from splitflow.circuit_stamps import ControlMode, StateVector, flat_start
+import splitflow.circuit_stamps as circuit_stamps
 from splitflow.discrete_control import build_steps, resolve_after_snap, snap_to_steps
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
-from tests.conftest import load_native, patch_nr_solve, remote_pair_case
+from tests.conftest import load_native, patch_function, patch_nr_solve
 from tests.network_reference import power_mismatch
 
 OPTS = SolverOptions()
@@ -38,24 +35,27 @@ class TestResolveAfterSnap:
         case = load_native("discrete4")
         state, report = run_homotopy(case, "none", OPTS)
         assert report.converged
-        return case, resolve_after_snap(case, state, OPTS)
+        return case, state, resolve_after_snap(case, state, OPTS)
 
     def test_discrete4_snaps_shunt_and_tap(self, snapped):
-        _, (_, report, plan) = snapped
+        _, _, (_, report, plan) = snapped
         assert report.converged
         assert plan.shunt_b == {0: pytest.approx(0.2)}
         assert plan.tap_ratio == {2: pytest.approx(0.975)}
 
-    def test_snapped_devices_leave_the_unknowns(self, snapped):
-        _, (state, _, _) = snapped
-        assert ("shunt", 0) not in state.index.q_col
-        assert 2 not in state.index.tap_col
-        assert state.index.snapped_taps == [2]
+    def test_snapped_devices_held_on_the_solution_s_map(self, snapped):
+        # the re-solve keeps the continuous solution's index map, and the
+        # snapped devices' own columns hold the snapped b and ratio
+        _, solution, (state, _, plan) = snapped
+        idx = solution.index
+        assert state.index is idx
+        assert state.x[idx.q_col[("shunt", 0)]] == plan.shunt_b[0]
+        assert state.x[idx.tap_col[2]] == plan.tap_ratio[2]
 
     def test_snapped_solution_balances_power(self, snapped):
         # the snapped tap and shunt are stamped per device; the oracle
         # applies the snapped ratio and susceptance independently
-        case, (state, _, plan) = snapped
+        case, _, (state, _, plan) = snapped
         assert power_mismatch(case, state, tap_ratio=plan.tap_ratio,
                               shunt_b=plan.shunt_b).max() <= 1e-5
 
@@ -109,35 +109,28 @@ def test_infeasible_snap_raises_after_the_sweep():
     assert t == pytest.approx(0.483, abs=1e-3)
 
 
-@pytest.mark.parametrize("case,shunt_b,tap_ratio", [
-    # q and tap columns, and the slack surplus
-    (replace(load_native("discrete4"), agc_enabled=True), {0: 0.2},
-     {2: 0.975}),
-    # q and remote-request columns
-    (replace(remote_pair_case(),
-             shunts=(SwitchedShunt(4, 0.0, 0.5, 0.1, 1.0),)), {0: 0.2}, {}),
-], ids=["discrete4", "remote_pair"])
-def test_remap_carries_shared_columns(case, shunt_b, tap_ratio):
-    base = ControlMode()
-    full = flat_start(case, base).index
-    snapped = flat_start(case, replace(base, fixed_shunt_b=shunt_b,
-                                       fixed_tap_ratio=tap_ratio)).index
-    source = StateVector(full, np.arange(1.0, full.dim + 1.0))
-    out = source.remap(snapped)
-    assert out.x.size == snapped.dim
-    nv = full.voltage_dim()
-    assert np.array_equal(out.x[:nv], source.x[:nv])
-    for new_cols, old_cols in ((snapped.q_col, full.q_col),
-                               (snapped.qreq_col, full.qreq_col),
-                               (snapped.tap_col, full.tap_col)):
-        for key, col in new_cols.items():
-            assert out.x[col] == source.x[old_cols[key]]
-    if full.dps_col is not None:
-        assert out.x[snapped.dps_col] == source.x[full.dps_col]
-    # back again: the snapped devices' columns are zero-filled
-    back = out.remap(full)
-    dropped = ([full.q_col[("shunt", j)] for j in shunt_b]
-               + [full.tap_col[bi] for bi in tap_ratio])
-    kept = np.setdiff1d(np.arange(full.dim), dropped)
-    assert np.all(back.x[dropped] == 0.0)
-    assert np.array_equal(back.x[kept], source.x[kept])
+@pytest.mark.parametrize("method", ["none", "smoothing"])
+def test_snap_run_builds_one_structure(method, monkeypatch):
+    # the continuous solve and the snapped re-solve, or its sweep, run on
+    # one index map: one build_index and one J structure per run, so
+    # SuperLU orders the run's pattern once
+    built = {"build_index": 0, "_jacobian_structure": 0}
+
+    def wrap(fn):
+        def counted(*args):
+            built[fn.__name__] += 1
+            return fn(*args)
+        return counted
+
+    patch_function(monkeypatch, circuit_stamps.build_index, wrap)
+    patch_function(monkeypatch, circuit_stamps._jacobian_structure, wrap)
+    opts = SolverOptions(max_iter=2 if method == "smoothing" else 100)
+    case = load_native("discrete4")
+    state, report = run_homotopy(case, method, OPTS)
+    assert report.converged
+    _, report, plan = resolve_after_snap(case, state, opts)
+    assert report.converged and plan.shunt_b and plan.tap_ratio
+    # the smoothing run's re-solve at two iterations sweeps
+    assert (report.diagnostics[:1] == ["snap continuation used"]) == (
+        method == "smoothing")
+    assert built == {"build_index": 1, "_jacobian_structure": 1}

@@ -169,7 +169,7 @@ class TestQLimitRelaxation:
         case = replace(case, generators=case.generators + (
             Generator(2, 0.2, 1.02, -0.2, 0.6, 0.0, 1.0),))
         base = ControlMode()
-        hard = _unbounded_control(build_index(case, base), base)
+        hard = _unbounded_control(build_index(case), base)
         assert hard.device_modes[("gen", 0)] == FIXED_V
         assert hard.device_modes[("gen", 1)] == FIXED_Q
         assert hard.fixed_q == {("gen", 1): pytest.approx(0.2)}

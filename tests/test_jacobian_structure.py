@@ -259,7 +259,7 @@ def test_order_dropped_with_the_structure(monkeypatch):
     old = state.index.jac
     inv = old.inv
     assert inv is not None
-    moved = state.remap(build_index(case, ctl))
+    moved = StateVector(build_index(case), state.x.copy())
     assert moved.index is not state.index and moved.index.jac is None
     spy = SpyFactor(monkeypatch)
     for s in (moved, moved, state):

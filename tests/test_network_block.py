@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitflow.circuit_stamps import TX_SCALE, ControlMode, build_index
+from splitflow.circuit_stamps import TX_SCALE, build_index
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import (
@@ -35,7 +35,7 @@ def bundled(name):
 def test_block_equals_ybus_expansion(name, tx_relax):
     # the block holds every branch without a tap column, and the fixed shunts
     case = bundled(name)
-    idx = build_index(case, ControlMode())
+    idx = build_index(case)
     nv = idx.voltage_dim()
     block = np.zeros((nv, nv))
     np.add.at(block, (idx.net_rows, idx.net_cols),

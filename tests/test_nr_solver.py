@@ -12,6 +12,7 @@ import splitflow.nr_solver as nr_solver
 from splitflow import SingularPointError, SingularSystemError
 from splitflow.circuit_stamps import (
     ControlMode,
+    StateVector,
     assemble,
     flat_start,
     residual,
@@ -29,7 +30,6 @@ from splitflow.nr_solver import (
 )
 from tests.conftest import (
     load_matpower,
-    load_native,
     tapped_case,
     two_bus_case,
 )
@@ -474,33 +474,44 @@ class TestStampedOnce:
         assert len(passes) == 1 + rep.residual_evals
         assert len({x.tobytes() for x in passes}) == len(passes)
 
-    def test_tap_floor_clamp_restamps(self, monkeypatch):
-        # a floor above every ratio clamps the tap on each iteration; the
-        # trial's pass saw the unclamped state, so the next J is stamped
-        # anew at the clamped one
-        case = load_native("discrete4")
+    def test_negative_ratio_trial_is_halved(self, monkeypatch):
+        # from the primary-side tap case's flat start, a later trial takes
+        # the ratio below 0: a singular point, read as max|F| = inf with no
+        # pass, and the step is halved from the same iterate. Nothing is
+        # stamped again, so every state is still stamped once
+        case = tapped_case("primary")
         ctl = ControlMode()
         init = flat_start(case, ctl)
-        (tap_col,) = init.index.tap_col.values()
-        monkeypatch.setattr(nr_solver, "TAP_FLOOR", 2.0)
-        assembled = []
-        assemble = nr_solver.assemble
+        (col,) = init.index.tap_col.values()
+        iterates, trials = [], []
+        assemble, norm = nr_solver.assemble, nr_solver._residual_norm
 
-        def checked(case, state, ctl, kept=None):
-            F, J = assemble(case, state, ctl, kept)
-            assembled.append((state.x[tap_col], kept))
-            assert F.tobytes() == residual(case, state, ctl).tobytes()
-            return F, J
+        def recorded_assemble(case, state, ctl, kept=None):
+            iterates.append(state.x.copy())
+            return assemble(case, state, ctl, kept)
 
-        monkeypatch.setattr(nr_solver, "assemble", checked)
+        def recorded_norm(case, state, ctl):
+            r, kept = norm(case, state, ctl)
+            trials.append((len(iterates), state.x.copy(), r, kept))
+            return r, kept
+
+        monkeypatch.setattr(nr_solver, "assemble", recorded_assemble)
+        monkeypatch.setattr(nr_solver, "_residual_norm", recorded_norm)
         passes = self.count_passes(monkeypatch)
-        _, rep = nr_solve(case, init, ctl, SolverOptions(max_iter=4))
-        assert rep.iterations == 4
-        assert sum("clamped" in d for d in rep.diagnostics) == 4
-        assert all(kept is None for _, kept in assembled)
-        assert all(tap == 2.0 for tap, _ in assembled[1:])
-        # the F check above stamps too, once per assemble
-        assert len(passes) == 2 * rep.iterations + rep.residual_evals
+        _, rep = nr_solve(case, init, ctl, OPTS)
+        assert rep.converged
+        assert len(passes) == 1 + rep.residual_evals
+        k = next(k for k, t in enumerate(trials) if t[1][col] < 0.0)
+        it, x, r, kept = trials[k]
+        assert r == math.inf and kept is None
+        with pytest.raises(SingularPointError,
+                           match=f"tap ratio of branch 1 is {x[col]:g}"):
+            residual(case, StateVector(init.index, x), ctl)
+        later, halved, r_half, _ = trials[k + 1]
+        start = iterates[it - 1]
+        assert later == it and r_half < math.inf and halved[col] > 0.0
+        assert np.allclose(halved - start, (x - start) / 2.0, rtol=0.0,
+                           atol=1e-15)
 
     def test_best_trial_pass_kept(self, monkeypatch):
         # no trial lowers max|F|, and the second of each iteration's seven

@@ -1,6 +1,6 @@
 """`tools/pipeline_census.py` covers every case, AGC setting, method,
 snap setting and outer-loop order, and flags a run that stopped
-converging or converged in more NR iterations."""
+converging or converged in more NR iterations or residual evaluations."""
 
 import sys
 
@@ -24,26 +24,44 @@ def test_every_pipeline_on_every_case():
 
 
 def test_lost_and_raised_runs_flagged():
-    before = ["a\tagc=off\ttx\tsnap=off\ttrue\t10",
-              "b\tagc=off\ttx\tsnap=off\ttrue\t10",
-              "c\tagc=off\ttx\tsnap=off\ttrue\t10",
-              "d\tagc=off\ttx\tsnap=off\terror\terror",
-              "total\t4 runs\t3 converged\t30 NR iterations of converged runs"]
-    now = ["a\tagc=off\ttx\tsnap=off\ttrue\t9",
-           "b\tagc=off\ttx\tsnap=off\ttrue\t11",
-           "c\tagc=off\ttx\tsnap=off\tfalse\t100",
-           "d\tagc=off\ttx\tsnap=off\ttrue\t5"]
+    before = ["a\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "b\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "c\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "d\tagc=off\ttx\tsnap=off\terror\terror\terror",
+              "e\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "total\t5 runs\t4 converged\t40 NR iterations and 80 "
+              "residual evaluations of converged runs"]
+    now = ["a\tagc=off\ttx\tsnap=off\ttrue\t9\t20",
+           "b\tagc=off\ttx\tsnap=off\ttrue\t11\t19",
+           "c\tagc=off\ttx\tsnap=off\tfalse\t100\t150",
+           "d\tagc=off\ttx\tsnap=off\ttrue\t5\t5",
+           "e\tagc=off\ttx\tsnap=off\ttrue\t9\t21"]
     key = ("agc=off", "tx", "snap=off")
     assert pipeline_census.worse(
-        pipeline_census.converged_iterations(before),
-        pipeline_census.converged_iterations(now)) == [
-            (("b", *key), 10, 11), (("c", *key), 10, None)]
+        pipeline_census.converged_counts(before),
+        pipeline_census.converged_counts(now)) == [
+            (("b", *key), (10, 20), (11, 19)), (("c", *key), (10, 20), None),
+            (("e", *key), (10, 20), (9, 21))]
+
+
+def test_six_column_census_compares_iterations_alone():
+    # a census recorded before the evaluations column: a run is worse
+    # only by its NR iterations
+    before = ["a\tagc=off\ttx\tsnap=off\ttrue\t10",
+              "b\tagc=off\ttx\tsnap=off\ttrue\t10"]
+    now = ["a\tagc=off\ttx\tsnap=off\ttrue\t10\t99",
+           "b\tagc=off\ttx\tsnap=off\ttrue\t11\t1"]
+    assert pipeline_census.worse(
+        pipeline_census.converged_counts(before),
+        pipeline_census.converged_counts(now)) == [
+            (("b", "agc=off", "tx", "snap=off"), (10, None), (11, 1))]
 
 
 def test_recorded_census_has_every_run():
     # tools/census.tsv, which CI compares against, is a whole census
     recorded = (CASE_DIR.parent.parent / "tools" / "census.tsv").read_text()
     lines = recorded.splitlines()
+    assert all(len(line.split("\t")) == 7 for line in lines[:-1])
     keys = [tuple(line.split("\t")[:4]) for line in lines[:-1]]
     runs = [(name, f"agc={'on' if agc else 'off'}", method,
              f"snap={'on' if snap else 'off'}")

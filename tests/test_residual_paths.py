@@ -55,7 +55,7 @@ def with_slack_members(case):
 def variant(case, name):
     """(case, ControlMode) of one control variant."""
     ctl = ControlMode()
-    idx = build_index(case, ctl)
+    idx = build_index(case)
     keys = list(idx.q_col) + [("tap", bi) for bi in idx.tap_col]
     if name == "base":
         return case, ctl
@@ -71,14 +71,15 @@ def variant(case, name):
     if name.startswith("slack-"):
         case = with_slack_members(case)
         ctl = ControlMode()
-        members = build_index(case, ctl).agc_member_idx
+        members = build_index(case).agc_member_idx
         return case, replace(ctl, p_relax=float(name[len("slack-"):]),
                              p_extra={i: (0.3, 0.5) for i in members[::2]})
     if name == "snapped":
+        # the snapped taps held at their ratios, the shunts admittances
+        taps = {("tap", bi): 1.01 for bi in idx.tap_col}
         return case, replace(
             ctl, fixed_shunt_b={j: 0.1 for j in range(len(case.shunts))},
-            fixed_tap_ratio={bi: 1.01 for bi, br in enumerate(case.branches)
-                             if br.tap is not None})
+            device_modes=dict.fromkeys(taps, FIXED_Q), fixed_q=taps)
     if name == "tx-relaxed":
         return case, replace(ctl, tx_relax=0.3)
     raise ValueError(name)
@@ -119,7 +120,7 @@ def test_jacobian_matches_in_outage_screening_configuration():
     case = replace(case118, agc_enabled=True).drop_generator(
         case118.generators[3].bus)
     ctl = ControlMode()
-    assert case.agc_enabled and build_index(case, ctl).dps_col is not None
+    assert case.agc_enabled and build_index(case).dps_col is not None
     assert_jacobian_matches(case, random_state(case, ctl, 0), ctl)
 
 
@@ -128,7 +129,7 @@ def test_control_mode_changed_in_place_is_seen():
     # whose dicts change in place must still be stamped as it now is
     case = load_matpower("case9")
     ctl = ControlMode()
-    keys = list(build_index(case, ctl).q_col)
+    keys = list(build_index(case).q_col)
     ctl = replace(ctl, q_scale={k: 1.5 for k in keys})
     state = random_state(case, ctl, 0)
     before = residual(case, state, ctl)

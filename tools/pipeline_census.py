@@ -9,12 +9,15 @@ in tests/conftest.py make. Each runs with distributed slack (AGC) off
 and on, under every homotopy method (`p-limit` with AGC only), with and
 without snapping, and through the outer loop in both switching orders.
 A line holds the case, AGC, the method (`outer-<order>` for the outer
-loop), snap, whether the run converged and its NR iterations; a run that
-raises prints `error` for both. The last line holds the totals.
+loop), snap, whether the run converged, its NR iterations and its
+residual evaluations; a run that raises prints `error` for all three.
+The last line holds the totals.
 
 With --against, the lines of an earlier census are read from the file and
 every run that converged there but not now, or converged in more NR
-iterations now, is listed; the exit status is 1 if there is one.
+iterations or residual evaluations now, is listed; the exit status is 1
+if there is one. A census recorded without the evaluations (six
+columns) is compared on NR iterations alone.
 """
 
 import argparse
@@ -75,30 +78,35 @@ def census():
     for name, agc, method, snap, pipeline in runs():
         try:
             report = pipeline().report
-            outcome = (str(report.converged).lower(), str(report.iterations))
+            outcome = (str(report.converged).lower(), str(report.iterations),
+                       str(report.residual_evals))
         except SplitflowError:
-            outcome = ("error", "error")
+            outcome = ("error",) * 3
         lines.append("\t".join((name, f"agc={'on' if agc else 'off'}", method,
                                 f"snap={'on' if snap else 'off'}", *outcome)))
     return lines
 
 
-def converged_iterations(lines):
-    """{run: NR iterations} of the run lines that converged; other lines
+def converged_counts(lines):
+    """{run: (NR iterations, residual evaluations)} of the run lines that
+    converged, the evaluations None on a six-column line; other lines
     (the totals, a comparison) are skipped."""
     out = {}
     for line in lines:
         fields = line.split("\t")
-        if len(fields) == 6 and fields[4] == "true":
-            out[tuple(fields[:4])] = int(fields[5])
+        if len(fields) in (6, 7) and fields[4] == "true":
+            evals = int(fields[6]) if len(fields) == 7 else None
+            out[tuple(fields[:4])] = (int(fields[5]), evals)
     return out
 
 
 def worse(before, now):
-    """(run, NR iterations before, NR iterations now or None) for each run
-    that converged before and now did not, or took more iterations."""
-    return [(key, it, now.get(key)) for key, it in before.items()
-            if now.get(key) is None or now[key] > it]
+    """(run, counts before, counts now or None) for each run that
+    converged before and now did not, or took more NR iterations or
+    residual evaluations than recorded."""
+    return [(key, was, now.get(key)) for key, was in before.items()
+            if now.get(key) is None or now[key][0] > was[0]
+            or was[1] is not None and now[key][1] > was[1]]
 
 
 def main(argv=None):
@@ -107,22 +115,24 @@ def main(argv=None):
                     help="an earlier census to compare with")
     args = ap.parse_args(argv)
     lines = census()
-    now = converged_iterations(lines)
+    now = converged_counts(lines)
     for line in lines:
         print(line)
     print(f"total\t{len(lines)} runs\t{len(now)} converged\t"
-          f"{sum(now.values())} NR iterations of converged runs")
+          f"{sum(it for it, _ in now.values())} NR iterations and "
+          f"{sum(ev for _, ev in now.values())} residual evaluations of "
+          "converged runs")
     if args.against is None:
         return 0
-    before = converged_iterations(args.against.read_text().splitlines())
+    before = converged_counts(args.against.read_text().splitlines())
     lost = worse(before, now)
-    for key, it, later in lost:
-        print(f"worse\t{' '.join(key)}\t{it} -> "
+    for key, was, later in lost:
+        print(f"worse\t{' '.join(key)}\t{was} -> "
               f"{'not converged' if later is None else later}")
     both = before.keys() & now.keys()
     print(f"against\t{len(before)} converged before\t{len(lost)} lost or "
-          f"raised\t{sum(before[k] for k in both)} -> "
-          f"{sum(now[k] for k in both)} NR iterations of runs converged in "
+          f"raised\t{sum(before[k][0] for k in both)} -> "
+          f"{sum(now[k][0] for k in both)} NR iterations of runs converged in "
           "both")
     return 1 if lost else 0
 
