@@ -167,7 +167,13 @@ class NetworkCase:
         raise CaseValidationError(["no slack bus"])
 
     def drop_generator(self, bus_id: int) -> "NetworkCase":
-        """Case with the first generator at bus_id removed (contingency)."""
+        """Case with the first generator at bus_id removed (contingency).
+
+        Remote groups inferred from the generators are inferred again from
+        those left. Groups given explicitly are kept, their members
+        re-indexed past the dropped unit; the dropped unit leaves its
+        group, whose factors are renormalised to sum to 1, and a group it
+        leaves empty is dropped."""
         hit = None
         for i, g in enumerate(self.generators):
             if g.bus == bus_id:
@@ -176,7 +182,20 @@ class NetworkCase:
         if hit is None:
             raise CaseValidationError([f"no generator at bus {bus_id} to drop"])
         gens = tuple(g for i, g in enumerate(self.generators) if i != hit)
-        return replace(self, generators=gens, remote_groups=())
+        if self.remote_groups == _infer_remote_groups(self.generators,
+                                                      self.bus_index()):
+            return replace(self, generators=gens, remote_groups=())
+        groups = []
+        for grp in self.remote_groups:
+            kept = [(m - (m > hit), f) for m, f in zip(grp.members, grp.factors)
+                    if m != hit]
+            if len(kept) < len(grp.members):
+                total = sum(f for _, f in kept)
+                kept = [(m, f / total) for m, f in kept]
+            if kept:
+                members, factors = zip(*kept)
+                groups.append(replace(grp, members=members, factors=factors))
+        return replace(self, generators=gens, remote_groups=tuple(groups))
 
 
 def _infer_remote_groups(generators, bus_pos) -> tuple[RemoteControlGroup, ...]:

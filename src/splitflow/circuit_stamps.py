@@ -19,14 +19,18 @@ when J is asked for. `residual` returns the pass's F, and on request the
 pass itself; `assemble` builds J from a new pass or from one `residual`
 kept at the same state (the NR line search keeps the pass of the trial it
 accepts), so F is the same either way and J is testable against finite
-differences of `residual`. All KCL terms enter F through one bincount.
+differences of `residual`. All KCL terms enter F through one bincount,
+whose rows the map holds (IndexMap.f_rows); the network block's values
+are scaled once per tx relaxation scale and shared by the passes at it.
 J's pattern is fixed by the index map, which has every slot that can be
 non-zero (a mode without a partial emits 0.0 in it), so J's CSC
 structure (row indices, column pointers, the slack-row rewrite and the
-entry each value adds to) is built once per IndexMap; each `assemble`
-emits values only and sums them into the structure with one bincount,
-duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the same
-bincount fills a dense J instead, through each entry's flat index, for a
+entry each value adds to) is built once per IndexMap. The network
+block's part of J is linear in the voltages, so its values depend on
+the scale alone: the structure keeps their sums once per scale and
+representation, and each `assemble` adds the other values to a copy of
+them, duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the
+same sums fill a dense J instead, through each entry's flat index, for a
 LAPACK solve; above, J is CSC, and the structure also keeps the LU
 column order of its pattern for `nr_solver.solve_linear`.
 
@@ -70,8 +74,8 @@ TX_SCALE = 1e3
 DEGENERATE_RANGE = 1e-12
 # J of at most this many unknowns is emitted dense, for a LAPACK solve.
 # A dense fill and LAPACK beat a CSC fill and SuperLU, whose fixed cost
-# dominates a small solve, on every generated case up to 129 unknowns;
-# they split at 140 and lose from 151 on, and case118's 255 are 2.8
+# dominates a small solve, on every generated case up to 97 unknowns;
+# they split at 129 and lose from 140 on, and case118's 255 are 2.5
 # times slower dense (tools/lu_probe.py, BENCH_lu.json)
 DENSE_MAX_DIM = 128
 
@@ -161,7 +165,6 @@ class Injectors:
     q: np.ndarray  # a load's -q; the rows after the loads read q from x
     n_loads: int
     q_cols: np.ndarray  # q columns of the rows after the loads
-    kcl_rows: np.ndarray  # F rows of the currents: V_R rows, then V_I rows
     agc_at: np.ndarray  # rows of distributed-slack members, and their
     agc_pos: np.ndarray  # positions in IndexMap.agc_member_idx
     local: np.ndarray  # rows with a control row (IndexMap.rows)
@@ -226,6 +229,7 @@ class IndexMap:
     taps: Taps
     inj: Injectors
     rows: ControlRows
+    f_rows: np.ndarray  # F's row of every term a pass emits, in order
     # the tables' J slots, table by table (taps, injections, control
     # rows, participation rows) and slot by slot: rows, cols, and whether
     # the map has the slot
@@ -238,6 +242,8 @@ class IndexMap:
     agc_hi: np.ndarray
     # (fields, _Controls) of the last ControlMode _controls derived
     last: tuple | None = field(default=None, repr=False, compare=False)
+    # (scale, scale * net_series + net_shunt) of the last pass's scale
+    net: tuple | None = field(default=None, repr=False, compare=False)
     # J's CSC structure, built by the first `assemble` on the map
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
@@ -290,9 +296,15 @@ def build_index(case: NetworkCase) -> IndexMap:
     dim = next(cols)
 
     in_block = [bi for bi in range(len(case.branches)) if bi not in tap_col]
+    net = _network_block(case, bus_pos, in_block)
     taps = _taps(case, bus_pos, tap_col)
     inj, rows = _tables(case, table, bus_pos, q_col, qreq_col, tap_col,
                         len(local_gen_idx), agc_member_idx)
+    at = taps.at.ravel()
+    # the terms of a pass: network, taps and injections (V_R rows, then
+    # V_I rows), control rows, participation rows
+    f_rows = np.concatenate((net["net_rows"], at, at + 1, inj.vr_c,
+                             inj.vi_c, rows.cols, inj.m_cols))
     agc_gens = [gens[i] for i in agc_member_idx]
     slack_v_set = case.buses[slack_pos].v_init_real
     if slack_gen_idx:
@@ -311,10 +323,11 @@ def build_index(case: NetworkCase) -> IndexMap:
         slack_gen_idx=slack_gen_idx,
         slack_p_sched=sum(gens[i].p_g for i in slack_gen_idx),
         slack_v_set=slack_v_set,
-        **_network_block(case, bus_pos, in_block),
+        **net,
         taps=taps,
         inj=inj,
         rows=rows,
+        f_rows=f_rows,
         **_slots(taps, inj, rows, dps_col),
         agc_kappa=np.array([g.agc_factor for g in agc_gens], dtype=float),
         agc_lo=np.array([g.p_min - g.p_g for g in agc_gens], dtype=float),
@@ -357,7 +370,7 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
     inj = Injectors(
         keys=keys, pos=pos, vr_c=2 * pos, vi_c=2 * pos + 1,
         p=p, q=q, n_loads=n_loads, q_cols=col[n_loads:],
-        kcl_rows=np.concatenate((2 * pos, 2 * pos + 1)), agc_at=agc_at,
+        agc_at=agc_at,
         agc_pos=np.array([agc[keys[r]] for r in agc_at], dtype=np.intp),
         local=local, members=members, member_min=lo[members],
         member_max=hi[members], m_cols=col[members],
@@ -432,20 +445,22 @@ def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
     part; a fixed shunt adds its admittance to the shunt part. An entry
     G + jB at (i, j) becomes the real block [[G, -B], [B, G]].
     """
-    brs = [case.branches[bi] for bi in in_block]
-    f = np.array([bus_pos[br.from_bus] for br in brs], dtype=np.intp)
-    t = np.array([bus_pos[br.to_bus] for br in brs], dtype=np.intp)
-    tr = np.array([br.ratio for br in brs], dtype=float)
-    y = np.array([complex(br.g, br.b) for br in brs], dtype=complex)
-    c = np.array([complex(0.0, br.b_sh / 2.0) for br in brs], dtype=complex)
+    # one walk over the branches: ends, ratio, series g and b, b_sh/2
+    f, t, tr, g, b, half = np.fromiter(itertools.chain.from_iterable(
+        (bus_pos[br.from_bus], bus_pos[br.to_bus], br.ratio, br.g, br.b,
+         br.b_sh / 2.0) for br in map(case.branches.__getitem__, in_block)),
+        dtype=float, count=6 * len(in_block)).reshape(-1, 6).T
+    f, t = f.astype(np.intp), t.astype(np.intp)
+    y, c = np.zeros((2, len(tr)), dtype=complex)
+    y.real, y.imag, c.imag = g, b, half
     k = np.array([bus_pos[sh.bus] for sh in case.fixed_shunts], dtype=np.intp)
     ysh = np.array([complex(sh.g, sh.b) for sh in case.fixed_shunts],
                    dtype=complex)
-    none = np.zeros(len(brs))
+    none, tr2, ft = np.zeros(len(tr)), tr**2, -y / tr
     i = np.concatenate((f, f, t, t, k))
     j = np.concatenate((f, t, f, t, k))
-    series = np.concatenate((y / tr**2, -y / tr, -y / tr, y, np.zeros(len(k))))
-    shunt = np.concatenate((c / tr**2, none, none, c, ysh))
+    series = np.concatenate((y / tr2, ft, ft, y, np.zeros(len(k))))
+    shunt = np.concatenate((c / tr2, none, none, c, ysh))
 
     def real(z):
         return np.concatenate((z.real, -z.imag, z.imag, z.real))
@@ -459,7 +474,9 @@ class StateVector:
     """Dense unknown vector plus its index map."""
 
     def __init__(self, index: IndexMap, x: np.ndarray):
-        assert len(x) == index.dim
+        if len(x) != index.dim:
+            raise ValueError(f"state vector has {len(x)} entries; its index "
+                             f"map has {index.dim} unknowns")
         self.index = index
         self.x = x
 
@@ -497,7 +514,8 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     c, r = _controls(ctl, index), index.rows
     on = c.sig.copy()
     on[:len(index.local_gen_idx)] = True  # the local generators' rows
-    c = replace(c, sig=on, curves=_curves(r, *c.limits, on))
+    c = replace(c, sig=on, any_sig=bool(on.any()),
+                curves=_curves(r, *c.limits, on))
     x[r.cols] = _targets(c, x, ctl.effective_steepness())[0]
     x[index.inj.m_cols] = _member_targets(c, index.inj, x)[0]
     ratio = [case.branches[bi].ratio for bi in index.tap_col]
@@ -516,11 +534,13 @@ class _Controls:
 
     held: np.ndarray  # control rows' values off the curve: fixed_q or a
     # snapped shunt's b, else lo
-    sig: np.ndarray  # control rows on their sigmoid, and their (V_R and
-    curves: tuple  # V_I columns, relaxed lo, hi, v_set, sign)
+    sig: np.ndarray  # control rows on their sigmoid, whether any is, and
+    any_sig: bool  # their (V_R and V_I columns, relaxed lo, hi, v_set,
+    curves: tuple  # sign)
     limits: tuple  # every control row's relaxed (lo, hi)
-    fixed_v: np.ndarray  # control rows that hold |V|, and (V_R and V_I
-    held_v: tuple  # columns, bus, v_set)
+    fixed_v: np.ndarray  # control rows that hold |V|, whether any does,
+    any_fixed_v: bool  # and their (V_R and V_I columns, bus, v_set)
+    held_v: tuple
     sensed: np.ndarray  # buses whose |V| the pass divides by, in the
     # order they are checked: sigmoid taps, injections, sigmoid groups
     snapped: np.ndarray  # injector rows of the snapped shunts, and their
@@ -528,7 +548,8 @@ class _Controls:
     m_lo: np.ndarray  # members: relaxed limits
     m_hi: np.ndarray
     hard: np.ndarray  # members of FIXED_V groups
-    curve: np.ndarray  # members on their participation curve
+    curve: np.ndarray  # members on their participation curve, and
+    any_curve: bool  # whether any is
     gen_curves: np.ndarray  # local generators' q columns on their sigmoid
 
 
@@ -585,15 +606,17 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     tap, grp = np.zeros(len(sig), dtype=bool), np.zeros(len(sig), dtype=bool)
     tap[L:n], grp[n:] = sig[L:n], sig[n:]
     v = np.array((2 * r.pos, 2 * r.pos + 1))
+    curve = follow & ~hard
     c = _Controls(
-        held=held, sig=sig, curves=_curves(r, lo, hi, sig), limits=(lo, hi),
-        fixed_v=fixed_v,
+        held=held, sig=sig, any_sig=bool(sig.any()),
+        curves=_curves(r, lo, hi, sig), limits=(lo, hi), fixed_v=fixed_v,
+        any_fixed_v=bool(fixed_v.any()),
         held_v=(v[:, fixed_v], r.pos[fixed_v], r.v_set[fixed_v]),
         sensed=np.concatenate((r.pos[tap], np.delete(t.pos, t.local[snapped]),
                                r.pos[grp])),
         snapped=t.local[snapped], shunt_b=held[snapped],
-        m_lo=m_lo, m_hi=m_hi, hard=hard, curve=follow & ~hard,
-        gen_curves=r.cols[:G][sig[:G]])
+        m_lo=m_lo, m_hi=m_hi, hard=hard, curve=curve,
+        any_curve=bool(curve.any()), gen_curves=r.cols[:G][sig[:G]])
     # copies, so that a ControlMode changed in place is not mistaken
     idx.last = (tuple(dict(d) for d in key), c)
     return c
@@ -604,7 +627,7 @@ def _targets(c: _Controls, x: np.ndarray, steepness: float):
     and the sigmoid rows' |V| and slopes."""
     target = c.held.copy()
     vm = ds = None
-    if np.count_nonzero(c.sig):
+    if c.any_sig:
         cols, lo, hi, v_set, sign = c.curves
         vm = np.hypot(*x[cols])
         target[c.sig], ds = sigmoid_arrays(lo, hi, v_set, steepness, vm, sign)
@@ -618,7 +641,7 @@ def _member_targets(c: _Controls, t: Injectors, x: np.ndarray):
     qreq = x[t.qreq]
     target = np.where(c.hard, t.kappa * qreq, c.m_lo)
     slope = np.where(c.hard, t.kappa, 0.0)
-    if np.count_nonzero(c.curve):
+    if c.any_curve:
         k, lo, hi = t.kappa[c.curve], c.m_lo[c.curve], c.m_hi[c.curve]
         target[c.curve], slope[c.curve] = participation_arrays(
             k, lo, hi, default_patch_width(k, lo, hi), qreq[c.curve])
@@ -632,9 +655,10 @@ def _member_targets(c: _Controls, t: Injectors, x: np.ndarray):
 class _Pass:
     """One stamp pass at a state.
 
-    Each segment returns its F terms as (rows, values) and keeps what its
-    J slots are built from when J is asked for (`slot_values`). Every KCL
-    term goes to row 2 * pos + comp of its bus, the slack bus included;
+    Each segment returns the values of its F terms, whose rows the index
+    map holds (IndexMap.f_rows), and keeps what its J slots are built
+    from when J is asked for (`slot_values`). Every KCL term goes to row
+    2 * pos + comp of its bus, the slack bus included;
     `_slack_rows` then turns the slack rows into voltage constraints and,
     with distributed slack, into the surplus row.
     """
@@ -645,8 +669,10 @@ class _Pass:
         self.index = idx = state.index
         self.x = state.x
         self.c = _controls(ctl, idx)
-        # what the segments keep for the J slots
-        self.net = self.taps = self.inj = self.curves = self.m_slope = None
+        # the network block's scale and values, and what the segments
+        # keep for the J slots
+        self.scale = self.net = None
+        self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
 
     def slot_values(self) -> np.ndarray:
@@ -702,7 +728,8 @@ def slack_participation(ctl: ControlMode, idx: IndexMap, dps):
 
 def _stamp_taps(st: _Pass) -> list:
     """The taps' currents into the KCL sums: each block's admittance
-    times its voltage. A ratio that is not > 0 is a singular point."""
+    times its voltage, V_R rows then V_I rows. A ratio that is not > 0 is
+    a singular point."""
     tp, x = st.index.taps, st.x
     if not tp.branches:
         return []
@@ -717,8 +744,7 @@ def _stamp_taps(st: _Pass) -> list:
     Y = np.array((yc / (tau * tau), ft, ft, yc))
     I = Y * (x[tp.v] + 1j * x[tp.v + 1])
     st.taps = (tau, y, yc, Y)
-    return [(np.concatenate((tp.at.ravel(), tp.at.ravel() + 1)),
-             np.concatenate((I.real.ravel(), I.imag.ravel())))]
+    return [I.real.ravel(), I.imag.ravel()]
 
 
 def _tap_slots(st: _Pass) -> np.ndarray:
@@ -771,7 +797,7 @@ def _stamp_injections(st: _Pass, dd_bus: np.ndarray) -> list:
         b, sv = st.c.shunt_b, t.vr_c[s]
         ir[s], ii[s] = b * x[sv + 1], -b * x[sv]
     st.inj = (vr, vi, dd, p, q, ir, ii, dp)
-    return [(t.kcl_rows, -np.concatenate((ir, ii)))]
+    return [-ir, -ii]
 
 
 def _injection_slots(st: _Pass) -> np.ndarray:
@@ -806,13 +832,13 @@ def _stamp_control_rows(st: _Pass, dd_bus: np.ndarray) -> list:
     c, x, r, t = st.c, st.x, st.index.rows, st.index.inj
     target, *st.curves = _targets(c, x, st.ctl.effective_steepness())
     f = x[r.cols] - target
-    if np.count_nonzero(c.fixed_v):
+    if c.any_fixed_v:
         _, pos, v_set = c.held_v
         f[c.fixed_v] = dd_bus[pos] - v_set * v_set
     if not len(t.members):
-        return [(r.cols, f)]
+        return [f]
     target, st.m_slope = _member_targets(c, t, x)
-    return [(r.cols, f), (t.m_cols, x[t.m_cols] - target)]
+    return [f, x[t.m_cols] - target]
 
 
 def _control_slots(st: _Pass) -> np.ndarray:
@@ -825,7 +851,7 @@ def _control_slots(st: _Pass) -> np.ndarray:
     vm, ds = st.curves
     if vm is not None:
         V[1:, c.sig] = -ds * x[c.curves[0]] / vm
-    if np.count_nonzero(c.fixed_v):
+    if c.any_fixed_v:
         V[1:, c.fixed_v] = 2.0 * x[c.held_v[0]]
     if st.m_slope is None:
         return V.ravel()
@@ -859,21 +885,31 @@ class _JacobianStructure:
     """J's CSC structure on one IndexMap, and the same entries as flat
     indices into a dense J.
 
-    A call's J values come from its source vector: the network block's
-    values, every slot's value, the two unit diagonals of the slack
-    voltage rows and, with distributed slack, the map's values in the
-    slack bus rows moved to the surplus row (each times its row's own
-    voltage) and the surplus row's own entries I_SR, I_SI and -1. The used
-    source values are summed into their entries in source order, from 0.0.
+    J's values come from a source vector: the network block's values,
+    every slot's value, the two unit diagonals of the slack voltage rows
+    and, with distributed slack, the map's values in the slack bus rows
+    moved to the surplus row (each times its row's own voltage) and the
+    surplus row's own entries I_SR, I_SI and -1. The used source values
+    are summed into their entries in source order, from 0.0. The network
+    block's used sources come first, and they depend on the tx
+    relaxation scale alone: their sums are kept (`net_sum`), once per
+    scale and representation, and a call adds the other sources to a
+    copy of them, in source order, which gives the same bits.
     """
 
-    at: np.ndarray  # the map's sources in the slack bus rows, and their
-    on: np.ndarray  # voltage columns (each row's own)
-    used: np.ndarray  # source positions that enter J, and the entry each
-    slot: np.ndarray  # adds to
+    net_at: np.ndarray  # the map's sources in the slack bus rows: the
+    slot_at: np.ndarray  # network block's, the slots', and their voltage
+    on: np.ndarray  # columns (each row's own)
+    net_used: np.ndarray  # the network block's sources that enter J;
+    used: np.ndarray  # the others, as positions after the network block
+    slot: np.ndarray  # the entry each used source adds to: CSC position
+    dense: np.ndarray  # and row-major flat index into a dense J
+    cut: int  # the network block's used sources, slot[:cut]
     indices: np.ndarray  # CSC row indices and column pointers, read-only
     indptr: np.ndarray
-    dense: np.ndarray  # each used source's entry as a row-major flat index
+    # (scale, dense, sums) of the network block's sources, for the last
+    # scale and representation J was built in
+    net_sum: tuple | None = None
     # the pattern's LU column order, once `keep_order` has it: its
     # inverse, the gather that puts J's data into that order, and the
     # permuted matrix each factorization refills
@@ -933,28 +969,45 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
     # rewrite the cache
     indices.flags.writeable = indptr.flags.writeable = False
     dense = ((entries % dim) * dim + entries // dim)[slot]
-    return _JacobianStructure(at, rows[at], used, slot, indices, indptr, dense)
+    n = idx.net_rows.size
+    cut = int(np.searchsorted(used, n))
+    return _JacobianStructure(at[at < n], at[at >= n] - n, rows[at],
+                              used[:cut], used[cut:] - n, slot, dense, cut,
+                              indices, indptr)
 
 
 def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
     """J from the pass's values, summed into the index map's structure,
     which the first call on the map builds. Up to DENSE_MAX_DIM unknowns J
     is a dense array, else a CSC matrix; both sum the same values in the
-    same order, so their entries are equal bit for bit."""
-    idx = st.index
+    same order, so their entries are equal bit for bit.
+
+    The network block's sums are the structure's `net_sum` at the pass's
+    scale, summed when the scale or the representation changes; the
+    slots, the slack rows and the surplus row are added to a copy of them
+    in source order."""
+    idx, dim = st.index, st.index.dim
     if idx.jac is None:
         idx.jac = _jacobian_structure(idx)
-    s = idx.jac
-    head = np.concatenate((st.net, st.slot_values()))
-    parts = [head, (1.0, 1.0)]
+    s, dense = idx.jac, dim <= DENSE_MAX_DIM
+    entry = s.dense if dense else s.slot
+    if s.net_sum is None or s.net_sum[:2] != (st.scale, dense):
+        sums = np.bincount(entry[:s.cut], st.net[s.net_used],
+                           minlength=dim * dim if dense else s.indices.size)
+        s.net_sum = (st.scale, dense, sums)
+    slots = st.slot_values()
+    parts = [slots, (1.0, 1.0)]
     if idx.dps_col is not None:
-        parts += [head[s.at] * st.x[s.on], (*st.slack_currents, -1.0)]
-    src = np.concatenate(parts)[s.used]
-    if idx.dim <= DENSE_MAX_DIM:
-        return np.bincount(s.dense, src, minlength=idx.dim * idx.dim
-                           ).reshape(idx.dim, idx.dim)
-    data = np.bincount(s.slot, src, minlength=s.indices.size)
-    J = csc_matrix((data, s.indices, s.indptr), shape=(idx.dim, idx.dim))
+        moved = np.concatenate((st.net[s.net_at], slots[s.slot_at]))
+        parts += [moved * st.x[s.on], (*st.slack_currents, -1.0)]
+    # add.at adds one source at a time onto the network's sums, as one
+    # bincount over every source would; summing the other sources apart
+    # first would round differently
+    data = s.net_sum[2].copy()
+    np.add.at(data, entry[s.cut:], np.concatenate(parts)[s.used])
+    if dense:
+        return data.reshape(dim, dim)
+    J = csc_matrix((data, s.indices, s.indptr), shape=(dim, dim))
     J.has_canonical_format = True  # sorted and summed by construction
     J.structure = s
     return J
@@ -974,13 +1027,16 @@ def _stamp_pass(case: NetworkCase, state: StateVector,
     vr, vi = x[0:2 * idx.n_bus:2], x[1:2 * idx.n_bus:2]
     dd = vr * vr + vi * vi
     _check_collapse(st, st.c.sensed, dd[st.c.sensed])
-    st.net = (1.0 + ctl.tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt
-    parts = [(idx.net_rows, st.net * x[idx.net_cols])]
-    parts += _stamp_taps(st)
-    parts += _stamp_injections(st, dd)
-    parts += _stamp_control_rows(st, dd)
-    rows, vals = (np.concatenate(a) for a in zip(*parts))
-    st.F = np.bincount(rows, vals, minlength=idx.dim)
+    scale = 1.0 + ctl.tx_relax * TX_SCALE
+    if idx.net is None or idx.net[0] != scale:
+        net = scale * idx.net_series + idx.net_shunt
+        net.flags.writeable = False  # shared by every pass at this scale
+        idx.net = (scale, net)
+    st.scale, st.net = idx.net
+    vals = np.concatenate((st.net * x[idx.net_cols], *_stamp_taps(st),
+                           *_stamp_injections(st, dd),
+                           *_stamp_control_rows(st, dd)))
+    st.F = np.bincount(idx.f_rows, vals, minlength=idx.dim)
     st.slack_currents = _slack_rows(st, st.F)
     return st
 
@@ -993,9 +1049,10 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     kept, if given, is the pass `residual(case, state, ctl, keep=True)`
     returned at this very state (state.x unchanged since): J is built
     from the values that pass kept, and the state is not stamped again.
-    J's CSC structure is built once per IndexMap, and only its values
-    are emitted per call, duplicates summed in emitted order (see
-    `_jacobian`).
+    J's CSC structure is built once per IndexMap, and the network block's
+    sums once per tx relaxation scale and representation; a call emits
+    the other values only and adds them to a copy of those sums,
+    duplicates in emitted order (see `_jacobian`).
 
     J has two representations, by its dimension alone. Up to
     DENSE_MAX_DIM unknowns it is a dense ndarray, which

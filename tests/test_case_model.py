@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from splitflow import (
     Generator,
     Load,
     NetworkCase,
+    RemoteControlGroup,
     parse_matpower,
     parse_native,
     serialize_native,
@@ -20,6 +22,7 @@ from tests.conftest import (
     CASE_DIR,
     load_matpower,
     load_native,
+    remote_pair_case,
     zero_factor_remote_pair_text,
 )
 
@@ -317,3 +320,65 @@ class TestValidate:
         assert all(g.bus != 211 for g in dropped.generators)
         with pytest.raises(CaseValidationError):
             case.drop_generator(999)
+
+
+SLACK_GEN = Generator(1, 0.0, 1.0, -1.0, 1.0, 0.0, 2.0)
+
+
+def given_groups(factors):
+    """remote_pair_case with a slack generator first and its remote group
+    given explicitly, members at buses 2, 3 (and 5 with three factors).
+    The members' remote factors are 0, so inferring would share
+    equally."""
+    base = remote_pair_case()
+    members = tuple(replace(g, remote_factor=0.0) for g in base.generators)
+    members += (replace(members[0], bus=5),) * (len(factors) - 2)
+    buses = base.buses + (Bus(5, 230.0, "pq"),)
+    branches = base.branches + (Branch(5, 4, 0.9, -7.0),)
+    return replace(base, buses=buses, branches=branches,
+                   generators=(SLACK_GEN, *members),
+                   remote_groups=(RemoteControlGroup(
+                       4, 1.03, tuple(range(1, len(factors) + 1)), factors),))
+
+
+class TestDropGeneratorKeepsRemoteGroups:
+    def test_given_group_re_indexed_past_the_dropped_unit(self):
+        dropped = given_groups((0.6, 0.4)).drop_generator(1)
+        assert dropped.remote_groups == (
+            RemoteControlGroup(4, 1.03, (0, 1), (0.6, 0.4)),)
+        assert validate(dropped) == []
+
+    def test_given_group_member_left_out_and_renormalised(self):
+        dropped = given_groups((0.5, 0.3, 0.2)).drop_generator(2)
+        (grp,) = dropped.remote_groups
+        assert grp.members == (1, 2)
+        assert grp.factors == pytest.approx((0.6, 0.4), abs=1e-15)
+        assert sum(grp.factors) == pytest.approx(1.0, abs=1e-15)
+        assert validate(dropped) == []
+
+    def test_given_group_left_empty_is_dropped(self):
+        # a 3-bus case whose one-member group controls bus 3
+        case = NetworkCase(
+            s_base=100.0,
+            buses=(Bus(1, 230.0, "slack"), Bus(2, 230.0, "pq"),
+                   Bus(3, 230.0, "pq")),
+            branches=(Branch(1, 3, 1.0, -8.0), Branch(2, 3, 0.8, -6.0)),
+            generators=(SLACK_GEN,
+                        Generator(2, 0.6, 1.02, -0.4, 0.4, 0.0, 1.0)),
+            loads=(Load(3, 0.9, 0.3),),
+            remote_groups=(RemoteControlGroup(3, 1.02, (1,), (1.0,)),))
+        assert case.drop_generator(1).remote_groups == (
+            RemoteControlGroup(3, 1.02, (0,), (1.0,)),)
+        assert case.drop_generator(2).remote_groups == ()
+
+    @pytest.mark.parametrize("bus", [1, 2, 3])
+    def test_inferred_groups_inferred_again(self, bus):
+        base = remote_pair_case()
+        case = replace(base, generators=(SLACK_GEN, *base.generators),
+                       remote_groups=())
+        assert case.remote_groups[0].members == (1, 2)
+        dropped = case.drop_generator(bus)
+        again = replace(dropped, remote_groups=())
+        assert dropped.remote_groups == again.remote_groups
+        members = {1: (0, 1), 2: (1,), 3: (1,)}[bus]
+        assert dropped.remote_groups[0].members == members

@@ -395,6 +395,14 @@ class TestControlledDevices:
             assert (lo, hi) == case_limits(case, key)
 
 
+def test_state_vector_of_another_length_rejected():
+    # a ValueError, not an assert: `python -O` keeps the check
+    idx = build_index(load_matpower("case9"))
+    with pytest.raises(ValueError,
+                       match=f"has {idx.dim - 1} entries.* {idx.dim} unknowns"):
+        StateVector(idx, np.zeros(idx.dim - 1))
+
+
 class TestStructuralSymmetry:
     def test_bundled_matpower_pattern(self, bundled_matpower, monkeypatch):
         # structural symmetry is a property of which entries the stamps

@@ -5,7 +5,9 @@ one map, and when it is built from a pass the line search kept. Every J
 on one map shares one structure. `solve_linear` factors with the
 `nr_solver.SPLU` settings and keeps each structure's LU column order,
 ordering once per map, and its solutions must equal `splu` with those
-settings byte for byte.
+settings byte for byte. The network block's sums, kept on the structure
+per tx relaxation scale and representation, must give the same bytes
+when either changes under one map.
 
 Up to `circuit_stamps.DENSE_MAX_DIM` unknowns J is emitted dense; these
 tests have every J emitted as CSC (`emit`), but for those that check
@@ -171,6 +173,22 @@ def test_dense_jacobian_equals_csc(case_name, variant_name, monkeypatch):
             J[representation] = assemble(case, state, ctl, kept)[1]
         assert isinstance(J["dense"], np.ndarray)
         assert J["dense"].tobytes() == J["csc"].toarray().tobytes()
+
+
+@pytest.mark.parametrize("variant_name", ["base", "slack-0.5"])
+@pytest.mark.parametrize("case_name", CASES)
+def test_network_sums_follow_scale_and_representation(case_name,
+                                                      variant_name,
+                                                      monkeypatch):
+    # the network block's sums are kept on the structure once per tx
+    # relaxation scale and representation: one index map assembled at
+    # tx_relax a, b, a, in csc, dense, csc, gives the reference J each time
+    case, ctl = variant(load(case_name), variant_name)
+    state = random_state(case, ctl, 0)
+    for representation in ("csc", "dense", "csc"):
+        emit(monkeypatch, representation)
+        for tx_relax in (0.0, 0.3, 0.0):
+            check(case, state, replace(ctl, tx_relax=tx_relax))
 
 
 def test_modes_share_one_structure_on_case30(monkeypatch):
