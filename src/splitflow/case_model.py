@@ -16,11 +16,13 @@ A field with a default may be absent, as may a fixed shunt's g and b
 Integer fields take integral numbers; a boolean or a string is no
 number. A key the schema does not name is an error, at the top level
 and in a record.
-Remote control groups are not stored: they are inferred from generators.
+Remote control groups are not stored: they are inferred from generators,
+so a case whose groups differ from the inferred ones cannot be written.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -539,7 +541,20 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
 
 
 def serialize_native(case: NetworkCase) -> str:
-    """Serialize to the native JSON format; parse_native round-trips it."""
+    """Serialize to the native JSON format; parse_native round-trips it.
+
+    Raises ValueError, naming the first group that differs, when the
+    case's remote groups are not those inferred from its generators: the
+    format stores no groups, so the file would parse to another case."""
+    inferred = _infer_remote_groups(case.generators, case.bus_index())
+    for gi, (given, found) in enumerate(
+            itertools.zip_longest(case.remote_groups, inferred)):
+        if given != found:
+            grp = given or found
+            raise ValueError(
+                f"remote group {gi} (bus {grp.controlled_bus}) differs from "
+                f"the group inferred from the generators; the native format "
+                f"stores no remote groups")
     doc = {
         "format_version": NATIVE_FORMAT_VERSION,
         "name": case.name,
@@ -642,6 +657,7 @@ def validate(case: NetworkCase) -> list[str]:
                 out.append(f"branch {i} tap step_size must be > 0")
 
     kind_of = {b.id: b.kind for b in case.buses}
+    members = {m for grp in case.remote_groups for m in grp.members}
     for i, g in enumerate(case.generators):
         if g.bus not in known:
             out.append(f"generator {i} references unknown bus {g.bus}")
@@ -659,7 +675,7 @@ def validate(case: NetworkCase) -> list[str]:
         remote = g.remote_bus is not None and g.remote_bus != g.bus
         if remote and g.remote_bus not in known:
             out.append(f"generator {i} remote bus {g.remote_bus} unknown")
-        if not remote and kind_of[g.bus] == PQ:
+        if not remote and i not in members and kind_of[g.bus] == PQ:
             out.append(f"generator {i} on PQ bus {g.bus} has no control role")
 
     for i, l in enumerate(case.loads):

@@ -31,8 +31,9 @@ the scale alone: the structure keeps their sums once per scale and
 representation, and each `assemble` adds the other values to a copy of
 them, duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the
 same sums fill a dense J instead, through each entry's flat index, for a
-LAPACK solve; above, J is CSC, and the structure also keeps the LU
-column order of its pattern for `nr_solver.solve_linear`.
+LAPACK solve; above, J is CSC, a shallow copy of one CSC template per
+structure that carries its own values, and the structure also keeps the
+LU column order of its pattern for `nr_solver.solve_linear`.
 
 Columns follow one rule, fixed by one walk over the devices in
 `build_index`. The bus at position pos has V_real and V_imag at 2 pos
@@ -50,6 +51,7 @@ its column, which its control row holds at the snapped value (see
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -74,9 +76,10 @@ TX_SCALE = 1e3
 DEGENERATE_RANGE = 1e-12
 # J of at most this many unknowns is emitted dense, for a LAPACK solve.
 # A dense fill and LAPACK beat a CSC fill and SuperLU, whose fixed cost
-# dominates a small solve, on every generated case up to 97 unknowns;
-# they split at 129 and lose from 140 on, and case118's 255 are 2.5
-# times slower dense (tools/lu_probe.py, BENCH_lu.json)
+# dominates a small solve, on every generated case up to 97 unknowns and
+# lose from 129 on (by 6-8% at 129), and case118's 255 are 3.1 times
+# slower dense (tools/lu_probe.py, BENCH_lu.json). The crossover lies
+# between 97 and 129; no bundled case has a J in that range
 DENSE_MAX_DIM = 128
 
 SIGMOID = "sigmoid"
@@ -247,6 +250,9 @@ class IndexMap:
     # J's CSC structure, built by the first `assemble` on the map
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
+    # (-bound, bound) per unknown of `nr_solver.step_limit`, built by its
+    # first call on the map
+    step_bound: tuple | None = field(default=None, repr=False, compare=False)
 
     def voltage_dim(self) -> int:
         return 2 * self.n_bus
@@ -895,6 +901,12 @@ class _JacobianStructure:
     relaxation scale alone: their sums are kept (`net_sum`), once per
     scale and representation, and a call adds the other sources to a
     copy of them, in source order, which gives the same bits.
+
+    A CSC J is a shallow copy (`copy.copy`) of `template`, the csc_matrix
+    of the pattern that the first CSC J on the map builds, given its own
+    data and `.structure`; scipy's constructor, which checks the arrays
+    again on every call, runs once per map. The template does not refer
+    back to the structure, so no reference cycle keeps a map alive.
     """
 
     net_at: np.ndarray  # the map's sources in the slack bus rows: the
@@ -910,6 +922,9 @@ class _JacobianStructure:
     # (scale, dense, sums) of the network block's sources, for the last
     # scale and representation J was built in
     net_sum: tuple | None = None
+    # the CSC matrix of the pattern, whose copies are the CSC Js; it has
+    # no `.structure`
+    template: csc_matrix | None = None
     # the pattern's LU column order, once `keep_order` has it: its
     # inverse, the gather that puts J's data into that order, and the
     # permuted matrix each factorization refills
@@ -985,7 +1000,8 @@ def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
     The network block's sums are the structure's `net_sum` at the pass's
     scale, summed when the scale or the representation changes; the
     slots, the slack rows and the surplus row are added to a copy of them
-    in source order."""
+    in source order. A CSC J is a shallow copy of the structure's
+    template, with those sums as its data (see `_JacobianStructure`)."""
     idx, dim = st.index, st.index.dim
     if idx.jac is None:
         idx.jac = _jacobian_structure(idx)
@@ -1007,8 +1023,12 @@ def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
     np.add.at(data, entry[s.cut:], np.concatenate(parts)[s.used])
     if dense:
         return data.reshape(dim, dim)
-    J = csc_matrix((data, s.indices, s.indptr), shape=(dim, dim))
-    J.has_canonical_format = True  # sorted and summed by construction
+    if s.template is None:
+        s.template = csc_matrix((np.zeros(s.indices.size), s.indices,
+                                 s.indptr), shape=(dim, dim))
+        s.template.has_canonical_format = True  # sorted and summed
+    J = copy.copy(s.template)  # scipy's constructor would check it again
+    J.data = data
     J.structure = s
     return J
 
@@ -1049,10 +1069,11 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     kept, if given, is the pass `residual(case, state, ctl, keep=True)`
     returned at this very state (state.x unchanged since): J is built
     from the values that pass kept, and the state is not stamped again.
-    J's CSC structure is built once per IndexMap, and the network block's
-    sums once per tx relaxation scale and representation; a call emits
-    the other values only and adds them to a copy of those sums,
-    duplicates in emitted order (see `_jacobian`).
+    J's CSC structure and its CSC template are built once per IndexMap,
+    and the network block's sums once per tx relaxation scale and
+    representation; a call emits the other values only and adds them to
+    a copy of those sums, duplicates in emitted order, and a CSC J is a
+    shallow copy of the template holding them (see `_jacobian`).
 
     J has two representations, by its dimension alone. Up to
     DENSE_MAX_DIM unknowns it is a dense ndarray, which

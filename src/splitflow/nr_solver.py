@@ -167,7 +167,10 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     Raises SingularSystemError, carrying a suspect row index for an
     empty row, when an entry is not finite, a row is empty (stored zeros
     count as empty), the factorization fails or the solution does not
-    satisfy the system.
+    satisfy the system. The sparse path looks for an empty row only once
+    its factorization or solution check has failed: an all-zero row never
+    holds a pivot, so it always leaves an exactly zero one, and a solve
+    that succeeds has no empty row.
     """
     dense = isinstance(mat, np.ndarray)
     if not dense:
@@ -175,21 +178,35 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     if (not np.isfinite(mat if dense else mat.data).all()
             or not np.isfinite(rhs).all()):
         raise SingularSystemError("non-finite entries in assembled system")
-    if dense:
-        nonzeros = np.count_nonzero(mat, axis=1)
-        empty = np.flatnonzero(nonzeros == 0)
-    else:
-        # CSC indices are row indices: the absolute row sums, stored zeros too
-        row_mass = np.bincount(mat.indices, np.abs(mat.data),
-                               minlength=mat.shape[0])
-        empty = np.flatnonzero(row_mass == 0.0)
-    if empty.size:
+    if not dense:
+        try:
+            factors, x = _factor_sparse(mat, rhs)
+            _check_solution(mat, x, rhs)
+        except SingularSystemError:
+            # CSC indices are row indices: the absolute row sums, stored
+            # zeros too
+            _raise_empty(np.bincount(mat.indices, np.abs(mat.data),
+                                     minlength=mat.shape[0]) == 0.0)
+            raise
+        return x, factors
+    nonzeros = np.count_nonzero(mat, axis=1)
+    _raise_empty(nonzeros == 0)
+    factors, x = _factor_dense(mat, rhs, np.flatnonzero(nonzeros == 1))
+    _check_solution(mat, x, rhs)
+    return x, factors
+
+
+def _raise_empty(empty: np.ndarray) -> None:
+    """Raise SingularSystemError at the first row flagged empty, if any."""
+    if empty.any():
+        row = int(empty.argmax())
         raise SingularSystemError(
-            f"structurally singular system: row {int(empty[0])} is empty",
-            row=int(empty[0]),
-        )
-    factors, x = (_factor_dense(mat, rhs, np.flatnonzero(nonzeros == 1))
-                  if dense else _factor_sparse(mat, rhs))
+            f"structurally singular system: row {row} is empty", row=row)
+
+
+def _check_solution(mat, x, rhs) -> None:
+    """Raise SingularSystemError unless x is finite and satisfies
+    mat x = rhs to a relative 1e-8."""
     if not np.isfinite(x).all():
         raise SingularSystemError("linear solve produced non-finite values")
     err = np.abs(mat @ x - rhs).max() / max(1.0, np.abs(rhs).max())
@@ -197,7 +214,6 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
         raise SingularSystemError(
             f"near-singular system: relative solve error {err:.3e}"
         )
-    return x, factors
 
 
 class DenseLU:
@@ -282,12 +298,16 @@ def _factor(mat):
 
 def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:
     """Per-variable clamp: voltages move at most STEP_LIMIT_VOLTAGE per
-    iteration, all other unknowns at most STEP_LIMIT_Q. Signs preserved."""
-    nv = state.index.voltage_dim()
-    out = dx.copy()
-    np.clip(out[:nv], -STEP_LIMIT_VOLTAGE, STEP_LIMIT_VOLTAGE, out=out[:nv])
-    np.clip(out[nv:], -STEP_LIMIT_Q, STEP_LIMIT_Q, out=out[nv:])
-    return out
+    iteration, all other unknowns at most STEP_LIMIT_Q. Signs preserved.
+    The bounds per unknown are built once per index map
+    (`IndexMap.step_bound`)."""
+    idx = state.index
+    if idx.step_bound is None:
+        bound = np.full(idx.dim, STEP_LIMIT_Q)
+        bound[:idx.voltage_dim()] = STEP_LIMIT_VOLTAGE
+        idx.step_bound = (-bound, bound)
+    lo, hi = idx.step_bound
+    return np.minimum(np.maximum(dx, lo), hi)
 
 
 def _trace_lambdas(ctl: ControlMode):

@@ -382,3 +382,38 @@ class TestDropGeneratorKeepsRemoteGroups:
         assert dropped.remote_groups == again.remote_groups
         members = {1: (0, 1), 2: (1,), 3: (1,)}[bus]
         assert dropped.remote_groups[0].members == members
+
+
+def without_remote_bus(case):
+    """The case with every non-slack generator's remote_bus cleared; its
+    remote groups stay as given."""
+    return replace(case, generators=(case.generators[0], *(
+        replace(g, remote_bus=None) for g in case.generators[1:])))
+
+
+class TestGivenGroupsWithoutRemoteBus:
+    def test_membership_is_a_control_role(self):
+        assert validate(without_remote_bus(given_groups((0.6, 0.4)))) == []
+
+    def test_generator_outside_every_group_has_none(self):
+        case = without_remote_bus(given_groups((0.6, 0.4)))
+        grp = RemoteControlGroup(4, 1.03, (1,), (1.0,))
+        assert validate(replace(case, remote_groups=(grp,))) == [
+            "generator 2 on PQ bus 3 has no control role"]
+
+
+class TestSerializeGivenGroups:
+    @pytest.mark.parametrize("case", [
+        given_groups((0.6, 0.4)),
+        without_remote_bus(given_groups((0.5, 0.5))),
+    ], ids=["factors", "no-remote-bus"])
+    def test_groups_inference_would_change_are_refused(self, case):
+        # the format stores no groups: parsing would infer other ones
+        assert validate(case) == []
+        with pytest.raises(ValueError, match=r"remote group 0 \(bus 4\)"):
+            serialize_native(case)
+
+    def test_groups_equal_to_inference_are_written(self):
+        # equal shares are what inference gives the members' zero factors
+        case = given_groups((0.5, 0.5))
+        assert parse_native(serialize_native(case)) == case

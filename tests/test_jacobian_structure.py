@@ -442,3 +442,49 @@ def test_earlier_jacobian_keeps_its_data_and_solution():
     solve_linear(J2, -F2)
     assert J1.data.tobytes() == data.tobytes()
     assert solve_linear(J1, -F1)[0].tobytes() == x1.tobytes()
+
+
+def test_csc_jacobians_are_copies_of_one_template():
+    # each CSC J is a shallow copy of the structure's template: an object
+    # and data of its own, the structure's row indices and column
+    # pointers, and scipy's results of a matrix built from its arrays
+    case, ctl = variant(load_matpower("case118"), "base")
+    state = random_state(case, ctl, 0)
+    J1 = assemble(case, state, ctl)[1]
+    other = StateVector(state.index, random_state(case, ctl, 1).x)
+    J2 = assemble(case, other, ctl)[1]
+    s = state.index.jac
+    assert J1 is not J2 and J1 is not s.template
+    assert not np.shares_memory(J1.data, J2.data)
+    assert not np.shares_memory(J1.data, s.template.data)
+    assert not hasattr(s.template, "structure")
+    x = np.random.default_rng(0).normal(size=J1.shape[0])
+    for J in (J1, J2):
+        assert J.structure is s
+        assert J.indices is J1.indices and J.indptr is s.indptr
+        assert np.shares_memory(J.indices, s.indices)
+        ref = csc_matrix((J.data.copy(), J.indices, J.indptr), shape=J.shape)
+        assert (J @ x).tobytes() == (ref @ x).tobytes()
+        assert J.toarray().tobytes() == ref.toarray().tobytes()
+        assert_same_bytes(J.tocsr(), ref.tocsr())
+
+
+def test_empty_row_named_after_the_order_is_kept():
+    # the sparse solve looks for an empty row only when factoring fails:
+    # zeroing any one row of case118's J, factored in its kept order,
+    # still names that row
+    case = load_matpower("case118")
+    ctl = ControlMode()
+    state = flat_start(case, ctl)
+    F, J = assemble(case, state, ctl)
+    solve_linear(J, -F)  # the first factorization keeps the order
+    F, J = assemble(case, state, ctl)
+    data = J.data.copy()
+    for row in range(J.shape[0]):
+        J.data[:] = data
+        J.data[J.indices == row] = 0.0
+        with pytest.raises(SingularSystemError,
+                           match=f"row {row} is empty") as exc:
+            solve_linear(J, -F)
+        assert exc.value.row == row
+    assert J.structure.inv is not None

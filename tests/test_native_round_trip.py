@@ -1,7 +1,11 @@
 """parse_native(serialize_native(case)) == case over generated valid
-cases with taps, switched shunts, remote groups and distributed slack."""
+cases with taps, switched shunts, remote groups and distributed slack;
+a case whose remote groups inference would not give back is refused."""
 
-from hypothesis import given
+from dataclasses import replace
+
+import pytest
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from splitflow import (
@@ -97,3 +101,18 @@ def cases(draw):
 def test_native_round_trip_is_identity(case):
     assert validate(case) == []
     assert parse_native(serialize_native(case)) == case
+
+
+@given(cases())
+def test_groups_the_format_cannot_hold_are_refused(case):
+    # the members keep their given group but lose their remote bus: the
+    # case is valid, and a written file would infer no group from it
+    assume(case.remote_groups)
+    members = set(case.remote_groups[0].members)
+    stripped = replace(case, generators=tuple(
+        replace(g, remote_bus=None, remote_factor=0.0) if i in members else g
+        for i, g in enumerate(case.generators)))
+    assert stripped.remote_groups == case.remote_groups
+    assert validate(stripped) == []
+    with pytest.raises(ValueError, match=r"remote group 0 \(bus \d+\)"):
+        serialize_native(stripped)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from splitflow.circuit_stamps import (
 from splitflow.nr_solver import (
     SPLU,
     STEP_LIMIT_Q,
+    STEP_LIMIT_VOLTAGE,
     TOL_STEP,
     DenseLU,
     SolverOptions,
@@ -187,7 +190,40 @@ def test_kept_factors_of_an_assembled_j(name):
     assert factors.solve(-F).tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("name", ["case9", "case118"])
+def test_solve_frees_its_index_map_without_gc(name):
+    # no reference cycle runs through an index map, its J structure or a
+    # J (CSC on case118, dense on case9): reference counting frees them
+    case = load_matpower(name)
+    ctl = ControlMode()
+    gc.disable()
+    try:
+        state, report = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        assert report.converged
+        F, J = assemble(case, state, ctl)
+        assert isinstance(J, np.ndarray) == (name == "case9")
+        refs = weakref.ref(state.index), weakref.ref(state.index.jac)
+        del state, report, F, J
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 class TestStepLimit:
+    def test_bounds_kept_per_map_clamp_like_clip(self):
+        case = load_matpower("case118")
+        state = flat_start(case, ControlMode())
+        nv = state.index.voltage_dim()
+        dx = np.random.default_rng(1).normal(scale=2.0, size=state.index.dim)
+        want = dx.copy()
+        np.clip(want[:nv], -STEP_LIMIT_VOLTAGE, STEP_LIMIT_VOLTAGE,
+                out=want[:nv])
+        np.clip(want[nv:], -STEP_LIMIT_Q, STEP_LIMIT_Q, out=want[nv:])
+        assert step_limit(dx, state).tobytes() == want.tobytes()
+        bound = state.index.step_bound
+        assert step_limit(-dx, state).tobytes() == (-want).tobytes()
+        assert state.index.step_bound is bound
+
     def _state(self):
         case = two_bus_case()
         return flat_start(case, ControlMode())
