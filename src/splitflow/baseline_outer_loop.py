@@ -98,7 +98,7 @@ def solve_outer_loop(
 
     for outer in range(1, MAX_OUTER_ITERATIONS + 1):
         ctl = replace(base, device_modes=dict(modes), fixed_q=dict(fixed_q))
-        state, report = try_solve(case, state, ctl, opts, "outer-loop", outer)
+        state, report = try_solve(state, ctl, opts, "outer-loop", outer)
         if report.iterations == 0:  # a singular system or point
             report.diagnostics = [f"outer iteration {outer}: "
                                   f"{report.diagnostics[0]}"]

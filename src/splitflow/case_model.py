@@ -741,12 +741,10 @@ def validate(case: NetworkCase) -> list[str]:
             f"slack-connected island is supported"
         )
 
-    # PV buses need a local voltage controller
-    local_ctl_buses = {
-        g.bus
-        for g in case.generators
-        if g.remote_bus is None or g.remote_bus == g.bus
-    }
+    # PV buses need a local voltage controller, which no group member is
+    local_ctl_buses = {g.bus for i, g in enumerate(case.generators)
+                       if i not in members
+                       and (g.remote_bus is None or g.remote_bus == g.bus)}
     for b in case.buses:
         if b.kind == PV and b.id not in local_ctl_buses:
             out.append(f"pv bus {b.id} has no local generator")

@@ -1,17 +1,20 @@
 """Residual F and Jacobian J of the split-circuit NR system, in one pass.
 
-`build_index` turns a case into static arrays, its one IndexMap. In
-current-voltage coordinates the network is linear: the ratio-fixed
-branches and the fixed shunts form a constant real 2n x 2n block, kept
-as a series part, scaled by the tx relaxation 1 + tx_relax * TX_SCALE,
-and an unscaled shunt part (line charging and fixed shunts). Every other
-device is a row of one of three tables: `Taps` (the controlled taps),
-`Injectors` (loads, generators, switched shunts) and `ControlRows`
-(every row that holds a value against a bus voltage magnitude: local
-generators and switched shunts, controlled taps, group requests). A
-stamp pass evaluates them as a fixed list of array segments: network,
-taps, injections, control rows, slack rows. Of the ControlMode it
-derives only what the mode sets, once per mode (`_controls`).
+`build_index` turns a case into static arrays, its one IndexMap, and a
+StateVector carries the map it lives on. The stamps read the case from
+that map alone, so `residual` and `assemble` take a state and no case: a
+state cannot be stamped against another case's data. In current-voltage
+coordinates the network is linear: the ratio-fixed branches and the
+fixed shunts form a constant real 2n x 2n block, kept as a series part,
+scaled by the tx relaxation 1 + tx_relax * TX_SCALE, and an unscaled
+shunt part (line charging and fixed shunts). Every other device is a row
+of one of three tables: `Taps` (the controlled taps), `Injectors`
+(loads, generators, switched shunts) and `ControlRows` (every row that
+holds a value against a bus voltage magnitude: local generators and
+switched shunts, controlled taps, group requests). A stamp pass
+evaluates them as a fixed list of array segments: network, taps,
+injections, control rows, slack rows. Of the ControlMode it derives only
+what the mode sets, once per mode (`_controls`).
 
 One pass serves F and J alike. It computes F and keeps what J needs
 (currents, |V|^2, curve slopes), from which J's values are only built
@@ -211,7 +214,7 @@ class ControlRows:
 class IndexMap:
     """Row/column assignment and static stamp arrays of one case."""
 
-    n_bus: int
+    bus_ids: list  # bus id at each position
     bus_pos: dict
     slack_pos: int
     q_col: dict  # ("gen", i) | ("shunt", j) -> column index
@@ -255,7 +258,7 @@ class IndexMap:
     step_bound: tuple | None = field(default=None, repr=False, compare=False)
 
     def voltage_dim(self) -> int:
-        return 2 * self.n_bus
+        return 2 * len(self.bus_ids)
 
 
 def controlled_devices(idx: IndexMap):
@@ -316,7 +319,7 @@ def build_index(case: NetworkCase) -> IndexMap:
     if slack_gen_idx:
         slack_v_set = gens[slack_gen_idx[0]].v_set
     return IndexMap(
-        n_bus=len(case.buses),
+        bus_ids=[bus.id for bus in case.buses],
         bus_pos=bus_pos,
         slack_pos=slack_pos,
         q_col=q_col,
@@ -507,10 +510,10 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     scheduled generation, shared by the slack and its members in
     proportion 1 : agc_factor."""
     index = build_index(case)
-    n = index.n_bus
+    n = index.voltage_dim()
     x = np.zeros(index.dim)
-    x[0:2 * n:2] = [bus.v_init_real for bus in case.buses]
-    x[1:2 * n:2] = [bus.v_init_imag for bus in case.buses]
+    x[0:n:2] = [bus.v_init_real for bus in case.buses]
+    x[1:n:2] = [bus.v_init_imag for bus in case.buses]
     if index.dps_col is not None:
         x[index.dps_col] = (sum(ld.p for ld in case.loads)
                             - sum(g.p_g for g in case.generators)
@@ -669,8 +672,7 @@ class _Pass:
     with distributed slack, into the surplus row.
     """
 
-    def __init__(self, case: NetworkCase, state: StateVector, ctl: ControlMode):
-        self.case = case
+    def __init__(self, state: StateVector, ctl: ControlMode):
         self.ctl = ctl
         self.index = idx = state.index
         self.x = state.x
@@ -694,7 +696,7 @@ def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
     low = dd <= EPS_V * EPS_V
     if np.count_nonzero(low):
         k = int(low.argmax())
-        bus = st.case.buses[pos[k]].id
+        bus = st.index.bus_ids[pos[k]]
         raise SingularPointError(
             f"voltage magnitude collapsed at bus {bus} (|V|^2 = {dd[k]:.3e})",
             bus=bus)
@@ -1037,14 +1039,14 @@ def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
 # Full-system evaluation
 # ---------------------------------------------------------------------------
 
-def _stamp_pass(case: NetworkCase, state: StateVector,
-                ctl: ControlMode) -> _Pass:
+def _stamp_pass(state: StateVector, ctl: ControlMode) -> _Pass:
     """One stamp pass at the state, segment by segment: F in `F` (slack
     rows rewritten, see `_slack_rows`), and what `_Pass.slot_values`
     builds J's values from."""
-    st = _Pass(case, state, ctl)
+    st = _Pass(state, ctl)
     idx, x = st.index, st.x
-    vr, vi = x[0:2 * idx.n_bus:2], x[1:2 * idx.n_bus:2]
+    n = idx.voltage_dim()
+    vr, vi = x[0:n:2], x[1:n:2]
     dd = vr * vr + vi * vi
     _check_collapse(st, st.c.sensed, dd[st.c.sensed])
     scale = 1.0 + ctl.tx_relax * TX_SCALE
@@ -1061,12 +1063,11 @@ def _stamp_pass(case: NetworkCase, state: StateVector,
     return st
 
 
-def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
-             kept: _Pass | None = None,
+def assemble(state: StateVector, ctl: ControlMode, kept: _Pass | None = None,
              ) -> tuple[np.ndarray, np.ndarray | csc_matrix]:
     """Residual F and Jacobian J at the state; NR solves J dx = -F.
 
-    kept, if given, is the pass `residual(case, state, ctl, keep=True)`
+    kept, if given, is the pass `residual(state, ctl, keep=True)`
     returned at this very state (state.x unchanged since): J is built
     from the values that pass kept, and the state is not stamped again.
     J's CSC structure and its CSC template are built once per IndexMap,
@@ -1088,7 +1089,7 @@ def assemble(case: NetworkCase, state: StateVector, ctl: ControlMode,
     equals the CSC J's toarray() bit for bit."""
     st = kept
     if st is None:
-        st = _stamp_pass(case, state, ctl)
+        st = _stamp_pass(state, ctl)
     elif st.x is not state.x or st.ctl is not ctl:
         raise ValueError("kept pass was stamped at another state or control")
     return st.F, _jacobian(st)
@@ -1100,13 +1101,12 @@ def generator_curves(index: IndexMap, ctl: ControlMode) -> np.ndarray:
     return _controls(ctl, index).gen_curves
 
 
-def residual(case: NetworkCase, state: StateVector, ctl: ControlMode,
-             keep: bool = False):
+def residual(state: StateVector, ctl: ControlMode, keep: bool = False):
     """Exact nonlinear residuals F(x) of every equation at the given state;
     the same F as `assemble`, without building J. With keep, returns
     (F, pass): the pass lets `assemble(..., kept=pass)` build J at this
     state without stamping it again."""
-    st = _stamp_pass(case, state, ctl)
+    st = _stamp_pass(state, ctl)
     return (st.F, st) if keep else st.F
 
 

@@ -95,9 +95,9 @@ def run_baseline(
                           switch_trace=strace)
 
 
-def voltage_extrema(case: NetworkCase, state: StateVector):
+def voltage_extrema(state: StateVector):
     """(v_max, v_min, theta_max_deg, theta_min_deg) over all buses."""
-    v = state.x[:2 * len(case.buses)]
+    v = state.x[:state.index.voltage_dim()]
     re, im = v[0::2], v[1::2]
     vm = np.hypot(re, im)
     th = np.arctan2(im, re)
@@ -110,7 +110,7 @@ def voltage_extrema(case: NetworkCase, state: StateVector):
 
 def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
     case, state, report = result.case, result.state, result.report
-    vmax, vmin, tmax, tmin = voltage_extrema(case, state)
+    vmax, vmin, tmax, tmin = voltage_extrema(state)
     ctl = ControlMode()
     regions = classify_regions(state, ctl)
     if result.snap_plan is not None:
@@ -149,7 +149,7 @@ def summary_lines(result: PipelineResult, label: str = "") -> list[str]:
         for bi, tr in sorted(result.snap_plan.tap_ratio.items()):
             lines.append(f"snapped.tap.{bi}: {tr:.6f}")
     idx = state.index
-    if case.agc_enabled and idx.dps_col is not None:
+    if idx.dps_col is not None:
         dps = float(state.x[idx.dps_col])
         lines.append(f"slack_surplus_pu: {dps:.6f}")
         dp, _ = slack_participation(ctl, idx, dps)
@@ -288,7 +288,7 @@ def compare(case_file, homotopy, smoothing, tol, max_iter, order, trace_path,
         if isinstance(res, Exception):
             rows.append((label, "FAILED", "-", "-", "-", "-", "-", "-"))
             continue
-        vmax, vmin, tmax, tmin = voltage_extrema(case, res.state)
+        vmax, vmin, tmax, tmin = voltage_extrema(res.state)
         switches = (res.switch_trace.total_switches()
                     if res.switch_trace is not None else 0)
         unstable = sum(1 for s in res.stability.values() if s == "unstable")

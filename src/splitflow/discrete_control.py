@@ -110,7 +110,7 @@ def resolve_after_snap(
 
     snapped_ctl = held(plan.shunt_b, plan.tap_ratio)
     warm = written(plan.shunt_b, plan.tap_ratio)
-    state, direct = nr_solve(case, warm, snapped_ctl, opts, phase="snap")
+    state, direct = nr_solve(warm, snapped_ctl, opts, phase="snap")
     if direct.converged:
         return state, direct, plan
 
@@ -126,13 +126,13 @@ def resolve_after_snap(
     report.add(direct)
     start = written(plan.continuous_shunt_b, plan.continuous_tap)
     try:
-        state = _continuation(case, start, make, opts, "snap-sweep", report)
+        state = _continuation(start, make, opts, "snap-sweep", report)
     except ContinuationError as exc:
         raise SnappedInfeasibleError(
             f"snapped case did not converge ({exc}); feasibility repair of "
             f"infeasible snapped states is out of scope"
         ) from exc
-    if not endpoint_report(case, state, snapped_ctl, opts, report).converged:
+    if not endpoint_report(state, snapped_ctl, opts, report).converged:
         raise SnappedInfeasibleError(
             "snapped case did not converge after continuation; feasibility "
             "repair of infeasible snapped states is out of scope"

@@ -5,18 +5,19 @@ soft?), run in order, each warm-started where the one before ended. A
 stage function maps (case, opts, target control, warm state or None,
 phase label) to a path t -> ControlMode, t = 1 fully relaxed and t = 0
 the target (None when nothing needs relaxing), and the state to start
-from; a soft stage targets the reduced steepness INITIAL_STEEPNESS.
-`_continuation` follows a path from t = 1 to 0 with warm starts. Each
-step first tries DECREMENT of the remaining distance, or, if shorter,
-the last accepted step's length: over BACKTRACK when that step held at
-its first trial, unchanged when it held only once shortened (step
-adaptation; Allgower & Georg, Introduction to Numerical Continuation
-Methods, ch. 6). It tries t = 0 instead if that would leave
-SNAP_FRACTION or less. Its trials start on a predicted path (`_slope`):
-a secant through the accepted (x, t) and the step's first trial, from
-one residual pass there and the LU of the accepted sub-solve's last J,
-which `nr_solve` hands back in its report (`SolveReport.factors`), so
-the predictor factors nothing. The LU is
+from; a soft stage targets the reduced steepness INITIAL_STEEPNESS. Only
+the stages and `run_homotopy` take the case, for a flat start; past it
+the state's index map holds the case. `_continuation` follows a path
+from t = 1 to 0 with warm starts. Each step first tries DECREMENT of the
+remaining distance, or, if shorter, the last accepted step's length:
+over BACKTRACK when that step held at its first trial, unchanged when it
+held only once shortened (step adaptation; Allgower & Georg,
+Introduction to Numerical Continuation Methods, ch. 6). It tries t = 0
+instead if that would leave SNAP_FRACTION or less. Its trials start on a
+predicted path (`_slope`): a secant through the accepted (x, t) and the
+step's first trial, from one residual pass there and the LU of the
+accepted sub-solve's last J, which `nr_solve` hands back in its report
+(`SolveReport.factors`), so the predictor factors nothing. The LU is
 freed once the slope is known; no total holds one. A failed step shrinks
 by BACKTRACK and never snaps to 0, so when t = 0 fails from just above
 SNAP_FRACTION, a t below it is tried next. The path is stuck once a step
@@ -24,15 +25,15 @@ would fall below the floor t (1 - DECREMENT) BACKTRACK**MAX_BACKTRACKS.
 Every sub-solve on the path gets the full `opts.max_iter`, and ends as
 failed once it stalls (`nr_solve`'s subsolve: at its first NR iteration
 that lowers no max|F|; `SolveReport.stalled`). A corrector that has
-stopped contracting rarely recovers, so this rule, not an iteration
-cap, backs the step off. A sub-solve at t > 0 is a waypoint, which only
-has to start the next step: it is accepted once max|F| < CORRECTOR_TOL,
-with no step test (an inexact corrector; Deuflhard, 2004, ch. 5). Each
-stage's t = 0 sub-solve meets the full test. If no stage has a path,
-one NR solve at the target stands in, not as a sub-solve.
-The result is always re-verified against the unrelaxed equations. The
-report is one SolveReport that every sub-solve, accepted or not, and a
-stand-in solve is added into (`SolveReport.add`); init solves are not.
+stopped contracting rarely recovers, so this rule, not an iteration cap,
+backs the step off. A sub-solve at t > 0 is a waypoint, which only has
+to start the next step: it is accepted once max|F| < CORRECTOR_TOL, with
+no step test (an inexact corrector; Deuflhard, 2004, ch. 5). Each
+stage's t = 0 sub-solve meets the full test. If no stage has a path, one
+NR solve at the target stands in, not as a sub-solve. The result is
+always re-verified against the unrelaxed equations. The report is one
+SolveReport that every sub-solve, accepted or not, and a stand-in solve
+is added into (`SolveReport.add`); init solves are not.
 
   smoothing  - sigmoid steepness relaxed to INITIAL_STEEPNESS, tightened.
   q-limit    - reactive limits scaled out to cover the unbounded solve
@@ -76,11 +77,11 @@ SNAP_FRACTION = 1e-3  # a step's first trial snaps a t at or below this to 0
 CORRECTOR_TOL = 1e-3  # max|F| that ends a sub-solve at t > 0 as converged
 
 
-def endpoint_report(case, state, ctl, opts, report) -> SolveReport:
+def endpoint_report(state, ctl, opts, report) -> SolveReport:
     """Re-check a continuation's total report at its end state: converged
     only if the residual at the unrelaxed control ctl is within
     tolerance, since the last sub-solve is never trusted alone."""
-    report.final_residual = float(np.abs(residual(case, state, ctl)).max())
+    report.final_residual = float(np.abs(residual(state, ctl)).max())
     report.converged = report.final_residual < opts.tol_residual
     return report
 
@@ -103,7 +104,7 @@ def _stuck(phase, t, what, report) -> ContinuationError:
         frontier=(phase, t))
 
 
-def _slope(case, state, t, t_first, ctl_first, factors):
+def _slope(state, t, t_first, ctl_first, factors):
     """The predicted dx/dt at the accepted (x, t), or None when the
     accepted solve kept no LU (factors) or the slope is not finite.
 
@@ -115,11 +116,11 @@ def _slope(case, state, t, t_first, ctl_first, factors):
     338 NR iterations against 324."""
     if factors is None:
         return None
-    v = factors.solve(residual(case, state, ctl_first)) / (t - t_first)
+    v = factors.solve(residual(state, ctl_first)) / (t - t_first)
     return v if np.isfinite(v).all() else None
 
 
-def _continuation(case, state, make_ctl, opts, phase, total):
+def _continuation(state, make_ctl, opts, phase, total):
     """Drive t from 1 to 0; returns the state solved at t = 0.
 
     make_ctl(t) produces the ControlMode for progress t; every sub-solve
@@ -131,7 +132,7 @@ def _continuation(case, state, make_ctl, opts, phase, total):
     (x, t), or at x when there is none.
     """
     def solve(start, t, step):
-        out, report = try_solve(case, start, make_ctl(t), opts, phase, step,
+        out, report = try_solve(start, make_ctl(t), opts, phase, step,
                                 subsolve=True,
                                 waypoint=CORRECTOR_TOL if t > 0.0 else None)
         for row in report.trace:
@@ -150,8 +151,7 @@ def _continuation(case, state, make_ctl, opts, phase, total):
         t_next = 0.0 if t - decrement <= SNAP_FRACTION else t - decrement
         # report is the accepted sub-solve's, at (state, t); its LU is
         # freed once the slope is known, before the next sub-solve
-        slope = _slope(case, state, t, t_next, make_ctl(t_next),
-                       report.factors)
+        slope = _slope(state, t, t_next, make_ctl(t_next), report.factors)
         report.factors = None
         # the next step may grow past this one only if its first trial holds
         grow = 1.0 / BACKTRACK
@@ -238,7 +238,7 @@ def init_q_limit_relaxation(
     base = base if base is not None else ControlMode()
     state = warm if warm is not None else flat_start(case, base)
     unbounded = _unbounded_control(state.index, base)
-    state, report = try_solve(case, state, unbounded, opts, "q-limit-init")
+    state, report = try_solve(state, unbounded, opts, "q-limit-init")
     if not report.converged:
         raise ContinuationError(
             f"{phase}: unbounded solve diverged ({_failure(report)})",
@@ -282,17 +282,16 @@ def init_p_limit_relaxation(
     start = warm if warm is not None else flat_start(case, linear)
     # run as a sub-solve: landing took it to a far equilibrium
     # (oscillation4's at 1.774 pu), and an iteration without descent ends it
-    state, report = try_solve(case, start, linear, opts, "p-limit-init",
+    state, report = try_solve(start, linear, opts, "p-limit-init",
                               subsolve=True)
     if not report.converged:
         # steep reactive sigmoids can defeat the flat-started linear solve;
         # bootstrap through the hard voltage-set problem from the same
         # start, then warm-start
         hard = _unbounded_control(start.index, linear)
-        boot, rep_hard = try_solve(case, start, hard, opts, "p-limit-init")
+        boot, rep_hard = try_solve(start, hard, opts, "p-limit-init")
         if rep_hard.converged:
-            state, report = try_solve(case, boot, linear, opts,
-                                      "p-limit-init", 1)
+            state, report = try_solve(boot, linear, opts, "p-limit-init", 1)
     if not report.converged:
         raise ContinuationError(
             "p-limit: unbounded distributed-slack solve diverged",
@@ -301,11 +300,10 @@ def init_p_limit_relaxation(
     index = state.index
     dps = float(state.x[index.dps_col])
     p_extra = {}
-    for i in index.agc_member_idx:
-        g = case.generators[i]
-        dp = g.agc_factor * dps
-        extra_hi = max(0.0, dp - (g.p_max - g.p_g))
-        extra_lo = min(0.0, dp - (g.p_min - g.p_g))
+    for i, kappa, lo, hi in zip(index.agc_member_idx, index.agc_kappa.tolist(),
+                                index.agc_lo.tolist(), index.agc_hi.tolist()):
+        dp = kappa * dps
+        extra_hi, extra_lo = max(0.0, dp - hi), min(0.0, dp - lo)
         if extra_hi or extra_lo:
             p_extra[i] = (extra_lo, extra_hi)
     relaxed = replace(base, p_relax=1.0, p_extra=p_extra)
@@ -313,7 +311,9 @@ def init_p_limit_relaxation(
 
 
 # Stage functions: (case, opts, target control, warm state or None, phase
-# label) -> (path or None, state to start from).
+# label) -> (path or None, state to start from). The case builds the
+# flat start when there is no warm state (and tells p-limit whether it
+# has distributed slack); a warm state carries its case in its index map.
 
 def _smoothing_stage(case, opts, base, state, phase):
     state = state if state is not None else flat_start(case, base)
@@ -378,7 +378,7 @@ def _run_stages(case, stages, fallback, opts, base, total):
         if make is None:
             continue
         try:
-            state = _continuation(case, state, make, opts, phase, total)
+            state = _continuation(state, make, opts, phase, total)
         except ContinuationError:
             if not fallback:
                 raise
@@ -410,7 +410,7 @@ def run_homotopy(
     if not followed:
         # nothing to relax: one solve at the target problem stands in
         state = state if state is not None else flat_start(case, base)
-        state, report = nr_solve(case, state, base, opts,
+        state, report = nr_solve(state, base, opts,
                                  phase=stages[-1][0] if stages else "solve")
         total.add(report)
-    return state, endpoint_report(case, state, base, opts, total)
+    return state, endpoint_report(state, base, opts, total)

@@ -1,11 +1,12 @@
 """Newton-Raphson inner loop: evaluate, solve, damp, iterate.
 
 Each iteration takes the residual F and Jacobian J from one stamp pass
-(`circuit_stamps.assemble`), solves J dx = -F by LU, clamps the
-step per variable and backtracks it until the residual norm drops. If
-that cut the step, a solve that is not a sub-solve lands each local
-generator's q on its sigmoid at the accepted voltages: its row is
-q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
+(`circuit_stamps.assemble`) at the state, whose index map holds the
+case, so a solve takes a start state and no case; solves J dx = -F by
+LU, clamps the step per variable and backtracks it until the residual
+norm drops. If that cut the step, a solve that is not a sub-solve lands
+each local generator's q on its sigmoid at the accepted voltages: its
+row is q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
 elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996);
 the move is clamped like a Newton step, at STEP_LIMIT_Q. A steep curve,
 crossed by almost any full voltage step, would otherwise hold max|F| up
@@ -14,8 +15,8 @@ below tolerance: near-saturated sigmoid plateaus can make steps tiny
 while the network equations are still violated, so the step alone is
 never trusted, except under a waypoint bound (`nr_solve`'s waypoint),
 below which max|F| alone converges. A sub-solve gives up early, at its
-first iteration that no trial brings below the max|F| it started from
-(a monotonicity test; Deuflhard, Newton Methods for Nonlinear Problems,
+first iteration that no trial brings below the max|F| it started from (a
+monotonicity test; Deuflhard, Newton Methods for Nonlinear Problems,
 2004, ch. 5).
 
 Every state is stamped once. The pass at the accepted trial, or at the
@@ -58,7 +59,6 @@ from scipy.linalg.lapack import dgesv, dgetrs
 from scipy.sparse import spmatrix
 from scipy.sparse.linalg import splu
 
-from .case_model import NetworkCase
 from .circuit_stamps import (
     ControlMode,
     StateVector,
@@ -315,20 +315,19 @@ def _trace_lambdas(ctl: ControlMode):
     return ctl.smoothing_relax, lg, ctl.p_relax, ctl.tx_relax
 
 
-def _residual_norm(case, state, ctl):
+def _residual_norm(state, ctl):
     """max|F| at a line-search trial, and its pass kept for `assemble`;
     a singular point (a collapsed voltage, a tap ratio not > 0) counts
     as an infinite residual, with no pass."""
     try:
-        F, kept = residual(case, state, ctl, keep=True)
+        F, kept = residual(state, ctl, keep=True)
     except SingularPointError:
         return float("inf"), None
     return float(np.abs(F).max()), kept
 
 
-def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
-             opts: SolverOptions, phase: str = "solve",
-             outer_iter: int = 0, subsolve: bool = False,
+def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
+             phase: str = "solve", outer_iter: int = 0, subsolve: bool = False,
              waypoint: float | None = None,
              ) -> tuple[StateVector, SolveReport]:
     """Iterate until residual and step are both below tolerance, or
@@ -374,7 +373,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     land = (np.empty(0, dtype=np.intp) if subsolve
             else generator_curves(state.index, ctl))
     for it in range(1, opts.max_iter + 1):
-        F, J = assemble(case, state, ctl, kept)
+        F, J = assemble(state, ctl, kept)
         if max_res is None:
             # the starting norm; a collapsed start raises in assemble
             max_res = float(np.abs(F).max())
@@ -388,7 +387,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
         alpha, best_x, best_res, best_alpha = 1.0, None, float("inf"), 0.0
         while alpha >= 1.0 / 64.0:
             trial = StateVector(state.index, state.x + alpha * dx)
-            r, trial_pass = _residual_norm(case, trial, ctl)
+            r, trial_pass = _residual_norm(trial, ctl)
             evals += 1
             if r < best_res:
                 best_x, best_res, best_alpha, kept = trial.x, r, alpha, trial_pass
@@ -408,7 +407,7 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
             move = np.clip(kept.F[land], -STEP_LIMIT_Q, STEP_LIMIT_Q)
             state.x[land] -= move
             dx[land] -= move
-            max_res, kept = _residual_norm(case, state, ctl)
+            max_res, kept = _residual_norm(state, ctl)
             evals += 1
         max_step = float(np.abs(dx).max())
         trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g, lam_p,
@@ -434,13 +433,13 @@ def nr_solve(case: NetworkCase, init: StateVector, ctl: ControlMode,
     return state, report
 
 
-def try_solve(case, init, ctl, opts, phase="solve", outer_iter=0,
+def try_solve(init, ctl, opts, phase="solve", outer_iter=0,
               **kw) -> tuple[StateVector, SolveReport]:
     """nr_solve, keywords (subsolve, waypoint) passed on, with a singular
     system or point reported as a failed solve at init, of no iterations,
     whose diagnostics hold the error."""
     try:
-        return nr_solve(case, init, ctl, opts, phase=phase,
+        return nr_solve(init, ctl, opts, phase=phase,
                         outer_iter=outer_iter, **kw)
     except (SingularSystemError, SingularPointError) as exc:
         return init, SolveReport(diagnostics=[str(exc)])

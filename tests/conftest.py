@@ -266,7 +266,7 @@ def flat_start_like(case, ctl, voltages_from):
     return flat_start(shifted, ctl)
 
 
-def fd_jacobian(case, state, ctl, h=1e-6):
+def fd_jacobian(state, ctl, h=1e-6):
     """Central finite differences of the residual vector."""
     idx = state.index
     J = np.zeros((idx.dim, idx.dim))
@@ -274,8 +274,8 @@ def fd_jacobian(case, state, ctl, h=1e-6):
         xp, xm = state.x.copy(), state.x.copy()
         xp[c] += h
         xm[c] -= h
-        rp = residual(case, StateVector(idx, xp), ctl)
-        rm = residual(case, StateVector(idx, xm), ctl)
+        rp = residual(StateVector(idx, xp), ctl)
+        rm = residual(StateVector(idx, xm), ctl)
         J[:, c] = (rp - rm) / (2.0 * h)
     return J
 
@@ -286,14 +286,14 @@ def as_array(J):
     return J.toarray() if issparse(J) else J
 
 
-def assert_jacobian_matches(case, state, ctl, rel_tol=1e-5, abs_floor=1e-8,
+def assert_jacobian_matches(state, ctl, rel_tol=1e-5, abs_floor=1e-8,
                             steps=(1e-6,)):
     """J against finite differences of the residual; each entry is judged
     by the closest of the differences with the given steps."""
-    A = as_array(assemble(case, state, ctl)[1])
+    A = as_array(assemble(state, ctl)[1])
     bad = np.inf
     for h in steps:
-        J = fd_jacobian(case, state, ctl, h)
+        J = fd_jacobian(state, ctl, h)
         err = np.abs(A - J)
         rel = err / np.maximum(abs_floor, np.abs(J))
         rel[err <= abs_floor] = 0.0

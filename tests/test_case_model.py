@@ -13,6 +13,7 @@ from splitflow import (
     Load,
     NetworkCase,
     RemoteControlGroup,
+    build_index,
     parse_matpower,
     parse_native,
     serialize_native,
@@ -400,6 +401,15 @@ class TestGivenGroupsWithoutRemoteBus:
         grp = RemoteControlGroup(4, 1.03, (1,), (1.0,))
         assert validate(replace(case, remote_groups=(grp,))) == [
             "generator 2 on PQ bus 3 has no control role"]
+
+    def test_member_is_no_local_controller_of_its_pv_bus(self):
+        # build_index leaves group members out of the local generators,
+        # so nothing would hold a PV bus whose only generator is one
+        case = without_remote_bus(given_groups((0.6, 0.4)))
+        case = replace(case, buses=tuple(
+            replace(b, kind="pv") if b.id == 2 else b for b in case.buses))
+        assert build_index(case).local_gen_idx == []
+        assert validate(case) == ["pv bus 2 has no local generator"]
 
 
 class TestSerializeGivenGroups:

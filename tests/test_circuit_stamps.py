@@ -13,6 +13,7 @@ from splitflow import (
     SwitchedShunt,
 )
 import splitflow.circuit_stamps as circuit_stamps
+import splitflow.nr_solver as nr_solver
 from splitflow.case_model import TapControl
 from splitflow.circuit_stamps import (
     FIXED_Q,
@@ -130,18 +131,18 @@ def branch_jacobian(branch):
     )
     ctl = ControlMode()
     state = flat_start(case, ctl)
-    return as_array(assemble(case, state, ctl)[1])
+    return as_array(assemble(state, ctl)[1])
 
 
 def load_delta(case):
     """(dF, dJ): what the case's loads add at its flat start."""
     ctl = ControlMode()
     state = flat_start(case, ctl)
-    F, J = assemble(case, state, ctl)
+    F, J = assemble(state, ctl)
     # the index holds the case's device arrays, so the load-free case
     # gets its own (same-shaped) index
     bare = replace(case, loads=())
-    F0, J0 = assemble(bare, StateVector(build_index(bare), state.x), ctl)
+    F0, J0 = assemble(StateVector(build_index(bare), state.x), ctl)
     return F - F0, as_array(J - J0)
 
 
@@ -201,7 +202,36 @@ class TestLoadStamp:
         state.x[2 * pos] = 1e-5
         state.x[2 * pos + 1] = 0.0
         with pytest.raises(SingularPointError, match="bus 2"):
-            residual(case, state, ctl)
+            residual(state, ctl)
+
+    def test_collapse_names_the_bus_id_from_the_index(self, monkeypatch):
+        # bus ids that are not positions: the state's index map alone
+        # names the collapsed bus, in residual and in nr_solve's first
+        # assemble
+        case = NetworkCase(
+            s_base=100.0,
+            buses=(Bus(101, 230.0, "slack"), Bus(205, 230.0, "pq")),
+            branches=(Branch(101, 205, 1.0, -8.0),), generators=(),
+            loads=(Load(205, 0.5, 0.1),))
+        ctl = ControlMode()
+        state = flat_start(case, ctl)
+        assert state.index.bus_ids == [101, 205]
+        state.x[2:4] = (1e-5, 0.0)
+        message = "voltage magnitude collapsed at bus 205 (|V|^2 = 1.000e-10)"
+        with pytest.raises(SingularPointError) as exc:
+            residual(state, ctl)
+        assert exc.value.bus == 205 and str(exc.value) == message
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(nr_solver, "assemble", counted)
+        with pytest.raises(SingularPointError) as exc:
+            nr_solve(state, ctl, OPTS)
+        assert len(calls) == 1
+        assert exc.value.bus == 205 and str(exc.value) == message
 
 
 class TestTapRatio:
@@ -213,14 +243,14 @@ class TestTapRatio:
         for evaluate in (residual, assemble):
             with pytest.raises(SingularPointError,
                                match="tap ratio of branch 1 is 0"):
-                evaluate(case, state, ctl)
+                evaluate(state, ctl)
 
     def test_solve_through_a_zero_ratio_trial(self):
         # the first full Newton step takes the primary-side tap from ratio
         # 1.0 to exactly 0; the line search must back off, not crash
         case = tapped_case("primary")
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert rep.line_search_backtracks >= 1
         assert 0.9 <= state.x[state.index.tap_col[1]] <= 1.1
@@ -233,20 +263,20 @@ class TestJacobians:
         case = two_bus_case()
         ctl = ControlMode()
         for seed in range(100):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
     def test_generator_sigmoid(self):
         case = three_bus_pv_case()
         ctl = ControlMode()
         for seed in range(100):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
     def test_generator_relaxed_limits(self):
         case = three_bus_pv_case()
         ctl = replace(ControlMode(), q_scale={("gen", 0): 1.7},
                       q_widen={("gen", 0): (0.05, 0.1)}, smoothing_relax=4900.0)
         for seed in range(40):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
     def test_generator_hard_rows(self):
         case = three_bus_pv_case()
@@ -254,41 +284,41 @@ class TestJacobians:
             ctl = replace(ControlMode(),
                           device_modes={("gen", 0): mode}, fixed_q=extra)
             for seed in range(25):
-                assert_jacobian_matches(case, random_state(case, ctl, seed),
+                assert_jacobian_matches(random_state(case, ctl, seed),
                                         ctl)
 
     def test_remote_group(self):
         case = remote_pair_case()
         ctl = ControlMode()
         for seed in range(100):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
     def test_transformer(self):
         for side in ("primary", "secondary"):
             case = tapped_case(controlled_side=side)
             ctl = ControlMode()
             for seed in range(50):
-                assert_jacobian_matches(case, random_state(case, ctl, seed),
+                assert_jacobian_matches(random_state(case, ctl, seed),
                                         ctl)
 
     def test_switched_shunt(self):
         case = shunt_case()
         ctl = ControlMode()
         for seed in range(100):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
     def test_distributed_slack(self):
         case = lossless_agc_case()
         ctl = ControlMode()
         assert case.agc_enabled
         for seed in range(100):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
     def test_tx_relaxed_network(self):
         case = three_bus_pv_case()
         ctl = replace(ControlMode(), tx_relax=0.3, smoothing_relax=4900.0)
         for seed in range(25):
-            assert_jacobian_matches(case, random_state(case, ctl, seed), ctl)
+            assert_jacobian_matches(random_state(case, ctl, seed), ctl)
 
 
 class TestCountingRule:
@@ -312,7 +342,7 @@ class TestCountingRule:
                      tapped_case(), shunt_case(), lossless_agc_case()):
             ctl = ControlMode()
             state = flat_start(case, ctl)
-            mat = assemble(case, state, ctl)[1]
+            mat = assemble(state, ctl)[1]
             assert mat.shape == (state.index.dim, state.index.dim)
             assert np.all(np.asarray(abs(mat).sum(axis=1)).ravel() > 0)
 
@@ -360,10 +390,10 @@ class TestCountingRule:
         case = ALL_CASES[name]()
         state = random_state(case, ControlMode(), 0)
         idx = state.index
-        J = assemble(case, state, ControlMode())[1]
+        J = assemble(state, ControlMode())[1]
         cols = idx.q_col | {("tap", bi): c for bi, c in idx.tap_col.items()}
         for ctl, held in snapped_variants(case):
-            F, Js = assemble(case, state, ctl)
+            F, Js = assemble(state, ctl)
             assert Js.structure is J.structure is idx.jac
             for key, value in held.items():
                 col = cols[key]
@@ -414,7 +444,7 @@ class TestStructuralSymmetry:
             case = bundled_matpower[name]
             ctl = ControlMode()
             state = random_state(case, ctl, 1)
-            J = assemble(case, state, ctl)[1].tocoo()
+            J = assemble(state, ctl)[1].tocoo()
             s = state.index.slack_pos
             skip = {2 * s, 2 * s + 1}
             written = {(r, c) for r, c in zip(J.row, J.col)
@@ -435,7 +465,7 @@ class TestGeneratorBehavior:
         state.x[2 * pos] = 1.02
         state.x[2 * pos + 1] = 0.0
         state.x[idx.q_col[("gen", 0)]] = 0.0  # midpoint of [-0.4, 0.4]
-        F = residual(case, state, ctl)
+        F = residual(state, ctl)
         assert F[idx.q_col[("gen", 0)]] == pytest.approx(0.0, abs=1e-14)
 
     def test_flat_start_on_sigmoid_at_degenerate_limits(self):
@@ -460,7 +490,7 @@ class TestGeneratorBehavior:
         # the midpoint and vice versa: the unstable quadrants cannot occur
         for name, case in bundled_matpower.items():
             ctl = ControlMode()
-            state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+            state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
             assert rep.converged, name
             for key, col in state.index.q_col.items():
                 kind, i = key
@@ -477,9 +507,9 @@ class TestGeneratorBehavior:
     def test_kcl_at_convergence(self):
         case = three_bus_pv_case()
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
-        F = residual(case, state, ctl)
+        F = residual(state, ctl)
         nv = state.index.voltage_dim()
         assert np.abs(F[:nv]).max() < OPTS.tol_residual
 
@@ -488,7 +518,7 @@ class TestSwitchedShuntBehavior:
     def test_degenerate_zero_range_is_noop(self):
         case = shunt_case(b_min=0.0, b_max=0.0)
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert state.x[state.index.q_col[("shunt", 0)]] == 0.0
 
@@ -501,17 +531,17 @@ class TestSwitchedShuntBehavior:
         state.x[2 * pos] = 1.0
         state.x[2 * pos + 1] = 0.0
         state.x[idx.q_col[("shunt", 0)]] = 0.25
-        F = residual(case, state, ctl)
+        F = residual(state, ctl)
         assert F[idx.q_col[("shunt", 0)]] == pytest.approx(0.0, abs=1e-14)
 
     def test_saturated_shunt_raises_voltage(self):
         ctl_off = ControlMode()
         case_off = shunt_case(b_min=0.0, b_max=0.0)
-        st_off, rep_off = nr_solve(case_off, flat_start(case_off, ctl_off),
+        st_off, rep_off = nr_solve(flat_start(case_off, ctl_off),
                                    ctl_off, OPTS)
         case_on = shunt_case(b_min=0.0, b_max=0.5)
         ctl_on = ControlMode()
-        st_on, rep_on = nr_solve(case_on, flat_start(case_on, ctl_on),
+        st_on, rep_on = nr_solve(flat_start(case_on, ctl_on),
                                  ctl_on, OPTS)
         assert rep_off.converged and rep_on.converged
         assert st_on.v_mag(1) > st_off.v_mag(1)
@@ -525,7 +555,7 @@ class TestRemoteGroup:
 
         base = three_bus_pv_case(q_min=-0.4, q_max=0.4, v_set=1.02)
         local_ctl = ControlMode()
-        st_local, rep1 = nr_solve(base, flat_start(base, local_ctl),
+        st_local, rep1 = nr_solve(flat_start(base, local_ctl),
                                   local_ctl, OPTS)
         grouped = NetworkCase(
             s_base=100.0,
@@ -538,7 +568,7 @@ class TestRemoteGroup:
                 controlled_bus=2, v_set=1.02, members=(0,), factors=(1.0,)),),
         )
         ctl = ControlMode()
-        st_remote, rep2 = nr_solve(grouped, flat_start(grouped, ctl), ctl,
+        st_remote, rep2 = nr_solve(flat_start(grouped, ctl), ctl,
                                    OPTS)
         assert rep1.converged and rep2.converged
         for pos in range(3):
@@ -551,7 +581,7 @@ class TestRemoteGroup:
     def test_kappa_proportional_sharing(self):
         case = remote_pair_case()
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         q1 = state.x[state.index.q_col[("gen", 0)]]
         q2 = state.x[state.index.q_col[("gen", 1)]]
@@ -572,7 +602,7 @@ class TestRemoteGroup:
         case = replace(case, generators=gens, loads=(Load(4, 0.8, 1.8),),
                        remote_groups=())
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         qreq = state.x[state.index.qreq_col[0]]
         assert qreq == pytest.approx(1.0, abs=5e-3)  # sum of member maxima
@@ -587,7 +617,7 @@ class TestDistributedSlack:
     def test_zero_contingency_zero_surplus(self):
         case = lossless_agc_case()
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert state.x[state.index.dps_col] == pytest.approx(0.0, abs=1e-9)
         dp, _ = slack_participation(ctl, state.index, 0.0)
@@ -609,11 +639,11 @@ class TestDistributedSlack:
         # matches what the currents used, exactly
         case = replace(lossless_agc_case(), loads=(Load(3, 1.4, 0.2),))
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         idx = state.index
         dp, _ = slack_participation(ctl, idx, float(state.x[idx.dps_col]))
-        used = residual(case, state, ctl, keep=True)[1].inj[3]
+        used = residual(state, ctl, keep=True)[1].inj[3]
         at = idx.inj.agc_at
         assert used[at].tolist() == \
             (idx.inj.p[at] + dp[idx.inj.agc_pos]).tolist()
@@ -627,7 +657,7 @@ class TestDistributedSlack:
         ctl = ControlMode()
         init = flat_start(case, ctl)
         assert init.x[init.index.dps_col] == pytest.approx(0.4 / 1.5)
-        state, rep = nr_solve(case, init, ctl, OPTS)
+        state, rep = nr_solve(init, ctl, OPTS)
         assert rep.converged
         assert state.x[state.index.dps_col] == pytest.approx(0.4 / 1.5,
                                                              abs=1e-6)
@@ -635,7 +665,7 @@ class TestDistributedSlack:
     def test_slack_voltage_pinned(self):
         case = lossless_agc_case()
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert state.v_complex(0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 

@@ -70,8 +70,8 @@ def test_voltage_extrema_are_the_bus_by_bus_figures():
     v = [state.v_complex(pos) for pos in range(len(case.buses))]
     mags = [abs(x) for x in v]
     angles = [math.degrees(math.atan2(x.imag, x.real)) for x in v]
-    assert voltage_extrema(case, state) == (max(mags), min(mags),
-                                            max(angles), min(angles))
+    assert voltage_extrema(state) == (max(mags), min(mags),
+                                      max(angles), min(angles))
 
 
 def test_dead_end_names_the_rule_that_ended_it():

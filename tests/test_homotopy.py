@@ -85,7 +85,7 @@ class TestScheduleAndPaths:
     def test_method_none_matches_plain_solve(self):
         case = two_bus_case()
         ctl = ControlMode()
-        st_plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        st_plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
         st_h, rep_h = run_homotopy(case, "none", OPTS)
         assert rep_h.converged
         assert np.array_equal(st_h.x, st_plain.x)
@@ -120,15 +120,15 @@ class TestScheduleAndPaths:
         case = three_bus_pv_case()
         base = ControlMode()
         state = flat_start(case, base)
-        F0, J0 = assemble(case, state, base)
-        F1, J1 = assemble(case, state, replace(base, tx_relax=0.0))
+        F0, J0 = assemble(state, base)
+        F1, J1 = assemble(state, replace(base, tx_relax=0.0))
         assert np.array_equal(as_array(J0), as_array(J1))
         assert np.array_equal(F0, F1)
 
     def test_tx_shorted_network_pins_voltages(self):
         case = two_bus_case()
         ctl = replace(ControlMode(), tx_relax=1.0)
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert abs(state.v_complex(1) - state.v_complex(0)) < 1e-3
 
@@ -219,13 +219,13 @@ class TestQLimitRelaxation:
         # from each shows it is the same one (4e-16 apart)
         case = qlimit_rescue_case()
         ctl = ControlMode()
-        plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged and rep_plain.iterations == 60
         st, rep = run_homotopy(case, "q-limit", OPTS)
         assert rep.converged
         assert rep.final_residual < OPTS.tol_residual
         one = SolverOptions(max_iter=1)
-        polished = [nr_solve(case, x, ctl, one)[0].x for x in (plain, st)]
+        polished = [nr_solve(x, ctl, one)[0].x for x in (plain, st)]
         assert np.abs(polished[0] - polished[1]).max() < 1e-12
 
 
@@ -275,7 +275,7 @@ class TestPLimitRelaxation:
         relaxed, state = init_p_limit_relaxation(case, OPTS)
         for t in (1.0, 0.5, 0.25, 0.0):
             ctl = replace(relaxed, p_relax=t)
-            state, rep = nr_solve(case, state, ctl, OPTS)
+            state, rep = nr_solve(state, ctl, OPTS)
             assert rep.converged
             assert _power_balance(case, state, ctl) < 1e-6
 
@@ -320,7 +320,7 @@ class TestRunHomotopy:
         for method in ("smoothing", "q-limit", "tx", "composite"):
             state, rep = run_homotopy(case, method, OPTS)
             assert rep.converged, method
-            res = np.abs(residual(case, state, base)).max()
+            res = np.abs(residual(state, base)).max()
             assert res < OPTS.tol_residual
 
     def test_methods_agree(self):
@@ -337,7 +337,7 @@ class TestRunHomotopy:
         # reaches after 60 iterations (see test_rescue_case)
         case = qlimit_rescue_case()
         ctl = ControlMode()
-        plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged
         st, rep = run_homotopy(case, "tx", OPTS)
         assert rep.converged
@@ -350,7 +350,7 @@ class TestRunHomotopy:
         # reach: the paper's convergence to an undesirable region
         case = load_native("oscillation4")
         ctl = ControlMode()
-        plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged and rep_plain.iterations == 84
         n = len(case.buses)
         assert max(plain.v_mag(p) for p in range(n)) == pytest.approx(
@@ -372,7 +372,7 @@ class TestRunHomotopy:
         ctl = ControlMode()
         st_tx, rep_tx = run_homotopy(case, "tx", OPTS)
         assert rep_tx.converged
-        st_plain, rep_plain = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        st_plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep_plain.converged
         assert np.abs(st_tx.x - st_plain.x).max() < 1e-6
         assert min(st_tx.v_mag(p) for p in range(10)) < 0.98
@@ -411,7 +411,7 @@ class TestRunHomotopy:
         ctl = ControlMode()
         state = flat_start(case, ctl)
         state.x[2:4] = 0.0
-        _, report = try_solve(case, state, ctl, OPTS, "probe")
+        _, report = try_solve(state, ctl, OPTS, "probe")
         assert not report.converged
         assert report.iterations == 0
         assert report.diagnostics == [
@@ -514,7 +514,7 @@ class TestRunHomotopy:
         # SNAP_FRACTION, not t = 0 again, for t = 0 to converge from one
         tried = []
 
-        def solve(case, start, t, opts, phase, step, subsolve, waypoint):
+        def solve(start, t, opts, phase, step, subsolve, waypoint):
             # every t above 0 is a waypoint, and t = 0 gets the full test
             assert waypoint == (CORRECTOR_TOL if t > 0.0 else None)
             tried.append((start.t, t))
@@ -523,7 +523,7 @@ class TestRunHomotopy:
 
         monkeypatch.setattr(homotopy_driver, "try_solve", solve)
         total = SolveReport()
-        end = _continuation(None, _AtT(1.0), lambda t: t, OPTS, "stub", total)
+        end = _continuation(_AtT(1.0), lambda t: t, OPTS, "stub", total)
         assert end.t == 0.0
         below = [t for _, t in tried if 0.0 < t <= SNAP_FRACTION]
         assert len(below) == 1
@@ -549,7 +549,7 @@ class TestRunHomotopy:
         init = flat_start(case, base)
         hard = _unbounded_control(init.index, base)
         assert hard.device_modes[("gen", 0)] == FIXED_V
-        state, rep = nr_solve(case, init, hard, OPTS)
+        state, rep = nr_solve(init, hard, OPTS)
         assert rep.converged
         assert state.v_mag(1) == pytest.approx(1.03, abs=1e-9)
 
@@ -589,14 +589,14 @@ class TestPredictor:
         solves, stamped = [], []
         assemble_in_solver = nr_solver.assemble
 
-        def recorded_assemble(case, state, *args):
+        def recorded_assemble(state, *args):
             stamped.append(state.x.copy())
-            return assemble_in_solver(case, state, *args)
+            return assemble_in_solver(state, *args)
 
         def wrap(nr_solve):
-            def recorded(case, init, ctl, *args, **kw):
+            def recorded(init, ctl, *args, **kw):
                 stamped.clear()
-                out, rep = nr_solve(case, init, ctl, *args, **kw)
+                out, rep = nr_solve(init, ctl, *args, **kw)
                 # the continuation frees the LU once it has its slope
                 solves.append((init.x.copy(), ctl, out, rep, rep.factors,
                                stamped[-1] if stamped else None))
@@ -617,11 +617,11 @@ class TestPredictor:
                 move = start - x
                 if first is None:
                     at_x = StateVector(out.index, x)
-                    F = residual(case, at_x, ctl)
+                    F = residual(at_x, ctl)
                     assert move == pytest.approx(-factors.solve(F),
                                                  rel=1e-12, abs=1e-15)
                     at_last = StateVector(out.index, x_last)
-                    J = as_array(assemble(case, at_last, ctl_x)[1])
+                    J = as_array(assemble(at_last, ctl_x)[1])
                     scale = np.abs(F).max()
                     assert scale > 0.0
                     assert np.abs(J @ move + F).max() <= 1e-3 * scale

@@ -70,10 +70,10 @@ def triplets(st):
             np.concatenate((st.net, st.slot_values()[keep])))
 
 
-def reference_jacobian(case, state, ctl):
+def reference_jacobian(state, ctl):
     """The pass's triplets with the slack rows rewritten the direct way
     (see `rewritten`)."""
-    st = _stamp_pass(case, state, ctl)
+    st = _stamp_pass(state, ctl)
     return rewritten(state.index, state.x, *triplets(st), st.slack_currents)
 
 
@@ -117,10 +117,10 @@ def assert_same_bytes(J, ref):
         assert got.tobytes() == want.tobytes(), name
 
 
-def check(case, state, ctl):
+def check(state, ctl):
     """assemble's J at the state, after checking it against the reference."""
-    J = assemble(case, state, ctl)[1]
-    assert_same_bytes(J, reference_jacobian(case, state, ctl))
+    J = assemble(state, ctl)[1]
+    assert_same_bytes(J, reference_jacobian(state, ctl))
     return J
 
 
@@ -154,7 +154,7 @@ def test_jacobian_equals_scipy_conversion(case_name, variant_name, monkeypatch):
     for representation in REPRESENTATIONS:
         emit(monkeypatch, representation)
         for seed in (0, 1):
-            J = check(case, random_state(case, ctl, seed), ctl)
+            J = check(random_state(case, ctl, seed), ctl)
             assert isinstance(J, np.ndarray) == (representation == "dense")
 
 
@@ -166,11 +166,11 @@ def test_dense_jacobian_equals_csc(case_name, variant_name, monkeypatch):
     case, ctl = variant(load(case_name), variant_name)
     for seed in (0, 1):
         state = random_state(case, ctl, seed)
-        kept = residual(case, state, ctl, keep=True)[1]
+        kept = residual(state, ctl, keep=True)[1]
         J = {}
         for representation in REPRESENTATIONS:
             emit(monkeypatch, representation)
-            J[representation] = assemble(case, state, ctl, kept)[1]
+            J[representation] = assemble(state, ctl, kept)[1]
         assert isinstance(J["dense"], np.ndarray)
         assert J["dense"].tobytes() == J["csc"].toarray().tobytes()
 
@@ -188,7 +188,7 @@ def test_network_sums_follow_scale_and_representation(case_name,
     for representation in ("csc", "dense", "csc"):
         emit(monkeypatch, representation)
         for tx_relax in (0.0, 0.3, 0.0):
-            check(case, state, replace(ctl, tx_relax=tx_relax))
+            check(state, replace(ctl, tx_relax=tx_relax))
 
 
 def test_modes_share_one_structure_on_case30(monkeypatch):
@@ -202,8 +202,8 @@ def test_modes_share_one_structure_on_case30(monkeypatch):
     spy = SpyFactor(monkeypatch)
     Js = []
     for ctl in (base, fixed, base):
-        Js.append(check(case, state, ctl))
-        F = residual(case, state, ctl)
+        Js.append(check(state, ctl))
+        F = residual(state, ctl)
         assert (solve_linear(Js[-1], -F)[0].tobytes()
                 == plain_solve(Js[-1], -F).tobytes())
     assert all(J.structure is state.index.jac for J in Js)
@@ -225,7 +225,7 @@ def test_slack_member_on_a_flat():
     on_flat = state.copy()
     on_flat.x[idx.dps_col] = past_end.min() + 1e-6
     assert on_flat.index is idx
-    Js = [check(case, s, ctl) for s in (state, on_flat, state)]
+    Js = [check(s, ctl) for s in (state, on_flat, state)]
     assert all(J.structure is idx.jac for J in Js)
     zeros = [np.count_nonzero(J.data == 0.0) for J in Js]
     assert zeros[1] > zeros[0] == zeros[2]
@@ -239,8 +239,8 @@ def test_outer_loop_switches(monkeypatch):
     seen = []
     nr_solve = nr_solver.nr_solve
 
-    def recording(case, init, ctl, opts, **kw):
-        state, report = nr_solve(case, init, ctl, opts, **kw)
+    def recording(init, ctl, opts, **kw):
+        state, report = nr_solve(init, ctl, opts, **kw)
         seen.append((state, ctl))
         return state, report
 
@@ -252,7 +252,7 @@ def test_outer_loop_switches(monkeypatch):
     assert spy.specs[0] == ORDER and spy.specs.count(ORDER) == 1
     idx = seen[0][0].index
     for state, ctl in seen + seen[::-1]:
-        J, F = check(case, state, ctl), residual(case, state, ctl)
+        J, F = check(state, ctl), residual(state, ctl)
         assert J.structure is idx.jac
         assert solve_linear(J, -F)[0].tobytes() == plain_solve(J, -F).tobytes()
     assert spy.specs.count(ORDER) == 1
@@ -266,8 +266,8 @@ def test_order_dropped_with_the_structure(monkeypatch):
     seen = []
     nr_solve = nr_solver.nr_solve
 
-    def recording(case, init, ctl, opts, **kw):
-        state, report = nr_solve(case, init, ctl, opts, **kw)
+    def recording(init, ctl, opts, **kw):
+        state, report = nr_solve(init, ctl, opts, **kw)
         seen.append((state, ctl))
         return state, report
 
@@ -281,7 +281,7 @@ def test_order_dropped_with_the_structure(monkeypatch):
     assert moved.index is not state.index and moved.index.jac is None
     spy = SpyFactor(monkeypatch)
     for s in (moved, moved, state):
-        J, F = check(case, s, ctl), residual(case, s, ctl)
+        J, F = check(s, ctl), residual(s, ctl)
         assert J.structure is s.index.jac
         assert solve_linear(J, -F)[0].tobytes() == plain_solve(J, -F).tobytes()
     assert spy.specs == [ORDER, "NATURAL", "NATURAL"]
@@ -297,8 +297,8 @@ def test_q_limit_steps_share_one_structure(monkeypatch):
     seen = []
     real = nr_solver.assemble
 
-    def recording(case, state, ctl, kept=None):
-        F, J = real(case, state, ctl, kept)
+    def recording(state, ctl, kept=None):
+        F, J = real(state, ctl, kept)
         seen.append((state.index, ctl, J.structure))
         return F, J
 
@@ -315,19 +315,19 @@ def test_returned_jacobian_keeps_its_values():
     case, base = variant(load_matpower("case118"), "base")
     _, fixed = variant(case, "fixed-modes")
     state = random_state(case, base, 0)
-    J = assemble(case, state, base)[1]
+    J = assemble(state, base)[1]
     kept = J.data.copy()
     other = StateVector(state.index, random_state(case, base, 1).x)
-    assemble(case, other, base)
-    assemble(case, state, fixed)
+    assemble(other, base)
+    assemble(state, fixed)
     assert J.data.tobytes() == kept.tobytes()
-    assert_same_bytes(J, reference_jacobian(case, state, base))
+    assert_same_bytes(J, reference_jacobian(state, base))
 
 
 def test_cached_index_arrays_are_read_only():
     case, ctl = variant(load_matpower("case9"), "base")
     state = random_state(case, ctl, 0)
-    J = assemble(case, state, ctl)[1]
+    J = assemble(state, ctl)[1]
     cached = state.index.jac
     for arr in (J.indices, J.indptr, cached.indices, cached.indptr):
         assert not arr.flags.writeable
@@ -335,8 +335,8 @@ def test_cached_index_arrays_are_read_only():
         J.indices[0] = 0
     with pytest.raises(ValueError):
         J.eliminate_zeros()  # scipy would compress the shared arrays in place
-    assert_same_bytes(assemble(case, state, ctl)[1],
-                      reference_jacobian(case, state, ctl))
+    assert_same_bytes(assemble(state, ctl)[1],
+                      reference_jacobian(state, ctl))
 
 
 @pytest.mark.parametrize("variant_name", VARIANTS)
@@ -350,9 +350,9 @@ def test_jacobian_from_kept_pass_equals_assembled(case_name, variant_name,
         emit(monkeypatch, representation)
         for seed in (0, 1):
             state = random_state(case, ctl, seed)
-            F, kept = residual(case, state, ctl, keep=True)
-            F_kept, J_kept = assemble(case, state, ctl, kept)
-            F_full, J_full = assemble(case, state, ctl)
+            F, kept = residual(state, ctl, keep=True)
+            F_kept, J_kept = assemble(state, ctl, kept)
+            F_full, J_full = assemble(state, ctl)
             assert F_kept is F
             assert F_kept.tobytes() == F_full.tobytes()
             assert_same_bytes(J_kept, J_full)
@@ -361,9 +361,9 @@ def test_jacobian_from_kept_pass_equals_assembled(case_name, variant_name,
 def test_kept_pass_of_another_state_rejected():
     case, ctl = variant(load_matpower("case9"), "base")
     state = random_state(case, ctl, 0)
-    _, kept = residual(case, state, ctl, keep=True)
+    _, kept = residual(state, ctl, keep=True)
     with pytest.raises(ValueError, match="another state"):
-        assemble(case, state.copy(), ctl, kept)
+        assemble(state.copy(), ctl, kept)
 
 
 @pytest.mark.parametrize("variant_name", VARIANTS)
@@ -380,7 +380,7 @@ def test_stored_order_solves_bit_equal(case_name, variant_name, monkeypatch):
         x = (flat_start(case, ctl) if seed == "flat"
              else random_state(case, ctl, seed)).x
         state = StateVector(idx, x)
-        F, J = assemble(case, state, ctl)
+        F, J = assemble(state, ctl)
         x, _ = solve_linear(J, -F)
         assert x.tobytes() == plain_solve(J, -F).tobytes()
         new = not any(s is J.structure for s in structures)
@@ -397,7 +397,7 @@ def test_kept_order_fill_on_case118(agc):
     # distributed slack and 8927 with it)
     case = replace(load_matpower("case118"), agc_enabled=agc)
     ctl = ControlMode()
-    F, J = assemble(case, flat_start(case, ctl), ctl)
+    F, J = assemble(flat_start(case, ctl), ctl)
     solve_linear(J, -F)
     lu, inv = nr_solver._factor(J)
     assert inv is J.structure.inv is not None  # factored in the kept order
@@ -407,7 +407,7 @@ def test_kept_order_fill_on_case118(agc):
 def test_singular_first_factorization_stores_nothing():
     case, ctl = variant(load_matpower("case30"), "base")
     state = random_state(case, ctl, 0)
-    F, J = assemble(case, state, ctl)
+    F, J = assemble(state, ctl)
     # a column of zeros whose rows all hold other entries: no row is
     # empty, but the factorization meets an exactly zero pivot
     rows_per = np.bincount(J.indices, minlength=J.shape[0])
@@ -433,11 +433,11 @@ def test_earlier_jacobian_keeps_its_data_and_solution():
     # out earlier is left as it was and still solves to the same bytes
     case, ctl = variant(load_matpower("case118"), "slack-0.5")
     first = random_state(case, ctl, 0)
-    F1, J1 = assemble(case, first, ctl)
+    F1, J1 = assemble(first, ctl)
     data = J1.data.copy()
     x1, _ = solve_linear(J1, -F1)
-    F2, J2 = assemble(case, StateVector(first.index,
-                                        random_state(case, ctl, 1).x), ctl)
+    F2, J2 = assemble(StateVector(first.index,
+                                  random_state(case, ctl, 1).x), ctl)
     assert J2.structure is J1.structure
     solve_linear(J2, -F2)
     assert J1.data.tobytes() == data.tobytes()
@@ -450,9 +450,9 @@ def test_csc_jacobians_are_copies_of_one_template():
     # pointers, and scipy's results of a matrix built from its arrays
     case, ctl = variant(load_matpower("case118"), "base")
     state = random_state(case, ctl, 0)
-    J1 = assemble(case, state, ctl)[1]
+    J1 = assemble(state, ctl)[1]
     other = StateVector(state.index, random_state(case, ctl, 1).x)
-    J2 = assemble(case, other, ctl)[1]
+    J2 = assemble(other, ctl)[1]
     s = state.index.jac
     assert J1 is not J2 and J1 is not s.template
     assert not np.shares_memory(J1.data, J2.data)
@@ -476,9 +476,9 @@ def test_empty_row_named_after_the_order_is_kept():
     case = load_matpower("case118")
     ctl = ControlMode()
     state = flat_start(case, ctl)
-    F, J = assemble(case, state, ctl)
+    F, J = assemble(state, ctl)
     solve_linear(J, -F)  # the first factorization keeps the order
-    F, J = assemble(case, state, ctl)
+    F, J = assemble(state, ctl)
     data = J.data.copy()
     for row in range(J.shape[0]):
         J.data[:] = data

@@ -181,9 +181,9 @@ def test_kept_factors_of_an_assembled_j(name):
     case = load_matpower(name)
     ctl = ControlMode()
     state = flat_start(case, ctl)
-    F, J = assemble(case, state, ctl)
+    F, J = assemble(state, ctl)
     solve_linear(J, -F)  # the first factorization orders the pattern
-    F, J = assemble(case, state, ctl)
+    F, J = assemble(state, ctl)
     x, factors = solve_linear(J, -F)
     assert isinstance(factors, DenseLU if name == "case9" else SparseLU)
     assert name == "case9" or factors.inv is not None
@@ -198,9 +198,9 @@ def test_solve_frees_its_index_map_without_gc(name):
     ctl = ControlMode()
     gc.disable()
     try:
-        state, report = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, report = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert report.converged
-        F, J = assemble(case, state, ctl)
+        F, J = assemble(state, ctl)
         assert isinstance(J, np.ndarray) == (name == "case9")
         refs = weakref.ref(state.index), weakref.ref(state.index.jac)
         del state, report, F, J
@@ -255,7 +255,7 @@ class TestNrSolve:
         # u^2 + (2 Re(z S*) - 1) u + |z S*|^2 = 0, V2 = conj(z S* + u)
         case = two_bus_case(p_load=0.5, q_load=0.1, r=0.01, x=0.1)
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         z = complex(0.01, 0.1)
         zs = z * complex(0.5, -0.1)
@@ -268,7 +268,7 @@ class TestNrSolve:
     def test_zero_load_flat_profile(self):
         case = two_bus_case(p_load=0.0, q_load=0.0)
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert rep.iterations <= 2
         assert state.v_complex(1) == pytest.approx(1.0 + 0.0j, abs=1e-10)
@@ -277,15 +277,15 @@ class TestNrSolve:
         # continuous models at full smoothing, no homotopy, flat start
         case = bundled_matpower["case9"]
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         assert rep.iterations <= 25
 
     def test_fixed_point(self):
         case = two_bus_case()
         ctl = ControlMode()
-        solved, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
-        again, rep2 = nr_solve(case, solved, ctl, OPTS)
+        solved, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
+        again, rep2 = nr_solve(solved, ctl, OPTS)
         assert rep2.converged
         assert rep2.iterations == 1
         assert np.abs(again.x - solved.x).max() < 1e-9
@@ -293,14 +293,14 @@ class TestNrSolve:
     def test_residual_decreases_near_solution(self, bundled_matpower):
         case = bundled_matpower["case9"]
         ctl = ControlMode()
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         tail = [row.max_residual for row in rep.trace[-3:]]
         assert all(a > b for a, b in zip(tail, tail[1:]))
 
     def test_trace_completeness(self, bundled_matpower):
         case = bundled_matpower["case14"]
         ctl = ControlMode()
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert len(rep.trace) == rep.iterations
         assert [row.inner_iter for row in rep.trace] == \
             list(range(1, rep.iterations + 1))
@@ -308,8 +308,8 @@ class TestNrSolve:
     def test_determinism(self, bundled_matpower):
         case = bundled_matpower["case30"]
         ctl = ControlMode()
-        s1, r1 = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
-        s2, r2 = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        s1, r1 = nr_solve(flat_start(case, ctl), ctl, OPTS)
+        s2, r2 = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert np.array_equal(s1.x, s2.x)
         assert [(t.max_residual, t.max_step) for t in r1.trace] == \
             [(t.max_residual, t.max_step) for t in r2.trace]
@@ -317,7 +317,7 @@ class TestNrSolve:
     def test_non_convergence_is_reported_not_raised(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)  # far past the nose
         ctl = ControlMode()
-        state, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert not rep.converged
 
     def test_stall_window_ends_solve_past_the_nose(self):
@@ -325,7 +325,7 @@ class TestNrSolve:
         # fourth lowers it, and the sub-solve ends there
         case = two_bus_case(p_load=5.0, q_load=2.0)
         ctl = ControlMode()
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS,
                           subsolve=True)
         assert rep.stalled and not rep.converged
         res = [row.max_residual for row in rep.trace]
@@ -339,9 +339,9 @@ class TestNrSolve:
         # that lowered no max|F|, to max_iter
         case = two_bus_case(p_load=5.0, q_load=2.0)
         ctl = ControlMode()
-        _, sub = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+        _, sub = nr_solve(flat_start(case, ctl), ctl, OPTS,
                           subsolve=True)
-        _, top = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, top = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert not top.converged and not top.stalled
         assert top.iterations == OPTS.max_iter > sub.iterations
         # the two walk alike up to the sub-solve's end
@@ -355,14 +355,14 @@ class TestNrSolve:
         case = two_bus_case()
         ctl = ControlMode()
         init = flat_start(case, ctl)
-        start = float(np.abs(nr_solver.residual(case, init, ctl)).max())
+        start = float(np.abs(nr_solver.residual(init, ctl)).max())
         monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: (start, None))
-        _, rep = nr_solve(case, init, ctl, OPTS, subsolve=True)
+        _, rep = nr_solve(init, ctl, OPTS, subsolve=True)
         assert rep.stalled and not rep.converged
         assert rep.iterations == 1 and rep.residual_evals == 7
         assert rep.final_residual == start
         opts = SolverOptions(max_iter=5)
-        _, top = nr_solve(case, init, ctl, opts)
+        _, top = nr_solve(init, ctl, opts)
         assert not top.stalled and top.iterations == opts.max_iter
 
     @pytest.mark.parametrize("drop", [0.005, 0.02])
@@ -372,7 +372,7 @@ class TestNrSolve:
         case = two_bus_case()
         ctl = ControlMode()
         init = flat_start(case, ctl)
-        norm = [float(np.abs(nr_solver.residual(case, init, ctl)).max())]
+        norm = [float(np.abs(nr_solver.residual(init, ctl)).max())]
 
         def creeping(*args):
             norm[0] *= 1.0 - drop
@@ -380,7 +380,7 @@ class TestNrSolve:
 
         monkeypatch.setattr(nr_solver, "_residual_norm", creeping)
         opts = SolverOptions(max_iter=6)
-        _, rep = nr_solve(case, init, ctl, opts, subsolve=True)
+        _, rep = nr_solve(init, ctl, opts, subsolve=True)
         assert not rep.stalled and not rep.converged
         assert rep.iterations == rep.residual_evals == opts.max_iter
 
@@ -392,7 +392,7 @@ class TestNrSolve:
         init = flat_start(case, ctl)
         monkeypatch.setattr(nr_solver, "_residual_norm",
                             lambda *a: (float("inf"), None))
-        state, rep = nr_solve(case, init, ctl, OPTS)
+        state, rep = nr_solve(init, ctl, OPTS)
         assert not rep.converged and not rep.stalled
         assert rep.iterations == 1
         assert rep.final_residual == float("inf")
@@ -409,25 +409,25 @@ class TestNrSolve:
         case = bundled_matpower["case9"]
         ctl = ControlMode()
         bound = 1e-3
-        _, full = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+        _, full = nr_solve(flat_start(case, ctl), ctl, OPTS,
                            subsolve=True)
         first = next(row for row in full.trace if row.max_residual < bound)
         assert first.max_step >= TOL_STEP
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS,
                           subsolve=True, waypoint=bound)
         assert rep.converged and rep.factors is not None
         assert rep.iterations == first.inner_iter < full.iterations
         assert full.converged
         assert [(r.max_residual, r.max_step) for r in rep.trace] == \
             [(r.max_residual, r.max_step) for r in full.trace[:rep.iterations]]
-        _, zero = nr_solve(case, flat_start(case, ctl), ctl, OPTS,
+        _, zero = nr_solve(flat_start(case, ctl), ctl, OPTS,
                            subsolve=True, waypoint=0.0)
         assert zero.iterations == full.iterations
 
     def test_without_stall_window_runs_to_max_iter(self):
         case = two_bus_case(p_load=5.0, q_load=2.0)
         ctl = ControlMode()
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert not rep.converged and not rep.stalled
         assert rep.iterations == OPTS.max_iter
 
@@ -435,7 +435,7 @@ class TestNrSolve:
         case = bundled_matpower["case9"]
         ctl = ControlMode()
         opts = SolverOptions(max_iter=3)
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, opts)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, opts)
         assert rep.iterations <= 3
 
     def test_start_evaluated_once(self, bundled_matpower, monkeypatch):
@@ -449,14 +449,14 @@ class TestNrSolve:
         def recorded(name):
             fn = getattr(nr_solver, name)
 
-            def wrapper(case, state, ctl, *kept, **keep):
+            def wrapper(state, ctl, *kept, **keep):
                 seen[name].append(state.x.copy())
-                return fn(case, state, ctl, *kept, **keep)
+                return fn(state, ctl, *kept, **keep)
             return wrapper
 
         for name in seen:
             monkeypatch.setattr(nr_solver, name, recorded(name))
-        _, rep = nr_solve(case, init, ctl, OPTS)
+        _, rep = nr_solve(init, ctl, OPTS)
         assert len(seen["assemble"]) == rep.iterations
         assert np.array_equal(seen["assemble"][0], init.x)
         assert not any(np.array_equal(x, init.x) for x in seen["residual"])
@@ -469,7 +469,7 @@ class TestNrSolve:
         state.x[2 * pos] = 1e-5
         state.x[2 * pos + 1] = 0.0
         with pytest.raises(SingularPointError, match="bus 2"):
-            nr_solve(case, state, ctl, OPTS)
+            nr_solve(state, ctl, OPTS)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -492,9 +492,9 @@ class TestStampedOnce:
         passes = []
         stamp = circuit_stamps._stamp_pass
 
-        def counted(case, state, ctl):
+        def counted(state, ctl):
             passes.append(state.x.copy())
-            return stamp(case, state, ctl)
+            return stamp(state, ctl)
 
         monkeypatch.setattr(circuit_stamps, "_stamp_pass", counted)
         return passes
@@ -504,7 +504,7 @@ class TestStampedOnce:
         case = load_matpower(name)
         ctl = ControlMode()
         passes = self.count_passes(monkeypatch)
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         # the start, then one pass per line-search trial and no other
         assert len(passes) == 1 + rep.residual_evals
@@ -522,19 +522,19 @@ class TestStampedOnce:
         iterates, trials = [], []
         assemble, norm = nr_solver.assemble, nr_solver._residual_norm
 
-        def recorded_assemble(case, state, ctl, kept=None):
+        def recorded_assemble(state, ctl, kept=None):
             iterates.append(state.x.copy())
-            return assemble(case, state, ctl, kept)
+            return assemble(state, ctl, kept)
 
-        def recorded_norm(case, state, ctl):
-            r, kept = norm(case, state, ctl)
+        def recorded_norm(state, ctl):
+            r, kept = norm(state, ctl)
             trials.append((len(iterates), state.x.copy(), r, kept))
             return r, kept
 
         monkeypatch.setattr(nr_solver, "assemble", recorded_assemble)
         monkeypatch.setattr(nr_solver, "_residual_norm", recorded_norm)
         passes = self.count_passes(monkeypatch)
-        _, rep = nr_solve(case, init, ctl, OPTS)
+        _, rep = nr_solve(init, ctl, OPTS)
         assert rep.converged
         assert len(passes) == 1 + rep.residual_evals
         k = next(k for k, t in enumerate(trials) if t[1][col] < 0.0)
@@ -542,7 +542,7 @@ class TestStampedOnce:
         assert r == math.inf and kept is None
         with pytest.raises(SingularPointError,
                            match=f"tap ratio of branch 1 is {x[col]:g}"):
-            residual(case, StateVector(init.index, x), ctl)
+            residual(StateVector(init.index, x), ctl)
         later, halved, r_half, _ = trials[k + 1]
         start = iterates[it - 1]
         assert later == it and r_half < math.inf and halved[col] > 0.0
@@ -560,21 +560,21 @@ class TestStampedOnce:
         trials = []
         norm = nr_solver._residual_norm
 
-        def second_best(case, state, ctl):
-            _, kept = norm(case, state, ctl)
+        def second_best(state, ctl):
+            _, kept = norm(state, ctl)
             trials.append(state.x)
             return (1e9 if len(trials) % 7 == 2 else 2e9), kept
 
         assembled = []
         assemble = nr_solver.assemble
 
-        def checked(case, state, ctl, kept=None):
+        def checked(state, ctl, kept=None):
             assembled.append(kept)
-            return assemble(case, state, ctl, kept)
+            return assemble(state, ctl, kept)
 
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
         monkeypatch.setattr(nr_solver, "assemble", checked)
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl,
+        _, rep = nr_solve(flat_start(case, ctl), ctl,
                           SolverOptions(max_iter=3))
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == rep.line_search_backtracks == 21
@@ -594,8 +594,8 @@ class TestStampedOnce:
         calls = []
         norm = nr_solver._residual_norm
 
-        def second_best(case, state, ctl):
-            r, kept = norm(case, state, ctl)
+        def second_best(state, ctl):
+            r, kept = norm(state, ctl)
             calls.append((state.x.copy(), kept))
             k = len(calls) % 8
             return (r if k == 0 else 1e9 if k == 2 else 2e9), kept
@@ -603,13 +603,13 @@ class TestStampedOnce:
         assembled = []
         assemble = nr_solver.assemble
 
-        def checked(case, state, ctl, kept=None):
+        def checked(state, ctl, kept=None):
             assembled.append(kept)
-            return assemble(case, state, ctl, kept)
+            return assemble(state, ctl, kept)
 
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
         monkeypatch.setattr(nr_solver, "assemble", checked)
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl,
+        _, rep = nr_solve(flat_start(case, ctl), ctl,
                           SolverOptions(max_iter=3))
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == len(calls) == 24
@@ -639,18 +639,18 @@ class TestStampedOnce:
         events = []
         norm, assemble = nr_solver._residual_norm, nr_solver.assemble
 
-        def recorded(case, state, ctl):
-            r, kept = norm(case, state, ctl)
+        def recorded(state, ctl):
+            r, kept = norm(state, ctl)
             events.append(("trial", state.x.copy(), kept))
             return r, kept
 
-        def checked(case, state, ctl, kept=None):
+        def checked(state, ctl, kept=None):
             events.append(("assemble", None, kept))
-            return assemble(case, state, ctl, kept)
+            return assemble(state, ctl, kept)
 
         monkeypatch.setattr(nr_solver, "_residual_norm", recorded)
         monkeypatch.setattr(nr_solver, "assemble", checked)
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         at = [i for i, e in enumerate(events) if e[0] == "assemble"]
         assert len(at) == rep.iterations
@@ -685,7 +685,7 @@ class TestLineSearchCounters:
             return residual_fn(*args, **kw)
 
         monkeypatch.setattr(nr_solver, "residual", counted)
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged and rep.line_search_backtracks > 0
         assert rep.residual_evals == len(calls)
         # every iteration's accepted trial, every rejected one, and one
@@ -703,7 +703,7 @@ class TestLineSearchCounters:
         # whose seven trials all fail to lower max|F| still takes the best
         case = two_bus_case(p_load=5.0)
         ctl = ControlMode()
-        _, rep = nr_solve(case, flat_start(case, ctl), ctl, OPTS)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert not rep.converged and rep.iterations == OPTS.max_iter
         lowered = rep.residual_evals - rep.line_search_backtracks
         assert 0 < lowered < rep.iterations
@@ -731,7 +731,7 @@ class TestOutageSweep:
             for gen in case.generators:
                 out = case.drop_generator(gen.bus)
                 ctl = ControlMode()
-                state, rep = nr_solve(out, flat_start(out, ctl), ctl, OPTS)
+                state, rep = nr_solve(flat_start(out, ctl), ctl, OPTS)
                 assert rep.converged
                 assert power_mismatch(out, state).max() <= 1e-5
                 iterations += rep.iterations

@@ -44,6 +44,35 @@ def test_lost_and_raised_runs_flagged():
             (("e", *key), (10, 20), (9, 21))]
 
 
+def test_against_line_counts_each_rise_apart():
+    # a rose in both counts, b in evaluations alone, c raised, d fell
+    before = ["a\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "b\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "c\tagc=off\ttx\tsnap=off\ttrue\t10\t20",
+              "d\tagc=off\ttx\tsnap=off\ttrue\t10\t20"]
+    now = ["a\tagc=off\ttx\tsnap=off\ttrue\t11\t21",
+           "b\tagc=off\ttx\tsnap=off\ttrue\t10\t25",
+           "c\tagc=off\ttx\tsnap=off\terror\terror\terror",
+           "d\tagc=off\ttx\tsnap=off\ttrue\t9\t19"]
+    line = pipeline_census.against_line(
+        pipeline_census.converged_counts(before),
+        pipeline_census.converged_counts(now))
+    assert line.split("\t") == [
+        "against", "4 converged before", "1 lost or raised",
+        "1 with more NR iterations", "2 with more residual evaluations",
+        "30 -> 30 NR iterations and 60 -> 65 residual evaluations of runs "
+        "converged in both"]
+    # a six-column census has no evaluations to compare or total
+    six = [line.rsplit("\t", 1)[0] for line in before]
+    line = pipeline_census.against_line(
+        pipeline_census.converged_counts(six),
+        pipeline_census.converged_counts(now))
+    assert line.split("\t")[4:] == [
+        "0 with more residual evaluations",
+        "30 -> 30 NR iterations and 0 -> 0 residual evaluations of runs "
+        "converged in both"]
+
+
 def test_six_column_census_compares_iterations_alone():
     # a census recorded before the evaluations column: a run is worse
     # only by its NR iterations

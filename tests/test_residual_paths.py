@@ -95,8 +95,8 @@ def test_residual_equals_assembled_residual(case_name, variant_name):
     case, ctl = variant(load(case_name), variant_name)
     for seed in (0, 1):
         state = random_state(case, ctl, seed)
-        f_only = residual(case, state, ctl)
-        f_full = assemble(case, state, ctl)[0]
+        f_only = residual(state, ctl)
+        f_full = assemble(state, ctl)[0]
         assert np.array_equal(f_only.view(np.uint64), f_full.view(np.uint64))
 
 
@@ -110,7 +110,7 @@ def test_jacobian_matches_finite_differences(case_name, variant_name):
     # judged by the closer of the two
     case, ctl = variant(load(case_name), variant_name)
     for seed in (0, 1):
-        assert_jacobian_matches(case, random_state(case, ctl, seed), ctl,
+        assert_jacobian_matches(random_state(case, ctl, seed), ctl,
                                 steps=(1e-6, 1e-5))
 
 
@@ -121,7 +121,7 @@ def test_jacobian_matches_in_outage_screening_configuration():
         case118.generators[3].bus)
     ctl = ControlMode()
     assert case.agc_enabled and build_index(case).dps_col is not None
-    assert_jacobian_matches(case, random_state(case, ctl, 0), ctl)
+    assert_jacobian_matches(random_state(case, ctl, 0), ctl)
 
 
 def test_control_mode_changed_in_place_is_seen():
@@ -132,9 +132,9 @@ def test_control_mode_changed_in_place_is_seen():
     keys = list(build_index(case).q_col)
     ctl = replace(ctl, q_scale={k: 1.5 for k in keys})
     state = random_state(case, ctl, 0)
-    before = residual(case, state, ctl)
+    before = residual(state, ctl)
     ctl.q_scale[keys[0]] = 3.0
-    after = residual(case, state, ctl)
+    after = residual(state, ctl)
     fresh = replace(ctl, q_scale=dict(ctl.q_scale))
     assert not np.array_equal(before, after)
-    assert np.array_equal(after, residual(case, state, fresh))
+    assert np.array_equal(after, residual(state, fresh))

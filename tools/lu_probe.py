@@ -109,7 +109,7 @@ def refill(J, settings):
 
 def probe(name, case, rounds):
     ctl = ControlMode()
-    st = residual(case, flat_start(case, ctl), ctl, keep=True)[1]
+    st = residual(flat_start(case, ctl), ctl, keep=True)[1]
     with emitting("csc"):
         J = _jacobian(st)
     calls = {key: refill(J, settings) for key, settings in SETTINGS.items()}

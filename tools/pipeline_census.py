@@ -16,8 +16,10 @@ The last line holds the totals.
 With --against, the lines of an earlier census are read from the file and
 every run that converged there but not now, or converged in more NR
 iterations or residual evaluations now, is listed; the exit status is 1
-if there is one. A census recorded without the evaluations (six
-columns) is compared on NR iterations alone.
+if there is one. The `against` line counts the lost runs, those with
+more NR iterations and those with more evaluations apart, and totals
+both counts over the runs converged in both. A census recorded without
+the evaluations (six columns) is compared on NR iterations alone.
 """
 
 import argparse
@@ -109,6 +111,26 @@ def worse(before, now):
             or was[1] is not None and now[key][1] > was[1]]
 
 
+def against_line(before, now):
+    """The comparison's summary: runs converged before; of those, the
+    runs lost (or raised), those with more NR iterations and those with
+    more residual evaluations, each counted apart; and both counts'
+    totals over the runs converged in both (evaluations over the runs
+    recorded with them)."""
+    both = before.keys() & now.keys()
+    counted = [k for k in both if before[k][1] is not None]
+    more_it = sum(now[k][0] > before[k][0] for k in both)
+    more_ev = sum(now[k][1] > before[k][1] for k in counted)
+    return (f"against\t{len(before)} converged before\t"
+            f"{len(before) - len(both)} lost or raised\t{more_it} with more "
+            f"NR iterations\t{more_ev} with more residual evaluations\t"
+            f"{sum(before[k][0] for k in both)} -> "
+            f"{sum(now[k][0] for k in both)} NR iterations and "
+            f"{sum(before[k][1] for k in counted)} -> "
+            f"{sum(now[k][1] for k in counted)} residual evaluations of runs "
+            "converged in both")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", type=pathlib.Path, default=None,
@@ -125,16 +147,12 @@ def main(argv=None):
     if args.against is None:
         return 0
     before = converged_counts(args.against.read_text().splitlines())
-    lost = worse(before, now)
-    for key, was, later in lost:
+    flagged = worse(before, now)
+    for key, was, later in flagged:
         print(f"worse\t{' '.join(key)}\t{was} -> "
               f"{'not converged' if later is None else later}")
-    both = before.keys() & now.keys()
-    print(f"against\t{len(before)} converged before\t{len(lost)} lost or "
-          f"raised\t{sum(before[k][0] for k in both)} -> "
-          f"{sum(now[k][0] for k in both)} NR iterations of runs converged in "
-          "both")
-    return 1 if lost else 0
+    print(against_line(before, now))
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
