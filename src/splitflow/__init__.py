@@ -34,6 +34,7 @@ from .circuit_stamps import (
     assemble,
     build_index,
     classify_regions,
+    dc_start,
     flat_start,
     residual,
 )

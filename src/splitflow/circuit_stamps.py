@@ -38,6 +38,11 @@ LAPACK solve; above, J is CSC, a shallow copy of one CSC template per
 structure that carries its own values, and the structure also keeps the
 LU column order of its pattern for `nr_solver.solve_linear`.
 
+`flat_start` gives a state on a new map: the case's initial voltages,
+and control values on their curves at them. `dc_start` turns its
+voltages to the DC power-flow angles, B′θ = P over the network block's
+branches, whose ends and 1/(x τ) the map keeps (IndexMap.dc_branches).
+
 Columns follow one rule, fixed by one walk over the devices in
 `build_index`. The bus at position pos has V_real and V_imag at 2 pos
 and 2 pos + 1. The injector table's rows are the loads, the local
@@ -62,7 +67,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 
 from .case_model import NetworkCase
-from .errors import SingularPointError
+from .errors import SingularPointError, SingularSystemError
 from .smooth_primitives import (
     default_patch_width,
     participation_arrays,
@@ -232,6 +237,9 @@ class IndexMap:
     net_cols: np.ndarray
     net_series: np.ndarray
     net_shunt: np.ndarray
+    # (from, to, 1/(x tau)) of the block's branches with x != 0, B′'s
+    # branches (`dc_start`)
+    dc_branches: tuple
     taps: Taps
     inj: Injectors
     rows: ControlRows
@@ -474,9 +482,14 @@ def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
     def real(z):
         return np.concatenate((z.real, -z.imag, z.imag, z.real))
 
+    # B′'s branches: x = Im(1/y) != 0, which needs b != 0
+    dc = np.flatnonzero(b)
+    x = (1.0 / y[dc]).imag
+    dc, x = dc[x != 0.0], x[x != 0.0]
     return dict(net_rows=np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1)),
                 net_cols=np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1)),
-                net_series=real(series), net_shunt=real(shunt))
+                net_series=real(series), net_shunt=real(shunt),
+                dc_branches=(f[dc], t[dc], 1.0 / (x * tr[dc])))
 
 
 class StateVector:
@@ -531,6 +544,75 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     x[index.taps.cols] = np.minimum(np.maximum(ratio, r.lo[r.n_local:]),
                                     r.hi[r.n_local:])
     return StateVector(index, x)
+
+
+def dc_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
+    """`flat_start` with every bus voltage turned to its DC power-flow
+    angle and its magnitude kept (Stott, Jardim & Alsaç, "DC power flow
+    revisited", IEEE TPWRS 24(3), 2009). The control rows read |V| alone,
+    so every one that flat_start put on its curve stays there.
+
+    The angles solve B′θ = P. B′ is MATPOWER's makeBdc over the network
+    block's branches, the ones with no TapControl, each weighted 1/(x τ),
+    x = Im(1/(g + jb)) and τ its fixed ratio; a branch with x = 0 is left
+    out. P is each bus's scheduled injection (IndexMap.inj). The slack's
+    row and column are dropped, so its angle is 0. Returns the flat start
+    itself when the slack is the only bus, when some bus is not reached
+    from the slack through those branches, or when the solve raises
+    SingularSystemError.
+
+    B′ takes J's representation (`DENSE_MAX_DIM`), so its solve runs the
+    code that J's solves run: SuperLU where J is sparse, LAPACK where it
+    is dense. A sparse B′ on the small cases, the first SuperLU call in
+    the process, raised perfbench small-mix's peak RSS by 1.0 MB."""
+    from .nr_solver import solve_linear  # nr_solver imports this module
+
+    state = flat_start(case, ctl)
+    idx, x = state.index, state.x
+    f, t, w = idx.dc_branches
+    n, s = len(idx.bus_ids), idx.slack_pos
+    if n == 1 or not _connected(n, f.tolist(), t.tolist()):
+        return state
+    # B′ without the slack's row and column, every later bus one up: its
+    # entries keyed col * m + row, parallel branches summed, as J's are
+    # (B′ is symmetric, so the dense reshape needs no transpose)
+    on, rest, m = (f != s) & (t != s), np.arange(n) != s, n - 1
+    a, b, diag = f[on], t[on], np.arange(m)
+    a, b = a - (a > s), b - (b > s)
+    key = np.concatenate((b * m + a, a * m + b, diag * (m + 1)))
+    sums = np.bincount(np.concatenate((f, t)), np.concatenate((w, w)),
+                       minlength=n)
+    vals = np.concatenate((-w[on], -w[on], sums[rest]))
+    if idx.dim <= DENSE_MAX_DIM:
+        B = np.bincount(key, vals, minlength=m * m).reshape(m, m)
+    else:
+        _, at, indices, indptr = _csc_pattern(key, m)
+        B = csc_matrix((np.bincount(at, vals), indices, indptr), shape=(m, m))
+        B.has_canonical_format = True  # sorted and summed
+    theta = np.zeros(n)
+    try:
+        theta[rest] = solve_linear(B, np.bincount(
+            idx.inj.pos, idx.inj.p, minlength=n)[rest])[0]
+    except SingularSystemError:
+        return state
+    nv = idx.voltage_dim()
+    vm = np.hypot(x[0:nv:2], x[1:nv:2])
+    x[0:nv:2], x[1:nv:2] = vm * np.cos(theta), vm * np.sin(theta)
+    return state
+
+
+def _connected(n: int, f: list, t: list) -> bool:
+    """Whether the branches from f to t join all n buses: a union-find
+    over their ends, with path halving."""
+    parent, parts = list(range(n)), n
+    for a, b in zip(f, t):
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        if a != b:
+            parent[a], parts = b, parts - 1
+    return parts == 1
 
 
 # ---------------------------------------------------------------------------
@@ -978,10 +1060,8 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
     used = np.ones(src_rows.size, dtype=bool)
     used[:rows.size] = kept & ~slack
     used = np.flatnonzero(used)
-    entries, slot = np.unique(src_cols[used] * dim + src_rows[used],
-                              return_inverse=True)
-    indices = (entries % dim).astype(np.int32)
-    indptr = np.searchsorted(entries, dim * np.arange(dim + 1)).astype(np.int32)
+    entries, slot, indices, indptr = _csc_pattern(
+        src_cols[used] * dim + src_rows[used], dim)
     # every J returned shares these two; an in-place scipy op must not
     # rewrite the cache
     indices.flags.writeable = indptr.flags.writeable = False
@@ -991,6 +1071,15 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
     return _JacobianStructure(at[at < n], at[at >= n] - n, rows[at],
                               used[:cut], used[cut:] - n, slot, dense, cut,
                               indices, indptr)
+
+
+def _csc_pattern(key: np.ndarray, dim: int):
+    """The distinct keys col * dim + row of a dim x dim matrix's entries,
+    sorted by column and row; each key's position among them; and their
+    CSC row indices and column pointers."""
+    entries, at = np.unique(key, return_inverse=True)
+    return (entries, at, (entries % dim).astype(np.int32),
+            np.searchsorted(entries, dim * np.arange(dim + 1)).astype(np.int32))
 
 
 def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:

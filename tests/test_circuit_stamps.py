@@ -24,10 +24,12 @@ from splitflow.circuit_stamps import (
     build_index,
     classify_regions,
     controlled_devices,
+    dc_start,
     flat_start,
     residual,
     slack_participation,
 )
+from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
     MATPOWER_CASES,
@@ -679,3 +681,134 @@ class TestRegions:
                           (0.0, "controlling"), (0.999, "at-max")):
             state.x[col] = q
             assert classify_regions(state, ctl)[("gen", 0)] == expect
+
+
+def reference_dc_angles(case):
+    """The DC angles by bus position, from the case alone: dense B′ over
+    the branches with no TapControl and x = Im(1/(g + jb)) != 0, each
+    weighted 1/(x ratio), and P the generators' p_g less the loads' p;
+    the slack's row and column dropped, its angle 0."""
+    pos = case.bus_index()
+    n, s = len(case.buses), pos[case.slack_bus().id]
+    B, P = np.zeros((n, n)), np.zeros(n)
+    for br in case.branches:
+        x = (1.0 / complex(br.g, br.b)).imag if br.b else 0.0
+        if br.tap is None and x != 0.0:
+            f, t, w = pos[br.from_bus], pos[br.to_bus], 1.0 / (x * br.ratio)
+            B[f, f] += w
+            B[t, t] += w
+            B[f, t] -= w
+            B[t, f] -= w
+    for g in case.generators:
+        P[pos[g.bus]] += g.p_g
+    for ld in case.loads:
+        P[pos[ld.bus]] -= ld.p
+    rest = np.arange(n) != s
+    theta = np.zeros(n)
+    theta[rest] = np.linalg.solve(B[np.ix_(rest, rest)], P[rest])
+    return theta
+
+
+def beyond_tap_case():
+    """tapped_case("primary") with a bus 4 hung off bus 3 by a line: buses
+    3 and 4 are reached from the slack only through the controlled tap."""
+    case = tapped_case("primary")
+    g, b = series_gb(0.01, 0.05)
+    return replace(case, buses=case.buses + (Bus(4, 115.0, "pq"),),
+                   branches=case.branches + (Branch(3, 4, g, b),),
+                   loads=case.loads + (Load(4, 0.1, 0.05),))
+
+
+def balanced_island_case():
+    """case118 with a triangle of buses 901, 902 and 903 beyond a
+    controlled tap, whose generator at bus 902 covers their loads: B′
+    without the tap is singular but consistent, and SuperLU factors it
+    (J has 263 unknowns, so B′ is sparse)."""
+    case = load_matpower("case118")
+    tap = Branch(118, 901, *series_gb(0.002, 0.06),
+                 tap=TapControl(0.9, 1.1, 1.0, "primary", 0.0125))
+    triangle = tuple(Branch(f, t, *series_gb(0.01, x)) for f, t, x in
+                     ((901, 902, 0.031), (902, 903, 0.047), (901, 903, 0.013)))
+    return replace(
+        case, buses=case.buses + (Bus(901, 115.0, "pq"), Bus(902, 115.0, "pv"),
+                                  Bus(903, 115.0, "pq")),
+        branches=case.branches + (tap,) + triangle,
+        generators=case.generators + (
+            Generator(902, 0.8, 1.0, -1.0, 1.0, 0.0, 2.0),),
+        loads=case.loads + (Load(901, 0.5, 0.2), Load(902, 0.1, 0.05),
+                            Load(903, 0.2, 0.05)))
+
+
+class TestDcStart:
+    @pytest.mark.parametrize("name", MATPOWER_CASES + ["savnw_like",
+                                                       "oscillation4"])
+    def test_angles_solve_b_prime(self, name):
+        case = load_matpower(name) if name in MATPOWER_CASES else \
+            load_native(name)
+        state = dc_start(case, ControlMode())
+        n = len(case.buses)
+        theta = np.arctan2(state.x[1:2 * n:2], state.x[0:2 * n:2])
+        slack = state.index.slack_pos
+        assert state.x[2 * slack + 1] == 0.0 and theta[slack] == 0.0
+        ref = reference_dc_angles(case)
+        assert np.abs(ref).max() > 0.01
+        assert np.abs(theta - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", MATPOWER_CASES + NATIVE_CASES)
+    @pytest.mark.parametrize("agc", [False, True])
+    def test_magnitudes_and_controls_are_the_flat_start_s(self, name, agc):
+        # every column after the voltages is flat_start's bit for bit;
+        # |V| is turned, and cos and sin round, so hypot gives it back to
+        # within one ulp (case118 moves 4 buses by one ulp)
+        case = load_matpower(name) if name in MATPOWER_CASES else \
+            load_native(name)
+        case = replace(case, agc_enabled=agc)
+        ctl = ControlMode()
+        flat, dc = flat_start(case, ctl), dc_start(case, ctl)
+        nv = flat.index.voltage_dim()
+        assert dc.x[nv:].tobytes() == flat.x[nv:].tobytes()
+        np.testing.assert_array_max_ulp(
+            np.hypot(dc.x[0:nv:2], dc.x[1:nv:2]),
+            np.hypot(flat.x[0:nv:2], flat.x[1:nv:2]), maxulp=1)
+
+    @pytest.mark.parametrize("make", [
+        # the slack alone: no angle to solve
+        lambda: NetworkCase(s_base=100.0, buses=(Bus(1, 230.0, "slack"),),
+                            branches=(), generators=(), loads=()),
+        lambda: tapped_case("primary"),
+        beyond_tap_case,
+        balanced_island_case,
+        # an x = 0 branch (a pure conductance) is no B′ branch
+        lambda: replace(two_bus_case(), branches=(Branch(1, 2, 5.0, 0.0),)),
+        # two parallel branches of reactance x and -x: B′ is singular
+        lambda: replace(two_bus_case(), branches=(
+            Branch(1, 2, *series_gb(0.01, 0.1)),
+            Branch(1, 2, *series_gb(0.01, -0.1)))),
+    ], ids=["one-bus", "primary-tap", "two-beyond-tap", "balanced-island",
+            "zero-x", "singular"])
+    def test_flat_start_when_a_bus_is_cut_off_or_b_prime_singular(self, make):
+        case = make()
+        ctl = ControlMode()
+        assert dc_start(case, ctl).x.tobytes() == \
+            flat_start(case, ctl).x.tobytes()
+
+    def test_case118_outages_reach_the_flat_start_solutions(self):
+        # the 60 case118 generator outages (each generator's, at loads
+        # 0.95, 1.00 and 1.05) with distributed slack: `none` from the DC
+        # angles reaches each plain flat-start solve's solution in 298 NR
+        # iterations against 565
+        base = replace(load_matpower("case118"), agc_enabled=True)
+        ctl = ControlMode()
+        totals = {"dc": 0, "flat": 0}
+        for level in (0.95, 1.00, 1.05):
+            loads = tuple(replace(ld, p=ld.p * level, q=ld.q * level)
+                          for ld in base.loads)
+            for gen in base.generators:
+                case = replace(base, loads=loads).drop_generator(gen.bus)
+                st, rep = run_homotopy(case, "none", OPTS)
+                plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
+                assert rep.converged and rep_plain.converged
+                assert np.abs(st.x - plain.x).max() < 1e-6
+                totals["dc"] += rep.iterations
+                totals["flat"] += rep_plain.iterations
+        assert totals == {"dc": 298, "flat": 565}

@@ -55,11 +55,11 @@ def test_converged_exits_0():
 
 def test_not_converged_exits_1():
     # the two-bus load is past the nose, so no solver can converge; plain
-    # NR runs out its iterations at max|F| 0.589
+    # NR from the DC angles runs out its iterations at max|F| 0.598
     result = run("solve", CASE_DIR / "two_bus_no_solution.native.json")
     assert result.exit_code == 1
     assert "converged: false" in result.stdout
-    assert "final_residual: 5.887e-01" in result.stdout
+    assert "final_residual: 5.977e-01" in result.stdout
 
 
 def test_voltage_extrema_are_the_bus_by_bus_figures():
@@ -274,11 +274,11 @@ def summary_value(lines, key):
 
 
 def test_trace_alpha_and_line_search_counters(tmp_path):
-    # case9 backtracks and lowers max|F| on every iteration, so each
+    # discrete4 backtracks and lowers max|F| on every iteration, so each
     # row's alpha is 2^-k after k rejected trials; each row with alpha < 1
     # also lands the generators' q on their curves, one more evaluation
     path = tmp_path / "trace.csv"
-    result = run("solve", CASE_DIR / "case9.m", "--trace", path)
+    result = run("solve", CASE_DIR / "discrete4.native.json", "--trace", path)
     assert result.exit_code == 0, result.output
     header, rows = read_trace(path)
     assert header == TRACE_COLUMNS and header[-1] == "alpha"

@@ -14,6 +14,7 @@ from splitflow.circuit_stamps import (
     StateVector,
     assemble,
     build_index,
+    dc_start,
     flat_start,
     residual,
     slack_participation,
@@ -83,9 +84,10 @@ def recorded_reports(monkeypatch):
 
 class TestScheduleAndPaths:
     def test_method_none_matches_plain_solve(self):
+        # `none` is one plain solve from the DC angles
         case = two_bus_case()
         ctl = ControlMode()
-        st_plain, rep_plain = nr_solve(flat_start(case, ctl), ctl, OPTS)
+        st_plain, rep_plain = nr_solve(dc_start(case, ctl), ctl, OPTS)
         st_h, rep_h = run_homotopy(case, "none", OPTS)
         assert rep_h.converged
         assert np.array_equal(st_h.x, st_plain.x)
@@ -363,6 +365,21 @@ class TestRunHomotopy:
             assert max(st.v_mag(p) for p in range(n)) < 1.01
             assert np.abs(plain.x[:2 * n] - st.x[:2 * n]).max() == \
                 pytest.approx(0.755, abs=1e-3)
+
+    def test_none_from_dc_angles_reaches_the_desirable_equilibrium(self):
+        # oscillation4 with `none`, which starts from the DC angles: plain
+        # NR reaches the solution tx and q-limit reach, below 1.01 pu, in
+        # 11 iterations; from the flat start it lands at 1.774 pu after 84
+        # (test_plain_nr_reaches_an_undesirable_equilibrium)
+        case = load_native("oscillation4")
+        st, rep = run_homotopy(case, "none", OPTS)
+        assert rep.converged and rep.iterations == 11
+        n = len(case.buses)
+        assert max(st.v_mag(p) for p in range(n)) < 1.01
+        for method in ("tx", "q-limit"):
+            other, rep_other = run_homotopy(case, method, OPTS)
+            assert rep_other.converged
+            assert np.abs(st.x[:2 * n] - other.x[:2 * n]).max() < 1e-6
 
     def test_tx_solves_stiff_feeder(self):
         # heavily loaded radial feeder: the tx path walks in from the
@@ -655,12 +672,13 @@ def _longest_idle_run(report) -> int:
 
 class TestStallWindow:
     def test_top_level_solve_crosses_a_plateau(self):
-        # the direct solve of the stiff feeder crosses a plateau: eight
-        # iterations in a row each lower max|F| by less than 1%, and it
-        # still converges, not stalled (13 iterations; 94 and 84 before
-        # the generators' q was landed after a cut step)
+        # the direct solve of the stiff feeder from a flat start crosses a
+        # plateau: eight iterations in a row each lower max|F| by less
+        # than 1%, and it still converges, not stalled (13 iterations; 94
+        # and 84 before the generators' q was landed after a cut step)
         case = stiff_feeder_case()
-        _, rep = run_homotopy(case, "none", OPTS)
+        ctl = ControlMode()
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged and not rep.stalled
         assert rep.iterations == 13
         assert _longest_idle_run(rep) == 8

@@ -46,23 +46,23 @@ def test_block_equals_ybus_expansion(name, tx_relax):
 
 # NR iterations per (case, pipeline) with distributed slack off. The counts
 # are machine-independent, so a change to any of them is a change in how
-# the solver walks, not in the machine. oscillation4 has no `none` entry:
-# from a flat start without homotopy, plain NR converges there to a
-# high-voltage equilibrium that balances power but is not the solution the
-# homotopies reach (see test_homotopy); it is the case where plain NR and
-# the outer loop go astray.
+# the solver walks, not in the machine. `none` starts from the DC angles
+# (`dc_start`). On oscillation4 that reaches the solution the homotopies
+# reach; from a flat start plain NR converges there to a high-voltage
+# equilibrium that balances power but is not that solution (see
+# test_homotopy).
 ITERATIONS = {
-    "case9": {"none": 10, "smoothing": 19, "tx": 26, "q-limit": 2,
+    "case9": {"none": 3, "smoothing": 19, "tx": 26, "q-limit": 2,
               "composite": 35},
-    "case14": {"none": 14, "smoothing": 22, "tx": 37, "q-limit": 3,
+    "case14": {"none": 4, "smoothing": 22, "tx": 37, "q-limit": 3,
                "composite": 40},
-    "case30": {"none": 5, "smoothing": 24, "tx": 23, "q-limit": 15,
+    "case30": {"none": 4, "smoothing": 24, "tx": 23, "q-limit": 15,
                "composite": 51},
-    "case118": {"none": 7, "smoothing": 25, "tx": 60, "q-limit": 15,
+    "case118": {"none": 5, "smoothing": 25, "tx": 60, "q-limit": 15,
                 "composite": 54},
-    "savnw_like": {"none": 9, "smoothing": 20, "tx": 20, "q-limit": 4,
+    "savnw_like": {"none": 4, "smoothing": 20, "tx": 20, "q-limit": 4,
                    "composite": 35},
-    "oscillation4": {"smoothing": 34, "tx": 21, "q-limit": 97,
+    "oscillation4": {"none": 11, "smoothing": 34, "tx": 21, "q-limit": 97,
                      "composite": 64},
     "discrete4": {"none": 9, "smoothing": 25, "tx": 23, "q-limit": 4,
                   "composite": 33},
