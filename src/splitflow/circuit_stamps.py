@@ -1170,12 +1170,12 @@ def assemble(state: StateVector, ctl: ControlMode, kept: _Pass | None = None,
     `nr_solver.solve_linear` solves with LAPACK: there a dense fill and
     LAPACK cost less per call than a CSC fill and SuperLU, whose fixed
     cost dominates at that size (the crossover is measured by
-    `tools/lu_probe.py` into BENCH_lu.json). After LAPACK, the unknown of
-    each row with one entry is set from that row, so a unit row solves
-    exactly. Above the crossover J is a csc_matrix carrying the structure
-    as `J.structure`, where `solve_linear` keeps the LU column order of
-    the pattern. Both sum the same values in the same order: the dense J
-    equals the CSC J's toarray() bit for bit."""
+    `tools/lu_probe.py` into BENCH_lu.json). Above the crossover J is a
+    csc_matrix carrying the structure as `J.structure`, where
+    `solve_linear` keeps the LU column order of the pattern. Both sum
+    the same values in the same order: the dense J equals the CSC J's
+    toarray() bit for bit; their LUs round differently, which moves no
+    NR or evaluation count (`nr_solve`'s step rule)."""
     st = kept
     if st is None:
         st = _stamp_pass(state, ctl)

@@ -96,16 +96,19 @@ def run_baseline(
 
 
 def voltage_extrema(state: StateVector):
-    """(v_max, v_min, theta_max_deg, theta_min_deg) over all buses."""
+    """(v_max, v_min, theta_max_deg, theta_min_deg) over all buses, the
+    angles relative to the slack's."""
     v = state.x[:state.index.voltage_dim()]
     re, im = v[0::2], v[1::2]
     vm = np.hypot(re, im)
     th = np.arctan2(im, re)
     # the extreme angles again by libm, which numpy's atan2 can miss by an
-    # ulp, so the figures are those of math.atan2 bus by bus
-    tmax, tmin = (math.degrees(math.atan2(im[i], re[i]))
-                  for i in (th.argmax(), th.argmin()))
-    return float(vm.max()), float(vm.min()), tmax, tmin
+    # ulp, so the figures are those of math.atan2 bus by bus; less the
+    # slack's, so a rounding error in its V_I = 0 row reads as 0
+    tmax, tmin, slack = (math.degrees(math.atan2(im[i], re[i]))
+                         for i in (th.argmax(), th.argmin(),
+                                   state.index.slack_pos))
+    return float(vm.max()), float(vm.min()), tmax - slack, tmin - slack
 
 
 def summary_lines(result: PipelineResult, label: str = "") -> list[str]:

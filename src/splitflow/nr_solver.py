@@ -4,20 +4,23 @@ Each iteration takes the residual F and Jacobian J from one stamp pass
 (`circuit_stamps.assemble`) at the state, whose index map holds the
 case, so a solve takes a start state and no case; solves J dx = -F by
 LU, clamps the step per variable and backtracks it until the residual
-norm drops. If that cut the step, a solve that is not a sub-solve lands
-each local generator's q on its sigmoid at the accepted voltages: its
-row is q - sigmoid(|V|), so q - F is on the curve (approximate nonlinear
-elimination; Lanzkron, Rose & Wilkes, SIAM J. Sci. Comput. 17(2), 1996);
-the move is clamped like a Newton step, at STEP_LIMIT_Q. A steep curve,
-crossed by almost any full voltage step, would otherwise hold max|F| up
-at every trial. Convergence requires both the residual and the step
-below tolerance: near-saturated sigmoid plateaus can make steps tiny
-while the network equations are still violated, so the step alone is
-never trusted, except under a waypoint bound (`nr_solve`'s waypoint),
-below which max|F| alone converges. A sub-solve gives up early, at its
-first iteration that no trial brings below the max|F| it started from (a
-monotonicity test; Deuflhard, Newton Methods for Nonlinear Problems,
-2004, ch. 5).
+norm drops, or lies below tolerance from a start below it too: there
+max|F| is round-off, and a rounding-level rise is no failure (a
+residual-based acceptance test; Deuflhard, Newton Methods for Nonlinear
+Problems, 2004, ch. 3). If that cut the step, a solve that is not a
+sub-solve lands each local generator's q on its sigmoid at the accepted
+voltages: its row is q - sigmoid(|V|), so q - F is on the curve
+(approximate nonlinear elimination; Lanzkron, Rose & Wilkes, SIAM J.
+Sci. Comput. 17(2), 1996); the move is clamped like a Newton step, at
+STEP_LIMIT_Q. A steep curve, crossed by almost any full voltage step,
+would otherwise hold max|F| up at every trial. Convergence requires both
+the residual and the step below tolerance: near-saturated sigmoid
+plateaus can make steps tiny while the network equations are still
+violated, so the step alone is never trusted, except under a waypoint
+bound (`nr_solve`'s waypoint), below which max|F| alone converges. A
+sub-solve gives up early, at its first iteration that no trial brings
+below the max|F| it started from (a monotonicity test; Deuflhard, Newton
+Methods for Nonlinear Problems, 2004, ch. 5).
 
 Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
@@ -30,9 +33,8 @@ J comes in two representations, by its dimension alone. Up to
 `solve_linear` runs LAPACK's LU (gesv): at those sizes SuperLU's fixed
 cost per call, not its arithmetic, dominates the solve, and a dense
 fill plus LAPACK is the cheaper call (`tools/lu_probe.py`, whose
-`BENCH_lu.json` times both). After LAPACK, each row with one entry sets
-its unknown to rhs[i] / J[i, j], so a unit row's unknown comes out
-exactly, as it does from SuperLU's diagonal-preferring pivot. Above the
+`BENCH_lu.json` times both). The two LUs round differently, and the
+step rule below tolerance makes no count depend on it. Above the
 crossover J is a CSC matrix, and every sparse LU runs with the settings
 in `SPLU`: a minimum-degree column order on the pattern of J + Jᵀ,
 which suits power-flow Jacobians (near-symmetric in pattern), no
@@ -74,7 +76,7 @@ STEP_LIMIT_Q = 1.0  # per-iteration clamp on every other unknown
 # SuperLU settings of every factorization. The diagonal stays the pivot
 # unless it is below a tenth of its column's largest entry, so a unit row
 # whose column has entries elsewhere (a degenerate device) keeps its unit
-# pivot and solves exactly; threshold 1 can pivot on another row there
+# pivot and solves exactly, which LAPACK's partial pivoting need not
 SPLU = {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 1,
         "diag_pivot_thresh": 0.1}
 # the same settings for a matrix whose columns are already in order
@@ -159,16 +161,13 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     The sparse LU factors with the `SPLU` settings. A J from `assemble`
     carries its index map's structure, which keeps the LU column order
     of its pattern after the first factorization (see `_factor`); any
-    other sparse matrix is ordered on each call. After the LAPACK solve, each
-    row with one entry sets its unknown to rhs[i] / mat[i, j], which
-    returns rhs[i] exactly for a unit row, as the diagonal-preferring
-    SuperLU pivot does.
+    other sparse matrix is ordered on each call.
 
     Raises SingularSystemError, carrying a suspect row index for an
     empty row, when an entry is not finite, a row is empty (stored zeros
     count as empty), the factorization fails or the solution does not
-    satisfy the system. The sparse path looks for an empty row only once
-    its factorization or solution check has failed: an all-zero row never
+    satisfy the system. Both paths look for an empty row only once the
+    factorization or solution check has failed: an all-zero row never
     holds a pivot, so it always leaves an exactly zero one, and a solve
     that succeeds has no empty row.
     """
@@ -178,30 +177,21 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     if (not np.isfinite(mat if dense else mat.data).all()
             or not np.isfinite(rhs).all()):
         raise SingularSystemError("non-finite entries in assembled system")
-    if not dense:
-        try:
-            factors, x = _factor_sparse(mat, rhs)
-            _check_solution(mat, x, rhs)
-        except SingularSystemError:
-            # CSC indices are row indices: the absolute row sums, stored
-            # zeros too
-            _raise_empty(np.bincount(mat.indices, np.abs(mat.data),
-                                     minlength=mat.shape[0]) == 0.0)
-            raise
-        return x, factors
-    nonzeros = np.count_nonzero(mat, axis=1)
-    _raise_empty(nonzeros == 0)
-    factors, x = _factor_dense(mat, rhs, np.flatnonzero(nonzeros == 1))
-    _check_solution(mat, x, rhs)
+    try:
+        factors, x = (_factor_dense if dense else _factor_sparse)(mat, rhs)
+        _check_solution(mat, x, rhs)
+    except SingularSystemError:
+        # a row with no nonzero, stored zeros counted as empty (CSC
+        # indices are row indices)
+        empty = (~mat.any(axis=1) if dense else np.bincount(
+            mat.indices, np.abs(mat.data), minlength=mat.shape[0]) == 0.0)
+        if empty.any():
+            row = int(empty.argmax())
+            raise SingularSystemError(
+                f"structurally singular system: row {row} is empty",
+                row=row)
+        raise
     return x, factors
-
-
-def _raise_empty(empty: np.ndarray) -> None:
-    """Raise SingularSystemError at the first row flagged empty, if any."""
-    if empty.any():
-        row = int(empty.argmax())
-        raise SingularSystemError(
-            f"structurally singular system: row {row} is empty", row=row)
 
 
 def _check_solution(mat, x, rhs) -> None:
@@ -217,20 +207,14 @@ def _check_solution(mat, x, rhs) -> None:
 
 
 class DenseLU:
-    """LAPACK's LU of a dense matrix with its pivots (from gesv), and the
-    rows with one entry: `solve` is the matrix's solution for any
-    right-hand side by getrs, each such row's unknown set exactly."""
+    """LAPACK's LU of a dense matrix with its pivots (from gesv): `solve`
+    is the matrix's solution for any right-hand side, by getrs."""
 
-    def __init__(self, lu, piv, rows, cols, entries):
+    def __init__(self, lu, piv):
         self.lu, self.piv = lu, piv
-        self.rows, self.cols, self.entries = rows, cols, entries
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.exact_rows(dgetrs(self.lu, self.piv, rhs)[0], rhs)
-
-    def exact_rows(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        x[self.cols] = rhs[self.rows] / self.entries
-        return x
+        return dgetrs(self.lu, self.piv, rhs)[0]
 
 
 class SparseLU:
@@ -249,17 +233,13 @@ class SparseLU:
         return x
 
 
-def _factor_dense(mat, rhs, single):
-    """LAPACK's LU of mat, and its solution of mat x = rhs with the
-    unknown of each row in single, a row with one nonzero mat[i, j], set
-    to rhs[i] / mat[i, j]."""
+def _factor_dense(mat, rhs):
+    """LAPACK's LU of mat, and its solution of mat x = rhs."""
     lu, piv, x, info = dgesv(mat, rhs)
     if info > 0:
         raise SingularSystemError(
             f"dense LU factorization failed: exactly zero pivot {info}")
-    cols = (mat[single] != 0.0).argmax(axis=1)
-    factors = DenseLU(lu, piv, single, cols, mat[single, cols])
-    return factors, factors.exact_rows(x, rhs)
+    return DenseLU(lu, piv), x
 
 
 def _factor_sparse(mat, rhs):
@@ -336,8 +316,9 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
     SingularSystemError with the iteration.
 
     The step rule: the Newton step is clamped per variable (`step_limit`)
-    and backtracked (halving, floor 1/64) until max|F| decreases, else the
-    best trial is taken; without the guard, steep saturation curves settle
+    and backtracked (halving, floor 1/64) until max|F| decreases, or is
+    below opts.tol_residual from a start below it too, else the best
+    trial is taken; without the guard, steep saturation curves settle
     into period-2 limit cycles. Outside a sub-solve, a cut step
     (alpha < 1) is followed by landing the local generators on their
     curves, q -= F[q] from the accepted trial clamped at STEP_LIMIT_Q,
@@ -391,7 +372,9 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
             evals += 1
             if r < best_res:
                 best_x, best_res, best_alpha, kept = trial.x, r, alpha, trial_pass
-            if r < max_res:
+            # below tolerance max|F| is round-off, so a trial there holds
+            # if the start was there too, not only if it is lower
+            if r < max_res or max(r, max_res) < opts.tol_residual:
                 break
             backtracks += 1
             alpha /= 2.0

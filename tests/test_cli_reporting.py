@@ -64,14 +64,24 @@ def test_not_converged_exits_1():
 
 def test_voltage_extrema_are_the_bus_by_bus_figures():
     # the vectorized extrema equal, bit for bit, those of each bus's
-    # complex voltage through math, as the summary has always printed them
+    # complex voltage through math, the angles less the slack's
     case = load_matpower("case118")
     state = run_continuous(case, SolverOptions(), method="q-limit").state
     v = [state.v_complex(pos) for pos in range(len(case.buses))]
     mags = [abs(x) for x in v]
     angles = [math.degrees(math.atan2(x.imag, x.real)) for x in v]
+    slack = angles[state.index.slack_pos]
     assert voltage_extrema(state) == (max(mags), min(mags),
-                                      max(angles), min(angles))
+                                      max(angles) - slack,
+                                      min(angles) - slack)
+
+
+def test_slack_angle_rounding_reads_as_zero():
+    # the slack holds the largest angle on case14; a rounding error in
+    # its V_I = 0 row leaves no negative zero in the summary
+    result = run_continuous(load_matpower("case14"), SolverOptions())
+    result.state.x[2 * result.state.index.slack_pos + 1] = -1e-17
+    assert "theta_max_deg: 0.0000" in summary_lines(result)
 
 
 def test_dead_end_names_the_rule_that_ended_it():

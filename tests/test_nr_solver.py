@@ -19,6 +19,7 @@ from splitflow.circuit_stamps import (
     flat_start,
     residual,
 )
+from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import (
     SPLU,
     STEP_LIMIT_Q,
@@ -138,24 +139,29 @@ class TestSolveLinear:
     def test_unit_row_solves_exactly(self):
         # unknown 1 is a degenerate device's output: its own row holds it
         # at rhs[1], and its column also enters two network rows. The
-        # diagonal-preferring pivot keeps the unit pivot, and LAPACK's
-        # solution takes a one-entry row's unknown from that row, so the
+        # diagonal-preferring pivot keeps the unit pivot, so the sparse
         # solve returns rhs[1] exactly; pivoting on the column's largest
-        # entry (threshold 1), or LAPACK alone, leaves a rounding error
+        # entry (threshold 1), or LAPACK's partial pivoting, leaves a
+        # rounding error there, and the dense solve is within 1e-12
         A = [[4.0, 1.3, 0.0, 2.0],
              [0.0, 1.0, 0.0, 0.0],
              [0.0, 3.7, 5.0, 1.0],
              [1.0, 0.0, 2.0, 6.0]]
         mat, b = self.system(A, [0.3, 0.7, 0.1, -0.9])
-        assert solve_linear(mat, b)[0][1] == b[1]
+        x = solve_linear(mat, b)[0]
+        if self.representation == "csc":
+            assert x[1] == b[1]
+        else:
+            assert abs(x[1] - b[1]) < 1e-12
+            assert np.abs(x - np.linalg.solve(np.array(A), b)).max() < 1e-12
         largest = splu(csc_matrix(A), **(SPLU | {"diag_pivot_thresh": 1.0}))
         assert largest.solve(b)[1] != b[1]
         assert np.linalg.solve(np.array(A), b)[1] != b[1]
 
-
     def test_kept_factors_solve_again(self):
         # the kept LU repeats solve_linear's solution bit for bit, and
-        # solves another right-hand side with the unit row's unknown exact
+        # solves another right-hand side: the sparse one with the unit
+        # row's unknown exact, the dense one within 1e-12
         A = [[4.0, 1.3, 0.0, 2.0],
              [0.0, 1.0, 0.0, 0.0],
              [0.0, 3.7, 5.0, 1.0],
@@ -166,7 +172,10 @@ class TestSolveLinear:
         assert factors.solve(b).tobytes() == x.tobytes()
         c = np.array([-1.1, 0.2, 2.5, 0.4])
         y = factors.solve(c)
-        assert y[1] == c[1]
+        if self.representation == "csc":
+            assert y[1] == c[1]
+        else:
+            assert abs(y[1] - c[1]) < 1e-12
         assert np.abs(np.array(A) @ y - c).max() < 1e-12
 
 
@@ -289,6 +298,19 @@ class TestNrSolve:
         assert rep2.converged
         assert rep2.iterations == 1
         assert np.abs(again.x - solved.x).max() < 1e-9
+
+    def test_re_solve_at_round_off_takes_the_full_step(self):
+        # case118's converged direct solve sits at max|F| ~ 1e-12; a trial
+        # there holds even when rounding leaves it above the start's
+        # max|F|, so solving again takes the full step, with no backtracks
+        case = load_matpower("case118")
+        solved, rep = run_homotopy(case, "none", OPTS)
+        assert rep.converged and rep.final_residual < OPTS.tol_residual
+        _, again = nr_solve(solved, ControlMode(), OPTS)
+        assert again.converged
+        assert again.iterations == again.residual_evals == 1
+        assert again.line_search_backtracks == 0
+        assert again.trace[0].alpha == 1.0
 
     def test_residual_decreases_near_solution(self, bundled_matpower):
         case = bundled_matpower["case9"]
