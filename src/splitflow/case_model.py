@@ -175,7 +175,13 @@ class NetworkCase:
         those left. Groups given explicitly are kept, their members
         re-indexed past the dropped unit; the dropped unit leaves its
         group, whose factors are renormalised to sum to 1, and a group it
-        leaves empty is dropped."""
+        leaves empty is dropped.
+
+        The outage also records (self, index of the dropped unit) as its
+        `_dropped_from`, an attribute that is no field, so
+        `dataclasses.replace` drops it: `circuit_stamps.build_index`
+        solves the outage on its base's layout with the unit switched
+        off, which every outage of one base object shares."""
         hit = None
         for i, g in enumerate(self.generators):
             if g.bus == bus_id:
@@ -184,20 +190,23 @@ class NetworkCase:
         if hit is None:
             raise CaseValidationError([f"no generator at bus {bus_id} to drop"])
         gens = tuple(g for i, g in enumerate(self.generators) if i != hit)
-        if self.remote_groups == _infer_remote_groups(self.generators,
+        groups = ()
+        if self.remote_groups != _infer_remote_groups(self.generators,
                                                       self.bus_index()):
-            return replace(self, generators=gens, remote_groups=())
-        groups = []
-        for grp in self.remote_groups:
-            kept = [(m - (m > hit), f) for m, f in zip(grp.members, grp.factors)
-                    if m != hit]
-            if len(kept) < len(grp.members):
-                total = sum(f for _, f in kept)
-                kept = [(m, f / total) for m, f in kept]
-            if kept:
-                members, factors = zip(*kept)
-                groups.append(replace(grp, members=members, factors=factors))
-        return replace(self, generators=gens, remote_groups=tuple(groups))
+            groups = []
+            for grp in self.remote_groups:
+                kept = [(m - (m > hit), f)
+                        for m, f in zip(grp.members, grp.factors) if m != hit]
+                if len(kept) < len(grp.members):
+                    total = sum(f for _, f in kept)
+                    kept = [(m, f / total) for m, f in kept]
+                if kept:
+                    members, factors = zip(*kept)
+                    groups.append(replace(grp, members=members,
+                                          factors=factors))
+        out = replace(self, generators=gens, remote_groups=tuple(groups))
+        object.__setattr__(out, "_dropped_from", (self, hit))
+        return out
 
 
 def _infer_remote_groups(generators, bus_pos) -> tuple[RemoteControlGroup, ...]:

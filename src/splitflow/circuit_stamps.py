@@ -52,9 +52,20 @@ its q. Then come one request column per remote group, one ratio column
 per controlled tap (in branch order), and dP_S last when the case has
 distributed slack. Each control equation lives on the row with the
 index of its unknown, so a local control row's column is its injector
-row's q column. The layout is the case's alone: a snapped device keeps
-its column, which its control row holds at the snapped value (see
-`ControlMode`).
+row's q column. The layout is the case's, and a mode changes values
+only: a snapped device keeps its column, which its control row holds at
+the snapped value (see `ControlMode`).
+
+A generator outage (`NetworkCase.drop_generator`) is a value change
+too. Its map is its base's layout, built once per base object and kept
+on it, with the unit switched off: the unit keeps its columns and rows,
+injects no p, and the map holds its control row at q = 0, whatever the
+ControlMode, under the key None (a load's). So the outages of one base
+share J's structure, CSC template and LU column order, and B′'s LU
+(IndexMap.dc), as KLU reuses one symbolic analysis across matrices of
+one pattern (Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010);
+MATPOWER keeps an out-of-service unit's row the same way (GEN_STATUS
+0). Keys and index lists stay in the outage's own numbering.
 """
 
 from __future__ import annotations
@@ -209,10 +220,11 @@ class ControlRows:
     pos: np.ndarray
     v_set: np.ndarray
     sign: np.ndarray
-    keys: list  # ControlMode keys of the local rows and taps, and
-    lo: np.ndarray  # their limits before relaxing
+    keys: list  # ControlMode keys of the local rows and taps (None for a
+    lo: np.ndarray  # switched-off unit), and their limits before relaxing
     hi: np.ndarray
     n_local: int
+    n_gens: int  # the local generators' rows, the first ones
 
 
 @dataclass
@@ -264,6 +276,10 @@ class IndexMap:
     # (-bound, bound) per unknown of `nr_solver.step_limit`, built by its
     # first call on the map
     step_bound: tuple | None = field(default=None, repr=False, compare=False)
+    # (B′ without the slack's row and column, its LU), or () when there
+    # are no DC angles (`dc_start`), built with a layout or by the first
+    # `dc_start` on the map
+    dc: tuple | None = field(default=None, repr=False, compare=False)
 
     def voltage_dim(self) -> int:
         return 2 * len(self.bus_ids)
@@ -272,16 +288,109 @@ class IndexMap:
 def controlled_devices(idx: IndexMap):
     """(key, column, lo, hi) of every device with an unknown of its own:
     the control rows' local devices and taps, then the remote-group
-    members. lo and hi are its output limits before relaxing: reactive
-    power, susceptance or ratio."""
+    members; a switched-off unit is none. lo and hi are its output limits
+    before relaxing: reactive power, susceptance or ratio."""
     r, t = idx.rows, idx.inj
-    yield from zip(r.keys, r.cols[:len(r.keys)].tolist(), r.lo.tolist(),
-                   r.hi.tolist())
-    yield from zip([t.keys[m] for m in t.members], t.m_cols.tolist(),
-                   t.member_min.tolist(), t.member_max.tolist())
+    for row in itertools.chain(
+            zip(r.keys, r.cols[:len(r.keys)].tolist(), r.lo.tolist(),
+                r.hi.tolist()),
+            zip([t.keys[m] for m in t.members], t.m_cols.tolist(),
+                t.member_min.tolist(), t.member_max.tolist())):
+        if row[0] is not None:
+            yield row
 
 
 def build_index(case: NetworkCase) -> IndexMap:
+    """The case's index map. An outage from `NetworkCase.drop_generator`
+    gets its base's layout with the unit switched off (`_switched_off`)
+    when that is a change of values alone; any other case, and an outage
+    that leaves a remote group empty, gets a map of its own."""
+    base, hit = case.__dict__.get("_dropped_from", (None, None))
+    # each remote group must have lost the unit at most
+    if base is not None and [g.members for g in case.remote_groups] == [
+            tuple(m - (m > hit) for m in g.members if m != hit)
+            for g in base.remote_groups]:
+        return _switched_off(_layout(base), case, hit)
+    return _build(case)
+
+
+def _layout(case: NetworkCase) -> IndexMap:
+    """The map its outages share: the case's own, with J's structure and
+    B′'s LU, built on first use and kept on the case as `_layout`, an
+    attribute that is no field. It refers to no case, and is never a
+    state's map itself."""
+    lay = case.__dict__.get("_layout")
+    if lay is None:
+        lay = _build(case)
+        lay.jac, lay.dc = _jacobian_structure(lay), _b_prime(lay)
+        object.__setattr__(case, "_layout", lay)
+    return lay
+
+
+def _switched_off(lay: IndexMap, case: NetworkCase, hit: int):
+    """The map of case, the outage of generator hit of lay's case, on lay:
+    the unit's injector row injects no p and its key is None, which holds
+    its control row at q = 0 (`_controls`) and its member row at 0 (no
+    factor, limits 0). It leaves the distributed-slack members, whose
+    surplus slots it keeps in J at 0, and the slack's schedule. Every key
+    and index list is in case's numbering. Shares lay's arrays, J
+    structure and B′ LU."""
+    t, r = lay.inj, lay.rows
+
+    def renumbered(k):
+        if k is None or k[0] != "gen":
+            return k
+        return None if k[1] == hit else ("gen", k[1] - (k[1] > hit))
+
+    def kept(idx_list):
+        return [i - (i > hit) for i in idx_list if i != hit]
+
+    members = [t.keys[m][1] for m in t.members]
+    keys = [renumbered(k) for k in t.keys]
+    p, kappa = t.p, t.kappa
+    member_min, member_max = t.member_min, t.member_max
+    agc_at, agc_pos = t.agc_at, t.agc_pos
+    agc = [lay.agc_kappa, lay.agc_lo, lay.agc_hi]
+    if ("gen", hit) in t.keys:
+        row = t.keys.index(("gen", hit))
+        p = p.copy()
+        p[row] = 0.0
+        if hit in members:
+            m = members.index(hit)
+            factors = [f for g in case.remote_groups for f in g.factors]
+            kappa = np.array(factors[:m] + [0.0] + factors[m:], dtype=float)
+            member_min, member_max = member_min.copy(), member_max.copy()
+            member_min[m] = member_max[m] = 0.0
+        if hit in lay.agc_member_idx:
+            k = lay.agc_member_idx.index(hit)
+            agc = [np.delete(a, k) for a in agc]
+            on = agc_at != row
+            agc_at, agc_pos = agc_at[on], agc_pos[on]
+            agc_pos = agc_pos - (agc_pos > k)
+    v_set = r.v_set.copy()
+    v_set[len(v_set) - len(t.spans):] = [g.v_set for g in case.remote_groups]
+    slack_gen_idx = kept(lay.slack_gen_idx)
+    slack_v_set = case.buses[lay.slack_pos].v_init_real
+    if slack_gen_idx:
+        slack_v_set = case.generators[slack_gen_idx[0]].v_set
+    return replace(
+        lay,
+        q_col={k: c for k, c in zip(map(renumbered, lay.q_col),
+                                    lay.q_col.values()) if k is not None},
+        local_gen_idx=kept(lay.local_gen_idx),
+        agc_member_idx=kept(lay.agc_member_idx),
+        slack_gen_idx=slack_gen_idx,
+        slack_p_sched=sum(case.generators[i].p_g for i in slack_gen_idx),
+        slack_v_set=slack_v_set,
+        inj=replace(t, keys=keys, p=p, agc_at=agc_at, agc_pos=agc_pos,
+                    member_min=member_min, member_max=member_max,
+                    kappa=kappa),
+        rows=replace(r, keys=[renumbered(k) for k in r.keys], v_set=v_set),
+        agc_kappa=agc[0], agc_lo=agc[1], agc_hi=agc[2])
+
+
+def _build(case: NetworkCase) -> IndexMap:
+    """A new index map of the case (see the module docstring)."""
     bus_pos = case.bus_index()
     slack_pos = bus_pos[case.slack_bus().id]
     slack_bus, gens = case.buses[slack_pos].id, case.generators
@@ -416,7 +525,7 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
         [row[0] for row in rows[:limited]],
         np.array([row[5] for row in rows[:limited]], dtype=float),
         np.array([row[6] for row in rows[:limited]], dtype=float),
-        len(local))
+        len(local), n_local_gens)
 
 
 def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
@@ -517,11 +626,11 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
 
     Every control row starts on its curve at those voltages whatever
     ctl's modes (degenerate limits hold the lower one, except a local
-    generator's), and every member on its participation curve; a
-    controlled tap starts at its case ratio, within its limits. The
-    slack surplus dP_S starts at the lossless estimate: total load less
-    scheduled generation, shared by the slack and its members in
-    proportion 1 : agc_factor."""
+    generator's; a switched-off unit holds 0), and every member on its
+    participation curve; a controlled tap starts at its case ratio,
+    within its limits. The slack surplus dP_S starts at the lossless
+    estimate: total load less scheduled generation, shared by the slack
+    and its members in proportion 1 : agc_factor."""
     index = build_index(case)
     n = index.voltage_dim()
     x = np.zeros(index.dim)
@@ -535,7 +644,8 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
         ctl = replace(ctl, device_modes={}, fixed_q={}, group_modes={})
     c, r = _controls(ctl, index), index.rows
     on = c.sig.copy()
-    on[:len(index.local_gen_idx)] = True  # the local generators' rows
+    # the local generators' rows, but a switched-off unit's
+    on[:r.n_gens] = [k is not None for k in r.keys[:r.n_gens]]
     c = replace(c, sig=on, any_sig=bool(on.any()),
                 curves=_curves(r, *c.limits, on))
     x[r.cols] = _targets(c, x, ctl.effective_steepness())[0]
@@ -552,27 +662,56 @@ def dc_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     revisited", IEEE TPWRS 24(3), 2009). The control rows read |V| alone,
     so every one that flat_start put on its curve stays there.
 
-    The angles solve B′θ = P. B′ is MATPOWER's makeBdc over the network
-    block's branches, the ones with no TapControl, each weighted 1/(x τ),
-    x = Im(1/(g + jb)) and τ its fixed ratio; a branch with x = 0 is left
-    out. P is each bus's scheduled injection (IndexMap.inj). The slack's
-    row and column are dropped, so its angle is 0. Returns the flat start
-    itself when the slack is the only bus, when some bus is not reached
-    from the slack through those branches, or when the solve raises
-    SingularSystemError.
-
-    B′ takes J's representation (`DENSE_MAX_DIM`), so its solve runs the
-    code that J's solves run: SuperLU where J is sparse, LAPACK where it
-    is dense. A sparse B′ on the small cases, the first SuperLU call in
-    the process, raised perfbench small-mix's peak RSS by 1.0 MB."""
-    from .nr_solver import solve_linear  # nr_solver imports this module
+    The angles solve B′θ = P, with B′'s LU kept per map (IndexMap.dc, see
+    `_b_prime`); B′ depends on the branches alone, so the outages of one
+    base solve with one LU. P is each bus's scheduled injection
+    (IndexMap.inj; a switched-off unit's is 0). The slack's row and
+    column are dropped, so its angle is 0. Returns the flat start itself
+    when `_b_prime` gives no B′, or when the solution fails
+    `nr_solver.check_solution`."""
+    from .nr_solver import check_solution  # nr_solver imports this module
 
     state = flat_start(case, ctl)
     idx, x = state.index, state.x
+    if idx.dc is None:
+        idx.dc = _b_prime(idx)
+    if not idx.dc:
+        return state
+    B, lu = idx.dc
+    n = len(idx.bus_ids)
+    rest = np.arange(n) != idx.slack_pos
+    P = np.bincount(idx.inj.pos, idx.inj.p, minlength=n)[rest]
+    theta = np.zeros(n)
+    theta[rest] = lu.solve(P)
+    try:
+        check_solution(B, theta[rest], P)
+    except SingularSystemError:
+        return state
+    nv = idx.voltage_dim()
+    vm = np.hypot(x[0:nv:2], x[1:nv:2])
+    x[0:nv:2], x[1:nv:2] = vm * np.cos(theta), vm * np.sin(theta)
+    return state
+
+
+def _b_prime(idx: IndexMap) -> tuple:
+    """(B′ without the slack's row and column, its LU) of the map, or ()
+    when the slack is the only bus, when some bus is not reached from the
+    slack through B′'s branches, or when the LU fails.
+
+    B′ is MATPOWER's makeBdc over the network block's branches, the ones
+    with no TapControl, each weighted 1/(x τ), x = Im(1/(g + jb)) and τ
+    its fixed ratio; a branch with x = 0 is left out (IndexMap.dc_branches).
+    It takes J's representation (`DENSE_MAX_DIM`), so its LU runs the
+    code that J's run: SuperLU where J is sparse, LAPACK where it is
+    dense; `nr_solver.solve_linear` factors it, with a zero right-hand
+    side. A sparse B′ on the small cases, the first SuperLU call in the
+    process, raised perfbench small-mix's peak RSS by 1.0 MB."""
+    from .nr_solver import solve_linear  # nr_solver imports this module
+
     f, t, w = idx.dc_branches
     n, s = len(idx.bus_ids), idx.slack_pos
     if n == 1 or not _connected(n, f.tolist(), t.tolist()):
-        return state
+        return ()
     # B′ without the slack's row and column, every later bus one up: its
     # entries keyed col * m + row, parallel branches summed, as J's are
     # (B′ is symmetric, so the dense reshape needs no transpose)
@@ -589,16 +728,10 @@ def dc_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
         _, at, indices, indptr = _csc_pattern(key, m)
         B = csc_matrix((np.bincount(at, vals), indices, indptr), shape=(m, m))
         B.has_canonical_format = True  # sorted and summed
-    theta = np.zeros(n)
     try:
-        theta[rest] = solve_linear(B, np.bincount(
-            idx.inj.pos, idx.inj.p, minlength=n)[rest])[0]
+        return B, solve_linear(B, np.zeros(m))[1]
     except SingularSystemError:
-        return state
-    nv = idx.voltage_dim()
-    vm = np.hypot(x[0:nv:2], x[1:nv:2])
-    x[0:nv:2], x[1:nv:2] = vm * np.cos(theta), vm * np.sin(theta)
-    return state
+        return ()
 
 
 def _connected(n: int, f: list, t: list) -> bool:
@@ -665,15 +798,18 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     if idx.last is not None and idx.last[0] == key:
         return idx.last[1]
     r, t = idx.rows, idx.inj
-    G, L, n = len(idx.local_gen_idx), r.n_local, len(r.keys)
-    modes = ([ctl.device_modes.get(k, SIGMOID) for k in r.keys]
+    G, L, n = r.n_gens, r.n_local, len(r.keys)
+    # a switched-off unit (key None) holds 0, whatever ctl says
+    modes = ([FIXED_Q if k is None else ctl.device_modes.get(k, SIGMOID)
+              for k in r.keys]
              + [ctl.group_modes.get(gi, SIGMOID) for gi in range(len(t.spans))])
     fixed_v = np.array([m == FIXED_V for m in modes], dtype=bool)
     # local devices and taps take FIXED_Q, and a snapped shunt holds its b
     fixed_q = np.zeros(len(modes), dtype=bool)
     fixed_q[:n] = [m == FIXED_Q for m in modes[:n]]
-    snapped = np.array([k for k, (kind, j) in enumerate(r.keys[:L])
-                        if kind == "shunt" and j in ctl.fixed_shunt_b],
+    snapped = np.array([k for k, key in enumerate(r.keys[:L])
+                        if key is not None and key[0] == "shunt"
+                        and key[1] in ctl.fixed_shunt_b],
                        dtype=np.intp)
     m_lo, m_hi = _relaxed_limits(ctl, [t.keys[m] for m in t.members],
                                  t.member_min, t.member_max)
@@ -688,7 +824,8 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
     degenerate = hi - lo < DEGENERATE_RANGE
     degenerate[L:n] = False
     held = lo.copy()
-    held[fixed_q] = [ctl.fixed_q[k] for k, on in zip(r.keys, fixed_q) if on]
+    held[fixed_q] = [0.0 if k is None else ctl.fixed_q[k]
+                     for k, on in zip(r.keys, fixed_q) if on]
     held[snapped] = [ctl.fixed_shunt_b[r.keys[k][1]] for k in snapped]
     fixed_q[snapped] = True
     sig = ~(fixed_v | fixed_q | degenerate)

@@ -210,11 +210,14 @@ def _unbounded_control(index: IndexMap, base: ControlMode) -> ControlMode:
     """All voltage controls in hard voltage-set mode with no limits. The
     first control row regulating a bus holds its voltage; a second local
     device there would duplicate that row, so it is pinned mid-range,
-    and a second tap keeps its mode. Every group holds its bus."""
+    and a second tap keeps its mode. Every group holds its bus. A
+    switched-off unit's row (key None) holds 0 and regulates nothing."""
     modes, fixed_q = dict(base.device_modes), dict(base.fixed_q)
     rows, held = index.rows, set()
     for key, pos, lo, hi in zip(rows.keys, rows.pos.tolist(), rows.lo.tolist(),
                                 rows.hi.tolist()):
+        if key is None:
+            continue
         if pos not in held:
             held.add(pos)
             modes[key] = FIXED_V

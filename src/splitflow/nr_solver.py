@@ -179,7 +179,7 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
         raise SingularSystemError("non-finite entries in assembled system")
     try:
         factors, x = (_factor_dense if dense else _factor_sparse)(mat, rhs)
-        _check_solution(mat, x, rhs)
+        check_solution(mat, x, rhs)
     except SingularSystemError:
         # a row with no nonzero, stored zeros counted as empty (CSC
         # indices are row indices)
@@ -194,7 +194,7 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     return x, factors
 
 
-def _check_solution(mat, x, rhs) -> None:
+def check_solution(mat, x, rhs) -> None:
     """Raise SingularSystemError unless x is finite and satisfies
     mat x = rhs to a relative 1e-8."""
     if not np.isfinite(x).all():

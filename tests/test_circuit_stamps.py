@@ -15,6 +15,7 @@ from splitflow import (
 import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
 from splitflow.case_model import TapControl
+from splitflow.cli_reporting import run_continuous, summary_lines
 from splitflow.circuit_stamps import (
     FIXED_Q,
     FIXED_V,
@@ -29,7 +30,7 @@ from splitflow.circuit_stamps import (
     residual,
     slack_participation,
 )
-from splitflow.homotopy_driver import run_homotopy
+from splitflow.homotopy_driver import _unbounded_control, run_homotopy
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
     MATPOWER_CASES,
@@ -812,3 +813,155 @@ class TestDcStart:
                 totals["dc"] += rep.iterations
                 totals["flat"] += rep_plain.iterations
         assert totals == {"dc": 298, "flat": 565}
+
+
+def outage_pair(base, bus, method="none"):
+    """The outage of the first generator at bus solved on its base's
+    layout, and again on a map of its own (`replace` drops the link to
+    the base), by `run_continuous`."""
+    out = base.drop_generator(bus)
+    return (run_continuous(out, OPTS, method=method),
+            run_continuous(replace(out), OPTS, method=method))
+
+
+def assert_same_solve(shared, fresh):
+    """Both converged, in the same NR iterations, to voltages within 1e-9
+    pu, with the same summary but for final_residual."""
+    nv = fresh.state.index.voltage_dim()
+    assert shared.report.converged and fresh.report.converged
+    assert shared.report.iterations == fresh.report.iterations
+    assert np.abs(shared.state.x[:nv] - fresh.state.x[:nv]).max() < 1e-9
+
+    def lines(result):
+        return [line for line in summary_lines(result)
+                if not line.startswith("final_residual:")]
+
+    assert lines(shared) == lines(fresh)
+
+
+class TestOutageLayout:
+    """A generator outage is its base's layout with the unit switched off,
+    which every outage of one base object shares."""
+
+    def test_outages_of_one_base_share_structure_order_and_b_prime(self):
+        base = replace(load_matpower("case118"), agc_enabled=True)
+        ctl = ControlMode()
+        states = []
+        for bus in (94, 12):
+            state, rep = nr_solve(dc_start(base.drop_generator(bus), ctl),
+                                  ctl, OPTS)
+            assert rep.converged
+            states.append(state)
+        a, b = (s.index for s in states)
+        assert a is not b and a.last is not b.last
+        assert a.jac is b.jac is base._layout.jac
+        assert a.jac.inv is not None
+        assert a.jac.inv is b.jac.inv and a.jac.permuted is b.jac.permuted
+        assert a.dc is b.dc and a.dc[1] is b.dc[1]
+
+    def test_outage_of_a_replaced_base_gets_its_own_layout(self):
+        base = replace(load_matpower("case118"), agc_enabled=True)
+        other = replace(base, loads=tuple(replace(ld, p=1.05 * ld.p)
+                                          for ld in base.loads))
+        ctl = ControlMode()
+        a = flat_start(base.drop_generator(94), ctl).index
+        b = flat_start(other.drop_generator(94), ctl).index
+        assert a.jac is base._layout.jac and b.jac is other._layout.jac
+        assert a.jac is not b.jac and a.dc is not b.dc
+        # with no link to a base, the outage builds a map of its own
+        fresh = flat_start(replace(base.drop_generator(94)), ctl).index
+        assert fresh.jac is None and fresh.dim == a.dim - 1
+
+    def test_switched_off_unit_keeps_its_columns_and_holds_zero(self):
+        # generator 1 is local; the outage keeps its q column, whose row
+        # holds q = 0 under any ControlMode the outage's keys can name
+        base = load_matpower("case9")
+        out = base.drop_generator(base.generators[1].bus)
+        idx = build_index(out)
+        lay = base._layout
+        col = lay.q_col[("gen", 1)]
+        assert idx.dim == lay.dim and col not in idx.q_col.values()
+        assert idx.q_col == {("gen", 1): lay.q_col[("gen", 2)]}
+        assert idx.local_gen_idx == [1] and idx.slack_gen_idx == [0]
+        assert [key for key, *_ in controlled_devices(idx)] == [("gen", 1)]
+        state = flat_start(out, ControlMode())
+        assert state.x[col] == 0.0
+        state.x[col] = 0.7
+        every = [("gen", 1), None]
+        for ctl in (ControlMode(),
+                    ControlMode(device_modes=dict.fromkeys(every, FIXED_V)),
+                    ControlMode(device_modes=dict.fromkeys(every, FIXED_Q),
+                                fixed_q=dict.fromkeys(every, 5.0)),
+                    ControlMode(q_scale=dict.fromkeys(every, 3.0),
+                                q_widen=dict.fromkeys(every, (2.0, 2.0)))):
+            assert residual(state, ctl)[col] == 0.7
+
+    def test_dropped_member_leaves_its_group_and_the_slack_members(self):
+        # generator 1 is the first member of the remote group of 2, whose
+        # setpoint it sets; dropping it is a value change, and generator
+        # 2 sets the group's setpoint, as on a map of its own
+        base = full_configuration_case()
+        base = replace(base, remote_groups=(), generators=(
+            *base.generators[:2], replace(base.generators[2], v_set=1.03)))
+        out = base.drop_generator(3)
+        idx = build_index(out)
+        assert idx.jac is base._layout.jac
+        assert idx.inj.kappa.tolist() == [0.0, 1.0]
+        assert idx.rows.v_set[-1] == 1.03
+        assert [key for key, *_ in controlled_devices(idx)] == [
+            ("gen", 0), ("tap", 4), ("gen", 1)]
+        for method in ("none", "tx", "q-limit", "p-limit"):
+            assert_same_solve(*outage_pair(base, 3, method))
+
+    @pytest.mark.parametrize("method", ["none", "q-limit", "composite"])
+    def test_switched_off_unit_regulates_nothing(self, method):
+        # a switched shunt shares bus 2 with the local generator 0: once
+        # the generator is out, the shunt is the first device there, and
+        # q-limit's unbounded init holds the bus's voltage by it
+        base = replace(full_configuration_case(),
+                       shunts=(SwitchedShunt(2, -0.5, 0.5, 0.1, 1.02),))
+        out = base.drop_generator(2)
+        assert _unbounded_control(build_index(out), ControlMode()) == \
+            _unbounded_control(build_index(replace(out)), ControlMode())
+        assert_same_solve(*outage_pair(base, 2, method))
+
+    def test_outage_that_empties_a_remote_group_takes_a_map_of_its_own(self):
+        # with generator 2 local, generator 1 is its group's only member:
+        # its outage drops the group, and with it a column of the pattern
+        base = full_configuration_case()
+        base = replace(base, remote_groups=(), generators=(
+            *base.generators[:2], replace(base.generators[2], remote_bus=None)))
+        assert len(base.remote_groups) == 1
+        out = base.drop_generator(3)
+        assert out.remote_groups == ()
+        idx = build_index(out)
+        assert idx.jac is None and idx.dim == build_index(base).dim - 2
+        assert "_layout" not in base.__dict__
+        shared, fresh = outage_pair(base, 3)
+        assert shared.report.converged
+        assert_same_solve(shared, fresh)
+
+    def test_case118_outages_solve_as_on_maps_of_their_own(self):
+        base = replace(load_matpower("case118"), agc_enabled=True)
+        for gen in base.generators:
+            assert_same_solve(*outage_pair(base, gen.bus))
+
+    @pytest.mark.parametrize("method, agc", [
+        *((m, agc) for m in ("none", "tx", "q-limit", "composite")
+          for agc in (False, True)), ("p-limit", True)])
+    def test_savnw_like_outages_solve_as_on_maps_of_their_own(self, method,
+                                                              agc):
+        base = replace(load_native("savnw_like"), agc_enabled=agc)
+        for gen in base.generators:
+            assert_same_solve(*outage_pair(base, gen.bus, method))
+
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
+    def test_every_outage_of_every_case_solves_as_on_a_map_of_its_own(
+            self, name):
+        # where a failed solve ends follows rounding, so of those only
+        # the failure is compared
+        base = ALL_CASES[name]()
+        for gen in base.generators:
+            shared, fresh = outage_pair(base, gen.bus)
+            if shared.report.converged or fresh.report.converged:
+                assert_same_solve(shared, fresh)

@@ -199,11 +199,15 @@ def test_kept_factors_of_an_assembled_j(name):
     assert factors.solve(-F).tobytes() == x.tobytes()
 
 
-@pytest.mark.parametrize("name", ["case9", "case118"])
+@pytest.mark.parametrize("name", ["case9", "case118", "case118-outage"])
 def test_solve_frees_its_index_map_without_gc(name):
     # no reference cycle runs through an index map, its J structure or a
-    # J (CSC on case118, dense on case9): reference counting frees them
-    case = load_matpower(name)
+    # J (CSC on case118, dense on case9): reference counting frees them.
+    # An outage's map shares its base's layout, which deleting the state,
+    # the outage and the base frees too
+    case = base = load_matpower(name.removesuffix("-outage"))
+    if name.endswith("-outage"):
+        case = base.drop_generator(94)
     ctl = ControlMode()
     gc.disable()
     try:
@@ -211,9 +215,12 @@ def test_solve_frees_its_index_map_without_gc(name):
         assert report.converged
         F, J = assemble(state, ctl)
         assert isinstance(J, np.ndarray) == (name == "case9")
-        refs = weakref.ref(state.index), weakref.ref(state.index.jac)
-        del state, report, F, J
-        assert [ref() for ref in refs] == [None, None]
+        refs = [weakref.ref(state.index), weakref.ref(state.index.jac)]
+        if case is not base:
+            assert state.index.jac is base._layout.jac
+            refs.append(weakref.ref(base._layout))
+        del state, report, F, J, case, base
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
