@@ -180,8 +180,8 @@ class NetworkCase:
         The outage also records (self, index of the dropped unit) as its
         `_dropped_from`, an attribute that is no field, so
         `dataclasses.replace` drops it: `circuit_stamps.build_index`
-        solves the outage on its base's layout with the unit switched
-        off, which every outage of one base object shares."""
+        solves the outage on its base's map with the unit switched off,
+        which the base object and every outage of it share."""
         hit = None
         for i, g in enumerate(self.generators):
             if g.bus == bus_id:

@@ -38,7 +38,10 @@ LAPACK solve; above, J is CSC, a shallow copy of one CSC template per
 structure that carries its own values, and the structure also keeps the
 LU column order of its pattern for `nr_solver.solve_linear`.
 
-`flat_start` gives a state on a new map: the case's initial voltages,
+A case object's map is built once, with J's structure and B′'s LU, and
+kept on it for every solve, as KLU reuses one symbolic analysis across
+matrices of one pattern (Davis & Palamadai Natarajan, ACM TOMS 37(3),
+2010). `flat_start` gives a state on it: the case's initial voltages,
 and control values on their curves at them. `dc_start` turns its
 voltages to the DC power-flow angles, B′θ = P over the network block's
 branches, whose ends and 1/(x τ) the map keeps (IndexMap.dc_branches).
@@ -57,15 +60,13 @@ only: a snapped device keeps its column, which its control row holds at
 the snapped value (see `ControlMode`).
 
 A generator outage (`NetworkCase.drop_generator`) is a value change
-too. Its map is its base's layout, built once per base object and kept
-on it, with the unit switched off: the unit keeps its columns and rows,
-injects no p, and the map holds its control row at q = 0, whatever the
-ControlMode, under the key None (a load's). So the outages of one base
-share J's structure, CSC template and LU column order, and B′'s LU
-(IndexMap.dc), as KLU reuses one symbolic analysis across matrices of
-one pattern (Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010);
-MATPOWER keeps an out-of-service unit's row the same way (GEN_STATUS
-0). Keys and index lists stay in the outage's own numbering.
+too. Its map is its base object's map with the unit switched off: the
+unit keeps its columns and rows, injects no p, and the map holds its
+control row at q = 0, whatever the ControlMode, under the key None (a
+load's). So a base and its outages share J's structure, CSC template
+and LU column order, and B′'s LU (IndexMap.dc); MATPOWER keeps an
+out-of-service unit's row the same way (GEN_STATUS 0). Keys and index
+lists stay in the outage's own numbering.
 """
 
 from __future__ import annotations
@@ -270,16 +271,15 @@ class IndexMap:
     last: tuple | None = field(default=None, repr=False, compare=False)
     # (scale, scale * net_series + net_shunt) of the last pass's scale
     net: tuple | None = field(default=None, repr=False, compare=False)
-    # J's CSC structure, built by the first `assemble` on the map
+    # built with the map (`build_index`): J's CSC structure, and (B′
+    # without the slack's row and column, its LU) or () when there are no
+    # DC angles (`dc_start`)
     jac: "_JacobianStructure | None" = field(default=None, repr=False,
                                              compare=False)
+    dc: tuple | None = field(default=None, repr=False, compare=False)
     # (-bound, bound) per unknown of `nr_solver.step_limit`, built by its
     # first call on the map
     step_bound: tuple | None = field(default=None, repr=False, compare=False)
-    # (B′ without the slack's row and column, its LU), or () when there
-    # are no DC angles (`dc_start`), built with a layout or by the first
-    # `dc_start` on the map
-    dc: tuple | None = field(default=None, repr=False, compare=False)
 
     def voltage_dim(self) -> int:
         return 2 * len(self.bus_ids)
@@ -301,30 +301,25 @@ def controlled_devices(idx: IndexMap):
 
 
 def build_index(case: NetworkCase) -> IndexMap:
-    """The case's index map. An outage from `NetworkCase.drop_generator`
-    gets its base's layout with the unit switched off (`_switched_off`)
-    when that is a change of values alone; any other case, and an outage
-    that leaves a remote group empty, gets a map of its own."""
-    base, hit = case.__dict__.get("_dropped_from", (None, None))
-    # each remote group must have lost the unit at most
-    if base is not None and [g.members for g in case.remote_groups] == [
-            tuple(m - (m > hit) for m in g.members if m != hit)
-            for g in base.remote_groups]:
-        return _switched_off(_layout(base), case, hit)
-    return _build(case)
-
-
-def _layout(case: NetworkCase) -> IndexMap:
-    """The map its outages share: the case's own, with J's structure and
-    B′'s LU, built on first use and kept on the case as `_layout`, an
-    attribute that is no field. It refers to no case, and is never a
-    state's map itself."""
-    lay = case.__dict__.get("_layout")
-    if lay is None:
-        lay = _build(case)
-        lay.jac, lay.dc = _jacobian_structure(lay), _b_prime(lay)
-        object.__setattr__(case, "_layout", lay)
-    return lay
+    """The case's index map, built by the first call, complete with J's
+    structure and B′'s LU, and kept on the case as `_layout`, an attribute
+    that is no field, so `dataclasses.replace` drops it. An outage from
+    `NetworkCase.drop_generator` gets its base's map with the unit
+    switched off (`_switched_off`) when that is a change of values alone;
+    one that leaves a remote group empty gets a map of its own."""
+    idx = case.__dict__.get("_layout")
+    if idx is None:
+        base, hit = case.__dict__.get("_dropped_from", (None, None))
+        # each remote group must have lost the unit at most
+        if base is not None and [g.members for g in case.remote_groups] == [
+                tuple(m - (m > hit) for m in g.members if m != hit)
+                for g in base.remote_groups]:
+            idx = _switched_off(build_index(base), case, hit)
+        else:
+            idx = _build(case)
+            idx.jac, idx.dc = _jacobian_structure(idx), _b_prime(idx)
+        object.__setattr__(case, "_layout", idx)
+    return idx
 
 
 def _switched_off(lay: IndexMap, case: NetworkCase, hit: int):
@@ -334,7 +329,8 @@ def _switched_off(lay: IndexMap, case: NetworkCase, hit: int):
     factor, limits 0). It leaves the distributed-slack members, whose
     surplus slots it keeps in J at 0, and the slack's schedule. Every key
     and index list is in case's numbering. Shares lay's arrays, J
-    structure and B′ LU."""
+    structure and B′ LU, but not the ControlMode cache `last`, whose
+    keys would leave the unit on."""
     t, r = lay.inj, lay.rows
 
     def renumbered(k):
@@ -375,6 +371,7 @@ def _switched_off(lay: IndexMap, case: NetworkCase, hit: int):
         slack_v_set = case.generators[slack_gen_idx[0]].v_set
     return replace(
         lay,
+        last=None,
         q_col={k: c for k, c in zip(map(renumbered, lay.q_col),
                                     lay.q_col.values()) if k is not None},
         local_gen_idx=kept(lay.local_gen_idx),
@@ -673,8 +670,6 @@ def dc_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
 
     state = flat_start(case, ctl)
     idx, x = state.index, state.x
-    if idx.dc is None:
-        idx.dc = _b_prime(idx)
     if not idx.dc:
         return state
     B, lu = idx.dc
@@ -1220,10 +1215,10 @@ def _csc_pattern(key: np.ndarray, dim: int):
 
 
 def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
-    """J from the pass's values, summed into the index map's structure,
-    which the first call on the map builds. Up to DENSE_MAX_DIM unknowns J
-    is a dense array, else a CSC matrix; both sum the same values in the
-    same order, so their entries are equal bit for bit.
+    """J from the pass's values, summed into the index map's structure.
+    Up to DENSE_MAX_DIM unknowns J is a dense array, else a CSC matrix;
+    both sum the same values in the same order, so their entries are
+    equal bit for bit.
 
     The network block's sums are the structure's `net_sum` at the pass's
     scale, summed when the scale or the representation changes; the
@@ -1231,8 +1226,6 @@ def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
     in source order. A CSC J is a shallow copy of the structure's
     template, with those sums as its data (see `_JacobianStructure`)."""
     idx, dim = st.index, st.index.dim
-    if idx.jac is None:
-        idx.jac = _jacobian_structure(idx)
     s, dense = idx.jac, dim <= DENSE_MAX_DIM
     entry = s.dense if dense else s.slot
     if s.net_sum is None or s.net_sum[:2] != (st.scale, dense):

@@ -238,6 +238,10 @@ def main():
 def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
           contingency, snap, order, trace_path, fmt):
     """Solve one case and print a key/value summary."""
+    if models == "outer-loop" and (homotopy != "none" or snap):
+        flag = "--snap" if homotopy == "none" else f"--homotopy {homotopy}"
+        click.echo(f"error: {flag} is no outer-loop option", err=True)
+        sys.exit(2)
     case, opts = _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter,
                          agc, contingency)
     try:

@@ -91,8 +91,10 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tol_residual < float("inf"):
             raise ValueError("tol_residual must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if (isinstance(self.max_iter, bool)  # an int, but no count
+                or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from splitflow import (
 import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
 from splitflow.case_model import TapControl
-from splitflow.cli_reporting import run_continuous, summary_lines
+from splitflow.cli_reporting import run_baseline, run_continuous, summary_lines
 from splitflow.circuit_stamps import (
     FIXED_Q,
     FIXED_V,
@@ -815,6 +815,34 @@ class TestDcStart:
         assert totals == {"dc": 298, "flat": 565}
 
 
+class TestOneMapPerCase:
+    """A case object's map is built once and kept on it for every solve."""
+
+    def test_every_solve_of_a_case_object_runs_on_its_map(self, monkeypatch):
+        built = []
+        build = circuit_stamps._build
+
+        def counted(case):
+            built.append(case)
+            return build(case)
+
+        monkeypatch.setattr(circuit_stamps, "_build", counted)
+        case = load_matpower("case9")
+        results = [run_continuous(case, OPTS),
+                   run_continuous(case, OPTS, method="tx"),
+                   run_baseline(case, OPTS)]
+        assert all(result.report.converged for result in results)
+        a, b, c = (result.state.index for result in results)
+        assert a is b is c is case._layout
+        assert a.jac is b.jac is c.jac
+        assert len(built) == 1 and built[0] is case
+        # a copy is another object, and builds a map of its own
+        copy = replace(case)
+        idx = build_index(copy)
+        assert idx is not a and idx.jac is not a.jac
+        assert len(built) == 2 and built[1] is copy
+
+
 def outage_pair(base, bus, method="none"):
     """The outage of the first generator at bus solved on its base's
     layout, and again on a map of its own (`replace` drops the link to
@@ -868,9 +896,13 @@ class TestOutageLayout:
         b = flat_start(other.drop_generator(94), ctl).index
         assert a.jac is base._layout.jac and b.jac is other._layout.jac
         assert a.jac is not b.jac and a.dc is not b.dc
-        # with no link to a base, the outage builds a map of its own
-        fresh = flat_start(replace(base.drop_generator(94)), ctl).index
-        assert fresh.jac is None and fresh.dim == a.dim - 1
+        # with no link to a base, the outage builds a complete map of its
+        # own, one unknown smaller, and keeps it
+        alone = replace(base.drop_generator(94))
+        fresh = flat_start(alone, ctl).index
+        assert fresh is alone._layout and fresh.dim == a.dim - 1
+        assert fresh.jac.indptr.size == fresh.dim + 1 and fresh.dc
+        assert fresh.jac is not a.jac and fresh.dc is not a.dc
 
     def test_switched_off_unit_keeps_its_columns_and_holds_zero(self):
         # generator 1 is local; the outage keeps its q column, whose row
@@ -935,14 +967,22 @@ class TestOutageLayout:
         out = base.drop_generator(3)
         assert out.remote_groups == ()
         idx = build_index(out)
-        assert idx.jac is None and idx.dim == build_index(base).dim - 2
-        assert "_layout" not in base.__dict__
+        assert idx is out._layout and "_layout" not in base.__dict__
+        assert idx.jac.indptr.size == idx.dim + 1
+        lay = build_index(base)
+        assert idx.dim == lay.dim - 2 and idx.jac is not lay.jac
         shared, fresh = outage_pair(base, 3)
         assert shared.report.converged
         assert_same_solve(shared, fresh)
 
-    def test_case118_outages_solve_as_on_maps_of_their_own(self):
+    @pytest.mark.parametrize("base_solved", [False, True])
+    def test_case118_outages_solve_as_on_maps_of_their_own(self, base_solved):
+        # a base solved first leaves its ControlMode cache on its map,
+        # which its outages must not take: the cached rows keep the unit on
         base = replace(load_matpower("case118"), agc_enabled=True)
+        if base_solved:
+            assert run_continuous(base, OPTS).report.converged
+            assert base._layout.last is not None
         for gen in base.generators:
             assert_same_solve(*outage_pair(base, gen.bus))
 

@@ -189,6 +189,19 @@ def test_zero_participation_factor_is_input_error(tmp_path):
     assert "participation factor 0.0" in result.stderr
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("--homotopy", "tx", "--snap"), "--homotopy tx"),
+    (("--homotopy", "q-limit"), "--homotopy q-limit"),
+    (("--snap",), "--snap")])
+def test_continuous_flag_with_outer_loop_is_input_error(args, flag):
+    # the outer loop runs no homotopy and snaps nothing: a flag that would
+    # be ignored is refused
+    result = run("solve", CASE_DIR / "case9.m", "--models", "outer-loop",
+                 *args)
+    assert_input_error(result)
+    assert f"error: {flag} is no outer-loop option" in result.stderr
+
+
 def test_p_limit_without_agc_is_input_error():
     assert_input_error(run("solve", CASE_DIR / "case9.m",
                            "--homotopy", "p-limit"))

@@ -508,6 +508,10 @@ class TestNrSolve:
                 SolverOptions(tol_residual=bad)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="integer"):
+                SolverOptions(max_iter=bad)
+        assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
         with pytest.raises(TypeError):
             SolverOptions(damping="none")  # the step is always clamped
 
