@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .baseline_outer_loop import classify_stability, solve_outer_loop
 from .case_model import NetworkCase, parse_matpower, parse_native
@@ -241,6 +242,10 @@ def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
     if models == "outer-loop" and (homotopy != "none" or snap):
         flag = "--snap" if homotopy == "none" else f"--homotopy {homotopy}"
         click.echo(f"error: {flag} is no outer-loop option", err=True)
+        sys.exit(2)
+    source = click.get_current_context().get_parameter_source("order")
+    if models == "continuous" and source is not ParameterSource.DEFAULT:
+        click.echo("error: --order is an outer-loop option", err=True)
         sys.exit(2)
     case, opts = _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter,
                          agc, contingency)

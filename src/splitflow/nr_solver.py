@@ -26,7 +26,20 @@ Every state is stamped once. The pass at the accepted trial, or at the
 landed state, is kept, and the next iteration builds J from it; only
 the first iteration stamps anew. A trial that takes a tap ratio to 0 or
 below is a singular point, like a collapsed voltage: its max|F| counts
-as infinite, and the step is halved.
+as infinite, and the step is halved. An iteration that starts with
+max|F| below tolerance builds no J unless it must: it first solves with
+the LU it holds, of the last J factored, and takes that step if it
+solves that J (`check_solution`) and, clamped, is below TOL_STEP, which
+converges it. Near a solution an LU factored one short step back gives
+the Newton step up to a relative error of the order of that step (a
+chord step; Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, 5.4), so it confirms a converged iterate without
+stamping and factoring J. Any other start, and a held step that is too
+long or fails its check, stamps and factors J. The held LU is never
+tried from max|F| above tolerance: held at every iteration (the chord
+method), it took the 60 case118 outages' flat-start solves from 565 to
+1659 NR iterations, and tried from max|F| < 1e-3 it took the census
+from 7581 to 7663.
 
 J comes in two representations, by its dimension alone. Up to
 `circuit_stamps.DENSE_MAX_DIM` unknowns it is a dense array, and
@@ -46,15 +59,20 @@ same solution bit for bit.
 
 `solve_linear` also returns its factorization: `DenseLU` holds LAPACK's
 LU and pivots and solves again by getrs, `SparseLU` the SuperLU object
-and its kept order. A solve holds one LU at a time, each iteration's
-until the next replaces it, and a converged solve hands the LU of its
-last J back in `SolveReport.factors`, which a continuation predicts its
-next step from (`homotopy_driver`).
+and its kept order. A solve holds one LU at a time, each factored J's
+until the next replaces it, and a converged solve hands the LU of the
+last J it factored back in `SolveReport.factors`, which a continuation
+predicts its next step from (`homotopy_driver`). A waypoint sub-solve
+ends at max|F| < 1e-3, before any iteration starts below the default
+tolerance, so it always hands back the LU of the J at the iterate
+before its last step. `SolveReport.factorizations` counts a solve's LUs
+of J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs
@@ -89,8 +107,10 @@ class SolverOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.tol_residual < float("inf"):
-            raise ValueError("tol_residual must be finite and > 0")
+        if (isinstance(self.tol_residual, bool)  # a number, but no tolerance
+                or not isinstance(self.tol_residual, Real)
+                or not 0.0 < self.tol_residual < float("inf")):
+            raise ValueError("tol_residual must be a finite number > 0")
         if (isinstance(self.max_iter, bool)  # an int, but no count
                 or not isinstance(self.max_iter, (int, np.integer))
                 or self.max_iter < 1):
@@ -136,9 +156,11 @@ class SolveReport:
     continuation_backtracks: int = 0  # failed continuation steps retried
     residual_evals: int = 0  # line-search trials evaluated
     line_search_backtracks: int = 0  # trials rejected, each halving the step
-    # a converged solve's own: the LU of its last J, at the iterate before
-    # its last step (of any length at a waypoint), which a continuation
-    # predicts its next step from; no total ever holds it
+    factorizations: int = 0  # LUs of J made (`solve_linear` calls)
+    # a converged solve's own: the LU of the last J it factored, at the
+    # iterate before its last step (of any length at a waypoint), or at
+    # an earlier one when that step was taken on the held LU; a
+    # continuation predicts its next step from it; no total ever holds it
     factors: DenseLU | SparseLU | None = field(
         default=None, repr=False, compare=False)
 
@@ -292,6 +314,21 @@ def step_limit(dx: np.ndarray, state: StateVector) -> np.ndarray:
     return np.minimum(np.maximum(dx, lo), hi)
 
 
+def _confirming_step(J, factors, F, state):
+    """The clamped step -J⁻¹ F by the held LU of J, factored at an
+    earlier iterate, or None unless it solves J dx = -F (`check_solution`)
+    and is below TOL_STEP: a step that short converges the iteration that
+    starts below tolerance, and costs no J and no LU."""
+    rhs = -F
+    dx = factors.solve(rhs)
+    try:
+        check_solution(J, dx, rhs)
+    except SingularSystemError:
+        return None
+    dx = step_limit(dx, state)
+    return dx if np.abs(dx).max() < TOL_STEP else None
+
+
 def _trace_lambdas(ctl: ControlMode):
     lg = max(ctl.q_scale.values()) if ctl.q_scale else 1.0
     return ctl.smoothing_relax, lg, ctl.p_relax, ctl.tx_relax
@@ -329,6 +366,12 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
     residual_evals counts trials and landings, line_search_backtracks the
     rejected trials.
 
+    An iteration that starts with max|F| below opts.tol_residual first
+    takes the clamped step of the LU it holds (`_confirming_step`), if
+    that step solves the held LU's J and is below TOL_STEP; it then
+    stamps and factors no J. Otherwise, and at iteration 1, J is stamped
+    and factored; factorizations counts those LUs.
+
     A subsolve lands no generator, and also ends, not converged and with
     report.stalled set, at the first iteration that does not converge
     and whose line search found no trial below the max|F| it started
@@ -344,29 +387,34 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
     to a far equilibrium on oscillation4. Other top-level solves are
     not, since they can cross a plateau (eight idle iterations on a
     stiff radial feeder's direct solve, say) and still converge. A
-    converged solve's report also carries the LU of its last J
-    (`SolveReport.factors`).
+    converged solve's report also carries the LU of the last J it
+    factored (`SolveReport.factors`).
     """
     state = init.copy()
     lam_s, lam_g, lam_p, lam_tx = _trace_lambdas(ctl)
     trace: list[TraceRow] = []
     converged = stalled = False
-    it = evals = backtracks = 0
-    max_res = kept = factors = None
+    it = evals = backtracks = factorizations = 0
+    max_res = kept = factors = J = None
     land = (np.empty(0, dtype=np.intp) if subsolve
             else generator_curves(state.index, ctl))
     for it in range(1, opts.max_iter + 1):
-        F, J = assemble(state, ctl, kept)
-        if max_res is None:
-            # the starting norm; a collapsed start raises in assemble
-            max_res = float(np.abs(F).max())
-        try:
-            factors = None  # one LU at a time: this one goes first
-            dx, factors = solve_linear(J, -F)
-        except SingularSystemError as exc:
-            exc.iteration = it
-            raise
-        dx = step_limit(dx, state)
+        dx = None
+        if factors is not None and max_res < opts.tol_residual:
+            dx = _confirming_step(J, factors, kept.F, state)
+        if dx is None:
+            F, J = assemble(state, ctl, kept)
+            if max_res is None:
+                # the starting norm; a collapsed start raises in assemble
+                max_res = float(np.abs(F).max())
+            try:
+                factors = None  # one LU at a time: this one goes first
+                dx, factors = solve_linear(J, -F)
+            except SingularSystemError as exc:
+                exc.iteration = it
+                raise
+            factorizations += 1
+            dx = step_limit(dx, state)
         alpha, best_x, best_res, best_alpha = 1.0, None, float("inf"), 0.0
         while alpha >= 1.0 / 64.0:
             trial = StateVector(state.index, state.x + alpha * dx)
@@ -413,6 +461,7 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
         stalled_subsolves=int(stalled),
         residual_evals=evals,
         line_search_backtracks=backtracks,
+        factorizations=factorizations,
         factors=factors if converged else None,
     )
     return state, report

@@ -202,6 +202,29 @@ def test_continuous_flag_with_outer_loop_is_input_error(args, flag):
     assert f"error: {flag} is no outer-loop option" in result.stderr
 
 
+@pytest.mark.parametrize("order", ["smallest-first", "largest-first"])
+def test_order_with_continuous_models_is_input_error(order):
+    # --order would be ignored by the continuous pipeline, the default
+    # --models: given, even at its default value, it is refused
+    result = run("solve", CASE_DIR / "case9.m", "--order", order)
+    assert_input_error(result)
+    assert "error: --order is an outer-loop option" in result.stderr
+    assert "pipeline:" not in result.stdout
+
+
+def test_order_with_outer_loop_models_solves():
+    result = run("solve", CASE_DIR / "case9.m", "--models", "outer-loop",
+                 "--order", "largest-first")
+    assert result.exit_code == 0, result.output
+    assert "pipeline: outer-loop" in result.stdout.splitlines()
+
+
+def test_order_left_at_its_default_solves():
+    result = run("solve", CASE_DIR / "case9.m")
+    assert result.exit_code == 0, result.output
+    assert "pipeline: continuous" in result.stdout.splitlines()
+
+
 def test_p_limit_without_agc_is_input_error():
     assert_input_error(run("solve", CASE_DIR / "case9.m",
                            "--homotopy", "p-limit"))

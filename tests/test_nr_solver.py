@@ -16,6 +16,7 @@ from splitflow.circuit_stamps import (
     ControlMode,
     StateVector,
     assemble,
+    dc_start,
     flat_start,
     residual,
 )
@@ -34,6 +35,8 @@ from splitflow.nr_solver import (
 )
 from tests.conftest import (
     load_matpower,
+    qlimit_rescue_case,
+    stiff_feeder_case,
     tapped_case,
     two_bus_case,
 )
@@ -506,6 +509,12 @@ class TestNrSolve:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 SolverOptions(tol_residual=bad)
+        # a bool is a number to Python, but no tolerance
+        for bad in (True, False, "1e-6", None, 1e-6j, [1e-6]):
+            with pytest.raises(ValueError, match="number"):
+                SolverOptions(tol_residual=bad)
+        for good in (np.float64(1e-6), np.float32(1e-3), 1):
+            assert SolverOptions(tol_residual=good).tol_residual == good
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
         for bad in (2.5, 3.0, True, "3", None):
@@ -772,3 +781,149 @@ class TestOutageSweep:
             sums[level] = (iterations, evals)
         assert len(base.generators) == 20
         assert sums == {0.95: (140, 230), 1.00: (199, 458), 1.05: (226, 568)}
+
+
+def held_iterations(monkeypatch):
+    """The list that records, for every later NR iteration, whether it
+    solved with the LU it held: True when no `solve_linear` ran in it."""
+    held, solved = [], []
+    solve, row = nr_solver.solve_linear, nr_solver.TraceRow
+
+    def counted(*args):
+        solved.append(True)
+        return solve(*args)
+
+    def traced(*args, **kw):
+        held.append(not solved)
+        solved.clear()
+        return row(*args, **kw)
+
+    monkeypatch.setattr(nr_solver, "solve_linear", counted)
+    monkeypatch.setattr(nr_solver, "TraceRow", traced)
+    return held
+
+
+def fresh_step(state):
+    """max|dx| of a Newton step from a J stamped and factored at state."""
+    F, J = assemble(state, ControlMode())
+    return float(np.abs(solve_linear(J, -F)[0]).max())
+
+
+def agc_outages():
+    """case118's 20 generator outages with distributed slack, load x1.00."""
+    case = replace(load_matpower("case118"), agc_enabled=True)
+    return [case.drop_generator(gen.bus) for gen in case.generators]
+
+
+class TestHeldLU:
+    """An iteration that starts with max|F| below tol_residual first
+    solves with the LU it holds, of the last J factored, checked against
+    that J; it keeps the step only if it is below TOL_STEP, which
+    converges it, and else factors a J of its own."""
+
+    @staticmethod
+    def check_held(rep, held):
+        # only an iteration that starts within tolerance holds, and it
+        # converges the solve
+        assert len(held) == rep.iterations
+        assert rep.factorizations == held.count(False)
+        for k, h in enumerate(held):
+            if h:
+                assert k > 0 and rep.trace[k - 1].max_residual < \
+                    OPTS.tol_residual
+                assert k == rep.iterations - 1 and rep.converged
+                assert rep.trace[k].max_step < TOL_STEP
+
+    @pytest.mark.parametrize("representation", ["csc", "dense"])
+    def test_case118_outages_confirm_on_the_held_lu(self, representation,
+                                                     monkeypatch):
+        # n1-screen's solves: each outage from the DC angles ends an
+        # iteration below tolerance with a step just over TOL_STEP, and
+        # the next one confirms on that iteration's LU, in either
+        # representation of J
+        if representation == "dense":
+            monkeypatch.setattr(circuit_stamps, "DENSE_MAX_DIM", 10 ** 6)
+        held = held_iterations(monkeypatch)
+        for out in agc_outages():
+            held.clear()
+            state, rep = run_homotopy(out, "none", OPTS)
+            assert rep.converged
+            assert rep.factorizations == rep.iterations - 1
+            self.check_held(rep, held)
+            assert held[-1]
+            assert rep.trace[-2].max_step > TOL_STEP
+            assert fresh_step(state) < TOL_STEP
+
+    def test_every_held_step_is_one_a_fresh_lu_confirms(self, monkeypatch):
+        # at every returned state that took its last step on a held LU,
+        # a J stamped and factored there gives a step below TOL_STEP too
+        held = held_iterations(monkeypatch)
+        solves = [(flat_start(c, ControlMode()), ControlMode()) for c in (
+            load_matpower("case14"), qlimit_rescue_case(),
+            stiff_feeder_case(), *agc_outages())]
+        confirmed = 0
+        for init, ctl in solves:
+            held.clear()
+            state, rep = nr_solve(init, ctl, OPTS)
+            assert rep.converged
+            self.check_held(rep, held)
+            if held[-1]:
+                confirmed += 1
+                assert fresh_step(state) < TOL_STEP
+        assert confirmed >= 5
+
+    def test_a_stale_step_too_long_is_discarded(self, monkeypatch):
+        # plain flat-start NR on the rescue case: iteration 59 starts at
+        # max|F| 3.9e-7, but its LU is 8.6e-4 away, and the step it gives
+        # is over TOL_STEP, so the iteration factors a J of its own.
+        # Iteration 60 starts at 2.3e-12, 2.0e-6 from that LU, and
+        # confirms on it
+        case = qlimit_rescue_case()
+        ctl = ControlMode()
+        held = held_iterations(monkeypatch)
+        _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
+        assert rep.converged and rep.iterations == 60
+        within = [k + 1 for k in range(1, rep.iterations)
+                  if rep.trace[k - 1].max_residual < OPTS.tol_residual]
+        assert within == [59, 60]
+        assert rep.trace[57].max_step > 8e-4
+        assert [k + 1 for k, h in enumerate(held) if h] == [60]
+        assert rep.factorizations == 59
+
+    @pytest.mark.parametrize("name", ["case14", "case118-outage"])
+    def test_held_solution_is_checked(self, name, monkeypatch):
+        # a held LU whose solution does not satisfy its J to 1e-8 gives no
+        # step, however short: every iteration then factors its own J,
+        # and the solve takes as many iterations as on a true held LU.
+        # case14's J is dense, the outage's sparse, solved from the DC
+        # angles as n1-screen solves it
+        ctl = ControlMode()
+        if name == "case14":
+            init = flat_start(load_matpower(name), ctl)
+        else:
+            init = dc_start(agc_outages()[0], ctl)
+        _, rep = nr_solve(init, ctl, OPTS)
+        assert rep.factorizations == rep.iterations - 1
+
+        class Off:
+            """An LU whose every later solution is 1e-7 off, alternating."""
+
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                x = self.lu.solve(rhs)
+                return x + 1e-7 * (-1.0) ** np.arange(x.size)
+
+        solve = nr_solver.solve_linear
+
+        def off(mat, rhs):
+            x, factors = solve(mat, rhs)
+            return x, Off(factors)
+
+        monkeypatch.setattr(nr_solver, "solve_linear", off)
+        held = held_iterations(monkeypatch)
+        _, checked = nr_solve(init, ctl, OPTS)
+        assert checked.converged and checked.iterations == rep.iterations
+        assert checked.factorizations == checked.iterations
+        assert not any(held)
