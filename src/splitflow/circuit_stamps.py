@@ -7,14 +7,15 @@ state cannot be stamped against another case's data. In current-voltage
 coordinates the network is linear: the ratio-fixed branches and the
 fixed shunts form a constant real 2n x 2n block, kept as a series part,
 scaled by the tx relaxation 1 + tx_relax * TX_SCALE, and an unscaled
-shunt part (line charging and fixed shunts). Every other device is a row
-of one of three tables: `Taps` (the controlled taps), `Injectors`
-(loads, generators, switched shunts) and `ControlRows` (every row that
-holds a value against a bus voltage magnitude: local generators and
-switched shunts, controlled taps, group requests). A stamp pass
-evaluates them as a fixed list of array segments: network, taps,
-injections, control rows, slack rows. Of the ControlMode it derives only
-what the mode sets, once per mode (`_controls`).
+shunt part (line charging and fixed shunts) on one CSR pattern. Every
+other device is a row of one of three tables: `Taps` (the controlled
+taps), `Injectors` (loads, generators, switched shunts) and
+`ControlRows` (every row that holds a value against a bus voltage
+magnitude: local generators and switched shunts, controlled taps, group
+requests). A stamp pass evaluates them as a fixed list of array
+segments: taps, injections, control rows, then the network and the
+slack rows. Of the ControlMode it derives only what the mode sets, once
+per mode (`_controls`).
 
 One pass serves F and J alike. It computes F and keeps what J needs
 (currents, |V|^2, curve slopes), from which J's values are only built
@@ -22,21 +23,13 @@ when J is asked for. `residual` returns the pass's F, and on request the
 pass itself; `assemble` builds J from a new pass or from one `residual`
 kept at the same state (the NR line search keeps the pass of the trial it
 accepts), so F is the same either way and J is testable against finite
-differences of `residual`. All KCL terms enter F through one bincount,
-whose rows the map holds (IndexMap.f_rows); the network block's values
-are scaled once per tx relaxation scale and shared by the passes at it.
-J's pattern is fixed by the index map, which has every slot that can be
-non-zero (a mode without a partial emits 0.0 in it), so J's CSC
-structure (row indices, column pointers, the slack-row rewrite and the
-entry each value adds to) is built once per IndexMap. The network
-block's part of J is linear in the voltages, so its values depend on
-the scale alone: the structure keeps their sums once per scale and
-representation, and each `assemble` adds the other values to a copy of
-them, duplicates in emitted order. Up to DENSE_MAX_DIM unknowns the
-same sums fill a dense J instead, through each entry's flat index, for a
-LAPACK solve; above, J is CSC, a shallow copy of one CSC template per
-structure that carries its own values, and the structure also keeps the
-LU column order of its pattern for `nr_solver.solve_linear`.
+differences of `residual`. F is the network's part Y x plus one
+bincount of the device terms (rows IndexMap.f_rows); J's network
+entries are Y's; Y is made from the block once per tx relaxation scale
+(`_network`). The index map has every J slot that can be non-zero (a
+mode without a partial emits 0.0 in it), so J's CSC structure is built
+once per IndexMap (`_JacobianStructure`). Up to DENSE_MAX_DIM unknowns
+Y and J are dense, for a LAPACK solve; above, Y is CSR and J is CSC.
 
 A case object's map is built once, with J's structure and B′'s LU, and
 kept on it for every solve, as KLU reuses one symbolic analysis across
@@ -76,7 +69,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .case_model import NetworkCase
 from .errors import SingularPointError, SingularSystemError
@@ -97,7 +90,7 @@ DEGENERATE_RANGE = 1e-12
 # J of at most this many unknowns is emitted dense, for a LAPACK solve.
 # A dense fill and LAPACK beat a CSC fill and SuperLU, whose fixed cost
 # dominates a small solve, on every generated case up to 97 unknowns and
-# lose from 129 on (by 6-8% at 129), and case118's 255 are 3.1 times
+# lose from 129 on (by 3-6% at 129), and case118's 255 are 2.4 times
 # slower dense (tools/lu_probe.py, BENCH_lu.json). The crossover lies
 # between 97 and 129; no bundled case has a J in that range
 DENSE_MAX_DIM = 128
@@ -245,18 +238,17 @@ class IndexMap:
     slack_gen_idx: list
     slack_p_sched: float
     slack_v_set: float
-    # network block triplets; J gets scale * net_series + net_shunt
-    net_rows: np.ndarray
-    net_cols: np.ndarray
-    net_series: np.ndarray
-    net_shunt: np.ndarray
+    # the network block's series part, to be scaled, and its shunt part:
+    # CSR matrices on one pattern over all unknowns (`_network_block`)
+    net_series: csr_matrix
+    net_shunt: csr_matrix
     # (from, to, 1/(x tau)) of the block's branches with x != 0, B′'s
     # branches (`dc_start`)
     dc_branches: tuple
     taps: Taps
     inj: Injectors
     rows: ControlRows
-    f_rows: np.ndarray  # F's row of every term a pass emits, in order
+    f_rows: np.ndarray  # F's row of every device term a pass emits
     # the tables' J slots, table by table (taps, injections, control
     # rows, participation rows) and slot by slot: rows, cols, and whether
     # the map has the slot
@@ -269,7 +261,7 @@ class IndexMap:
     agc_hi: np.ndarray
     # (fields, _Controls) of the last ControlMode _controls derived
     last: tuple | None = field(default=None, repr=False, compare=False)
-    # (scale, scale * net_series + net_shunt) of the last pass's scale
+    # what `_network` keeps for the last scale and representation
     net: tuple | None = field(default=None, repr=False, compare=False)
     # built with the map (`build_index`): J's CSC structure, and (B′
     # without the slack's row and column, its LU) or () when there are no
@@ -419,15 +411,15 @@ def _build(case: NetworkCase) -> IndexMap:
     dim = next(cols)
 
     in_block = [bi for bi in range(len(case.branches)) if bi not in tap_col]
-    net = _network_block(case, bus_pos, in_block)
+    net = _network_block(case, bus_pos, in_block, dim)
     taps = _taps(case, bus_pos, tap_col)
     inj, rows = _tables(case, table, bus_pos, q_col, qreq_col, tap_col,
                         len(local_gen_idx), agc_member_idx)
     at = taps.at.ravel()
-    # the terms of a pass: network, taps and injections (V_R rows, then
-    # V_I rows), control rows, participation rows
-    f_rows = np.concatenate((net["net_rows"], at, at + 1, inj.vr_c,
-                             inj.vi_c, rows.cols, inj.m_cols))
+    # the device terms of a pass: taps and injections (V_R rows, then V_I
+    # rows), control rows, participation rows
+    f_rows = np.concatenate((at, at + 1, inj.vr_c, inj.vi_c, rows.cols,
+                             inj.m_cols))
     agc_gens = [gens[i] for i in agc_member_idx]
     slack_v_set = case.buses[slack_pos].v_init_real
     if slack_gen_idx:
@@ -558,15 +550,17 @@ def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
                 j_keep=np.concatenate([np.ravel(k) for k in keep]))
 
 
-def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
-    """Real I-V triplets (IndexMap.net_rows to net_shunt) of the branches
-    in in_block and of the fixed shunts.
+def _network_block(case: NetworkCase, bus_pos: dict, in_block: list,
+                   dim: int) -> dict:
+    """The network block (IndexMap.net_series, net_shunt) of the branches
+    in in_block and of the fixed shunts, and B′'s branches.
 
     The complex entries follow MATPOWER's makeYbus: a branch with series
     admittance y and ratio t adds y/t^2, -y/t, -y/t and y to the series
     part, and b_sh/2 at each end (over t^2 at the from end) to the shunt
     part; a fixed shunt adds its admittance to the shunt part. An entry
-    G + jB at (i, j) becomes the real block [[G, -B], [B, G]].
+    G + jB at (i, j) becomes the real block [[G, -B], [B, G]]. Both parts
+    are dim x dim CSR matrices on one sorted pattern, zeros kept.
     """
     # one walk over the branches: ends, ratio, series g and b, b_sh/2
     f, t, tr, g, b, half = np.fromiter(itertools.chain.from_iterable(
@@ -584,17 +578,22 @@ def _network_block(case: NetworkCase, bus_pos: dict, in_block: list) -> dict:
     j = np.concatenate((f, t, f, t, k))
     series = np.concatenate((y / tr2, ft, ft, y, np.zeros(len(k))))
     shunt = np.concatenate((c / tr2, none, none, c, ysh))
+    rows = np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1))
+    cols = np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1))
 
-    def real(z):
-        return np.concatenate((z.real, -z.imag, z.imag, z.real))
+    # keyed row-major, `_csc_pattern` gives CSR's pattern
+    _, at, indices, indptr = _csc_pattern(rows * dim + cols, dim)
+
+    def real(z):  # the blocks [[G, -B], [B, G]], summed on the pattern
+        return csr_matrix((np.bincount(at, np.concatenate(
+            (z.real, -z.imag, z.imag, z.real))), indices, indptr),
+            shape=(dim, dim))
 
     # B′'s branches: x = Im(1/y) != 0, which needs b != 0
     dc = np.flatnonzero(b)
     x = (1.0 / y[dc]).imag
     dc, x = dc[x != 0.0], x[x != 0.0]
-    return dict(net_rows=np.concatenate((2 * i, 2 * i, 2 * i + 1, 2 * i + 1)),
-                net_cols=np.concatenate((2 * j, 2 * j + 1, 2 * j, 2 * j + 1)),
-                net_series=real(series), net_shunt=real(shunt),
+    return dict(net_series=real(series), net_shunt=real(shunt),
                 dc_branches=(f[dc], t[dc], 1.0 / (x * tr[dc])))
 
 
@@ -891,10 +890,8 @@ class _Pass:
         self.index = idx = state.index
         self.x = state.x
         self.c = _controls(ctl, idx)
-        # the network block's scale and values, and what the segments
-        # keep for the J slots
-        self.scale = self.net = None
-        self.taps = self.inj = self.curves = self.m_slope = None
+        # the network's scale, and what the segments keep for J's slots
+        self.scale = self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
 
     def slot_values(self) -> np.ndarray:
@@ -1107,16 +1104,15 @@ class _JacobianStructure:
     """J's CSC structure on one IndexMap, and the same entries as flat
     indices into a dense J.
 
-    J's values come from a source vector: the network block's values,
-    every slot's value, the two unit diagonals of the slack voltage rows
-    and, with distributed slack, the map's values in the slack bus rows
-    moved to the surplus row (each times its row's own voltage) and the
-    surplus row's own entries I_SR, I_SI and -1. The used source values
-    are summed into their entries in source order, from 0.0. The network
-    block's used sources come first, and they depend on the tx
-    relaxation scale alone: their sums are kept (`net_sum`), once per
-    scale and representation, and a call adds the other sources to a
-    copy of them, in source order, which gives the same bits.
+    J's values come from a source vector: the network block's entries in
+    CSR order, every slot's value, the two unit diagonals of the slack
+    voltage rows and, with distributed slack, the map's values in the
+    slack bus rows moved to the surplus row (each times its row's own
+    voltage) and the surplus row's own entries I_SR, I_SI and -1. The
+    used source values are summed into their entries in source order,
+    from 0.0. The block's entries are distinct and come first, put in
+    place once per scale (`_network`); the slack bus rows are contiguous
+    in CSR, so the block's entries in them are one slice.
 
     A CSC J is a shallow copy (`copy.copy`) of `template`, the csc_matrix
     of the pattern that the first CSC J on the map builds, given its own
@@ -1125,19 +1121,16 @@ class _JacobianStructure:
     back to the structure, so no reference cycle keeps a map alive.
     """
 
-    net_at: np.ndarray  # the map's sources in the slack bus rows: the
-    slot_at: np.ndarray  # network block's, the slots', and their voltage
+    slack: slice  # the map's sources in the slack bus rows: the network
+    slot_at: np.ndarray  # block's entries, the slots, and their voltage
     on: np.ndarray  # columns (each row's own)
-    net_used: np.ndarray  # the network block's sources that enter J;
-    used: np.ndarray  # the others, as positions after the network block
-    slot: np.ndarray  # the entry each used source adds to: CSC position
-    dense: np.ndarray  # and row-major flat index into a dense J
-    cut: int  # the network block's used sources, slot[:cut]
+    used: np.ndarray  # the other sources that enter J, after the block,
+    slot: np.ndarray  # and the entry each adds to: CSC position and
+    dense: np.ndarray  # row-major flat index into a dense J
+    net_slot: np.ndarray  # the block's used entries' CSC positions, and
+    net_dense: np.ndarray  # all its entries' flat indices into a dense J
     indices: np.ndarray  # CSC row indices and column pointers, read-only
     indptr: np.ndarray
-    # (scale, dense, sums) of the network block's sources, for the last
-    # scale and representation J was built in
-    net_sum: tuple | None = None
     # the CSC matrix of the pattern, whose copies are the CSC Js; it has
     # no `.structure`
     template: csc_matrix | None = None
@@ -1178,11 +1171,12 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
     """J's structure on the map: the slack-row rewrite, and the distinct
     (row, col) entries of the used sources, sorted by column and row."""
     dim, r, d = idx.dim, 2 * idx.slack_pos, idx.dps_col
-    rows = np.concatenate((idx.net_rows, idx.j_rows))
-    cols = np.concatenate((idx.net_cols, idx.j_cols))
-    kept = np.concatenate((np.ones(idx.net_rows.size, dtype=bool), idx.j_keep))
-    slack = (rows >> 1) == idx.slack_pos
-    at = np.flatnonzero(kept & slack)
+    Y, n = idx.net_series.tocoo(), idx.net_series.nnz
+    rows = np.concatenate((Y.row, idx.j_rows))
+    cols = np.concatenate((Y.col, idx.j_cols))
+    kept = np.concatenate((np.ones(n, dtype=bool), idx.j_keep))
+    on_slack = (rows >> 1) == idx.slack_pos
+    at = np.flatnonzero(kept & on_slack)
     # rows and columns of the source vector (see _JacobianStructure)
     src_rows, src_cols = [rows, (r, r + 1)], [cols, (r, r + 1)]
     if d is not None:
@@ -1190,19 +1184,19 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
         src_cols += [cols[at], (r, r + 1, d)]
     src_rows, src_cols = np.concatenate(src_rows), np.concatenate(src_cols)
     used = np.ones(src_rows.size, dtype=bool)
-    used[:rows.size] = kept & ~slack
+    used[:rows.size] = kept & ~on_slack
     used = np.flatnonzero(used)
     entries, slot, indices, indptr = _csc_pattern(
         src_cols[used] * dim + src_rows[used], dim)
     # every J returned shares these two; an in-place scipy op must not
     # rewrite the cache
     indices.flags.writeable = indptr.flags.writeable = False
-    dense = ((entries % dim) * dim + entries // dim)[slot]
-    n = idx.net_rows.size
-    cut = int(np.searchsorted(used, n))
-    return _JacobianStructure(at[at < n], at[at >= n] - n, rows[at],
-                              used[:cut], used[cut:] - n, slot, dense, cut,
-                              indices, indptr)
+    slack = slice(*idx.net_series.indptr[r:r + 3:2].tolist())
+    cut = n - (slack.stop - slack.start)
+    dense = ((entries % dim) * dim + entries // dim)[slot[cut:]]
+    return _JacobianStructure(slack, at[at >= n] - n, rows[at],
+                              used[cut:] - n, slot[cut:], dense, slot[:cut],
+                              rows[:n] * dim + cols[:n], indices, indptr)
 
 
 def _csc_pattern(key: np.ndarray, dim: int):
@@ -1214,34 +1208,46 @@ def _csc_pattern(key: np.ndarray, dim: int):
             np.searchsorted(entries, dim * np.arange(dim + 1)).astype(np.int32))
 
 
-def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
-    """J from the pass's values, summed into the index map's structure.
-    Up to DENSE_MAX_DIM unknowns J is a dense array, else a CSC matrix;
-    both sum the same values in the same order, so their entries are
-    equal bit for bit.
+def _network(idx: IndexMap, scale: float) -> tuple:
+    """((scale, dense), Y, Y's values, J's network entries) of the last
+    scale and J's representation, kept on the map: F's network part is
+    Y x, Y = scale * net_series + net_shunt, dense or CSR as J is."""
+    dense, S, s = idx.dim <= DENSE_MAX_DIM, idx.net_series, idx.jac
+    if idx.net is None or idx.net[0] != (scale, dense):
+        vals = scale * S.data + idx.net_shunt.data
+        sums = np.zeros(idx.dim * idx.dim if dense else s.indices.size)
+        if dense:  # J's layout: J's entries are Y's with slack rows zeroed
+            sums[s.net_dense] = vals
+            Y = sums.reshape(S.shape).copy()
+            sums[2 * idx.slack_pos * idx.dim:][:2 * idx.dim] = 0.0
+        else:
+            Y = copy.copy(S)  # cheaper than a new one
+            Y.data = vals
+            sums[s.net_slot] = np.delete(vals, s.slack)
+        idx.net = ((scale, dense), Y, vals, sums)
+    return idx.net
 
-    The network block's sums are the structure's `net_sum` at the pass's
-    scale, summed when the scale or the representation changes; the
-    slots, the slack rows and the surplus row are added to a copy of them
-    in source order. A CSC J is a shallow copy of the structure's
-    template, with those sums as its data (see `_JacobianStructure`)."""
+
+def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
+    """J from the pass's values: the slots, the slack rows and the
+    surplus row added in source order to a copy of the network block's
+    entries at the pass's scale (`_network`). Up to DENSE_MAX_DIM
+    unknowns J is a dense array, else a CSC matrix, a shallow copy of the
+    structure's template (see `_JacobianStructure`); both sum the same
+    values in the same order, so their entries are equal bit for bit."""
     idx, dim = st.index, st.index.dim
     s, dense = idx.jac, dim <= DENSE_MAX_DIM
-    entry = s.dense if dense else s.slot
-    if s.net_sum is None or s.net_sum[:2] != (st.scale, dense):
-        sums = np.bincount(entry[:s.cut], st.net[s.net_used],
-                           minlength=dim * dim if dense else s.indices.size)
-        s.net_sum = (st.scale, dense, sums)
+    _, _, vals, sums = _network(idx, st.scale)
     slots = st.slot_values()
     parts = [slots, (1.0, 1.0)]
     if idx.dps_col is not None:
-        moved = np.concatenate((st.net[s.net_at], slots[s.slot_at]))
+        moved = np.concatenate((vals[s.slack], slots[s.slot_at]))
         parts += [moved * st.x[s.on], (*st.slack_currents, -1.0)]
-    # add.at adds one source at a time onto the network's sums, as one
+    # add.at adds one source at a time onto the block's entries, as one
     # bincount over every source would; summing the other sources apart
     # first would round differently
-    data = s.net_sum[2].copy()
-    np.add.at(data, entry[s.cut:], np.concatenate(parts)[s.used])
+    data = sums.copy()
+    np.add.at(data, s.dense if dense else s.slot, np.concatenate(parts)[s.used])
     if dense:
         return data.reshape(dim, dim)
     if s.template is None:
@@ -1268,16 +1274,11 @@ def _stamp_pass(state: StateVector, ctl: ControlMode) -> _Pass:
     vr, vi = x[0:n:2], x[1:n:2]
     dd = vr * vr + vi * vi
     _check_collapse(st, st.c.sensed, dd[st.c.sensed])
-    scale = 1.0 + ctl.tx_relax * TX_SCALE
-    if idx.net is None or idx.net[0] != scale:
-        net = scale * idx.net_series + idx.net_shunt
-        net.flags.writeable = False  # shared by every pass at this scale
-        idx.net = (scale, net)
-    st.scale, st.net = idx.net
-    vals = np.concatenate((st.net * x[idx.net_cols], *_stamp_taps(st),
-                           *_stamp_injections(st, dd),
+    st.scale = 1.0 + ctl.tx_relax * TX_SCALE
+    vals = np.concatenate((*_stamp_taps(st), *_stamp_injections(st, dd),
                            *_stamp_control_rows(st, dd)))
-    st.F = np.bincount(idx.f_rows, vals, minlength=idx.dim)
+    st.F = _network(idx, st.scale)[1].dot(x)
+    st.F += np.bincount(idx.f_rows, vals, minlength=idx.dim)
     st.slack_currents = _slack_rows(st, st.F)
     return st
 
@@ -1289,23 +1290,15 @@ def assemble(state: StateVector, ctl: ControlMode, kept: _Pass | None = None,
     kept, if given, is the pass `residual(state, ctl, keep=True)`
     returned at this very state (state.x unchanged since): J is built
     from the values that pass kept, and the state is not stamped again.
-    J's CSC structure and its CSC template are built once per IndexMap,
-    and the network block's sums once per tx relaxation scale and
-    representation; a call emits the other values only and adds them to
-    a copy of those sums, duplicates in emitted order, and a CSC J is a
-    shallow copy of the template holding them (see `_jacobian`).
 
-    J has two representations, by its dimension alone. Up to
-    DENSE_MAX_DIM unknowns it is a dense ndarray, which
-    `nr_solver.solve_linear` solves with LAPACK: there a dense fill and
-    LAPACK cost less per call than a CSC fill and SuperLU, whose fixed
-    cost dominates at that size (the crossover is measured by
-    `tools/lu_probe.py` into BENCH_lu.json). Above the crossover J is a
-    csc_matrix carrying the structure as `J.structure`, where
-    `solve_linear` keeps the LU column order of the pattern. Both sum
-    the same values in the same order: the dense J equals the CSC J's
-    toarray() bit for bit; their LUs round differently, which moves no
-    NR or evaluation count (`nr_solve`'s step rule)."""
+    J has two representations, by its dimension alone (`DENSE_MAX_DIM`):
+    up to it a dense ndarray, which `nr_solver.solve_linear` solves with
+    LAPACK, and above a csc_matrix carrying its structure as
+    `J.structure`, where `solve_linear` keeps the LU column order of the
+    pattern. Both sum the same values in the same order (`_jacobian`):
+    the dense J equals the CSC J's toarray() bit for bit; their LUs round
+    differently, which moves no NR or evaluation count (`nr_solve`'s step
+    rule)."""
     st = kept
     if st is None:
         st = _stamp_pass(state, ctl)

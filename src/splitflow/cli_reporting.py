@@ -182,11 +182,16 @@ def write_trace(path: str, rows) -> None:
 
 
 def _apply_contingency(case: NetworkCase, spec: str) -> NetworkCase:
-    if not spec.startswith("drop-gen:"):
+    kind, _, bus = spec.partition(":")
+    if kind != "drop-gen":
         raise click.UsageError(
-            f"unknown contingency {spec!r}; expected drop-gen:<bus-id>"
-        )
-    return case.drop_generator(int(spec.split(":", 1)[1]))
+            f"unknown contingency {spec!r}; expected drop-gen:<bus-id>")
+    try:
+        bus_id = int(bus)
+    except ValueError:
+        raise ValueError(f"contingency {spec!r}: the bus id must be an "
+                         f"integer") from None
+    return case.drop_generator(bus_id)
 
 
 def _inputs(case_file, fmt, homotopy, smoothing, tol, max_iter, agc=False,
@@ -269,8 +274,9 @@ def solve(case_file, models, homotopy, smoothing, tol, max_iter, agc,
 
 @main.command()
 @click.argument("case_file", type=click.Path())
-@click.option("--homotopy", type=click.Choice(list(METHODS)), default="none",
-              show_default=True)
+# p-limit needs distributed slack, which compare does not enable
+@click.option("--homotopy", default="none", show_default=True,
+              type=click.Choice([m for m in METHODS if m != "p-limit"]))
 @click.option("--smoothing", type=float, default=5000.0, show_default=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--max-iter", type=int, default=100, show_default=True)

@@ -21,6 +21,7 @@ from splitflow.cli_reporting import (
     voltage_extrema,
 )
 from splitflow.discrete_control import resolve_after_snap
+from splitflow.homotopy_driver import METHODS
 from splitflow.nr_solver import SolverOptions
 from tests.conftest import (
     CASE_DIR,
@@ -228,6 +229,26 @@ def test_order_left_at_its_default_solves():
 def test_p_limit_without_agc_is_input_error():
     assert_input_error(run("solve", CASE_DIR / "case9.m",
                            "--homotopy", "p-limit"))
+
+
+def test_compare_offers_no_p_limit():
+    # p-limit needs distributed slack, and compare has no --agc: click
+    # refuses the method with a usage error that lists the valid ones
+    result = run("compare", CASE_DIR / "case9.m", "--homotopy", "p-limit")
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--homotopy'" in result.stderr
+    valid = [m for m in METHODS if m != "p-limit"]
+    assert valid and all(f"'{m}'" in result.stderr for m in valid)
+    assert "p-limit" not in result.stderr.split("is not one of")[1]
+    assert "pipeline" not in result.stdout
+
+
+@pytest.mark.parametrize("spec", ["drop-gen:x", "drop-gen:2.0", "drop-gen:"])
+def test_contingency_bus_id_not_an_integer_is_input_error(spec):
+    result = run("solve", CASE_DIR / "case9.m", "--contingency", spec)
+    assert_input_error(result)
+    assert (f"error: contingency {spec!r}: the bus id must be an integer"
+            in result.stderr.splitlines())
 
 
 @pytest.mark.parametrize("option,value", [

@@ -1,13 +1,14 @@
 """`assemble` sums J's values into a CSC structure built once per
-IndexMap. Its J must equal the pass's triplets with duplicates summed in
-the order they are emitted, byte for byte, also when modes switch under
-one map, and when it is built from a pass the line search kept. Every J
-on one map shares one structure. `solve_linear` factors with the
-`nr_solver.SPLU` settings and keeps each structure's LU column order,
-ordering once per map, and its solutions must equal `splu` with those
-settings byte for byte. The network block's sums, kept on the structure
-per tx relaxation scale and representation, must give the same bytes
-when either changes under one map.
+IndexMap. Its J must equal the pass's triplets, the network block's
+matrix entries at the pass's scale and then the slots in emitted order,
+with duplicates summed in that order, byte for byte, also when modes
+switch under one map, and when it is built from a pass the line search
+kept. Every J on one map shares one structure. `solve_linear` factors
+with the `nr_solver.SPLU` settings and keeps each structure's LU column
+order, ordering once per map, and its solutions must equal `splu` with
+those settings byte for byte. The network block's entries, kept on the
+map per tx relaxation scale and representation, must give the same
+bytes when either changes under one map.
 
 Up to `circuit_stamps.DENSE_MAX_DIM` unknowns J is emitted dense; these
 tests have every J emitted as CSC (`emit`), but for those that check
@@ -62,12 +63,15 @@ def csc_everywhere(monkeypatch):
 
 def triplets(st):
     """The pass's J triplets (rows, cols, vals) in emitted order: the
-    network block's, then every slot of the index map; slack bus rows not
-    yet rewritten."""
+    network block's matrix entries at the pass's scale, row by row, then
+    every slot of the index map; slack bus rows not yet rewritten."""
     idx, keep = st.index, st.index.j_keep
-    return (np.concatenate((idx.net_rows, idx.j_rows[keep])),
-            np.concatenate((idx.net_cols, idx.j_cols[keep])),
-            np.concatenate((st.net, st.slot_values()[keep])))
+    Y = idx.net_series
+    rows = np.repeat(np.arange(Y.shape[0]), np.diff(Y.indptr))
+    return (np.concatenate((rows, idx.j_rows[keep])),
+            np.concatenate((Y.indices, idx.j_cols[keep])),
+            np.concatenate((st.scale * Y.data + idx.net_shunt.data,
+                            st.slot_values()[keep])))
 
 
 def reference_jacobian(state, ctl):
@@ -180,7 +184,7 @@ def test_dense_jacobian_equals_csc(case_name, variant_name, monkeypatch):
 def test_network_sums_follow_scale_and_representation(case_name,
                                                       variant_name,
                                                       monkeypatch):
-    # the network block's sums are kept on the structure once per tx
+    # the network block's entries are kept on the map once per tx
     # relaxation scale and representation: one index map assembled at
     # tx_relax a, b, a, in csc, dense, csc, gives the reference J each time
     case, ctl = variant(load(case_name), variant_name)

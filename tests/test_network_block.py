@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import splitflow.circuit_stamps as circuit_stamps
 from splitflow.circuit_stamps import TX_SCALE, build_index
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SolverOptions
@@ -32,16 +33,47 @@ def bundled(name):
 
 @pytest.mark.parametrize("tx_relax", [0.0, 0.3])
 @pytest.mark.parametrize("name", ALL_CASES)
-def test_block_equals_ybus_expansion(name, tx_relax):
-    # the block holds every branch without a tap column, and the fixed shunts
+def test_block_equals_ybus_expansion(name, tx_relax, monkeypatch):
+    # the block holds every branch without a tap column, and the fixed
+    # shunts; F's network operator at the scale, dense or CSR by J's rule,
+    # applies it to a random x
     case = bundled(name)
     idx = build_index(case)
-    nv = idx.voltage_dim()
-    block = np.zeros((nv, nv))
-    np.add.at(block, (idx.net_rows, idx.net_cols),
-              (1.0 + tx_relax * TX_SCALE) * idx.net_series + idx.net_shunt)
-    ref = real_expansion(make_ybus(case, tx_relax, skip=idx.tap_col))
+    scale, nv = 1.0 + tx_relax * TX_SCALE, idx.voltage_dim()
+    ref = np.zeros((idx.dim, idx.dim))
+    ref[:nv, :nv] = real_expansion(make_ybus(case, tx_relax,
+                                             skip=idx.tap_col))
+    block = (scale * idx.net_series + idx.net_shunt).toarray()
     assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()
+    x = np.random.default_rng(0).normal(size=idx.dim)
+    for dense in (False, True):
+        monkeypatch.setattr(circuit_stamps, "DENSE_MAX_DIM",
+                            sys.maxsize if dense else 0)
+        Y = circuit_stamps._network(idx, scale)[1]
+        assert isinstance(Y, np.ndarray) == dense
+        assert dense or Y.format == "csr"
+        assert (np.abs(Y @ x - ref @ x).max()
+                <= 1e-12 * np.abs(ref @ x).max())
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_block_pattern_is_canonical_and_shared(name):
+    # CSR over all unknowns, with entries in the voltage rows and columns
+    # alone, each row's columns strictly increasing (sorted, no duplicate
+    # (row, col)); the series and shunt values on one pattern
+    idx = build_index(bundled(name))
+    series, shunt = idx.net_series, idx.net_shunt
+    dim, nv = idx.dim, idx.voltage_dim()
+    assert series.format == shunt.format == "csr"
+    assert series.shape == shunt.shape == (dim, dim)
+    assert np.array_equal(shunt.indices, series.indices)
+    assert np.array_equal(shunt.indptr, series.indptr)
+    assert series.data.shape == shunt.data.shape == series.indices.shape
+    assert series.indptr[0] == 0 and series.indptr[nv] == series.nnz
+    assert series.indptr[-1] == series.nnz
+    assert ((series.indices >= 0) & (series.indices < nv)).all()
+    rows = np.repeat(np.arange(dim), np.diff(series.indptr))
+    assert (np.diff(rows * dim + series.indices) > 0).all()
 
 
 # NR iterations per (case, pipeline) with distributed slack off. The counts

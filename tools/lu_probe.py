@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time and size the sparse LU of J under two SuperLU settings, and
-time J's CSC and dense representations end to end.
+"""Time and size the sparse LU of J under two SuperLU settings, time
+J's CSC and dense representations end to end, and time the stamp pass.
 
     python3 tools/lu_probe.py --sizes 30 45 60 65 70 75 90 105 125 1000 2000 \
-        --rounds 7 --out BENCH_lu.json
+        5000 --rounds 7 --out BENCH_lu.json
 
 The settings are scipy's defaults (COLAMD column order, SuperLU's
 supernode and panel sizes, pivot threshold 1) and `nr_solver.SPLU`. Each
@@ -20,10 +20,12 @@ representations are timed as an NR iteration spends them: J emitted
 from the flat start's stamp pass (`circuit_stamps._jacobian`), as CSC
 and as dense whatever `circuit_stamps.DENSE_MAX_DIM` says, then
 `solve_linear` of J x = -F, which runs SuperLU in the kept order or
-LAPACK. Dense is timed up to DENSE_PROBE_DIM unknowns. A round times a batch of calls of
-each kind in turn; the record holds the median per-call ms over the
-rounds, and each refill's fill (entries of L plus entries of U). BLAS
-runs on one thread, as in perfbench.
+LAPACK. Dense is timed up to DENSE_PROBE_DIM unknowns. The stamp pass
+is `residual` at the flat start, F alone, with the network operator in
+the map's own representation. A round times a batch of calls of each
+kind in turn; the record holds the median per-call ms over the rounds,
+and each refill's fill (entries of L plus entries of U). BLAS runs on
+one thread, as in perfbench.
 """
 
 import os
@@ -109,13 +111,15 @@ def refill(J, settings):
 
 def probe(name, case, rounds):
     ctl = ControlMode()
-    st = residual(flat_start(case, ctl), ctl, keep=True)[1]
+    state = flat_start(case, ctl)
+    st = residual(state, ctl, keep=True)[1]
     with emitting("csc"):
         J = _jacobian(st)
     calls = {key: refill(J, settings) for key, settings in SETTINGS.items()}
     for representation in REPRESENTATIONS:
         if representation == "csc" or J.shape[0] <= DENSE_PROBE_DIM:
             calls[representation] = solve(st, representation)
+    calls["residual"] = lambda: residual(state, ctl)
     reps, ms = {}, {key: [] for key in calls}
     for key, call in calls.items():
         start = time.perf_counter()
@@ -141,7 +145,8 @@ def probe(name, case, rounds):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", nargs="+", type=int,
-                    default=[30, 45, 60, 65, 70, 75, 90, 105, 125, 1000, 2000])
+                    default=[30, 45, 60, 65, 70, 75, 90, 105, 125, 1000, 2000,
+                             5000])
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("BENCH_lu.json"))
     args = ap.parse_args(argv)
@@ -161,7 +166,8 @@ def main(argv=None):
                    "under each setting, whose fill is L.nnz + U.nnz, and J "
                    "emitted from the stamp pass as csc or as dense, then "
                    "solve_linear of J x = -F (SuperLU in the kept order, or "
-                   f"LAPACK); dense is null above {DENSE_PROBE_DIM} unknowns"),
+                   f"LAPACK); dense is null above {DENSE_PROBE_DIM} unknowns; "
+                   "residual is the stamp pass, F alone"),
         "dense_max_dim": circuit_stamps.DENSE_MAX_DIM,
         "hardware": {"cpu": cpu_model(), "python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__,
