@@ -13,6 +13,8 @@ record's keys are its dataclass fields, except that a branch's ends are
 "from"/"to" and a bus's v_init_real/v_init_imag are one pair "v_init".
 A field with a default may be absent, as may a fixed shunt's g and b
 (0.0); tap (a TapControl object), remote_bus and step_size may be null.
+A generator's in_service (default true, and written only when false) is
+a boolean; false is an out-of-service unit, MATPOWER's GEN_STATUS 0.
 Integer fields take integral numbers; a boolean or a string is no
 number. A key the schema does not name is an error, at the top level
 and in a record.
@@ -92,6 +94,9 @@ class Generator:
     agc_factor: float = 0.0
     remote_bus: int | None = None
     remote_factor: float = 0.0
+    # False: out of service (GEN_STATUS 0); the unit keeps its index and
+    # its remote group, and injects nothing
+    in_service: bool = True
 
 
 @dataclass(frozen=True)
@@ -169,43 +174,26 @@ class NetworkCase:
         raise CaseValidationError(["no slack bus"])
 
     def drop_generator(self, bus_id: int) -> "NetworkCase":
-        """Case with the first generator at bus_id removed (contingency).
+        """Case with the first in-service generator at bus_id switched off
+        (contingency). No index changes: the unit keeps its own and its
+        place in its remote group.
 
-        Remote groups inferred from the generators are inferred again from
-        those left. Groups given explicitly are kept, their members
-        re-indexed past the dropped unit; the dropped unit leaves its
-        group, whose factors are renormalised to sum to 1, and a group it
-        leaves empty is dropped.
-
-        The outage also records (self, index of the dropped unit) as its
-        `_dropped_from`, an attribute that is no field, so
-        `dataclasses.replace` drops it: `circuit_stamps.build_index`
-        solves the outage on its base's map with the unit switched off,
-        which the base object and every outage of it share."""
-        hit = None
+        The outage keeps the object whose map it shares as `_base`, an
+        attribute that is no field, so `dataclasses.replace` drops it:
+        this case, or this case's own `_base` when it is an outage itself,
+        so an N-2 outage shares the root base's map.
+        `circuit_stamps.build_index` switches the unit off on that map.
+        Raises CaseValidationError when no in-service unit is at bus_id."""
         for i, g in enumerate(self.generators):
-            if g.bus == bus_id:
-                hit = i
+            if g.bus == bus_id and g.in_service:
                 break
-        if hit is None:
-            raise CaseValidationError([f"no generator at bus {bus_id} to drop"])
-        gens = tuple(g for i, g in enumerate(self.generators) if i != hit)
-        groups = ()
-        if self.remote_groups != _infer_remote_groups(self.generators,
-                                                      self.bus_index()):
-            groups = []
-            for grp in self.remote_groups:
-                kept = [(m - (m > hit), f)
-                        for m, f in zip(grp.members, grp.factors) if m != hit]
-                if len(kept) < len(grp.members):
-                    total = sum(f for _, f in kept)
-                    kept = [(m, f / total) for m, f in kept]
-                if kept:
-                    members, factors = zip(*kept)
-                    groups.append(replace(grp, members=members,
-                                          factors=factors))
-        out = replace(self, generators=gens, remote_groups=tuple(groups))
-        object.__setattr__(out, "_dropped_from", (self, hit))
+        else:
+            raise CaseValidationError(
+                [f"no in-service generator at bus {bus_id} to drop"])
+        gens = list(self.generators)
+        gens[i] = replace(g, in_service=False)
+        out = replace(self, generators=gens)
+        object.__setattr__(out, "_base", self.__dict__.get("_base", self))
         return out
 
 
@@ -307,9 +295,11 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
     """Parse a MATPOWER-style case (baseMVA, bus, gen, branch tables).
 
     Quantities are converted to per-unit on baseMVA. Bus types 3/2/1 map
-    to slack/pv/pq; GS/BS bus columns become fixed shunts; out-of-service
-    rows are dropped. Raises CaseParseError with the offending line, or
-    CaseValidationError for structural problems.
+    to slack/pv/pq; GS/BS bus columns become fixed shunts; an
+    out-of-service generator row (GEN_STATUS 0) is an out-of-service unit,
+    and an out-of-service branch row is dropped. Raises CaseParseError
+    with the offending line, or CaseValidationError for structural
+    problems.
     """
     base, tables = _matpower_tables(text)
     for required in ("bus", "gen", "branch"):
@@ -356,8 +346,6 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
             raise CaseParseError(
                 f"gen row needs 10 columns, got {len(row)}", line=lineno
             )
-        if row[7] <= 0:  # GEN_STATUS
-            continue
         bus_id = _integer(row[0], "generator bus", lineno)
         generators.append(
             Generator(
@@ -368,6 +356,7 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
                 q_max=row[3] / base,
                 p_min=row[9] / base,
                 p_max=row[8] / base,
+                in_service=row[7] > 0,  # GEN_STATUS
             )
         )
 
@@ -402,7 +391,7 @@ def parse_matpower(text: str, name: str = "") -> NetworkCase:
         )
 
     # PV buses start at their generator's setpoint
-    vset_by_bus = {g.bus: g.v_set for g in generators}
+    vset_by_bus = {g.bus: g.v_set for g in generators if g.in_service}
     buses = [
         replace(b, v_init_real=vset_by_bus.get(b.id, b.v_init_real))
         if b.kind in (PV, SLACK) and b.id in vset_by_bus
@@ -456,9 +445,12 @@ def _expect(value, kind: type, what: str, where: str):
 
 
 def _scalar(kind: str, value, where: str):
-    """value as the record field type kind: 'str', 'float' or 'int'."""
+    """value as the record field type kind: 'str', 'bool', 'float' or
+    'int'."""
     if kind == "str":
         return _expect(value, str, "a string", where)
+    if kind == "bool":
+        return _expect(value, bool, "a boolean", where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CaseParseError(
             f"{where}: expected a number, got {type(value).__name__}")
@@ -515,6 +507,8 @@ def _encode(record) -> dict:
         out["v_init"] = [out.pop("v_init[0]"), out.pop("v_init[1]")]
     if isinstance(record, Branch) and record.tap is not None:
         out["tap"] = _encode(record.tap)
+    if isinstance(record, Generator) and record.in_service:
+        del out["in_service"]  # the default, which files leave out
     return out
 
 
@@ -673,7 +667,7 @@ def validate(case: NetworkCase) -> list[str]:
             continue
         if g.q_min > g.q_max:
             out.append(f"generator {i} has q_min > q_max")
-        if not (g.p_min <= g.p_g <= g.p_max):
+        if g.in_service and not (g.p_min <= g.p_g <= g.p_max):
             out.append(f"generator {i} p_g {g.p_g} outside [{g.p_min}, {g.p_max}]")
         if g.v_set <= 0:
             out.append(f"generator {i} v_set must be > 0")
@@ -684,7 +678,9 @@ def validate(case: NetworkCase) -> list[str]:
         remote = g.remote_bus is not None and g.remote_bus != g.bus
         if remote and g.remote_bus not in known:
             out.append(f"generator {i} remote bus {g.remote_bus} unknown")
-        if not remote and i not in members and kind_of[g.bus] == PQ:
+        # an out-of-service unit needs no control role
+        if (g.in_service and not remote and i not in members
+                and kind_of[g.bus] == PQ):
             out.append(f"generator {i} on PQ bus {g.bus} has no control role")
 
     for i, l in enumerate(case.loads):
@@ -750,9 +746,10 @@ def validate(case: NetworkCase) -> list[str]:
             f"slack-connected island is supported"
         )
 
-    # PV buses need a local voltage controller, which no group member is
+    # PV buses need a local voltage controller in service, which no group
+    # member is
     local_ctl_buses = {g.bus for i, g in enumerate(case.generators)
-                       if i not in members
+                       if g.in_service and i not in members
                        and (g.remote_bus is None or g.remote_bus == g.bus)}
     for b in case.buses:
         if b.kind == PV and b.id not in local_ctl_buses:

@@ -52,14 +52,17 @@ row's q column. The layout is the case's, and a mode changes values
 only: a snapped device keeps its column, which its control row holds at
 the snapped value (see `ControlMode`).
 
-A generator outage (`NetworkCase.drop_generator`) is a value change
-too. Its map is its base object's map with the unit switched off: the
-unit keeps its columns and rows, injects no p, and the map holds its
-control row at q = 0, whatever the ControlMode, under the key None (a
-load's). So a base and its outages share J's structure, CSC template
-and LU column order, and B′'s LU (IndexMap.dc); MATPOWER keeps an
-out-of-service unit's row the same way (GEN_STATUS 0). Keys and index
-lists stay in the outage's own numbering.
+An out-of-service generator (`Generator.in_service`) is a value change
+too. A case's map is the map of its structure, every unit in service,
+with each out-of-service unit switched off (`_switched_off`): the unit
+keeps its columns and rows, injects no p, and the map holds its control
+row at q = 0, whatever the ControlMode, under the key None (a load's).
+MATPOWER keeps an out-of-service unit's row the same way (GEN_STATUS
+0). A generator outage (`NetworkCase.drop_generator`) takes its
+structure's map from its base, so a base and its outages share J's
+structure, CSC template and LU column order, and B′'s LU (IndexMap.dc).
+Keys and index lists stay in the case's numbering, which an outage
+leaves as it is.
 """
 
 from __future__ import annotations
@@ -295,91 +298,89 @@ def controlled_devices(idx: IndexMap):
 def build_index(case: NetworkCase) -> IndexMap:
     """The case's index map, built by the first call, complete with J's
     structure and B′'s LU, and kept on the case as `_layout`, an attribute
-    that is no field, so `dataclasses.replace` drops it. An outage from
-    `NetworkCase.drop_generator` gets its base's map with the unit
-    switched off (`_switched_off`) when that is a change of values alone;
-    one that leaves a remote group empty gets a map of its own."""
+    that is no field, so `dataclasses.replace` drops it. It is the map of
+    the case's structure with its out-of-service units switched off
+    (`_switched_off`); an outage from `NetworkCase.drop_generator` takes
+    the structure's map from its base (`_base`)."""
     idx = case.__dict__.get("_layout")
     if idx is None:
-        base, hit = case.__dict__.get("_dropped_from", (None, None))
-        # each remote group must have lost the unit at most
-        if base is not None and [g.members for g in case.remote_groups] == [
-                tuple(m - (m > hit) for m in g.members if m != hit)
-                for g in base.remote_groups]:
-            idx = _switched_off(build_index(base), case, hit)
+        base = case.__dict__.get("_base")
+        if base is not None:
+            lay = build_index(base)
         else:
-            idx = _build(case)
-            idx.jac, idx.dc = _jacobian_structure(idx), _b_prime(idx)
+            lay = _build(case)
+            lay.jac, lay.dc = _jacobian_structure(lay), _b_prime(lay)
+        idx = _switched_off(lay, case)
         object.__setattr__(case, "_layout", idx)
     return idx
 
 
-def _switched_off(lay: IndexMap, case: NetworkCase, hit: int):
-    """The map of case, the outage of generator hit of lay's case, on lay:
-    the unit's injector row injects no p and its key is None, which holds
-    its control row at q = 0 (`_controls`) and its member row at 0 (no
-    factor, limits 0). It leaves the distributed-slack members, whose
-    surplus slots it keeps in J at 0, and the slack's schedule. Every key
-    and index list is in case's numbering. Shares lay's arrays, J
-    structure and B′ LU, but not the ControlMode cache `last`, whose
-    keys would leave the unit on."""
+def _switched_off(lay: IndexMap, case: NetworkCase) -> IndexMap:
+    """lay, a map of case's structure, with case's out-of-service units
+    switched off; lay itself when every unit is in service. A unit's
+    injector row injects no p and its key is None, which holds its
+    control row at q = 0 (`_controls`) and its member row at 0 (limits
+    0); its group's factors are renormalised over the members in service,
+    and a group with none left has factors 0, which holds its request at
+    0. The unit leaves the distributed-slack members, whose surplus slots
+    it keeps in J at 0, and the slack units. A unit that lay switched off
+    already (the base's, for an outage) stays off. Shares lay's arrays, J
+    structure and B′ LU, but not the ControlMode cache `last`, whose keys
+    would leave the units on."""
+    gens = case.generators
+    off = {("gen", i) for i, g in enumerate(gens) if not g.in_service}
+    if not off:
+        return lay
     t, r = lay.inj, lay.rows
-
-    def renumbered(k):
-        if k is None or k[0] != "gen":
-            return k
-        return None if k[1] == hit else ("gen", k[1] - (k[1] > hit))
-
-    def kept(idx_list):
-        return [i - (i > hit) for i in idx_list if i != hit]
-
-    members = [t.keys[m][1] for m in t.members]
-    keys = [renumbered(k) for k in t.keys]
-    p, kappa = t.p, t.kappa
-    member_min, member_max = t.member_min, t.member_max
-    agc_at, agc_pos = t.agc_at, t.agc_pos
-    agc = [lay.agc_kappa, lay.agc_lo, lay.agc_hi]
-    if ("gen", hit) in t.keys:
-        row = t.keys.index(("gen", hit))
-        p = p.copy()
-        p[row] = 0.0
-        if hit in members:
-            m = members.index(hit)
-            factors = [f for g in case.remote_groups for f in g.factors]
-            kappa = np.array(factors[:m] + [0.0] + factors[m:], dtype=float)
-            member_min, member_max = member_min.copy(), member_max.copy()
-            member_min[m] = member_max[m] = 0.0
-        if hit in lay.agc_member_idx:
-            k = lay.agc_member_idx.index(hit)
-            agc = [np.delete(a, k) for a in agc]
-            on = agc_at != row
-            agc_at, agc_pos = agc_at[on], agc_pos[on]
-            agc_pos = agc_pos - (agc_pos > k)
-    v_set = r.v_set.copy()
-    v_set[len(v_set) - len(t.spans):] = [g.v_set for g in case.remote_groups]
-    slack_gen_idx = kept(lay.slack_gen_idx)
-    slack_v_set = case.buses[lay.slack_pos].v_init_real
-    if slack_gen_idx:
-        slack_v_set = case.generators[slack_gen_idx[0]].v_set
+    keys = [None if k in off else k for k in t.keys]
+    p = t.p.copy()
+    p[[row for row, k in enumerate(t.keys) if k in off]] = 0.0
+    gone = np.array([keys[m] is None for m in t.members], dtype=bool)
+    kappa = t.kappa.copy()
+    for a, b in t.spans:
+        if gone[a:b].any():
+            kappa[a:b][gone[a:b]] = 0.0
+            if kappa[a:b].any():
+                kappa[a:b] /= kappa[a:b].sum()
+    # the distributed-slack members left, and their new positions
+    on = [k for k, i in enumerate(lay.agc_member_idx) if gens[i].in_service]
+    at = np.full(len(lay.agc_member_idx), -1, dtype=np.intp)
+    at[on] = np.arange(len(on))
+    live = at[t.agc_pos] >= 0
     return replace(
         lay,
         last=None,
-        q_col={k: c for k, c in zip(map(renumbered, lay.q_col),
-                                    lay.q_col.values()) if k is not None},
-        local_gen_idx=kept(lay.local_gen_idx),
-        agc_member_idx=kept(lay.agc_member_idx),
-        slack_gen_idx=slack_gen_idx,
-        slack_p_sched=sum(case.generators[i].p_g for i in slack_gen_idx),
-        slack_v_set=slack_v_set,
-        inj=replace(t, keys=keys, p=p, agc_at=agc_at, agc_pos=agc_pos,
-                    member_min=member_min, member_max=member_max,
+        q_col={k: c for k, c in lay.q_col.items() if k not in off},
+        local_gen_idx=[i for i in lay.local_gen_idx if gens[i].in_service],
+        agc_member_idx=[lay.agc_member_idx[k] for k in on],
+        **_slack(case, [i for i in lay.slack_gen_idx if gens[i].in_service],
+                 lay.slack_pos),
+        inj=replace(t, keys=keys, p=p, agc_at=t.agc_at[live],
+                    agc_pos=at[t.agc_pos[live]],
+                    member_min=np.where(gone, 0.0, t.member_min),
+                    member_max=np.where(gone, 0.0, t.member_max),
                     kappa=kappa),
-        rows=replace(r, keys=[renumbered(k) for k in r.keys], v_set=v_set),
-        agc_kappa=agc[0], agc_lo=agc[1], agc_hi=agc[2])
+        rows=replace(r, keys=[None if k in off else k for k in r.keys]),
+        agc_kappa=lay.agc_kappa[on], agc_lo=lay.agc_lo[on],
+        agc_hi=lay.agc_hi[on])
+
+
+def _slack(case: NetworkCase, slack_gen_idx: list, slack_pos: int) -> dict:
+    """The slack units' IndexMap fields: their indices, their scheduled p,
+    and the slack's setpoint, the first unit's, or the bus's initial
+    voltage when there is none."""
+    gens = case.generators
+    v_set = case.buses[slack_pos].v_init_real
+    if slack_gen_idx:
+        v_set = gens[slack_gen_idx[0]].v_set
+    return dict(slack_gen_idx=slack_gen_idx,
+                slack_p_sched=sum(gens[i].p_g for i in slack_gen_idx),
+                slack_v_set=v_set)
 
 
 def _build(case: NetworkCase) -> IndexMap:
-    """A new index map of the case (see the module docstring)."""
+    """A new index map of the case's structure, every unit in service (see
+    the module docstring)."""
     bus_pos = case.bus_index()
     slack_pos = bus_pos[case.slack_bus().id]
     slack_bus, gens = case.buses[slack_pos].id, case.generators
@@ -421,9 +422,6 @@ def _build(case: NetworkCase) -> IndexMap:
     f_rows = np.concatenate((at, at + 1, inj.vr_c, inj.vi_c, rows.cols,
                              inj.m_cols))
     agc_gens = [gens[i] for i in agc_member_idx]
-    slack_v_set = case.buses[slack_pos].v_init_real
-    if slack_gen_idx:
-        slack_v_set = gens[slack_gen_idx[0]].v_set
     return IndexMap(
         bus_ids=[bus.id for bus in case.buses],
         bus_pos=bus_pos,
@@ -435,9 +433,7 @@ def _build(case: NetworkCase) -> IndexMap:
         dim=dim,
         local_gen_idx=local_gen_idx,
         agc_member_idx=agc_member_idx,
-        slack_gen_idx=slack_gen_idx,
-        slack_p_sched=sum(gens[i].p_g for i in slack_gen_idx),
-        slack_v_set=slack_v_set,
+        **_slack(case, slack_gen_idx, slack_pos),
         **net,
         taps=taps,
         inj=inj,
@@ -634,7 +630,8 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     x[1:n:2] = [bus.v_init_imag for bus in case.buses]
     if index.dps_col is not None:
         x[index.dps_col] = (sum(ld.p for ld in case.loads)
-                            - sum(g.p_g for g in case.generators)
+                            - sum(g.p_g for g in case.generators
+                                  if g.in_service)
                             ) / (1.0 + index.agc_kappa.sum())
     if ctl.device_modes or ctl.fixed_q or ctl.group_modes:
         ctl = replace(ctl, device_modes={}, fixed_q={}, group_modes={})
@@ -793,10 +790,12 @@ def _controls(ctl: ControlMode, idx: IndexMap) -> _Controls:
         return idx.last[1]
     r, t = idx.rows, idx.inj
     G, L, n = r.n_gens, r.n_local, len(r.keys)
-    # a switched-off unit (key None) holds 0, whatever ctl says
+    # a switched-off unit (key None) holds 0, whatever ctl says, and so
+    # does a group with no member in service (factors 0), by its limits 0
     modes = ([FIXED_Q if k is None else ctl.device_modes.get(k, SIGMOID)
               for k in r.keys]
-             + [ctl.group_modes.get(gi, SIGMOID) for gi in range(len(t.spans))])
+             + [ctl.group_modes.get(gi, SIGMOID) if t.kappa[a:b].any()
+                else SIGMOID for gi, (a, b) in enumerate(t.spans)])
     fixed_v = np.array([m == FIXED_V for m in modes], dtype=bool)
     # local devices and taps take FIXED_Q, and a snapped shunt holds its b
     fixed_q = np.zeros(len(modes), dtype=bool)
@@ -1150,7 +1149,7 @@ class _JacobianStructure:
         factored in its NATURAL order it gives the LU, pivots and solution
         bits that J gives with perm_c, and J x = b becomes permuted
         y = b[inv], x[inv] = y. SuperLU prefers the diagonal of Pc' A Pc
-        as pivot, so the rows are renumbered with the columns; and its
+        as pivot, so the rows take the columns' new numbers; and its
         column search visits a column's rows in stored order, so each
         column keeps J's row order (unsorted in the new numbering)."""
         inv = np.argsort(perm_c)

@@ -184,7 +184,7 @@ def write_trace(path: str, rows) -> None:
 def _apply_contingency(case: NetworkCase, spec: str) -> NetworkCase:
     kind, _, bus = spec.partition(":")
     if kind != "drop-gen":
-        raise click.UsageError(
+        raise ValueError(
             f"unknown contingency {spec!r}; expected drop-gen:<bus-id>")
     try:
         bus_id = int(bus)

@@ -211,7 +211,8 @@ def _unbounded_control(index: IndexMap, base: ControlMode) -> ControlMode:
     first control row regulating a bus holds its voltage; a second local
     device there would duplicate that row, so it is pinned mid-range,
     and a second tap keeps its mode. Every group holds its bus. A
-    switched-off unit's row (key None) holds 0 and regulates nothing."""
+    switched-off unit's row (key None) holds 0 and regulates nothing, and
+    so does a group with no member in service (`circuit_stamps._controls`)."""
     modes, fixed_q = dict(base.device_modes), dict(base.fixed_q)
     rows, held = index.rows, set()
     for key, pos, lo, hi in zip(rows.keys, rows.pos.tolist(), rows.lo.tolist(),

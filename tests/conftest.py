@@ -3,6 +3,7 @@
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from splitflow import (
     serialize_native,
 )
 import splitflow.nr_solver as nr_solver
-from splitflow.case_model import TapControl
+from splitflow.case_model import TapControl, _infer_remote_groups
 from splitflow.circuit_stamps import StateVector, assemble, residual
 
 CASE_DIR = pathlib.Path(__file__).parent / "cases"
@@ -67,6 +68,46 @@ def bundled_matpower():
 @pytest.fixture(scope="session")
 def bundled_native():
     return {name: load_native(name) for name in NATIVE_CASES}
+
+
+def without_out_of_service(case):
+    """The case with its out-of-service generators deleted, the oracle a
+    switched-off unit is checked against: every later generator is
+    renumbered; remote groups inferred from the generators are inferred
+    again from those left, and given ones lose the deleted members, are
+    re-indexed and renormalised to sum to 1, and are dropped when left
+    empty."""
+    keep = {i: k for k, i in enumerate(
+        i for i, g in enumerate(case.generators) if g.in_service)}
+    gens = tuple(case.generators[i] for i in keep)
+    groups = []
+    if case.remote_groups != _infer_remote_groups(case.generators,
+                                                  case.bus_index()):
+        for grp in case.remote_groups:
+            kept = [(keep[m], f) for m, f in zip(grp.members, grp.factors)
+                    if m in keep]
+            if len(kept) < len(grp.members):
+                total = sum(f for _, f in kept)
+                kept = [(m, f / total) for m, f in kept]
+            if kept:
+                members, factors = zip(*kept)
+                groups.append(replace(grp, members=members, factors=factors))
+    return replace(case, generators=gens, remote_groups=tuple(groups))
+
+
+def in_case_numbering(lines, case):
+    """Summary lines of `without_out_of_service(case)` with each region
+    line's generator index turned back into case's, sorted."""
+    keep = [i for i, g in enumerate(case.generators) if g.in_service]
+
+    def renamed(line):
+        name, _, rest = line.partition(":")
+        parts = name.split(".")
+        if parts[0] == "region" and parts[1] in ("gen", "agc"):
+            return f"region.{parts[1]}.{keep[int(parts[2])]}:{rest}"
+        return line
+
+    return sorted(map(renamed, lines))
 
 
 def series_gb(r, x):

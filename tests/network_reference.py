@@ -55,7 +55,8 @@ def power_mismatch(case, state, tap_ratio=None, shunt_b=None):
 
     S_i = V_i conj(sum_j Y_ij V_j). Injections are read from the state:
     generator active power as scheduled, generator and switched-shunt
-    reactive power and tap ratios from their columns. tap_ratio and
+    reactive power and tap ratios from their columns; an out-of-service
+    unit injects nothing. tap_ratio and
     shunt_b give the values of snapped taps and shunts, used in place of
     their columns; a snapped shunt is an admittance on the diagonal.
     """
@@ -71,6 +72,8 @@ def power_mismatch(case, state, tap_ratio=None, shunt_b=None):
         Y[pos[case.shunts[j].bus], pos[case.shunts[j].bus]] += complex(0.0, b)
     injection = np.zeros(len(case.buses), dtype=complex)
     for i, g in enumerate(case.generators):
+        if not g.in_service:
+            continue
         col = idx.q_col.get(("gen", i))
         q = state.x[col] if col is not None else 0.0
         injection[pos[g.bus]] += complex(g.p_g, q)

@@ -24,6 +24,8 @@ from tests.conftest import (
     load_matpower,
     load_native,
     remote_pair_case,
+    three_bus_pv_case,
+    without_out_of_service,
     zero_factor_remote_pair_text,
 )
 
@@ -107,12 +109,17 @@ class TestMatpower:
         with pytest.raises(CaseParseError, match="phase-shifting"):
             parse_matpower(text)
 
-    def test_out_of_service_rows_skipped(self):
+    def test_out_of_service_row_kept_switched_off(self):
+        # a GEN_STATUS 0 row is an out-of-service unit, which needs no
+        # control role on its PQ bus and no p_g within its limits (10 MW
+        # against p_max 5); the rest is the text without the row
         text = TWO_BUS_M.replace("mpc.gen = [\n    1 50 0 90 -90 1.0 100 1 200 0;",
                                  "mpc.gen = [\n    1 50 0 90 -90 1.0 100 1 200 0;\n"
-                                 "    2 10 0 90 -90 1.0 100 0 200 0;")
+                                 "    2 10 0 90 -90 1.0 100 0 5 0;")
         case = parse_matpower(text)
-        assert len(case.generators) == 1
+        assert [g.in_service for g in case.generators] == [True, False]
+        assert replace(case, generators=case.generators[:1]) == \
+            parse_matpower(TWO_BUS_M)
 
     def test_determinism(self):
         assert parse_matpower(TWO_BUS_M) == parse_matpower(TWO_BUS_M)
@@ -177,6 +184,18 @@ class TestNative:
         doc["generators"][0]["p_g"] = "7.5"
         with pytest.raises(CaseParseError, match=re.escape(
                 "generators[0].p_g: expected a number, got str")):
+            parse_native(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [0, "false", None])
+    def test_in_service_is_a_boolean(self, value):
+        # generator 1 is a remote-group member on a pq bus
+        doc = json.loads(serialize_native(remote_pair_case()))
+        doc["generators"][1]["in_service"] = False
+        assert not parse_native(json.dumps(doc)).generators[1].in_service
+        doc["generators"][1]["in_service"] = value
+        with pytest.raises(CaseParseError, match=re.escape(
+                "generators[1].in_service: expected a boolean, got "
+                f"{type(value).__name__}")):
             parse_native(json.dumps(doc))
 
     @pytest.mark.parametrize("keys,message", [
@@ -315,12 +334,29 @@ class TestValidate:
         assert any("no local generator" in d for d in validate(case))
 
     def test_drop_generator_contingency(self):
+        # the unit is switched off in place; nothing else changes
         case = load_native("savnw_like")
         dropped = case.drop_generator(211)
-        assert len(dropped.generators) == 5
-        assert all(g.bus != 211 for g in dropped.generators)
-        with pytest.raises(CaseValidationError):
-            case.drop_generator(999)
+        assert len(dropped.generators) == 6
+        assert [g.bus for g in dropped.generators if not g.in_service] == [211]
+        assert dropped.generators[3] == replace(case.generators[3],
+                                                in_service=False)
+        assert dropped.remote_groups == case.remote_groups
+
+    @pytest.mark.parametrize("bus", [211, 999])
+    def test_drop_at_a_bus_with_no_unit_in_service(self, bus):
+        # savnw_like has one unit at bus 211, none at bus 999
+        dropped = load_native("savnw_like").drop_generator(211)
+        with pytest.raises(CaseValidationError,
+                           match=f"no in-service generator at bus {bus} "):
+            dropped.drop_generator(bus)
+
+    def test_pv_bus_whose_only_generator_is_out_of_service(self):
+        case = three_bus_pv_case()
+        off = replace(case, generators=(
+            replace(case.generators[0], in_service=False),))
+        assert validate(case) == []
+        assert validate(off) == ["pv bus 2 has no local generator"]
 
 
 SLACK_GEN = Generator(1, 0.0, 1.0, -1.0, 1.0, 0.0, 2.0)
@@ -343,21 +379,33 @@ def given_groups(factors):
 
 
 class TestDropGeneratorKeepsRemoteGroups:
-    def test_given_group_re_indexed_past_the_dropped_unit(self):
-        dropped = given_groups((0.6, 0.4)).drop_generator(1)
-        assert dropped.remote_groups == (
-            RemoteControlGroup(4, 1.03, (0, 1), (0.6, 0.4)),)
-        assert validate(dropped) == []
+    """An outage keeps its remote groups as they are; its map renormalises
+    the factors over the members in service. `without_out_of_service`,
+    the unit deleted, re-derives the groups instead."""
 
-    def test_given_group_member_left_out_and_renormalised(self):
-        dropped = given_groups((0.5, 0.3, 0.2)).drop_generator(2)
-        (grp,) = dropped.remote_groups
+    def test_given_group_kept_past_the_dropped_unit(self):
+        base = given_groups((0.6, 0.4))
+        dropped = base.drop_generator(1)
+        assert dropped.remote_groups == base.remote_groups == (
+            RemoteControlGroup(4, 1.03, (1, 2), (0.6, 0.4)),)
+        assert validate(dropped) == []
+        assert build_index(dropped).inj.kappa.tolist() == [0.6, 0.4]
+        assert without_out_of_service(dropped).remote_groups == (
+            RemoteControlGroup(4, 1.03, (0, 1), (0.6, 0.4)),)
+
+    def test_given_group_member_switched_off_and_renormalised(self):
+        base = given_groups((0.5, 0.3, 0.2))
+        dropped = base.drop_generator(2)
+        assert dropped.remote_groups == base.remote_groups
+        assert validate(dropped) == []
+        kappa = build_index(dropped).inj.kappa
+        assert kappa.tolist() == pytest.approx([0.0, 0.6, 0.4], abs=1e-15)
+        assert kappa.sum() == pytest.approx(1.0, abs=1e-15)
+        (grp,) = without_out_of_service(dropped).remote_groups
         assert grp.members == (1, 2)
         assert grp.factors == pytest.approx((0.6, 0.4), abs=1e-15)
-        assert sum(grp.factors) == pytest.approx(1.0, abs=1e-15)
-        assert validate(dropped) == []
 
-    def test_given_group_left_empty_is_dropped(self):
+    def test_given_group_left_empty_is_kept_with_factors_0(self):
         # a 3-bus case whose one-member group controls bus 3
         case = NetworkCase(
             s_base=100.0,
@@ -368,21 +416,31 @@ class TestDropGeneratorKeepsRemoteGroups:
                         Generator(2, 0.6, 1.02, -0.4, 0.4, 0.0, 1.0)),
             loads=(Load(3, 0.9, 0.3),),
             remote_groups=(RemoteControlGroup(3, 1.02, (1,), (1.0,)),))
-        assert case.drop_generator(1).remote_groups == (
-            RemoteControlGroup(3, 1.02, (0,), (1.0,)),)
-        assert case.drop_generator(2).remote_groups == ()
+        for bus, kappa in ((1, [1.0]), (2, [0.0])):
+            dropped = case.drop_generator(bus)
+            assert dropped.remote_groups == case.remote_groups
+            assert build_index(dropped).inj.kappa.tolist() == kappa
+        assert without_out_of_service(case.drop_generator(1)).remote_groups \
+            == (RemoteControlGroup(3, 1.02, (0,), (1.0,)),)
+        assert without_out_of_service(case.drop_generator(2)).remote_groups \
+            == ()
 
     @pytest.mark.parametrize("bus", [1, 2, 3])
-    def test_inferred_groups_inferred_again(self, bus):
+    def test_inferred_groups_kept_and_inferred_again_without_the_unit(
+            self, bus):
         base = remote_pair_case()
         case = replace(base, generators=(SLACK_GEN, *base.generators),
                        remote_groups=())
         assert case.remote_groups[0].members == (1, 2)
         dropped = case.drop_generator(bus)
-        again = replace(dropped, remote_groups=())
-        assert dropped.remote_groups == again.remote_groups
+        assert dropped.remote_groups == case.remote_groups
+        assert build_index(dropped).inj.kappa.tolist() == pytest.approx(
+            {1: [0.6, 0.4], 2: [0.0, 1.0], 3: [1.0, 0.0]}[bus], abs=1e-15)
+        deleted = without_out_of_service(dropped)
+        again = replace(deleted, remote_groups=())
+        assert deleted.remote_groups == again.remote_groups
         members = {1: (0, 1), 2: (1,), 3: (1,)}[bus]
-        assert dropped.remote_groups[0].members == members
+        assert deleted.remote_groups[0].members == members
 
 
 def without_remote_bus(case):

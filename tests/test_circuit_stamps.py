@@ -11,6 +11,7 @@ from splitflow import (
     NetworkCase,
     SingularPointError,
     SwitchedShunt,
+    parse_matpower,
 )
 import splitflow.circuit_stamps as circuit_stamps
 import splitflow.nr_solver as nr_solver
@@ -33,10 +34,12 @@ from splitflow.circuit_stamps import (
 from splitflow.homotopy_driver import _unbounded_control, run_homotopy
 from splitflow.nr_solver import SolverOptions, nr_solve
 from tests.conftest import (
+    CASE_DIR,
     MATPOWER_CASES,
     NATIVE_CASES,
     as_array,
     assert_jacobian_matches,
+    in_case_numbering,
     load_matpower,
     load_native,
     lossless_agc_case,
@@ -49,6 +52,7 @@ from tests.conftest import (
     tapped_case,
     three_bus_pv_case,
     two_bus_case,
+    without_out_of_service,
 )
 
 OPTS = SolverOptions()
@@ -845,16 +849,17 @@ class TestOneMapPerCase:
 
 def outage_pair(base, bus, method="none"):
     """The outage of the first generator at bus solved on its base's
-    layout, and again on a map of its own (`replace` drops the link to
-    the base), by `run_continuous`."""
+    layout, and its oracle, the unit deleted (`without_out_of_service`)
+    on a map of its own, by `run_continuous`."""
     out = base.drop_generator(bus)
     return (run_continuous(out, OPTS, method=method),
-            run_continuous(replace(out), OPTS, method=method))
+            run_continuous(without_out_of_service(out), OPTS, method=method))
 
 
 def assert_same_solve(shared, fresh):
     """Both converged, in the same NR iterations, to voltages within 1e-9
-    pu, with the same summary but for final_residual."""
+    pu, with the same summary but for final_residual, fresh's generators
+    numbered as shared's case numbers them."""
     nv = fresh.state.index.voltage_dim()
     assert shared.report.converged and fresh.report.converged
     assert shared.report.iterations == fresh.report.iterations
@@ -864,7 +869,8 @@ def assert_same_solve(shared, fresh):
         return [line for line in summary_lines(result)
                 if not line.startswith("final_residual:")]
 
-    assert lines(shared) == lines(fresh)
+    assert sorted(lines(shared)) == in_case_numbering(lines(fresh),
+                                                      shared.case)
 
 
 class TestOutageLayout:
@@ -897,25 +903,26 @@ class TestOutageLayout:
         assert a.jac is base._layout.jac and b.jac is other._layout.jac
         assert a.jac is not b.jac and a.dc is not b.dc
         # with no link to a base, the outage builds a complete map of its
-        # own, one unknown smaller, and keeps it
+        # own, its structure's with the unit switched off, and keeps it
         alone = replace(base.drop_generator(94))
         fresh = flat_start(alone, ctl).index
-        assert fresh is alone._layout and fresh.dim == a.dim - 1
+        assert fresh is alone._layout and fresh.dim == a.dim
+        assert fresh.q_col == a.q_col and fresh.inj.keys == a.inj.keys
         assert fresh.jac.indptr.size == fresh.dim + 1 and fresh.dc
         assert fresh.jac is not a.jac and fresh.dc is not a.dc
 
     def test_switched_off_unit_keeps_its_columns_and_holds_zero(self):
         # generator 1 is local; the outage keeps its q column, whose row
-        # holds q = 0 under any ControlMode the outage's keys can name
+        # holds q = 0 under any ControlMode, its own key's included
         base = load_matpower("case9")
         out = base.drop_generator(base.generators[1].bus)
         idx = build_index(out)
         lay = base._layout
         col = lay.q_col[("gen", 1)]
         assert idx.dim == lay.dim and col not in idx.q_col.values()
-        assert idx.q_col == {("gen", 1): lay.q_col[("gen", 2)]}
-        assert idx.local_gen_idx == [1] and idx.slack_gen_idx == [0]
-        assert [key for key, *_ in controlled_devices(idx)] == [("gen", 1)]
+        assert idx.q_col == {("gen", 2): lay.q_col[("gen", 2)]}
+        assert idx.local_gen_idx == [2] and idx.slack_gen_idx == [0]
+        assert [key for key, *_ in controlled_devices(idx)] == [("gen", 2)]
         state = flat_start(out, ControlMode())
         assert state.x[col] == 0.0
         state.x[col] = 0.7
@@ -929,21 +936,23 @@ class TestOutageLayout:
             assert residual(state, ctl)[col] == 0.7
 
     def test_dropped_member_leaves_its_group_and_the_slack_members(self):
-        # generator 1 is the first member of the remote group of 2, whose
-        # setpoint it sets; dropping it is a value change, and generator
-        # 2 sets the group's setpoint, as on a map of its own
+        # generator 1 is the first member of the remote group of 2, and
+        # generator 0 the one distributed-slack member: dropping either is
+        # a value change on the arrays the base's map holds
         base = full_configuration_case()
-        base = replace(base, remote_groups=(), generators=(
-            *base.generators[:2], replace(base.generators[2], v_set=1.03)))
         out = base.drop_generator(3)
-        idx = build_index(out)
-        assert idx.jac is base._layout.jac
+        idx, lay = build_index(out), base._layout
+        assert idx.jac is lay.jac and idx.rows.v_set is lay.rows.v_set
         assert idx.inj.kappa.tolist() == [0.0, 1.0]
-        assert idx.rows.v_set[-1] == 1.03
+        assert idx.inj.member_min.tolist() == [0.0, -1.0]
         assert [key for key, *_ in controlled_devices(idx)] == [
-            ("gen", 0), ("tap", 4), ("gen", 1)]
+            ("gen", 0), ("tap", 4), ("gen", 2)]
         for method in ("none", "tx", "q-limit", "p-limit"):
             assert_same_solve(*outage_pair(base, 3, method))
+        idx = build_index(base.drop_generator(2))
+        assert lay.agc_member_idx == [0] and idx.agc_member_idx == []
+        assert len(idx.inj.agc_at) == len(idx.agc_kappa) == 0
+        assert idx.jac is lay.jac
 
     @pytest.mark.parametrize("method", ["none", "q-limit", "composite"])
     def test_switched_off_unit_regulates_nothing(self, method):
@@ -953,27 +962,73 @@ class TestOutageLayout:
         base = replace(full_configuration_case(),
                        shunts=(SwitchedShunt(2, -0.5, 0.5, 0.1, 1.02),))
         out = base.drop_generator(2)
+        deleted = without_out_of_service(out)
         assert _unbounded_control(build_index(out), ControlMode()) == \
-            _unbounded_control(build_index(replace(out)), ControlMode())
+            _unbounded_control(build_index(deleted), ControlMode())
         assert_same_solve(*outage_pair(base, 2, method))
 
-    def test_outage_that_empties_a_remote_group_takes_a_map_of_its_own(self):
+    @pytest.mark.parametrize("method", ["none", "q-limit", "composite"])
+    def test_outage_that_empties_a_remote_group_shares_its_base_map(
+            self, method):
         # with generator 2 local, generator 1 is its group's only member:
-        # its outage drops the group, and with it a column of the pattern
+        # its outage keeps the group, whose factors are 0, and holds its
+        # request at 0 whatever the group's mode (q-limit's unbounded
+        # init holds every group's bus)
         base = full_configuration_case()
         base = replace(base, remote_groups=(), generators=(
             *base.generators[:2], replace(base.generators[2], remote_bus=None)))
         assert len(base.remote_groups) == 1
         out = base.drop_generator(3)
-        assert out.remote_groups == ()
+        assert out.remote_groups == base.remote_groups
         idx = build_index(out)
-        assert idx is out._layout and "_layout" not in base.__dict__
-        assert idx.jac.indptr.size == idx.dim + 1
-        lay = build_index(base)
-        assert idx.dim == lay.dim - 2 and idx.jac is not lay.jac
-        shared, fresh = outage_pair(base, 3)
-        assert shared.report.converged
+        assert idx is out._layout and idx.jac is base._layout.jac
+        assert idx.dim == base._layout.dim and idx.inj.kappa.tolist() == [0.0]
+        request = idx.qreq_col[0]
+        for ctl in (ControlMode(), _unbounded_control(idx, ControlMode())):
+            state = flat_start(out, ctl)
+            state.x[request] = 0.7
+            assert residual(state, ctl)[request] == 0.7
+        shared, fresh = outage_pair(base, 3, method)
+        assert shared.state.x[request] == 0.0
         assert_same_solve(shared, fresh)
+
+    def test_n_2_outage_shares_the_root_base_map(self):
+        # an outage of an outage switches both units off on the root
+        # base's map, and solves as the case with both units deleted
+        base = replace(load_matpower("case118"), agc_enabled=True)
+        out = base.drop_generator(94).drop_generator(12)
+        assert out._base is base
+        assert [g.bus for g in out.generators if not g.in_service] == [12, 94]
+        idx = build_index(out)
+        assert idx.jac is base._layout.jac and idx.dc is base._layout.dc
+        assert len(idx.local_gen_idx) == len(base._layout.local_gen_idx) - 2
+        assert_same_solve(run_continuous(out, OPTS),
+                          run_continuous(without_out_of_service(out), OPTS))
+
+    @pytest.mark.parametrize("method", ["none", "composite"])
+    def test_status_0_row_solves_as_the_text_without_it(self, method):
+        # case9 with a second unit at bus 2, out of service (GEN_STATUS
+        # 0): the parsed case's map switches it off, as an outage's does
+        text = (CASE_DIR / "case9.m").read_text()
+        row = "\t2\t163\t6.54\t300\t-300\t1.025\t100\t1\t300\t10;"
+        case = parse_matpower(text.replace(row, row + row.replace(
+            "\t100\t1\t", "\t100\t0\t")))
+        assert [g.in_service for g in case.generators] == [
+            True, True, False, True]
+        plain = parse_matpower(text)
+        assert without_out_of_service(case) == plain
+        idx = build_index(case)
+        assert idx.dim == build_index(plain).dim + 1
+        assert ("gen", 2) not in idx.q_col
+        a = run_continuous(case, OPTS, method=method)
+        b = run_continuous(plain, OPTS, method=method)
+        nv = idx.voltage_dim()
+        assert a.report.converged and b.report.converged
+        assert np.abs(a.state.x[:nv] - b.state.x[:nv]).max() < 1e-9
+        # an outage of that case keeps the status-0 unit off on its map
+        out = case.drop_generator(3)
+        assert build_index(out).jac is idx.jac
+        assert_same_solve(*outage_pair(case, 3, method))
 
     @pytest.mark.parametrize("base_solved", [False, True])
     def test_case118_outages_solve_as_on_maps_of_their_own(self, base_solved):

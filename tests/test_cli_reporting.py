@@ -251,6 +251,24 @@ def test_contingency_bus_id_not_an_integer_is_input_error(spec):
             in result.stderr.splitlines())
 
 
+@pytest.mark.parametrize("spec", ["foo", "drop-branch:4", "drop-gen-2"])
+def test_unknown_contingency_kind_is_input_error(spec):
+    # one error line, as for a bad bus id, and no usage block
+    result = run("solve", CASE_DIR / "case9.m", "--contingency", spec)
+    assert_input_error(result)
+    assert result.stderr.splitlines() == [
+        f"error: unknown contingency {spec!r}; expected drop-gen:<bus-id>"]
+
+
+@pytest.mark.parametrize("bus", [5, 99])
+def test_contingency_at_a_bus_with_no_unit_is_input_error(bus):
+    # case9's bus 5 has a load and no generator; there is no bus 99
+    result = run("solve", CASE_DIR / "case9.m", "--contingency",
+                 f"drop-gen:{bus}")
+    assert_input_error(result)
+    assert f"no in-service generator at bus {bus} to drop" in result.stderr
+
+
 @pytest.mark.parametrize("option,value", [
     ("--max-iter", 0), ("--tol", -1), ("--tol", "nan"), ("--tol", "inf"),
     ("--smoothing", "nan"), ("--smoothing", "inf"), ("--smoothing", 0),

@@ -242,8 +242,9 @@ class TestPLimitRelaxation:
         assert relaxed.p_relax == 1.0
         dps = state.x[state.index.dps_col]
         assert dps > 0.0
-        # generators 0, 1 and 2 overshoot their headroom; member 4 does not
-        assert sorted(relaxed.p_extra) == [0, 1, 2]
+        # generators 0, 1 and 3 overshoot their headroom; member 5 does
+        # not, and generator 2 (bus 206) is out
+        assert sorted(relaxed.p_extra) == [0, 1, 3]
         for i, (lo, hi) in relaxed.p_extra.items():
             g = case.generators[i]
             dp_linear = g.agc_factor * dps
@@ -291,6 +292,8 @@ def _power_balance(case, state, ctl):
                   slack_participation(ctl, state.index, dps)[0].tolist()))
     gen_p = 0.0
     for i, g in enumerate(case.generators):
+        if not g.in_service:
+            continue
         if i in state.index.slack_gen_idx:
             gen_p += state.index.slack_p_sched + dps
         elif i in dp:

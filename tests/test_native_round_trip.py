@@ -1,6 +1,7 @@
 """parse_native(serialize_native(case)) == case over generated valid
-cases with taps, switched shunts, remote groups and distributed slack;
-a case whose remote groups inference would not give back is refused."""
+cases with taps, switched shunts, remote groups, distributed slack and
+out-of-service generators; a case whose remote groups inference would
+not give back is refused."""
 
 from dataclasses import replace
 
@@ -28,7 +29,8 @@ pos = st.floats(0.01, 10.0)
 
 
 @st.composite
-def generator(draw, bus, remote_bus=None, v_set=None):
+def generator(draw, bus, remote_bus=None, v_set=None, in_service=None):
+    """A generator at bus; in or out of service unless in_service says."""
     p_min = draw(num)
     p_max = p_min + draw(st.floats(0.0, 5.0))
     q_min = draw(num)
@@ -39,7 +41,8 @@ def generator(draw, bus, remote_bus=None, v_set=None):
         p_min=p_min, p_max=p_max,
         agc_factor=draw(st.sampled_from([0.0, 0.5]) | pos),
         remote_bus=remote_bus,
-        remote_factor=draw(pos) if remote_bus is not None else 0.0)
+        remote_factor=draw(pos) if remote_bus is not None else 0.0,
+        in_service=draw(st.booleans()) if in_service is None else in_service)
 
 
 @st.composite
@@ -74,7 +77,8 @@ def cases(draw):
                tap=draw(st.none() | tap()))
         for f, t in ends)
     gens = [draw(generator(1)) for _ in range(draw(st.integers(0, 2)))]
-    gens += [draw(generator(2 + k)) for k in range(n_pv)]
+    # a pv bus's one generator must be in service
+    gens += [draw(generator(2 + k, in_service=True)) for k in range(n_pv)]
     pq = list(range(2 + n_pv, n + 1))
     if len(pq) >= 2 and draw(st.booleans()):
         controlled, *others = pq

@@ -122,3 +122,9 @@ def test_generated_case_balances_power():
     state, report = run_homotopy(case, "composite", OPTS)
     assert report.converged
     assert power_mismatch(case, state).max() <= 1e-5
+
+
+def test_lu_probe_quartiles():
+    # a record's spread next to its median; one round is its own spread
+    assert lu_probe.quartiles([2.0]) == [2.0, 2.0]
+    assert lu_probe.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == [1.5, 4.5]

@@ -23,8 +23,9 @@ and as dense whatever `circuit_stamps.DENSE_MAX_DIM` says, then
 LAPACK. Dense is timed up to DENSE_PROBE_DIM unknowns. The stamp pass
 is `residual` at the flat start, F alone, with the network operator in
 the map's own representation. A round times a batch of calls of each
-kind in turn; the record holds the median per-call ms over the rounds,
-and each refill's fill (entries of L plus entries of U). BLAS runs on
+kind in turn; the record holds the median per-call ms over the rounds
+and its quartiles, so that one record tells a change from drift, and
+each refill's fill (entries of L plus entries of U). BLAS runs on
 one thread, as in perfbench.
 """
 
@@ -109,6 +110,15 @@ def refill(J, settings):
     return lambda: splu(s.permuted, **ordered)
 
 
+def quartiles(values):
+    """The first and third quartiles of values, rounded as the medians
+    are; a single value is both."""
+    if len(values) < 2:
+        return [round(values[0], 4)] * 2
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [round(q1, 4), round(q3, 4)]
+
+
 def probe(name, case, rounds):
     ctl = ControlMode()
     state = flat_start(case, ctl)
@@ -133,7 +143,8 @@ def probe(name, case, rounds):
             ms[key].append(1e3 * (time.perf_counter() - start) / reps[key])
     record = {"case": name, "dim": J.shape[0], "nnz": int(J.nnz)}
     for key in calls:
-        record[key] = {"ms": round(statistics.median(ms[key]), 4)}
+        record[key] = {"ms": round(statistics.median(ms[key]), 4),
+                       "ms_quartiles": quartiles(ms[key])}
     record.setdefault("dense", None)
     for key in SETTINGS:
         lu = calls[key]()
@@ -161,7 +172,8 @@ def main(argv=None):
                     f"{' '.join(map(str, args.sizes))} --rounds {args.rounds}"),
         "settings": SETTINGS,
         "method": (f"J at the flat start; per-call ms is the median over "
-                   f"{args.rounds} interleaved rounds, each timing a batch of "
+                   f"{args.rounds} interleaved rounds, ms_quartiles its first "
+                   "and third quartiles, each round timing a batch of "
                    f"at least {BATCH_S * 1e3:g} ms per kind of call: a refill "
                    "under each setting, whose fill is L.nnz + U.nnz, and J "
                    "emitted from the stamp pass as csc or as dense, then "
