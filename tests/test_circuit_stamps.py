@@ -849,9 +849,11 @@ class TestOneMapPerCase:
 
 def outage_pair(base, bus, method="none"):
     """The outage of the first generator at bus solved on its base's
-    layout, and its oracle, the unit deleted (`without_out_of_service`)
-    on a map of its own, by `run_continuous`."""
+    layout, J's structure and B′'s LU, and its oracle, the unit deleted
+    (`without_out_of_service`) on a map of its own, by `run_continuous`."""
     out = base.drop_generator(bus)
+    idx = build_index(out)
+    assert idx.jac is base._layout.jac and idx.dc is base._layout.dc
     return (run_continuous(out, OPTS, method=method),
             run_continuous(without_out_of_service(out), OPTS, method=method))
 
