@@ -18,17 +18,17 @@ a boolean; false is an out-of-service unit, MATPOWER's GEN_STATUS 0.
 Integer fields take integral numbers; a boolean or a string is no
 number. A key the schema does not name is an error, at the top level
 and in a record.
-Remote control groups are not stored: they are inferred from generators,
-so a case whose groups differ from the inferred ones cannot be written.
+Remote control groups are not stored: they are inferred from generators.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from collections import Counter
+from dataclasses import (MISSING, dataclass, field, fields, is_dataclass,
+                         replace)
 
 from .errors import CaseParseError, CaseValidationError
 
@@ -126,7 +126,8 @@ class SwitchedShunt:
 
 @dataclass(frozen=True)
 class RemoteControlGroup:
-    """Generators jointly regulating one remote bus voltage.
+    """Generators jointly regulating one remote bus voltage, inferred
+    from their remote_bus and remote_factor (`NetworkCase.remote_groups`).
 
     members are generator indices into NetworkCase.generators; factors
     are their participation shares, normalized to sum to 1.
@@ -140,6 +141,9 @@ class RemoteControlGroup:
 
 @dataclass(frozen=True)
 class NetworkCase:
+    """A power-flow case. remote_groups is no constructor argument: it is
+    inferred from the generators, also by `dataclasses.replace`."""
+
     s_base: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
@@ -147,7 +151,7 @@ class NetworkCase:
     loads: tuple[Load, ...]
     fixed_shunts: tuple[FixedShunt, ...] = ()
     shunts: tuple[SwitchedShunt, ...] = ()
-    remote_groups: tuple[RemoteControlGroup, ...] = ()
+    remote_groups: tuple[RemoteControlGroup, ...] = field(init=False)
     agc_enabled: bool = False
     name: str = ""
 
@@ -155,14 +159,10 @@ class NetworkCase:
         # normalize container types and infer remote groups from generator
         # rows whose regulated bus differs from their own
         for name in ("buses", "branches", "generators", "loads",
-                     "fixed_shunts", "shunts", "remote_groups"):
+                     "fixed_shunts", "shunts"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.remote_groups:
-            object.__setattr__(
-                self,
-                "remote_groups",
-                _infer_remote_groups(self.generators, self.bus_index()),
-            )
+        object.__setattr__(self, "remote_groups", _infer_remote_groups(
+            self.generators, self.bus_index()))
 
     def bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
@@ -175,8 +175,9 @@ class NetworkCase:
 
     def drop_generator(self, bus_id: int) -> "NetworkCase":
         """Case with the first in-service generator at bus_id switched off
-        (contingency). No index changes: the unit keeps its own and its
-        place in its remote group.
+        (contingency). No index changes: the unit keeps its own, and its
+        place in its remote group, which is inferred whatever in_service
+        says.
 
         The outage keeps the object whose map it shares as `_base`, an
         attribute that is no field, so `dataclasses.replace` drops it:
@@ -544,20 +545,7 @@ def parse_native(text: str, name: str = "") -> NetworkCase:
 
 
 def serialize_native(case: NetworkCase) -> str:
-    """Serialize to the native JSON format; parse_native round-trips it.
-
-    Raises ValueError, naming the first group that differs, when the
-    case's remote groups are not those inferred from its generators: the
-    format stores no groups, so the file would parse to another case."""
-    inferred = _infer_remote_groups(case.generators, case.bus_index())
-    for gi, (given, found) in enumerate(
-            itertools.zip_longest(case.remote_groups, inferred)):
-        if given != found:
-            grp = given or found
-            raise ValueError(
-                f"remote group {gi} (bus {grp.controlled_bus}) differs from "
-                f"the group inferred from the generators; the native format "
-                f"stores no remote groups")
+    """Serialize to the native JSON format; parse_native round-trips it."""
     doc = {
         "format_version": NATIVE_FORMAT_VERSION,
         "name": case.name,
@@ -573,29 +561,20 @@ def serialize_native(case: NetworkCase) -> str:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _islands(case: NetworkCase) -> list[set[int]]:
-    """Connected components over bus ids (BFS on the branch graph)."""
-    adj: dict[int, list[int]] = {b.id: [] for b in case.buses}
-    for br in case.branches:
-        if br.from_bus in adj and br.to_bus in adj:
-            adj[br.from_bus].append(br.to_bus)
-            adj[br.to_bus].append(br.from_bus)
-    seen: set[int] = set()
-    comps = []
-    for b in case.buses:
-        if b.id in seen:
-            continue
-        comp = {b.id}
-        queue = [b.id]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps
+def _islands(n: int, edges) -> list[int]:
+    """The island of each of n nodes, numbered in order of their first
+    node: a union-find over the edges (a, b), with path halving."""
+    parent = list(range(n))
+
+    def root(a):
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        return a
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    first: dict[int, int] = {}
+    return [first.setdefault(root(a), len(first)) for a in range(n)]
 
 
 def _non_finite(obj, where: str) -> list[str]:
@@ -660,7 +639,6 @@ def validate(case: NetworkCase) -> list[str]:
                 out.append(f"branch {i} tap step_size must be > 0")
 
     kind_of = {b.id: b.kind for b in case.buses}
-    members = {m for grp in case.remote_groups for m in grp.members}
     for i, g in enumerate(case.generators):
         if g.bus not in known:
             out.append(f"generator {i} references unknown bus {g.bus}")
@@ -679,8 +657,7 @@ def validate(case: NetworkCase) -> list[str]:
         if remote and g.remote_bus not in known:
             out.append(f"generator {i} remote bus {g.remote_bus} unknown")
         # an out-of-service unit needs no control role
-        if (g.in_service and not remote and i not in members
-                and kind_of[g.bus] == PQ):
+        if g.in_service and not remote and kind_of[g.bus] == PQ:
             out.append(f"generator {i} on PQ bus {g.bus} has no control role")
 
     for i, l in enumerate(case.loads):
@@ -701,9 +678,6 @@ def validate(case: NetworkCase) -> list[str]:
             out.append(f"shunt {i} v_set must be > 0")
 
     for gi, grp in enumerate(case.remote_groups):
-        if not grp.members:
-            out.append(f"remote group {gi} has no members")
-            continue
         if grp.controlled_bus not in known:
             out.append(f"remote group {gi} controls unknown bus {grp.controlled_bus}")
             continue
@@ -723,33 +697,30 @@ def validate(case: NetworkCase) -> list[str]:
                 f"remote group {gi} controls bus {grp.controlled_bus} which is "
                 f"{kind_of[grp.controlled_bus]}; remote-controlled buses must be pq"
             )
-        for m in grp.members:
-            if case.generators[m].bus == grp.controlled_bus:
-                out.append(
-                    f"remote group {gi} member generator {m} sits on the "
-                    f"controlled bus"
-                )
 
-    # one slack, one island
-    comps = _islands(case)
+    # one slack, one island; a bus id is one node, however often it occurs
+    node: dict[int, int] = {}
+    for b in case.buses:
+        node.setdefault(b.id, len(node))
+    island = _islands(len(node), (
+        (node[br.from_bus], node[br.to_bus]) for br in case.branches
+        if br.from_bus in node and br.to_bus in node))
     slack_ids = [b.id for b in case.buses if b.kind == SLACK]
     if not slack_ids:
         out.append("missing slack bus")
-    for ci, comp in enumerate(comps):
-        n_slack = sum(1 for s in slack_ids if s in comp)
-        if n_slack > 1:
-            out.append(f"multiple slack buses in island {ci}")
-    if len(comps) > 1:
-        sizes = sorted(len(c) for c in comps)
+    n_slack = Counter(island[node[s]] for s in slack_ids)
+    out += [f"multiple slack buses in island {ci}"
+            for ci in sorted(n_slack) if n_slack[ci] > 1]
+    sizes = sorted(Counter(island).values())
+    if len(sizes) > 1:
         out.append(
-            f"network has {len(comps)} islands (sizes {sizes}); only a single "
+            f"network has {len(sizes)} islands (sizes {sizes}); only a single "
             f"slack-connected island is supported"
         )
 
     # PV buses need a local voltage controller in service, which no group
     # member is
-    local_ctl_buses = {g.bus for i, g in enumerate(case.generators)
-                       if g.in_service and i not in members
+    local_ctl_buses = {g.bus for g in case.generators if g.in_service
                        and (g.remote_bus is None or g.remote_bus == g.bus)}
     for b in case.buses:
         if b.kind == PV and b.id not in local_ctl_buses:

@@ -2,37 +2,37 @@
 
 `build_index` turns a case into static arrays, its one IndexMap, and a
 StateVector carries the map it lives on. The stamps read the case from
-that map alone, so `residual` and `assemble` take a state and no case: a
-state cannot be stamped against another case's data. In current-voltage
-coordinates the network is linear: the ratio-fixed branches and the
-fixed shunts form a constant real 2n x 2n block, kept as a series part,
-scaled by the tx relaxation 1 + tx_relax * TX_SCALE, and an unscaled
-shunt part (line charging and fixed shunts) on one CSR pattern. Every
-other device is a row of one of three tables: `Taps` (the controlled
-taps), `Injectors` (loads, generators, switched shunts) and
-`ControlRows` (every row that holds a value against a bus voltage
+that map alone, so `stamp`, `residual` and `assemble` take a state and
+no case: a state cannot be stamped against another case's data. In
+current-voltage coordinates the network is linear: the ratio-fixed
+branches and the fixed shunts form a constant real 2n x 2n block, stored
+as a series part, scaled by the tx relaxation 1 + tx_relax * TX_SCALE,
+and an unscaled shunt part (line charging and fixed shunts) on one CSR
+pattern. Every other device is a row of one of three tables: `Taps`
+(the controlled taps), `Injectors` (loads, generators, switched shunts)
+and `ControlRows` (every row that holds a value against a bus voltage
 magnitude: local generators and switched shunts, controlled taps, group
 requests). A stamp pass evaluates them as a fixed list of array
 segments: taps, injections, control rows, then the network and the
 slack rows. Of the ControlMode it derives only what the mode sets, once
 per mode (`_controls`).
 
-One pass serves F and J alike. It computes F and keeps what J needs
-(currents, |V|^2, curve slopes), from which J's values are only built
-when J is asked for. `residual` returns the pass's F, and on request the
-pass itself; `assemble` builds J from a new pass or from one `residual`
-kept at the same state (the NR line search keeps the pass of the trial it
-accepts), so F is the same either way and J is testable against finite
-differences of `residual`. F is the network's part Y x plus one
-bincount of the device terms (rows IndexMap.f_rows); J's network
-entries are Y's; Y is made from the block once per tx relaxation scale
-(`_network`). The index map has every J slot that can be non-zero (a
-mode without a partial emits 0.0 in it), so J's CSC structure is built
-once per IndexMap (`_JacobianStructure`). Up to DENSE_MAX_DIM unknowns
-Y and J are dense, for a LAPACK solve; above, Y is CSR and J is CSC.
+One pass serves F and J alike. `stamp` returns it: it computes F and
+holds what J needs (currents, |V|^2, curve slopes), from which its
+`jacobian()` builds J's values only when J is asked for, so a J can only
+come from the pass at its own state (the NR line search builds the next
+J from the pass of the trial it accepts). `residual` is a pass's F and
+`assemble` its F and J, so J is testable against finite differences of
+`residual`. F is the network's part Y x plus one bincount of the device
+terms (rows IndexMap.f_rows); J's network entries are Y's; Y is made
+from the block once per tx relaxation scale (`_network`). The index map
+has every J slot that can be non-zero (a mode without a partial emits
+0.0 in it), so J's CSC structure is built once per IndexMap
+(`_JacobianStructure`). Up to DENSE_MAX_DIM unknowns Y and J are dense,
+for a LAPACK solve; above, Y is CSR and J is CSC.
 
 A case object's map is built once, with J's structure and B′'s LU, and
-kept on it for every solve, as KLU reuses one symbolic analysis across
+stored on it for every solve, as KLU reuses one symbolic analysis across
 matrices of one pattern (Davis & Palamadai Natarajan, ACM TOMS 37(3),
 2010). `flat_start` gives a state on it: the case's initial voltages,
 and control values on their curves at them. `dc_start` turns its
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .case_model import NetworkCase
+from .case_model import NetworkCase, _islands
 from .errors import SingularPointError, SingularSystemError
 from .smooth_primitives import (
     default_patch_width,
@@ -257,7 +257,7 @@ class IndexMap:
     # the map has the slot
     j_rows: np.ndarray
     j_cols: np.ndarray
-    j_keep: np.ndarray
+    j_mask: np.ndarray
     # distributed-slack members (agc_member_idx): factors, P headrooms
     agc_kappa: np.ndarray
     agc_lo: np.ndarray
@@ -297,11 +297,12 @@ def controlled_devices(idx: IndexMap):
 
 def build_index(case: NetworkCase) -> IndexMap:
     """The case's index map, built by the first call, complete with J's
-    structure and B′'s LU, and kept on the case as `_layout`, an attribute
-    that is no field, so `dataclasses.replace` drops it. It is the map of
-    the case's structure with its out-of-service units switched off
-    (`_switched_off`); an outage from `NetworkCase.drop_generator` takes
-    the structure's map from its base (`_base`)."""
+    structure and B′'s LU, and stored on the case as `_layout`, an
+    attribute that is no field, so `dataclasses.replace` drops it. It is
+    the map of the case's structure with its out-of-service units
+    switched off (`_switched_off`); an outage from
+    `NetworkCase.drop_generator` takes the structure's map from its base
+    (`_base`)."""
     idx = case.__dict__.get("_layout")
     if idx is None:
         base = case.__dict__.get("_base")
@@ -514,7 +515,7 @@ def _tables(case: NetworkCase, table: list, bus_pos: dict, q_col: dict,
 
 
 def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
-    """The tables' J slots (IndexMap.j_rows to j_keep). Each table is a
+    """The tables' J slots (IndexMap.j_rows to j_mask). Each table is a
     (slot, row) grid, raveled slot by slot. The map has every slot but a
     load's q slots and the surplus slots of a row that is no
     distributed-slack member."""
@@ -543,7 +544,7 @@ def _slots(taps: Taps, inj: Injectors, rows: ControlRows, dps_col) -> dict:
     keep += [np.ones(3 * len(c) + 2 * len(m), dtype=bool)]
     return dict(j_rows=np.concatenate([np.ravel(r) for r, _ in grids]),
                 j_cols=np.concatenate([np.ravel(c) for _, c in grids]),
-                j_keep=np.concatenate([np.ravel(k) for k in keep]))
+                j_mask=np.concatenate([np.ravel(k) for k in keep]))
 
 
 def _network_block(case: NetworkCase, bus_pos: dict, in_block: list,
@@ -556,7 +557,7 @@ def _network_block(case: NetworkCase, bus_pos: dict, in_block: list,
     part, and b_sh/2 at each end (over t^2 at the from end) to the shunt
     part; a fixed shunt adds its admittance to the shunt part. An entry
     G + jB at (i, j) becomes the real block [[G, -B], [B, G]]. Both parts
-    are dim x dim CSR matrices on one sorted pattern, zeros kept.
+    are dim x dim CSR matrices on one sorted pattern, zeros stored.
     """
     # one walk over the branches: ends, ratio, series g and b, b_sh/2
     f, t, tr, g, b, half = np.fromiter(itertools.chain.from_iterable(
@@ -651,12 +652,12 @@ def flat_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
 
 def dc_start(case: NetworkCase, ctl: ControlMode) -> StateVector:
     """`flat_start` with every bus voltage turned to its DC power-flow
-    angle and its magnitude kept (Stott, Jardim & Alsaç, "DC power flow
-    revisited", IEEE TPWRS 24(3), 2009). The control rows read |V| alone,
-    so every one that flat_start put on its curve stays there.
+    angle and its magnitude unchanged (Stott, Jardim & Alsaç, "DC power
+    flow revisited", IEEE TPWRS 24(3), 2009). The control rows read |V|
+    alone, so every one that flat_start put on its curve stays there.
 
-    The angles solve B′θ = P, with B′'s LU kept per map (IndexMap.dc, see
-    `_b_prime`); B′ depends on the branches alone, so the outages of one
+    The angles solve B′θ = P, with B′'s LU stored per map (IndexMap.dc,
+    see `_b_prime`); B′ depends on the branches alone, so the outages of one
     base solve with one LU. P is each bus's scheduled injection
     (IndexMap.inj; a switched-off unit's is 0). The slack's row and
     column are dropped, so its angle is 0. Returns the flat start itself
@@ -701,7 +702,7 @@ def _b_prime(idx: IndexMap) -> tuple:
 
     f, t, w = idx.dc_branches
     n, s = len(idx.bus_ids), idx.slack_pos
-    if n == 1 or not _connected(n, f.tolist(), t.tolist()):
+    if n == 1 or max(_islands(n, zip(f.tolist(), t.tolist()))):
         return ()
     # B′ without the slack's row and column, every later bus one up: its
     # entries keyed col * m + row, parallel branches summed, as J's are
@@ -723,20 +724,6 @@ def _b_prime(idx: IndexMap) -> tuple:
         return B, solve_linear(B, np.zeros(m))[1]
     except SingularSystemError:
         return ()
-
-
-def _connected(n: int, f: list, t: list) -> bool:
-    """Whether the branches from f to t join all n buses: a union-find
-    over their ends, with path halving."""
-    parent, parts = list(range(n)), n
-    for a, b in zip(f, t):
-        while (up := parent[a]) != a:
-            parent[a] = a = parent[up]
-        while (up := parent[b]) != b:
-            parent[b] = b = parent[up]
-        if a != b:
-            parent[a], parts = b, parts - 1
-    return parts == 1
 
 
 # ---------------------------------------------------------------------------
@@ -874,12 +861,12 @@ def _member_targets(c: _Controls, t: Injectors, x: np.ndarray):
 # ---------------------------------------------------------------------------
 
 class _Pass:
-    """One stamp pass at a state.
+    """One stamp pass at a state (`stamp`): F, and J on request.
 
     Each segment returns the values of its F terms, whose rows the index
-    map holds (IndexMap.f_rows), and keeps what its J slots are built
-    from when J is asked for (`slot_values`). Every KCL term goes to row
-    2 * pos + comp of its bus, the slack bus included;
+    map holds (IndexMap.f_rows), and holds on to what its J slots are
+    built from when J is asked for (`slot_values`). Every KCL term goes
+    to row 2 * pos + comp of its bus, the slack bus included;
     `_slack_rows` then turns the slack rows into voltage constraints and,
     with distributed slack, into the surplus row.
     """
@@ -889,7 +876,7 @@ class _Pass:
         self.index = idx = state.index
         self.x = state.x
         self.c = _controls(ctl, idx)
-        # the network's scale, and what the segments keep for J's slots
+        # the network's scale, and what the segments hold for J's slots
         self.scale = self.taps = self.inj = self.curves = self.m_slope = None
         self.F = self.slack_currents = None
 
@@ -898,6 +885,44 @@ class _Pass:
         order."""
         return np.concatenate((_tap_slots(self), _injection_slots(self),
                                _control_slots(self)))
+
+    def jacobian(self) -> np.ndarray | csc_matrix:
+        """J from the pass's values: the slots, the slack rows and the
+        surplus row added in source order to a copy of the network
+        block's entries at the pass's scale (`_network`). Up to
+        DENSE_MAX_DIM unknowns J is a dense array, Y's with the slack
+        bus rows zeroed to start from, else a CSC matrix, a shallow copy
+        of the structure's template (see `_JacobianStructure`); both sum
+        the same values in the same order, so their entries are equal
+        bit for bit."""
+        idx, dim = self.index, self.index.dim
+        s, dense = idx.jac, dim <= DENSE_MAX_DIM
+        _, Y, vals, sums = _network(idx, self.scale)
+        slots = self.slot_values()
+        parts = [slots, (1.0, 1.0)]
+        if idx.dps_col is not None:
+            moved = np.concatenate((vals[s.slack], slots[s.slot_at]))
+            parts += [moved * self.x[s.on], (*self.slack_currents, -1.0)]
+        if dense:
+            data = Y.flatten()
+            data[2 * idx.slack_pos * dim:][:2 * dim] = 0.0
+        else:
+            data = sums.copy()
+        # add.at adds one source at a time onto the block's entries, as
+        # one bincount over every source would; summing the other sources
+        # apart first would round differently
+        np.add.at(data, s.dense if dense else s.slot,
+                  np.concatenate(parts)[s.used])
+        if dense:
+            return data.reshape(dim, dim)
+        if s.template is None:
+            s.template = csc_matrix((np.zeros(s.indices.size), s.indices,
+                                     s.indptr), shape=(dim, dim))
+            s.template.has_canonical_format = True  # sorted and summed
+        J = copy.copy(s.template)  # scipy's constructor would check it again
+        J.data = data
+        J.structure = s
+        return J
 
 
 def _check_collapse(st: _Pass, pos: np.ndarray, dd: np.ndarray):
@@ -1173,9 +1198,9 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
     Y, n = idx.net_series.tocoo(), idx.net_series.nnz
     rows = np.concatenate((Y.row, idx.j_rows))
     cols = np.concatenate((Y.col, idx.j_cols))
-    kept = np.concatenate((np.ones(n, dtype=bool), idx.j_keep))
+    has = np.concatenate((np.ones(n, dtype=bool), idx.j_mask))
     on_slack = (rows >> 1) == idx.slack_pos
-    at = np.flatnonzero(kept & on_slack)
+    at = np.flatnonzero(has & on_slack)
     # rows and columns of the source vector (see _JacobianStructure)
     src_rows, src_cols = [rows, (r, r + 1)], [cols, (r, r + 1)]
     if d is not None:
@@ -1183,7 +1208,7 @@ def _jacobian_structure(idx: IndexMap) -> _JacobianStructure:
         src_cols += [cols[at], (r, r + 1, d)]
     src_rows, src_cols = np.concatenate(src_rows), np.concatenate(src_cols)
     used = np.ones(src_rows.size, dtype=bool)
-    used[:rows.size] = kept & ~on_slack
+    used[:rows.size] = has & ~on_slack
     used = np.flatnonzero(used)
     entries, slot, indices, indptr = _csc_pattern(
         src_cols[used] * dim + src_rows[used], dim)
@@ -1208,65 +1233,33 @@ def _csc_pattern(key: np.ndarray, dim: int):
 
 
 def _network(idx: IndexMap, scale: float) -> tuple:
-    """((scale, dense), Y, Y's values, J's network entries) of the last
-    scale and J's representation, kept on the map: F's network part is
-    Y x, Y = scale * net_series + net_shunt, dense or CSR as J is."""
+    """((scale, dense), Y, Y's values, J's network entries in CSC order,
+    or None for a dense J, which starts from Y) of the last scale and J's
+    representation, stored on the map: F's network part is Y x,
+    Y = scale * net_series + net_shunt, dense or CSR as J is."""
     dense, S, s = idx.dim <= DENSE_MAX_DIM, idx.net_series, idx.jac
     if idx.net is None or idx.net[0] != (scale, dense):
         vals = scale * S.data + idx.net_shunt.data
-        sums = np.zeros(idx.dim * idx.dim if dense else s.indices.size)
-        if dense:  # J's layout: J's entries are Y's with slack rows zeroed
-            sums[s.net_dense] = vals
-            Y = sums.reshape(S.shape).copy()
-            sums[2 * idx.slack_pos * idx.dim:][:2 * idx.dim] = 0.0
+        if dense:
+            Y, sums = np.zeros(S.shape), None
+            Y.flat[s.net_dense] = vals
         else:
             Y = copy.copy(S)  # cheaper than a new one
             Y.data = vals
+            sums = np.zeros(s.indices.size)
             sums[s.net_slot] = np.delete(vals, s.slack)
         idx.net = ((scale, dense), Y, vals, sums)
     return idx.net
-
-
-def _jacobian(st: _Pass) -> np.ndarray | csc_matrix:
-    """J from the pass's values: the slots, the slack rows and the
-    surplus row added in source order to a copy of the network block's
-    entries at the pass's scale (`_network`). Up to DENSE_MAX_DIM
-    unknowns J is a dense array, else a CSC matrix, a shallow copy of the
-    structure's template (see `_JacobianStructure`); both sum the same
-    values in the same order, so their entries are equal bit for bit."""
-    idx, dim = st.index, st.index.dim
-    s, dense = idx.jac, dim <= DENSE_MAX_DIM
-    _, _, vals, sums = _network(idx, st.scale)
-    slots = st.slot_values()
-    parts = [slots, (1.0, 1.0)]
-    if idx.dps_col is not None:
-        moved = np.concatenate((vals[s.slack], slots[s.slot_at]))
-        parts += [moved * st.x[s.on], (*st.slack_currents, -1.0)]
-    # add.at adds one source at a time onto the block's entries, as one
-    # bincount over every source would; summing the other sources apart
-    # first would round differently
-    data = sums.copy()
-    np.add.at(data, s.dense if dense else s.slot, np.concatenate(parts)[s.used])
-    if dense:
-        return data.reshape(dim, dim)
-    if s.template is None:
-        s.template = csc_matrix((np.zeros(s.indices.size), s.indices,
-                                 s.indptr), shape=(dim, dim))
-        s.template.has_canonical_format = True  # sorted and summed
-    J = copy.copy(s.template)  # scipy's constructor would check it again
-    J.data = data
-    J.structure = s
-    return J
 
 
 # ---------------------------------------------------------------------------
 # Full-system evaluation
 # ---------------------------------------------------------------------------
 
-def _stamp_pass(state: StateVector, ctl: ControlMode) -> _Pass:
-    """One stamp pass at the state, segment by segment: F in `F` (slack
-    rows rewritten, see `_slack_rows`), and what `_Pass.slot_values`
-    builds J's values from."""
+def stamp(state: StateVector, ctl: ControlMode) -> _Pass:
+    """One stamp pass at the state, segment by segment: F in `.F` (slack
+    rows rewritten, see `_slack_rows`), and J, built from that pass's
+    values when asked for, by `.jacobian()`."""
     st = _Pass(state, ctl)
     idx, x = st.index, st.x
     n = idx.voltage_dim()
@@ -1282,43 +1275,27 @@ def _stamp_pass(state: StateVector, ctl: ControlMode) -> _Pass:
     return st
 
 
-def assemble(state: StateVector, ctl: ControlMode, kept: _Pass | None = None,
+def assemble(state: StateVector, ctl: ControlMode,
              ) -> tuple[np.ndarray, np.ndarray | csc_matrix]:
-    """Residual F and Jacobian J at the state; NR solves J dx = -F.
-
-    kept, if given, is the pass `residual(state, ctl, keep=True)`
-    returned at this very state (state.x unchanged since): J is built
-    from the values that pass kept, and the state is not stamped again.
+    """Residual F and Jacobian J of one stamp pass at the state; NR
+    solves J dx = -F.
 
     J has two representations, by its dimension alone (`DENSE_MAX_DIM`):
     up to it a dense ndarray, which `nr_solver.solve_linear` solves with
     LAPACK, and above a csc_matrix carrying its structure as
-    `J.structure`, where `solve_linear` keeps the LU column order of the
-    pattern. Both sum the same values in the same order (`_jacobian`):
-    the dense J equals the CSC J's toarray() bit for bit; their LUs round
-    differently, which moves no NR or evaluation count (`nr_solve`'s step
-    rule)."""
-    st = kept
-    if st is None:
-        st = _stamp_pass(state, ctl)
-    elif st.x is not state.x or st.ctl is not ctl:
-        raise ValueError("kept pass was stamped at another state or control")
-    return st.F, _jacobian(st)
+    `J.structure`, where `solve_linear` holds the LU column order of the
+    pattern. Both sum the same values in the same order
+    (`_Pass.jacobian`): the dense J equals the CSC J's toarray() bit for
+    bit; their LUs round differently, which moves no NR or evaluation
+    count (`nr_solve`'s step rule)."""
+    st = stamp(state, ctl)
+    return st.F, st.jacobian()
 
 
-def generator_curves(index: IndexMap, ctl: ControlMode) -> np.ndarray:
-    """The q columns of the local generators on their sigmoid under ctl;
-    each row is q - sigmoid(|V|), so q - F[col] is on the curve."""
-    return _controls(ctl, index).gen_curves
-
-
-def residual(state: StateVector, ctl: ControlMode, keep: bool = False):
+def residual(state: StateVector, ctl: ControlMode) -> np.ndarray:
     """Exact nonlinear residuals F(x) of every equation at the given state;
-    the same F as `assemble`, without building J. With keep, returns
-    (F, pass): the pass lets `assemble(..., kept=pass)` build J at this
-    state without stamping it again."""
-    st = _stamp_pass(state, ctl)
-    return (st.F, st) if keep else st.F
+    the same F as `assemble`, without building J."""
+    return stamp(state, ctl).F
 
 
 # ---------------------------------------------------------------------------

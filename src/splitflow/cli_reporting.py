@@ -34,7 +34,7 @@ from .nr_solver import SolveReport, SolverOptions
 SUMMARY_VERSION = 3
 
 # t is empty outside a continuation; accepted is 1 when the continuation
-# kept the sub-solve the row belongs to, 0 when it backed the step off;
+# took the sub-solve the row belongs to, 0 when it backed the step off;
 # alpha is the line-search step the iteration took (1 = the full Newton
 # step, halved per rejected trial; 0 when no trial was taken)
 TRACE_COLUMNS = [

@@ -77,7 +77,7 @@ from .nr_solver import SolveReport, SolverOptions, nr_solve, try_solve
 
 INITIAL_STEEPNESS = 100.0  # sigmoid steepness of the relaxed smoothing problem
 TX_INITIAL = 1.0  # tx_relax at t = 1
-DECREMENT = 0.5  # fraction of remaining distance kept per step
+DECREMENT = 0.5  # fraction of remaining distance retained per step
 BACKTRACK = 0.5  # shrink factor applied to a failed decrement
 MAX_BACKTRACKS = 10  # halvings from t (1 - DECREMENT) to the step floor
 SNAP_FRACTION = 1e-3  # a step's first trial snaps a t at or below this to 0
@@ -113,7 +113,7 @@ def _stuck(phase, t, what, report) -> ContinuationError:
 
 def _slope(state, t, t_first, ctl_first, factors):
     """The predicted dx/dt at the accepted (x, t), or None when the
-    accepted solve kept no LU (factors) or the slope is not finite.
+    accepted solve holds no LU (factors) or the slope is not finite.
 
     A secant over the step's first trial t_first, under its control
     ctl_first: v = J⁻¹ F(x, t_first) / (t - t_first), with J's LU reused
@@ -132,7 +132,7 @@ def _continuation(state, make_ctl, opts, phase, total):
 
     make_ctl(t) produces the ControlMode for progress t; every sub-solve
     and every backtrack is added to the SolveReport total, the sub-solve's
-    trace rows marked with t and whether it was kept. Every sub-solve,
+    trace rows marked with t and whether it was accepted. Every sub-solve,
     t = 0 included, ends early once it stalls; one at t > 0 converges
     once max|F| < CORRECTOR_TOL. Each trial t_next of a
     step starts at x + v (t_next - t), v the `_slope` at the accepted

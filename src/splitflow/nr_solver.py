@@ -1,8 +1,8 @@
 """Newton-Raphson inner loop: evaluate, solve, damp, iterate.
 
 Each iteration takes the residual F and Jacobian J from one stamp pass
-(`circuit_stamps.assemble`) at the state, whose index map holds the
-case, so a solve takes a start state and no case; solves J dx = -F by
+(`circuit_stamps.stamp`) at the state, whose index map holds the case,
+so a solve takes a start state and no case; solves J dx = -F by
 LU, clamps the step per variable and backtracks it until the residual
 norm drops, or lies below tolerance from a start below it too: there
 max|F| is round-off, and a rounding-level rise is no failure (a
@@ -22,9 +22,10 @@ sub-solve gives up early, at its first iteration that no trial brings
 below the max|F| it started from (a monotonicity test; Deuflhard, Newton
 Methods for Nonlinear Problems, 2004, ch. 5).
 
-Every state is stamped once. The pass at the accepted trial, or at the
-landed state, is kept, and the next iteration builds J from it; only
-the first iteration stamps anew. A trial that takes a tap ratio to 0 or
+Every state is stamped once. The next iteration builds J from the pass
+at the accepted trial, or at the landed state (`_Pass.jacobian`), and a
+landing reads its columns from the accepted trial's pass; only the
+first iteration stamps anew. A trial that takes a tap ratio to 0 or
 below is a singular point, like a collapsed voltage: its max|F| counts
 as infinite, and the step is halved. An iteration that starts with
 max|F| below tolerance builds no J unless it must: it first solves with
@@ -59,7 +60,7 @@ same solution bit for bit.
 
 `solve_linear` also returns its factorization: `DenseLU` holds LAPACK's
 LU and pivots and solves again by getrs, `SparseLU` the SuperLU object
-and its kept order. A solve holds one LU at a time, each factored J's
+and its stored order. A solve holds one LU at a time, each factored J's
 until the next replaces it, and a converged solve hands the LU of the
 last J it factored back in `SolveReport.factors`, which a continuation
 predicts its next step from (`homotopy_driver`). A waypoint sub-solve
@@ -79,13 +80,7 @@ from scipy.linalg.lapack import dgesv, dgetrs
 from scipy.sparse import spmatrix
 from scipy.sparse.linalg import splu
 
-from .circuit_stamps import (
-    ControlMode,
-    StateVector,
-    assemble,
-    generator_curves,
-    residual,
-)
+from .circuit_stamps import ControlMode, StateVector, stamp
 from .errors import SingularPointError, SingularSystemError
 
 TOL_STEP = 1e-6  # largest step of a converged iteration
@@ -133,7 +128,7 @@ class TraceRow:
     pv_to_pq: int = 0
     pq_to_pv: int = 0
     t: float | None = None  # continuation progress; None outside one
-    accepted: bool = True  # whether the continuation kept this sub-solve
+    accepted: bool = True  # whether the continuation took this sub-solve
     alpha: float = 0.0  # line-search step taken; 0 when none was
 
 
@@ -267,7 +262,7 @@ def _factor_dense(mat, rhs):
 
 
 def _factor_sparse(mat, rhs):
-    """SuperLU's factors of mat, in the kept order if any, and their
+    """SuperLU's factors of mat, in the stored order if any, and their
     solution of mat x = rhs."""
     try:
         factors = SparseLU(*_factor(mat))
@@ -335,14 +330,14 @@ def _trace_lambdas(ctl: ControlMode):
 
 
 def _residual_norm(state, ctl):
-    """max|F| at a line-search trial, and its pass kept for `assemble`;
-    a singular point (a collapsed voltage, a tap ratio not > 0) counts
-    as an infinite residual, with no pass."""
+    """max|F| at a line-search trial, and its stamp pass, which gives the
+    next J; a singular point (a collapsed voltage, a tap ratio not > 0)
+    counts as an infinite residual, with no pass."""
     try:
-        F, kept = residual(state, ctl, keep=True)
+        st = stamp(state, ctl)
     except SingularPointError:
         return float("inf"), None
-    return float(np.abs(F).max()), kept
+    return float(np.abs(st.F).max()), st
 
 
 def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
@@ -360,9 +355,10 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
     trial is taken; without the guard, steep saturation curves settle
     into period-2 limit cycles. Outside a sub-solve, a cut step
     (alpha < 1) is followed by landing the local generators on their
-    curves, q -= F[q] from the accepted trial clamped at STEP_LIMIT_Q,
-    and one more evaluation, whose pass gives the next F and J; the
-    landing move counts in max_step.
+    curves, q -= F[q] from the accepted trial's pass clamped at
+    STEP_LIMIT_Q, at the q columns that pass has on a sigmoid, and one
+    more evaluation, whose pass gives the next F and J; the landing move
+    counts in max_step.
     residual_evals counts trials and landings, line_search_backtracks the
     rejected trials.
 
@@ -395,21 +391,21 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
     trace: list[TraceRow] = []
     converged = stalled = False
     it = evals = backtracks = factorizations = 0
-    max_res = kept = factors = J = None
-    land = (np.empty(0, dtype=np.intp) if subsolve
-            else generator_curves(state.index, ctl))
+    max_res = st = factors = J = None
     for it in range(1, opts.max_iter + 1):
         dx = None
         if factors is not None and max_res < opts.tol_residual:
-            dx = _confirming_step(J, factors, kept.F, state)
+            dx = _confirming_step(J, factors, st.F, state)
         if dx is None:
-            F, J = assemble(state, ctl, kept)
-            if max_res is None:
-                # the starting norm; a collapsed start raises in assemble
-                max_res = float(np.abs(F).max())
+            # the start, or a trial that left no pass; a collapsed
+            # start raises in stamp
+            st = st or stamp(state, ctl)
+            if max_res is None:  # the starting norm
+                max_res = float(np.abs(st.F).max())
+            J = st.jacobian()
             try:
                 factors = None  # one LU at a time: this one goes first
-                dx, factors = solve_linear(J, -F)
+                dx, factors = solve_linear(J, -st.F)
             except SingularSystemError as exc:
                 exc.iteration = it
                 raise
@@ -421,7 +417,7 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
             r, trial_pass = _residual_norm(trial, ctl)
             evals += 1
             if r < best_res:
-                best_x, best_res, best_alpha, kept = trial.x, r, alpha, trial_pass
+                best_x, best_res, best_alpha, st = trial.x, r, alpha, trial_pass
             # below tolerance max|F| is round-off, so a trial there holds
             # if the start was there too, not only if it is lower
             if r < max_res or max(r, max_res) < opts.tol_residual:
@@ -436,11 +432,12 @@ def nr_solve(init: StateVector, ctl: ControlMode, opts: SolverOptions,
         dx = best_alpha * dx
         state.x = best_x
         start, max_res = max_res, best_res
-        if best_alpha < 1.0 and land.size:
-            move = np.clip(kept.F[land], -STEP_LIMIT_Q, STEP_LIMIT_Q)
+        if best_alpha < 1.0 and not subsolve and (
+                land := st.c.gen_curves).size:
+            move = np.clip(st.F[land], -STEP_LIMIT_Q, STEP_LIMIT_Q)
             state.x[land] -= move
             dx[land] -= move
-            max_res, kept = _residual_norm(state, ctl)
+            max_res, st = _residual_norm(state, ctl)
             evals += 1
         max_step = float(np.abs(dx).max())
         trace.append(TraceRow(phase, outer_iter, it, lam_s, lam_g, lam_p,

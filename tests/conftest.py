@@ -23,7 +23,7 @@ from splitflow import (
     serialize_native,
 )
 import splitflow.nr_solver as nr_solver
-from splitflow.case_model import TapControl, _infer_remote_groups
+from splitflow.case_model import TapControl
 from splitflow.circuit_stamps import StateVector, assemble, residual
 
 CASE_DIR = pathlib.Path(__file__).parent / "cases"
@@ -73,26 +73,10 @@ def bundled_native():
 def without_out_of_service(case):
     """The case with its out-of-service generators deleted, the oracle a
     switched-off unit is checked against: every later generator is
-    renumbered; remote groups inferred from the generators are inferred
-    again from those left, and given ones lose the deleted members, are
-    re-indexed and renormalised to sum to 1, and are dropped when left
-    empty."""
-    keep = {i: k for k, i in enumerate(
-        i for i, g in enumerate(case.generators) if g.in_service)}
-    gens = tuple(case.generators[i] for i in keep)
-    groups = []
-    if case.remote_groups != _infer_remote_groups(case.generators,
-                                                  case.bus_index()):
-        for grp in case.remote_groups:
-            kept = [(keep[m], f) for m, f in zip(grp.members, grp.factors)
-                    if m in keep]
-            if len(kept) < len(grp.members):
-                total = sum(f for _, f in kept)
-                kept = [(m, f / total) for m, f in kept]
-            if kept:
-                members, factors = zip(*kept)
-                groups.append(replace(grp, members=members, factors=factors))
-    return replace(case, generators=gens, remote_groups=tuple(groups))
+    renumbered, and the remote groups are inferred again from the
+    generators left."""
+    return replace(case, generators=tuple(
+        g for g in case.generators if g.in_service))
 
 
 def in_case_numbering(lines, case):

@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from inspect import signature
 
 import pytest
 
@@ -265,6 +266,16 @@ class TestNative:
         assert grp.factors == (0.75, 0.25)
         assert sum(grp.factors) == 1.0
 
+    def test_replaced_generators_infer_the_groups_again(self):
+        # clearing one member's remote_bus takes it out of its group: the
+        # groups follow the generators, and no constructor takes them
+        case = remote_pair_case()
+        gens = (case.generators[0],
+                replace(case.generators[1], remote_bus=None))
+        assert replace(case, generators=gens).remote_groups == (
+            RemoteControlGroup(4, 1.03, (0,), (1.0,)),)
+        assert "remote_groups" not in signature(NetworkCase).parameters
+
 
 class TestValidate:
     def test_clean_case(self):
@@ -362,20 +373,18 @@ class TestValidate:
 SLACK_GEN = Generator(1, 0.0, 1.0, -1.0, 1.0, 0.0, 2.0)
 
 
-def given_groups(factors):
-    """remote_pair_case with a slack generator first and its remote group
-    given explicitly, members at buses 2, 3 (and 5 with three factors).
-    The members' remote factors are 0, so inferring would share
-    equally."""
+def grouped_case(factors):
+    """remote_pair_case with a slack generator first, and its remote
+    group's members at buses 2, 3 (and 5 with three factors) with the
+    given remote factors, which sum to 1."""
     base = remote_pair_case()
-    members = tuple(replace(g, remote_factor=0.0) for g in base.generators)
-    members += (replace(members[0], bus=5),) * (len(factors) - 2)
+    members = base.generators + (
+        replace(base.generators[0], bus=5),) * (len(factors) - 2)
     buses = base.buses + (Bus(5, 230.0, "pq"),)
     branches = base.branches + (Branch(5, 4, 0.9, -7.0),)
-    return replace(base, buses=buses, branches=branches,
-                   generators=(SLACK_GEN, *members),
-                   remote_groups=(RemoteControlGroup(
-                       4, 1.03, tuple(range(1, len(factors) + 1)), factors),))
+    return replace(base, buses=buses, branches=branches, generators=(
+        SLACK_GEN, *(replace(g, remote_factor=f)
+                     for g, f in zip(members, factors))))
 
 
 class TestDropGeneratorKeepsRemoteGroups:
@@ -383,8 +392,8 @@ class TestDropGeneratorKeepsRemoteGroups:
     the factors over the members in service. `without_out_of_service`,
     the unit deleted, re-derives the groups instead."""
 
-    def test_given_group_kept_past_the_dropped_unit(self):
-        base = given_groups((0.6, 0.4))
+    def test_group_kept_past_the_dropped_unit(self):
+        base = grouped_case((0.6, 0.4))
         dropped = base.drop_generator(1)
         assert dropped.remote_groups == base.remote_groups == (
             RemoteControlGroup(4, 1.03, (1, 2), (0.6, 0.4)),)
@@ -393,8 +402,8 @@ class TestDropGeneratorKeepsRemoteGroups:
         assert without_out_of_service(dropped).remote_groups == (
             RemoteControlGroup(4, 1.03, (0, 1), (0.6, 0.4)),)
 
-    def test_given_group_member_switched_off_and_renormalised(self):
-        base = given_groups((0.5, 0.3, 0.2))
+    def test_group_member_switched_off_and_renormalised(self):
+        base = grouped_case((0.5, 0.3, 0.2))
         dropped = base.drop_generator(2)
         assert dropped.remote_groups == base.remote_groups
         assert validate(dropped) == []
@@ -405,7 +414,7 @@ class TestDropGeneratorKeepsRemoteGroups:
         assert grp.members == (1, 2)
         assert grp.factors == pytest.approx((0.6, 0.4), abs=1e-15)
 
-    def test_given_group_left_empty_is_kept_with_factors_0(self):
+    def test_group_left_empty_is_kept_with_factors_0(self):
         # a 3-bus case whose one-member group controls bus 3
         case = NetworkCase(
             s_base=100.0,
@@ -413,9 +422,11 @@ class TestDropGeneratorKeepsRemoteGroups:
                    Bus(3, 230.0, "pq")),
             branches=(Branch(1, 3, 1.0, -8.0), Branch(2, 3, 0.8, -6.0)),
             generators=(SLACK_GEN,
-                        Generator(2, 0.6, 1.02, -0.4, 0.4, 0.0, 1.0)),
-            loads=(Load(3, 0.9, 0.3),),
-            remote_groups=(RemoteControlGroup(3, 1.02, (1,), (1.0,)),))
+                        Generator(2, 0.6, 1.02, -0.4, 0.4, 0.0, 1.0,
+                                  remote_bus=3, remote_factor=1.0)),
+            loads=(Load(3, 0.9, 0.3),))
+        assert case.remote_groups == (
+            RemoteControlGroup(3, 1.02, (1,), (1.0,)),)
         for bus, kappa in ((1, [1.0]), (2, [0.0])):
             dropped = case.drop_generator(bus)
             assert dropped.remote_groups == case.remote_groups
@@ -429,59 +440,24 @@ class TestDropGeneratorKeepsRemoteGroups:
     def test_inferred_groups_kept_and_inferred_again_without_the_unit(
             self, bus):
         base = remote_pair_case()
-        case = replace(base, generators=(SLACK_GEN, *base.generators),
-                       remote_groups=())
+        case = replace(base, generators=(SLACK_GEN, *base.generators))
         assert case.remote_groups[0].members == (1, 2)
         dropped = case.drop_generator(bus)
         assert dropped.remote_groups == case.remote_groups
         assert build_index(dropped).inj.kappa.tolist() == pytest.approx(
             {1: [0.6, 0.4], 2: [0.0, 1.0], 3: [1.0, 0.0]}[bus], abs=1e-15)
         deleted = without_out_of_service(dropped)
-        again = replace(deleted, remote_groups=())
-        assert deleted.remote_groups == again.remote_groups
         members = {1: (0, 1), 2: (1,), 3: (1,)}[bus]
         assert deleted.remote_groups[0].members == members
 
 
-def without_remote_bus(case):
-    """The case with every non-slack generator's remote_bus cleared; its
-    remote groups stay as given."""
-    return replace(case, generators=(case.generators[0], *(
-        replace(g, remote_bus=None) for g in case.generators[1:])))
-
-
-class TestGivenGroupsWithoutRemoteBus:
-    def test_membership_is_a_control_role(self):
-        assert validate(without_remote_bus(given_groups((0.6, 0.4)))) == []
-
-    def test_generator_outside_every_group_has_none(self):
-        case = without_remote_bus(given_groups((0.6, 0.4)))
-        grp = RemoteControlGroup(4, 1.03, (1,), (1.0,))
-        assert validate(replace(case, remote_groups=(grp,))) == [
-            "generator 2 on PQ bus 3 has no control role"]
-
-    def test_member_is_no_local_controller_of_its_pv_bus(self):
-        # build_index leaves group members out of the local generators,
-        # so nothing would hold a PV bus whose only generator is one
-        case = without_remote_bus(given_groups((0.6, 0.4)))
-        case = replace(case, buses=tuple(
-            replace(b, kind="pv") if b.id == 2 else b for b in case.buses))
-        assert build_index(case).local_gen_idx == []
-        assert validate(case) == ["pv bus 2 has no local generator"]
-
-
-class TestSerializeGivenGroups:
-    @pytest.mark.parametrize("case", [
-        given_groups((0.6, 0.4)),
-        without_remote_bus(given_groups((0.5, 0.5))),
-    ], ids=["factors", "no-remote-bus"])
-    def test_groups_inference_would_change_are_refused(self, case):
-        # the format stores no groups: parsing would infer other ones
+class TestSerializeGroups:
+    @pytest.mark.parametrize("factors", [(0.6, 0.4), (0.5, 0.5),
+                                         (0.5, 0.3, 0.2)])
+    def test_groups_are_written(self, factors):
+        # the format stores the members' remote factors, from which
+        # parsing infers the same groups
+        case = grouped_case(factors)
         assert validate(case) == []
-        with pytest.raises(ValueError, match=r"remote group 0 \(bus 4\)"):
-            serialize_native(case)
-
-    def test_groups_equal_to_inference_are_written(self):
-        # equal shares are what inference gives the members' zero factors
-        case = given_groups((0.5, 0.5))
+        assert case.remote_groups[0].factors == factors
         assert parse_native(serialize_native(case)) == case

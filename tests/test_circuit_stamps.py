@@ -30,6 +30,7 @@ from splitflow.circuit_stamps import (
     flat_start,
     residual,
     slack_participation,
+    stamp,
 )
 from splitflow.homotopy_driver import _unbounded_control, run_homotopy
 from splitflow.nr_solver import SolverOptions, nr_solve
@@ -214,7 +215,7 @@ class TestLoadStamp:
     def test_collapse_names_the_bus_id_from_the_index(self, monkeypatch):
         # bus ids that are not positions: the state's index map alone
         # names the collapsed bus, in residual and in nr_solve's first
-        # assemble
+        # stamp pass
         case = NetworkCase(
             s_base=100.0,
             buses=(Bus(101, 230.0, "slack"), Bus(205, 230.0, "pq")),
@@ -232,9 +233,9 @@ class TestLoadStamp:
 
         def counted(*args):
             calls.append(args)
-            return assemble(*args)
+            return stamp(*args)
 
-        monkeypatch.setattr(nr_solver, "assemble", counted)
+        monkeypatch.setattr(nr_solver, "stamp", counted)
         with pytest.raises(SingularPointError) as exc:
             nr_solve(state, ctl, OPTS)
         assert len(calls) == 1
@@ -555,36 +556,6 @@ class TestSwitchedShuntBehavior:
 
 
 class TestRemoteGroup:
-    def test_single_member_matches_local_generator(self):
-        # a one-member group with factor 1 degenerates to the local PV
-        # model: same network, same injection bus, same solution
-        from splitflow.case_model import RemoteControlGroup
-
-        base = three_bus_pv_case(q_min=-0.4, q_max=0.4, v_set=1.02)
-        local_ctl = ControlMode()
-        st_local, rep1 = nr_solve(flat_start(base, local_ctl),
-                                  local_ctl, OPTS)
-        grouped = NetworkCase(
-            s_base=100.0,
-            buses=(Bus(1, 230.0, "slack", 1.0, 0.0), Bus(2, 230.0, "pq"),
-                   Bus(3, 230.0, "pq")),
-            branches=base.branches,
-            generators=(Generator(2, 0.6, 1.02, -0.4, 0.4, 0.0, 1.0),),
-            loads=base.loads,
-            remote_groups=(RemoteControlGroup(
-                controlled_bus=2, v_set=1.02, members=(0,), factors=(1.0,)),),
-        )
-        ctl = ControlMode()
-        st_remote, rep2 = nr_solve(flat_start(grouped, ctl), ctl,
-                                   OPTS)
-        assert rep1.converged and rep2.converged
-        for pos in range(3):
-            assert st_remote.v_mag(pos) == pytest.approx(
-                st_local.v_mag(pos), abs=1e-6)
-        q_local = st_local.x[st_local.index.q_col[("gen", 0)]]
-        q_member = st_remote.x[st_remote.index.q_col[("gen", 0)]]
-        assert q_member == pytest.approx(q_local, abs=1e-6)
-
     def test_kappa_proportional_sharing(self):
         case = remote_pair_case()
         ctl = ControlMode()
@@ -606,8 +577,7 @@ class TestRemoteGroup:
             replace(case.generators[0], q_min=-0.6, q_max=0.6),
             replace(case.generators[1], q_min=-0.4, q_max=0.4),
         )
-        case = replace(case, generators=gens, loads=(Load(4, 0.8, 1.8),),
-                       remote_groups=())
+        case = replace(case, generators=gens, loads=(Load(4, 0.8, 1.8),))
         ctl = ControlMode()
         state, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
@@ -650,7 +620,7 @@ class TestDistributedSlack:
         assert rep.converged
         idx = state.index
         dp, _ = slack_participation(ctl, idx, float(state.x[idx.dps_col]))
-        used = residual(state, ctl, keep=True)[1].inj[3]
+        used = stamp(state, ctl).inj[3]
         at = idx.inj.agc_at
         assert used[at].tolist() == \
             (idx.inj.p[at] + dp[idx.inj.agc_pos]).tolist()
@@ -977,7 +947,7 @@ class TestOutageLayout:
         # request at 0 whatever the group's mode (q-limit's unbounded
         # init holds every group's bus)
         base = full_configuration_case()
-        base = replace(base, remote_groups=(), generators=(
+        base = replace(base, generators=(
             *base.generators[:2], replace(base.generators[2], remote_bus=None)))
         assert len(base.remote_groups) == 1
         out = base.drop_generator(3)

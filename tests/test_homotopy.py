@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import splitflow.circuit_stamps as circuit_stamps
 import splitflow.homotopy_driver as homotopy_driver
 import splitflow.nr_solver as nr_solver
 from splitflow import ContinuationError, Generator, SingularSystemError
@@ -613,11 +614,11 @@ class TestPredictor:
         # waypoint ends on a step of any length), does too. The shortened
         # trials' moves lie on the same line, scaled by their step
         solves, stamped = [], []
-        assemble_in_solver = nr_solver.assemble
+        jacobian = circuit_stamps._Pass.jacobian
 
-        def recorded_assemble(state, *args):
-            stamped.append(state.x.copy())
-            return assemble_in_solver(state, *args)
+        def recorded_jacobian(st):
+            stamped.append(st.x.copy())
+            return jacobian(st)
 
         def wrap(nr_solve):
             def recorded(init, ctl, *args, **kw):
@@ -629,7 +630,8 @@ class TestPredictor:
                 return out, rep
             return recorded
 
-        monkeypatch.setattr(nr_solver, "assemble", recorded_assemble)
+        monkeypatch.setattr(circuit_stamps._Pass, "jacobian",
+                            recorded_jacobian)
         patch_nr_solve(monkeypatch, wrap)
         case = load_matpower("case118")
         _, total = run_homotopy(case, "tx", OPTS)

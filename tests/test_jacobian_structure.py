@@ -29,11 +29,11 @@ from splitflow.baseline_outer_loop import LARGEST_FIRST, solve_outer_loop
 from splitflow.circuit_stamps import (
     ControlMode,
     StateVector,
-    _stamp_pass,
     assemble,
     build_index,
     flat_start,
     residual,
+    stamp,
 )
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import SPLU, SolverOptions, solve_linear
@@ -65,7 +65,7 @@ def triplets(st):
     """The pass's J triplets (rows, cols, vals) in emitted order: the
     network block's matrix entries at the pass's scale, row by row, then
     every slot of the index map; slack bus rows not yet rewritten."""
-    idx, keep = st.index, st.index.j_keep
+    idx, keep = st.index, st.index.j_mask
     Y = idx.net_series
     rows = np.repeat(np.arange(Y.shape[0]), np.diff(Y.indptr))
     return (np.concatenate((rows, idx.j_rows[keep])),
@@ -77,7 +77,7 @@ def triplets(st):
 def reference_jacobian(state, ctl):
     """The pass's triplets with the slack rows rewritten the direct way
     (see `rewritten`)."""
-    st = _stamp_pass(state, ctl)
+    st = stamp(state, ctl)
     return rewritten(state.index, state.x, *triplets(st), st.slack_currents)
 
 
@@ -170,11 +170,11 @@ def test_dense_jacobian_equals_csc(case_name, variant_name, monkeypatch):
     case, ctl = variant(load(case_name), variant_name)
     for seed in (0, 1):
         state = random_state(case, ctl, seed)
-        kept = residual(state, ctl, keep=True)[1]
+        st = stamp(state, ctl)
         J = {}
         for representation in REPRESENTATIONS:
             emit(monkeypatch, representation)
-            J[representation] = assemble(state, ctl, kept)[1]
+            J[representation] = st.jacobian()
         assert isinstance(J["dense"], np.ndarray)
         assert J["dense"].tobytes() == J["csc"].toarray().tobytes()
 
@@ -303,14 +303,14 @@ def test_q_limit_steps_share_one_structure(monkeypatch):
     # of the run is on one index map and shares its structure
     case = replace(load_matpower("case30"), agc_enabled=False)
     seen = []
-    real = nr_solver.assemble
+    real = circuit_stamps._Pass.jacobian
 
-    def recording(state, ctl, kept=None):
-        F, J = real(state, ctl, kept)
-        seen.append((state.index, ctl, J.structure))
-        return F, J
+    def recording(st):
+        J = real(st)
+        seen.append((st.index, st.ctl, J.structure))
+        return J
 
-    monkeypatch.setattr(nr_solver, "assemble", recording)
+    monkeypatch.setattr(circuit_stamps._Pass, "jacobian", recording)
     _, report = run_homotopy(case, "q-limit", SolverOptions())
     assert report.converged
     assert any(ctl.device_modes for _, ctl, _ in seen)
@@ -351,27 +351,18 @@ def test_cached_index_arrays_are_read_only():
 @pytest.mark.parametrize("case_name", CASES)
 def test_jacobian_from_kept_pass_equals_assembled(case_name, variant_name,
                                                   monkeypatch):
-    # the line search's pass at a trial gives the same J as a fresh
-    # assemble at that state, byte for byte, in either representation
+    # the line search's pass at a trial gives the same F and J as a
+    # fresh assemble at that state, byte for byte, in either
+    # representation
     case, ctl = variant(load(case_name), variant_name)
     for representation in REPRESENTATIONS:
         emit(monkeypatch, representation)
         for seed in (0, 1):
             state = random_state(case, ctl, seed)
-            F, kept = residual(state, ctl, keep=True)
-            F_kept, J_kept = assemble(state, ctl, kept)
+            st = stamp(state, ctl)
             F_full, J_full = assemble(state, ctl)
-            assert F_kept is F
-            assert F_kept.tobytes() == F_full.tobytes()
-            assert_same_bytes(J_kept, J_full)
-
-
-def test_kept_pass_of_another_state_rejected():
-    case, ctl = variant(load_matpower("case9"), "base")
-    state = random_state(case, ctl, 0)
-    _, kept = residual(state, ctl, keep=True)
-    with pytest.raises(ValueError, match="another state"):
-        assemble(state.copy(), ctl, kept)
+            assert st.F.tobytes() == F_full.tobytes()
+            assert_same_bytes(st.jacobian(), J_full)
 
 
 @pytest.mark.parametrize("variant_name", VARIANTS)

@@ -1,11 +1,10 @@
 """parse_native(serialize_native(case)) == case over generated valid
 cases with taps, switched shunts, remote groups, distributed slack and
-out-of-service generators; a case whose remote groups inference would
-not give back is refused."""
+out-of-service generators, also once a member's remote factor is
+replaced."""
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -107,16 +106,17 @@ def test_native_round_trip_is_identity(case):
     assert parse_native(serialize_native(case)) == case
 
 
-@given(cases())
-def test_groups_the_format_cannot_hold_are_refused(case):
-    # the members keep their given group but lose their remote bus: the
-    # case is valid, and a written file would infer no group from it
+@given(cases(), pos)
+def test_groups_follow_a_replaced_generator(case, factor):
+    # the groups are inferred again from the generators `replace` gives,
+    # so a file holds them whatever the factors
     assume(case.remote_groups)
-    members = set(case.remote_groups[0].members)
-    stripped = replace(case, generators=tuple(
-        replace(g, remote_bus=None, remote_factor=0.0) if i in members else g
-        for i, g in enumerate(case.generators)))
-    assert stripped.remote_groups == case.remote_groups
-    assert validate(stripped) == []
-    with pytest.raises(ValueError, match=r"remote group 0 \(bus \d+\)"):
-        serialize_native(stripped)
+    (grp,) = case.remote_groups
+    gens = list(case.generators)
+    gens[grp.members[0]] = replace(gens[grp.members[0]], remote_factor=factor)
+    changed = replace(case, generators=tuple(gens))
+    raw = [gens[m].remote_factor for m in grp.members]
+    assert changed.remote_groups == (
+        replace(grp, factors=tuple(f / sum(raw) for f in raw)),)
+    assert validate(changed) == []
+    assert parse_native(serialize_native(changed)) == changed

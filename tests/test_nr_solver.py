@@ -19,6 +19,7 @@ from splitflow.circuit_stamps import (
     dc_start,
     flat_start,
     residual,
+    stamp,
 )
 from splitflow.homotopy_driver import run_homotopy
 from splitflow.nr_solver import (
@@ -35,6 +36,7 @@ from splitflow.nr_solver import (
 )
 from tests.conftest import (
     load_matpower,
+    patch_function,
     qlimit_rescue_case,
     stiff_feeder_case,
     tapped_case,
@@ -387,7 +389,7 @@ class TestNrSolve:
         case = two_bus_case()
         ctl = ControlMode()
         init = flat_start(case, ctl)
-        start = float(np.abs(nr_solver.residual(init, ctl)).max())
+        start = float(np.abs(residual(init, ctl)).max())
         monkeypatch.setattr(nr_solver, "_residual_norm", lambda *a: (start, None))
         _, rep = nr_solve(init, ctl, OPTS, subsolve=True)
         assert rep.stalled and not rep.converged
@@ -404,7 +406,7 @@ class TestNrSolve:
         case = two_bus_case()
         ctl = ControlMode()
         init = flat_start(case, ctl)
-        norm = [float(np.abs(nr_solver.residual(init, ctl)).max())]
+        norm = [float(np.abs(residual(init, ctl)).max())]
 
         def creeping(*args):
             norm[0] *= 1.0 - drop
@@ -471,27 +473,18 @@ class TestNrSolve:
         assert rep.iterations <= 3
 
     def test_start_evaluated_once(self, bundled_matpower, monkeypatch):
-        # the starting norm is iteration 1's assembled F; residual runs
-        # for line-search trials only
+        # the starting norm is the F of iteration 1's pass, which gives
+        # its J; every later pass is a line-search trial's
         case = bundled_matpower["case9"]
         ctl = ControlMode()
         init = flat_start(case, ctl)
-        seen = {"assemble": [], "residual": []}
-
-        def recorded(name):
-            fn = getattr(nr_solver, name)
-
-            def wrapper(state, ctl, *kept, **keep):
-                seen[name].append(state.x.copy())
-                return fn(state, ctl, *kept, **keep)
-            return wrapper
-
-        for name in seen:
-            monkeypatch.setattr(nr_solver, name, recorded(name))
+        passes = count_passes(monkeypatch)
+        built = record_jacobians(monkeypatch)
         _, rep = nr_solve(init, ctl, OPTS)
-        assert len(seen["assemble"]) == rep.iterations
-        assert np.array_equal(seen["assemble"][0], init.x)
-        assert not any(np.array_equal(x, init.x) for x in seen["residual"])
+        assert len(built) == rep.iterations
+        assert np.array_equal(built[0].x, init.x)
+        assert np.array_equal(passes[0], init.x)
+        assert not any(np.array_equal(x, init.x) for x in passes[1:])
 
     def test_collapsed_start_raises(self):
         case = two_bus_case()
@@ -525,27 +518,42 @@ class TestNrSolve:
             SolverOptions(damping="none")  # the step is always clamped
 
 
+def count_passes(monkeypatch):
+    """The states of the stamp passes made from here on, in order."""
+    passes = []
+
+    def counted(fn):
+        def wrapper(state, ctl):
+            passes.append(state.x.copy())
+            return fn(state, ctl)
+        return wrapper
+
+    patch_function(monkeypatch, stamp, counted)
+    return passes
+
+
+def record_jacobians(monkeypatch):
+    """The passes whose J is built from here on, in order."""
+    built = []
+    jacobian = circuit_stamps._Pass.jacobian
+
+    def recorded(st):
+        built.append(st)
+        return jacobian(st)
+
+    monkeypatch.setattr(circuit_stamps._Pass, "jacobian", recorded)
+    return built
+
+
 class TestStampedOnce:
     """nr_solve builds each iteration's J from the line search's pass at
     the trial it accepted, so every state is stamped once."""
-
-    @staticmethod
-    def count_passes(monkeypatch):
-        passes = []
-        stamp = circuit_stamps._stamp_pass
-
-        def counted(state, ctl):
-            passes.append(state.x.copy())
-            return stamp(state, ctl)
-
-        monkeypatch.setattr(circuit_stamps, "_stamp_pass", counted)
-        return passes
 
     @pytest.mark.parametrize("name", ["case9", "case118"])
     def test_one_stamp_pass_per_state(self, name, monkeypatch):
         case = load_matpower(name)
         ctl = ControlMode()
-        passes = self.count_passes(monkeypatch)
+        passes = count_passes(monkeypatch)
         _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         # the start, then one pass per line-search trial and no other
@@ -561,32 +569,28 @@ class TestStampedOnce:
         ctl = ControlMode()
         init = flat_start(case, ctl)
         (col,) = init.index.tap_col.values()
-        iterates, trials = [], []
-        assemble, norm = nr_solver.assemble, nr_solver._residual_norm
-
-        def recorded_assemble(state, ctl, kept=None):
-            iterates.append(state.x.copy())
-            return assemble(state, ctl, kept)
+        trials = []
+        norm = nr_solver._residual_norm
 
         def recorded_norm(state, ctl):
-            r, kept = norm(state, ctl)
-            trials.append((len(iterates), state.x.copy(), r, kept))
-            return r, kept
+            r, st = norm(state, ctl)
+            trials.append((len(built), state.x.copy(), r, st))
+            return r, st
 
-        monkeypatch.setattr(nr_solver, "assemble", recorded_assemble)
         monkeypatch.setattr(nr_solver, "_residual_norm", recorded_norm)
-        passes = self.count_passes(monkeypatch)
+        passes = count_passes(monkeypatch)
+        built = record_jacobians(monkeypatch)
         _, rep = nr_solve(init, ctl, OPTS)
         assert rep.converged
         assert len(passes) == 1 + rep.residual_evals
         k = next(k for k, t in enumerate(trials) if t[1][col] < 0.0)
-        it, x, r, kept = trials[k]
-        assert r == math.inf and kept is None
+        it, x, r, st = trials[k]
+        assert r == math.inf and st is None
         with pytest.raises(SingularPointError,
                            match=f"tap ratio of branch 1 is {x[col]:g}"):
             residual(StateVector(init.index, x), ctl)
         later, halved, r_half, _ = trials[k + 1]
-        start = iterates[it - 1]
+        start = built[it - 1].x
         assert later == it and r_half < math.inf and halved[col] > 0.0
         assert np.allclose(halved - start, (x - start) / 2.0, rtol=0.0,
                            atol=1e-15)
@@ -599,30 +603,23 @@ class TestStampedOnce:
         # which would end at its first iteration without descent
         case = tapped_case()
         ctl = ControlMode()
+        init = flat_start(case, ctl)
         trials = []
         norm = nr_solver._residual_norm
 
         def second_best(state, ctl):
-            _, kept = norm(state, ctl)
+            _, st = norm(state, ctl)
             trials.append(state.x)
-            return (1e9 if len(trials) % 7 == 2 else 2e9), kept
-
-        assembled = []
-        assemble = nr_solver.assemble
-
-        def checked(state, ctl, kept=None):
-            assembled.append(kept)
-            return assemble(state, ctl, kept)
+            return (1e9 if len(trials) % 7 == 2 else 2e9), st
 
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
-        monkeypatch.setattr(nr_solver, "assemble", checked)
-        _, rep = nr_solve(flat_start(case, ctl), ctl,
-                          SolverOptions(max_iter=3))
+        built = record_jacobians(monkeypatch)
+        _, rep = nr_solve(init, ctl, SolverOptions(max_iter=3))
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == rep.line_search_backtracks == 21
-        assert assembled[0] is None
-        assert [k.x is trials[7 * i + 1] for i, k in
-                enumerate(assembled[1:])] == [True, True]
+        assert np.array_equal(built[0].x, init.x)  # the start's pass
+        assert [st.x is trials[7 * i + 1] for i, st in
+                enumerate(built[1:])] == [True, True]
 
     def test_best_trial_pass_lands(self, monkeypatch):
         # as above, outside a sub-solve: each iteration's seven trials
@@ -631,32 +628,24 @@ class TestStampedOnce:
         # the best trial's pass, not the last one's
         case = load_matpower("case9")
         ctl = ControlMode()
-        land = circuit_stamps.generator_curves(flat_start(case, ctl).index,
-                                               ctl)
+        init = flat_start(case, ctl)
+        land = stamp(init, ctl).c.gen_curves
         calls = []
         norm = nr_solver._residual_norm
 
         def second_best(state, ctl):
-            r, kept = norm(state, ctl)
-            calls.append((state.x.copy(), kept))
+            r, st = norm(state, ctl)
+            calls.append((state.x.copy(), st))
             k = len(calls) % 8
-            return (r if k == 0 else 1e9 if k == 2 else 2e9), kept
-
-        assembled = []
-        assemble = nr_solver.assemble
-
-        def checked(state, ctl, kept=None):
-            assembled.append(kept)
-            return assemble(state, ctl, kept)
+            return (r if k == 0 else 1e9 if k == 2 else 2e9), st
 
         monkeypatch.setattr(nr_solver, "_residual_norm", second_best)
-        monkeypatch.setattr(nr_solver, "assemble", checked)
-        _, rep = nr_solve(flat_start(case, ctl), ctl,
-                          SolverOptions(max_iter=3))
+        assembled = record_jacobians(monkeypatch)
+        _, rep = nr_solve(init, ctl, SolverOptions(max_iter=3))
         assert [r.alpha for r in rep.trace] == [0.5] * 3
         assert rep.residual_evals == len(calls) == 24
         assert rep.line_search_backtracks == 21
-        assert assembled[0] is None
+        assert np.array_equal(assembled[0].x, init.x)  # the start's pass
         for i in range(3):
             (x, best), (y, landed) = calls[8 * i + 1], calls[8 * i + 7]
             assert np.array_equal(np.delete(y, land), np.delete(x, land))
@@ -675,23 +664,23 @@ class TestStampedOnce:
         # accepted trial is the last one
         case = load_matpower("case9")
         ctl = ControlMode()
-        land = circuit_stamps.generator_curves(flat_start(case, ctl).index,
-                                               ctl)
+        land = stamp(flat_start(case, ctl), ctl).c.gen_curves
         assert land.size == 2
         events = []
-        norm, assemble = nr_solver._residual_norm, nr_solver.assemble
+        norm = nr_solver._residual_norm
+        jacobian = circuit_stamps._Pass.jacobian
 
         def recorded(state, ctl):
-            r, kept = norm(state, ctl)
-            events.append(("trial", state.x.copy(), kept))
-            return r, kept
+            r, st = norm(state, ctl)
+            events.append(("trial", state.x.copy(), st))
+            return r, st
 
-        def checked(state, ctl, kept=None):
-            events.append(("assemble", None, kept))
-            return assemble(state, ctl, kept)
+        def checked(st):
+            events.append(("assemble", None, st))
+            return jacobian(st)
 
         monkeypatch.setattr(nr_solver, "_residual_norm", recorded)
-        monkeypatch.setattr(nr_solver, "assemble", checked)
+        monkeypatch.setattr(circuit_stamps._Pass, "jacobian", checked)
         _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
         assert rep.converged
         at = [i for i, e in enumerate(events) if e[0] == "assemble"]
@@ -719,15 +708,9 @@ class TestLineSearchCounters:
         # case9 backtracks, and every iteration finds a lower residual
         case = load_matpower("case9")
         ctl = ControlMode()
-        calls = []
-        residual_fn = nr_solver.residual
-
-        def counted(*args, **kw):
-            calls.append(1)
-            return residual_fn(*args, **kw)
-
-        monkeypatch.setattr(nr_solver, "residual", counted)
+        passes = count_passes(monkeypatch)
         _, rep = nr_solve(flat_start(case, ctl), ctl, OPTS)
+        calls = passes[1:]  # after the start's
         assert rep.converged and rep.line_search_backtracks > 0
         assert rep.residual_evals == len(calls)
         # every iteration's accepted trial, every rejected one, and one

@@ -17,7 +17,7 @@ Each setting factors J as `nr_solver._factor` does: the first
 factorization orders the columns and keeps that order, and the timed
 refills factor the kept permuted matrix in NATURAL order. The two
 representations are timed as an NR iteration spends them: J emitted
-from the flat start's stamp pass (`circuit_stamps._jacobian`), as CSC
+from the flat start's stamp pass (`circuit_stamps.stamp`), as CSC
 and as dense whatever `circuit_stamps.DENSE_MAX_DIM` says, then
 `solve_linear` of J x = -F, which runs SuperLU in the kept order or
 LAPACK. Dense is timed up to DENSE_PROBE_DIM unknowns. The stamp pass
@@ -58,9 +58,9 @@ import splitflow.circuit_stamps as circuit_stamps  # noqa: E402
 from splitflow.case_model import parse_matpower  # noqa: E402
 from splitflow.circuit_stamps import (  # noqa: E402
     ControlMode,
-    _jacobian,
     flat_start,
     residual,
+    stamp,
 )
 from splitflow.nr_solver import SPLU, solve_linear  # noqa: E402
 
@@ -81,7 +81,8 @@ def generated(n_bus, max_span):
 
 @contextlib.contextmanager
 def emitting(representation):
-    """`_jacobian` emits every J in the representation, at any size."""
+    """A pass's `jacobian()` emits every J in the representation, at any
+    size."""
     limit = circuit_stamps.DENSE_MAX_DIM
     circuit_stamps.DENSE_MAX_DIM = sys.maxsize if representation == "dense" else 0
     try:
@@ -95,7 +96,7 @@ def solve(st, representation):
     solves J x = -F; J's structure is ordered before it returns."""
     def call():
         with emitting(representation):
-            return solve_linear(_jacobian(st), -st.F)[0]
+            return solve_linear(st.jacobian(), -st.F)[0]
     call()
     return call
 
@@ -122,9 +123,9 @@ def quartiles(values):
 def probe(name, case, rounds):
     ctl = ControlMode()
     state = flat_start(case, ctl)
-    st = residual(state, ctl, keep=True)[1]
+    st = stamp(state, ctl)
     with emitting("csc"):
-        J = _jacobian(st)
+        J = st.jacobian()
     calls = {key: refill(J, settings) for key, settings in SETTINGS.items()}
     for representation in REPRESENTATIONS:
         if representation == "csc" or J.shape[0] <= DENSE_PROBE_DIM:
