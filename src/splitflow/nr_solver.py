@@ -177,8 +177,8 @@ def solve_linear(mat: np.ndarray | spmatrix, rhs: np.ndarray):
     for a sparse matrix. Returns (x, factors): factors, a `DenseLU` or
     `SparseLU`, solve mat x = b for another b without factoring anew.
 
-    The sparse LU factors with the `SPLU` settings. A J from `assemble`
-    carries its index map's structure, which keeps the LU column order
+    The sparse LU factors with the `SPLU` settings. A J from a stamp
+    pass carries its index map's structure, which keeps the LU column order
     of its pattern after the first factorization (see `_factor`); any
     other sparse matrix is ordered on each call.
 
