@@ -451,6 +451,37 @@ class TestDropGeneratorKeepsRemoteGroups:
         assert deleted.remote_groups[0].members == members
 
 
+class TestGroupMembership:
+    """Membership in an inferred group is a generator's control role."""
+
+    def test_membership_is_a_control_role(self):
+        # both members sit on PQ buses and hold no local role
+        case = grouped_case((0.6, 0.4))
+        kind = {b.id: b.kind for b in case.buses}
+        assert [kind[case.generators[i].bus]
+                for i in case.remote_groups[0].members] == ["pq", "pq"]
+        assert validate(case) == []
+
+    def test_generator_outside_every_group_has_none(self):
+        case = grouped_case((0.6, 0.4))
+        gens = list(case.generators)
+        gens[2] = replace(gens[2], remote_bus=None)
+        case = replace(case, generators=gens)
+        assert case.remote_groups == (
+            RemoteControlGroup(4, 1.03, (1,), (1.0,)),)
+        assert validate(case) == [
+            "generator 2 on PQ bus 3 has no control role"]
+
+    def test_member_is_no_local_controller_of_its_pv_bus(self):
+        # build_index leaves group members out of the local generators,
+        # so nothing would hold a PV bus whose only generator is one
+        case = grouped_case((0.6, 0.4))
+        case = replace(case, buses=tuple(
+            replace(b, kind="pv") if b.id == 2 else b for b in case.buses))
+        assert build_index(case).local_gen_idx == []
+        assert validate(case) == ["pv bus 2 has no local generator"]
+
+
 class TestSerializeGroups:
     @pytest.mark.parametrize("factors", [(0.6, 0.4), (0.5, 0.5),
                                          (0.5, 0.3, 0.2)])

@@ -556,6 +556,26 @@ class TestSwitchedShuntBehavior:
 
 
 class TestRemoteGroup:
+    def test_single_member_matches_local_generator(self):
+        # a unit whose remote bus is its own bus forms no group: it is
+        # the local PV model, with the same injection and solution
+        base = three_bus_pv_case(q_min=-0.4, q_max=0.4, v_set=1.02)
+        local_ctl = ControlMode()
+        st_local, rep1 = nr_solve(flat_start(base, local_ctl),
+                                  local_ctl, OPTS)
+        own = replace(base, generators=(replace(
+            base.generators[0], remote_bus=2, remote_factor=1.0),))
+        assert own.remote_groups == ()
+        ctl = ControlMode()
+        st_own, rep2 = nr_solve(flat_start(own, ctl), ctl, OPTS)
+        assert rep1.converged and rep2.converged
+        for pos in range(3):
+            assert st_own.v_mag(pos) == pytest.approx(
+                st_local.v_mag(pos), abs=1e-6)
+        q_local = st_local.x[st_local.index.q_col[("gen", 0)]]
+        q_own = st_own.x[st_own.index.q_col[("gen", 0)]]
+        assert q_own == pytest.approx(q_local, abs=1e-6)
+
     def test_kappa_proportional_sharing(self):
         case = remote_pair_case()
         ctl = ControlMode()
